@@ -421,7 +421,7 @@ func BenchmarkGroupCollectives(b *testing.B) {
 // (Send + Recv on both sides) over the in-process HPI with the fast
 // path enabled on both endpoints.
 func BenchmarkAllocHPIFastpathEcho(b *testing.B) {
-	runAllocFastpathEcho(b, "fp")
+	runAllocEcho(b, "fp", ncs.Options{Interface: ncs.HPI, FastPath: true}, 4096)
 }
 
 // BenchmarkAllocTelemetryHotPath is the telemetry layer's acceptance
@@ -432,18 +432,16 @@ func BenchmarkAllocHPIFastpathEcho(b *testing.B) {
 func BenchmarkAllocTelemetryHotPath(b *testing.B) {
 	ncs.EnableTracing(1, 256)
 	defer ncs.DisableTracing()
-	runAllocFastpathEcho(b, "tel")
+	runAllocEcho(b, "tel", ncs.Options{Interface: ncs.HPI, FastPath: true}, 4096)
 }
 
-// runAllocFastpathEcho is the shared body of the fast-path alloc
-// gates: one 4KB echo round trip per iteration.
-func runAllocFastpathEcho(b *testing.B, tag string) {
+// runAllocEcho is the shared body of the echo alloc gates: one echo
+// round trip of size bytes per iteration (Send + Recv on both sides)
+// over a connection pair built with opts.
+func runAllocEcho(b *testing.B, tag string, opts ncs.Options, size int) {
 	nw := ncs.NewNetwork()
 	defer nw.Close()
-	conn, peer, err := ncs.Pair(nw, "alloc-"+tag+"-a", "alloc-"+tag+"-b", ncs.Options{
-		Interface: ncs.HPI,
-		FastPath:  true,
-	})
+	conn, peer, err := ncs.Pair(nw, "alloc-"+tag+"-a", "alloc-"+tag+"-b", opts)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -460,7 +458,7 @@ func runAllocFastpathEcho(b *testing.B, tag string) {
 			}
 		}
 	}()
-	msg := make([]byte, 4096)
+	msg := make([]byte, size)
 	b.SetBytes(int64(len(msg)))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -483,44 +481,48 @@ func runAllocFastpathEcho(b *testing.B, tag string) {
 // pools instead of per-connection threads. The gate keeps the shard
 // path's queue hop from growing per-message allocations.
 func BenchmarkAllocHPIShardedEcho(b *testing.B) {
-	nw := ncs.NewNetwork()
-	defer nw.Close()
-	conn, peer, err := ncs.Pair(nw, "alloc-sh-a", "alloc-sh-b", ncs.Options{
-		Interface: ncs.HPI,
-		Runtime:   ncs.RuntimeSharded,
-	})
-	if err != nil {
-		b.Fatal(err)
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			m, err := peer.Recv()
-			if err != nil {
-				return
-			}
-			if err := peer.Send(m); err != nil {
-				return
-			}
-		}
-	}()
-	msg := make([]byte, 4096)
-	b.SetBytes(int64(len(msg)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if err := conn.Send(msg); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := conn.Recv(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.StopTimer()
-	conn.Close()
-	peer.Close()
-	<-done
+	runAllocEcho(b, "sh", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded}, 4096)
+}
+
+// The reliable-path gates. HPI's defaults bypass error and flow control,
+// so the gates above never enter them; these force selective repeat (or
+// go-back-N) and credits on, as a connection over a lossy interface
+// runs, and hold a reliable message to what an unreliable one costs —
+// the delivered copy — on every runtime: pooled error-control sessions,
+// one pooled send session, control bodies borrowed until emit returns.
+
+// reliableOpts is HPI with selective repeat and credits forced on.
+func reliableOpts() ncs.Options {
+	return ncs.Options{Interface: ncs.HPI, ErrorControl: ncs.ErrorSelectiveRepeat, FlowControl: ncs.FlowCredit}
+}
+
+// BenchmarkAllocReliableEcho is a 64 B echo on the threaded runtime,
+// the shape of the benchmark's rtt_small.
+func BenchmarkAllocReliableEcho(b *testing.B) {
+	runAllocEcho(b, "rel", reliableOpts(), 64)
+}
+
+// BenchmarkAllocReliableGoBackNEcho is the same echo under go-back-N.
+func BenchmarkAllocReliableGoBackNEcho(b *testing.B) {
+	opts := reliableOpts()
+	opts.ErrorControl = ncs.ErrorGoBackN
+	runAllocEcho(b, "rel-gbn", opts, 64)
+}
+
+// BenchmarkAllocReliableShardedEcho is the same echo on the sharded
+// runtime.
+func BenchmarkAllocReliableShardedEcho(b *testing.B) {
+	opts := reliableOpts()
+	opts.Runtime = ncs.RuntimeSharded
+	runAllocEcho(b, "rel-sh", opts, 64)
+}
+
+// BenchmarkAllocReliableFastpathEcho16K is a 16 KB (4 SDU) echo on the
+// fast path, the shape of the benchmark's lossy_echo on a clean link.
+func BenchmarkAllocReliableFastpathEcho16K(b *testing.B) {
+	opts := reliableOpts()
+	opts.FastPath = true
+	runAllocEcho(b, "rel-fp", opts, 16*1024)
 }
 
 // BenchmarkAllocSCISend4KB measures a threaded 4KB send over SCI (TCP

@@ -96,8 +96,8 @@ type ScalePoint struct {
 	// grow with conns at all.
 	IdleGoroutines int `json:"idle_goroutines"`
 	// PendingTimers counts armed timer-wheel timers at idle across
-	// both systems. Idle connections must contribute zero — heartbeats
-	// and retransmissions only arm wheel slots while they are live.
+	// both systems. Idle connections must contribute zero — heartbeat
+	// sweeps only arm wheel slots while a heartbeat connection lives.
 	PendingTimers int `json:"pending_timers"`
 	// EstBytesPerConn is System.MemStats' structural estimate for the
 	// same endpoints — a cross-check that the estimator tracks the

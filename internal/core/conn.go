@@ -60,10 +60,10 @@ type Message struct {
 // sendItem is one SDU handed to the Send Thread, optionally carrying
 // instrumentation state for Table I measurements. When ctrl is non-nil
 // the item is an in-band control packet (InbandControl mode) instead of
-// an SDU.
+// an SDU: the packet already marshalled, the item owning the reference.
 type sendItem struct {
 	sdu        errctl.SDU
-	ctrl       *packet.Control
+	ctrl       *buf.Buffer
 	trace      *SendTrace
 	done       chan struct{} // non-nil: Send Thread closes after transmission
 	streamSlot bool          // release one of the connection's stream send slots after transmission
@@ -97,6 +97,31 @@ type recvSession struct {
 
 var recvSessionPool = sync.Pool{New: func() any { return new(recvSession) }}
 
+// sendSession is what one reliable Send needs beyond the message: the
+// error-control sender, the channel the connection's control demux
+// deposits its acknowledgments on, and the retransmission timer.
+// Sessions recycle through sendSessionPool — channel and timer are
+// built once and survive, the sender is drawn from errctl's own pool
+// per transfer — so a steady stream of reliable sends allocates
+// nothing. What makes the channel safe to reuse is endSend's order:
+// deposits happen under c.mu against the waiter table, so once the
+// session id is deleted no event can land, and the drain that follows
+// leaves the channel empty. An ack for an older session finds no waiter
+// under its id and is discarded, whoever holds the channel now.
+type sendSession struct {
+	snd errctl.Sender
+	// ackCh holds the acks that arrive while Send is busy retransmitting;
+	// one that finds it full is dropped and the timer recovers.
+	ackCh chan ctrlEvent
+	timer *time.Timer // stopped and drained while pooled
+}
+
+var sendSessionPool = sync.Pool{New: func() any {
+	t := time.NewTimer(time.Hour)
+	t.Stop()
+	return &sendSession{ackCh: make(chan ctrlEvent, 4), timer: t}
+}}
+
 // Connection is one NCS point-to-point connection: a data connection
 // and a control connection, the per-connection threads of Figure 4, and
 // the flow/error control configuration chosen at establishment.
@@ -120,7 +145,7 @@ type Connection struct {
 	// runtime deposits on its shard's outbound queue and the fast path
 	// writes inline, so neither pays for queues it never uses.
 	sendQ chan sendItem
-	ctrlQ chan packet.Control
+	ctrlQ chan *buf.Buffer // marshalled control packets; the queue owns the references
 
 	// delivered is the connection's completed-message queue, created on
 	// first delivery or first Recv (deliveredQ) — both producer and
@@ -227,7 +252,7 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		// Data plane: per-connection Send and Receive Threads; control
 		// plane: per-connection Control Send/Receive Threads.
 		c.sendQ = make(chan sendItem, sendQueueDepth)
-		c.ctrlQ = make(chan packet.Control, 16)
+		c.ctrlQ = make(chan *buf.Buffer, 16)
 		c.wg.Add(4)
 		go c.sendThread()
 		go c.recvThread()
@@ -285,7 +310,7 @@ func (c *Connection) flowRecv() flowctl.Receiver {
 		// timers at all.
 		flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
 			ctl.ConnID = c.id
-			return c.enqueueCtrl(ctl)
+			return c.emitCtrl(ctl)
 		})
 	}
 	select {
@@ -396,7 +421,7 @@ func (c *Connection) heartbeatThread() {
 				go c.Close()
 				return
 			}
-			c.enqueueCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
+			c.emitCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
 		case <-c.closedCh:
 			return
 		}
@@ -548,105 +573,29 @@ func (c *Connection) sendThreadedOn(lane sendLane, msg []byte, tr *SendTrace) er
 		}
 		return c.sendUnreliable(lane, msg, sess, tr)
 	}
-	snd := errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
+	ss := c.beginSend(lane, msg, sess)
+	defer c.endSend(ss, sess)
+	snd := ss.snd
 	if tr != nil {
 		tr.stamp(&tr.tHeader)
 	}
 
-	ackCh := make(chan ctrlEvent, 4)
-	c.mu.Lock()
-	if c.waiters == nil {
-		c.waiters = make(map[uint32]chan ctrlEvent)
-	}
-	c.waiters[sess] = ackCh
-	c.mu.Unlock()
-	defer func() {
-		c.mu.Lock()
-		delete(c.waiters, sess)
-		c.mu.Unlock()
-		// Deposits happen under c.mu, so after the delete no new event
-		// can land: drain whatever is buffered and release the receive
-		// buffers those events retained (e.g. a duplicate final ack
-		// that raced this session's completion).
-		for {
-			select {
-			case ev := <-ackCh:
-				ev.release()
-			default:
-				return
-			}
-		}
-	}()
-
 	if err := c.transmitOn(lane, snd.Initial(), tr, false); err != nil {
 		return err
 	}
-	rto := func() time.Duration {
-		if !c.opts.AdaptiveTimeout {
-			return c.opts.AckTimeout
-		}
-		return c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
-	}
 	lastSend := time.Now()
 	retransmitted := false // Karn's rule: skip samples after a retransmit
-
-	// Retransmission timing: a sharded connection parks its timer on
-	// the System's hashed wheel — thousands of in-flight reliable sends
-	// then share one timer goroutine — while the threaded runtime keeps
-	// its dedicated runtime timer, today's behaviour.
-	var (
-		timer  *time.Timer
-		timerC <-chan time.Time
-		wfire  chan struct{}
-		wt     *wheelTimer
-	)
-	if c.sh != nil {
-		wfire = make(chan struct{}, 1)
-		wt = c.sys.timerWheel().newTimer(func() {
-			select {
-			case wfire <- struct{}{}:
-			default:
-			}
-		})
-		wt.reset(rto())
-		defer wt.stop()
-	} else {
-		timer = time.NewTimer(rto())
-		defer timer.Stop()
-		timerC = timer.C
-	}
-	rearm := func() {
-		if wt != nil {
-			wt.reset(rto())
-		} else {
-			resetTimer(timer, rto())
-		}
-	}
-	// Retransmissions transmit synchronously (the trailing true): their
-	// payloads alias msg, which the caller may recycle the moment Send
-	// returns, and the final ack can land while an async duplicate still
-	// sits in the send queue. Waiting for the Send Thread's confirmation
-	// — it copies the payload into its own staging buffer before
-	// batching — keeps every queued alias inside Send's lifetime. The
-	// original window needs no such barrier: an ack proves its SDUs were
-	// already staged and written. Retransmission is the slow path; the
-	// extra round trip to the Send Thread does not touch healthy sends.
-	onTimeout := func() error {
-		if err := c.transmitOn(lane, snd.OnTimeout(), nil, true); err != nil {
-			return err
-		}
-		lastSend = time.Now()
-		retransmitted = true
-		rearm()
-		return nil
-	}
+	resetTimer(ss.timer, c.rto())
 	for {
+		var rt []errctl.SDU
 		select {
-		case ev := <-ackCh:
+		case ev := <-ss.ackCh:
 			if c.opts.AdaptiveTimeout && !retransmitted {
 				c.rtt.observe(time.Since(lastSend))
 			}
-			rt, done, err := snd.OnAck(ev.ctl)
+			var done bool
+			var err error
+			rt, done, err = snd.OnAck(ev.ctl)
 			// OnAck parses the body synchronously, so the handed-off
 			// receive buffer can recycle now.
 			ev.release()
@@ -658,35 +607,90 @@ func (c *Connection) sendThreadedOn(lane sendLane, msg []byte, tr *SendTrace) er
 				mSendMsgs.IncAt(c.id)
 				return nil
 			}
-			if len(rt) > 0 {
-				if err := c.transmitOn(lane, rt, nil, true); err != nil {
-					return err
-				}
-				lastSend = time.Now()
-				retransmitted = true
-			}
-			rearm()
-		case <-timerC:
-			if err := onTimeout(); err != nil {
-				return err
-			}
-		case <-wfire:
-			if err := onTimeout(); err != nil {
-				return err
-			}
+		case <-ss.timer.C:
+			rt = snd.OnTimeout()
 		case <-c.closedCh:
 			return ErrConnClosed
 		}
+		if len(rt) > 0 {
+			// Retransmissions transmit synchronously (the trailing true):
+			// their payloads alias msg, which the caller may recycle the
+			// moment Send returns, and the final ack can land while an
+			// async duplicate still sits in the send queue. Waiting for
+			// the Send Thread's confirmation — it copies the payload into
+			// its own staging buffer before batching — keeps every queued
+			// alias inside Send's lifetime. The original window needs no
+			// such barrier: an ack proves its SDUs were already staged and
+			// written. Retransmission is the slow path; the extra round
+			// trip to the Send Thread does not touch healthy sends.
+			if err := c.transmitOn(lane, rt, nil, true); err != nil {
+				return err
+			}
+			lastSend = time.Now()
+			retransmitted = true
+		}
+		resetTimer(ss.timer, c.rto())
 	}
 }
 
-func resetTimer(t *time.Timer, d time.Duration) {
+// beginSend draws a send session for transfer sess of msg and registers
+// its ack channel with the control demux.
+func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSession {
+	ss := sendSessionPool.Get().(*sendSession)
+	ss.snd = errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
+	c.mu.Lock()
+	if c.waiters == nil {
+		c.waiters = make(map[uint32]chan ctrlEvent)
+	}
+	c.waiters[sess] = ss.ackCh
+	c.mu.Unlock()
+	return ss
+}
+
+// endSend retires the session: deregister, then drain (releasing the
+// receive buffers buffered events retained — e.g. a duplicate final ack
+// that raced the session's completion), then return every part to its
+// pool. See sendSession for why this order makes the channel reusable.
+func (c *Connection) endSend(ss *sendSession, sess uint32) {
+	c.mu.Lock()
+	delete(c.waiters, sess)
+	c.mu.Unlock()
+	for drained := false; !drained; {
+		select {
+		case ev := <-ss.ackCh:
+			ev.release()
+		default:
+			drained = true
+		}
+	}
+	stopTimer(ss.timer)
+	errctl.Release(ss.snd)
+	ss.snd = nil
+	sendSessionPool.Put(ss)
+}
+
+// rto is the current retransmission timeout: the configured AckTimeout,
+// or the RTT estimate's when the connection adapts.
+func (c *Connection) rto() time.Duration {
+	if !c.opts.AdaptiveTimeout {
+		return c.opts.AckTimeout
+	}
+	return c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
+}
+
+// stopTimer stops t and leaves its channel empty, whichever timer
+// channel semantics the binary was built with.
+func stopTimer(t *time.Timer) {
 	if !t.Stop() {
 		select {
 		case <-t.C:
 		default:
 		}
 	}
+}
+
+func resetTimer(t *time.Timer, d time.Duration) {
+	stopTimer(t)
 	t.Reset(d)
 }
 
@@ -697,16 +701,11 @@ func resetTimer(t *time.Timer, d time.Duration) {
 // garbage collected.
 var doneChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// transmit performs the Error-Control → Flow-Control → Send-Thread
-// hand-off for a batch of stream-0 SDUs. When sync is true it waits
-// for the Send Thread to confirm the final SDU left the interface.
-func (c *Connection) transmit(sdus []errctl.SDU, tr *SendTrace, sync bool) error {
-	return c.transmitOn(c.lane0(), sdus, tr, sync)
-}
-
-// transmitOn is transmit against an arbitrary send lane: admission and
-// the transmit index come from the lane, so a stream whose credit
-// window is exhausted blocks only its own sender.
+// transmitOn performs the Error-Control → Flow-Control → Send-Thread
+// hand-off for a batch of SDUs on a send lane: admission and the
+// transmit index come from the lane, so a stream whose credit window is
+// exhausted blocks only its own sender. When sync is true it waits for
+// the Send Thread to confirm the final SDU left the interface.
 func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace, sync bool) error {
 	fc := lane.fc
 	// Each retransmission is error control's verdict that one earlier
@@ -727,10 +726,7 @@ func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace,
 	// connection with adaptive timeouts applies its RTT estimate here
 	// too: a wedged grant is then repaired at round-trip pace instead
 	// of the fixed fallback.
-	wait := c.opts.AckTimeout
-	if c.opts.AdaptiveTimeout {
-		wait = c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
-	}
+	wait := c.rto()
 	for i, sdu := range sdus {
 		idx := lane.tx.Add(1) - 1
 		for {
@@ -862,13 +858,12 @@ func (c *Connection) checkSendSize(msg []byte) error {
 	if max := c.data.MaxPacket(); max > 0 && c.opts.SDUSize+packet.DataHeaderSize > max {
 		return ErrSendTooLarge
 	}
-	if c.opts.ErrorControl == errctl.None {
-		// The receiver's dense unreliable reassembly tracks at most
-		// MaxUnreliableSegments; a larger message would transmit fully
-		// yet never complete on the far side, so refuse it here.
-		if _, n := c.unreliableSegments(msg); n > errctl.MaxUnreliableSegments {
-			return ErrSendTooLarge
-		}
+	// The receiver's dense reassembly tracks at most
+	// MaxUnreliableSegments, whatever the scheme; a larger message would
+	// transmit fully yet never complete on the far side, so refuse it
+	// here.
+	if _, n := c.unreliableSegments(msg); n > errctl.MaxUnreliableSegments {
+		return ErrSendTooLarge
 	}
 	return nil
 }
@@ -902,10 +897,8 @@ func (c *Connection) sendThread() {
 				if it.trace != nil {
 					it.trace.stamp(&it.trace.tDequeued)
 				}
-				var sb *buf.Buffer
-				if it.ctrl != nil {
-					sb = buf.GetCap(packet.ControlHeaderSize + len(it.ctrl.Body))
-					sb.B = it.ctrl.Marshal(sb.B)
+				sb := it.ctrl
+				if sb != nil {
 					c.stats.controlSent.Add(1)
 				} else {
 					sb = buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
@@ -1052,7 +1045,7 @@ func (c *Connection) recvThread() {
 			b.Release()
 			continue
 		}
-		m, ok := c.dispatchData(h, payload, b, c.enqueueCtrl)
+		m, ok := c.dispatchData(h, payload, b, c.emitCtrl)
 		b.Release()
 		if ok {
 			telemetry.TraceFinish(c.id, h.SessionID)
@@ -1079,11 +1072,14 @@ func (c *Connection) recvThread() {
 }
 
 // dispatchData runs one arriving SDU through the receive-side flow and
-// error control, emitting control packets via emit. payload aliases
-// the pooled receive buffer ref (which the error control retains if it
-// must hold the segment); the caller still owns ref and releases it
-// after dispatchData returns. It returns a completed message when the
-// SDU finishes a session.
+// error control, emitting control packets via emit. Every packet's body
+// is the scratch of the state machine that produced it, borrowed until
+// emit returns: emit must serialise the packet before it does (emitCtrl
+// marshals into a pooled buffer on every runtime) and may not keep the
+// body. payload aliases the pooled receive buffer ref (which the error
+// control retains if it must hold the segment); the caller still owns
+// ref and releases it after dispatchData returns. It returns a
+// completed message when the SDU finishes a session.
 func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) (Message, bool) {
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
 	// Stream frames route to their stream's own machinery before the
@@ -1203,48 +1199,83 @@ func (c *Connection) pruneSessionsLocked() {
 	}
 }
 
-// enqueueCtrl hands a control packet to the Control Send Thread (or,
-// in in-band mode, to the Send Thread where it competes with data).
-// It reports false when the connection closed.
-func (c *Connection) enqueueCtrl(ctl packet.Control) bool {
-	if sc := c.sh; sc != nil {
+// emitCtrl sends one control packet on the path the connection's
+// runtime owns: the Control Send Thread's queue (in in-band mode the
+// Send Thread's, where it competes with data), the shard's outbound
+// queue, or — on the fast path, which has no threads — an inline write.
+// It serialises the packet into a pooled buffer BEFORE it returns, on
+// every runtime, which is what lets error and flow control lend it
+// bodies that live in their scratch; the queues carry that buffer, not
+// the packet. Safe from any goroutine. It reports false when the
+// connection closed.
+func (c *Connection) emitCtrl(ctl packet.Control) bool {
+	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
+	sb.B = ctl.Marshal(sb.B)
+	var queued bool
+	switch {
+	case c.opts.FastPath:
+		c.stats.controlSent.Add(1)
+		c.fastCtrlMu.Lock()
+		err := c.ctrl.SendBuf(sb) // consumes the reference
+		c.fastCtrlMu.Unlock()
+		return err == nil
+	case c.sh != nil:
 		// Sharded: the shard loop writes it, batched with whatever
 		// else this cycle produced. Control packets are bounded by the
 		// inbound budget that produced them, so they take no slot.
-		return sc.shard.enqueueOut(outItem{
-			c:        c,
-			ctrl:     ctl,
-			isCtrl:   true,
-			ctrlPath: !c.opts.InbandControl,
-		})
-	}
-	if c.opts.InbandControl {
-		item := sendItem{ctrl: &ctl}
+		queued = c.sh.shard.enqueueOut(outItem{c: c, ctrl: sb, ctrlPath: !c.opts.InbandControl})
+	case c.opts.InbandControl:
 		select {
-		case c.sendQ <- item:
-			return true
+		case c.sendQ <- sendItem{ctrl: sb}:
+			queued = true
 		case <-c.closedCh:
-			return false
+		}
+	default:
+		select {
+		case c.ctrlQ <- sb:
+			queued = true
+		case <-c.closedCh:
 		}
 	}
-	select {
-	case c.ctrlQ <- ctl:
-		return true
-	case <-c.closedCh:
+	if !queued {
+		sb.Release()
 		return false
+	}
+	select {
+	case <-c.closedCh:
+		// Both select arms above were ready, and Close may already have
+		// swept the queues: sweep again, so that the buffer just queued
+		// cannot be stranded behind threads that have exited.
+		c.drainCtrl()
+	default:
+	}
+	return true
+}
+
+// drainCtrl releases the marshalled control packets still queued on a
+// threaded connection that closed; nothing will send them.
+func (c *Connection) drainCtrl() {
+	for {
+		select {
+		case sb := <-c.ctrlQ:
+			sb.Release()
+		case it := <-c.sendQ:
+			if it.ctrl != nil {
+				it.ctrl.Release()
+			}
+		default:
+			return
+		}
 	}
 }
 
 // ctrlSendThread serialises control packets onto the control connection
-// (the Control Send Thread of Figure 1), staging each through a pooled
-// buffer.
+// (the Control Send Thread of Figure 1).
 func (c *Connection) ctrlSendThread() {
 	defer c.wg.Done()
 	for {
 		select {
-		case ctl := <-c.ctrlQ:
-			sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
-			sb.B = ctl.Marshal(sb.B)
+		case sb := <-c.ctrlQ:
 			c.stats.controlSent.Add(1)
 			if err := c.ctrl.SendBuf(sb); err != nil {
 				go c.Close()
@@ -1299,7 +1330,7 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 	c.lastHeard.Store(time.Now().UnixNano())
 	switch ctl.Type {
 	case packet.CtrlPing:
-		c.enqueueCtrl(packet.Control{Type: packet.CtrlPong, ConnID: c.id})
+		c.emitCtrl(packet.Control{Type: packet.CtrlPong, ConnID: c.id})
 	case packet.CtrlPong:
 		// lastHeard already refreshed; nothing else to do.
 	case packet.CtrlCredit, packet.CtrlCreditGrant, packet.CtrlRate, packet.CtrlWinAck:
@@ -1382,6 +1413,7 @@ func (c *Connection) Close() error {
 		c.data.Close()
 		c.ctrl.Close()
 		c.wg.Wait()
+		c.drainCtrl()
 		if sc := c.sh; sc != nil {
 			// Pumps have exited (wg). Deregister and barrier against
 			// the cycle that may still be dispatching our packets; the

@@ -113,14 +113,18 @@ func (c *Connection) sendFastOn(lane sendLane, msg []byte, tr *SendTrace) error 
 		mSendMsgs.IncAt(c.id)
 		return nil
 	}
+	// The fast path has no waiter to register and no timer of its own
+	// (the control transport's timed receive is both), so of the pooled
+	// send session it takes only the sender.
 	snd := errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
+	defer errctl.Release(snd)
 
 	queue := snd.Initial()
 	for {
 		// Transmit the queued SDUs, processing control traffic inline
 		// whenever flow control withholds admission. Retransmissions in
 		// the queue are presumed losses: return their credits first so
-		// the write-off funds the resend (see Connection.transmit).
+		// the write-off funds the resend (see Connection.transmitOn).
 		rtx := 0
 		for _, sdu := range queue {
 			if sdu.Header.Flags&packet.FlagRetransmit != 0 {
@@ -343,15 +347,6 @@ func (c *Connection) park0Pop() (Message, bool) {
 // elsewhere (its stream's backlog grew, an accept arrived), when the
 // deadline passes (ErrRecvTimeout), or when the transport dies.
 func (c *Connection) fastPump(direct bool, stop func() bool, deadline time.Time) (Message, bool, error) {
-	emit := func(ctl packet.Control) bool {
-		sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
-		sb.B = ctl.Marshal(sb.B)
-		c.stats.controlSent.Add(1)
-		c.fastCtrlMu.Lock()
-		err := c.ctrl.SendBuf(sb)
-		c.fastCtrlMu.Unlock()
-		return err == nil
-	}
 	for {
 		if stop != nil && stop() {
 			return Message{}, false, nil
@@ -379,7 +374,7 @@ func (c *Connection) fastPump(direct bool, stop func() bool, deadline time.Time)
 			b.Release()
 			continue
 		}
-		m, ok := c.dispatchData(h, payload, b, emit)
+		m, ok := c.dispatchData(h, payload, b, c.emitCtrl)
 		b.Release()
 		if ok {
 			telemetry.TraceFinish(c.id, h.SessionID)

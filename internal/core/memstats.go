@@ -3,7 +3,7 @@ package core
 import (
 	"unsafe"
 
-	"ncs/internal/packet"
+	"ncs/internal/buf"
 )
 
 // Rough heap sizes of lazily-built state that lives in other packages,
@@ -42,8 +42,8 @@ type MemStats struct {
 	// pruning table).
 	LiveSessions int
 	// PendingTimers counts timers currently armed on the System's
-	// hashed timer wheel: shard heartbeat sweeps plus in-flight sharded
-	// retransmission timers. Idle sharded connections contribute zero.
+	// hashed timer wheel: the shards' heartbeat sweeps. Idle sharded
+	// connections contribute zero.
 	PendingTimers int
 }
 
@@ -95,7 +95,7 @@ func (c *Connection) memEstimate() (bytes uint64, sessions int) {
 		bytes += uint64(cap(c.sendQ)) * uint64(unsafe.Sizeof(sendItem{}))
 	}
 	if c.ctrlQ != nil {
-		bytes += uint64(cap(c.ctrlQ)) * uint64(unsafe.Sizeof(packet.Control{}))
+		bytes += uint64(cap(c.ctrlQ)) * uint64(unsafe.Sizeof((*buf.Buffer)(nil)))
 	}
 	if p := c.delivered.Load(); p != nil {
 		bytes += uint64(cap(*p)) * uint64(unsafe.Sizeof(Message{}))

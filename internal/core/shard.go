@@ -101,13 +101,13 @@ const shardRecvBudget = 64
 const pumpDepth = 64
 
 // outItem is one outbound unit deposited on a shard's queue: a data
-// SDU or a control packet, with the transmission bookkeeping the
-// threaded Send Thread would have carried.
+// SDU or a control packet (already marshalled; the item owns the
+// reference), with the transmission bookkeeping the threaded Send
+// Thread would have carried.
 type outItem struct {
 	c          *Connection
 	sdu        errctl.SDU
-	ctrl       packet.Control
-	isCtrl     bool
+	ctrl       *buf.Buffer   // non-nil: a control packet, not an SDU
 	ctrlPath   bool          // write to the control connection (false: data)
 	trace      *SendTrace    // stamped as the threaded Send Thread would
 	done       chan struct{} // non-nil: deposit a token after transmission
@@ -161,6 +161,7 @@ type shard struct {
 	conns   map[*Connection]struct{}
 	ready   []*Connection
 	outQ    []outItem
+	stopped bool          // the loop is gone (or never ran): refuse outbound items
 	hbEvery time.Duration // min heartbeat interval among registered conns
 	hbTimer *wheelTimer   // periodic sweep on the System's timer wheel
 
@@ -218,8 +219,9 @@ func (sh *shard) requeue(c *Connection) {
 	sh.ring()
 }
 
-// enqueueOut deposits one outbound item; it reports false when the
-// connection has closed.
+// enqueueOut deposits one outbound item; it reports false — the item,
+// and any buffer it carries, stays the caller's — when the connection
+// has closed or the loop that would flush it is gone.
 func (sh *shard) enqueueOut(it outItem) bool {
 	select {
 	case <-it.c.closedCh:
@@ -227,6 +229,10 @@ func (sh *shard) enqueueOut(it outItem) bool {
 	default:
 	}
 	sh.mu.Lock()
+	if sh.stopped {
+		sh.mu.Unlock()
+		return false
+	}
 	sh.outQ = append(sh.outQ, it)
 	sh.mu.Unlock()
 	sh.ring()
@@ -404,10 +410,8 @@ func (sh *shard) flushOut() {
 	for i := range out {
 		it := &out[i]
 		sc := it.c.sh
-		var sb *buf.Buffer
-		if it.isCtrl {
-			sb = buf.GetCap(packet.ControlHeaderSize + len(it.ctrl.Body))
-			sb.B = it.ctrl.Marshal(sb.B)
+		sb := it.ctrl
+		if sb != nil {
 			it.c.stats.controlSent.Add(1)
 		} else {
 			if it.trace != nil {
@@ -476,7 +480,7 @@ func (sh *shard) finishItems(c *Connection, items []outItem) {
 		if it.trace != nil {
 			it.trace.stamp(&it.trace.tTransmitted)
 		}
-		if !it.isCtrl {
+		if it.ctrl == nil {
 			telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
 		}
 		if it.done != nil {
@@ -579,7 +583,7 @@ func (sh *shard) pumpData(c *Connection) {
 			b.Release()
 			continue
 		}
-		m, ok := c.dispatchData(h, payload, b, c.enqueueCtrl)
+		m, ok := c.dispatchData(h, payload, b, c.emitCtrl)
 		b.Release()
 		if ok {
 			// The trace completes at the delivery hand-off; a parked
@@ -702,7 +706,7 @@ func (sh *shard) heartbeatSweep() {
 			go c.Close()
 			continue
 		}
-		c.enqueueCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
+		c.emitCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
 	}
 	for i := range conns {
 		conns[i] = nil
@@ -779,6 +783,21 @@ func (s *System) stopShards() {
 		close(sh.quit)
 	}
 	s.shardWG.Wait()
+	for _, sh := range shards {
+		// An emitter that passed enqueueOut's closed check just before its
+		// connection closed may have queued a control packet no loop will
+		// flush; release it, and refuse whatever comes later.
+		sh.mu.Lock()
+		sh.stopped = true
+		left := sh.outQ
+		sh.outQ = nil
+		sh.mu.Unlock()
+		for _, it := range left {
+			if it.ctrl != nil {
+				it.ctrl.Release()
+			}
+		}
+	}
 	if wheel != nil {
 		wheel.stop()
 	}

@@ -74,25 +74,15 @@ func (c *Connection) reapStreams() {
 // and close announcements) over the connection's control path. It is
 // the mux's emitter, so it also runs on consumer goroutines — a
 // TryPop that refills the peer's credit window emits from whatever
-// goroutine popped. On the fast path that means an inline marshal and
-// write under fastCtrlMu (the pump's ack writes take the same lock);
-// the threaded and sharded runtimes enqueue as usual.
+// goroutine popped.
 func (c *Connection) emitStreamCtrl(ctl packet.Control) bool {
 	ctl.ConnID = c.id
-	if c.opts.FastPath {
-		sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
-		sb.B = ctl.Marshal(sb.B)
-		c.stats.controlSent.Add(1)
-		c.fastCtrlMu.Lock()
-		err := c.ctrl.SendBuf(sb)
-		c.fastCtrlMu.Unlock()
-		return err == nil
-	}
-	return c.enqueueCtrl(ctl)
+	return c.emitCtrl(ctl)
 }
 
 // dispatchStream routes one arriving stream frame (StreamID != 0) to
-// its stream's protocol state, creating the stream on first frame —
+// its stream's protocol state (emit borrows each packet's body, as in
+// dispatchData), creating the stream on first frame —
 // which is what makes CtrlStreamOpen advisory and lets the fast path
 // (whose control connection is only read by senders) accept streams
 // purely from data arrivals. Completed messages park on the stream,

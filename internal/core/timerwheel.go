@@ -7,11 +7,11 @@ import (
 
 // The timer wheel is the sharded runtime's answer to timer scale-out,
 // the same trade the shard pool makes for goroutines. The threaded
-// runtime gives every connection a heartbeat ticker goroutine and every
-// reliable send its own runtime timer — faithful to the paper's
-// thread-per-function architecture, and fine at hundreds of
-// connections. At 100k connections that is 100k runtime timers parked
-// in the Go timer heap for the common case where nothing ever fires.
+// runtime gives every connection a heartbeat ticker goroutine —
+// faithful to the paper's thread-per-function architecture, and fine
+// at hundreds of connections. At 100k connections that is 100k runtime
+// timers parked in the Go timer heap for the common case where nothing
+// ever fires.
 //
 // Instead, a System owns one hashed timing wheel: a ring of slots
 // advanced by a single coarse ticker, with each armed timer hashed to
@@ -20,19 +20,18 @@ import (
 // appends and flag flips; the wheel goroutine exists only while the
 // wheel is running, and the wheel itself starts lazily on the first
 // armed timer — a System whose connections never arm one (no
-// heartbeats, no reliable retransmissions pending) costs zero timers
-// and zero timer goroutines no matter how many connections it carries.
+// heartbeats) costs zero timers and zero timer goroutines no matter
+// how many connections it carries.
 //
-// The price is granularity: a wheel timer fires up to one tick late.
-// Both wheel clients are tolerant — heartbeat silence windows are
-// multiples of the (millisecond-scale) interval, and a retransmission
-// timer that fires a tick late only delays recovery, never correctness
-// (the acknowledgment clock is event-driven).
+// The price is granularity: a wheel timer fires up to one tick late,
+// which heartbeats tolerate — silence windows are multiples of the
+// (millisecond-scale) interval. Retransmission timers are not wheel
+// clients: they live in the pooled send session (conn.go), armed only
+// while a Send is in flight, on every runtime.
 
 const (
 	// wheelTick is the wheel's granularity: armed timers fire within
-	// one tick after their deadline. 1ms keeps the shortest adaptive
-	// retransmission timeouts (minAdaptiveTimeout) honest.
+	// one tick after their deadline.
 	wheelTick = time.Millisecond
 	// wheelSlotCount is the ring size; deadlines beyond
 	// wheelTick×wheelSlotCount carry a rounds counter.

@@ -9,11 +9,21 @@
 // when to emit acknowledgment packets on the control connection. All
 // packet I/O and timer scheduling stay with the caller (the NCS Error
 // Control Thread or the fast-path procedures).
+//
+// Instances are pooled: NewSender/NewReceiver draw a state machine whose
+// segment tables, bitmap and scratch survive from an earlier session,
+// and Release/Recycle hand it back, so a steady stream of reliable
+// messages allocates nothing here beyond each delivered copy. The price
+// is that everything a state machine returns — SDU slices, control
+// packets and their bodies — is BORROWED from it, for no longer than the
+// doc of the method that returned it says.
 package errctl
 
 import (
 	"errors"
 	"fmt"
+	"slices"
+	"sync"
 
 	"ncs/internal/buf"
 	"ncs/internal/packet"
@@ -62,13 +72,17 @@ type SDU struct {
 	Payload []byte
 }
 
-// Sender drives the transmit side of one message transfer.
+// Sender drives the transmit side of one message transfer. The SDU
+// slices it returns are the sender's own storage: Initial's stays valid
+// until Release, a retransmission batch only until the next OnAck or
+// OnTimeout. Their payloads alias the caller's message.
 type Sender interface {
 	// Initial returns the full set of SDUs to transmit first
 	// (segmentation + header generation, steps 1–3 of Figure 5).
 	Initial() []SDU
 	// OnAck processes an acknowledgment control packet and returns any
-	// SDUs to retransmit. done reports message completion.
+	// SDUs to retransmit. done reports message completion. c.Body is
+	// parsed in place and not referenced after OnAck returns.
 	OnAck(c packet.Control) (retransmit []SDU, done bool, err error)
 	// OnTimeout handles an acknowledgment timeout and returns the SDUs
 	// to retransmit (the paper's whole-message fallback for selective
@@ -86,8 +100,11 @@ type Receiver interface {
 	// copying — the caller keeps its own reference and releases it
 	// after OnData returns. A nil ref (tests, legacy callers) falls
 	// back to copying. acks carries any control packets to return to
-	// the sender — the slice is only valid until the next OnData call;
-	// done reports that the message is fully reassembled.
+	// the sender. The slice AND the packets' bodies are the receiver's
+	// scratch, borrowed until the caller's emit returns: the caller
+	// must marshal (or copy) each packet before it calls OnData again
+	// or recycles the receiver, and may not hand a body to another
+	// goroutine. done reports that the message is fully reassembled.
 	OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (acks []packet.Control, done bool)
 	// Message returns the reassembled user message; valid once done.
 	// It releases the retained segment buffers on first call and caches
@@ -130,6 +147,103 @@ func (s segment) release() {
 	}
 }
 
+// MaxUnreliableSegments bounds the SDUs of one message, for every
+// scheme: receivers drop SDUs whose sequence number reaches it and core
+// refuses to send a larger message (ErrSendTooLarge) rather than let it
+// transmit fully yet never complete. Reassembly is dense (indexed
+// 0..total-1), so one SDU whose header carries a huge sequence number
+// would otherwise force a huge allocation. 64K segments means a 256MB
+// message at the default SDU size — far beyond any real transfer —
+// while capping the damage of a corrupt or hostile header at ~2MB.
+const MaxUnreliableSegments = 1 << 16
+
+// maxPooledSegs bounds the segment storage a pooled state machine
+// keeps: one that grew unusually large (a near-cap sequence number, a
+// huge message) frees its tables rather than pinning them in the pool.
+const maxPooledSegs = 4096
+
+// reassembly is the dense segment store every receiver assembles from:
+// slices indexed by SDU sequence number and reused across sessions, not
+// a fresh map per message. Segments are retained views of the pooled
+// receive buffers (zero-copy), released when assemble builds the
+// delivery, by Abandon, or at the latest by reset.
+type reassembly struct {
+	segs      []segment // segment payloads, indexed by SDU sequence
+	got       []bool    // which sequence numbers ever arrived
+	msg       []byte    // cached assembly; segments released once built
+	assembled bool
+}
+
+// hold stores the payload of SDU seq (< MaxUnreliableSegments) unless
+// that sequence number already arrived — the first copy wins and the
+// duplicate is counted — and reports whether it was new.
+func (a *reassembly) hold(seq int, payload []byte, ref *buf.Buffer) bool {
+	if seq >= len(a.segs) {
+		a.segs = append(a.segs, make([]segment, seq+1-len(a.segs))...)
+		a.got = append(a.got, make([]bool, seq+1-len(a.got))...)
+	}
+	if a.got[seq] {
+		mRecvDup.Inc()
+		return false
+	}
+	a.segs[seq] = holdSegment(payload, ref)
+	a.got[seq] = true
+	return true
+}
+
+// assemble concatenates the segments below total that arrived — the one
+// copy owed to the application — then releases the retained buffers.
+// The got bits stay: LostSDUs still counts them. Repeat calls return
+// the cached message.
+func (a *reassembly) assemble(total int) []byte {
+	if !a.assembled {
+		size := 0
+		for _, s := range a.segs[:total] {
+			size += len(s.data)
+		}
+		out := make([]byte, 0, size)
+		for _, s := range a.segs[:total] {
+			out = append(out, s.data...)
+		}
+		a.Abandon()
+		a.msg, a.assembled = out, true
+	}
+	return a.msg
+}
+
+// Abandon releases every retained segment buffer without delivering.
+func (a *reassembly) Abandon() {
+	for i := range a.segs {
+		a.segs[i].release()
+		a.segs[i] = segment{}
+	}
+}
+
+// lost counts the sequence numbers below total that never arrived.
+func (a *reassembly) lost(total int) int {
+	n := 0
+	for _, ok := range a.got[:total] {
+		if !ok {
+			n++
+		}
+	}
+	return n
+}
+
+// reset returns the store to its fresh state for the pool: nothing of
+// the finished session — message, segment references, arrival bits —
+// carries over, and only modestly-sized tables are kept.
+func (a *reassembly) reset() {
+	a.Abandon()
+	if cap(a.segs) > maxPooledSegs {
+		a.segs, a.got = nil, nil
+	}
+	// Truncating is enough to forget the arrival bits: hold re-extends
+	// the tables with explicit zero values.
+	a.segs, a.got = a.segs[:0], a.got[:0]
+	a.msg, a.assembled = nil, false
+}
+
 // EffectiveSDUSize clamps a configured SDU size exactly the way
 // Segment does, letting callers predict the segmentation (for example,
 // whether a message fits in a single SDU).
@@ -155,12 +269,18 @@ func Segment(msg []byte, sduSize int, connID, sessionID uint32, extraFlags uint1
 // carries streamID so the receive demux can route the session to the
 // right per-stream reliability state.
 func SegmentStream(msg []byte, sduSize int, connID, streamID, sessionID uint32, extraFlags uint16) []SDU {
+	return appendSegments(nil, msg, sduSize, connID, streamID, sessionID, extraFlags)
+}
+
+// appendSegments is SegmentStream into caller storage: the SDUs are
+// appended to sdus, which grows at most once.
+func appendSegments(sdus []SDU, msg []byte, sduSize int, connID, streamID, sessionID uint32, extraFlags uint16) []SDU {
 	sduSize = EffectiveSDUSize(sduSize)
 	n := (len(msg) + sduSize - 1) / sduSize
 	if n == 0 {
 		n = 1 // an empty message still needs one (empty) end SDU
 	}
-	sdus := make([]SDU, 0, n)
+	sdus = slices.Grow(sdus, n)
 	for i := 0; i < n; i++ {
 		lo := i * sduSize
 		hi := lo + sduSize
@@ -186,13 +306,53 @@ func SegmentStream(msg []byte, sduSize int, connID, streamID, sessionID uint32, 
 	return sdus
 }
 
+// segmented is the state every sender shares: the message's SDUs and
+// the scratch its retransmission batches are built in. Both keep their
+// storage across sessions.
+type segmented struct {
+	sdus []SDU
+	rt   []SDU
+	done bool
+}
+
+func (s *segmented) Initial() []SDU { return s.sdus }
+
+func (s *segmented) Done() bool { return s.done }
+
+// retransmit appends sdu to the batch being built, flagged as a resend.
+func (s *segmented) retransmit(sdu SDU) {
+	sdu.Header.Flags |= packet.FlagRetransmit
+	s.rt = append(s.rt, sdu)
+}
+
+// release forgets the finished session. Both tables are zeroed to
+// their capacity — rt shrinks and regrows within a session — so a
+// pooled sender never pins the previous caller's message.
+func (s *segmented) release() {
+	clear(s.sdus[:cap(s.sdus)])
+	clear(s.rt[:cap(s.rt)])
+	if cap(s.sdus) > maxPooledSegs {
+		s.sdus, s.rt = nil, nil
+	}
+	s.sdus, s.rt, s.done = s.sdus[:0], s.rt[:0], false
+}
+
+var (
+	srSenderPool    = sync.Pool{New: func() any { return new(srSender) }}
+	gbnSenderPool   = sync.Pool{New: func() any { return new(gbnSender) }}
+	noneSenderPool  = sync.Pool{New: func() any { return new(noneSender) }}
+	srReceiverPool  = sync.Pool{New: func() any { return new(srReceiver) }}
+	gbnReceiverPool = sync.Pool{New: func() any { return new(gbnReceiver) }}
+	noneRecvPool    = sync.Pool{New: func() any { return new(noneReceiver) }}
+)
+
 // NewSender builds the transmit side of a stream-0 session.
 func NewSender(alg Algorithm, msg []byte, sduSize int, connID, sessionID uint32) Sender {
 	return NewSenderStream(alg, msg, sduSize, connID, 0, sessionID)
 }
 
 // NewSenderStream builds the transmit side of a session on an
-// arbitrary stream.
+// arbitrary stream, reusing a pooled sender when one is available.
 func NewSenderStream(alg Algorithm, msg []byte, sduSize int, connID, streamID, sessionID uint32) Sender {
 	switch alg {
 	case SelectiveRepeat:
@@ -204,14 +364,51 @@ func NewSenderStream(alg Algorithm, msg []byte, sduSize int, connID, streamID, s
 	}
 }
 
-// NewReceiver builds the receive side of a session.
+// Release returns a sender to its pool once the transfer is over
+// (completed or given up). The sender, and every SDU slice it returned,
+// must not be used afterwards; it keeps no reference into the message.
+func Release(s Sender) {
+	switch s := s.(type) {
+	case *srSender:
+		s.release()
+		srSenderPool.Put(s)
+	case *gbnSender:
+		s.release()
+		gbnSenderPool.Put(s)
+	case *noneSender:
+		s.release()
+		noneSenderPool.Put(s)
+	}
+}
+
+// NewReceiver builds the receive side of a session, reusing a pooled
+// receiver when one is available.
 func NewReceiver(alg Algorithm) Receiver {
 	switch alg {
 	case SelectiveRepeat:
-		return newSRReceiver()
+		return srReceiverPool.Get().(*srReceiver)
 	case GoBackN:
-		return newGBNReceiver()
+		return gbnReceiverPool.Get().(*gbnReceiver)
 	default:
-		return newNoneReceiver()
+		return noneRecvPool.Get().(*noneReceiver)
+	}
+}
+
+// Recycle returns a receiver to its pool once the caller is done with
+// it (message delivered, or the session abandoned). Segment buffers
+// still retained are released. The receiver must not be used after
+// Recycle, and neither may the acks of its last OnData: their bodies
+// are its scratch.
+func Recycle(r Receiver) {
+	switch r := r.(type) {
+	case *srReceiver:
+		r.reset()
+		srReceiverPool.Put(r)
+	case *gbnReceiver:
+		r.reset()
+		gbnReceiverPool.Put(r)
+	case *noneReceiver:
+		r.reset()
+		noneRecvPool.Put(r)
 	}
 }

@@ -62,11 +62,20 @@ func TestSegment(t *testing.T) {
 	}
 }
 
+// keepAcks appends copies of acks to kept: ack bodies are the
+// receiver's scratch, borrowed only until its next OnData.
+func keepAcks(kept, acks []packet.Control) []packet.Control {
+	for _, a := range acks {
+		kept = append(kept, copyControl(a))
+	}
+	return kept
+}
+
 // deliver pushes SDUs through a receiver, returning all acks produced.
 func deliver(r Receiver, sdus []SDU) (acks []packet.Control, done bool) {
 	for _, s := range sdus {
 		a, d := r.OnData(s.Header, s.Payload, nil)
-		acks = append(acks, a...)
+		acks = keepAcks(acks, a)
 		done = d
 	}
 	return acks, done
@@ -356,7 +365,7 @@ func lossySimulate(t *testing.T, alg Algorithm, msg []byte, sduSize int, dataLos
 			}
 			progressed = true
 			a, _ := r.OnData(sdu.Header, sdu.Payload, nil)
-			acks = append(acks, a...)
+			acks = keepAcks(acks, a)
 		}
 		queue = nil
 		sdone := s.Done()
@@ -368,7 +377,7 @@ func lossySimulate(t *testing.T, alg Algorithm, msg []byte, sduSize int, dataLos
 			if err != nil && err != ErrSessionDone {
 				t.Fatalf("OnAck: %v", err)
 			}
-			queue = append(queue, rt...)
+			queue = append(queue, rt...) // copies: rt is borrowed until the next OnAck
 			sdone = sdone || d
 		}
 		if sdone {
@@ -425,7 +434,7 @@ func TestQuickReliableDelivery(t *testing.T) {
 						continue
 					}
 					a, _ := r.OnData(sdu.Header, sdu.Payload, nil)
-					acks = append(acks, a...)
+					acks = keepAcks(acks, a)
 				}
 				queue = nil
 				for _, a := range acks {

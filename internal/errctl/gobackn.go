@@ -1,6 +1,8 @@
 package errctl
 
 import (
+	"encoding/binary"
+
 	"ncs/internal/buf"
 	"ncs/internal/packet"
 )
@@ -9,7 +11,7 @@ import (
 // SDUs and acknowledges cumulatively; on a NACK or timeout the sender
 // replays everything from the first unacknowledged SDU.
 type gbnSender struct {
-	sdus []SDU
+	segmented
 	base int // first unacknowledged SDU index
 	// nackedAt is the base value of the last NACK-triggered replay.
 	// The receiver NACKs every out-of-order arrival, so one loss inside
@@ -20,16 +22,16 @@ type gbnSender struct {
 	// amplification livelock. Replaying once per base value keeps NACK
 	// recovery one-shot; the retransmission timer covers a lost replay.
 	nackedAt int
-	done     bool
 }
 
 var _ Sender = (*gbnSender)(nil)
 
 func newGBNSender(msg []byte, sduSize int, connID, streamID, sessionID uint32) *gbnSender {
-	return &gbnSender{sdus: SegmentStream(msg, sduSize, connID, streamID, sessionID, 0), nackedAt: -1}
+	s := gbnSenderPool.Get().(*gbnSender)
+	s.sdus = appendSegments(s.sdus, msg, sduSize, connID, streamID, sessionID, 0)
+	s.base, s.nackedAt = 0, -1
+	return s
 }
-
-func (s *gbnSender) Initial() []SDU { return s.sdus }
 
 func (s *gbnSender) OnAck(c packet.Control) ([]SDU, bool, error) {
 	if s.done {
@@ -80,116 +82,87 @@ func (s *gbnSender) OnTimeout() []SDU {
 // retransmissions. The final one keeps/gains the end bit so the receiver
 // answers when the replayed tail arrives.
 func (s *gbnSender) replay() []SDU {
-	rt := make([]SDU, 0, len(s.sdus)-s.base)
-	for i := s.base; i < len(s.sdus); i++ {
-		sdu := s.sdus[i]
-		sdu.Header.Flags |= packet.FlagRetransmit
-		rt = append(rt, sdu)
+	s.rt = s.rt[:0]
+	for _, sdu := range s.sdus[min(s.base, len(s.sdus)):] {
+		s.retransmit(sdu)
 	}
-	mRetransmitSDUs.Add(int64(len(rt)))
-	return rt
+	mRetransmitSDUs.Add(int64(len(s.rt)))
+	return s.rt
 }
-
-func (s *gbnSender) Done() bool { return s.done }
 
 // gbnReceiver accepts only the expected next SDU; anything else is
 // dropped and answered with a NACK carrying the expected sequence
-// number. Every accepted SDU produces a cumulative ACK.
-// gbnReceiver accepts only in-order SDUs, so reassembly appends into
-// one amortised contiguous buffer: holding retained packet buffers
-// would pin a pooled buffer per SDU for data that is already final,
-// which is why this receiver copies where the selective-repeat one
-// retains.
+// number. Every accepted SDU produces a cumulative ACK. Accepted SDUs
+// go into the same dense store the other schemes assemble from, which
+// in-order arrival fills front to back.
 type gbnReceiver struct {
+	reassembly
 	expected uint32
-	total    int // learned from the end bit; -1 until known
-	buf      []byte
+	total    int // learned from the end bit; 0 until known
 	done     bool
+	body     [4]byte // scratch for the staged packet's body
 	ctlOut   [1]packet.Control
 }
 
 var _ Receiver = (*gbnReceiver)(nil)
 
-func newGBNReceiver() *gbnReceiver { return &gbnReceiver{total: -1} }
+func (r *gbnReceiver) reset() {
+	r.reassembly.reset()
+	r.expected, r.total, r.done = 0, 0, false
+	r.ctlOut[0] = packet.Control{}
+}
 
-// stage puts one control packet in the receiver's scratch slot (valid
-// until the next OnData call, per the Receiver contract).
-func (r *gbnReceiver) stage(c packet.Control) []packet.Control {
-	r.ctlOut[0] = c
+// stage puts one control packet carrying n in the receiver's scratch
+// slot (borrowed by the caller, per the Receiver contract).
+func (r *gbnReceiver) stage(typ packet.ControlType, h packet.DataHeader, n uint32) []packet.Control {
+	binary.BigEndian.PutUint32(r.body[:], n)
+	r.ctlOut[0] = packet.Control{Type: typ, ConnID: h.ConnID, SessionID: h.SessionID, Body: r.body[:]}
 	return r.ctlOut[:1]
 }
 
-func (r *gbnReceiver) OnData(h packet.DataHeader, payload []byte, _ *buf.Buffer) ([]packet.Control, bool) {
+// ack stages the current cumulative position: an ACK for the highest
+// in-order SDU, or — nothing accepted yet, so no cumulative ack exists —
+// a NACK for the first.
+func (r *gbnReceiver) ack(h packet.DataHeader) []packet.Control {
+	if r.expected == 0 {
+		return r.stage(packet.CtrlNack, h, 0)
+	}
+	return r.stage(packet.CtrlAck, h, r.expected-1)
+}
+
+func (r *gbnReceiver) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) ([]packet.Control, bool) {
 	if r.done {
 		// A retransmission after completion means the final cumulative
 		// ACK was lost; repeat it so the sender can finish.
 		mRecvDup.Inc()
-		return r.stage(packet.Control{
-			Type:      packet.CtrlAck,
-			ConnID:    h.ConnID,
-			SessionID: h.SessionID,
-			Body:      packet.CreditBody(r.expected - 1),
-		}), true
+		return r.ack(h), true
 	}
-	if h.Seq != r.expected {
+	if h.Seq != r.expected || h.Seq >= MaxUnreliableSegments {
 		// Out of order: duplicate (already have it) or a gap (cells
 		// were lost). A duplicate of an old SDU needs no NACK storm; a
 		// gap needs the sender to go back. Both are answered with the
 		// current cumulative position.
 		if h.Seq > r.expected {
 			mRecvOOO.Inc()
-			return r.stage(packet.Control{
-				Type:      packet.CtrlNack,
-				ConnID:    h.ConnID,
-				SessionID: h.SessionID,
-				Body:      packet.CreditBody(r.expected),
-			}), false
+			return r.stage(packet.CtrlNack, h, r.expected), false
 		}
 		mRecvDup.Inc()
-		return r.stage(r.ackLocked(h)), false
+		return r.ack(h), false
 	}
-	r.buf = append(r.buf, payload...)
+	r.hold(int(h.Seq), payload, ref)
 	r.expected++
-	if h.End() && h.Flags&packet.FlagRetransmit == 0 || (h.End() && r.total < 0) {
+	if h.End() && (h.Flags&packet.FlagRetransmit == 0 || r.total == 0) {
 		r.total = int(h.Seq) + 1
 	}
-	if r.total >= 0 && int(r.expected) >= r.total {
-		r.done = true
-	}
-	return r.stage(r.ackLocked(h)), r.done
-}
-
-func (r *gbnReceiver) ackLocked(h packet.DataHeader) packet.Control {
-	var cum uint32
-	if r.expected > 0 {
-		cum = r.expected - 1
-	} else {
-		// Nothing accepted yet: NACK for the first packet instead of an
-		// impossible negative cumulative ack.
-		return packet.Control{
-			Type:      packet.CtrlNack,
-			ConnID:    h.ConnID,
-			SessionID: h.SessionID,
-			Body:      packet.CreditBody(0),
-		}
-	}
-	return packet.Control{
-		Type:      packet.CtrlAck,
-		ConnID:    h.ConnID,
-		SessionID: h.SessionID,
-		Body:      packet.CreditBody(cum),
-	}
+	r.done = r.total > 0 && int(r.expected) >= r.total
+	return r.ack(h), r.done
 }
 
 func (r *gbnReceiver) Message() []byte {
 	if !r.done {
 		return nil
 	}
-	return r.buf
+	return r.assemble(int(r.expected))
 }
 
 func (r *gbnReceiver) LostSDUs() int { return 0 }
-
-// Abandon is a no-op: go-back-N assembles into an ordinary heap
-// buffer and never retains pooled segments.
-func (r *gbnReceiver) Abandon() {}

@@ -1,8 +1,6 @@
 package errctl
 
 import (
-	"sync"
-
 	"ncs/internal/buf"
 	"ncs/internal/packet"
 )
@@ -17,121 +15,50 @@ import (
 // remains the NewSender default for callers that want the uniform
 // Sender interface.
 type noneSender struct {
-	sdus []SDU
+	segmented
 }
 
 var _ Sender = (*noneSender)(nil)
 
 func newNoneSender(msg []byte, sduSize int, connID, streamID, sessionID uint32) *noneSender {
-	return &noneSender{sdus: SegmentStream(msg, sduSize, connID, streamID, sessionID, packet.FlagUnreliable)}
+	s := noneSenderPool.Get().(*noneSender)
+	s.sdus = appendSegments(s.sdus, msg, sduSize, connID, streamID, sessionID, packet.FlagUnreliable)
+	s.done = true // unreliable sessions complete as soon as the SDUs leave the sender
+	return s
 }
 
-func (s *noneSender) Initial() []SDU { return s.sdus }
-
-// OnAck is a no-op: unreliable sessions complete as soon as the SDUs
-// leave the sender.
+// OnAck is a no-op: nothing acknowledges an unreliable session.
 func (s *noneSender) OnAck(packet.Control) ([]SDU, bool, error) { return nil, true, nil }
 
 func (s *noneSender) OnTimeout() []SDU { return nil }
 
-func (s *noneSender) Done() bool { return true }
-
-// MaxUnreliableSegments bounds the segment index a None receiver will
-// track (senders enforce it too: core rejects larger unreliable
-// messages with ErrSendTooLarge rather than letting them silently
-// never complete). The receiver's bookkeeping is dense (indexed
-// 0..total-1), so one SDU whose header carries a huge sequence number
-// would otherwise force a huge allocation. 64K segments means a 256MB
-// message at the default SDU size — far beyond any real unreliable
-// transfer — while capping the damage of a corrupt or hostile header
-// at ~2MB; SDUs beyond the bound are dropped.
-const MaxUnreliableSegments = 1 << 16
-
-// maxPooledSegs bounds the segment storage a recycled receiver keeps:
-// a receiver that grew unusually large (a near-cap sequence
-// number) frees its slices rather than pinning them in the pool.
-const maxPooledSegs = 4096
-
 // noneReceiver reassembles whatever arrives; the message completes when
 // the end-bit SDU shows up, with missing segments simply absent. The
 // LostSDUs counter lets media applications observe the loss they chose
-// to tolerate. Segments are retained views of the pooled receive
-// buffers, released when Message assembles the delivery.
-//
-// Receivers recycle through a pool (Recycle): unreliable sessions are
-// the per-message hot path for streams and RPC traffic, so the segment
-// bookkeeping is dense slices reused across messages, not a fresh map
-// per message.
+// to tolerate.
 type noneReceiver struct {
-	segs      []segment // segment payloads, indexed by SDU sequence
-	got       []bool    // which sequence numbers ever arrived
-	total     int       // -1 until the end-bit SDU fixes the count
-	done      bool
-	msg       []byte
-	assembled bool
+	reassembly
+	total int // fixed by the end-bit SDU
+	done  bool
 }
 
 var _ Receiver = (*noneReceiver)(nil)
 
-var noneReceiverPool = sync.Pool{New: func() any { return &noneReceiver{total: -1} }}
-
-func newNoneReceiver() *noneReceiver {
-	return noneReceiverPool.Get().(*noneReceiver)
-}
-
-// Recycle returns a receiver to its pool once the caller is done with
-// it (message delivered, or the session abandoned). Only the None
-// scheme pools receivers; Recycle is a no-op for the others. The
-// receiver must not be used after Recycle.
-func Recycle(r Receiver) {
-	nr, ok := r.(*noneReceiver)
-	if !ok {
-		return
-	}
-	nr.reset()
-	noneReceiverPool.Put(nr)
-}
-
-// reset returns the receiver to its fresh state, releasing any segment
-// buffers still retained (delivery and Abandon both release, so this is
-// a defensive sweep) and keeping modestly-sized slice storage for
-// reuse.
 func (r *noneReceiver) reset() {
-	for i := range r.segs {
-		r.segs[i].release()
-		r.segs[i] = segment{}
-	}
-	if cap(r.segs) > maxPooledSegs {
-		r.segs, r.got = nil, nil
-	}
-	r.segs = r.segs[:0]
-	r.got = r.got[:0]
-	r.total = -1
-	r.done = false
-	r.msg = nil
-	r.assembled = false
+	r.reassembly.reset()
+	r.total, r.done = 0, false
 }
 
 func (r *noneReceiver) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) ([]packet.Control, bool) {
 	if r.done {
 		return nil, true
 	}
-	seq := int(h.Seq)
-	if seq >= MaxUnreliableSegments {
+	if h.Seq >= MaxUnreliableSegments {
 		return nil, false // corrupt header; drop the SDU
 	}
-	for len(r.segs) <= seq {
-		r.segs = append(r.segs, segment{})
-		r.got = append(r.got, false)
-	}
-	if r.got[seq] {
-		r.segs[seq].release()
-		mRecvDup.Inc()
-	}
-	r.segs[seq] = holdSegment(payload, ref)
-	r.got[seq] = true
+	r.hold(int(h.Seq), payload, ref)
 	if h.End() {
-		r.total = seq + 1
+		r.total = int(h.Seq) + 1
 		r.done = true
 	}
 	return nil, r.done
@@ -141,47 +68,7 @@ func (r *noneReceiver) Message() []byte {
 	if !r.done {
 		return nil
 	}
-	if !r.assembled {
-		size := 0
-		for i := 0; i < r.total; i++ {
-			if r.got[i] {
-				size += len(r.segs[i].data)
-			}
-		}
-		out := make([]byte, 0, size)
-		for i := 0; i < r.total; i++ {
-			if r.got[i] {
-				out = append(out, r.segs[i].data...)
-			}
-		}
-		// Release the retained buffers but keep the got bits: LostSDUs
-		// still counts which sequence numbers ever arrived.
-		for i := range r.segs {
-			r.segs[i].release()
-			r.segs[i] = segment{}
-		}
-		r.msg = out
-		r.assembled = true
-	}
-	return r.msg
+	return r.assemble(r.total)
 }
 
-func (r *noneReceiver) Abandon() {
-	for i := range r.segs {
-		r.segs[i].release()
-		r.segs[i] = segment{}
-	}
-}
-
-func (r *noneReceiver) LostSDUs() int {
-	if r.total < 0 {
-		return 0
-	}
-	lost := 0
-	for i := 0; i < r.total; i++ {
-		if !r.got[i] {
-			lost++
-		}
-	}
-	return lost
-}
+func (r *noneReceiver) LostSDUs() int { return r.lost(r.total) }

@@ -21,7 +21,12 @@ import (
 //   - None assembles exactly the segments that arrived (in sequence
 //     order) and reports the missing ones via LostSDUs;
 //   - every pooled buffer the receivers retain is released by delivery
-//     or Abandon (checked via the buf refcount audit hook).
+//     or Abandon (checked via the buf refcount audit hook);
+//   - none of it depends on a fresh state machine: each schedule draws
+//     its sender and receiver from the pools and hands them back, so
+//     the next schedule — another message length, SDU size, loss
+//     pattern, often another completion state — runs on whatever the
+//     previous ones left behind.
 //
 // Each schedule is one seed: the channel's drop/duplicate/reorder
 // decisions all derive from it, so a failing seed replays exactly —
@@ -36,8 +41,8 @@ type propSchedule struct {
 	reorder  float64 // probability a delivery picks a random queue slot
 }
 
-// inflight carries a copied control packet (the Receiver scratch slice
-// is only valid until the next OnData call).
+// inflight carries a copied control packet (the Receiver's scratch
+// slice and the ack bodies are only borrowed until the next OnData).
 func copyControl(c packet.Control) packet.Control {
 	body := make([]byte, len(c.Body))
 	copy(body, c.Body)
@@ -191,6 +196,7 @@ func runPropertySchedule(t *testing.T, mode Algorithm, seed int64) {
 			rcv.Abandon()
 		}
 	}
+	Release(snd)
 	Recycle(rcv)
 	if now := buf.Outstanding(); now != baseline {
 		t.Fatalf("receiver leaked %d pooled buffer refs", now-baseline)

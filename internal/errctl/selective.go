@@ -12,17 +12,16 @@ import (
 //	  bitmap > 0     ⇒ selective retransmission per bitmap
 //	  bitmap == 0    ⇒ done
 type srSender struct {
-	sdus []SDU
-	done bool
+	segmented
 }
 
 var _ Sender = (*srSender)(nil)
 
 func newSRSender(msg []byte, sduSize int, connID, streamID, sessionID uint32) *srSender {
-	return &srSender{sdus: SegmentStream(msg, sduSize, connID, streamID, sessionID, 0)}
+	s := srSenderPool.Get().(*srSender)
+	s.sdus = appendSegments(s.sdus, msg, sduSize, connID, streamID, sessionID, 0)
+	return s
 }
-
-func (s *srSender) Initial() []SDU { return s.sdus }
 
 func (s *srSender) OnAck(c packet.Control) ([]SDU, bool, error) {
 	if s.done {
@@ -31,32 +30,29 @@ func (s *srSender) OnAck(c packet.Control) ([]SDU, bool, error) {
 	if c.Type != packet.CtrlAck {
 		return nil, false, nil
 	}
-	bm, err := packet.UnmarshalBitmap(c.Body)
-	if err != nil {
+	var bm packet.Bitmap // a view of c.Body, walked in place
+	if err := bm.Decode(c.Body); err != nil {
 		return nil, false, err
 	}
 	if !bm.AnySet() {
 		s.done = true
 		return nil, true, nil
 	}
-	var rt []SDU
-	for _, seq := range bm.Missing() {
-		if seq < len(s.sdus) {
-			sdu := s.sdus[seq]
-			sdu.Header.Flags |= packet.FlagRetransmit
-			// A retransmitted batch needs a fresh trigger for the
-			// receiver's ACK: mark the last retransmission as an end
-			// packet so the receiving Error Control Thread answers
-			// (Figure 6 keeps the original end bit; re-flagging the last
-			// of the batch is the standard fix for a lost end SDU).
-			rt = append(rt, sdu)
-		}
+	s.rt = s.rt[:0]
+	for seq := bm.NextSet(0); seq >= 0 && seq < len(s.sdus); seq = bm.NextSet(seq + 1) {
+		s.retransmit(s.sdus[seq])
 	}
-	if len(rt) > 0 {
-		rt[len(rt)-1].Header.Flags |= packet.FlagEnd
-		mRetransmitSDUs.Add(int64(len(rt)))
+	if len(s.rt) == 0 {
+		return nil, false, nil
 	}
-	return rt, false, nil
+	// A retransmitted batch needs a fresh trigger for the receiver's
+	// ACK: mark the last retransmission as an end packet so the
+	// receiving Error Control Thread answers (Figure 6 keeps the
+	// original end bit; re-flagging the last of the batch is the
+	// standard fix for a lost end SDU).
+	s.rt[len(s.rt)-1].Header.Flags |= packet.FlagEnd
+	mRetransmitSDUs.Add(int64(len(s.rt)))
+	return s.rt, false, nil
 }
 
 func (s *srSender) OnTimeout() []SDU {
@@ -66,16 +62,13 @@ func (s *srSender) OnTimeout() []SDU {
 	// "If the Error Control Thread at the sender side does not receive
 	// an Acknowledgment packet within an appropriate interval, it
 	// retransmits the whole packets."
-	rt := make([]SDU, len(s.sdus))
-	copy(rt, s.sdus)
-	for i := range rt {
-		rt[i].Header.Flags |= packet.FlagRetransmit
+	s.rt = s.rt[:0]
+	for _, sdu := range s.sdus {
+		s.retransmit(sdu)
 	}
-	mRetransmitSDUs.Add(int64(len(rt)))
-	return rt
+	mRetransmitSDUs.Add(int64(len(s.rt)))
+	return s.rt
 }
-
-func (s *srSender) Done() bool { return s.done }
 
 // srReceiver implements the receiver half: clear bitmap positions as
 // SDUs arrive; when an end-bit SDU arrives, send an ACK carrying the
@@ -83,34 +76,45 @@ func (s *srSender) Done() bool { return s.done }
 // held as retained views of the pooled receive buffers (zero-copy)
 // until Message assembles and releases them.
 type srReceiver struct {
-	segments map[uint32]segment
-	bitmap   *packet.Bitmap
-	total    int // SDU count, learned from the end packet
-	haveEnd  bool
-	done     bool
-	msg      []byte // cached assembly; segments released once set
-	ackOut   [1]packet.Control
+	reassembly
+	bitmap  packet.Bitmap // doubles as the ACK body: it is its own wire image
+	total   int           // SDU count, learned from the end packet
+	haveEnd bool
+	done    bool
+	ackOut  [1]packet.Control
 }
 
 var _ Receiver = (*srReceiver)(nil)
 
-func newSRReceiver() *srReceiver {
-	return &srReceiver{segments: make(map[uint32]segment)}
+// reset readies the receiver for the pool. The bitmap keeps its storage
+// (re-initialised by the next session's end SDU) unless the session was
+// unusually large.
+func (r *srReceiver) reset() {
+	r.reassembly.reset()
+	if r.total > maxPooledSegs {
+		r.bitmap = packet.Bitmap{}
+	}
+	r.total, r.haveEnd, r.done = 0, false, false
+	r.ackOut[0] = packet.Control{}
 }
 
-// ack stages an acknowledgment in the receiver's scratch slot (valid
-// until the next OnData call, per the Receiver contract).
+// ack stages an acknowledgment in the receiver's scratch slot; its body
+// is the live bitmap (borrowed by the caller, per the Receiver
+// contract).
 func (r *srReceiver) ack(h packet.DataHeader) []packet.Control {
 	r.ackOut[0] = packet.Control{
 		Type:      packet.CtrlAck,
 		ConnID:    h.ConnID,
 		SessionID: h.SessionID,
-		Body:      r.bitmap.Marshal(),
+		Body:      r.bitmap.Bytes(),
 	}
 	return r.ackOut[:1]
 }
 
 func (r *srReceiver) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) ([]packet.Control, bool) {
+	if h.Seq >= MaxUnreliableSegments {
+		return nil, r.done // corrupt header; drop the SDU
+	}
 	if r.done {
 		// The sender retransmitting after completion means our final
 		// ACK was lost: answer end-flagged SDUs with the (empty) bitmap
@@ -121,35 +125,31 @@ func (r *srReceiver) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer
 		}
 		return nil, true
 	}
-	if _, dup := r.segments[h.Seq]; !dup {
-		r.segments[h.Seq] = holdSegment(payload, ref)
-	} else {
-		mRecvDup.Inc()
-	}
+	seq := int(h.Seq)
+	r.hold(seq, payload, ref)
 	// The first end-flagged SDU we see fixes the message length. Before
 	// the receiver has ever acknowledged, every end-flagged packet
 	// carries the true final sequence number: batch-end re-flagging only
 	// happens in response to an ACK, and an ACK implies we had already
 	// learned the length.
 	if h.End() && !r.haveEnd {
-		r.total = int(h.Seq) + 1
+		r.total = seq + 1
 		r.haveEnd = true
-		r.bitmap = packet.NewBitmap(r.total)
-		for seq := range r.segments {
-			r.bitmap.Clear(int(seq))
+		r.bitmap.Reset(r.total)
+		for i, ok := range r.got[:r.total] {
+			if ok {
+				r.bitmap.Clear(i)
+			}
 		}
 	} else if r.haveEnd {
-		r.bitmap.Clear(int(h.Seq))
+		r.bitmap.Clear(seq)
 	}
 
 	// Acknowledge whenever an end-flagged SDU arrives (original end or
 	// the re-flagged last packet of a retransmission batch).
 	if h.End() && r.haveEnd {
-		done := !r.bitmap.AnySet()
-		if done {
-			r.done = true
-		}
-		return r.ack(h), done
+		r.done = !r.bitmap.AnySet()
+		return r.ack(h), r.done
 	}
 	return nil, false
 }
@@ -158,31 +158,7 @@ func (r *srReceiver) Message() []byte {
 	if !r.done {
 		return nil
 	}
-	if r.msg == nil {
-		var size int
-		for i := 0; i < r.total; i++ {
-			size += len(r.segments[uint32(i)].data)
-		}
-		out := make([]byte, 0, size)
-		for i := 0; i < r.total; i++ {
-			out = append(out, r.segments[uint32(i)].data...)
-		}
-		// Delivery: the assembled message replaces the retained pooled
-		// views, whose buffers can now recycle.
-		for _, s := range r.segments {
-			s.release()
-		}
-		r.segments = nil
-		r.msg = out
-	}
-	return r.msg
+	return r.assemble(r.total)
 }
 
 func (r *srReceiver) LostSDUs() int { return 0 }
-
-func (r *srReceiver) Abandon() {
-	for _, s := range r.segments {
-		s.release()
-	}
-	r.segments = nil
-}

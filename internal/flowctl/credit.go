@@ -49,6 +49,7 @@ const (
 type creditSender struct {
 	mu   sync.Mutex
 	cond *sync.Cond
+	wait waitTimer
 	ctrl Controller
 	now  func() time.Time
 
@@ -74,6 +75,7 @@ func newCreditSender(cfg Config) *creditSender {
 		granted: uint64(cfg.InitialCredits),
 	}
 	s.cond = sync.NewCond(&s.mu)
+	s.wait.init(&s.mu, s.cond)
 	return s
 }
 
@@ -121,7 +123,7 @@ func (s *creditSender) Acquire(uint32) error {
 }
 
 func (s *creditSender) AcquireTimeout(seq uint32, d time.Duration) error {
-	return acquireTimeout(&s.mu, s.cond, d, mCreditWait, hCreditWait, s.tryLocked)
+	return acquireTimeout(&s.wait, d, mCreditWait, hCreditWait, s.tryLocked)
 }
 
 func (s *creditSender) TryAcquire(uint32) bool {
@@ -304,26 +306,35 @@ type creditReceiver struct {
 	// re-emitted (through emit, installed by SetEmitter) a bounded
 	// number of times with doubling backoff. grantProof is the
 	// allowance before the refill — an arrival beyond it proves the
-	// sender heard the new grant, stopping the retries.
+	// sender heard the new grant, stopping the retries. One timer,
+	// re-armed by every refill and each retry; retryAt is when it is
+	// due (zero: no chain running), which is also how a callback that
+	// lost a race with a re-arm recognises itself as stale.
 	emit       func(packet.Control) bool
 	grantProof uint64
-	retry      *time.Timer
-	retryGen   uint64
+	retry      countedTimer
+	retryAt    time.Time
 	retries    int
 	backoff    time.Duration
 
-	out [1]packet.Control
+	// body is the scratch behind the grants OnData and PiggybackGrant
+	// return — both run on the connection's receive goroutine, and the
+	// caller has marshalled one grant before it asks for the next.
+	body [packet.CreditGrantSize]byte
+	out  [1]packet.Control
 }
 
 func newCreditReceiver(cfg Config) *creditReceiver {
 	now := cfg.Now()
-	return &creditReceiver{
+	r := &creditReceiver{
 		cfg:       cfg,
 		granted:   uint64(cfg.InitialCredits),
 		window:    cfg.InitialCredits,
 		lastSeen:  now,
 		lastGrant: now,
 	}
+	r.retry.fn = r.retryFire
+	return r
 }
 
 func (r *creditReceiver) OnData(seq uint32) []packet.Control {
@@ -331,7 +342,7 @@ func (r *creditReceiver) OnData(seq uint32) []packet.Control {
 	r.mu.Lock()
 	r.arrived++
 	mConsumed.Inc()
-	if r.retry != nil && r.arrived > r.grantProof {
+	if !r.retryAt.IsZero() && r.arrived > r.grantProof {
 		// The sender transmitted beyond its pre-refill allowance, so
 		// the refill reached it; the retry timer has nothing to repair.
 		r.stopRetryLocked()
@@ -348,10 +359,7 @@ func (r *creditReceiver) OnData(seq uint32) []packet.Control {
 	g := r.refillLocked(now)
 	r.out[0] = packet.Control{
 		Type: packet.CtrlCreditGrant,
-		// The body is freshly allocated (not scratch): refill grants are
-		// also handed to the retry timer and, in core, cross goroutines
-		// through control queues.
-		Body: packet.AppendCreditGrant(nil, g),
+		Body: packet.AppendCreditGrant(r.body[:0], g),
 	}
 	r.armRetryLocked()
 	r.mu.Unlock()
@@ -410,22 +418,23 @@ func (r *creditReceiver) armRetryLocked() {
 	if r.emit == nil {
 		return
 	}
-	r.stopRetryLocked()
 	r.retries = 0
 	r.backoff = 4 * r.cfg.ActiveWindow
 	r.scheduleRetryLocked()
 }
 
+// scheduleRetryLocked arms the retry timer r.backoff from now.
 func (r *creditReceiver) scheduleRetryLocked() {
-	gen := r.retryGen
-	pendingTimers.Add(1)
-	r.retry = time.AfterFunc(r.backoff, func() { r.retryFire(gen) })
+	r.retryAt = time.Now().Add(r.backoff)
+	r.retry.arm(r.backoff)
 }
 
-func (r *creditReceiver) retryFire(gen uint64) {
-	pendingTimers.Add(-1)
+func (r *creditReceiver) retryFire() {
 	r.mu.Lock()
-	if r.closed || gen != r.retryGen || r.arrived > r.grantProof {
+	// A callback that expired just before its chain was stopped or
+	// re-armed finds retryAt zero or in the future: it is stale, and the
+	// timer's current arming (if any) will call again.
+	if r.closed || r.retryAt.IsZero() || time.Now().Before(r.retryAt) || r.arrived > r.grantProof {
 		r.mu.Unlock()
 		return
 	}
@@ -435,29 +444,35 @@ func (r *creditReceiver) retryFire(gen uint64) {
 		r.backoff *= 2
 		r.scheduleRetryLocked()
 	} else {
-		r.retry = nil
+		r.retryAt = time.Time{}
 	}
 	emit := r.emit
 	r.mu.Unlock()
 	mRefill.Inc()
-	emit(packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(nil, g)})
+	// This runs on a timer goroutine, outside the lock and possibly
+	// beside OnData, so it cannot share the receive path's scratch: the
+	// body is its own (it escapes into emit), one small allocation on a
+	// path taken only when a grant went unanswered for a whole backoff.
+	var body [packet.CreditGrantSize]byte
+	emit(packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(body[:0], g)})
 }
 
-// stopRetryLocked cancels the retry chain; a bumped generation turns
-// any already-fired callback into a no-op.
+// stopRetryLocked cancels the retry chain; clearing retryAt turns any
+// already-expired callback into a no-op.
 func (r *creditReceiver) stopRetryLocked() {
-	r.retryGen++
-	if r.retry != nil && r.retry.Stop() {
-		pendingTimers.Add(-1)
+	if !r.retryAt.IsZero() {
+		r.retryAt = time.Time{}
+		r.retry.stop()
 	}
-	r.retry = nil
 }
 
 // PiggybackGrant returns a grant reflecting the receiver's current
 // cumulative state, for riding on an outbound error-control ack. It
 // raises no new credit (granted is unchanged) but refreshes the
 // consumed count, which is what retires the sender's in-flight and
-// feeds its congestion controller.
+// feeds its congestion controller. The body is borrowed exactly as
+// OnData's is, and must be asked for on the goroutine that calls
+// OnData.
 func (r *creditReceiver) PiggybackGrant() (packet.Control, bool) {
 	r.mu.Lock()
 	if r.closed {
@@ -467,12 +482,13 @@ func (r *creditReceiver) PiggybackGrant() (packet.Control, bool) {
 	g := packet.CreditGrant{Granted: r.granted, Consumed: r.arrived, Window: uint32(r.window)}
 	r.mu.Unlock()
 	mPiggyback.Inc()
-	return packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(nil, g)}, true
+	return packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(r.body[:0], g)}, true
 }
 
 // SetEmit installs the asynchronous control emitter the refill-retry
 // timer uses. Emit is called without receiver locks held and must be
-// safe from a timer goroutine.
+// safe from a timer goroutine; the packet's body is borrowed until emit
+// returns.
 func (r *creditReceiver) SetEmit(emit func(packet.Control) bool) {
 	r.mu.Lock()
 	r.emit = emit
@@ -533,8 +549,10 @@ func NoteLoss(s Sender, n int) {
 
 // SetEmitter installs an asynchronous control emitter on r when r is a
 // credit receiver; the refill-retry timer re-emits possibly-lost
-// grants through it. A no-op for other algorithms. Without an emitter
-// the receiver arms no timers at all.
+// grants through it, from its own goroutine. emit must serialise the
+// packet before it returns: the body is borrowed until then. A no-op
+// for other algorithms. Without an emitter the receiver arms no timers
+// at all.
 func SetEmitter(r Receiver, emit func(packet.Control) bool) {
 	type emitSetter interface {
 		SetEmit(func(packet.Control) bool)

@@ -25,6 +25,7 @@
 package flowctl
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"sync"
@@ -190,11 +191,13 @@ type Sender interface {
 type Receiver interface {
 	// OnData records the arrival of the packet with the given sequence
 	// number and returns any control packets that must travel back to
-	// the sender. The returned slice is a scratch staging area valid
-	// only until the next OnData call (the credit-return hot path runs
-	// once per SDU, so it must not allocate); callers enqueue or
-	// marshal the packets before returning to the receive loop, which
-	// every NCS receive path does.
+	// the sender. The returned slice AND the packets' bodies are the
+	// receiver's scratch (the credit-return hot path runs once per SDU,
+	// so it must not allocate), borrowed until the caller's emit
+	// returns: callers marshal the packets — every NCS emit serialises
+	// into a pooled buffer before it returns — before the next OnData
+	// (or Piggyback) on this receiver, and never pass a body to another
+	// goroutine. OnData is called from one goroutine at a time.
 	OnData(seq uint32) []packet.Control
 	// Close releases resources.
 	Close()
@@ -211,18 +214,94 @@ var pendingTimers atomic.Int64
 // by AcquireTimeout waiters. Exposed for leak audits and stats.
 func PendingTimers() int64 { return pendingTimers.Load() }
 
-// acquireTimeout runs a cond-wait loop with a deadline; try must be
-// called with mu held and reports (admitted, closed).
-//
-// The deadline timer is created lazily, only once the first try fails:
-// the overwhelming majority of acquisitions are admitted immediately
-// (credits are in hand), and at 100k connections a per-send
-// time.AfterFunc is pure churn on the runtime timer heap. A single
-// timer serves the whole wait, and it is stopped — not abandoned — when
-// an ack admits the waiter before the deadline.
-func acquireTimeout(mu *sync.Mutex, cond *sync.Cond, d time.Duration, stalls *telemetry.Counter, hist *telemetry.Histogram, try func() (ok, closed bool)) error {
-	mu.Lock()
-	defer mu.Unlock()
+// countedTimer is a re-armable AfterFunc timer whose pending state is
+// mirrored in pendingTimers: built by its first arm, re-armed — never
+// re-created — after. The count follows Timer.Stop's verdict, which is
+// exact however an expiring callback interleaves with a re-arm: a timer
+// that was still pending is already counted, one that was not (it
+// fired, and its callback takes or took the count down) is counted
+// anew. Callers serialise arm and stop under their own lock.
+type countedTimer struct {
+	fn func() // the expiry callback; set at construction
+	t  *time.Timer
+}
+
+func (c *countedTimer) arm(d time.Duration) {
+	if c.t == nil {
+		pendingTimers.Add(1)
+		c.t = time.AfterFunc(d, c.fire)
+		return
+	}
+	if !c.t.Stop() {
+		pendingTimers.Add(1)
+	}
+	c.t.Reset(d)
+}
+
+func (c *countedTimer) stop() {
+	if c.t != nil && c.t.Stop() {
+		pendingTimers.Add(-1)
+	}
+}
+
+func (c *countedTimer) fire() {
+	pendingTimers.Add(-1)
+	c.fn()
+}
+
+// waitTimer is a sender's one deadline timer, shared by every
+// AcquireTimeout blocked on it: the overwhelming majority of
+// acquisitions are admitted immediately (credits are in hand) and never
+// touch it, and a blocked admission costs a Reset, not a timer and a
+// closure. Firing wakes every waiter; each re-checks its own deadline
+// and re-arms for it if it must keep waiting. The timer is stopped —
+// not abandoned — when the last waiter leaves, so PendingTimers drains
+// at idle.
+type waitTimer struct {
+	mu   *sync.Mutex // the sender's lock; guards the fields below
+	cond *sync.Cond
+
+	timer   countedTimer
+	at      time.Time // when timer is due; zero when it is not needed
+	waiters int
+}
+
+// init binds the timer to the sender's lock and condition variable.
+func (w *waitTimer) init(mu *sync.Mutex, cond *sync.Cond) {
+	w.mu, w.cond = mu, cond
+	w.timer.fn = w.fire
+}
+
+// armLocked makes sure the timer fires no later than deadline.
+func (w *waitTimer) armLocked(deadline time.Time) {
+	if w.at.IsZero() || deadline.Before(w.at) {
+		w.at = deadline
+		w.timer.arm(time.Until(deadline))
+	}
+}
+
+// leaveLocked is called by a waiter on its way out; the last one stops
+// the timer.
+func (w *waitTimer) leaveLocked() {
+	w.waiters--
+	if w.waiters == 0 && !w.at.IsZero() {
+		w.at = time.Time{}
+		w.timer.stop()
+	}
+}
+
+func (w *waitTimer) fire() {
+	w.mu.Lock()
+	w.at = time.Time{}
+	w.cond.Broadcast()
+	w.mu.Unlock()
+}
+
+// acquireTimeout runs a cond-wait loop on w's lock with a deadline; try
+// must be called with the lock held and reports (admitted, closed).
+func acquireTimeout(w *waitTimer, d time.Duration, stalls *telemetry.Counter, hist *telemetry.Histogram, try func() (ok, closed bool)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
 
 	ok, closed := try()
 	if closed {
@@ -234,35 +313,22 @@ func acquireTimeout(mu *sync.Mutex, cond *sync.Cond, d time.Duration, stalls *te
 
 	stalls.Inc()
 	start := time.Now()
+	deadline := start.Add(d)
+	w.waiters++
 	defer func() {
+		w.leaveLocked()
 		blocked := time.Since(start)
 		mBlockedNS.Add(int64(blocked))
 		if hist != nil {
 			hist.Observe(int64(blocked))
 		}
 	}()
-
-	deadline := start.Add(d)
-	var timer *time.Timer
-	defer func() {
-		if timer != nil && timer.Stop() {
-			pendingTimers.Add(-1)
-		}
-	}()
 	for {
 		if !time.Now().Before(deadline) {
 			return ErrAcquireTimeout
 		}
-		if timer == nil {
-			pendingTimers.Add(1)
-			timer = time.AfterFunc(time.Until(deadline), func() {
-				pendingTimers.Add(-1)
-				mu.Lock()
-				cond.Broadcast()
-				mu.Unlock()
-			})
-		}
-		cond.Wait()
+		w.armLocked(deadline)
+		w.cond.Wait()
 		ok, closed := try()
 		if closed {
 			return ErrClosed
@@ -326,6 +392,7 @@ func (noneReceiver) Close()                         {}
 type windowSender struct {
 	mu     sync.Mutex
 	cond   *sync.Cond
+	wait   waitTimer
 	window int
 	base   uint32 // lowest unacknowledged sequence number
 	next   uint32 // next sequence number to admit
@@ -335,6 +402,7 @@ type windowSender struct {
 func newWindowSender(cfg Config) *windowSender {
 	s := &windowSender{window: cfg.WindowSize}
 	s.cond = sync.NewCond(&s.mu)
+	s.wait.init(&s.mu, s.cond)
 	return s
 }
 
@@ -359,7 +427,7 @@ func (s *windowSender) Acquire(seq uint32) error {
 }
 
 func (s *windowSender) AcquireTimeout(seq uint32, d time.Duration) error {
-	return acquireTimeout(&s.mu, s.cond, d, mWindowStall, nil, func() (ok, closed bool) {
+	return acquireTimeout(&s.wait, d, mWindowStall, nil, func() (ok, closed bool) {
 		if s.closed {
 			return false, true
 		}
@@ -423,6 +491,7 @@ type windowReceiver struct {
 	mu      sync.Mutex
 	highest uint32
 	seen    bool
+	body    [4]byte // scratch behind out[0].Body
 	out     [1]packet.Control
 }
 
@@ -436,7 +505,7 @@ func (r *windowReceiver) OnData(seq uint32) []packet.Control {
 	}
 	r.out[0] = packet.Control{
 		Type: packet.CtrlWinAck,
-		Body: packet.CreditBody(r.highest),
+		Body: binary.BigEndian.AppendUint32(r.body[:0], r.highest),
 	}
 	r.mu.Unlock()
 	return r.out[:1]
@@ -587,6 +656,7 @@ type rateReceiver struct {
 	window      int // packets between adjustments
 	windowCount int
 	windowStart time.Time
+	body        [4]byte // scratch behind out[0].Body
 	out         [1]packet.Control
 }
 
@@ -617,7 +687,7 @@ func (r *rateReceiver) OnData(seq uint32) []packet.Control {
 	}
 	r.out[0] = packet.Control{
 		Type: packet.CtrlRate,
-		Body: packet.CreditBody(advertised),
+		Body: binary.BigEndian.AppendUint32(r.body[:0], advertised),
 	}
 	return r.out[:1]
 }

@@ -372,7 +372,7 @@ func TestRateReceiverAdvertisesRate(t *testing.T) {
 	var ctrls []packet.Control
 	for i := 0; i < 64; i++ {
 		clock = clock.Add(time.Millisecond)
-		ctrls = append(ctrls, r.OnData(uint32(i))...)
+		ctrls = append(ctrls, cloneControls(r.OnData(uint32(i)))...)
 	}
 	if len(ctrls) != 1 {
 		t.Fatalf("got %d rate updates, want 1 per window", len(ctrls))
@@ -449,10 +449,11 @@ func TestCreditEndToEndConservation(t *testing.T) {
 				break
 			}
 		}
-		// OnData's scratch slice is only valid until the next call;
-		// copy the packets out before shipping them across goroutines
-		// (the runtime's receive loops enqueue the values the same way).
-		acked <- append([]packet.Control(nil), r.OnData(uint32(i))...)
+		// OnData's scratch slice and the grant bodies are borrowed only
+		// until the next call; copy both out before shipping them
+		// across goroutines (the runtime's emit marshals them into a
+		// pooled buffer for the same reason).
+		acked <- cloneControls(r.OnData(uint32(i)))
 		if st := s.Stats(); st.Used > st.Granted+st.Probes {
 			t.Fatalf("conservation violated at %d: %+v", i, st)
 		}
@@ -470,4 +471,16 @@ func TestCreditEndToEndConservation(t *testing.T) {
 	if !ok || rst.Arrived != total {
 		t.Fatalf("receiver arrived = %d (ok=%v), want %d", rst.Arrived, ok, total)
 	}
+}
+
+// cloneControls deep-copies control packets out of a receiver's
+// scratch: the slice and the bodies are borrowed only until the
+// receiver's next OnData.
+func cloneControls(cs []packet.Control) []packet.Control {
+	out := make([]packet.Control, len(cs))
+	for i, c := range cs {
+		c.Body = append([]byte(nil), c.Body...)
+		out[i] = c
+	}
+	return out
 }

@@ -129,6 +129,66 @@ func TestAcquireTimeoutExpiredDeadline(t *testing.T) {
 	}
 }
 
+// TestAcquireTimeoutWaitersShareOneTimer: concurrent senders blocked on
+// one exhausted window share the sender's single re-armable deadline
+// timer, yet each keeps its own deadline — the short wait must not be
+// stretched to the long one, the long one not cut to the short — and
+// only one timer is ever armed for the two of them.
+func TestAcquireTimeoutWaitersShareOneTimer(t *testing.T) {
+	s := NewSender(Credit, Config{InitialCredits: 1})
+	defer s.Close()
+	if err := s.AcquireTimeout(0, time.Second); err != nil {
+		t.Fatalf("seed acquire: %v", err)
+	}
+	const short, long = 20 * time.Millisecond, 150 * time.Millisecond
+	type result struct {
+		err     error
+		blocked time.Duration
+	}
+	wait := func(d time.Duration) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			start := time.Now()
+			err := s.AcquireTimeout(1, d)
+			ch <- result{err, time.Since(start)}
+		}()
+		return ch
+	}
+	longCh, shortCh := wait(long), wait(short)
+	for deadline := time.Now().Add(2 * time.Second); PendingTimers() == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("no waiter armed the deadline timer")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n := PendingTimers(); n != 1 {
+		t.Fatalf("%d deadline timers armed for two waiters on one sender, want 1", n)
+	}
+	r := <-shortCh
+	if r.err != ErrAcquireTimeout || r.blocked < short || r.blocked >= long {
+		t.Fatalf("short waiter: err=%v after %v, want ErrAcquireTimeout in [%v, %v)", r.err, r.blocked, short, long)
+	}
+	if r = <-longCh; r.err != ErrAcquireTimeout || r.blocked < long {
+		t.Fatalf("long waiter: err=%v after %v, want ErrAcquireTimeout no sooner than %v", r.err, r.blocked, long)
+	}
+	if err := awaitTimersDrained(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	// The timer is re-armed, not rebuilt: a later blocked admission on
+	// the same sender goes through the one that already exists.
+	cs := s.(*creditSender)
+	before := cs.wait.timer.t
+	if err := s.AcquireTimeout(1, 5*time.Millisecond); err != ErrAcquireTimeout {
+		t.Fatalf("want ErrAcquireTimeout, got %v", err)
+	}
+	if before == nil || cs.wait.timer.t != before {
+		t.Fatal("a later blocked admission built a new deadline timer")
+	}
+	if err := awaitTimersDrained(time.Second); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Refill-retry timer audit. The blocking-wait audit above covers
 // AcquireTimeout's deadline timers; these cover the other armed timer

@@ -104,9 +104,7 @@ func runCreditSchedule(t *testing.T, seed int64) {
 		return v
 	}
 	deliverData := func(p uint32) {
-		for _, c := range r.OnData(p) {
-			ctrlQ = append(ctrlQ, c)
-		}
+		ctrlQ = append(ctrlQ, cloneControls(r.OnData(p))...)
 	}
 
 	const steps = 300

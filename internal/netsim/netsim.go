@@ -245,6 +245,11 @@ type direction struct {
 	notify func() // receive-readiness hook (see setNotify)
 	async  bool   // wire/delivery goroutines are running
 
+	// recvDL is the direction's receive-deadline timer, built by the
+	// first timed receive that has to wait (an idle or polled link
+	// carries none).
+	recvDL *recvDeadline
+
 	wireWake chan struct{} // signals the wire goroutine (async mode)
 	done     chan struct{} // wire goroutine exited (async mode)
 
@@ -778,27 +783,65 @@ func (d *direction) closeRecv() {
 	}
 }
 
-func (d *direction) dequeueTimeout(timeout time.Duration) (*buf.Buffer, error) {
-	deadline := time.Now().Add(timeout)
-	timer := time.AfterFunc(timeout, func() {
-		d.mu.Lock()
-		d.wakeRecvLocked(true)
-		d.mu.Unlock()
-	})
-	defer timer.Stop()
+// recvDeadline is a direction's one deadline timer, shared by every
+// dequeueTimeout blocked on it and re-armed, not re-created: its firing
+// wakes every waiter, and each re-arms for itself if it still has time
+// left. Guarded by the direction's mu.
+type recvDeadline struct {
+	timer   *time.Timer
+	at      time.Time // when timer is due; zero when no waiter needs it
+	waiters int
+}
 
+// dequeueTimeout is dequeue with a deadline. A packet already queued is
+// returned without touching a timer; a receiver that must wait arms the
+// direction's shared timer for its own deadline.
+func (d *direction) dequeueTimeout(timeout time.Duration) (*buf.Buffer, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	var deadline time.Time // set once the receiver has to wait
+	defer func() {
+		// The last timed receiver to leave stops the timer.
+		if dl := d.recvDL; !deadline.IsZero() {
+			if dl.waiters--; dl.waiters == 0 && !dl.at.IsZero() {
+				dl.at = time.Time{}
+				dl.timer.Stop()
+			}
+		}
+	}()
 	for d.arrived.empty() || d.recvClosed {
 		if d.recvClosed || (d.closed && d.drainedLocked()) {
 			return nil, ErrClosed
 		}
-		if !time.Now().Before(deadline) {
+		now := time.Now()
+		if deadline.IsZero() {
+			deadline = now.Add(timeout)
+			if d.recvDL == nil {
+				d.recvDL = new(recvDeadline)
+			}
+			d.recvDL.waiters++
+		}
+		if !now.Before(deadline) {
 			return nil, ErrTimeout
+		}
+		if dl := d.recvDL; dl.at.IsZero() || deadline.Before(dl.at) {
+			dl.at = deadline
+			if dl.timer == nil {
+				dl.timer = time.AfterFunc(deadline.Sub(now), d.recvDeadlineFire)
+			} else {
+				dl.timer.Reset(deadline.Sub(now))
+			}
 		}
 		d.recvCondLocked().Wait()
 	}
 	return d.arrived.pop(), nil
+}
+
+func (d *direction) recvDeadlineFire() {
+	d.mu.Lock()
+	d.recvDL.at = time.Time{}
+	d.wakeRecvLocked(true)
+	d.mu.Unlock()
 }
 
 // drainedLocked reports whether no packets remain in flight. Caller holds mu.

@@ -297,3 +297,73 @@ func TestConcurrentSenders(t *testing.T) {
 		t.Fatal("timed out draining packets")
 	}
 }
+
+// TestRecvTimeoutReusesOneTimer: a timed receive that finds a packet
+// queued arms nothing; one that must wait arms the direction's single
+// timer, which later waits re-arm instead of rebuilding; concurrent
+// timed receivers share it and still each time out at their own
+// deadline.
+func TestRecvTimeoutReusesOneTimer(t *testing.T) {
+	a, b := Pipe(Params{}, Params{})
+	defer a.Close()
+	defer b.Close()
+
+	if err := a.Send([]byte("queued")); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.RecvTimeout(time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if b.recv.recvDL != nil {
+		t.Fatal("a timed receive of an already-queued packet armed a timer")
+	}
+
+	if _, err := b.RecvTimeout(5 * time.Millisecond); err != ErrTimeout {
+		t.Fatalf("empty link: err = %v, want ErrTimeout", err)
+	}
+	if b.recv.recvDL == nil {
+		t.Fatal("a blocked timed receive armed no timer")
+	}
+	first := b.recv.recvDL.timer
+
+	const short, long = 20 * time.Millisecond, 120 * time.Millisecond
+	type result struct {
+		err     error
+		blocked time.Duration
+	}
+	wait := func(d time.Duration) chan result {
+		ch := make(chan result, 1)
+		go func() {
+			start := time.Now()
+			_, err := b.RecvTimeout(d)
+			ch <- result{err, time.Since(start)}
+		}()
+		return ch
+	}
+	longCh, shortCh := wait(long), wait(short)
+	if r := <-shortCh; r.err != ErrTimeout || r.blocked < short || r.blocked >= long {
+		t.Fatalf("short receiver: err=%v after %v, want ErrTimeout in [%v, %v)", r.err, r.blocked, short, long)
+	}
+	if r := <-longCh; r.err != ErrTimeout || r.blocked < long {
+		t.Fatalf("long receiver: err=%v after %v, want ErrTimeout no sooner than %v", r.err, r.blocked, long)
+	}
+
+	// A waiter woken by an arrival leaves the timer stopped.
+	got := wait(time.Second)
+	time.Sleep(5 * time.Millisecond)
+	if err := a.Send([]byte("late")); err != nil {
+		t.Fatal(err)
+	}
+	if r := <-got; r.err != nil {
+		t.Fatalf("receiver woken by an arrival: %v", r.err)
+	}
+	b.recv.mu.Lock()
+	defer b.recv.mu.Unlock()
+	dl := b.recv.recvDL
+	if dl.timer != first {
+		t.Fatal("later timed receives built a new timer")
+	}
+	if !dl.at.IsZero() || dl.waiters != 0 {
+		t.Fatalf("timer left armed with no waiter (at=%v waiters=%d)", dl.at, dl.waiters)
+	}
+}

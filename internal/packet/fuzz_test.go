@@ -44,7 +44,7 @@ func FuzzSplitData(f *testing.F) {
 
 func FuzzUnmarshalControl(f *testing.F) {
 	f.Add(Control{Type: CtrlCredit, ConnID: 1, SessionID: 2, Body: CreditBody(8)}.Marshal(nil))
-	f.Add(Control{Type: CtrlAck, Body: NewBitmap(3).Marshal()}.Marshal(nil))
+	f.Add(Control{Type: CtrlAck, Body: NewBitmap(3).AppendTo(nil)}.Marshal(nil))
 	f.Add([]byte{0x4e, 0x53})                                         // truncated
 	f.Add(Control{Type: CtrlPing}.Marshal(nil)[:ControlHeaderSize-1]) // short header
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -143,8 +143,8 @@ func FuzzStreamFrame(f *testing.F) {
 }
 
 func FuzzUnmarshalBitmap(f *testing.F) {
-	f.Add(NewBitmap(70).Marshal())
-	f.Add(NewBitmap(0).Marshal())
+	f.Add(NewBitmap(70).AppendTo(nil))
+	f.Add(NewBitmap(0).AppendTo(nil))
 	f.Add([]byte{0x00, 0x00, 0x00, 0x40})             // claims 64 SDUs, no words
 	f.Add([]byte{0x7f, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // huge count, tiny buffer
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -157,7 +157,7 @@ func FuzzUnmarshalBitmap(f *testing.F) {
 		if bm.CountSet() > bm.Len() {
 			t.Fatalf("%d set bits in a %d-bit map", bm.CountSet(), bm.Len())
 		}
-		re := bm.Marshal()
+		re := bm.AppendTo(nil)
 		bm2, err := UnmarshalBitmap(re)
 		if err != nil {
 			t.Fatalf("re-encoded bitmap failed to decode: %v", err)

@@ -130,7 +130,7 @@ func TestBitmapMarshal(t *testing.T) {
 	b.Clear(0)
 	b.Clear(64)
 	b.Clear(129)
-	got, err := UnmarshalBitmap(b.Marshal())
+	got, err := UnmarshalBitmap(b.AppendTo(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestBitmapUnmarshalErrors(t *testing.T) {
 		t.Errorf("nil: err = %v", err)
 	}
 	b := NewBitmap(65)
-	enc := b.Marshal()
+	enc := b.AppendTo(nil)
 	if _, err := UnmarshalBitmap(enc[:8]); err != ErrShortPacket {
 		t.Errorf("truncated: err = %v", err)
 	}
@@ -201,5 +201,67 @@ func TestQuickBitmapMissing(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestBitmapCodecAllocatesNothing: a receiver re-initialises and
+// encodes its bitmap in storage it keeps, and a sender decodes and
+// walks an ack body in place — neither side allocates per ack.
+func TestBitmapCodecAllocatesNothing(t *testing.T) {
+	var rcv Bitmap
+	rcv.Reset(130) // sizes the storage once
+	dst := make([]byte, 0, 64)
+	n := testing.AllocsPerRun(100, func() {
+		rcv.Reset(130)
+		for i := 0; i < 130; i++ {
+			if i != 7 && i != 64 && i != 129 {
+				rcv.Clear(i)
+			}
+		}
+		dst = rcv.AppendTo(dst[:0])
+		var snd Bitmap
+		if err := snd.Decode(dst); err != nil {
+			t.Fatal(err)
+		}
+		want := [...]int{7, 64, 129}
+		k := 0
+		for seq := snd.NextSet(0); seq >= 0; seq = snd.NextSet(seq + 1) {
+			if k == len(want) || seq != want[k] {
+				t.Fatalf("missing set walk reached %d at step %d, want %v", seq, k, want)
+			}
+			k++
+		}
+		if k != len(want) || !snd.AnySet() {
+			t.Fatalf("walked %d missing SDUs, want %d", k, len(want))
+		}
+	})
+	if n != 0 {
+		t.Errorf("bitmap reset → encode → decode → walk = %v allocs, want 0", n)
+	}
+	// Decode aliases: the view tracks the body it was pointed at.
+	var view Bitmap
+	if err := view.Decode(rcv.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	rcv.Clear(7)
+	if view.Get(7) {
+		t.Error("decoded bitmap did not alias the encoded body")
+	}
+}
+
+// TestBitmapIgnoresBitsBeyondLen: a peer may set padding bits of the
+// last word; they are not SDUs and must not read as missing.
+func TestBitmapIgnoresBitsBeyondLen(t *testing.T) {
+	enc := NewBitmap(3).AppendTo(nil)
+	enc[4] = 0xff // the most significant byte of word 0: bits 56..63
+	for i := 0; i < 3; i++ {
+		enc[11] &^= 1 << i // clear the three real bits
+	}
+	var bm Bitmap
+	if err := bm.Decode(enc); err != nil {
+		t.Fatal(err)
+	}
+	if bm.AnySet() || bm.NextSet(0) != -1 || bm.CountSet() != 0 || bm.Get(60) {
+		t.Errorf("padding bits read as missing SDUs: next=%d count=%d", bm.NextSet(0), bm.CountSet())
 	}
 }

@@ -27,6 +27,7 @@
 package stream
 
 import (
+	"encoding/binary"
 	"sync"
 	"sync/atomic"
 
@@ -89,14 +90,24 @@ type State struct {
 	sessions map[uint32]*session
 	sessAge  []uint32
 	parked   []Msg
-	nParked  atomic.Int32    // len(parked), readable without mu
-	held     *packet.Control // latest grant withheld while backlogged
-	local    bool            // opened here (vs announced by the peer)
-	reaped   bool            // Reap ran: drop further frames
-	remote   bool            // peer announced close
+	nParked  atomic.Int32 // len(parked), readable without mu
+	held     grantBody    // latest grant withheld while backlogged
+	hasHeld  bool
+	local    bool // opened here (vs announced by the peer)
+	reaped   bool // Reap ran: drop further frames
+	remote   bool // peer announced close
+
+	// rxGrant is the scratch the receive path's grants (arrival refills,
+	// the ack piggyback) are framed in. Like every control body it is
+	// borrowed until emit returns; OnData is its only user, and runs on
+	// one goroutine at a time.
+	rxGrant grantBody
 
 	bell chan struct{} // cap 1: rung when parked grows or state changes
 }
+
+// grantBody is the storage of one encoded CtrlStreamGrant body.
+type grantBody [packet.StreamGrantSize]byte
 
 // ID returns the stream identifier carried in the data headers.
 func (s *State) ID() uint32 { return s.id }
@@ -135,9 +146,10 @@ func (s *State) ensureFC() {
 		s.fcRecv = flowctl.NewReceiver(flowctl.Credit, s.mux.cfg.Flow)
 		// Timer-driven refresh grants go through the same backlog gate
 		// as arrival grants: an unconsumed stream must not be re-granted
-		// by the refresh path either.
+		// by the refresh path either. They arrive on a timer goroutine,
+		// so they are framed in storage of their own, never in rxGrant.
 		flowctl.SetEmitter(s.fcRecv, func(ctl packet.Control) bool {
-			s.offerGrant(s.wrapGrant(ctl))
+			s.offerGrant(s.wrapGrant(new(grantBody), ctl))
 			return true
 		})
 	})
@@ -151,10 +163,9 @@ func (s *State) FlowSender() flowctl.Sender {
 }
 
 // wrapGrant converts a connection-shaped credit grant emitted by the
-// stream's receiver into its stream-scoped wire form.
-func (s *State) wrapGrant(ctl packet.Control) packet.Control {
-	body := make([]byte, 0, packet.StreamGrantSize)
-	body = append(body, byte(s.id>>24), byte(s.id>>16), byte(s.id>>8), byte(s.id))
+// stream's receiver into its stream-scoped wire form, framed in dst.
+func (s *State) wrapGrant(dst *grantBody, ctl packet.Control) packet.Control {
+	body := binary.BigEndian.AppendUint32(dst[:0], s.id)
 	body = append(body, ctl.Body...)
 	return packet.Control{
 		Type:      packet.CtrlStreamGrant,
@@ -182,10 +193,12 @@ func (s *State) OnGrant(ctl packet.Control) {
 
 // OnData runs one arriving SDU through the stream's reassembly,
 // emitting error-control acks (and a piggybacked stream credit grant)
-// via emit, which must stamp the connection id. payload aliases ref,
-// which the caller still owns; reassembly retains it as needed. When
-// the SDU completes a message, OnData parks it on the stream's queue
-// and rings the doorbell; receivers collect it with TryPop.
+// via emit, which must stamp the connection id and serialise the
+// packet before it returns: every body is borrowed until then. payload
+// aliases ref, which the caller still owns; reassembly retains it as
+// needed. When the SDU completes a message, OnData parks it on the
+// stream's queue and rings the doorbell; receivers collect it with
+// TryPop.
 //
 // Frames for a reaped (closed) stream are dropped: the peer was told
 // via CtrlStreamClose, so anything still arriving is a straggler.
@@ -245,7 +258,7 @@ func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emi
 		s.ensureFC()
 		if g, ok := flowctl.Piggyback(s.fcRecv); ok {
 			g.SessionID = h.SessionID
-			if !emit(s.wrapGrant(g)) {
+			if !emit(s.wrapGrant(&s.rxGrant, g)) {
 				return
 			}
 		}
@@ -261,7 +274,7 @@ func (s *State) creditArrival() {
 	s.ensureFC()
 	idx := s.rx.Add(1) - 1
 	for _, ctl := range s.fcRecv.OnData(idx) {
-		s.offerGrant(s.wrapGrant(ctl))
+		s.offerGrant(s.wrapGrant(&s.rxGrant, ctl))
 	}
 }
 
@@ -269,7 +282,8 @@ func (s *State) creditArrival() {
 // withholds it otherwise (latest wins — grants are cumulative), so an
 // unconsumed stream stops being granted once its already-granted
 // window is spent. TryPop flushes the withheld grant when the
-// consumer drains the backlog.
+// consumer drains the backlog. Only the body of a withheld grant is
+// kept, by value: ctl's is borrowed.
 func (s *State) offerGrant(ctl packet.Control) {
 	s.mu.Lock()
 	if s.reaped {
@@ -277,8 +291,8 @@ func (s *State) offerGrant(ctl packet.Control) {
 		return
 	}
 	if len(s.parked) > 0 {
-		held := ctl
-		s.held = &held
+		copy(s.held[:], ctl.Body)
+		s.hasHeld = true
 		s.mu.Unlock()
 		return
 	}
@@ -325,10 +339,13 @@ func (s *State) TryPop() (Msg, bool) {
 	}
 	remaining := len(s.parked)
 	s.nParked.Store(int32(remaining))
-	var flush *packet.Control
-	if remaining == 0 && s.held != nil && !s.reaped {
-		flush = s.held
-		s.held = nil
+	var flush *grantBody
+	if remaining == 0 && s.hasHeld && !s.reaped {
+		// A copy of its own: the receive path may withhold the next
+		// grant while this one is still being emitted.
+		flush = new(grantBody)
+		*flush = s.held
+		s.hasHeld = false
 	}
 	s.mu.Unlock()
 	if remaining > 0 {
@@ -338,7 +355,7 @@ func (s *State) TryPop() (Msg, bool) {
 		s.ring()
 	}
 	if flush != nil {
-		s.mux.emit(*flush)
+		s.mux.emit(packet.Control{Type: packet.CtrlStreamGrant, Body: flush[:]})
 	}
 	return m, true
 }
@@ -411,7 +428,7 @@ func (s *State) Reap() {
 	s.reapSessionsLocked()
 	s.parked = nil
 	s.nParked.Store(0)
-	s.held = nil
+	s.hasHeld = false
 	s.mu.Unlock()
 	s.ensureFC() // build-then-close: FlowSender can never observe nil
 	s.fcSend.Close()

@@ -99,16 +99,29 @@ func parseRawSockaddr(sa *syscall.RawSockaddrInet6, size uint32) (addrKey, bool)
 // guarded by the endpoint's sendMu; recv fields belong to the reader
 // goroutine. Scratch arrays grow to the largest batch seen and are
 // reused for every syscall after that.
+//
+// The callbacks handed to RawConn.Read/Write are built once, here, and
+// trade their arguments and results through the fields beside them: a
+// closure built per syscall captures its result variables, and the
+// closure and every one of them then escape to the heap — four
+// allocations per sendmmsg or recvmmsg.
 type batchIO struct {
 	rc        syscall.RawConn
 	connected bool
 
-	shdrs []mmsghdr
-	siov  [][2]syscall.Iovec
+	shdrs   []mmsghdr
+	siov    [][2]syscall.Iovec
+	sendOff int // in: first header of shdrs still to send
+	sendN   uintptr
+	sendErr syscall.Errno
+	sendFn  func(fd uintptr) bool
 
-	rhdrs  []mmsghdr
-	riov   []syscall.Iovec
-	rnames []syscall.RawSockaddrInet6
+	rhdrs   []mmsghdr
+	riov    []syscall.Iovec
+	rnames  []syscall.RawSockaddrInet6
+	recvN   uintptr
+	recvErr syscall.Errno
+	recvFn  func(fd uintptr) bool
 }
 
 func newBatchIO(sock *net.UDPConn, connected bool) (*batchIO, error) {
@@ -116,7 +129,37 @@ func newBatchIO(sock *net.UDPConn, connected bool) (*batchIO, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &batchIO{rc: rc, connected: connected}, nil
+	io := &batchIO{rc: rc, connected: connected}
+	io.sendFn = io.sendmmsg
+	io.recvFn = io.recvmmsg
+	return io, nil
+}
+
+// sendmmsg is the RawConn.Write callback: one non-blocking sendmmsg of
+// shdrs[sendOff:]. Returning false parks the goroutine on the netpoller
+// until the socket is writable.
+func (io *batchIO) sendmmsg(fd uintptr) bool {
+	io.sendN, _, io.sendErr = syscall.Syscall6(sysSENDMMSG, fd,
+		uintptr(unsafe.Pointer(&io.shdrs[io.sendOff])), uintptr(len(io.shdrs)-io.sendOff),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if io.sendErr == syscall.EAGAIN {
+		mUDPEagain.Inc()
+		return false
+	}
+	return true
+}
+
+// recvmmsg is the RawConn.Read callback: one non-blocking recvmmsg into
+// rhdrs.
+func (io *batchIO) recvmmsg(fd uintptr) bool {
+	io.recvN, _, io.recvErr = syscall.Syscall6(sysRECVMMSG, fd,
+		uintptr(unsafe.Pointer(&io.rhdrs[0])), uintptr(len(io.rhdrs)),
+		syscall.MSG_DONTWAIT, 0, 0)
+	if io.recvErr == syscall.EAGAIN {
+		mUDPEagain.Inc()
+		return false
+	}
+	return true
 }
 
 // sendBatch transmits msgs in one sendmmsg (looping only on partial
@@ -152,31 +195,19 @@ func (io *batchIO) sendBatch(msgs []outMsg) error {
 			h.Hdr.Namelen = m.to.size
 		}
 	}
-	sent := 0
-	for sent < n {
-		var r1 uintptr
-		var errno syscall.Errno
-		werr := io.rc.Write(func(fd uintptr) bool {
-			r1, _, errno = syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&io.shdrs[sent])), uintptr(n-sent),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if errno == syscall.EAGAIN {
-				mUDPEagain.Inc()
-				return false
-			}
-			return true
-		})
+	for io.sendOff = 0; io.sendOff < n; {
+		werr := io.rc.Write(io.sendFn)
 		mUDPSendSyscalls.Inc()
 		if werr != nil {
 			return werr
 		}
-		if errno != 0 {
-			if errno == syscall.EINTR {
+		if io.sendErr != 0 {
+			if io.sendErr == syscall.EINTR {
 				continue
 			}
-			return errno
+			return io.sendErr
 		}
-		sent += int(r1)
+		io.sendOff += int(io.sendN)
 	}
 	return nil
 }
@@ -207,33 +238,20 @@ func (io *batchIO) recvBatch(slots []*buf.Buffer, meta []recvMeta) (int, error) 
 			h.Hdr.Namelen = syscall.SizeofSockaddrInet6
 		}
 	}
-	var got int
 	for {
-		var r1 uintptr
-		var errno syscall.Errno
-		rerr := io.rc.Read(func(fd uintptr) bool {
-			r1, _, errno = syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&io.rhdrs[0])), uintptr(n),
-				syscall.MSG_DONTWAIT, 0, 0)
-			if errno == syscall.EAGAIN {
-				mUDPEagain.Inc()
-				return false
-			}
-			return true
-		})
+		rerr := io.rc.Read(io.recvFn)
 		mUDPRecvSyscalls.Inc()
 		if rerr != nil {
 			return 0, rerr
 		}
-		if errno != 0 {
-			if errno == syscall.EINTR {
-				continue
-			}
-			return 0, errno
+		if io.recvErr == 0 {
+			break
 		}
-		got = int(r1)
-		break
+		if io.recvErr != syscall.EINTR {
+			return 0, io.recvErr
+		}
 	}
+	got := int(io.recvN)
 	for i := 0; i < got; i++ {
 		h := &io.rhdrs[i]
 		meta[i].n = int(h.Len)
