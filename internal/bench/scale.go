@@ -99,7 +99,7 @@ type ScalePoint struct {
 	// both systems. Idle connections must contribute zero — heartbeat
 	// sweeps only arm wheel slots while a heartbeat connection lives.
 	PendingTimers int `json:"pending_timers"`
-	// EstBytesPerConn is System.MemStats' structural estimate for the
+	// EstBytesPerConn is System.Telemetry().Mem's structural estimate for the
 	// same endpoints — a cross-check that the estimator tracks the
 	// measured heap cost.
 	EstBytesPerConn float64 `json:"est_bytes_per_conn"`
@@ -235,7 +235,7 @@ func runScalePoint(rt core.Runtime, conns int, cfg ScaleConfig) (ScalePoint, err
 		idleBytesPerConn = float64(h1.HeapAlloc-h0.HeapAlloc) / float64(2*conns)
 	}
 	idleGoroutines := runtime.NumGoroutine()
-	cms, sms := client.MemStats(), server.MemStats()
+	cms, sms := client.Telemetry().Mem, server.Telemetry().Mem
 	pendingTimers := cms.PendingTimers + sms.PendingTimers
 	estBytesPerConn := float64(cms.EstimatedBytes+sms.EstimatedBytes) / float64(2*conns)
 
@@ -328,8 +328,8 @@ func runScalePoint(rt core.Runtime, conns int, cfg ScaleConfig) (ScalePoint, err
 	var m1 runtime.MemStats
 	runtime.ReadMemStats(&m1)
 
-	st := client.ShardStats()
-	sst := server.ShardStats()
+	st := client.Telemetry().Shards
+	sst := server.Telemetry().Shards
 	clientIB.Close()
 	serverIB.Close()
 	clientWG.Wait()

@@ -17,12 +17,6 @@ import (
 	"ncs/internal/transport"
 )
 
-// maxTrackedSessions bounds the inbound session table; the oldest
-// completed sessions are pruned beyond this. A pruned session can no
-// longer re-acknowledge duplicate retransmissions, which is safe: by the
-// time 64 newer sessions completed, the peer's sender has long finished.
-const maxTrackedSessions = 64
-
 // deliveredQueueDepth is the number of fully reassembled messages that
 // may wait for NCS_recv before the Receive Thread blocks (natural
 // backpressure toward the data connection).
@@ -57,16 +51,62 @@ type Message struct {
 	Lost int
 }
 
-// sendItem is one SDU handed to the Send Thread, optionally carrying
-// instrumentation state for Table I measurements. When ctrl is non-nil
-// the item is an in-band control packet (InbandControl mode) instead of
-// an SDU: the packet already marshalled, the item owning the reference.
-type sendItem struct {
+// outItem is one outbound unit on its way to a transport write: a data
+// SDU, or a control packet (already marshalled; the item owns the
+// reference), with the bookkeeping that follows its transmission. The
+// Send Thread's queue, a shard's outbound queue and the fast path's
+// inline write all carry it through the same stage and finish.
+type outItem struct {
+	c          *Connection
 	sdu        errctl.SDU
-	ctrl       *buf.Buffer
-	trace      *SendTrace
-	done       chan struct{} // non-nil: Send Thread closes after transmission
+	ctrl       *buf.Buffer   // non-nil: a control packet, not an SDU
+	ctrlPath   bool          // write to the control connection (false: data)
+	trace      *SendTrace    // Table I instrumentation, when capturing
+	done       chan struct{} // non-nil: deposit a token after transmission
+	slot       bool          // release one of the connection's shard send slots after transmission
 	streamSlot bool          // release one of the connection's stream send slots after transmission
+}
+
+// stage returns the marshalled packet to write: the control packet as
+// queued, or the SDU serialised into a pooled buffer — the one copy of
+// the payload, after which the caller's message is no longer referenced.
+func (it *outItem) stage() *buf.Buffer {
+	if it.ctrl != nil {
+		it.c.stats.controlSent.Add(1)
+		return it.ctrl
+	}
+	if it.trace != nil {
+		it.trace.stamp(&it.trace.tDequeued)
+	}
+	sb := buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
+	sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
+	return sb
+}
+
+// finish is the post-transmission bookkeeping: trace stamps, the done
+// token a synchronous sender waits on, queue-slot releases.
+func (it *outItem) finish() {
+	if it.trace != nil {
+		it.trace.stamp(&it.trace.tTransmitted)
+	}
+	if it.ctrl == nil {
+		telemetry.TraceStamp(it.c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
+	}
+	if it.done != nil {
+		it.done <- struct{}{} // one-token confirmation (pooled chan)
+	}
+	if it.slot {
+		<-it.c.sh.sendSlots
+	}
+	if it.streamSlot {
+		<-it.c.streamSlotCh()
+	}
+}
+
+func finishAll(items []outItem) {
+	for i := range items {
+		items[i].finish()
+	}
 }
 
 // ctrlEvent is a control packet leaving a receive loop for another
@@ -86,20 +126,10 @@ func (e ctrlEvent) release() {
 	}
 }
 
-// recvSession wraps an inbound error-control session with its delivery
-// state. Sessions recycle through recvSessionPool when pruned: one
-// arrives per received message, so on unreliable streams the wrapper
-// would otherwise be a steady per-message allocation.
-type recvSession struct {
-	rcv       errctl.Receiver
-	delivered bool
-}
-
-var recvSessionPool = sync.Pool{New: func() any { return new(recvSession) }}
-
 // sendSession is what one reliable Send needs beyond the message: the
 // error-control sender, the channel the connection's control demux
-// deposits its acknowledgments on, and the retransmission timer.
+// deposits its acknowledgments on, and the retransmission timer (idle
+// on the fast path, whose timed control read is its timer).
 // Sessions recycle through sendSessionPool — channel and timer are
 // built once and survive, the sender is drawn from errctl's own pool
 // per transfer — so a steady stream of reliable sends allocates
@@ -144,7 +174,7 @@ type Connection struct {
 	// sendQ and ctrlQ exist only on threaded runtimes — the sharded
 	// runtime deposits on its shard's outbound queue and the fast path
 	// writes inline, so neither pays for queues it never uses.
-	sendQ chan sendItem
+	sendQ chan outItem
 	ctrlQ chan *buf.Buffer // marshalled control packets; the queue owns the references
 
 	// delivered is the connection's completed-message queue, created on
@@ -152,13 +182,14 @@ type Connection struct {
 	// consumer go through the accessor, so neither can miss the other.
 	delivered atomic.Pointer[chan Message]
 
-	// mu guards the lazy session and waiter tables below, both nil
-	// until the first inbound reliable session (sessions) or the first
-	// outbound reliable send (waiters).
-	mu       sync.Mutex
-	sessions map[uint32]*recvSession
-	sessAge  []uint32
-	waiters  map[uint32]chan ctrlEvent
+	// mu guards the lazy constructors and the waiter table, nil until
+	// the first outbound reliable send.
+	mu      sync.Mutex
+	waiters map[uint32]chan ctrlEvent
+
+	// inbound is the default lane's reassembly session table (streams
+	// carry their own); it allocates on the first inbound session.
+	inbound errctl.SessionTable
 
 	nextSession atomic.Uint32
 
@@ -228,6 +259,7 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		initiator: initiator,
 		closedCh:  make(chan struct{}),
 	}
+	c.inbound.Alg = opts.ErrorControl
 	c.lastHeard.Store(time.Now().UnixNano())
 	switch {
 	case opts.FastPath:
@@ -244,14 +276,14 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		// Ablation mode: control shares the data connection, so the
 		// Send Thread carries both and the Receive Thread demultiplexes
 		// — exactly the per-packet demux cost the split planes avoid.
-		c.sendQ = make(chan sendItem, sendQueueDepth)
+		c.sendQ = make(chan outItem, sendQueueDepth)
 		c.wg.Add(2)
 		go c.sendThread()
 		go c.recvThread()
 	default:
 		// Data plane: per-connection Send and Receive Threads; control
 		// plane: per-connection Control Send/Receive Threads.
-		c.sendQ = make(chan sendItem, sendQueueDepth)
+		c.sendQ = make(chan outItem, sendQueueDepth)
 		c.ctrlQ = make(chan *buf.Buffer, 16)
 		c.wg.Add(4)
 		go c.sendThread()
@@ -473,10 +505,7 @@ func (c *Connection) Options() Options { return c.opts }
 // connection's error control configuration, blocking until the transfer
 // completes (reliable) or is fully handed to the interface (unreliable).
 func (c *Connection) Send(msg []byte) error {
-	if c.opts.FastPath {
-		return c.sendFast(msg, nil)
-	}
-	return c.sendThreaded(msg, nil)
+	return c.send(c.lane0(), msg, nil)
 }
 
 // unreliableSDU builds the header Segment would give SDU i of n of an
@@ -511,36 +540,6 @@ func (c *Connection) unreliableSegments(msg []byte) (sduSize, n int) {
 	return sduSize, n
 }
 
-// sendUnreliable hands an unreliable (None error control) message to
-// the Send Thread with no per-message sender machinery: a None session
-// never retransmits, so nothing ever refers to it again and the whole
-// sender object (session state, segmentation slice) can be skipped.
-// Segmentation happens inline on the caller's stack; steady-state
-// unreliable sends allocate nothing.
-func (c *Connection) sendUnreliable(lane sendLane, msg []byte, sess uint32, tr *SendTrace) error {
-	sduSize, n := c.unreliableSegments(msg)
-	var one [1]errctl.SDU
-	for i := 0; i < n; i++ {
-		lo := i * sduSize
-		hi := lo + sduSize
-		if hi > len(msg) {
-			hi = len(msg)
-		}
-		one[0] = c.unreliableSDU(msg[lo:hi], lane.streamID, sess, i, n)
-		last := i == n-1
-		var ltr *SendTrace
-		if last {
-			ltr = tr
-		}
-		if err := c.transmitOn(lane, one[:], ltr, last); err != nil {
-			return err
-		}
-	}
-	c.stats.messagesSent.Add(1)
-	mSendMsgs.IncAt(c.id)
-	return nil
-}
-
 // sendLane bundles the per-channel transmit state a send drives: the
 // flow-control sender admitting each SDU and the lifetime transmit
 // index it is fed. Stream 0 uses the connection's own pair; every
@@ -557,45 +556,76 @@ func (c *Connection) lane0() sendLane {
 	return sendLane{fc: c.flowSend(), tx: &c.txCounter}
 }
 
-func (c *Connection) sendThreaded(msg []byte, tr *SendTrace) error {
-	return c.sendThreadedOn(c.lane0(), msg, tr)
-}
-
-func (c *Connection) sendThreadedOn(lane sendLane, msg []byte, tr *SendTrace) error {
+// send is the one send engine: every Send, on every lane and every
+// runtime, is this procedure — §4.2's point that the threads "can be
+// replaced by procedures" means flow control, error control and the
+// data transfer are the same steps whoever runs them. Only three
+// primitives know the runtime: admit (how a credit wait passes), put
+// (how an SDU reaches the wire) and awaitAck (how the acknowledgment
+// comes back).
+func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 	if err := c.checkSendSize(msg); err != nil {
 		return err
 	}
+	if c.opts.FastPath {
+		// The procedure-call model has one caller in the protocol at a
+		// time: sends on all lanes serialise.
+		c.fastSendMu.Lock()
+		defer c.fastSendMu.Unlock()
+	}
 	sess := c.nextSession.Add(1)
 	telemetry.TraceStart(c.id, sess, len(msg))
-	if c.opts.ErrorControl == errctl.None {
-		if tr != nil {
-			tr.stamp(&tr.tHeader)
-		}
-		return c.sendUnreliable(lane, msg, sess, tr)
+
+	var ss *sendSession
+	if c.opts.ErrorControl != errctl.None {
+		ss = c.beginSend(lane, msg, sess)
+		defer c.endSend(ss, sess)
 	}
-	ss := c.beginSend(lane, msg, sess)
-	defer c.endSend(ss, sess)
-	snd := ss.snd
 	if tr != nil {
 		tr.stamp(&tr.tHeader)
 	}
+	if ss == nil {
+		// A None session never retransmits, so nothing ever refers to it
+		// again and the whole sender object (session state, segmentation
+		// slice) is skipped: segmentation happens inline on the caller's
+		// stack, and steady-state unreliable sends allocate nothing.
+		sduSize, n := c.unreliableSegments(msg)
+		var one [1]errctl.SDU
+		for i := 0; i < n; i++ {
+			lo := i * sduSize
+			hi := min(lo+sduSize, len(msg))
+			one[0] = c.unreliableSDU(msg[lo:hi], lane.streamID, sess, i, n)
+			last := i == n-1
+			var ltr *SendTrace
+			if last {
+				ltr = tr
+			}
+			if err := c.transmit(lane, one[:], ltr, last); err != nil {
+				return err
+			}
+		}
+		c.stats.messagesSent.Add(1)
+		mSendMsgs.IncAt(c.id)
+		return nil
+	}
 
-	if err := c.transmitOn(lane, snd.Initial(), tr, false); err != nil {
+	if err := c.transmit(lane, ss.snd.Initial(), tr, false); err != nil {
 		return err
 	}
 	lastSend := time.Now()
 	retransmitted := false // Karn's rule: skip samples after a retransmit
-	resetTimer(ss.timer, c.rto())
 	for {
+		ev, acked, err := c.awaitAck(ss)
+		if err != nil {
+			return err
+		}
 		var rt []errctl.SDU
-		select {
-		case ev := <-ss.ackCh:
+		if acked {
 			if c.opts.AdaptiveTimeout && !retransmitted {
 				c.rtt.observe(time.Since(lastSend))
 			}
 			var done bool
-			var err error
-			rt, done, err = snd.OnAck(ev.ctl)
+			rt, done, err = ss.snd.OnAck(ev.ctl)
 			// OnAck parses the body synchronously, so the handed-off
 			// receive buffer can recycle now.
 			ev.release()
@@ -607,10 +637,8 @@ func (c *Connection) sendThreadedOn(lane sendLane, msg []byte, tr *SendTrace) er
 				mSendMsgs.IncAt(c.id)
 				return nil
 			}
-		case <-ss.timer.C:
-			rt = snd.OnTimeout()
-		case <-c.closedCh:
-			return ErrConnClosed
+		} else {
+			rt = ss.snd.OnTimeout()
 		}
 		if len(rt) > 0 {
 			// Retransmissions transmit synchronously (the trailing true):
@@ -623,13 +651,12 @@ func (c *Connection) sendThreadedOn(lane sendLane, msg []byte, tr *SendTrace) er
 			// such barrier: an ack proves its SDUs were already staged and
 			// written. Retransmission is the slow path; the extra round
 			// trip to the Send Thread does not touch healthy sends.
-			if err := c.transmitOn(lane, rt, nil, true); err != nil {
+			if err := c.transmit(lane, rt, nil, true); err != nil {
 				return err
 			}
 			lastSend = time.Now()
 			retransmitted = true
 		}
-		resetTimer(ss.timer, c.rto())
 	}
 }
 
@@ -669,10 +696,19 @@ func (c *Connection) endSend(ss *sendSession, sess uint32) {
 	sendSessionPool.Put(ss)
 }
 
-// rto is the current retransmission timeout: the configured AckTimeout,
-// or the RTT estimate's when the connection adapts.
+// rto is how long a sender waits before presuming loss — the
+// retransmission timeout and, answering the same question, the flow
+// control admission wait (a wedged grant is then repaired at round-trip
+// pace): the configured AckTimeout, or the RTT estimate's when the
+// connection adapts.
+//
+// The fast path deliberately does not adapt, and gives up admission
+// after maxCreditWait waits: its waits were always the fixed AckTimeout,
+// and the benchmark gate measures what that does to a lossy link
+// (adapting takes lossy_echo from ~90 to ~7000 echoes/s and its peak RSS
+// past the bound). Honouring AdaptiveTimeout there is its own change.
 func (c *Connection) rto() time.Duration {
-	if !c.opts.AdaptiveTimeout {
+	if !c.opts.AdaptiveTimeout || c.opts.FastPath {
 		return c.opts.AckTimeout
 	}
 	return c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
@@ -694,6 +730,55 @@ func resetTimer(t *time.Timer, d time.Duration) {
 	t.Reset(d)
 }
 
+// awaitAck waits for the session's next acknowledgment; acked is false
+// when the retransmission timeout passed first. Threaded and sharded
+// senders sleep on the channel the control demux deposits on. The fast
+// path has no thread reading the control connection, so the sender
+// reads it itself: one packet at a time through the same demux, which
+// lands this session's acks on the same channel — including those that
+// arrived while admit was pumping.
+func (c *Connection) awaitAck(ss *sendSession) (ev ctrlEvent, acked bool, err error) {
+	if c.opts.FastPath {
+		for {
+			select {
+			case ev = <-ss.ackCh:
+				return ev, true, nil
+			default:
+			}
+			if timedOut, err := c.pumpCtrl(c.rto()); timedOut || err != nil {
+				return ev, false, err
+			}
+		}
+	}
+	resetTimer(ss.timer, c.rto())
+	select {
+	case ev = <-ss.ackCh:
+		return ev, true, nil
+	case <-ss.timer.C:
+		return ev, false, nil
+	case <-c.closedCh:
+		return ev, false, ErrConnClosed
+	}
+}
+
+// pumpCtrl is the fast path's Control Receive Thread, one packet per
+// call: it reads the control connection for at most wait and routes
+// what arrives. With no thread to observe transport death, it closes
+// the connection on any other failure.
+func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
+	b, err := c.ctrl.RecvBufTimeout(wait)
+	switch {
+	case errors.Is(err, transport.ErrRecvTimeout):
+		return true, nil
+	case err != nil:
+		c.Close()
+		return false, ErrConnClosed
+	}
+	c.demuxControl(b)
+	b.Release()
+	return false, nil
+}
+
 // doneChPool recycles the one-shot channels that synchronise a sender
 // with the Send Thread's transmission confirmation. The Send Thread
 // deposits a token (rather than closing), so a consumed channel is
@@ -701,13 +786,13 @@ func resetTimer(t *time.Timer, d time.Duration) {
 // garbage collected.
 var doneChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
 
-// transmitOn performs the Error-Control → Flow-Control → Send-Thread
-// hand-off for a batch of SDUs on a send lane: admission and the
-// transmit index come from the lane, so a stream whose credit window is
-// exhausted blocks only its own sender. When sync is true it waits for
-// the Send Thread to confirm the final SDU left the interface.
-func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace, sync bool) error {
-	fc := lane.fc
+// transmit performs the Error-Control → Flow-Control → wire hand-off
+// for a batch of SDUs on a send lane: admission and the transmit index
+// come from the lane, so a stream whose credit window is exhausted
+// blocks only its own sender. When sync is true it returns only once
+// the final SDU left the interface. This is the one place sent SDUs are
+// counted.
+func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
 	// control first, so the credit the loss returns can fund the
@@ -719,41 +804,12 @@ func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace,
 		}
 	}
 	if rtx > 0 {
-		flowctl.NoteLoss(fc, rtx)
+		flowctl.NoteLoss(lane.fc, rtx)
 	}
-	// The credit wait and the retransmission timer answer the same
-	// question — how long before presuming something was lost — so a
-	// connection with adaptive timeouts applies its RTT estimate here
-	// too: a wedged grant is then repaired at round-trip pace instead
-	// of the fixed fallback.
 	wait := c.rto()
 	for i, sdu := range sdus {
-		idx := lane.tx.Add(1) - 1
-		for {
-			err := fc.AcquireTimeout(idx, wait)
-			if err == nil {
-				break
-			}
-			if errors.Is(err, flowctl.ErrAcquireTimeout) {
-				// On lossy links, dropped data packets consume credits
-				// whose grants never return; resynchronise and retry.
-				// On a stream lane this is also the unconsumed-peer case
-				// — the wait burned a full interval without a grant.
-				if lane.streamID != 0 {
-					stream.NoteCreditWait()
-					if err := c.streamSendable(lane.streamID); err != nil {
-						return err
-					}
-				}
-				fc.Resync()
-				continue
-			}
-			if lane.streamID != 0 {
-				if serr := c.streamSendable(lane.streamID); serr != nil {
-					return serr
-				}
-			}
-			return ErrConnClosed
+		if err := c.admit(lane, wait); err != nil {
+			return err
 		}
 		c.stats.sdusSent.Add(1)
 		c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
@@ -763,42 +819,137 @@ func (c *Connection) transmitOn(lane sendLane, sdus []errctl.SDU, tr *SendTrace,
 			c.stats.retransmissions.Add(1)
 		}
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
-		item := sendItem{sdu: sdu}
-		if lane.streamID != 0 {
-			// Stream SDUs take a queue-residency slot so they can never
-			// monopolise the outbound queue ahead of stream 0 (see
-			// streamSendSlots); released after transmission.
-			select {
-			case c.streamSlotCh() <- struct{}{}:
-				item.streamSlot = true
-			case <-c.closedCh:
-				return ErrConnClosed
+		it := outItem{c: c, sdu: sdu}
+		last := i == len(sdus)-1
+		if last {
+			it.trace = tr
+		}
+		if err := c.put(it, sync && last); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// maxCreditWait bounds how long a fast-path sender waits for flow
+// control admission before giving up, in multiples of AckTimeout.
+const maxCreditWait = 10
+
+// admit blocks until the lane's flow control admits its next
+// transmission. Threaded and sharded senders sleep in the flow-control
+// sender, which the control demux wakes; the fast path polls it,
+// pumping the control connection between attempts — so a send that
+// exhausts its window delays the other lanes' sends (they serialise on
+// fastSendMu) by up to the bounded wait: keep unconsumed fast-path
+// streams within their initial credit window.
+func (c *Connection) admit(lane sendLane, wait time.Duration) error {
+	fc := lane.fc
+	idx := lane.tx.Add(1) - 1
+	if c.opts.FastPath {
+		if fc.TryAcquire(idx) {
+			return nil
+		}
+		// Polling bypasses the Sender's blocking entry points, so the
+		// admission wait is reported to flow control's instruments here.
+		blockedAt := time.Now()
+		defer func() { flowctl.NoteFastPathWait(c.opts.FlowControl, time.Since(blockedAt)) }()
+		for attempt := 0; attempt < maxCreditWait; attempt++ {
+			timedOut, err := c.pumpCtrl(wait)
+			if err != nil {
+				return err
+			}
+			if timedOut {
+				if err := c.creditTimeout(lane); err != nil {
+					return err
+				}
+			}
+			if fc.TryAcquire(idx) {
+				return nil
 			}
 		}
-		if i == len(sdus)-1 {
-			item.trace = tr
-			if sync {
-				item.done = doneChPool.Get().(chan struct{})
+		return ErrRecvTimeout
+	}
+	for {
+		err := fc.AcquireTimeout(idx, wait)
+		if err == nil {
+			return nil
+		}
+		if !errors.Is(err, flowctl.ErrAcquireTimeout) {
+			if lane.streamID != 0 {
+				if serr := c.streamSendable(lane.streamID); serr != nil {
+					return serr
+				}
 			}
-		}
-		if tr != nil && i == len(sdus)-1 {
-			tr.stamp(&tr.tQueued)
-		}
-		if !c.enqueueData(item) {
 			return ErrConnClosed
 		}
-		if item.done != nil {
-			select {
-			case <-item.done:
-				doneChPool.Put(item.done)
-				if tr != nil {
-					tr.stamp(&tr.tReturned)
-				}
-			case <-c.closedCh:
-				// The channel may still receive its token; abandon it
-				// to the garbage collector rather than repooling.
-				return ErrConnClosed
+		if err := c.creditTimeout(lane); err != nil {
+			return err
+		}
+	}
+}
+
+// creditTimeout reacts to a full admission wait that brought no grant.
+// On lossy links, dropped data packets consume credits whose grants
+// never return: resynchronise, and the caller retries. On a stream lane
+// this is also the unconsumed-peer case, recorded as a credit wait —
+// and a send toward a peer that closed the stream surfaces
+// ErrStreamClosed instead of retrying for ever.
+func (c *Connection) creditTimeout(lane sendLane) error {
+	if lane.streamID != 0 {
+		stream.NoteCreditWait()
+		if err := c.streamSendable(lane.streamID); err != nil {
+			return err
+		}
+	}
+	lane.fc.Resync()
+	return nil
+}
+
+// put hands one admitted SDU to the wire the way the connection's
+// runtime owns it: an inline write on the fast path, else the Send
+// Thread's or the shard's queue — waiting, when sync is set, for the
+// token that confirms the SDU left the interface.
+func (c *Connection) put(it outItem, sync bool) error {
+	if c.opts.FastPath {
+		err := c.data.SendBuf(it.stage()) // consumes the buffer reference
+		it.finish()
+		if err != nil {
+			c.Close()
+			return ErrConnClosed
+		}
+		return nil
+	}
+	if it.sdu.Header.StreamID != 0 {
+		// Stream SDUs take a queue-residency slot so they can never
+		// monopolise the outbound queue ahead of stream 0 (see
+		// streamSendSlots); released after transmission.
+		select {
+		case c.streamSlotCh() <- struct{}{}:
+			it.streamSlot = true
+		case <-c.closedCh:
+			return ErrConnClosed
+		}
+	}
+	if sync {
+		it.done = doneChPool.Get().(chan struct{})
+	}
+	if it.trace != nil {
+		it.trace.stamp(&it.trace.tQueued)
+	}
+	if !c.enqueueData(it) {
+		return ErrConnClosed
+	}
+	if it.done != nil {
+		select {
+		case <-it.done:
+			doneChPool.Put(it.done)
+			if it.trace != nil {
+				it.trace.stamp(&it.trace.tReturned)
 			}
+		case <-c.closedCh:
+			// The channel may still receive its token; abandon it
+			// to the garbage collector rather than repooling.
+			return ErrConnClosed
 		}
 	}
 	return nil
@@ -818,36 +969,30 @@ func (c *Connection) streamSlotCh() chan struct{} {
 	return *c.streamSlotsP.Load()
 }
 
-// enqueueData hands one data SDU to the connection's runtime: the Send
-// Thread's queue (threaded) or the shard's outbound queue (sharded,
-// after taking one of the connection's send slots — the same depth
-// bound sendQ provides). It reports false when the connection closed.
-func (c *Connection) enqueueData(item sendItem) bool {
+// enqueueData hands one data SDU to the connection's queue: the Send
+// Thread's (threaded) or the shard's outbound queue (sharded, after
+// taking one of the connection's send slots — the same depth bound
+// sendQ provides). It reports false when the connection closed.
+func (c *Connection) enqueueData(it outItem) bool {
 	if sc := c.sh; sc != nil {
 		select {
 		case sc.sendSlots <- struct{}{}:
 		case <-c.closedCh:
-			if item.streamSlot {
+			if it.streamSlot {
 				<-c.streamSlotCh()
 			}
 			return false
 		}
 		mSendQDepth.Observe(int64(len(sc.sendSlots)))
-		return sc.shard.enqueueOut(outItem{
-			c:          c,
-			sdu:        item.sdu,
-			trace:      item.trace,
-			done:       item.done,
-			slot:       true,
-			streamSlot: item.streamSlot,
-		})
+		it.slot = true
+		return sc.shard.enqueueOut(it)
 	}
 	mSendQDepth.Observe(int64(len(c.sendQ)))
 	select {
-	case c.sendQ <- item:
+	case c.sendQ <- it:
 		return true
 	case <-c.closedCh:
-		if item.streamSlot {
+		if it.streamSlot {
 			<-c.streamSlotCh()
 		}
 		return false
@@ -876,7 +1021,7 @@ func (c *Connection) checkSendSize(msg []byte) error {
 // transmits each SDU the moment it arrives.
 func (c *Connection) sendThread() {
 	defer c.wg.Done()
-	items := make([]sendItem, 0, sendBatchMax)
+	items := make([]outItem, 0, sendBatchMax)
 	batch := make([]*buf.Buffer, 0, sendBatchMax)
 	for {
 		select {
@@ -893,36 +1038,11 @@ func (c *Connection) sendThread() {
 			}
 			batch = batch[:0]
 			for i := range items {
-				it := &items[i]
-				if it.trace != nil {
-					it.trace.stamp(&it.trace.tDequeued)
-				}
-				sb := it.ctrl
-				if sb != nil {
-					c.stats.controlSent.Add(1)
-				} else {
-					sb = buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
-					sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
-				}
-				batch = append(batch, sb)
+				batch = append(batch, items[i].stage())
 			}
 			mCoalesceDepth.Observe(int64(len(batch)))
 			err := c.data.SendBatch(batch) // consumes the buffer refs
-			for i := range items {
-				it := &items[i]
-				if it.trace != nil {
-					it.trace.stamp(&it.trace.tTransmitted)
-				}
-				if it.ctrl == nil {
-					telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
-				}
-				if it.done != nil {
-					it.done <- struct{}{} // one-token confirmation (pooled chan)
-				}
-				if it.streamSlot {
-					<-c.streamSlotCh()
-				}
-			}
+			finishAll(items)
 			if err != nil {
 				// The connection is going down; propagate so Send
 				// callers see ErrConnClosed via closedCh.
@@ -1033,65 +1153,100 @@ func (c *Connection) recvThread() {
 			go c.Close()
 			return
 		}
-		c.lastHeard.Store(time.Now().UnixNano())
-		h, payload, perr := packet.SplitData(b.B)
-		if perr != nil {
-			// In in-band mode the data connection also carries control
-			// packets; demultiplex them here (the per-packet cost the
-			// separate control connection eliminates).
-			if c.opts.InbandControl {
-				c.demuxControl(b)
-			}
-			b.Release()
+		m, ok := c.ingest(b)
+		if !ok {
 			continue
 		}
-		m, ok := c.dispatchData(h, payload, b, c.emitCtrl)
-		b.Release()
-		if ok {
-			telemetry.TraceFinish(c.id, h.SessionID)
-			if ib := c.inbox.Load(); ib != nil {
-				if ib.put(c, m) {
-					continue
-				}
-				select {
-				case <-c.closedCh:
-					return
-				default:
-				}
-				// The inbox closed under a live connection: unbind and
-				// fall back to the connection's own queue.
-				c.inbox.CompareAndSwap(ib, nil)
+		if ib := c.inbox.Load(); ib != nil {
+			if ib.put(c, m) {
+				continue
 			}
 			select {
-			case c.deliveredQ() <- m:
 			case <-c.closedCh:
 				return
+			default:
 			}
+			// The inbox closed under a live connection: unbind and
+			// fall back to the connection's own queue.
+			c.inbox.CompareAndSwap(ib, nil)
+		}
+		select {
+		case c.deliveredQ() <- m:
+		case <-c.closedCh:
+			return
 		}
 	}
 }
 
-// dispatchData runs one arriving SDU through the receive-side flow and
-// error control, emitting control packets via emit. Every packet's body
-// is the scratch of the state machine that produced it, borrowed until
-// emit returns: emit must serialise the packet before it does (emitCtrl
-// marshals into a pooled buffer on every runtime) and may not keep the
-// body. payload aliases the pooled receive buffer ref (which the error
-// control retains if it must hold the segment); the caller still owns
-// ref and releases it after dispatchData returns. It returns a
-// completed message when the SDU finishes a session.
-func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) (Message, bool) {
-	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
-	// Stream frames route to their stream's own machinery before the
-	// connection-level flow control ever sees them: stream arrivals
-	// must not consume stream-0 credits (isolation), and completed
-	// stream messages park on the stream, never on the connection's
-	// delivery queue — so an unconsumed stream cannot stall the shard
-	// loop, the receive thread, or stream 0.
-	if h.StreamID != 0 {
-		c.dispatchStream(h, payload, ref, emit)
+// ingest is the one receive path: every packet read off the data
+// connection — by a Receive Thread, a shard loop or the fast-path pump —
+// goes through it, and the caller keeps only its own delivery step. It
+// consumes the caller's reference to b; any layer that needs a payload
+// view beyond this call (the error-control reassembly, a control
+// waiter) retains the buffer. It returns a message when the packet
+// completed one on the default lane.
+func (c *Connection) ingest(b *buf.Buffer) (Message, bool) {
+	defer b.Release()
+	if c.opts.Heartbeat > 0 {
+		// Only the heartbeat reads lastHeard; without one (always, on
+		// the fast path) the per-packet clock read is skipped.
+		c.lastHeard.Store(time.Now().UnixNano())
+	}
+	h, payload, err := packet.SplitData(b.B)
+	if err != nil {
+		// In in-band mode the data connection also carries control
+		// packets; demultiplex them here (the per-packet cost the
+		// separate control connection eliminates).
+		if c.opts.InbandControl {
+			c.demuxControl(b)
+		}
 		return Message{}, false
 	}
+	return c.dispatchData(h, payload, b)
+}
+
+// dispatchData keeps the receive-side books for one arriving SDU and
+// runs it through its lane's flow and error control. Stream frames
+// route to their stream's own machinery before the connection-level
+// flow control ever sees them: stream arrivals must not consume
+// stream-0 credits (isolation), and completed stream messages park on
+// the stream, never on the connection's delivery queue — so an
+// unconsumed stream cannot stall the shard loop, the receive thread, or
+// stream 0. The stream is created on first frame, which is what makes
+// CtrlStreamOpen advisory and lets the fast path (whose control
+// connection only senders read) accept streams purely from data
+// arrivals. payload aliases the pooled receive buffer ref, which the
+// caller still owns. It returns a message when the SDU completed one on
+// the default lane.
+func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (m Message, done bool) {
+	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
+	c.stats.sdusReceived.Add(1)
+	c.stats.bytesReceived.Add(uint64(len(payload)))
+	mRecvSDUs.IncAt(c.id)
+	mRecvBytes.AddAt(c.id, int64(len(payload)))
+	if h.StreamID != 0 {
+		done = c.mux().Get(h.StreamID).OnData(h, payload, ref, c.emitStreamCtrl)
+	} else {
+		m, done = c.dispatchLane0(h, payload, ref)
+	}
+	if !done {
+		return Message{}, false
+	}
+	c.stats.messagesReceived.Add(1)
+	mRecvMsgs.IncAt(c.id)
+	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageReassembled)
+	// The trace completes at the delivery hand-off; a parked message
+	// would otherwise pin its slot until the consumer drains, starving
+	// the sampler.
+	telemetry.TraceFinish(c.id, h.SessionID)
+	return m, h.StreamID == 0
+}
+
+// dispatchLane0 is the default lane's receive side. Every control
+// packet's body is the scratch of the state machine that produced it,
+// borrowed until emitCtrl — which serialises before it returns, on
+// every runtime — has taken it.
+func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf.Buffer) (Message, bool) {
 	// Step 8–9: the Flow Control Thread updates its state and returns
 	// credit/ack information over the control connection. Flow control
 	// sees the connection-lifetime arrival index, not the per-session
@@ -1100,51 +1255,17 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	for _, ctl := range c.flowRecv().OnData(rxIdx) {
 		ctl.ConnID = c.id
 		ctl.SessionID = h.SessionID
-		if !emit(ctl) {
+		if !c.emitCtrl(ctl) {
 			return Message{}, false
 		}
 	}
 
-	c.stats.sdusReceived.Add(1)
-	c.stats.bytesReceived.Add(uint64(len(payload)))
-	mRecvSDUs.IncAt(c.id)
-	mRecvBytes.AddAt(c.id, int64(len(payload)))
-
-	// Fast path mirroring the send side's singleSDU: a one-SDU message
-	// on a connection without error control is complete on arrival — no
-	// acknowledgments will follow and no retransmission can ever revive
-	// the session, so the session table and reassembly machinery are
-	// skipped entirely. Only the user-facing copy is made.
-	if h.Seq == 0 && h.End() && c.opts.ErrorControl == errctl.None {
-		c.stats.messagesReceived.Add(1)
-		mRecvMsgs.IncAt(c.id)
-		mRecvFastpath.IncAt(c.id)
-		telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageReassembled)
-		out := make([]byte, len(payload))
-		copy(out, payload)
-		return Message{Data: out}, true
-	}
-
 	// Step 10: the Error Control Thread reassembles and acknowledges.
-	c.mu.Lock()
-	rs, ok := c.sessions[h.SessionID]
-	if !ok {
-		if c.sessions == nil {
-			c.sessions = make(map[uint32]*recvSession)
-		}
-		rs = recvSessionPool.Get().(*recvSession)
-		rs.rcv = errctl.NewReceiver(c.opts.ErrorControl)
-		c.sessions[h.SessionID] = rs
-		c.sessAge = append(c.sessAge, h.SessionID)
-		c.pruneSessionsLocked()
-	}
-	c.mu.Unlock()
-
-	acks, done := rs.rcv.OnData(h, payload, ref)
+	acks, d, done := c.inbound.OnData(h, payload, ref)
 	for _, a := range acks {
 		a.ConnID = c.id
 		a.SessionID = h.SessionID
-		if !emit(a) {
+		if !c.emitCtrl(a) {
 			return Message{}, false
 		}
 	}
@@ -1156,47 +1277,12 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 		if g, ok := flowctl.Piggyback(c.flowRecv()); ok {
 			g.ConnID = c.id
 			g.SessionID = h.SessionID
-			if !emit(g) {
+			if !c.emitCtrl(g) {
 				return Message{}, false
 			}
 		}
 	}
-	if done && !rs.delivered {
-		rs.delivered = true
-		c.stats.messagesReceived.Add(1)
-		mRecvMsgs.IncAt(c.id)
-		mRecvSession.IncAt(c.id)
-		telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageReassembled)
-		return Message{Data: rs.rcv.Message(), Lost: rs.rcv.LostSDUs()}, true
-	}
-	return Message{}, false
-}
-
-func (c *Connection) pruneSessionsLocked() {
-	for len(c.sessAge) > maxTrackedSessions {
-		victim := c.sessAge[0]
-		c.sessAge = c.sessAge[1:]
-		rs, ok := c.sessions[victim]
-		if !ok {
-			continue
-		}
-		if !rs.delivered {
-			// An incomplete session this old has no live sender (a
-			// connection carries one outbound session at a time, and 64
-			// newer ones have completed since): release the retained
-			// segment buffers it pins. Should a retransmission somehow
-			// still arrive, a fresh session restarts reassembly — the
-			// whole-message retransmit schemes recover from empty.
-			rs.rcv.Abandon()
-		}
-		delete(c.sessions, victim)
-		// The dispatch loop is the sole user of the session (one
-		// receive goroutine per connection), so once it leaves the
-		// table its receiver and wrapper can recycle.
-		errctl.Recycle(rs.rcv)
-		*rs = recvSession{}
-		recvSessionPool.Put(rs)
-	}
+	return Message{Data: d.Data, Lost: d.Lost}, done
 }
 
 // emitCtrl sends one control packet on the path the connection's
@@ -1226,7 +1312,7 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 		queued = c.sh.shard.enqueueOut(outItem{c: c, ctrl: sb, ctrlPath: !c.opts.InbandControl})
 	case c.opts.InbandControl:
 		select {
-		case c.sendQ <- sendItem{ctrl: sb}:
+		case c.sendQ <- outItem{c: c, ctrl: sb}:
 			queued = true
 		case <-c.closedCh:
 		}
@@ -1372,7 +1458,7 @@ func (c *Connection) SendInstrumented(msg []byte) (*SendTrace, error) {
 	}
 	tr := newSendTrace()
 	tr.stamp(&tr.tEnter)
-	err := c.sendThreaded(msg, tr)
+	err := c.send(c.lane0(), msg, tr)
 	tr.stamp(&tr.tExit)
 	if err != nil {
 		return nil, err
@@ -1421,7 +1507,7 @@ func (c *Connection) Close() error {
 			// drain the pump channels' pooled buffers and reap.
 			sc.shard.unregister(c)
 			sc.drainInbound()
-			c.reapSessions()
+			c.inbound.Reap()
 			c.reapStreams()
 			return
 		}
@@ -1434,30 +1520,15 @@ func (c *Connection) Close() error {
 			go func() {
 				c.fastRecvMu.Lock()
 				defer c.fastRecvMu.Unlock()
-				c.reapSessions()
+				c.inbound.Reap()
 				c.reapStreams()
 			}()
 		} else {
 			// The receive threads have exited; nothing touches the
 			// session table concurrently anymore.
-			c.reapSessions()
+			c.inbound.Reap()
 			c.reapStreams()
 		}
 	})
 	return nil
-}
-
-// reapSessions abandons inbound sessions still incomplete at teardown,
-// releasing the pooled receive buffers their reassembly retained.
-func (c *Connection) reapSessions() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for id, rs := range c.sessions {
-		if !rs.delivered {
-			rs.rcv.Abandon()
-		}
-		delete(c.sessions, id)
-		errctl.Recycle(rs.rcv)
-	}
-	c.sessAge = nil
 }

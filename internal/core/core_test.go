@@ -487,7 +487,7 @@ func TestManyMessagesSequential(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI, SDUSize: 128})
 	defer cleanup()
 
-	// Far more sessions than maxTrackedSessions, to exercise pruning.
+	// Far more sessions than errctl.MaxTrackedSessions, to exercise pruning.
 	const n = 200
 	errCh := make(chan error, 1)
 	go func() {

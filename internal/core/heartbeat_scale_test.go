@@ -81,7 +81,7 @@ func TestHeartbeatScaleSharedWheel(t *testing.T) {
 	if grown := runtime.NumGoroutine() - baseline; grown > 2*shardN+10 {
 		t.Fatalf("goroutines grew by %d for %d connections, want O(shards)=%d", grown, conns, shardN)
 	}
-	ms := sysA.MemStats()
+	ms := sysA.Telemetry().Mem
 	if ms.Conns != conns {
 		t.Fatalf("MemStats.Conns = %d, want %d", ms.Conns, conns)
 	}

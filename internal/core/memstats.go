@@ -14,18 +14,19 @@ const (
 	// flowHalfEstimate approximates one flow-control half (sender or
 	// receiver): a small struct of counters plus its mutex/cond.
 	flowHalfEstimate = 128
-	// recvSessionEstimate approximates one inbound reassembly session's
+	// sessionEstimate approximates one inbound reassembly session's
 	// bookkeeping (errctl receiver state, map entry, age ring slot),
 	// excluding the payload buffers it stages, which are pooled and
 	// accounted by internal/buf.
-	recvSessionEstimate = 256
+	sessionEstimate = 256
 	// waiterEstimate approximates one outbound ack-waiter registration
 	// (map entry plus its buffered channel).
 	waiterEstimate = 128
 )
 
 // MemStats is a snapshot of a System's per-connection memory footprint
-// — the capacity-planning companion to ShardStats. All byte figures are
+// — the capacity-planning companion to ShardStats, read as
+// System.Telemetry().Mem. All byte figures are
 // estimates of retained heap, summed from each connection's struct plus
 // whatever lazy state (queues, flow control, session tables) it has
 // actually materialised; an idle connection that never sent or received
@@ -55,15 +56,9 @@ func (m MemStats) BytesPerConn() float64 {
 	return float64(m.EstimatedBytes) / float64(m.Conns)
 }
 
-// MemStats estimates the System's per-connection memory footprint. It
-// walks every tracked connection, so it is a diagnostic to sample, not
-// a hot-path counter.
-//
-// Deprecated: the same snapshot is the Mem field of System.Telemetry,
-// alongside the shard summary and the instrument registry. This
-// wrapper remains for existing callers.
-func (s *System) MemStats() MemStats { return s.memStats() }
-
+// memStats estimates the System's per-connection memory footprint —
+// the Mem field of System.Telemetry. It walks every tracked connection,
+// so it is a diagnostic to sample, not a hot-path counter.
 func (s *System) memStats() MemStats {
 	s.mu.Lock()
 	conns := make([]*Connection, len(s.conns))
@@ -92,7 +87,7 @@ func (s *System) memStats() MemStats {
 func (c *Connection) memEstimate() (bytes uint64, sessions int) {
 	bytes = uint64(unsafe.Sizeof(*c))
 	if c.sendQ != nil {
-		bytes += uint64(cap(c.sendQ)) * uint64(unsafe.Sizeof(sendItem{}))
+		bytes += uint64(cap(c.sendQ)) * uint64(unsafe.Sizeof(outItem{}))
 	}
 	if c.ctrlQ != nil {
 		bytes += uint64(cap(c.ctrlQ)) * uint64(unsafe.Sizeof((*buf.Buffer)(nil)))
@@ -107,10 +102,9 @@ func (c *Connection) memEstimate() (bytes uint64, sessions int) {
 		bytes += flowHalfEstimate
 	}
 
+	sessions = c.inbound.Len()
+	bytes += uint64(sessions) * sessionEstimate
 	c.mu.Lock()
-	sessions = len(c.sessions)
-	bytes += uint64(len(c.sessions)) * recvSessionEstimate
-	bytes += uint64(cap(c.sessAge)) * uint64(unsafe.Sizeof(uint32(0)))
 	bytes += uint64(len(c.waiters)) * waiterEstimate
 	c.mu.Unlock()
 

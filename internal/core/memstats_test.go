@@ -33,7 +33,7 @@ func TestMemStatsLazyFootprint(t *testing.T) {
 	defer conn.Close()
 	defer peer.Close()
 
-	idle := sa.MemStats()
+	idle := sa.Telemetry().Mem
 	if idle.Conns != 1 {
 		t.Fatalf("Conns = %d, want 1", idle.Conns)
 	}
@@ -55,13 +55,13 @@ func TestMemStatsLazyFootprint(t *testing.T) {
 	if _, err := peer.RecvTimeout(5 * time.Second); err != nil {
 		t.Fatal(err)
 	}
-	active := sa.MemStats()
+	active := sa.Telemetry().Mem
 	if active.EstimatedBytes <= idle.EstimatedBytes {
 		t.Fatalf("active estimate %d not above idle %d: lazy state not counted",
 			active.EstimatedBytes, idle.EstimatedBytes)
 	}
 	// The receiving side materialised its delivered queue and a session.
-	peerStats := sb.MemStats()
+	peerStats := sb.Telemetry().Mem
 	if peerStats.EstimatedBytes <= idle.EstimatedBytes {
 		t.Fatalf("receiver estimate %d not above idle floor %d",
 			peerStats.EstimatedBytes, idle.EstimatedBytes)

@@ -157,7 +157,7 @@ func TestSessionPruningBounded(t *testing.T) {
 	defer cleanup()
 
 	errCh := make(chan error, 1)
-	const n = maxTrackedSessions * 3
+	const n = errctl.MaxTrackedSessions * 3
 	go func() {
 		for i := 0; i < n; i++ {
 			if err := conn.Send([]byte{1}); err != nil {
@@ -175,11 +175,9 @@ func TestSessionPruningBounded(t *testing.T) {
 	if err := <-errCh; err != nil {
 		t.Fatal(err)
 	}
-	peer.mu.Lock()
-	tracked := len(peer.sessions)
-	peer.mu.Unlock()
-	if tracked > maxTrackedSessions+8 {
-		t.Fatalf("session table grew to %d entries (bound %d)", tracked, maxTrackedSessions)
+	tracked := peer.inbound.Len()
+	if tracked > errctl.MaxTrackedSessions+8 {
+		t.Fatalf("session table grew to %d entries (bound %d)", tracked, errctl.MaxTrackedSessions)
 	}
 }
 

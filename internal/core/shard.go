@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"ncs/internal/buf"
-	"ncs/internal/errctl"
 	"ncs/internal/packet"
-	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -99,21 +97,6 @@ const shardRecvBudget = 64
 // fills — per-connection backpressure toward the transport, exactly
 // like a Receive Thread that stopped reading.
 const pumpDepth = 64
-
-// outItem is one outbound unit deposited on a shard's queue: a data
-// SDU or a control packet (already marshalled; the item owns the
-// reference), with the transmission bookkeeping the threaded Send
-// Thread would have carried.
-type outItem struct {
-	c          *Connection
-	sdu        errctl.SDU
-	ctrl       *buf.Buffer   // non-nil: a control packet, not an SDU
-	ctrlPath   bool          // write to the control connection (false: data)
-	trace      *SendTrace    // stamped as the threaded Send Thread would
-	done       chan struct{} // non-nil: deposit a token after transmission
-	slot       bool          // release one of the connection's send slots after transmission
-	streamSlot bool          // release one of the connection's stream send slots after transmission
-}
 
 // shardConn is a connection's attachment to its shard. Fields marked
 // loop-owned are touched only by the shard loop goroutine.
@@ -331,7 +314,7 @@ func (sh *shard) loop() {
 // armHeartbeat (re)schedules the shard's heartbeat sweep on the
 // System's timer wheel, creating the timer on first use. The timer is
 // built outside sh.mu: System.timerWheel takes shardMu, which orders
-// before sh.mu elsewhere (ShardStats).
+// before sh.mu elsewhere (shardStats).
 func (sh *shard) armHeartbeat(hb time.Duration) {
 	sh.mu.Lock()
 	t := sh.hbTimer
@@ -410,16 +393,7 @@ func (sh *shard) flushOut() {
 	for i := range out {
 		it := &out[i]
 		sc := it.c.sh
-		sb := it.ctrl
-		if sb != nil {
-			it.c.stats.controlSent.Add(1)
-		} else {
-			if it.trace != nil {
-				it.trace.stamp(&it.trace.tDequeued)
-			}
-			sb = buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
-			sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
-		}
+		sb := it.stage()
 		if it.ctrlPath {
 			sc.ctrlBatch = append(sc.ctrlBatch, sb)
 			sc.ctrlItems = append(sc.ctrlItems, *it)
@@ -444,7 +418,7 @@ func (sh *shard) flushOut() {
 			if err := c.data.SendBatch(sc.dataBatch); err != nil { // consumes the buffer refs
 				failed = true
 			}
-			sh.finishItems(c, sc.dataItems)
+			finishAll(sc.dataItems)
 		}
 		if len(sc.ctrlBatch) > 0 {
 			sh.batches.Add(1)
@@ -452,7 +426,7 @@ func (sh *shard) flushOut() {
 			if err := c.ctrl.SendBatch(sc.ctrlBatch); err != nil {
 				failed = true
 			}
-			sh.finishItems(c, sc.ctrlItems)
+			finishAll(sc.ctrlItems)
 		}
 		sc.dataBatch = sc.dataBatch[:0]
 		sc.ctrlBatch = sc.ctrlBatch[:0]
@@ -470,29 +444,6 @@ func (sh *shard) flushOut() {
 
 	clearItems(&out)
 	sh.outScratch = out
-}
-
-// finishItems performs per-item post-transmission bookkeeping: trace
-// stamps, done tokens, send-slot releases.
-func (sh *shard) finishItems(c *Connection, items []outItem) {
-	for i := range items {
-		it := &items[i]
-		if it.trace != nil {
-			it.trace.stamp(&it.trace.tTransmitted)
-		}
-		if it.ctrl == nil {
-			telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
-		}
-		if it.done != nil {
-			it.done <- struct{}{} // one-token confirmation (pooled chan)
-		}
-		if it.slot {
-			<-c.sh.sendSlots
-		}
-		if it.streamSlot {
-			<-c.streamSlotCh()
-		}
-	}
 }
 
 // clearItems zeroes a drained item slice so payload views, traces, and
@@ -552,7 +503,7 @@ func (sh *shard) pumpCtrl(c *Connection) {
 	sh.requeue(c) // budget exhausted: likely backlog
 }
 
-// pumpData drains the data path through dispatchData — the same flow
+// pumpData drains the data path through ingest — the same flow
 // control, error control, and reassembly the Receive Thread drives.
 func (sh *shard) pumpData(c *Connection) {
 	sc := c.sh
@@ -574,25 +525,8 @@ func (sh *shard) pumpData(c *Connection) {
 		if b == nil {
 			return
 		}
-		c.lastHeard.Store(time.Now().UnixNano())
-		h, payload, perr := packet.SplitData(b.B)
-		if perr != nil {
-			if c.opts.InbandControl {
-				c.demuxControl(b)
-			}
-			b.Release()
-			continue
-		}
-		m, ok := c.dispatchData(h, payload, b, c.emitCtrl)
-		b.Release()
-		if ok {
-			// The trace completes at the delivery hand-off; a parked
-			// message would otherwise pin its slot until the consumer
-			// drains, starving the sampler.
-			telemetry.TraceFinish(c.id, h.SessionID)
-			if !sc.deliverOrStall(c, m) {
-				return // delivery blocked: pause the data path
-			}
+		if m, ok := c.ingest(b); ok && !sc.deliverOrStall(c, m) {
+			return // delivery blocked: pause the data path
 		}
 	}
 	sh.requeue(c)

@@ -294,7 +294,7 @@ func TestShardStats(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	st := a.ShardStats()
+	st := a.Telemetry().Shards
 	if st.Shards != 2 {
 		t.Fatalf("Shards = %d, want 2", st.Shards)
 	}

@@ -82,13 +82,8 @@ func (s ShardStats) PacketsPerBatch() float64 {
 	return float64(s.BatchedPackets) / float64(s.Batches)
 }
 
-// ShardStats snapshots the System's shard pool counters.
-//
-// Deprecated: the same snapshot is the Shards field of
-// System.Telemetry, alongside the memory summary and the instrument
-// registry. This wrapper remains for existing callers.
-func (s *System) ShardStats() ShardStats { return s.shardStats() }
-
+// shardStats snapshots the System's shard pool counters — the Shards
+// field of System.Telemetry.
 func (s *System) shardStats() ShardStats {
 	s.shardMu.Lock()
 	shards := s.shards

@@ -7,6 +7,7 @@ import (
 	"ncs/internal/atm"
 	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
+	"ncs/internal/packet"
 	"ncs/internal/transport"
 )
 
@@ -121,5 +122,107 @@ func TestStatsFastPath(t *testing.T) {
 	}
 	if p := peer.Stats(); p.MessagesReceived != 1 || p.BytesReceived != 2048 {
 		t.Errorf("fast path peer stats: %+v", p)
+	}
+}
+
+// TestStatsControlBooksBalance: every control packet the peer sent is
+// one the sender counted, on every runtime — the fast path's admission
+// pump included (it used to consume packets without counting them).
+// The transfer is multi-SDU and starts with two credits, so the sender
+// spends most of it waiting for grants.
+func TestStatsControlBooksBalance(t *testing.T) {
+	for _, rt := range allRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{
+				Interface:    transport.HPI,
+				FlowControl:  flowctl.Credit,
+				ErrorControl: errctl.SelectiveRepeat,
+				SDUSize:      256,
+				FlowConfig:   flowctl.Config{InitialCredits: 2, MaxCredits: 8},
+			}
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
+			for i := 0; i < 3; i++ {
+				errCh := make(chan error, 1)
+				go func() { errCh <- conn.Send(make([]byte, 5000)) }() // 20 SDUs
+				if _, err := peer.Recv(); err != nil {
+					t.Fatal(err)
+				}
+				if err := <-errCh; err != nil {
+					t.Fatal(err)
+				}
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for {
+				if opts.FastPath {
+					// Nothing reads a fast-path control connection between
+					// sends; read what the last grant left there, as the
+					// next send would.
+					for {
+						timedOut, err := conn.pumpCtrl(10 * time.Millisecond)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if timedOut {
+							break
+						}
+					}
+				}
+				got, want := conn.Stats().ControlReceived, peer.Stats().ControlSent
+				if got == want && want > 0 {
+					return
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("ControlReceived = %d, peer ControlSent = %d", got, want)
+				}
+				time.Sleep(5 * time.Millisecond)
+			}
+		})
+	}
+}
+
+// TestFastPathAdmissionPumpRoutesControl: what a fast-path sender reads
+// off the control connection while it waits for credits goes through
+// the one control demux — an acknowledgment lands on its session's
+// channel (it used to be dropped, leaving recovery to the timer), a
+// ping is answered, and both are counted.
+func TestFastPathAdmissionPumpRoutesControl(t *testing.T) {
+	conn, peer, cleanup := newPairT(t, Options{
+		Interface:    transport.HPI,
+		FastPath:     true,
+		FlowControl:  flowctl.Credit,
+		ErrorControl: errctl.SelectiveRepeat,
+		FlowConfig:   flowctl.Config{InitialCredits: 2, MaxCredits: 8},
+		AckTimeout:   2 * time.Millisecond,
+	})
+	defer cleanup()
+
+	lane := conn.lane0()
+	for lane.fc.TryAcquire(lane.tx.Add(1) - 1) {
+	}
+	const sess = 77
+	ss := conn.beginSend(lane, []byte("x"), sess)
+	defer conn.endSend(ss, sess)
+	peer.emitCtrl(packet.Control{Type: packet.CtrlPing, ConnID: peer.id})
+	peer.emitCtrl(packet.Control{Type: packet.CtrlAck, ConnID: peer.id, SessionID: sess})
+
+	// No grant will come; whether the resync frees a credit or the
+	// bounded wait runs out is not what is under test.
+	_ = conn.admit(lane, conn.rto())
+
+	if n := len(ss.ackCh); n != 1 {
+		t.Errorf("%d acknowledgments on the session's channel after the admission wait, want 1", n)
+	}
+	if got := conn.Stats().ControlReceived; got != 2 {
+		t.Errorf("ControlReceived = %d, want 2 (ping, ack)", got)
+	}
+	b, err := peer.ctrl.RecvBufTimeout(2 * time.Second)
+	if err != nil {
+		t.Fatalf("no answer to the ping: %v", err)
+	}
+	defer b.Release()
+	if ctl, err := packet.UnmarshalControl(b.B); err != nil || ctl.Type != packet.CtrlPong {
+		t.Errorf("answer to the ping = %+v (err %v), want a pong", ctl, err)
 	}
 }

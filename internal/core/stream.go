@@ -3,15 +3,13 @@ package core
 import (
 	"time"
 
-	"ncs/internal/buf"
 	"ncs/internal/packet"
 	"ncs/internal/stream"
 )
 
 // This file is the core side of stream multiplexing: the lazy per-
-// connection mux, the demux hook dispatchData calls for frames whose
-// StreamID is non-zero, the control routing for the three stream
-// control types, and the application-facing Stream handle.
+// connection mux, the control routing for the three stream control
+// types, and the application-facing Stream handle.
 //
 // The layering mirrors the rest of the core: internal/stream owns all
 // per-stream protocol state (credits, reassembly sessions, parking);
@@ -78,27 +76,6 @@ func (c *Connection) reapStreams() {
 func (c *Connection) emitStreamCtrl(ctl packet.Control) bool {
 	ctl.ConnID = c.id
 	return c.emitCtrl(ctl)
-}
-
-// dispatchStream routes one arriving stream frame (StreamID != 0) to
-// its stream's protocol state (emit borrows each packet's body, as in
-// dispatchData), creating the stream on first frame —
-// which is what makes CtrlStreamOpen advisory and lets the fast path
-// (whose control connection is only read by senders) accept streams
-// purely from data arrivals. Completed messages park on the stream,
-// never on the caller's delivery path, so the receive thread, shard
-// loop, or fast-path pump keeps draining the wire regardless of
-// whether anyone consumes this stream.
-func (c *Connection) dispatchStream(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) {
-	c.stats.sdusReceived.Add(1)
-	c.stats.bytesReceived.Add(uint64(len(payload)))
-	mRecvSDUs.IncAt(c.id)
-	mRecvBytes.AddAt(c.id, int64(len(payload)))
-	st := c.mux().Get(h.StreamID)
-	st.OnData(h, payload, ref, func(ctl packet.Control) bool {
-		ctl.ConnID = c.id
-		return emit(ctl)
-	})
 }
 
 // routeStreamCtrl dispatches one stream-scoped control packet. Bodies
@@ -265,11 +242,7 @@ func (s *Stream) Send(msg []byte) error {
 	if st.Closed() || st.RemoteClosed() {
 		return ErrStreamClosed
 	}
-	lane := sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}
-	if s.c.opts.FastPath {
-		return s.c.sendFastOn(lane, msg, nil)
-	}
-	return s.c.sendThreadedOn(lane, msg, nil)
+	return s.c.send(sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}, msg, nil)
 }
 
 // Recv blocks for the next fully received message on the stream.

@@ -20,13 +20,6 @@ var (
 	mRecvSDUs  = telemetry.NewCounter("core.conn.recv_sdus_total")
 	mRecvBytes = telemetry.NewCounter("core.conn.recv_bytes_total")
 
-	// mRecvFastpath counts messages completed by the single-SDU
-	// arrival shortcut (no session table, no reassembly);
-	// mRecvSession counts messages that went through a reassembly
-	// session. Their sum is core.conn.recv_msgs_total.
-	mRecvFastpath = telemetry.NewCounter("core.recv.fastpath_total")
-	mRecvSession  = telemetry.NewCounter("core.recv.session_total")
-
 	// mShardCycles counts event-loop turns; mShardWakeups counts
 	// doorbell-triggered loop wakeups (1:1 with cycles today, kept
 	// separate so batched-cycle variants stay observable).

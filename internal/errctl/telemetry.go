@@ -19,4 +19,10 @@ var (
 	// mRecvOOO counts out-of-order arrivals a go-back-N receiver
 	// answered with a NACK.
 	mRecvOOO = telemetry.NewCounter("errctl.recv.out_of_order_total")
+	// mRecvDirect counts messages a session table completed by the
+	// single-SDU arrival shortcut (no session, no reassembly);
+	// mRecvSession counts messages that went through a reassembly
+	// session. Their sum is core.conn.recv_msgs_total.
+	mRecvDirect  = telemetry.NewCounter("errctl.recv.direct_total")
+	mRecvSession = telemetry.NewCounter("errctl.recv.session_total")
 )

@@ -255,7 +255,6 @@ type direction struct {
 
 	deliveries   chan timedPacket // wire → delivery goroutine (async mode)
 	deliveryDone chan struct{}
-	deliverySeq  uint64 // FIFO tiebreak for equal arrival deadlines
 }
 
 // needsAsync reports whether the parameters require the wire/delivery
@@ -269,69 +268,10 @@ func needsAsync(p Params) bool {
 		len(p.Schedule) > 0 || p.Impair != (Impairments{})
 }
 
-// timedPacket is a packet with its computed arrival deadline. seq
-// preserves send order among packets with equal deadlines.
+// timedPacket is a packet with its computed arrival deadline.
 type timedPacket struct {
 	payload  *buf.Buffer
 	arriveAt time.Time
-	seq      uint64
-}
-
-// deliveryHeap orders pending deliveries by arrival deadline (send
-// order breaking ties), which is what lets a jittered packet overtake
-// nothing while later packets overtake it — out-of-order delivery.
-// It is hand-rolled rather than container/heap because the latter
-// boxes every element into an interface, putting an allocation per
-// packet on the delivery hot path.
-type deliveryHeap []timedPacket
-
-func (h deliveryHeap) less(i, j int) bool {
-	if !h[i].arriveAt.Equal(h[j].arriveAt) {
-		return h[i].arriveAt.Before(h[j].arriveAt)
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *deliveryHeap) push(tp timedPacket) {
-	q := append(*h, tp)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*h = q
-}
-
-// pop removes the minimum element; the heap must be non-empty.
-func (h *deliveryHeap) pop() timedPacket {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = timedPacket{}
-	q = q[:n]
-	i := 0
-	for {
-		left, right := 2*i+1, 2*i+2
-		least := i
-		if left < n && q.less(left, least) {
-			least = left
-		}
-		if right < n && q.less(right, least) {
-			least = right
-		}
-		if least == i {
-			break
-		}
-		q[i], q[least] = q[least], q[i]
-		i = least
-	}
-	*h = q
-	return top
 }
 
 // bufDeque is a head-indexed FIFO of buffers: popping advances a head
@@ -602,42 +542,39 @@ func (d *direction) wire() {
 			// receiver may otherwise fully consume first.
 			pkt.Retain()
 		}
-		d.deliveries <- timedPacket{payload: pkt, arriveAt: arriveAt, seq: d.deliverySeq}
-		d.deliverySeq++
+		d.deliveries <- timedPacket{payload: pkt, arriveAt: arriveAt}
 		if dec.dup {
-			d.deliveries <- timedPacket{payload: pkt, arriveAt: arriveAt, seq: d.deliverySeq}
-			d.deliverySeq++
+			d.deliveries <- timedPacket{payload: pkt, arriveAt: arriveAt}
 		}
 	}
 }
 
 // deliveryLoop delivers packets at their arrival deadlines, earliest
-// deadline first. Unjittered packets have monotone deadlines and keep
-// FIFO order; a jittered (reordered) packet waits in the heap while
-// later packets overtake it.
+// deadline first (send order breaking ties: the wire goroutine feeds
+// the channel in send order). Unjittered packets have monotone deadlines
+// and keep FIFO order; a jittered (reordered) packet waits in the heap
+// while later packets overtake it.
 func (d *direction) deliveryLoop() {
 	defer close(d.deliveryDone)
-	var pending deliveryHeap
+	var pending DueHeap[*buf.Buffer]
 	// One timer reused across wakeups: it is always quiescent (fired
 	// and drained, or stopped and drained) before the next Reset, per
 	// the Timer.Reset contract.
 	var timer *time.Timer
 	open := true
-	for open || len(pending) > 0 {
-		if len(pending) == 0 {
+	for open || pending.Len() > 0 {
+		if pending.Len() == 0 {
 			tp, ok := <-d.deliveries
 			if !ok {
 				open = false
 				continue
 			}
-			pending.push(tp)
+			pending.Push(tp.arriveAt, tp.payload)
 			continue
 		}
-		next := pending[0]
-		wait := time.Until(next.arriveAt)
+		wait := time.Until(pending.Next())
 		if wait <= 0 {
-			pending.pop()
-			d.deliver(next.payload)
+			d.deliver(pending.Pop())
 			continue
 		}
 		if !open {
@@ -657,7 +594,7 @@ func (d *direction) deliveryLoop() {
 			if !ok {
 				open = false
 			} else {
-				pending.push(tp)
+				pending.Push(tp.arriveAt, tp.payload)
 			}
 		case <-timer.C:
 		}

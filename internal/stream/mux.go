@@ -63,6 +63,7 @@ func (m *Mux) newStateLocked(id uint32, local bool) *State {
 		local: local,
 		bell:  make(chan struct{}, 1),
 	}
+	st.inbound.Alg = m.cfg.Err
 	if m.streams == nil {
 		m.streams = make(map[uint32]*State)
 	}

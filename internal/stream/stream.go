@@ -37,16 +37,10 @@ import (
 	"ncs/internal/packet"
 )
 
-// maxTrackedSessions bounds a stream's inbound session table, exactly
-// as internal/core bounds the connection-level (stream 0) table.
-const maxTrackedSessions = 64
-
-// Msg is a message delivered on a stream. Lost reports SDUs missing
-// from an unreliable transfer, as core.Message does for stream 0.
-type Msg struct {
-	Data []byte
-	Lost int
-}
+// Msg is a message delivered on a stream, as its session table
+// completed it. Lost reports SDUs missing from an unreliable transfer,
+// as core.Message does for stream 0.
+type Msg = errctl.Delivery
 
 // Config fixes the per-stream protocol machinery: the credit window
 // configuration each stream's flow control is built from, and the
@@ -55,15 +49,6 @@ type Config struct {
 	Flow flowctl.Config
 	Err  errctl.Algorithm
 }
-
-// session wraps one inbound error-control session with its delivery
-// state, mirroring core's recvSession.
-type session struct {
-	rcv       errctl.Receiver
-	delivered bool
-}
-
-var sessionPool = sync.Pool{New: func() any { return new(session) }}
 
 // State is one stream's receive- and send-side protocol state. Core
 // routes frames here by the StreamID of their data header; the
@@ -86,16 +71,18 @@ type State struct {
 	fcSend flowctl.Sender
 	fcRecv flowctl.Receiver
 
-	mu       sync.Mutex
-	sessions map[uint32]*session
-	sessAge  []uint32
-	parked   []Msg
-	nParked  atomic.Int32 // len(parked), readable without mu
-	held     grantBody    // latest grant withheld while backlogged
-	hasHeld  bool
-	local    bool // opened here (vs announced by the peer)
-	reaped   bool // Reap ran: drop further frames
-	remote   bool // peer announced close
+	// inbound is the stream's reassembly session table — the same type
+	// the connection's default lane runs.
+	inbound errctl.SessionTable
+
+	mu      sync.Mutex
+	parked  []Msg
+	nParked atomic.Int32 // len(parked), readable without mu
+	held    grantBody    // latest grant withheld while backlogged
+	hasHeld bool
+	local   bool // opened here (vs announced by the peer)
+	reaped  bool // Reap ran: drop further frames
+	remote  bool // peer announced close
 
 	// rxGrant is the scratch the receive path's grants (arrival refills,
 	// the ack piggyback) are framed in. Like every control body it is
@@ -197,57 +184,30 @@ func (s *State) OnGrant(ctl packet.Control) {
 // packet before it returns: every body is borrowed until then. payload
 // aliases ref, which the caller still owns; reassembly retains it as
 // needed. When the SDU completes a message, OnData parks it on the
-// stream's queue and rings the doorbell; receivers collect it with
-// TryPop.
+// stream's queue, rings the doorbell and reports true; receivers
+// collect it with TryPop.
 //
 // Frames for a reaped (closed) stream are dropped: the peer was told
 // via CtrlStreamClose, so anything still arriving is a straggler.
-func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) {
+func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) (delivered bool) {
 	s.mu.Lock()
 	if s.reaped {
 		s.mu.Unlock()
-		return
+		return false
 	}
 	s.mu.Unlock()
 
-	// One-SDU unreliable fast path, mirroring core's: no acks will
-	// follow and no retransmission revives the session, so skip the
-	// session table entirely. Park before crediting so an unconsumed
-	// stream's grant is withheld, not emitted.
-	if h.Seq == 0 && h.End() && s.mux.cfg.Err == errctl.None {
-		out := make([]byte, len(payload))
-		copy(out, payload)
-		s.park(Msg{Data: out})
-		s.creditArrival()
-		return
-	}
-
-	s.mu.Lock()
-	ss, ok := s.sessions[h.SessionID]
-	if !ok {
-		if s.sessions == nil {
-			s.sessions = make(map[uint32]*session)
-		}
-		ss = sessionPool.Get().(*session)
-		ss.rcv = errctl.NewReceiver(s.mux.cfg.Err)
-		s.sessions[h.SessionID] = ss
-		s.sessAge = append(s.sessAge, h.SessionID)
-		s.pruneSessionsLocked()
-	}
-	s.mu.Unlock()
-
-	acks, done := ss.rcv.OnData(h, payload, ref)
+	acks, d, done := s.inbound.OnData(h, payload, ref)
 	for _, a := range acks {
 		a.SessionID = h.SessionID
 		if !emit(a) {
-			return
+			return false
 		}
 	}
 	// Delivery before crediting: when this SDU completes a message that
 	// nobody is consuming, the backlog gate below withholds the grant.
-	if done && !ss.delivered {
-		ss.delivered = true
-		s.park(Msg{Data: ss.rcv.Message(), Lost: ss.rcv.LostSDUs()})
+	if done {
+		s.park(d)
 	}
 	s.creditArrival()
 	if len(acks) > 0 && s.nParked.Load() == 0 {
@@ -258,11 +218,10 @@ func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emi
 		s.ensureFC()
 		if g, ok := flowctl.Piggyback(s.fcRecv); ok {
 			g.SessionID = h.SessionID
-			if !emit(s.wrapGrant(&s.rxGrant, g)) {
-				return
-			}
+			emit(s.wrapGrant(&s.rxGrant, g))
 		}
 	}
+	return done
 }
 
 // creditArrival advances the stream's credit receiver for one arrived
@@ -406,7 +365,7 @@ func (s *State) RemoteClose() {
 		return
 	}
 	s.remote = true
-	s.reapSessionsLocked()
+	s.inbound.Reap()
 	s.mu.Unlock()
 	s.ensureFC() // build-then-close: FlowSender can never observe nil
 	s.fcSend.Close()
@@ -425,7 +384,7 @@ func (s *State) Reap() {
 		return
 	}
 	s.reaped = true
-	s.reapSessionsLocked()
+	s.inbound.Reap()
 	s.parked = nil
 	s.nParked.Store(0)
 	s.hasHeld = false
@@ -435,35 +394,4 @@ func (s *State) Reap() {
 	s.fcRecv.Close()
 	mOpenStreams.Dec()
 	s.ring()
-}
-
-func (s *State) reapSessionsLocked() {
-	for id, ss := range s.sessions {
-		if !ss.delivered {
-			ss.rcv.Abandon()
-		}
-		delete(s.sessions, id)
-		errctl.Recycle(ss.rcv)
-		*ss = session{}
-		sessionPool.Put(ss)
-	}
-	s.sessAge = nil
-}
-
-func (s *State) pruneSessionsLocked() {
-	for len(s.sessAge) > maxTrackedSessions {
-		victim := s.sessAge[0]
-		s.sessAge = s.sessAge[1:]
-		ss, ok := s.sessions[victim]
-		if !ok {
-			continue
-		}
-		if !ss.delivered {
-			ss.rcv.Abandon()
-		}
-		delete(s.sessions, victim)
-		errctl.Recycle(ss.rcv)
-		*ss = session{}
-		sessionPool.Put(ss)
-	}
 }

@@ -46,6 +46,8 @@
 //	errctl.gbn.nack_replay_total       go-back-N window replays
 //	errctl.recv.dup_total              duplicate SDUs discarded
 //	errctl.recv.out_of_order_total     out-of-order arrivals (GBN NACK)
+//	errctl.recv.direct_total           single-SDU unreliable deliveries (no session)
+//	errctl.recv.session_total          reassembly-session deliveries
 //	flowctl.window.stall_total         window-sender admission stalls
 //	flowctl.credit.wait_total          credit-sender admission waits
 //	flowctl.credit.granted_total       credits advertised by receivers
@@ -60,8 +62,6 @@
 //	core.conn.recv_msgs_total          messages delivered
 //	core.conn.recv_sdus_total          SDUs received
 //	core.conn.recv_bytes_total         payload bytes received
-//	core.recv.fastpath_total           single-SDU fastpath deliveries
-//	core.recv.session_total            reassembly-session deliveries
 //	core.shard.cycles_total            shard service cycles
 //	core.shard.wakeups_total           shard doorbell wakeups
 //	core.wheel.sweeps_total            timer-wheel slot sweeps

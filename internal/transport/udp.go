@@ -658,23 +658,18 @@ func (ep *udpEndpoint) sendDelayed(m outMsg) {
 // Delay queue: reordered datagrams wait here, letting later sends
 // overtake them on the wire. One lazily-started goroutine per endpoint.
 
-type delayed struct {
-	due time.Time
-	msg outMsg
-}
-
 type delaySender struct {
 	ep   *udpEndpoint
 	wake chan struct{}
 	done chan struct{}
 
 	mu      sync.Mutex
-	h       []delayed // min-heap on due
+	h       netsim.DueHeap[outMsg]
 	closed  bool
 	running bool
 }
 
-func (ds *delaySender) enqueue(m outMsg, d time.Duration) {
+func (ds *delaySender) enqueue(m outMsg, due time.Time) {
 	ds.mu.Lock()
 	if ds.closed {
 		ds.mu.Unlock()
@@ -683,8 +678,7 @@ func (ds *delaySender) enqueue(m outMsg, d time.Duration) {
 		}
 		return
 	}
-	ds.h = append(ds.h, delayed{due: time.Now().Add(d), msg: m})
-	siftUp(ds.h)
+	ds.h.Push(due, m)
 	if !ds.running {
 		ds.running = true
 		go ds.run()
@@ -721,22 +715,20 @@ func (ds *delaySender) run() {
 	for {
 		ds.mu.Lock()
 		if ds.closed {
-			for _, d := range ds.h {
-				if d.msg.b != nil {
-					d.msg.b.Release()
+			for ds.h.Len() > 0 {
+				if m := ds.h.Pop(); m.b != nil {
+					m.b.Release()
 				}
 			}
-			ds.h = nil
 			ds.mu.Unlock()
 			return
 		}
-		if len(ds.h) == 0 {
+		if ds.h.Len() == 0 {
 			ds.mu.Unlock()
 			<-ds.wake
 			continue
 		}
-		now := time.Now()
-		if wait := ds.h[0].due.Sub(now); wait > 0 {
+		if wait := time.Until(ds.h.Next()); wait > 0 {
 			ds.mu.Unlock()
 			if !timer.Stop() {
 				select {
@@ -751,48 +743,9 @@ func (ds *delaySender) run() {
 			}
 			continue
 		}
-		d := heapPopDelayed(&ds.h)
+		m := ds.h.Pop()
 		ds.mu.Unlock()
-		ds.ep.sendDelayed(d.msg)
-	}
-}
-
-// siftUp restores the min-heap property after appending to h.
-func siftUp(h []delayed) {
-	i := len(h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !h[i].due.Before(h[p].due) {
-			return
-		}
-		h[i], h[p] = h[p], h[i]
-		i = p
-	}
-}
-
-func heapPopDelayed(ph *[]delayed) delayed {
-	h := *ph
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = delayed{}
-	h = h[:last]
-	*ph = h
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		s := i
-		if l < len(h) && h[l].due.Before(h[s].due) {
-			s = l
-		}
-		if r < len(h) && h[r].due.Before(h[s].due) {
-			s = r
-		}
-		if s == i {
-			return top
-		}
-		h[i], h[s] = h[s], h[i]
-		i = s
+		ds.ep.sendDelayed(m)
 	}
 }
 
@@ -871,7 +824,7 @@ func (c *udpConn) sendLocked(bs []*buf.Buffer) error {
 		m.b = b
 		m.to = c.to
 		if d.Delay > 0 {
-			ep.delay.enqueue(m, d.Delay)
+			ep.delay.enqueue(m, time.Now().Add(d.Delay))
 			continue
 		}
 		msgs = append(msgs, m)

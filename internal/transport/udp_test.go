@@ -413,6 +413,35 @@ func TestUDPReorderDelivers(t *testing.T) {
 	}
 }
 
+// TestUDPDelayedSameInstantKeepSendOrder pins the delay queue's
+// tie-break: datagrams delayed to one instant leave in the order they
+// were sent (a heap keyed on the due time alone may swap them).
+func TestUDPDelayedSameInstantKeepSendOrder(t *testing.T) {
+	a, b, err := UDPPair(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer a.Close()
+	defer b.Close()
+
+	c := a.(*udpConn)
+	due := time.Now().Add(20 * time.Millisecond)
+	const n = 64
+	for i := 0; i < n; i++ {
+		var m outMsg
+		putUDPHeader(&m.hdr, frameData, c.chanID.Load())
+		m.b = buf.GetCap(16)
+		m.b.B = fmt.Appendf(m.b.B, "tie-%02d", i)
+		m.to = c.to
+		c.ep.delay.enqueue(m, due)
+	}
+	for i := 0; i < n; i++ {
+		if got, want := string(recvOne(t, b)), fmt.Sprintf("tie-%02d", i); got != want {
+			t.Fatalf("datagram %d: got %q, want %q", i, got, want)
+		}
+	}
+}
+
 func TestUDPTruncationDropped(t *testing.T) {
 	// Listener with small slots, dialer allowed to send bigger: the
 	// oversized datagram must be counted and dropped, not delivered

@@ -131,11 +131,11 @@ type (
 	// InboxMessage is one Inbox delivery: the message and the
 	// connection it arrived on.
 	InboxMessage = core.InboxMessage
-	// ShardStats snapshots a System's shard pool (System.ShardStats).
+	// ShardStats snapshots a System's shard pool (System.Telemetry().Shards).
 	ShardStats = core.ShardStats
 	// MemStats estimates a System's per-connection memory footprint —
 	// retained heap per connection, live reassembly sessions, and armed
-	// timer-wheel timers (System.MemStats). The capacity-planning
+	// timer-wheel timers (System.Telemetry().Mem). The capacity-planning
 	// companion to ShardStats: idle connections on the sharded runtime
 	// should hold their estimated bytes near the bare-struct floor and
 	// contribute zero pending timers.
