@@ -28,7 +28,7 @@ import (
 func BenchmarkTableI_InstrumentedSend1B(b *testing.B) {
 	nw := ncs.NewNetwork()
 	defer nw.Close()
-	conn, peer, err := ncs.Pair(nw, "t1a", "t1b", ncs.Options{Interface: ncs.SCI, Instrument: true})
+	conn, peer, err := ncs.Pair(nw, "t1a", "t1b", ncs.Options{Interface: ncs.SCI})
 	if err != nil {
 		b.Fatal(err)
 	}

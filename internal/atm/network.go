@@ -261,6 +261,11 @@ type VC struct {
 	path        []edgeKey
 	reservedPCR int64
 
+	// sendMu keeps one frame's cells contiguous on the circuit: AAL5
+	// has no per-cell frame id, so two callers interleaving cells on one
+	// VCI would fail the CRC of both frames.
+	sendMu sync.Mutex
+
 	mu     sync.Mutex
 	reass  Reassembler
 	drops  int
@@ -290,6 +295,8 @@ func (vc *VC) SendFrame(payload []byte) error {
 	copy(fb.B, payload)
 	finishAAL5Frame(fb.B, len(payload))
 
+	vc.sendMu.Lock()
+	defer vc.sendMu.Unlock()
 	for off := 0; off < total; off += CellPayloadSize {
 		var pti uint8
 		if off+CellPayloadSize == total {

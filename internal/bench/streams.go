@@ -38,9 +38,10 @@ import (
 
 // StreamsConfig parameterises the experiment.
 type StreamsConfig struct {
-	// Calls is the number of measured RPC round trips per phase.
-	// Default 1000 — p99 of a smaller sample is the worst two or three
-	// calls, too noisy to gate on.
+	// Calls is the number of measured RPC round trips per phase (a
+	// contended phase makes more if it must, until the bulk stream has
+	// delivered a chunk). Default 1000 — p99 of a smaller sample is the
+	// worst two or three calls, too noisy to gate on.
 	Calls int
 	// ReqSize is the RPC request/response payload size. Default 64.
 	ReqSize int
@@ -163,6 +164,10 @@ func streamsOptions(cfg StreamsConfig, tr string) core.Options {
 	}
 }
 
+// bulkStallLimit bounds how long a contended phase keeps calling past
+// cfg.Calls for the bulk stream's first delivery.
+const bulkStallLimit = 30 * time.Second
+
 func streamsCell(cfg StreamsConfig, tr string, contended bool) (StreamsPoint, error) {
 	pt := StreamsPoint{Transport: tr, Phase: "baseline"}
 	if contended {
@@ -273,10 +278,19 @@ func streamsCell(cfg StreamsConfig, tr string, contended bool) (StreamsPoint, er
 		}
 	}
 
+	// A contended window must contain contention. A fast host finishes
+	// cfg.Calls before the paced bulk stream has delivered its first
+	// chunk, so the phase keeps calling until one chunk has been consumed
+	// inside the window — a count, whatever the host's speed. The bound
+	// turns a bulk stream that never moves into an error, not a hang.
 	samples := make([]time.Duration, 0, cfg.Calls)
 	bulkStart := delivered.Load()
 	start := time.Now()
-	for i := 0; i < cfg.Calls; i++ {
+	for i := 0; i < cfg.Calls || (contended && delivered.Load() == bulkStart); i++ {
+		if i >= cfg.Calls && time.Since(start) > bulkStallLimit {
+			return pt, fmt.Errorf("bulk stream stalled: no %d-byte chunk delivered in %v (%d calls made)",
+				cfg.BulkChunk, bulkStallLimit, i)
+		}
 		t0 := time.Now()
 		if _, err := cli.Call(ctx, "echo", req); err != nil {
 			return pt, fmt.Errorf("call %d: %w", i, err)

@@ -72,8 +72,7 @@ func TableI(cfg TableIConfig) (*TableIResult, error) {
 		return nil, err
 	}
 	conn, err := a.Connect("t1-receiver", core.Options{
-		Interface:  cfg.Interface,
-		Instrument: true,
+		Interface: cfg.Interface,
 	})
 	if err != nil {
 		return nil, err

@@ -18,8 +18,10 @@ import (
 )
 
 // deliveredQueueDepth is the number of fully reassembled messages that
-// may wait for NCS_recv before the Receive Thread blocks (natural
-// backpressure toward the data connection).
+// may wait for NCS_recv in the default lane's mailbox before its
+// producer stops reading the data connection — the Receive Thread
+// waits, a shard pauses the connection's data path — which is the
+// natural backpressure toward the peer.
 const deliveredQueueDepth = 128
 
 // streamSendSlots bounds how many data SDUs from non-zero streams may
@@ -46,10 +48,7 @@ const sendBatchMax = 16
 // Message is a received user message. Lost reports SDUs missing from an
 // unreliable (ErrorControl: None) transfer; it is always zero on
 // reliable connections.
-type Message struct {
-	Data []byte
-	Lost int
-}
+type Message = errctl.Delivery
 
 // outItem is one outbound unit on its way to a transport write: a data
 // SDU, or a control packet (already marshalled; the item owns the
@@ -177,10 +176,14 @@ type Connection struct {
 	sendQ chan outItem
 	ctrlQ chan *buf.Buffer // marshalled control packets; the queue owns the references
 
-	// delivered is the connection's completed-message queue, created on
-	// first delivery or first Recv (deliveredQ) — both producer and
-	// consumer go through the accessor, so neither can miss the other.
-	delivered atomic.Pointer[chan Message]
+	// box is the default lane's receive end — the same mailbox every
+	// stream has. Its producer holds it to deliveredQueueDepth: at depth
+	// it raises paused and stops reading the data connection, and the pop
+	// that frees a slot wakes it (afterRecv). space is the Receive
+	// Thread's wake-up bell, built by that thread before it first raises
+	// paused; a shard is re-queued instead.
+	box   stream.Mailbox
+	space chan struct{}
 
 	// mu guards the lazy constructors and the waiter table, nil until
 	// the first outbound reliable send.
@@ -215,16 +218,9 @@ type Connection struct {
 	// by streamSlotCh on a connection's first stream send.
 	streamSlotsP atomic.Pointer[chan struct{}]
 
-	// Fast-path stream plumbing: with no receive threads, whichever
-	// goroutine holds fastRecvMu pumps the data transport for everyone,
-	// parking other channels' completions. pumpFree (cap 1) wakes one
-	// waiter when the pump is released; park0/bell0 hold stream-0
-	// messages a stream receiver pumped up. Built only for FastPath.
+	// pumpFree (cap 1) wakes one waiting receiver when the fast path's
+	// pump changes hands (see fastpath.go). Built only for FastPath.
 	pumpFree chan struct{}
-	park0Mu  sync.Mutex
-	park0    []Message
-	nPark0   atomic.Int32
-	bell0    chan struct{}
 
 	// sh is the connection's shard attachment (RuntimeSharded only);
 	// inbox, when bound, merges this connection's deliveries into a
@@ -242,6 +238,7 @@ type Connection struct {
 
 	lastHeard atomic.Int64 // unix nanos of the last inbound packet
 	failed    atomic.Bool  // heartbeat declared the peer dead
+	paused    atomic.Bool  // the default lane's producer stopped at depth (see box)
 }
 
 func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl transport.Conn, initiator bool) *Connection {
@@ -267,7 +264,6 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		// fast path bypasses the sharded runtime exactly as it
 		// bypasses the threads.
 		c.pumpFree = make(chan struct{}, 1)
-		c.bell0 = make(chan struct{}, 1)
 	case opts.Runtime == RuntimeSharded:
 		// No per-connection threads either: the System's shard pool
 		// drives the connection's protocol machinery (shard.go).
@@ -363,21 +359,6 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 		return flowctl.SenderStats{}, false
 	}
 	return flowctl.SenderStatsOf(*p)
-}
-
-// deliveredQ returns the completed-message queue, creating it on first
-// use. Producers (recvThread, the shard's deliver) and consumers
-// (RecvMessage) share this accessor, so a consumer always selects on
-// the same channel a producer delivers into.
-func (c *Connection) deliveredQ() chan Message {
-	if p := c.delivered.Load(); p != nil {
-		return *p
-	}
-	ch := make(chan Message, deliveredQueueDepth)
-	if c.delivered.CompareAndSwap(nil, &ch) {
-		return ch
-	}
-	return *c.delivered.Load()
 }
 
 // attachShard registers the connection with its System's shard pool:
@@ -1060,44 +1041,17 @@ func (c *Connection) sendThread() {
 
 // Recv blocks for the next fully received message.
 func (c *Connection) Recv() ([]byte, error) {
-	m, err := c.RecvMessage()
+	m, err := c.recv(nil, 0)
 	return m.Data, err
 }
 
 // RecvMessage is Recv with loss metadata (relevant for unreliable
 // connections).
-func (c *Connection) RecvMessage() (Message, error) {
-	if c.opts.FastPath {
-		return c.recvFast(0)
-	}
-	delivered := c.deliveredQ()
-	select {
-	case m := <-delivered:
-		c.afterRecv()
-		return m, nil
-	case <-c.closedCh:
-		// Drain anything completed before close.
-		select {
-		case m := <-delivered:
-			return m, nil
-		default:
-			return Message{}, c.closeErr()
-		}
-	}
-}
-
-// afterRecv runs after a delivery-queue take: if the shard parked
-// completed messages because the queue was full, ring it so they flush
-// into the space just freed.
-func (c *Connection) afterRecv() {
-	if sc := c.sh; sc != nil && sc.hasStalled.Load() {
-		sc.shard.requeue(c)
-	}
-}
+func (c *Connection) RecvMessage() (Message, error) { return c.recv(nil, 0) }
 
 // RecvTimeout is Recv with a deadline.
 func (c *Connection) RecvTimeout(d time.Duration) ([]byte, error) {
-	m, err := c.RecvMessageTimeout(d)
+	m, err := c.recv(nil, d)
 	return m.Data, err
 }
 
@@ -1105,23 +1059,144 @@ func (c *Connection) RecvTimeout(d time.Duration) ([]byte, error) {
 // media streams need: loss metadata plus a playout deadline for frames
 // whose final segment never arrived.
 func (c *Connection) RecvMessageTimeout(d time.Duration) (Message, error) {
-	if c.opts.FastPath {
-		return c.recvFast(d)
+	return c.recv(nil, d)
+}
+
+// recv is the body of every message receive: the default lane's
+// (st == nil) and each stream's. What differs per lane is only the pop
+// — what taking a message tells the producer — and the lifecycle that
+// can end the wait; the waiting itself is await's.
+func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
+	if st == nil {
+		return c.await(&c.box, c.box.Bell, nil, func() (Message, bool, error) {
+			m, ok := c.box.Pop()
+			if ok {
+				c.afterRecv()
+			}
+			return m, ok, nil
+		}, d)
+	}
+	box := st.Box()
+	return c.await(box, box.Bell, st.Ready, func() (Message, bool, error) {
+		m, ok := st.TryPop()
+		// Order matters: pop before the lifecycle check, so messages
+		// parked before a remote close drain to the application first.
+		if !ok && (st.Closed() || st.RemoteClosed()) {
+			return m, false, ErrStreamClosed
+		}
+		return m, ok, nil
+	}, d)
+}
+
+// await is the one wait loop: every blocking receive — a message on any
+// lane, a peer-opened stream on the accept queue — is try, then wait,
+// on every runtime. try takes what the caller is waiting for, or
+// reports the error that ends the wait (the lane's lifecycle is over).
+// When it finds nothing, a fast-path receiver that can take fastRecvMu
+// becomes the pump (fastpath.go) — want is its own lane's mailbox, nil
+// for an acceptor, and ready the pump's stop condition; everyone else
+// sleeps on the lane's bell, the pump hand-off, the connection's close
+// or the deadline (d > 0; otherwise none). A close drains what
+// completed before it, then reports itself.
+func (c *Connection) await(want *stream.Mailbox, bell func() <-chan struct{}, ready func() bool,
+	try func() (Message, bool, error), d time.Duration) (Message, error) {
+	var deadline time.Time
+	if d > 0 {
+		deadline = time.Now().Add(d)
+	}
+	// Built on the first wait, not per call — a timed receive that finds
+	// its message waiting pays for no timer — and left running to the
+	// deadline across re-checks.
+	var timer *time.Timer
+	defer func() {
+		if timer != nil {
+			timer.Stop()
+		}
+	}()
+	for {
+		m, ok, err := try()
+		if ok && c.opts.FastPath {
+			// What is still queued behind this take needs a successor to
+			// drain it, if its receiver left while the pump was busy.
+			c.pumpRelease()
+		}
+		if ok || err != nil {
+			return m, err
+		}
+		if c.opts.FastPath && c.fastRecvMu.TryLock() {
+			m, ok, err := c.fastPump(want, ready, deadline)
+			c.fastRecvMu.Unlock()
+			c.pumpRelease()
+			if ok || err != nil {
+				return m, err
+			}
+			continue
+		}
+		var timeout <-chan time.Time
+		if d > 0 {
+			if timer == nil {
+				timer = time.NewTimer(time.Until(deadline))
+			}
+			timeout = timer.C
+		}
+		select {
+		case <-bell():
+		case <-c.pumpFree: // nil off the fast path: never ready
+		case <-c.closedCh:
+			if m, ok, _ := try(); ok {
+				return m, nil
+			}
+			return Message{}, c.closeErr()
+		case <-timeout:
+			return Message{}, ErrRecvTimeout
+		}
+	}
+}
+
+// awaitSpace is the Receive Thread's backpressure: it returns once the
+// default lane's mailbox is below deliveredQueueDepth, false if the
+// connection closed first. paused is raised BEFORE the re-check, so a
+// consumer draining concurrently either is seen here or sees the flag
+// (afterRecv reads it after every pop).
+func (c *Connection) awaitSpace() bool {
+	for c.box.Len() >= deliveredQueueDepth {
+		if c.space == nil {
+			c.space = make(chan struct{}, 1)
+		}
+		c.paused.Store(true)
+		if c.box.Len() >= deliveredQueueDepth {
+			select {
+			case <-c.space:
+			case <-c.closedCh:
+				return false
+			}
+		}
+		c.paused.Store(false)
+	}
+	return true
+}
+
+// afterRecv runs after every pop from the default lane's mailbox: if
+// its producer paused at depth, wake it into the slot just freed — the
+// Receive Thread through its bell, a shard by re-queueing the
+// connection.
+func (c *Connection) afterRecv() {
+	if !c.paused.Load() {
+		return
+	}
+	if sc := c.sh; sc != nil {
+		sc.shard.requeue(c)
+		return
 	}
 	select {
-	case m := <-c.deliveredQ():
-		c.afterRecv()
-		return m, nil
-	case <-c.closedCh:
-		return Message{}, c.closeErr()
-	case <-time.After(d):
-		return Message{}, ErrRecvTimeout
+	case c.space <- struct{}{}:
+	default:
 	}
 }
 
 // BindInbox merges this connection's future deliveries into ib: they
-// become InboxMessages on the shared queue instead of landing on the
-// connection's own delivery queue. Bind before traffic starts (right
+// become InboxMessages on the shared queue instead of landing in the
+// connection's own mailbox. Bind before traffic starts (right
 // after Connect/Accept); messages already delivered remain readable
 // via Recv. Fast-path connections run delivery inline in Recv and
 // cannot bind.
@@ -1135,12 +1210,11 @@ func (c *Connection) BindInbox(ib *Inbox) error {
 
 // recvThread is the per-connection Receive Thread: it reads the data
 // connection into pooled buffers and activates the flow- and
-// error-control machinery. The receive buffer is released here; any
-// layer that needs a payload view beyond this loop iteration (the
-// error-control reassembly, a control waiter) retains it.
+// error-control machinery, while the default lane has room for what
+// that may complete.
 func (c *Connection) recvThread() {
 	defer c.wg.Done()
-	for {
+	for c.awaitSpace() {
 		b, err := c.data.RecvBuf()
 		if err != nil {
 			// The data transport died: the peer tore the connection
@@ -1153,39 +1227,20 @@ func (c *Connection) recvThread() {
 			go c.Close()
 			return
 		}
-		m, ok := c.ingest(b)
-		if !ok {
-			continue
-		}
-		if ib := c.inbox.Load(); ib != nil {
-			if ib.put(c, m) {
-				continue
-			}
-			select {
-			case <-c.closedCh:
-				return
-			default:
-			}
-			// The inbox closed under a live connection: unbind and
-			// fall back to the connection's own queue.
-			c.inbox.CompareAndSwap(ib, nil)
-		}
-		select {
-		case c.deliveredQ() <- m:
-		case <-c.closedCh:
-			return
-		}
+		c.ingest(b, nil)
 	}
 }
 
 // ingest is the one receive path: every packet read off the data
 // connection — by a Receive Thread, a shard loop or the fast-path pump —
-// goes through it, and the caller keeps only its own delivery step. It
-// consumes the caller's reference to b; any layer that needs a payload
-// view beyond this call (the error-control reassembly, a control
-// waiter) retains the buffer. It returns a message when the packet
-// completed one on the default lane.
-func (c *Connection) ingest(b *buf.Buffer) (Message, bool) {
+// goes through it, down to the completed message landing in its lane's
+// mailbox. It consumes the caller's reference to b; any layer that
+// needs a payload view beyond this call (the error-control reassembly,
+// a control waiter) retains the buffer. want is nil except from the
+// fast-path pump, which names the lane it reads for: a message
+// completing there with nothing queued ahead of it is returned instead
+// of queued.
+func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox) (Message, bool) {
 	defer b.Release()
 	if c.opts.Heartbeat > 0 {
 		// Only the heartbeat reads lastHeard; without one (always, on
@@ -1202,30 +1257,32 @@ func (c *Connection) ingest(b *buf.Buffer) (Message, bool) {
 		}
 		return Message{}, false
 	}
-	return c.dispatchData(h, payload, b)
+	return c.dispatchData(h, payload, b, want)
 }
 
-// dispatchData keeps the receive-side books for one arriving SDU and
-// runs it through its lane's flow and error control. Stream frames
-// route to their stream's own machinery before the connection-level
-// flow control ever sees them: stream arrivals must not consume
-// stream-0 credits (isolation), and completed stream messages park on
-// the stream, never on the connection's delivery queue — so an
-// unconsumed stream cannot stall the shard loop, the receive thread, or
-// stream 0. The stream is created on first frame, which is what makes
+// dispatchData keeps the receive-side books for one arriving SDU, runs
+// it through its lane's flow and error control, and puts the message it
+// completes in that lane's mailbox (or hands it to want's reader, see
+// ingest). Stream frames route to their stream's own machinery before
+// the connection-level flow control ever sees them: stream arrivals
+// must not consume stream-0 credits (isolation), and an unconsumed
+// stream backs up only its own mailbox, behind its own withheld grants
+// — so it cannot stall the shard loop, the receive thread, or stream 0.
+// The stream is created on first frame, which is what makes
 // CtrlStreamOpen advisory and lets the fast path (whose control
 // connection only senders read) accept streams purely from data
 // arrivals. payload aliases the pooled receive buffer ref, which the
-// caller still owns. It returns a message when the SDU completed one on
-// the default lane.
-func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (m Message, done bool) {
+// caller still owns.
+func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, want *stream.Mailbox) (m Message, handed bool) {
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
 	c.stats.sdusReceived.Add(1)
 	c.stats.bytesReceived.Add(uint64(len(payload)))
 	mRecvSDUs.IncAt(c.id)
 	mRecvBytes.AddAt(c.id, int64(len(payload)))
+	var done bool
 	if h.StreamID != 0 {
-		done = c.mux().Get(h.StreamID).OnData(h, payload, ref, c.emitStreamCtrl)
+		st := c.mux().Get(h.StreamID)
+		m, done, handed = st.OnData(h, payload, ref, c.emitStreamCtrl, want == st.Box())
 	} else {
 		m, done = c.dispatchLane0(h, payload, ref)
 	}
@@ -1239,7 +1296,25 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	// would otherwise pin its slot until the consumer drains, starving
 	// the sampler.
 	telemetry.TraceFinish(c.id, h.SessionID)
-	return m, h.StreamID == 0
+	if h.StreamID == 0 {
+		handed = !c.deliver0(m, want == &c.box)
+	}
+	return m, handed
+}
+
+// deliver0 is the default lane's last hop: into the bound Inbox if
+// there is one, else into the lane's mailbox. It reports false when the
+// mailbox's direct rule left m with the caller (stream.Mailbox.Put).
+func (c *Connection) deliver0(m Message, direct bool) (queued bool) {
+	if ib := c.inbox.Load(); ib != nil {
+		if ib.put(c, m) {
+			return true
+		}
+		// The inbox closed under a live connection: unbind and fall back
+		// to the connection's own mailbox.
+		c.inbox.CompareAndSwap(ib, nil)
+	}
+	return c.box.Put(m, direct)
 }
 
 // dispatchLane0 is the default lane's receive side. Every control
@@ -1282,7 +1357,7 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 			}
 		}
 	}
-	return Message{Data: d.Data, Lost: d.Lost}, done
+	return d, done
 }
 
 // emitCtrl sends one control packet on the path the connection's
@@ -1451,7 +1526,8 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 func (c *Connection) LastTrace() *SendTrace { return c.lastTrace.Load() }
 
 // SendInstrumented sends msg and captures the Table I stage breakdown.
-// The connection must have Instrument enabled and use the threaded path.
+// Fast-path connections, which have no Send Thread to stamp the queue
+// stages, refuse with ErrFastPathOnly.
 func (c *Connection) SendInstrumented(msg []byte) (*SendTrace, error) {
 	if c.opts.FastPath {
 		return nil, ErrFastPathOnly
@@ -1506,7 +1582,7 @@ func (c *Connection) Close() error {
 			// closed transports guarantee no new ones can surface. Then
 			// drain the pump channels' pooled buffers and reap.
 			sc.shard.unregister(c)
-			sc.drainInbound()
+			sc.drainInbound(c)
 			c.inbound.Reap()
 			c.reapStreams()
 			return

@@ -110,22 +110,22 @@ type Options struct {
 	// acknowledgment round trips (Jacobson/Karels estimation, Karn's
 	// rule); AckTimeout then acts as the ceiling and initial value.
 	AdaptiveTimeout bool
-	// Instrument enables per-stage timing capture on the send path
-	// (Table I). Only honoured on threaded (non-fast-path) connections.
-	Instrument bool
 	// Heartbeat, when positive, probes the peer over the control
 	// connection at this interval; three missed intervals without any
 	// inbound traffic mark the peer unreachable and fail the
 	// connection with ErrPeerUnreachable — the fault-tolerance hook §2
-	// attributes to the separated control path. Threaded connections
-	// only.
+	// attributes to the separated control path. Threaded connections run
+	// a heartbeat thread each; a shard sweeps its connections from the
+	// System's timer wheel. Ignored on the fast path, which has no thread
+	// to probe from.
 	Heartbeat time.Duration
 	// InbandControl multiplexes control packets onto the data
 	// connection instead of the separate control connection. This is
 	// the architecture the paper argues AGAINST (§2, "Separation of
 	// Control and Data Functions"); it exists for the ablation
-	// benchmark that quantifies the separation's benefit. Threaded
-	// connections only.
+	// benchmark that quantifies the separation's benefit. Honoured by the
+	// threaded and sharded runtimes; the fast path always keeps control
+	// on its own connection.
 	InbandControl bool
 	// Platform, when non-nil, charges this side's per-operation CPU
 	// costs (copies, system calls) on the connection's transports — the

@@ -396,8 +396,7 @@ func TestRecvTimeout(t *testing.T) {
 
 func TestSendInstrumented(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
-		Interface:  transport.SCI,
-		Instrument: true,
+		Interface: transport.SCI,
 	})
 	defer cleanup()
 

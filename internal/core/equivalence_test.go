@@ -1,8 +1,10 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -125,4 +127,205 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestOneReceiveEndAcrossRuntimes holds every receive end — each
+// runtime's default lane and stream, and an Inbox on the two runtimes
+// that can bind one — to the same outcome under the same abuse: the
+// consumer starts only after the sender has pushed everything it can
+// (far past the default lane's depth, or a stream's whole credit
+// window), through both receive variants. Delivery is exactly-once and
+// in order, backpressure pauses only the connection it belongs to — a
+// second connection on the same shard keeps flowing — and a closed cell
+// leaves no paused connection, pooled buffer or goroutine behind.
+func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
+	const window, inboxDepth = 64, 16
+	for _, rt := range allRuntimes {
+		for _, lane := range []string{"lane0", "stream", "inbox"} {
+			if lane == "inbox" && rt.name == "fastpath" {
+				continue // fast-path connections cannot bind an Inbox
+			}
+			for _, variant := range []string{"Recv", "RecvTimeout"} {
+				t.Run(rt.name+"/"+lane+"/"+variant, func(t *testing.T) {
+					goroutines := runtime.NumGoroutine()
+					opts := Options{
+						Interface:  transport.HPI,
+						FlowConfig: flowctl.Config{InitialCredits: window, MaxCredits: window},
+					}
+					rt.set(&opts)
+					nw := NewNetwork()
+					defer nw.Close()
+					a, _ := nw.NewSystem("recv-a")
+					b, _ := nw.NewSystem("recv-b")
+					a.SetShards(1) // both connections on one shard
+					b.SetShards(1)
+					connect := func() (*Connection, *Connection) {
+						c, err := a.Connect("recv-b", opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						p, err := b.AcceptTimeout(5 * time.Second)
+						if err != nil {
+							t.Fatal(err)
+						}
+						return c, p
+					}
+					conn, peer := connect()
+					other, otherPeer := connect()
+
+					msgs := deliveredQueueDepth + 200
+					send := conn.Send
+					var ib *Inbox
+					switch lane {
+					case "stream":
+						msgs = window
+						out, err := conn.OpenStream()
+						if err != nil {
+							t.Fatal(err)
+						}
+						send = out.Send
+					case "inbox":
+						ib = NewInbox(inboxDepth)
+						defer ib.Close()
+						if err := peer.BindInbox(ib); err != nil {
+							t.Fatal(err)
+						}
+					}
+					for i := 0; i < msgs; i++ {
+						if err := send(reuseMsg(0, uint32(i), 16)); err != nil {
+							t.Fatalf("send %d with no consumer: %v", i, err)
+						}
+					}
+
+					// Let the backlog build as far as the producer lets it.
+					switch {
+					case opts.FastPath:
+						// The consumer is the producer: nothing builds.
+					case lane == "stream":
+						awaitCond(t, "the stream's window never arrived", func() bool { return peer.Stats().MessagesReceived == window })
+					case lane == "inbox":
+						awaitCond(t, "the inbox never filled", func() bool { return len(ib.ch) == inboxDepth })
+					default:
+						awaitCond(t, "the producer never paused at depth", peer.paused.Load)
+						if n := peer.box.Len(); n != deliveredQueueDepth {
+							t.Fatalf("paused with %d messages queued, want deliveredQueueDepth = %d", n, deliveredQueueDepth)
+						}
+					}
+					if opts.Runtime == RuntimeSharded && lane != "stream" {
+						awaitCond(t, "core.shard.parked_conns never counted the paused connection", func() bool { return mParkedConns.Value() == 1 })
+					}
+					go other.Send([]byte("still flowing"))
+					if m, err := otherPeer.RecvTimeout(5 * time.Second); err != nil || string(m) != "still flowing" {
+						t.Fatalf("a second connection on the same shard: %q, %v", m, err)
+					}
+
+					// The late consumer.
+					timed := variant == "RecvTimeout"
+					recv := func(d time.Duration) ([]byte, error) {
+						if timed {
+							return peer.RecvTimeout(d)
+						}
+						return peer.Recv()
+					}
+					switch lane {
+					case "stream":
+						in, err := peer.AcceptStreamTimeout(5 * time.Second)
+						if err != nil {
+							t.Fatal(err)
+						}
+						recv = func(d time.Duration) ([]byte, error) {
+							if timed {
+								return in.RecvTimeout(d)
+							}
+							return in.Recv()
+						}
+					case "inbox":
+						recv = func(d time.Duration) ([]byte, error) {
+							recv := ib.Recv
+							if timed {
+								recv = func() (InboxMessage, error) { return ib.RecvTimeout(d) }
+							}
+							im, err := recv()
+							if err == nil && im.Conn != peer {
+								err = fmt.Errorf("delivery attributed to connection %d, want %d", im.Conn.ID(), peer.ID())
+							}
+							return im.Msg.Data, err
+						}
+					}
+					for i := 0; i < msgs; i++ {
+						m, err := recv(10 * time.Second)
+						if err != nil {
+							t.Fatalf("recv %d of %d: %v", i, msgs, err)
+						}
+						if err := checkReuseMsg(m, 0, uint32(i)); err != nil {
+							t.Fatalf("recv %d: %v", i, err)
+						}
+					}
+					timed = true
+					if m, err := recv(20 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+						t.Fatalf("after the last message: %q, %v; want ErrRecvTimeout", m, err)
+					}
+					awaitCond(t, "core.shard.parked_conns did not return to 0", func() bool { return mParkedConns.Value() == 0 })
+
+					nw.Close()
+					if err := awaitQuiescence(goroutines, 5*time.Second); err != nil {
+						t.Fatal(err)
+					}
+				})
+			}
+		}
+	}
+
+	// The fast path's receivers take turns being the pump. A default-lane
+	// receiver and a stream receiver pumping concurrently each read the
+	// other's messages off the wire; none may be stranded in a mailbox
+	// when the pump changes hands.
+	t.Run("fastpath/handoff", func(t *testing.T) {
+		const msgs = 2000
+		conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI, FastPath: true})
+		defer cleanup()
+		out, err := conn.OpenStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		errs := make(chan error, 4)
+		sender := func(id byte, send func([]byte) error) {
+			for i := 0; i < msgs; i++ {
+				if err := send(reuseMsg(id, uint32(i), 64)); err != nil {
+					errs <- fmt.Errorf("sender %d, message %d: %w", id, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}
+		receiver := func(id byte, recv func(time.Duration) ([]byte, error)) {
+			for i := 0; i < msgs; i++ {
+				m, err := recv(10 * time.Second)
+				if err == nil {
+					err = checkReuseMsg(m, id, uint32(i))
+				}
+				if err != nil {
+					errs <- fmt.Errorf("receiver %d, message %d: %w", id, i, err)
+					return
+				}
+			}
+			errs <- nil
+		}
+		go sender(0, conn.Send)
+		go sender(1, out.Send)
+		go receiver(0, peer.RecvTimeout)
+		go func() {
+			in, err := peer.AcceptStreamTimeout(10 * time.Second)
+			if err != nil {
+				errs <- fmt.Errorf("accept: %w", err)
+				return
+			}
+			receiver(1, in.RecvTimeout)
+		}()
+		for i := 0; i < 4; i++ {
+			if err := <-errs; err != nil {
+				t.Error(err)
+			}
+		}
+	})
 }

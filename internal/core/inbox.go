@@ -28,9 +28,9 @@ type InboxMessage struct {
 // bind too — their Receive Threads deliver into the inbox directly.
 //
 // On sharded connections a full inbox never blocks a shard: the
-// connection's messages park on its stall list, its data path pauses,
-// and the next Inbox.Recv wakes it — per-connection backpressure with
-// collective delivery.
+// connection holds the one message the inbox refused, its data path
+// pauses, and the next Inbox.Recv wakes it — per-connection
+// backpressure with collective delivery.
 type Inbox struct {
 	ch   chan InboxMessage
 	done chan struct{}
@@ -43,7 +43,7 @@ type Inbox struct {
 	waiterN atomic.Int32
 
 	mu      sync.Mutex
-	waiters []*Connection // sharded conns stalled on a full inbox
+	waiters []*Connection // sharded conns holding a message this inbox refused
 }
 
 // NewInbox creates an inbox holding up to depth undelivered messages
@@ -61,24 +61,23 @@ func NewInbox(depth int) *Inbox {
 
 // Recv blocks for the next delivery from any bound connection. After
 // Close it drains the remaining queue, then returns ErrInboxClosed.
-func (ib *Inbox) Recv() (InboxMessage, error) {
-	select {
-	case m := <-ib.ch:
-		ib.wakeWaiters()
-		return m, nil
-	case <-ib.done:
-		select {
-		case m := <-ib.ch:
-			ib.wakeWaiters()
-			return m, nil
-		default:
-			return InboxMessage{}, ErrInboxClosed
-		}
-	}
-}
+func (ib *Inbox) Recv() (InboxMessage, error) { return ib.recv(nil) }
 
 // RecvTimeout is Recv with a deadline.
 func (ib *Inbox) RecvTimeout(d time.Duration) (InboxMessage, error) {
+	// A delivery already queued needs no timer.
+	select {
+	case m := <-ib.ch:
+		ib.wakeWaiters()
+		return m, nil
+	default:
+	}
+	t := time.NewTimer(d)
+	defer t.Stop()
+	return ib.recv(t.C)
+}
+
+func (ib *Inbox) recv(timeout <-chan time.Time) (InboxMessage, error) {
 	select {
 	case m := <-ib.ch:
 		ib.wakeWaiters()
@@ -91,14 +90,14 @@ func (ib *Inbox) RecvTimeout(d time.Duration) (InboxMessage, error) {
 		default:
 			return InboxMessage{}, ErrInboxClosed
 		}
-	case <-time.After(d):
+	case <-timeout:
 		return InboxMessage{}, ErrRecvTimeout
 	}
 }
 
 // Close stops the inbox: pending Recv calls drain what is queued and
-// then observe ErrInboxClosed. Stalled connections are woken so their
-// shards can drop parked deliveries at connection close.
+// then observe ErrInboxClosed. Waiting connections are woken so their
+// held messages fall back to their own mailboxes.
 func (ib *Inbox) Close() {
 	ib.closeOnce.Do(func() {
 		close(ib.done)
@@ -109,12 +108,39 @@ func (ib *Inbox) Close() {
 // Done returns a channel closed when the inbox is closed.
 func (ib *Inbox) Done() <-chan struct{} { return ib.done }
 
+// put delivers m, completed on c's default lane; false means the inbox
+// (or the connection) closed first and m is still the caller's. A
+// Receive Thread waits for room — that is its backpressure. A shard
+// must not: the message a full inbox refuses is held on the connection,
+// whose data path pauses (shardConn.dataPaused) until a Recv wakes it.
+func (ib *Inbox) put(c *Connection, m Message) bool {
+	im := InboxMessage{Conn: c, Msg: m}
+	if sc := c.sh; sc != nil {
+		select {
+		case <-ib.done:
+			return false
+		default:
+		}
+		if !ib.offer(c, im) {
+			sc.held, sc.holding = m, true
+		}
+		return true
+	}
+	select {
+	case ib.ch <- im:
+		return true
+	case <-c.closedCh:
+		return false
+	case <-ib.done:
+		return false
+	}
+}
+
 // offer is the sharded runtime's non-blocking delivery. On failure the
 // connection registers as a waiter (once) so the next Recv re-queues
 // it on its shard; a recheck after registration closes the race with a
 // concurrently draining consumer.
-func (ib *Inbox) offer(c *Connection, m Message) bool {
-	im := InboxMessage{Conn: c, Msg: m}
+func (ib *Inbox) offer(c *Connection, im InboxMessage) bool {
 	select {
 	case ib.ch <- im:
 		return true
@@ -130,28 +156,14 @@ func (ib *Inbox) offer(c *Connection, m Message) bool {
 	select {
 	case ib.ch <- im:
 		// Delivered after all; the pending wake just re-services the
-		// connection, which finds nothing stalled.
+		// connection, which finds nothing held.
 		return true
 	default:
 		return false
 	}
 }
 
-// put is the threaded runtime's blocking delivery (the Receive Thread
-// can afford to block — that is its backpressure). It reports false
-// when the connection or inbox closed first.
-func (ib *Inbox) put(c *Connection, m Message) bool {
-	select {
-	case ib.ch <- InboxMessage{Conn: c, Msg: m}:
-		return true
-	case <-c.closedCh:
-		return false
-	case <-ib.done:
-		return false
-	}
-}
-
-// wakeWaiters re-queues every connection that stalled on a full inbox.
+// wakeWaiters re-queues every connection a full inbox made wait.
 // The lock-free empty check is safe against a concurrent registration:
 // offer re-attempts its delivery after registering, so a waiter this
 // wake misses either delivered after all or is woken by the next Recv.

@@ -92,9 +92,7 @@ func (c *Connection) memEstimate() (bytes uint64, sessions int) {
 	if c.ctrlQ != nil {
 		bytes += uint64(cap(c.ctrlQ)) * uint64(unsafe.Sizeof((*buf.Buffer)(nil)))
 	}
-	if p := c.delivered.Load(); p != nil {
-		bytes += uint64(cap(*p)) * uint64(unsafe.Sizeof(Message{}))
-	}
+	bytes += uint64(c.box.Cap()) * uint64(unsafe.Sizeof(Message{}))
 	if c.fcSend.Load() != nil {
 		bytes += flowHalfEstimate
 	}

@@ -10,17 +10,13 @@ import (
 	"testing"
 )
 
-// callSites counts, over the non-test Go files of dir, the call sites
-// of each callee: "pkg.Func" for a call through a package (or any
-// plain identifier), and ".Method" for every call of a method by that
-// name, whatever the receiver expression.
-func callSites(t *testing.T, dir string) map[string]int {
+// inspectPackage walks the syntax tree of every non-test Go file of dir.
+func inspectPackage(t *testing.T, dir string, visit func(ast.Node) bool) {
 	t.Helper()
 	names, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil || len(names) == 0 {
 		t.Fatalf("no Go files in %s (err %v)", dir, err)
 	}
-	sites := make(map[string]int)
 	fset := token.NewFileSet()
 	for _, name := range names {
 		if strings.HasSuffix(name, "_test.go") {
@@ -34,20 +30,30 @@ func callSites(t *testing.T, dir string) map[string]int {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				sites["."+sel.Sel.Name]++
-				if x, ok := sel.X.(*ast.Ident); ok {
-					sites[x.Name+"."+sel.Sel.Name]++
-				}
-			}
-			return true
-		})
+		ast.Inspect(f, visit)
 	}
+}
+
+// callSites counts, over the non-test Go files of dir, the call sites
+// of each callee: "pkg.Func" for a call through a package (or any
+// plain identifier), and ".Method" for every call of a method by that
+// name, whatever the receiver expression.
+func callSites(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	sites := make(map[string]int)
+	inspectPackage(t, dir, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
+			sites["."+sel.Sel.Name]++
+			if x, ok := sel.X.(*ast.Ident); ok {
+				sites[x.Name+"."+sel.Sel.Name]++
+			}
+		}
+		return true
+	})
 	return sites
 }
 
@@ -75,4 +81,102 @@ func TestOnePathEach(t *testing.T) {
 	if n := core["errctl.NewReceiver"] + stream["errctl.NewReceiver"]; n != 0 {
 		t.Errorf("internal/core + internal/stream have %d call sites of errctl.NewReceiver, want 0", n)
 	}
+}
+
+// TestOneReceiveEnd holds the receive side's collapse in place: every
+// lane on every runtime delivers into a stream.Mailbox and every
+// blocking receive waits in Connection.await, so a second queue type,
+// wait loop, pump entry or producer wake-up fails here before it can
+// drift from the first.
+func TestOneReceiveEnd(t *testing.T) {
+	core := callSites(t, ".")
+	for callee, why := range map[string]string{
+		".TryLock":    "fastRecvMu.TryLock, becoming the fast path's pump: Connection.await",
+		".Pop":        "the default lane's take: Connection.recv",
+		".TryPop":     "a stream's take: Connection.recv",
+		".PopAccept":  "the accept queue's take: Connection.AcceptStreamTimeout",
+		".fastPump":   "the pump itself: Connection.await",
+		".awaitSpace": "the Receive Thread's wait at depth: Connection.recvThread",
+		".dataPaused": "the shard's pause at depth: shard.pumpData",
+		"time.After":  "only System.AcceptTimeout, a connection-setup path",
+	} {
+		if n := core[callee]; n != 1 {
+			t.Errorf("internal/core has %d call sites of %s, want exactly 1 (%s)", n, callee, why)
+		}
+	}
+	// afterRecv is the one consumer-wakes-producer mechanism on the
+	// default lane, called from its one take.
+	if n := core[".afterRecv"]; n != 1 {
+		t.Errorf("internal/core has %d call sites of afterRecv, want exactly 1", n)
+	}
+
+	var bellSelects, messageLits int
+	gone := map[string]bool{
+		"deliveredQ": true, "delivered": true, "park0": true, "park0Mu": true, "park0Put": true, "park0Pop": true,
+		"bell0": true, "nPark0": true, "recvFast": true, "recvStreamFast": true, "acceptFast": true,
+		"recvMessage": true, "fastWait": true, "stalled": true, "hasStalled": true, "deliverOrStall": true,
+		"flushStalled": true, "Instrument": true,
+	}
+	inspectPackage(t, ".", func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.SelectStmt:
+			// A select that receives from the result of a call named
+			// bell/Bell/AcceptBell waits on a lane doorbell.
+			for _, clause := range n.Body.List {
+				comm, _ := clause.(*ast.CommClause).Comm.(*ast.ExprStmt)
+				if comm == nil {
+					continue
+				}
+				recv, ok := comm.X.(*ast.UnaryExpr)
+				if !ok || recv.Op != token.ARROW {
+					continue
+				}
+				call, ok := recv.X.(*ast.CallExpr)
+				if !ok {
+					continue
+				}
+				name := ""
+				switch fun := call.Fun.(type) {
+				case *ast.Ident:
+					name = fun.Name
+				case *ast.SelectorExpr:
+					name = fun.Sel.Name
+				}
+				if strings.HasSuffix(strings.ToLower(name), "bell") {
+					bellSelects++
+				}
+			}
+		case *ast.CompositeLit:
+			// Message{Data: ...}: a field-by-field conversion between the
+			// (formerly distinct) delivery structs.
+			if id, ok := n.Type.(*ast.Ident); ok && id.Name == "Message" && len(n.Elts) > 0 {
+				messageLits++
+			}
+		case *ast.Ident:
+			if gone[n.Name] {
+				t.Errorf("identifier %s is back in internal/core", n.Name)
+				delete(gone, n.Name) // once is enough
+			}
+		}
+		return true
+	})
+	if bellSelects != 1 {
+		t.Errorf("internal/core selects on a lane doorbell in %d places, want exactly 1 (Connection.await)", bellSelects)
+	}
+	if messageLits != 0 {
+		t.Errorf("internal/core builds %d Message{...} literals field by field, want 0 (Message is errctl.Delivery)", messageLits)
+	}
+
+	// The mailbox is the only completed-message queue: internal/stream
+	// pops it in one place (State.TryPop) and keeps no parked slice.
+	stream := callSites(t, filepath.Join("..", "stream"))
+	if n := stream[".Pop"]; n != 1 {
+		t.Errorf("internal/stream has %d call sites of Mailbox.Pop, want exactly 1 (State.TryPop)", n)
+	}
+	inspectPackage(t, filepath.Join("..", "stream"), func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && (id.Name == "parked" || id.Name == "nParked") {
+			t.Errorf("identifier %s is back in internal/stream", id.Name)
+		}
+		return true
+	})
 }

@@ -275,7 +275,7 @@ func TestHeartbeatKeepsHealthyConnectionAlive(t *testing.T) {
 // TestTraceStagesMonotonic checks the Table I instrumentation is
 // internally consistent across many sends.
 func TestTraceStagesMonotonic(t *testing.T) {
-	conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI, Instrument: true})
+	conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI})
 	defer cleanup()
 	go func() {
 		for {

@@ -1,0 +1,150 @@
+package core
+
+import (
+	"errors"
+	"testing"
+	"time"
+
+	"ncs/internal/transport"
+)
+
+// awaitCond polls until ok reports true; after 5 s it fails the test
+// with what.
+func awaitCond(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for !ok() {
+		if time.Now().After(deadline) {
+			t.Fatal(what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRecvDrainsBeforeReportingClose: messages completed before Close
+// are delivered, in order, by every receive variant on every runtime
+// before any of them reports the close. The timed variants used to pick
+// at random between a ready message and the ready close.
+func TestRecvDrainsBeforeReportingClose(t *testing.T) {
+	const msgs = 24
+	for _, rt := range allRuntimes {
+		for _, timed := range []bool{false, true} {
+			name := rt.name + "/Recv"
+			if timed {
+				name += "Timeout"
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{Interface: transport.HPI}
+				rt.set(&opts)
+				conn, peer, cleanup := newPairT(t, opts)
+				defer cleanup()
+				for i := 0; i < msgs; i++ {
+					if err := conn.Send(reuseMsg(0, uint32(i), 16)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if opts.FastPath {
+					// Nothing reads the wire until a receiver pumps: an
+					// accept does, queueing the default lane's messages on
+					// its way to the stream's first frame.
+					out, err := conn.OpenStream()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if err := out.Send([]byte("open")); err != nil {
+						t.Fatal(err)
+					}
+					if _, err := peer.AcceptStreamTimeout(5 * time.Second); err != nil {
+						t.Fatal(err)
+					}
+				}
+				awaitCond(t, "not every message reached the mailbox", func() bool { return peer.box.Len() == msgs })
+				peer.Close()
+
+				recv := peer.Recv
+				if timed {
+					recv = func() ([]byte, error) { return peer.RecvTimeout(5 * time.Second) }
+				}
+				for i := 0; i < msgs; i++ {
+					m, err := recv()
+					if err != nil {
+						t.Fatalf("message %d of %d completed before Close: %v", i, msgs, err)
+					}
+					if err := checkReuseMsg(m, 0, uint32(i)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if _, err := recv(); !errors.Is(err, ErrConnClosed) {
+					t.Fatalf("drained, closed connection: err = %v, want ErrConnClosed", err)
+				}
+			})
+		}
+	}
+}
+
+// TestTimedRecvOfWaitingMessageAllocatesNothing: a deadline costs a
+// timer only when the receiver actually has to wait. internal/group
+// makes one timed receive per collective step; each used to allocate a
+// time.After timer whether or not its message was already there.
+func TestTimedRecvOfWaitingMessageAllocatesNothing(t *testing.T) {
+	const runs = 40 // AllocsPerRun calls once more, to warm up
+	t.Run("Connection", func(t *testing.T) {
+		for _, rt := range allRuntimes {
+			t.Run(rt.name, func(t *testing.T) {
+				opts := Options{Interface: transport.HPI}
+				rt.set(&opts)
+				conn, peer, cleanup := newPairT(t, opts)
+				defer cleanup()
+				for i := 0; i < 2*(runs+1); i++ {
+					if err := conn.Send([]byte("waiting")); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if !opts.FastPath {
+					awaitCond(t, "not every message reached the mailbox", func() bool { return peer.box.Len() == 2*(runs+1) })
+				}
+				untimed := testing.AllocsPerRun(runs, func() {
+					if _, err := peer.RecvMessage(); err != nil {
+						t.Fatal(err)
+					}
+				})
+				timed := testing.AllocsPerRun(runs, func() {
+					if _, err := peer.RecvMessageTimeout(time.Minute); err != nil {
+						t.Fatal(err)
+					}
+				})
+				if timed > untimed {
+					t.Fatalf("RecvMessageTimeout of a waiting message allocates %v times, RecvMessage %v", timed, untimed)
+				}
+			})
+		}
+	})
+	t.Run("Inbox", func(t *testing.T) {
+		conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI})
+		defer cleanup()
+		ib := NewInbox(0)
+		defer ib.Close()
+		if err := peer.BindInbox(ib); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 2*(runs+1); i++ {
+			if err := conn.Send([]byte("waiting")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		awaitCond(t, "not every message reached the inbox", func() bool { return len(ib.ch) == 2*(runs+1) })
+		untimed := testing.AllocsPerRun(runs, func() {
+			if _, err := ib.Recv(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		timed := testing.AllocsPerRun(runs, func() {
+			if _, err := ib.RecvTimeout(time.Minute); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if timed > untimed {
+			t.Fatalf("Inbox.RecvTimeout of a waiting message allocates %v times, Inbox.Recv %v", timed, untimed)
+		}
+	})
+}

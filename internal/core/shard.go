@@ -45,11 +45,11 @@ import (
 //   - the §4.2 fast path bypasses shards exactly as it bypasses
 //     threads: Options.FastPath takes precedence over Options.Runtime.
 //
-// Backpressure never blocks a shard: when a connection's delivery
-// queue (or bound Inbox) is full, its completed messages park on a
-// per-connection stall list and its data path pauses; the consumer's
-// next Recv rings the shard's doorbell to resume. Control packets keep
-// flowing while data is stalled, so acknowledgment clocks never stop.
+// Backpressure never blocks a shard: when a connection's mailbox is at
+// depth (or its bound Inbox refuses a message), its data path pauses;
+// the consumer's next Recv rings the shard's doorbell to resume.
+// Control packets keep flowing while data is paused, so acknowledgment
+// clocks never stop.
 //
 // The shard loops are plain goroutines (kernel-level threads in the
 // paper's §4.1 taxonomy) on purpose: they block in transport writes,
@@ -110,11 +110,11 @@ type shardConn struct {
 
 	queued       atomic.Bool   // on the shard's ready list
 	inboxWaiting atomic.Bool   // registered as a bound Inbox's wake waiter
-	hasStalled   atomic.Bool   // completed messages await delivery space
 	sendSlots    chan struct{} // bounds outbound data SDUs in the shard queue
 
 	// Loop-owned state.
-	stalled  []Message // completed messages awaiting delivery space
+	held     Message // the one message the bound Inbox refused (Inbox.put)
+	holding  bool
 	lastPing time.Time // heartbeat bookkeeping
 
 	// Loop-owned cycle scratch: the per-connection batches one flush
@@ -456,17 +456,10 @@ func clearItems(items *[]outItem) {
 	*items = s[:0]
 }
 
-// service runs one connection's receive side: flush stalled
-// deliveries, then drain control and data arrivals up to the budget.
+// service runs one connection's receive side: drain control and data
+// arrivals up to the budget. Control always runs — the ack clock must
+// not stop while the data path is paused.
 func (sh *shard) service(c *Connection) {
-	sc := c.sh
-	if len(sc.stalled) > 0 && !sc.flushStalled(c) {
-		// Delivery is still blocked: keep control flowing (the ack
-		// clock must not stop) but leave data parked until the
-		// consumer's Recv rings us back.
-		sh.pumpCtrl(c)
-		return
-	}
 	sh.pumpCtrl(c)
 	sh.pumpData(c)
 }
@@ -504,10 +497,14 @@ func (sh *shard) pumpCtrl(c *Connection) {
 }
 
 // pumpData drains the data path through ingest — the same flow
-// control, error control, and reassembly the Receive Thread drives.
+// control, error control, reassembly and delivery the Receive Thread
+// drives — while the default lane has room for what that may complete.
 func (sh *shard) pumpData(c *Connection) {
 	sc := c.sh
 	for i := 0; i < shardRecvBudget; i++ {
+		if sc.dataPaused(c) {
+			return
+		}
 		var b *buf.Buffer
 		if sc.dataPoll != nil {
 			var err error
@@ -525,76 +522,50 @@ func (sh *shard) pumpData(c *Connection) {
 		if b == nil {
 			return
 		}
-		if m, ok := c.ingest(b); ok && !sc.deliverOrStall(c, m) {
-			return // delivery blocked: pause the data path
-		}
+		c.ingest(b, nil)
 	}
 	sh.requeue(c)
 }
 
-// deliverOrStall hands a completed message to the consumer. On a full
-// delivery queue the message parks on the stall list and the
-// connection's data path pauses; hasStalled is raised BEFORE the final
-// delivery attempt so a concurrently draining consumer cannot miss it
-// (Recv checks the flag after every take).
-func (sc *shardConn) deliverOrStall(c *Connection, m Message) bool {
-	if len(sc.stalled) == 0 && sc.deliver(c, m) {
-		return true
+// dataPaused is the shard's backpressure: the connection's data path
+// stays paused — and counted in core.shard.parked_conns — while the
+// default lane's mailbox is at deliveredQueueDepth, or while the bound
+// inbox still refuses the message held for it. c.paused is raised
+// BEFORE the final check, so a consumer draining concurrently either is
+// seen here or sees the flag (afterRecv reads it after every pop, and
+// re-queues the connection); a refusing inbox wakes it through its
+// waiter list.
+func (sc *shardConn) dataPaused(c *Connection) bool {
+	if sc.holding {
+		m := sc.held
+		sc.held, sc.holding = Message{}, false
+		c.deliver0(m, false) // refused again: held again
 	}
-	sc.stalled = append(sc.stalled, m)
-	if !sc.hasStalled.Swap(true) {
-		mParkedConns.Inc()
-	}
-	return sc.flushStalled(c)
-}
-
-// flushStalled retries parked deliveries in order; it reports whether
-// the stall list fully drained.
-func (sc *shardConn) flushStalled(c *Connection) bool {
-	for len(sc.stalled) > 0 {
-		if !sc.deliver(c, sc.stalled[0]) {
-			return false
+	if sc.holding || c.box.Len() >= deliveredQueueDepth {
+		if !c.paused.Swap(true) {
+			mParkedConns.Inc()
 		}
-		sc.stalled[0] = Message{}
-		sc.stalled = sc.stalled[1:]
+		if sc.holding || c.box.Len() >= deliveredQueueDepth {
+			return true
+		}
 	}
-	sc.stalled = nil
-	if sc.hasStalled.Swap(false) {
+	if c.paused.Load() {
+		c.paused.Store(false)
 		mParkedConns.Dec()
 	}
-	return true
-}
-
-// deliver attempts a non-blocking delivery to the bound Inbox or the
-// connection's own queue. An inbox closed under a live connection is
-// unbound, falling back to the connection's own queue.
-func (sc *shardConn) deliver(c *Connection, m Message) bool {
-	if ib := c.inbox.Load(); ib != nil {
-		select {
-		case <-ib.done:
-			c.inbox.CompareAndSwap(ib, nil)
-		default:
-			return ib.offer(c, m)
-		}
-	}
-	select {
-	case c.deliveredQ() <- m:
-		return true
-	default:
-		return false
-	}
+	return false
 }
 
 // drainInbound releases pooled buffers the pumps parked after the
 // connection closed. Called from Close after unregister's barrier: the
 // pumps are dead and the loop no longer services this connection, so
 // nothing else touches the channels.
-func (sc *shardConn) drainInbound() {
+func (sc *shardConn) drainInbound(c *Connection) {
 	drainBufChan(sc.dataIn)
 	drainBufChan(sc.ctrlIn)
-	sc.stalled = nil
-	if sc.hasStalled.Swap(false) {
-		// A connection closed while parked leaves the gauge otherwise.
+	sc.held, sc.holding = Message{}, false
+	if c.paused.Swap(false) {
+		// A connection closed while paused leaves the gauge otherwise.
 		mParkedConns.Dec()
 	}
 }

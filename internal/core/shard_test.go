@@ -365,9 +365,8 @@ func TestShardedHeartbeat(t *testing.T) {
 // the shard path (queued → dequeued → transmitted → returned).
 func TestShardedInstrumentedSend(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
-		Interface:  transport.SCI,
-		Runtime:    RuntimeSharded,
-		Instrument: true,
+		Interface: transport.SCI,
+		Runtime:   RuntimeSharded,
 	})
 	defer cleanup()
 	go func() {

@@ -12,10 +12,10 @@ import (
 // types, and the application-facing Stream handle.
 //
 // The layering mirrors the rest of the core: internal/stream owns all
-// per-stream protocol state (credits, reassembly sessions, parking);
-// this file owns the wire — which thread a frame arrives on, which
-// queue a control packet leaves through, and how a blocked receiver
-// waits on each runtime. Stream 0 never touches any of it.
+// per-stream protocol state (credits, reassembly sessions, the
+// mailbox); this file owns the wire — which thread a frame arrives on
+// and which queue a control packet leaves through. A blocked receiver
+// waits where the default lane's does (Connection.await).
 
 // muxIfAny returns the connection's stream mux if one exists. Frame
 // and control routing use it where a missing mux means "no stream ever
@@ -188,38 +188,24 @@ func (c *Connection) AcceptStream() (*Stream, error) {
 }
 
 // AcceptStreamTimeout is AcceptStream with a deadline (d > 0); it
-// returns ErrRecvTimeout when no stream arrives in time.
+// returns ErrRecvTimeout when no stream arrives in time. On the fast
+// path the accept pumps the data transport when no one else is: the
+// peer's CtrlStreamOpen rides the control connection (which only
+// senders read), so accepts there materialise from the stream's first
+// data frame instead.
 func (c *Connection) AcceptStreamTimeout(d time.Duration) (*Stream, error) {
 	m := c.mux()
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	if c.opts.FastPath {
-		st, err := c.acceptFast(m, deadline)
-		if err != nil {
-			return nil, err
+	var st *stream.State
+	_, err := c.await(nil, m.AcceptBell, m.HasAccept, func() (_ Message, ok bool, err error) {
+		if st, ok = m.PopAccept(); !ok && m.Closed() {
+			err = c.closeErr()
 		}
-		return &Stream{c: c, st: st}, nil
+		return
+	}, d)
+	if err != nil {
+		return nil, err
 	}
-	var timerC <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timerC = t.C
-	}
-	for {
-		if st, ok := m.PopAccept(); ok {
-			return &Stream{c: c, st: st}, nil
-		}
-		select {
-		case <-m.AcceptBell():
-		case <-c.closedCh:
-			return nil, c.closeErr()
-		case <-timerC:
-			return nil, ErrRecvTimeout
-		}
-	}
+	return &Stream{c: c, st: st}, nil
 }
 
 // StreamByID returns the stream with the given id, creating it if
@@ -247,54 +233,22 @@ func (s *Stream) Send(msg []byte) error {
 
 // Recv blocks for the next fully received message on the stream.
 func (s *Stream) Recv() ([]byte, error) {
-	m, err := s.RecvMessage()
+	m, err := s.c.recv(s.st, 0)
 	return m.Data, err
 }
 
 // RecvMessage is Recv with loss metadata.
-func (s *Stream) RecvMessage() (Message, error) { return s.recvMessage(0) }
+func (s *Stream) RecvMessage() (Message, error) { return s.c.recv(s.st, 0) }
 
 // RecvTimeout is Recv with a deadline.
 func (s *Stream) RecvTimeout(d time.Duration) ([]byte, error) {
-	m, err := s.RecvMessageTimeout(d)
+	m, err := s.c.recv(s.st, d)
 	return m.Data, err
 }
 
 // RecvMessageTimeout is RecvMessage with a deadline.
 func (s *Stream) RecvMessageTimeout(d time.Duration) (Message, error) {
-	return s.recvMessage(d)
-}
-
-func (s *Stream) recvMessage(d time.Duration) (Message, error) {
-	if s.c.opts.FastPath {
-		return s.c.recvStreamFast(s.st, d)
-	}
-	var timerC <-chan time.Time
-	if d > 0 {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		timerC = t.C
-	}
-	for {
-		if m, ok := s.st.TryPop(); ok {
-			return Message{Data: m.Data, Lost: m.Lost}, nil
-		}
-		// Order matters: pop before the lifecycle check, so messages
-		// parked before a remote close drain to the application first.
-		if s.st.Closed() || s.st.RemoteClosed() {
-			return Message{}, ErrStreamClosed
-		}
-		select {
-		case <-s.st.Bell():
-		case <-s.c.closedCh:
-			if m, ok := s.st.TryPop(); ok {
-				return Message{Data: m.Data, Lost: m.Lost}, nil
-			}
-			return Message{}, s.c.closeErr()
-		case <-timerC:
-			return Message{}, ErrRecvTimeout
-		}
-	}
+	return s.c.recv(s.st, d)
 }
 
 // Close tears the stream down on this side and announces the close to

@@ -251,6 +251,10 @@ func TestStreamClose(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			// The close rides the control connection and may overtake data
+			// still queued on the data connection (an unreliable Send
+			// returns at hand-off): let the message land first.
+			awaitCond(t, "pre-close message never arrived", func() bool { return peer.Stats().MessagesReceived == 1 })
 			if err := st.Close(); err != nil {
 				t.Fatal(err)
 			}

@@ -26,7 +26,8 @@ var (
 	mShardCycles  = telemetry.NewCounter("core.shard.cycles_total")
 	mShardWakeups = telemetry.NewCounter("core.shard.wakeups_total")
 	// mParkedConns is the number of sharded connections whose data path
-	// is paused on a full delivery queue (stalled messages parked).
+	// is paused: the default lane's mailbox is at depth, or the bound
+	// inbox refused a message (shardConn.dataPaused).
 	mParkedConns = telemetry.NewGauge("core.shard.parked_conns")
 
 	// mWheelSweeps counts timer-wheel slot advances; mWheelArmed is the

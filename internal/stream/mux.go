@@ -61,7 +61,6 @@ func (m *Mux) newStateLocked(id uint32, local bool) *State {
 		id:    id,
 		mux:   m,
 		local: local,
-		bell:  make(chan struct{}, 1),
 	}
 	st.inbound.Alg = m.cfg.Err
 	if m.streams == nil {

@@ -2,17 +2,18 @@
 // message channels. Each stream carries its own receiver-advertised
 // cumulative credit window (the credit engine of internal/flowctl,
 // instantiated per stream), its own reliability sessions, and its own
-// parked delivery queue — so an unconsumed stream exhausts only its
-// own credits and can never head-of-line-block the connection or its
-// sibling streams, the netchan/HTTP/2 discipline.
+// mailbox of completed messages — so an unconsumed stream exhausts only
+// its own credits and can never head-of-line-block the connection or
+// its sibling streams, the netchan/HTTP/2 discipline.
 //
 // The division of labour with internal/core: core owns the wire (send
 // threads, receive demux, control routing) and calls into this package
 // with parsed frames; this package owns everything per-stream — credit
 // state, reassembly sessions, parking. Stream 0 is the connection's
-// default channel and never appears here on the hot path: its flow
-// control, delivery queue and alloc-free fast path stay exactly where
-// they were.
+// default channel and keeps its own flow control (the connection's
+// negotiated algorithm, which speaks different control frames than a
+// stream's grants); its receive end is the same Mailbox every stream
+// has, and core's one wait loop serves both.
 //
 // A stream's credit receiver observes SDUs on arrival — so a large
 // message flows at wire speed, its window sliding as its SDUs land —
@@ -53,7 +54,7 @@ type Config struct {
 // State is one stream's receive- and send-side protocol state. Core
 // routes frames here by the StreamID of their data header; the
 // application side (core's Stream type) sends through FlowSender and
-// receives through TryPop.
+// receives through TryPop, waiting on the mailbox's bell.
 type State struct {
 	id  uint32
 	mux *Mux
@@ -75,10 +76,14 @@ type State struct {
 	// the connection's default lane runs.
 	inbound errctl.SessionTable
 
+	// box is the stream's receive end. Its length is the backlog that
+	// gates grants: park queues under mu and offerGrant reads the length
+	// under mu, so a grant is withheld only behind a message whose pop
+	// will take mu after it and flush.
+	box Mailbox
+
 	mu      sync.Mutex
-	parked  []Msg
-	nParked atomic.Int32 // len(parked), readable without mu
-	held    grantBody    // latest grant withheld while backlogged
+	held    grantBody // latest grant withheld while backlogged
 	hasHeld bool
 	local   bool // opened here (vs announced by the peer)
 	reaped  bool // Reap ran: drop further frames
@@ -89,8 +94,6 @@ type State struct {
 	// borrowed until emit returns; OnData is its only user, and runs on
 	// one goroutine at a time.
 	rxGrant grantBody
-
-	bell chan struct{} // cap 1: rung when parked grows or state changes
 }
 
 // grantBody is the storage of one encoded CtrlStreamGrant body.
@@ -110,17 +113,9 @@ func (s *State) UnlockSend() { s.sendMu.Unlock() }
 // path feeds to this stream's credit sender.
 func (s *State) TxCounter() *atomic.Uint32 { return &s.tx }
 
-// Bell returns the stream's doorbell: rung (capacity-1, non-blocking)
-// whenever a message parks or the stream's lifecycle changes, so a
-// blocked receiver re-checks.
-func (s *State) Bell() <-chan struct{} { return s.bell }
-
-func (s *State) ring() {
-	select {
-	case s.bell <- struct{}{}:
-	default:
-	}
-}
+// Box returns the stream's receive end. Its bell also rings when the
+// stream's lifecycle changes, so a blocked receiver re-checks.
+func (s *State) Box() *Mailbox { return &s.box }
 
 // ensureFC builds the stream's credit flow-control halves on first
 // use. Streams always run the credit engine regardless of the
@@ -183,17 +178,19 @@ func (s *State) OnGrant(ctl packet.Control) {
 // via emit, which must stamp the connection id and serialise the
 // packet before it returns: every body is borrowed until then. payload
 // aliases ref, which the caller still owns; reassembly retains it as
-// needed. When the SDU completes a message, OnData parks it on the
-// stream's queue, rings the doorbell and reports true; receivers
-// collect it with TryPop.
+// needed. When the SDU completes a message, OnData reports done and
+// puts the message in the stream's mailbox, where receivers collect it
+// with TryPop — unless direct is set (the caller is reading for this
+// stream's own receiver) and nothing is queued ahead of it: then the
+// message is returned instead, and direct comes back true.
 //
 // Frames for a reaped (closed) stream are dropped: the peer was told
 // via CtrlStreamClose, so anything still arriving is a straggler.
-func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool) (delivered bool) {
+func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emit func(packet.Control) bool, direct bool) (m Msg, done, handed bool) {
 	s.mu.Lock()
 	if s.reaped {
 		s.mu.Unlock()
-		return false
+		return Msg{}, false, false
 	}
 	s.mu.Unlock()
 
@@ -201,16 +198,16 @@ func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emi
 	for _, a := range acks {
 		a.SessionID = h.SessionID
 		if !emit(a) {
-			return false
+			return Msg{}, false, false
 		}
 	}
 	// Delivery before crediting: when this SDU completes a message that
 	// nobody is consuming, the backlog gate below withholds the grant.
-	if done {
-		s.park(d)
+	if done && !s.park(d, direct) {
+		m, handed = d, true
 	}
 	s.creditArrival()
-	if len(acks) > 0 && s.nParked.Load() == 0 {
+	if len(acks) > 0 && s.box.Len() == 0 {
 		// Piggyback the stream's credit state on the ack burst, exactly
 		// as the connection level does — the consumed-count refresh
 		// retires the peer's in-flight without a dedicated packet. Under
@@ -221,7 +218,7 @@ func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emi
 			emit(s.wrapGrant(&s.rxGrant, g))
 		}
 	}
-	return done
+	return m, done, handed
 }
 
 // creditArrival advances the stream's credit receiver for one arrived
@@ -249,7 +246,7 @@ func (s *State) offerGrant(ctl packet.Control) {
 		s.mu.Unlock()
 		return
 	}
-	if len(s.parked) > 0 {
+	if s.box.Len() > 0 {
 		copy(s.held[:], ctl.Body)
 		s.hasHeld = true
 		s.mu.Unlock()
@@ -259,47 +256,35 @@ func (s *State) offerGrant(ctl packet.Control) {
 	s.mux.emit(ctl)
 }
 
-// park queues a completed message for TryPop. A park onto an already
-// non-empty backlog is exactly the situation where single-flow
-// delivery would have head-of-line-blocked the connection; count it.
-func (s *State) park(m Msg) {
+// park queues a completed message for TryPop (a reaped stream drops
+// it); it reports false when the direct rule left the message with the
+// caller (see Mailbox.Put). A park onto an already non-empty backlog is
+// exactly the situation where single-flow delivery would have
+// head-of-line-blocked the connection; count it.
+func (s *State) park(m Msg, direct bool) bool {
 	s.mu.Lock()
+	defer s.mu.Unlock()
 	if s.reaped {
-		s.mu.Unlock()
-		return
+		return true
 	}
-	if len(s.parked) > 0 {
+	if s.box.Len() > 0 {
 		mHOLAvoided.Inc()
 	}
-	s.parked = append(s.parked, m)
-	s.nParked.Store(int32(len(s.parked)))
-	s.mu.Unlock()
-	s.ring()
+	return s.box.Put(m, direct)
 }
 
 // TryPop takes the oldest parked message. Draining the backlog is what
-// reopens the stream's credit flow: the last pop flushes the grant
-// withheld while messages sat unconsumed, and the peer's stalled
-// sender resumes.
+// reopens the stream's credit flow: the pop that empties the mailbox
+// flushes the grant withheld while messages sat unconsumed, and the
+// peer's stalled sender resumes.
 func (s *State) TryPop() (Msg, bool) {
-	if s.nParked.Load() == 0 {
+	m, ok := s.box.Pop()
+	if !ok {
 		return Msg{}, false
 	}
-	s.mu.Lock()
-	if len(s.parked) == 0 {
-		s.mu.Unlock()
-		return Msg{}, false
-	}
-	m := s.parked[0]
-	s.parked[0] = Msg{}
-	s.parked = s.parked[1:]
-	if len(s.parked) == 0 {
-		s.parked = nil // release the drained backing array
-	}
-	remaining := len(s.parked)
-	s.nParked.Store(int32(remaining))
 	var flush *grantBody
-	if remaining == 0 && s.hasHeld && !s.reaped {
+	s.mu.Lock()
+	if s.box.Len() == 0 && s.hasHeld && !s.reaped {
 		// A copy of its own: the receive path may withhold the next
 		// grant while this one is still being emitted.
 		flush = new(grantBody)
@@ -307,12 +292,6 @@ func (s *State) TryPop() (Msg, bool) {
 		s.hasHeld = false
 	}
 	s.mu.Unlock()
-	if remaining > 0 {
-		// The doorbell is capacity-1: two parks may have rung it once.
-		// Re-ring for the messages still queued so a second receiver
-		// blocked on the bell is not stranded.
-		s.ring()
-	}
 	if flush != nil {
 		s.mux.emit(packet.Control{Type: packet.CtrlStreamGrant, Body: flush[:]})
 	}
@@ -323,20 +302,12 @@ func (s *State) TryPop() (Msg, bool) {
 // parked, or the stream's lifecycle ended (reaped locally or closed by
 // the peer). Pump loops use it as their stop condition.
 func (s *State) Ready() bool {
-	if s.nParked.Load() > 0 {
+	if s.box.Len() > 0 {
 		return true
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.reaped || s.remote
-}
-
-// Drained reports that the stream will never deliver again: it was
-// closed (locally or by the peer) and no parked message remains.
-func (s *State) Drained() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return (s.reaped || s.remote) && len(s.parked) == 0
 }
 
 // Closed reports that the stream was reaped locally.
@@ -370,7 +341,7 @@ func (s *State) RemoteClose() {
 	s.ensureFC() // build-then-close: FlowSender can never observe nil
 	s.fcSend.Close()
 	s.fcRecv.Close()
-	s.ring()
+	s.box.Ring()
 }
 
 // Reap tears the stream down: incomplete sessions release their
@@ -385,13 +356,12 @@ func (s *State) Reap() {
 	}
 	s.reaped = true
 	s.inbound.Reap()
-	s.parked = nil
-	s.nParked.Store(0)
+	s.box.Drop()
 	s.hasHeld = false
 	s.mu.Unlock()
 	s.ensureFC() // build-then-close: FlowSender can never observe nil
 	s.fcSend.Close()
 	s.fcRecv.Close()
 	mOpenStreams.Dec()
-	s.ring()
+	s.box.Ring()
 }

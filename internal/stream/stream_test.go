@@ -120,7 +120,7 @@ func TestMuxReapAll(t *testing.T) {
 		t.Fatal("accept queue survived ReapAll")
 	}
 	straggler := m.Get(5)
-	straggler.OnData(sdu(5, 0), []byte("late"), nil, func(packet.Control) bool { return true })
+	straggler.OnData(sdu(5, 0), []byte("late"), nil, func(packet.Control) bool { return true }, false)
 	if _, ok := straggler.TryPop(); ok {
 		t.Fatal("reaped stream delivered a frame")
 	}
@@ -140,7 +140,7 @@ func sdu(streamID, session uint32) packet.DataHeader {
 // deliver runs one single-SDU message through the stream's receive
 // path, as core's demux would.
 func deliver(st *State, session uint32) {
-	st.OnData(sdu(st.ID(), session), []byte{1, 2, 3, 4}, nil, func(packet.Control) bool { return true })
+	st.OnData(sdu(st.ID(), session), []byte{1, 2, 3, 4}, nil, func(packet.Control) bool { return true }, false)
 }
 
 // TestBacklogGatesGrants is the per-stream isolation discipline in

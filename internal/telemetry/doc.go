@@ -85,7 +85,7 @@
 // Gauges:
 //
 //	buf.pool.outstanding               buffers checked out of the pools
-//	core.shard.parked_conns            sharded conns parked on stalls
+//	core.shard.parked_conns            sharded conns paused on a slow consumer
 //	core.wheel.armed                   armed timer-wheel timers
 //	rpc.client.inflight                calls awaiting replies
 //	rpc.server.inflight                requests admitted, not replied

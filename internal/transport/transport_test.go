@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"sync"
 	"testing"
+	"time"
 
 	"ncs/internal/atm"
 	"ncs/internal/netsim"
@@ -246,9 +247,11 @@ func TestConcurrentSendersInterleave(t *testing.T) {
 			go func() {
 				defer close(recvDone)
 				for i := 0; i < senders*per; i++ {
-					p, err := b.Recv()
+					// A frame destroyed in flight must fail the test, not
+					// hang it.
+					p, err := b.RecvTimeout(10 * time.Second)
 					if err != nil {
-						t.Errorf("recv: %v", err)
+						t.Errorf("recv %d/%d: %v", i+1, senders*per, err)
 						return
 					}
 					// Each packet must be internally consistent (no
