@@ -42,13 +42,15 @@ func BenchmarkTableI_InstrumentedSend1B(b *testing.B) {
 	msg := []byte{1}
 	b.ReportAllocs()
 	b.ResetTimer()
+	var tr *ncs.SendTrace
 	for i := 0; i < b.N; i++ {
-		if _, err := conn.SendInstrumented(msg); err != nil {
+		var err error
+		if tr, err = conn.SendInstrumented(msg); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.StopTimer()
-	if tr := conn.LastTrace(); tr != nil {
+	if tr != nil {
 		b.ReportMetric(float64(tr.SessionOverhead().Nanoseconds()), "session-ns")
 		b.ReportMetric(float64(tr.DataTransfer().Nanoseconds()), "transfer-ns")
 	}
@@ -816,7 +818,7 @@ func BenchmarkAllocCollectiveAllReduce(b *testing.B) {
 
 // BenchmarkAllocIdleConnBytes measures the heap cost of one
 // established-but-quiet sharded connection: the number the
-// per-connection memory diet (lazy sessions, shared timer wheel)
+// per-connection memory diet (lazy sessions, one sweep timer per System)
 // drives down, and the one benchgate's bytes/idleconn gate protects.
 // The measurement is a single GC-fenced HeapAlloc delta across
 // building idleConnSample connection pairs — not a timed loop — so

@@ -95,9 +95,10 @@ type ScalePoint struct {
 	// sample: threaded points grow ~8×conns, sharded points must not
 	// grow with conns at all.
 	IdleGoroutines int `json:"idle_goroutines"`
-	// PendingTimers counts armed timer-wheel timers at idle across
-	// both systems. Idle connections must contribute zero — heartbeat
-	// sweeps only arm wheel slots while a heartbeat connection lives.
+	// PendingTimers counts armed System-level timers at idle across
+	// both systems. Idle connections must contribute zero — the one
+	// liveness sweep per System is armed only while a heartbeat
+	// connection lives.
 	PendingTimers int `json:"pending_timers"`
 	// EstBytesPerConn is System.Telemetry().Mem's structural estimate for the
 	// same endpoints — a cross-check that the estimator tracks the
@@ -390,7 +391,7 @@ func (r *ScaleResult) Render() string {
 			p.PendingTimers, ppb)
 	}
 	b.WriteString("(goroutines: whole process at steady state — threaded grows ~8×conns, sharded stays near 2×GOMAXPROCS+workers;\n" +
-		" idle B/cn, idle gor, timers: heap bytes, goroutines, and armed wheel timers per idle endpoint after establishment, before traffic)\n")
+		" idle B/cn, idle gor, timers: heap bytes, goroutines, and armed sweep timers per idle endpoint after establishment, before traffic)\n")
 	return b.String()
 }
 

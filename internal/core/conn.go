@@ -158,6 +158,7 @@ type Connection struct {
 	sys  *System
 	peer string
 	id   uint32
+	slot int32 // index in sys's registry, guarded by its mu; -1: not in it (heartbeat.go)
 	opts Options
 
 	data transport.Conn
@@ -232,13 +233,16 @@ type Connection struct {
 	closedCh  chan struct{}
 	wg        sync.WaitGroup
 
-	lastTrace atomic.Pointer[SendTrace]
-	stats     statCounters
-	rtt       rttEstimator
+	stats statCounters
+	rtt   rttEstimator
 
-	lastHeard atomic.Int64 // unix nanos of the last inbound packet
-	failed    atomic.Bool  // heartbeat declared the peer dead
-	paused    atomic.Bool  // the default lane's producer stopped at depth (see box)
+	// The liveness sweep's state (heartbeat.go); hbDue and misses are
+	// guarded by the System's mu.
+	hbDue  int64       // unix nanos from which a sweep pings next; 0: not swept
+	heard  atomic.Bool // a packet arrived since the last due sweep
+	failed atomic.Bool // the sweep declared the peer dead
+	paused atomic.Bool // the default lane's producer stopped at depth (see box)
+	misses uint8       // consecutive due sweeps that found heard down
 }
 
 func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl transport.Conn, initiator bool) *Connection {
@@ -255,9 +259,9 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		ctrl:      ctrl,
 		initiator: initiator,
 		closedCh:  make(chan struct{}),
+		slot:      -1,
 	}
 	c.inbound.Alg = opts.ErrorControl
-	c.lastHeard.Store(time.Now().UnixNano())
 	switch {
 	case opts.FastPath:
 		// No threads: Send/Recv run the protocol inline (§4.2). The
@@ -287,10 +291,7 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		go c.ctrlSendThread()
 		go c.ctrlRecvThread()
 	}
-	if opts.Heartbeat > 0 && !opts.FastPath && c.sh == nil {
-		c.wg.Add(1)
-		go c.heartbeatThread()
-	}
+	sys.track(c)
 	return c
 }
 
@@ -371,7 +372,6 @@ func (c *Connection) attachShard() {
 	sc := &shardConn{
 		shard:     sh,
 		sendSlots: make(chan struct{}, sendQueueDepth),
-		lastPing:  time.Now(),
 	}
 	c.sh = sc
 	if p, ok := transport.AsPoller(c.data); ok {
@@ -412,30 +412,6 @@ func (c *Connection) pump(t transport.Conn, ch chan *buf.Buffer) {
 			c.sh.shard.requeue(c)
 		case <-c.closedCh:
 			b.Release()
-			return
-		}
-	}
-}
-
-// heartbeatThread probes the peer and declares it unreachable after
-// three silent intervals, failing the connection.
-func (c *Connection) heartbeatThread() {
-	defer c.wg.Done()
-	ticker := time.NewTicker(c.opts.Heartbeat)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-ticker.C:
-			silent := time.Duration(time.Now().UnixNano() - c.lastHeard.Load())
-			if silent > 3*c.opts.Heartbeat {
-				c.failed.Store(true)
-				// Close from a fresh goroutine: Close waits for this
-				// thread via wg.Wait.
-				go c.Close()
-				return
-			}
-			c.emitCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
-		case <-c.closedCh:
 			return
 		}
 	}
@@ -1231,6 +1207,15 @@ func (c *Connection) recvThread() {
 	}
 }
 
+// noteHeard records that the peer is alive — all the liveness sweep
+// asks of the packet path. Load-then-store: once the flag is up, a
+// packet only reads it, and no clock is involved.
+func (c *Connection) noteHeard() {
+	if !c.heard.Load() {
+		c.heard.Store(true)
+	}
+}
+
 // ingest is the one receive path: every packet read off the data
 // connection — by a Receive Thread, a shard loop or the fast-path pump —
 // goes through it, down to the completed message landing in its lane's
@@ -1242,11 +1227,7 @@ func (c *Connection) recvThread() {
 // of queued.
 func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox) (Message, bool) {
 	defer b.Release()
-	if c.opts.Heartbeat > 0 {
-		// Only the heartbeat reads lastHeard; without one (always, on
-		// the fast path) the per-packet clock read is skipped.
-		c.lastHeard.Store(time.Now().UnixNano())
-	}
+	c.noteHeard()
 	h, payload, err := packet.SplitData(b.B)
 	if err != nil {
 		// In in-band mode the data connection also carries control
@@ -1372,6 +1353,11 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
 	sb.B = ctl.Marshal(sb.B)
+	// A ping never waits for queue room: the liveness sweep that sends it
+	// must not block on one connection, and a full control queue is
+	// control traffic in flight — the verdict reads what was heard, not
+	// what was sent. (A shard's outbound queue never makes anyone wait.)
+	wait := ctl.Type != packet.CtrlPing
 	var queued bool
 	switch {
 	case c.opts.FastPath:
@@ -1386,17 +1372,9 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 		// inbound budget that produced them, so they take no slot.
 		queued = c.sh.shard.enqueueOut(outItem{c: c, ctrl: sb, ctrlPath: !c.opts.InbandControl})
 	case c.opts.InbandControl:
-		select {
-		case c.sendQ <- outItem{c: c, ctrl: sb}:
-			queued = true
-		case <-c.closedCh:
-		}
+		queued = offer(c.sendQ, outItem{c: c, ctrl: sb}, wait, c.closedCh)
 	default:
-		select {
-		case c.ctrlQ <- sb:
-			queued = true
-		case <-c.closedCh:
-		}
+		queued = offer(c.ctrlQ, sb, wait, c.closedCh)
 	}
 	if !queued {
 		sb.Release()
@@ -1411,6 +1389,25 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	default:
 	}
 	return true
+}
+
+// offer queues v if q has room; if it has none and wait is set, it waits
+// for room or for closed. It reports whether v was queued.
+func offer[T any](q chan<- T, v T, wait bool, closed <-chan struct{}) bool {
+	select {
+	case q <- v:
+		return true
+	default:
+		if !wait {
+			return false
+		}
+	}
+	select {
+	case q <- v:
+		return true
+	case <-closed:
+		return false
+	}
 }
 
 // drainCtrl releases the marshalled control packets still queued on a
@@ -1488,12 +1485,12 @@ func (c *Connection) demuxControl(b *buf.Buffer) {
 // events that cross to another goroutine.
 func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 	c.stats.controlReceived.Add(1)
-	c.lastHeard.Store(time.Now().UnixNano())
+	c.noteHeard()
 	switch ctl.Type {
 	case packet.CtrlPing:
 		c.emitCtrl(packet.Control{Type: packet.CtrlPong, ConnID: c.id})
 	case packet.CtrlPong:
-		// lastHeard already refreshed; nothing else to do.
+		// Heard, like everything else; nothing more to do.
 	case packet.CtrlCredit, packet.CtrlCreditGrant, packet.CtrlRate, packet.CtrlWinAck:
 		c.flowSend().OnControl(ctl)
 	case packet.CtrlStreamGrant, packet.CtrlStreamOpen, packet.CtrlStreamClose:
@@ -1522,9 +1519,6 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 
 // ---------------------------------------------------------------------------
 
-// LastTrace returns the most recent instrumented send breakdown, or nil.
-func (c *Connection) LastTrace() *SendTrace { return c.lastTrace.Load() }
-
 // SendInstrumented sends msg and captures the Table I stage breakdown.
 // Fast-path connections, which have no Send Thread to stamp the queue
 // stages, refuse with ErrFastPathOnly.
@@ -1539,7 +1533,6 @@ func (c *Connection) SendInstrumented(msg []byte) (*SendTrace, error) {
 	if err != nil {
 		return nil, err
 	}
-	c.lastTrace.Store(tr)
 	return tr, nil
 }
 
@@ -1558,6 +1551,7 @@ func (c *Connection) ImpairData(imp netsim.Impairments) bool {
 func (c *Connection) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closedCh)
+		c.sys.untrack(c)
 		// Serialise against the lazy flow-control constructors: after
 		// closedCh is closed and this section ran, any sender/receiver
 		// that exists — or is built later — has been Closed (the

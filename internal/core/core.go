@@ -111,13 +111,15 @@ type Options struct {
 	// rule); AckTimeout then acts as the ceiling and initial value.
 	AdaptiveTimeout bool
 	// Heartbeat, when positive, probes the peer over the control
-	// connection at this interval; three missed intervals without any
-	// inbound traffic mark the peer unreachable and fail the
-	// connection with ErrPeerUnreachable — the fault-tolerance hook §2
-	// attributes to the separated control path. Threaded connections run
-	// a heartbeat thread each; a shard sweeps its connections from the
-	// System's timer wheel. Ignored on the fast path, which has no thread
-	// to probe from.
+	// connection at this interval and fails the connection with
+	// ErrPeerUnreachable once the peer has stayed silent through more
+	// than three of them — the fault-tolerance hook §2 attributes to the
+	// separated control path. Silence is counted in sweeps, not read off
+	// a clock: the System's one liveness sweep (heartbeat.go) pings each
+	// such connection once per interval, on either runtime, and the
+	// fourth in a row to find that nothing at all arrived since the one
+	// before passes the verdict. Ignored on the fast path: nobody reads
+	// an idle fast-path control connection, so a pong could not be heard.
 	Heartbeat time.Duration
 	// InbandControl multiplexes control packets onto the data
 	// connection instead of the separate control connection. This is
@@ -420,20 +422,25 @@ type System struct {
 	accepts chan *Connection
 	done    chan struct{}
 
+	// conns is the registry of live connections — what Close tears down,
+	// memStats sizes and the liveness sweep walks. A connection enters it
+	// when built and leaves it on Close (heartbeat.go).
 	mu     sync.Mutex
 	conns  []*Connection
 	closed bool
 
+	// The liveness sweep's one timer (heartbeat.go), guarded by mu.
+	sweepConns int           // registered connections the sweep covers
+	sweepEvery time.Duration // the interval the timer is armed at; 0: not armed
+	sweepTimer *time.Timer   // built by the first such connection
+
 	// The sharded runtime's I/O pool, built lazily on the first
-	// RuntimeSharded connection (see shard.go), and the pool's hashed
-	// timer wheel (timerwheel.go), built lazily on the first armed
-	// timer. Both share shardMu and stop together in stopShards.
+	// RuntimeSharded connection (see shard.go).
 	shardMu      sync.Mutex
 	shards       []*shard
 	shardN       int
 	shardStopped bool
 	shardWG      sync.WaitGroup
-	wheel        *timerWheel
 }
 
 // Name returns the system's registered name.
@@ -447,7 +454,6 @@ func (s *System) master() {
 		select {
 		case req := <-s.setups:
 			conn := newConnection(s, req.from, req.connID, req.opts, req.data, req.ctrl, false)
-			s.track(conn)
 			select {
 			case s.accepts <- conn:
 			case <-s.done:
@@ -458,12 +464,6 @@ func (s *System) master() {
 			return
 		}
 	}
-}
-
-func (s *System) track(c *Connection) {
-	s.mu.Lock()
-	s.conns = append(s.conns, c)
-	s.mu.Unlock()
 }
 
 // Connect establishes an NCS connection to the named peer system with
@@ -507,29 +507,34 @@ func (s *System) Connect(peer string, opts Options) (*Connection, error) {
 		return nil, ErrSystemClosed
 	}
 
-	conn := newConnection(s, peer, connID, opts, data, ctrl, true)
-	s.track(conn)
-	return conn, nil
+	return newConnection(s, peer, connID, opts, data, ctrl, true), nil
 }
 
 // Accept blocks until a peer establishes a connection to this system.
-func (s *System) Accept() (*Connection, error) {
-	select {
-	case c := <-s.accepts:
-		return c, nil
-	case <-s.done:
-		return nil, ErrSystemClosed
-	}
-}
+func (s *System) Accept() (*Connection, error) { return s.AcceptTimeout(0) }
 
-// AcceptTimeout is Accept with a deadline.
+// AcceptTimeout is Accept with a deadline (d > 0; otherwise none, as on
+// every receive).
 func (s *System) AcceptTimeout(d time.Duration) (*Connection, error) {
 	select {
 	case c := <-s.accepts:
 		return c, nil
+	default:
+		// Only now would waiting cost a timer; it is stopped on return,
+		// not left to outlive a successful accept by d.
+	}
+	var timeout <-chan time.Time
+	if d > 0 {
+		timer := time.NewTimer(d)
+		defer timer.Stop()
+		timeout = timer.C
+	}
+	select {
+	case c := <-s.accepts:
+		return c, nil
 	case <-s.done:
 		return nil, ErrSystemClosed
-	case <-time.After(d):
+	case <-timeout:
 		return nil, ErrRecvTimeout
 	}
 }
@@ -542,6 +547,7 @@ func (s *System) Close() {
 		return
 	}
 	s.closed = true
+	s.armSweep(0)
 	conns := make([]*Connection, len(s.conns))
 	copy(conns, s.conns)
 	s.mu.Unlock()

@@ -414,9 +414,6 @@ func TestSendInstrumented(t *testing.T) {
 	if tr.DataTransfer() <= 0 {
 		t.Fatal("data transfer stage missing")
 	}
-	if conn.LastTrace() != tr {
-		t.Fatal("LastTrace not recorded")
-	}
 	if tbl := tr.Table(); len(tbl) == 0 || !bytes.Contains([]byte(tbl), []byte("Session Overhead")) {
 		t.Fatalf("Table output malformed:\n%s", tbl)
 	}

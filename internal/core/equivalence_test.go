@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -12,6 +13,7 @@ import (
 	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
 	"ncs/internal/netsim"
+	"ncs/internal/packet"
 	"ncs/internal/transport"
 )
 
@@ -326,6 +328,283 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 			if err := <-errs; err != nil {
 				t.Error(err)
 			}
+		}
+	})
+}
+
+// hbUnit is the heartbeat interval of the tests that drive the liveness
+// sweep themselves: so long that the System's own timer never fires
+// within a test, so every sweep is one the test calls, at a time the
+// test makes up. Only the ratios between intervals matter.
+const hbUnit = time.Hour
+
+// heartbeatRuntimes are the three shapes the one sweep serves.
+var heartbeatRuntimes = []struct {
+	name string
+	set  func(*Options)
+}{
+	{"threaded", func(o *Options) {}},
+	{"threaded-inband", func(o *Options) { o.InbandControl = true }},
+	{"sharded", func(o *Options) { o.Runtime = RuntimeSharded }},
+}
+
+// testPeer is a connection whose peer is the test: the far ends of its
+// transports are raw, silent unless the test speaks on them.
+type testPeer struct {
+	*Connection
+	ctl transport.Conn // where the connection's control packets surface
+}
+
+func newTestPeer(t *testing.T, sys *System, id uint32, opts Options) testPeer {
+	t.Helper()
+	data, rawData := transport.HPIPair()
+	ctrl, rawCtrl := transport.HPIPair()
+	t.Cleanup(func() { rawData.Close(); rawCtrl.Close() })
+	p := testPeer{Connection: newConnection(sys, "the-test", id, opts.withDefaults(), data, ctrl, true), ctl: rawCtrl}
+	if opts.InbandControl {
+		p.ctl = rawData
+	}
+	return p
+}
+
+// next reads the connection's next control packet off the raw end.
+func (p testPeer) next(t *testing.T) packet.Control {
+	t.Helper()
+	b, err := p.ctl.RecvTimeout(10 * time.Second)
+	if err != nil {
+		t.Fatalf("connection %d sent no control packet: %v", p.id, err)
+	}
+	ctl, err := packet.UnmarshalControl(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ctl
+}
+
+// fence speaks as the peer — one ping — and reads up to the pong that
+// answers it, returning how many pings the connection had sent ahead of
+// it. The control path is FIFO, so that is every ping emitted before the
+// fence; and the connection has heard its peer by the time it answers.
+func (p testPeer) fence(t *testing.T) (pings int) {
+	t.Helper()
+	if err := p.ctl.Send(packet.Control{Type: packet.CtrlPing, ConnID: p.id}.Marshal(nil)); err != nil {
+		t.Fatal(err)
+	}
+	for {
+		switch ctl := p.next(t); {
+		case ctl.Type == packet.CtrlPong:
+			return pings
+		case ctl.Type != packet.CtrlPing || len(ctl.Body) != 0 || ctl.ConnID != p.id:
+			t.Fatalf("connection %d sent %+v, want an empty-bodied ping", p.id, ctl)
+		}
+		pings++
+	}
+}
+
+// stuckConn is a transport whose writes never complete until it closes.
+type stuckConn struct {
+	transport.Conn
+	writing chan struct{} // one token per write that got stuck
+	closed  chan struct{}
+	once    sync.Once
+}
+
+func newStuckConn(c transport.Conn) *stuckConn {
+	return &stuckConn{Conn: c, writing: make(chan struct{}, 1), closed: make(chan struct{})}
+}
+
+func (s *stuckConn) SendBatch(bs []*buf.Buffer) error {
+	select {
+	case s.writing <- struct{}{}:
+	default:
+	}
+	<-s.closed
+	for _, b := range bs {
+		b.Release()
+	}
+	return transport.ErrConnClosed
+}
+
+func (s *stuckConn) SendBuf(b *buf.Buffer) error { return s.SendBatch([]*buf.Buffer{b}) }
+
+func (s *stuckConn) Close() error {
+	s.once.Do(func() { close(s.closed) })
+	return s.Conn.Close()
+}
+
+// TestOneHeartbeatAcrossRuntimes holds the one liveness sweep to the
+// same verdicts on every runtime it serves. The test calls the sweep
+// itself, at synthetic times: no sleep decides a verdict — the waits
+// below only let an asynchronous hop (a pong through the peer's threads)
+// finish before the next sweep is called.
+func TestOneHeartbeatAcrossRuntimes(t *testing.T) {
+	newSystem := func(t *testing.T) *System {
+		t.Helper()
+		nw := NewNetwork()
+		t.Cleanup(nw.Close)
+		sys, err := nw.NewSystem("hb")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sys
+	}
+	// sweepN calls the next n sweeps, one hbUnit apart, each of which
+	// must return without waiting on any connection.
+	sweepN := func(t *testing.T, sys *System, at *time.Time, n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			*at = at.Add(hbUnit)
+			swept := make(chan struct{})
+			go func() { sys.sweep(*at); close(swept) }()
+			select {
+			case <-swept:
+			case <-time.After(10 * time.Second):
+				t.Fatal("the sweep blocked")
+			}
+		}
+	}
+
+	for _, rt := range heartbeatRuntimes {
+		opts := Options{Interface: transport.HPI, Heartbeat: hbUnit}
+		rt.set(&opts)
+
+		t.Run(rt.name+"/healthy", func(t *testing.T) {
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
+			at := time.Now()
+			for k := uint64(1); k <= 20; k++ {
+				sweepN(t, conn.sys, &at, 1)
+				awaitCond(t, "a ping was not answered", func() bool { return conn.Stats().ControlReceived == k })
+			}
+			if err := conn.Err(); err != nil {
+				t.Fatalf("healthy connection after 20 sweeps: %v", err)
+			}
+			if got := peer.Stats().ControlReceived; got != 20 {
+				t.Fatalf("the peer saw %d pings over 20 sweeps, want one per interval", got)
+			}
+		})
+
+		t.Run(rt.name+"/silent", func(t *testing.T) {
+			sys := newSystem(t)
+			p := newTestPeer(t, sys, 1, opts)
+			at := time.Now()
+			sweepN(t, sys, &at, maxMisses)
+			if err := p.Err(); err != nil {
+				t.Fatalf("after %d silent intervals: %v, want still alive", maxMisses, err)
+			}
+			// One ping per interval so far, same type and empty body as ever.
+			for i := 0; i < maxMisses; i++ {
+				if ctl := p.next(t); ctl.Type != packet.CtrlPing || len(ctl.Body) != 0 {
+					t.Fatalf("control packet %d = %+v, want an empty-bodied ping", i, ctl)
+				}
+			}
+			sweepN(t, sys, &at, 1)
+			if err := p.Err(); !errors.Is(err, ErrPeerUnreachable) {
+				t.Fatalf("after %d silent intervals: %v, want ErrPeerUnreachable", maxMisses+1, err)
+			}
+			if _, err := p.RecvTimeout(10 * time.Second); !errors.Is(err, ErrPeerUnreachable) {
+				t.Fatalf("blocked receiver: %v, want ErrPeerUnreachable", err)
+			}
+			awaitCond(t, "the failed connection stayed in the registry", func() bool { return sys.Telemetry().Mem.Conns == 0 })
+		})
+
+		t.Run(rt.name+"/two-intervals", func(t *testing.T) {
+			sys := newSystem(t)
+			slowOpts := opts
+			slowOpts.Heartbeat = 5 * hbUnit
+			fast, slow := newTestPeer(t, sys, 1, opts), newTestPeer(t, sys, 2, slowOpts)
+			at := time.Now()
+			var nFast, nSlow int
+			for k := 0; k < 10; k++ {
+				sweepN(t, sys, &at, 1)
+				nFast += fast.fence(t)
+				nSlow += slow.fence(t)
+			}
+			if nFast != 10 || nSlow != 2 {
+				t.Fatalf("over 10 sweeps the 1× connection was pinged %d times and the 5× one %d, want 10 and 2", nFast, nSlow)
+			}
+			if fast.Err() != nil || slow.Err() != nil {
+				t.Fatalf("answered connections failed: %v, %v", fast.Err(), slow.Err())
+			}
+		})
+
+		t.Run(rt.name+"/last-one-disarms", func(t *testing.T) {
+			sys := newSystem(t)
+			plain := opts
+			plain.Heartbeat = 0
+			newTestPeer(t, sys, 1, plain)
+			if n := sys.Telemetry().Mem.PendingTimers; n != 0 {
+				t.Fatalf("PendingTimers = %d with no heartbeat connection, want 0", n)
+			}
+			p, q := newTestPeer(t, sys, 2, opts), newTestPeer(t, sys, 3, opts)
+			p.Close()
+			if n := sys.Telemetry().Mem.PendingTimers; n != 1 {
+				t.Fatalf("PendingTimers = %d with one heartbeat connection left, want 1", n)
+			}
+			q.Close()
+			if n := sys.Telemetry().Mem.PendingTimers; n != 0 {
+				t.Fatalf("PendingTimers = %d after the last heartbeat connection closed, want 0", n)
+			}
+			sys.mu.Lock()
+			wasArmed := sys.sweepTimer.Stop()
+			sys.mu.Unlock()
+			if wasArmed {
+				t.Fatal("the sweep timer was still armed after the last heartbeat connection closed")
+			}
+		})
+
+		if opts.Runtime == RuntimeSharded {
+			continue // a shard's outbound queue is unbounded: it never fills
+		}
+		t.Run(rt.name+"/full-queue", func(t *testing.T) {
+			sys := newSystem(t)
+			data, rawData := transport.HPIPair()
+			ctrl, rawCtrl := transport.HPIPair()
+			defer rawData.Close()
+			defer rawCtrl.Close()
+			stuck := newStuckConn(ctrl)
+			if opts.InbandControl {
+				stuck = newStuckConn(data)
+				data = stuck
+			} else {
+				ctrl = stuck
+			}
+			jammed := newConnection(sys, "the-test", 1, opts.withDefaults(), data, ctrl, true)
+			neighbour := newTestPeer(t, sys, 2, opts)
+			// One write stuck in the transport, then the queue behind it
+			// filled to the brim: a ping is refused only for lack of room.
+			ping := packet.Control{Type: packet.CtrlPing, ConnID: jammed.id}
+			if !jammed.emitCtrl(ping) {
+				t.Fatal("first control packet refused")
+			}
+			<-stuck.writing
+			for jammed.emitCtrl(ping) {
+			}
+			at := time.Now()
+			sweepN(t, sys, &at, maxMisses)
+			if err := neighbour.Err(); err != nil {
+				t.Fatalf("neighbour after %d silent intervals: %v, want still alive", maxMisses, err)
+			}
+			sweepN(t, sys, &at, 1)
+			if err := neighbour.Err(); !errors.Is(err, ErrPeerUnreachable) {
+				t.Fatalf("neighbour of a jammed connection after %d silent intervals: %v, want ErrPeerUnreachable", maxMisses+1, err)
+			}
+		})
+	}
+
+	// The fast path has no reader on an idle control connection, so it
+	// takes no part: never armed, never pinged, never failed.
+	t.Run("fastpath", func(t *testing.T) {
+		sys := newSystem(t)
+		p := newTestPeer(t, sys, 1, Options{Interface: transport.HPI, Heartbeat: hbUnit, FastPath: true})
+		if n := sys.Telemetry().Mem.PendingTimers; n != 0 {
+			t.Fatalf("PendingTimers = %d for a fast-path heartbeat, want 0", n)
+		}
+		at := time.Now()
+		sweepN(t, sys, &at, 10)
+		// The fast path writes control inline, so the count is exact.
+		if sent := p.Stats().ControlSent; sent != 0 || p.Err() != nil {
+			t.Fatalf("fast path after 10 sweeps: %d control packets sent, err %v; want none, alive", sent, p.Err())
 		}
 	})
 }

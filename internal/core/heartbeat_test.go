@@ -9,14 +9,15 @@ import (
 	"ncs/internal/transport"
 )
 
-// TestHeartbeatScaleSharedWheel is the scale proof for the shared timer
-// wheel: thousands of heartbeat-enabled sharded connections on ONE
+// TestHeartbeatScaleOneSweepTimer is the scale proof for the liveness
+// sweep: thousands of heartbeat-enabled sharded connections on ONE
 // System must cost zero per-connection goroutines and zero
-// per-connection timers while idle — the wheel arms one sweep timer per
-// shard, the shard loops do the rest — and the heartbeat must still do
-// its job at that scale: a silenced peer is declared unreachable within
-// a few intervals while every healthy connection stays up on pongs.
-func TestHeartbeatScaleSharedWheel(t *testing.T) {
+// per-connection timers while idle — the System arms one sweep timer
+// for all of them, the shard loops do the rest — and the heartbeat must
+// still do its job at that scale: a silenced peer is declared
+// unreachable within a few intervals while every healthy connection
+// stays up on pongs.
+func TestHeartbeatScaleOneSweepTimer(t *testing.T) {
 	const shardN = 4
 	conns := 8192
 	if testing.Short() {
@@ -44,11 +45,11 @@ func TestHeartbeatScaleSharedWheel(t *testing.T) {
 
 	// The A side carries the heartbeats; the B side only answers pings
 	// (pong handling is unconditional), so every ping/pong pair in the
-	// test is driven by the one wheel under test on sysA. The interval
+	// test is driven by the one sweep under test on sysA. The interval
 	// is deliberately wide: each sweep bursts thousands of ping/pong
 	// round trips through one CPU's shard loops, and under the race
 	// detector a burst can take a large fraction of a second — the
-	// 3-interval silence window must comfortably absorb that.
+	// three-miss silence window must comfortably absorb that.
 	const massHB = time.Second
 	massOpts := Options{
 		Interface: transport.HPI,
@@ -66,16 +67,13 @@ func TestHeartbeatScaleSharedWheel(t *testing.T) {
 		data, pdata := transport.HPIPair()
 		ctrl, pctrl := transport.HPIPair()
 		id := uint32(i + 1)
-		c := newConnection(sysA, "hb-scale-b", id, massOpts, data, ctrl, true)
-		sysA.track(c)
-		healthy = append(healthy, c)
-		p := newConnection(sysB, "hb-scale-a", id, peerOpts, pdata, pctrl, false)
-		sysB.track(p)
+		healthy = append(healthy, newConnection(sysA, "hb-scale-b", id, massOpts, data, ctrl, true))
+		newConnection(sysB, "hb-scale-a", id, peerOpts, pdata, pctrl, false)
 	}
 	t.Logf("established %d heartbeat pairs in %v", conns, time.Since(start))
 
 	// Idle footprint: goroutines are O(shards) — two shard pools, two
-	// master threads, one wheel goroutine — never O(conns). At 8k
+	// master threads, no timer goroutine — never O(conns). At 8k
 	// connections even one goroutine per hundred connections would blow
 	// this budget.
 	if grown := runtime.NumGoroutine() - baseline; grown > 2*shardN+10 {
@@ -85,10 +83,10 @@ func TestHeartbeatScaleSharedWheel(t *testing.T) {
 	if ms.Conns != conns {
 		t.Fatalf("MemStats.Conns = %d, want %d", ms.Conns, conns)
 	}
-	// One sweep timer per shard with heartbeat connections — not one
-	// per connection.
-	if ms.PendingTimers > shardN {
-		t.Fatalf("PendingTimers = %d for %d heartbeat connections, want ≤ %d (one sweep per shard)", ms.PendingTimers, conns, shardN)
+	// One sweep timer for the System — not one per connection, nor one
+	// per shard.
+	if ms.PendingTimers > 1 {
+		t.Fatalf("PendingTimers = %d for %d heartbeat connections, want ≤ 1 (one sweep per System)", ms.PendingTimers, conns)
 	}
 	if per := ms.BytesPerConn(); per > 2048 {
 		t.Fatalf("estimated idle bytes/conn = %.0f at %d conns, want ≤ 2048", per, conns)
@@ -109,20 +107,19 @@ func TestHeartbeatScaleSharedWheel(t *testing.T) {
 		Heartbeat: silentHB,
 	}.withDefaults()
 	silent := newConnection(sysA, "silent-peer", uint32(conns+1), silentOpts, data, ctrl, true)
-	sysA.track(silent)
 
 	detect := time.Now()
 	_, err = silent.RecvTimeout(10 * time.Second)
 	if !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("silent peer: err = %v, want ErrPeerUnreachable", err)
 	}
-	// Nominal detection is ≈3×silentHB; the bound is generous because
+	// Nominal detection is ≈4×silentHB; the bound is generous because
 	// the race detector on a single-core CI runner stretches the wall
 	// clock badly at this connection count. The regression this guards
 	// against — a sweep that skips the silent connection and never
 	// fires — hits the 10s RecvTimeout instead.
 	if elapsed := time.Since(detect); elapsed > 5*time.Second {
-		t.Fatalf("silent peer detected after %v, want ≈3×%v", elapsed, silentHB)
+		t.Fatalf("silent peer detected after %v, want ≈4×%v", elapsed, silentHB)
 	}
 
 	// The healthy population must outlive several of its own silence
@@ -141,4 +138,35 @@ func TestHeartbeatScaleSharedWheel(t *testing.T) {
 	if pongs == 0 {
 		t.Fatal("no pongs observed across the healthy population")
 	}
+}
+
+// TestHeartbeatCostsNoThread: a threaded connection is the paper's four
+// threads (Figure 4) whether or not it asks for a heartbeat — fault
+// detection uses the control path, it does not add a fifth — and the
+// System's sweep is a timer, not a goroutine.
+func TestHeartbeatCostsNoThread(t *testing.T) {
+	// Earlier tests' stragglers must be gone before goroutines are
+	// counted exactly: back to the idle process plus this test's own.
+	if err := awaitQuiescence(idleGoroutines+1, 5*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	nw := NewNetwork()
+	defer nw.Close()
+	a, _ := nw.NewSystem("four-a")
+	b, _ := nw.NewSystem("four-b")
+	before := runtime.NumGoroutine() // the two Master Threads included
+	conn, err := a.Connect("four-b", Options{Interface: transport.HPI, Heartbeat: time.Hour})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	if grown := runtime.NumGoroutine() - before; grown != 2*4 {
+		t.Fatalf("a threaded heartbeat connection added %d goroutines over its two ends, want exactly 4 per end", grown)
+	}
+	if n := a.Telemetry().Mem.PendingTimers; n != 1 {
+		t.Fatalf("PendingTimers = %d with a heartbeat connection live, want the one sweep timer", n)
+	}
+	conn.Close()
 }

@@ -17,11 +17,15 @@ import (
 // Goroutine leaks are connection threads that survived Close; buffer
 // leaks are retained receive references nothing will ever release
 // (e.g. reassembly state of a session abandoned at teardown).
+// idleGoroutines is the process's goroutine count before any test ran:
+// what a test that counts goroutines exactly waits to get back to first.
+var idleGoroutines int
+
 func TestMain(m *testing.M) {
-	baseline := runtime.NumGoroutine()
+	idleGoroutines = runtime.NumGoroutine()
 	code := m.Run()
 	if code == 0 {
-		if err := awaitQuiescence(baseline, 5*time.Second); err != nil {
+		if err := awaitQuiescence(idleGoroutines, 5*time.Second); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			code = 1
 		}

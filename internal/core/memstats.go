@@ -32,8 +32,8 @@ const (
 // actually materialised; an idle connection that never sent or received
 // counts little more than its bare struct.
 type MemStats struct {
-	// Conns is the number of connections tracked by the System,
-	// including closed ones not yet dropped by teardown.
+	// Conns is the number of live connections: Close drops a connection
+	// from the System's registry.
 	Conns int
 	// EstimatedBytes is the estimated retained heap across those
 	// connections.
@@ -42,9 +42,9 @@ type MemStats struct {
 	// across all connections (bounded per connection by the session
 	// pruning table).
 	LiveSessions int
-	// PendingTimers counts timers currently armed on the System's
-	// hashed timer wheel: the shards' heartbeat sweeps. Idle sharded
-	// connections contribute zero.
+	// PendingTimers counts the System-level timers currently armed: the
+	// one liveness sweep (heartbeat.go) while any live connection asks
+	// for a heartbeat, else zero. Idle connections contribute none.
 	PendingTimers int
 }
 
@@ -63,20 +63,17 @@ func (s *System) memStats() MemStats {
 	s.mu.Lock()
 	conns := make([]*Connection, len(s.conns))
 	copy(conns, s.conns)
+	st := MemStats{Conns: len(conns)}
+	if s.sweepEvery > 0 {
+		st.PendingTimers = 1
+	}
 	s.mu.Unlock()
 
-	st := MemStats{Conns: len(conns)}
 	for _, c := range conns {
 		bytes, sessions := c.memEstimate()
 		st.EstimatedBytes += bytes
 		st.LiveSessions += sessions
 	}
-
-	s.shardMu.Lock()
-	if s.wheel != nil {
-		st.PendingTimers = s.wheel.liveTimers()
-	}
-	s.shardMu.Unlock()
 	return st
 }
 

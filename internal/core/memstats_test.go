@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"time"
+	"unsafe"
 
 	"ncs/internal/transport"
 )
@@ -65,5 +66,57 @@ func TestMemStatsLazyFootprint(t *testing.T) {
 	if peerStats.EstimatedBytes <= idle.EstimatedBytes {
 		t.Fatalf("receiver estimate %d not above idle floor %d",
 			peerStats.EstimatedBytes, idle.EstimatedBytes)
+	}
+}
+
+// TestRegistryForgetsClosedConnections: the System's registry — what
+// the liveness sweep and memStats walk — holds live connections only.
+// It used to keep every closed one (struct, mailbox ring, session table)
+// until System.Close, so a churning server grew without bound.
+func TestRegistryForgetsClosedConnections(t *testing.T) {
+	const churn = 1024
+	for _, rt := range allRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			nw := NewNetwork()
+			defer nw.Close()
+			sa, _ := nw.NewSystem("churn-a")
+			sb, _ := nw.NewSystem("churn-b")
+			opts := Options{Interface: transport.HPI}
+			rt.set(&opts)
+			for i := 0; i < churn; i++ {
+				conn, err := sa.Connect("churn-b", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peer, err := sb.Accept()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := conn.Send([]byte("hello")); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := peer.RecvTimeout(5 * time.Second); err != nil {
+					t.Fatal(err)
+				}
+				conn.Close()
+				peer.Close()
+			}
+			for _, sys := range []*System{sa, sb} {
+				if ms := sys.Telemetry().Mem; ms.Conns != 0 || ms.EstimatedBytes != 0 {
+					t.Errorf("%s after %d connections opened, used and closed: Conns = %d, EstimatedBytes = %d, want 0 and 0",
+						sys.Name(), churn, ms.Conns, ms.EstimatedBytes)
+				}
+			}
+		})
+	}
+}
+
+// TestConnectionStaysInSizeClass: an idle endpoint's largest allocation
+// is the Connection itself, and 768 bytes is the size class it lives in.
+// The registry slot and the liveness counters fit in what lastHeard and
+// lastTrace vacated; the next field to arrive must find room too.
+func TestConnectionStaysInSizeClass(t *testing.T) {
+	if size := unsafe.Sizeof(Connection{}); size > 760 {
+		t.Fatalf("unsafe.Sizeof(Connection{}) = %d, want ≤ 760", size)
 	}
 }

@@ -98,7 +98,6 @@ func TestOneReceiveEnd(t *testing.T) {
 		".fastPump":   "the pump itself: Connection.await",
 		".awaitSpace": "the Receive Thread's wait at depth: Connection.recvThread",
 		".dataPaused": "the shard's pause at depth: shard.pumpData",
-		"time.After":  "only System.AcceptTimeout, a connection-setup path",
 	} {
 		if n := core[callee]; n != 1 {
 			t.Errorf("internal/core has %d call sites of %s, want exactly 1 (%s)", n, callee, why)
@@ -176,6 +175,92 @@ func TestOneReceiveEnd(t *testing.T) {
 	inspectPackage(t, filepath.Join("..", "stream"), func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && (id.Name == "parked" || id.Name == "nParked") {
 			t.Errorf("identifier %s is back in internal/stream", id.Name)
+		}
+		return true
+	})
+}
+
+// TestOneLivenessSweep holds the collapse of the three heartbeat
+// mechanisms in place: one sweep (heartbeat.go) emits every ping and
+// passes every verdict, it runs on a re-armable timer rather than a
+// ticker, and the packet path feeds it a flag, not a clock reading.
+func TestOneLivenessSweep(t *testing.T) {
+	core := callSites(t, ".")
+	for _, callee := range []string{"time.NewTicker", "time.After", "time.Tick"} {
+		if n := core[callee]; n != 0 {
+			t.Errorf("internal/core has %d call sites of %s, want 0 (the sweep re-arms one timer; waits build theirs lazily and stop them)", n, callee)
+		}
+	}
+
+	var pings, verdicts int
+	gone := map[string]bool{
+		"timerWheel": true, "wheelTimer": true, "wheelEntry": true, "heartbeatThread": true, "heartbeatTick": true,
+		"heartbeatSweep": true, "armHeartbeat": true, "hbTimer": true, "hbEvery": true, "hbScratch": true,
+		"lastPing": true, "lastHeard": true, "lastTrace": true, "LastTrace": true, "mWheelSweeps": true, "mWheelArmed": true,
+	}
+	clockFree := map[string]bool{"ingest": true, "dispatchData": true, "demuxControl": true, "routeControl": true, "noteHeard": true}
+	isSel := func(e ast.Expr, x, sel string) bool {
+		s, ok := e.(*ast.SelectorExpr)
+		if !ok || s.Sel.Name != sel {
+			return false
+		}
+		switch q := s.X.(type) {
+		case *ast.Ident:
+			return q.Name == x
+		case *ast.SelectorExpr:
+			return q.Sel.Name == x
+		}
+		return false
+	}
+	inspectPackage(t, ".", func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CompositeLit:
+			for _, elt := range n.Elts {
+				if kv, ok := elt.(*ast.KeyValueExpr); ok {
+					if k, ok := kv.Key.(*ast.Ident); ok && k.Name == "Type" && isSel(kv.Value, "packet", "CtrlPing") {
+						pings++
+					}
+				}
+			}
+		case *ast.CallExpr:
+			// x.failed.Store(true)
+			if isSel(n.Fun, "failed", "Store") && len(n.Args) == 1 {
+				if arg, ok := n.Args[0].(*ast.Ident); ok && arg.Name == "true" {
+					verdicts++
+				}
+			}
+		case *ast.FuncDecl:
+			if clockFree[n.Name.Name] {
+				ast.Inspect(n.Body, func(m ast.Node) bool {
+					if call, ok := m.(*ast.CallExpr); ok && (isSel(call.Fun, "time", "Now") || isSel(call.Fun, "time", "Since")) {
+						t.Errorf("%s reads the clock: the per-packet receive path must not", n.Name.Name)
+					}
+					return true
+				})
+			}
+		case *ast.Ident:
+			if gone[n.Name] {
+				t.Errorf("identifier %s is back in internal/core", n.Name)
+				delete(gone, n.Name) // once is enough
+			}
+		}
+		return true
+	})
+	if pings != 1 {
+		t.Errorf("internal/core builds a CtrlPing in %d places, want exactly 1 (System.sweep)", pings)
+	}
+	if verdicts != 1 {
+		t.Errorf("internal/core declares a peer dead (failed.Store(true)) in %d places, want exactly 1 (System.sweep)", verdicts)
+	}
+	for name := range clockFree {
+		if core["."+name] == 0 {
+			t.Errorf("%s has no call site: the clock-free list names a function that is gone", name)
+		}
+	}
+	// Admission has one blocking form, the timed one admit calls.
+	inspectPackage(t, filepath.Join("..", "flowctl"), func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "Acquire" {
+			t.Errorf("identifier Acquire is back in internal/flowctl")
 		}
 		return true
 	})

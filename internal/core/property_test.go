@@ -223,6 +223,12 @@ func TestWindowFlowControlSpansSessions(t *testing.T) {
 // raw transport that never answers: the heartbeat must declare it
 // unreachable and fail blocked receivers with ErrPeerUnreachable.
 func TestHeartbeatDetectsSilentPeer(t *testing.T) {
+	nw := NewNetwork()
+	defer nw.Close()
+	sys, err := nw.NewSystem("hb-threaded")
+	if err != nil {
+		t.Fatal(err)
+	}
 	data, silentData := transport.HPIPair()
 	ctrl, silentCtrl := transport.HPIPair()
 	defer silentData.Close()
@@ -232,11 +238,11 @@ func TestHeartbeatDetectsSilentPeer(t *testing.T) {
 		Interface: transport.HPI,
 		Heartbeat: 20 * time.Millisecond,
 	}.withDefaults()
-	conn := newConnection(nil, "silent-peer", 1, opts, data, ctrl, true)
+	conn := newConnection(sys, "silent-peer", 1, opts, data, ctrl, true)
 	defer conn.Close()
 
 	start := time.Now()
-	_, err := conn.Recv()
+	_, err = conn.Recv()
 	if !errors.Is(err, ErrPeerUnreachable) {
 		t.Fatalf("err = %v, want ErrPeerUnreachable", err)
 	}

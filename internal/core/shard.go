@@ -4,10 +4,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"ncs/internal/buf"
-	"ncs/internal/packet"
 	"ncs/internal/transport"
 )
 
@@ -113,9 +111,8 @@ type shardConn struct {
 	sendSlots    chan struct{} // bounds outbound data SDUs in the shard queue
 
 	// Loop-owned state.
-	held     Message // the one message the bound Inbox refused (Inbox.put)
-	holding  bool
-	lastPing time.Time // heartbeat bookkeeping
+	held    Message // the one message the bound Inbox refused (Inbox.put)
+	holding bool
 
 	// Loop-owned cycle scratch: the per-connection batches one flush
 	// builds and writes.
@@ -144,18 +141,12 @@ type shard struct {
 	conns   map[*Connection]struct{}
 	ready   []*Connection
 	outQ    []outItem
-	stopped bool          // the loop is gone (or never ran): refuse outbound items
-	hbEvery time.Duration // min heartbeat interval among registered conns
-	hbTimer *wheelTimer   // periodic sweep on the System's timer wheel
+	stopped bool // the loop is gone (or never ran): refuse outbound items
 
 	// Loop-owned scratch, ping-ponged with the locked slices.
 	readyScratch []*Connection
 	outScratch   []outItem
 	active       []*Connection
-
-	// hbScratch is heartbeatSweep's connection snapshot, reused across
-	// sweeps; the wheel goroutine is its sole user.
-	hbScratch []*Connection
 
 	wakeups        atomic.Uint64
 	batches        atomic.Uint64
@@ -229,15 +220,7 @@ func (sh *shard) register(c *Connection) {
 	sc := c.sh
 	sh.mu.Lock()
 	sh.conns[c] = struct{}{}
-	var arm time.Duration
-	if hb := c.opts.Heartbeat; hb > 0 && (sh.hbEvery == 0 || hb < sh.hbEvery) {
-		sh.hbEvery = hb
-		arm = hb
-	}
 	sh.mu.Unlock()
-	if arm > 0 {
-		sh.armHeartbeat(arm)
-	}
 	if sc.dataPoll != nil {
 		sc.dataPoll.SetRecvNotify(func() { sh.requeue(c) })
 	}
@@ -268,35 +251,16 @@ func (sh *shard) unregister(c *Connection) {
 			break
 		}
 	}
-	// Recompute the heartbeat minimum so the sweep timer disarms once
-	// the last heartbeat-enabled connection is gone (register only
-	// ratchets it down). Connections without heartbeat cannot have
-	// set it, so the scan is skipped on their (common) close.
-	var disarm *wheelTimer
-	if c.opts.Heartbeat > 0 {
-		sh.hbEvery = 0
-		for rc := range sh.conns {
-			if hb := rc.opts.Heartbeat; hb > 0 && (sh.hbEvery == 0 || hb < sh.hbEvery) {
-				sh.hbEvery = hb
-			}
-		}
-		if sh.hbEvery == 0 {
-			disarm = sh.hbTimer
-		}
-	}
 	sh.mu.Unlock()
-	if disarm != nil {
-		disarm.stop()
-	}
 	sh.serviceMu.Lock()
 	//lint:ignore SA2001 empty critical section: the acquire itself is the barrier.
 	sh.serviceMu.Unlock()
 }
 
 // loop is the shard's event loop. Heartbeats do not wake it: the
-// System's timer wheel sweeps registered connections directly
-// (armHeartbeat), so an all-idle shard sleeps in this select with no
-// ticker armed.
+// System's liveness sweep (heartbeat.go) pings registered connections
+// directly, so an all-idle shard sleeps in this select with no timer
+// armed.
 func (sh *shard) loop() {
 	defer sh.sys.shardWG.Done()
 	for {
@@ -308,45 +272,6 @@ func (sh *shard) loop() {
 		sh.wakeups.Add(1)
 		mShardWakeups.IncAt(uint32(sh.id))
 		sh.cycle()
-	}
-}
-
-// armHeartbeat (re)schedules the shard's heartbeat sweep on the
-// System's timer wheel, creating the timer on first use. The timer is
-// built outside sh.mu: System.timerWheel takes shardMu, which orders
-// before sh.mu elsewhere (shardStats).
-func (sh *shard) armHeartbeat(hb time.Duration) {
-	sh.mu.Lock()
-	t := sh.hbTimer
-	sh.mu.Unlock()
-	if t == nil {
-		nt := sh.sys.timerWheel().newTimer(sh.heartbeatTick)
-		sh.mu.Lock()
-		if sh.hbTimer == nil {
-			sh.hbTimer = nt
-		}
-		t = sh.hbTimer
-		sh.mu.Unlock()
-	}
-	t.reset(hb)
-}
-
-// heartbeatTick is the wheel callback: one sweep, then re-arm at the
-// current minimum interval. A shard whose last heartbeat connection
-// left (hbEvery == 0) simply does not re-arm.
-func (sh *shard) heartbeatTick() {
-	select {
-	case <-sh.quit:
-		return
-	default:
-	}
-	sh.heartbeatSweep()
-	sh.mu.Lock()
-	hb := sh.hbEvery
-	t := sh.hbTimer
-	sh.mu.Unlock()
-	if hb > 0 && t != nil {
-		t.reset(hb)
 	}
 }
 
@@ -584,41 +509,6 @@ func drainBufChan(ch chan *buf.Buffer) {
 	}
 }
 
-// heartbeatSweep is the sharded counterpart of heartbeatThread: one
-// wheel-driven sweep checks every registered connection's silence
-// window and emits pings, instead of one timer goroutine per
-// connection. It runs on the wheel goroutine, which is the sole
-// writer of every sharded connection's lastPing.
-func (sh *shard) heartbeatSweep() {
-	now := time.Now()
-	sh.mu.Lock()
-	conns := sh.hbScratch[:0]
-	for c := range sh.conns {
-		if c.opts.Heartbeat > 0 {
-			conns = append(conns, c)
-		}
-	}
-	sh.mu.Unlock()
-	for _, c := range conns {
-		hb := c.opts.Heartbeat
-		sc := c.sh
-		if now.Sub(sc.lastPing) < hb {
-			continue
-		}
-		sc.lastPing = now
-		if silent := time.Duration(now.UnixNano() - c.lastHeard.Load()); silent > 3*hb {
-			c.failed.Store(true)
-			go c.Close()
-			continue
-		}
-		c.emitCtrl(packet.Control{Type: packet.CtrlPing, ConnID: c.id})
-	}
-	for i := range conns {
-		conns[i] = nil
-	}
-	sh.hbScratch = conns[:0]
-}
-
 // ---------------------------------------------------------------------------
 // System-side pool management.
 
@@ -660,29 +550,12 @@ func (s *System) shardFor(connID uint32) *shard {
 	return s.shards[int(connID)%len(s.shards)]
 }
 
-// timerWheel returns the System's shared hashed timer wheel, creating
-// it on first use. A System already shut down gets an inert wheel
-// (timers arm but never fire), mirroring shardFor's inert shards.
-func (s *System) timerWheel() *timerWheel {
-	s.shardMu.Lock()
-	defer s.shardMu.Unlock()
-	if s.wheel == nil {
-		s.wheel = newTimerWheel()
-		if s.shardStopped {
-			s.wheel.stop()
-		}
-	}
-	return s.wheel
-}
-
-// stopShards terminates the pool (and its timer wheel) after every
-// connection has closed.
+// stopShards terminates the pool after every connection has closed.
 func (s *System) stopShards() {
 	s.shardMu.Lock()
 	shards := s.shards
 	s.shards = nil
 	s.shardStopped = true
-	wheel := s.wheel
 	s.shardMu.Unlock()
 	for _, sh := range shards {
 		close(sh.quit)
@@ -702,8 +575,5 @@ func (s *System) stopShards() {
 				it.ctrl.Release()
 			}
 		}
-	}
-	if wheel != nil {
-		wheel.stop()
 	}
 }

@@ -30,11 +30,6 @@ var (
 	// inbox refused a message (shardConn.dataPaused).
 	mParkedConns = telemetry.NewGauge("core.shard.parked_conns")
 
-	// mWheelSweeps counts timer-wheel slot advances; mWheelArmed is the
-	// number of currently armed wheel timers.
-	mWheelSweeps = telemetry.NewCounter("core.wheel.sweeps_total")
-	mWheelArmed  = telemetry.NewGauge("core.wheel.armed")
-
 	// mCoalesceDepth observes how many SDUs each vectored transport
 	// write carried (threaded Send Thread batches and sharded per-cycle
 	// flushes alike); mSendQDepth observes send-queue occupancy at

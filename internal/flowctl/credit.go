@@ -95,33 +95,6 @@ func (s *creditSender) tryLocked() (ok, closed bool) {
 	return true, false
 }
 
-func (s *creditSender) Acquire(uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ok, closed := s.tryLocked()
-	if closed {
-		return ErrClosed
-	}
-	if ok {
-		return nil
-	}
-	mCreditWait.Inc()
-	start := time.Now()
-	for {
-		s.cond.Wait()
-		ok, closed := s.tryLocked()
-		if closed || ok {
-			blocked := time.Since(start)
-			mBlockedNS.Add(int64(blocked))
-			hCreditWait.Observe(int64(blocked))
-			if closed {
-				return ErrClosed
-			}
-			return nil
-		}
-	}
-}
-
 func (s *creditSender) AcquireTimeout(seq uint32, d time.Duration) error {
 	return acquireTimeout(&s.wait, d, mCreditWait, hCreditWait, s.tryLocked)
 }

@@ -15,9 +15,9 @@
 //   - None: no flow control (audio/video streams, Figure 2).
 //
 // The algorithms are pure protocol state machines: the sender half
-// blocks in Acquire until transmission is admitted, and the receiver
-// half turns packet arrivals into control packets for the caller to ship
-// over the control connection. Packet I/O stays in the caller (the NCS
+// blocks in AcquireTimeout until transmission is admitted (or its
+// deadline passes), and the receiver half turns packet arrivals into
+// control packets for the caller to ship over the control connection. Packet I/O stays in the caller (the NCS
 // Flow Control Thread or the fast-path procedures), which is what makes
 // each algorithm independently testable and hot-swappable — "each
 // algorithm will be implemented as a thread, [so] we can easily
@@ -107,7 +107,7 @@ func (a Algorithm) String() string {
 
 // Errors returned by flow control senders.
 var (
-	// ErrClosed is returned by Acquire after Close.
+	// ErrClosed is returned by AcquireTimeout after Close.
 	ErrClosed = errors.New("flowctl: closed")
 	// ErrAcquireTimeout is returned by AcquireTimeout when flow control
 	// withholds admission past the deadline — on lossy links this means
@@ -166,16 +166,14 @@ func (c Config) withDefaults() Config {
 
 // Sender is the transmit-side half of a flow control instance.
 type Sender interface {
-	// Acquire blocks until one packet with the given sequence number may
-	// be transmitted.
-	Acquire(seq uint32) error
+	// AcquireTimeout blocks until one packet with the given sequence
+	// number may be transmitted; it returns ErrAcquireTimeout when
+	// admission does not arrive within d.
+	AcquireTimeout(seq uint32, d time.Duration) error
 	// TryAcquire is the non-blocking form: it reports whether
 	// transmission of seq was admitted. The fast path (§4.2) uses it to
 	// interleave credit processing with transmission on one goroutine.
 	TryAcquire(seq uint32) bool
-	// AcquireTimeout is Acquire with a deadline; it returns
-	// ErrAcquireTimeout when admission does not arrive in time.
-	AcquireTimeout(seq uint32, d time.Duration) error
 	// Resync restores flow control state after presumed control-packet
 	// loss (credit resynchronisation): lost data packets consumed
 	// admissions whose grants will never return. Algorithms without
@@ -183,7 +181,7 @@ type Sender interface {
 	Resync()
 	// OnControl processes a control packet from the receiver.
 	OnControl(c packet.Control)
-	// Close unblocks Acquire with ErrClosed.
+	// Close unblocks AcquireTimeout with ErrClosed.
 	Close()
 }
 
@@ -374,7 +372,6 @@ func NewReceiver(alg Algorithm, cfg Config) Receiver {
 
 type noneSender struct{}
 
-func (noneSender) Acquire(uint32) error                       { return nil }
 func (noneSender) TryAcquire(uint32) bool                     { return true }
 func (noneSender) AcquireTimeout(uint32, time.Duration) error { return nil }
 func (noneSender) Resync()                                    {}
@@ -404,26 +401,6 @@ func newWindowSender(cfg Config) *windowSender {
 	s.cond = sync.NewCond(&s.mu)
 	s.wait.init(&s.mu, s.cond)
 	return s
-}
-
-func (s *windowSender) Acquire(seq uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq >= s.base+uint32(s.window) && !s.closed {
-		mWindowStall.Inc()
-		start := time.Now()
-		for seq >= s.base+uint32(s.window) && !s.closed {
-			s.cond.Wait()
-		}
-		mBlockedNS.Add(int64(time.Since(start)))
-	}
-	if s.closed {
-		return ErrClosed
-	}
-	if seq >= s.next {
-		s.next = seq + 1
-	}
-	return nil
 }
 
 func (s *windowSender) AcquireTimeout(seq uint32, d time.Duration) error {
@@ -533,30 +510,6 @@ func newRateSender(cfg Config) *rateSender {
 		tokens: float64(cfg.Burst),
 		last:   cfg.Now(),
 		now:    cfg.Now,
-	}
-}
-
-func (s *rateSender) Acquire(uint32) error {
-	for {
-		s.mu.Lock()
-		if s.closed {
-			s.mu.Unlock()
-			return ErrClosed
-		}
-		now := s.now()
-		s.tokens += now.Sub(s.last).Seconds() * s.rate
-		if s.tokens > s.burst {
-			s.tokens = s.burst
-		}
-		s.last = now
-		if s.tokens >= 1 {
-			s.tokens--
-			s.mu.Unlock()
-			return nil
-		}
-		need := (1 - s.tokens) / s.rate
-		s.mu.Unlock()
-		time.Sleep(time.Duration(need * float64(time.Second)))
 	}
 }
 

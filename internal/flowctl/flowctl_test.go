@@ -21,11 +21,15 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
+// patience bounds every blocking admission in these tests: far longer
+// than any of them waits, so a timeout is a failure, never a verdict.
+const patience = time.Minute
+
 func TestNoneNeverBlocks(t *testing.T) {
 	s := NewSender(None, Config{})
 	defer s.Close()
 	for i := 0; i < 1000; i++ {
-		if err := s.Acquire(uint32(i)); err != nil {
+		if err := s.AcquireTimeout(uint32(i), patience); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,15 +44,15 @@ func TestCreditSenderBlocksWithoutCredits(t *testing.T) {
 	s := NewSender(Credit, Config{InitialCredits: 2})
 	defer s.Close()
 
-	if err := s.Acquire(0); err != nil {
+	if err := s.AcquireTimeout(0, patience); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Acquire(1); err != nil {
+	if err := s.AcquireTimeout(1, patience); err != nil {
 		t.Fatal(err)
 	}
 
 	acquired := make(chan error, 1)
-	go func() { acquired <- s.Acquire(2) }()
+	go func() { acquired <- s.AcquireTimeout(2, patience) }()
 	select {
 	case <-acquired:
 		t.Fatal("third Acquire succeeded with 2 credits")
@@ -123,11 +127,11 @@ func TestCreditResyncMintsProbe(t *testing.T) {
 
 func TestCreditCloseUnblocks(t *testing.T) {
 	s := NewSender(Credit, Config{InitialCredits: 1})
-	if err := s.Acquire(0); err != nil {
+	if err := s.AcquireTimeout(0, patience); err != nil {
 		t.Fatal(err)
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- s.Acquire(1) }()
+	go func() { errCh <- s.AcquireTimeout(1, patience) }()
 	time.Sleep(10 * time.Millisecond)
 	s.Close()
 	if err := <-errCh; err != ErrClosed {
@@ -286,12 +290,12 @@ func TestWindowSenderBlocksAtWindowEdge(t *testing.T) {
 	defer s.Close()
 
 	for seq := uint32(0); seq < 4; seq++ {
-		if err := s.Acquire(seq); err != nil {
+		if err := s.AcquireTimeout(seq, patience); err != nil {
 			t.Fatal(err)
 		}
 	}
 	blocked := make(chan error, 1)
-	go func() { blocked <- s.Acquire(4) }()
+	go func() { blocked <- s.AcquireTimeout(4, patience) }()
 	select {
 	case <-blocked:
 		t.Fatal("Acquire(4) succeeded beyond window")
@@ -336,11 +340,11 @@ func TestRateSenderPacesTransmission(t *testing.T) {
 	s := NewSender(Rate, Config{RatePerSec: 100, Burst: 1})
 	defer s.Close()
 
-	if err := s.Acquire(0); err != nil { // consumes the burst token
+	if err := s.AcquireTimeout(0, patience); err != nil { // consumes the burst token
 		t.Fatal(err)
 	}
 	start := time.Now()
-	if err := s.Acquire(1); err != nil {
+	if err := s.AcquireTimeout(1, patience); err != nil {
 		t.Fatal(err)
 	}
 	if took := time.Since(start); took < 5*time.Millisecond {
@@ -439,7 +443,7 @@ func TestCreditEndToEndConservation(t *testing.T) {
 	}()
 
 	for i := 0; i < total; i++ {
-		if err := s.Acquire(uint32(i)); err != nil {
+		if err := s.AcquireTimeout(uint32(i), patience); err != nil {
 			t.Fatal(err)
 		}
 		cur := outstanding.Add(1)

@@ -12,6 +12,7 @@ import (
 	"ncs/internal/core"
 	"ncs/internal/thread"
 	"ncs/internal/transport"
+	"ncs/internal/xdr"
 )
 
 // pair returns both ends of a connection between two fresh systems on a
@@ -267,6 +268,64 @@ func TestDeadlineExpiry(t *testing.T) {
 	// The connection must still be usable after an abandoned call.
 	if _, err := cli.Call(context.Background(), "echo", []byte("after")); err != nil {
 		t.Fatalf("call after expiry: %v", err)
+	}
+}
+
+// TestHandlerDeadlineIsDeadlineStatus pins the server half of
+// TestDeadlineExpiry with only one timer in play: the call frame is sent
+// raw, so nothing on the caller's side can expire, and the handler
+// returns its context's deadline error. The reply must carry
+// statusDeadlineExceeded — which the client maps to
+// context.DeadlineExceeded, the same verdict its own timer gives — while
+// a deadline error the handler did not get from its context stays an
+// application error.
+func TestHandlerDeadlineIsDeadlineStatus(t *testing.T) {
+	conn, peer := pair(t, core.Options{Interface: transport.HPI})
+	srv := NewServer(ServerOptions{})
+	srv.Handle("stuck", func(ctx context.Context, _ []byte) ([]byte, error) {
+		<-ctx.Done()
+		return nil, fmt.Errorf("gave up: %w", ctx.Err())
+	})
+	srv.Handle("elsewhere", func(context.Context, []byte) ([]byte, error) {
+		return nil, context.DeadlineExceeded
+	})
+	srv.ServeConn(peer)
+	defer srv.Shutdown()
+
+	call := func(id uint64, method string) replyFrame {
+		t.Helper()
+		enc := xdr.NewEncoder(64)
+		appendCall(enc, id, method, 20*time.Millisecond, nil)
+		if err := conn.Send(enc.Bytes()); err != nil {
+			t.Fatal(err)
+		}
+		m, err := conn.RecvTimeout(10 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := xdr.NewDecoder(m)
+		if k, err := parseKind(d); err != nil || k != kindReply {
+			t.Fatalf("kind = %d, %v, want a reply", k, err)
+		}
+		rf, err := parseReply(d)
+		if err != nil || rf.id != id {
+			t.Fatalf("reply id = %d, %v, want %d", rf.id, err, id)
+		}
+		return rf
+	}
+
+	expired := mDeadlineExpired.Value()
+	if rf := call(1, "stuck"); rf.status != statusDeadlineExceeded {
+		t.Fatalf("handler returned its context's deadline error: status = %d (%q), want statusDeadlineExceeded", rf.status, rf.errmsg)
+	}
+	if got := mDeadlineExpired.Value() - expired; got != 1 {
+		t.Fatalf("rpc.server.deadline_expired_total moved by %d, want 1", got)
+	}
+	if rf := call(2, "elsewhere"); rf.status != statusError {
+		t.Fatalf("handler returned a foreign deadline error with its own budget left: status = %d, want statusError", rf.status)
+	}
+	if _, err := (reply{status: statusDeadlineExceeded}).result("stuck"); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("client maps statusDeadlineExceeded to %v, want context.DeadlineExceeded", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -295,10 +296,24 @@ func (s *Server) dispatch(req request) {
 	}
 	resp, err := s.run(ctx, req.h, req.payload)
 	if err != nil {
-		s.reply(req.conn, req.id, statusError, err.Error(), nil)
+		s.reply(req.conn, req.id, errStatus(ctx, err), err.Error(), nil)
 		return
 	}
 	s.reply(req.conn, req.id, statusOK, "", resp)
+}
+
+// errStatus is the reply status for a handler's error: the caller's own
+// propagated deadline firing inside the handler is the deadline's
+// verdict, not the application's — the caller gets DeadlineExceeded
+// whether this timer or its own fired first. Everything else, a
+// deadline error the handler met elsewhere included, is an application
+// error.
+func errStatus(ctx context.Context, err error) uint32 {
+	if ctx.Err() == context.DeadlineExceeded && errors.Is(err, context.DeadlineExceeded) {
+		mDeadlineExpired.Inc()
+		return statusDeadlineExceeded
+	}
+	return statusError
 }
 
 // run invokes the handler, converting a panic into an application

@@ -400,7 +400,7 @@ func (s *Server) dispatchStream(req request) {
 		// End the chunk flow abnormally first, so a client blocked in
 		// Recv unblocks before (or regardless of) consuming the reply.
 		sendChunk(sc.st, chunkError, []byte(err.Error()))
-		s.reply(req.conn, req.id, statusError, err.Error(), nil)
+		s.reply(req.conn, req.id, errStatus(ctx, err), err.Error(), nil)
 		return
 	}
 	sendChunk(sc.st, chunkEnd, nil)

@@ -13,8 +13,9 @@ var (
 	// mServerInflight is the number of admitted requests not yet
 	// replied to across all Servers.
 	mServerInflight = telemetry.NewGauge("rpc.server.inflight")
-	// mDeadlineExpired counts calls whose propagated deadline had
-	// already passed when a worker picked them up — work the server
-	// skipped because the caller gave up.
+	// mDeadlineExpired counts calls the propagated deadline ended on the
+	// server: already past when a worker picked the call up (work skipped
+	// because the caller gave up), or fired inside a handler that then
+	// returned its context's error (errStatus).
 	mDeadlineExpired = telemetry.NewCounter("rpc.server.deadline_expired_total")
 )

@@ -19,7 +19,7 @@
 //
 // where layer is the owning package (core, errctl, flowctl, buf, rpc,
 // group, stream, transport), subsystem narrows it to a component (conn,
-// shard, wheel, pool, recv, send, client, server, collective, window,
+// shard, pool, recv, send, client, server, collective, window,
 // credit, mux, udp), and
 // metric is the measured quantity. Names are lowercase; words within a
 // segment join with underscores. Conventions, following the Prometheus
@@ -64,8 +64,9 @@
 //	core.conn.recv_bytes_total         payload bytes received
 //	core.shard.cycles_total            shard service cycles
 //	core.shard.wakeups_total           shard doorbell wakeups
-//	core.wheel.sweeps_total            timer-wheel slot sweeps
-//	rpc.server.deadline_expired_total  calls expired before dispatch
+//	rpc.server.deadline_expired_total  calls whose propagated deadline
+//	                                   expired: before dispatch, or in the
+//	                                   handler that then returned it
 //	stream.send.credit_wait_total      per-stream credit admission timeouts
 //	stream.recv.hol_avoided_total      messages parked behind an unconsumed
 //	                                   backlog (single-flow delivery would
@@ -86,7 +87,6 @@
 //
 //	buf.pool.outstanding               buffers checked out of the pools
 //	core.shard.parked_conns            sharded conns paused on a slow consumer
-//	core.wheel.armed                   armed timer-wheel timers
 //	rpc.client.inflight                calls awaiting replies
 //	rpc.server.inflight                requests admitted, not replied
 //	stream.mux.open                    streams currently open (all conns)

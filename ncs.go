@@ -134,11 +134,13 @@ type (
 	// ShardStats snapshots a System's shard pool (System.Telemetry().Shards).
 	ShardStats = core.ShardStats
 	// MemStats estimates a System's per-connection memory footprint —
-	// retained heap per connection, live reassembly sessions, and armed
-	// timer-wheel timers (System.Telemetry().Mem). The capacity-planning
-	// companion to ShardStats: idle connections on the sharded runtime
-	// should hold their estimated bytes near the bare-struct floor and
-	// contribute zero pending timers.
+	// live connections (Close drops a connection from the count),
+	// retained heap per connection, live reassembly sessions, and the
+	// armed liveness-sweep timer: one per System while any connection
+	// asks for a heartbeat, else none (System.Telemetry().Mem). The
+	// capacity-planning companion to ShardStats: idle connections on the
+	// sharded runtime should hold their estimated bytes near the
+	// bare-struct floor and contribute zero pending timers.
 	MemStats = core.MemStats
 	// SendTrace is the Table I per-stage send-cost breakdown captured
 	// by Connection.SendInstrumented.
