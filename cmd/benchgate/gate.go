@@ -31,26 +31,18 @@ type bench struct {
 //
 // keyed by benchmark name with the trailing -GOMAXPROCS stripped, so a
 // baseline recorded on an 8-core machine compares against a 4-core
-// run. The "cpu:" header line, when present, identifies the machine
-// the run was recorded on (see compare: absolute ns/op is only gated
-// between matching CPUs).
-func parseFile(path string) (map[string]*bench, string, error) {
+// run.
+func parseFile(path string) (map[string]*bench, error) {
 	f, err := os.Open(path)
 	if err != nil {
-		return nil, "", err
+		return nil, err
 	}
 	defer f.Close()
 	out := make(map[string]*bench)
-	cpu := ""
 	sc := bufio.NewScanner(f)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
-		line := sc.Text()
-		if rest, ok := strings.CutPrefix(line, "cpu:"); ok {
-			cpu = strings.TrimSpace(rest)
-			continue
-		}
-		name, s, ok := parseLine(line)
+		name, s, ok := parseLine(sc.Text())
 		if !ok {
 			continue
 		}
@@ -68,12 +60,12 @@ func parseFile(path string) (map[string]*bench, string, error) {
 		}
 	}
 	if err := sc.Err(); err != nil {
-		return nil, "", fmt.Errorf("%s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	if len(out) == 0 {
-		return nil, "", fmt.Errorf("%s: no benchmark lines found", path)
+		return nil, fmt.Errorf("%s: no benchmark lines found", path)
 	}
-	return out, cpu, nil
+	return out, nil
 }
 
 // parseLine extracts one benchmark result line; ok is false for
@@ -133,16 +125,14 @@ func median(xs []float64) float64 {
 }
 
 // compare gates cur against base, returning a human-readable report
-// and whether any gate failed. The time gate only fails when both
-// runs were recorded on the same CPU model: absolute ns/op is not
-// comparable across machines (a runner-generation change would flake
-// every PR red), so on a CPU mismatch time regressions downgrade to
-// warnings while the allocs/op gate — deterministic everywhere —
-// stays hard. The bytes/idleconn gate is likewise CPU-independent
-// (heap layout does not depend on clock speed) and fails on a median
-// regression beyond memThreshold: it is how the per-connection memory
-// diet stays dieted.
-func compare(base, cur map[string]*bench, timeThreshold, memThreshold float64, sameCPU bool) (string, bool) {
+// and whether any gate failed. allocs/op (any increase of the median)
+// and bytes/idleconn (a median regression beyond memThreshold) gate:
+// both are properties of the code, the same on every machine and in
+// every speed state of one machine. ns/op is printed with its delta
+// and never fails — a time claim needs paired parent/head runs (see
+// benchmark/README.md), not a comparison against a number recorded
+// some other day.
+func compare(base, cur map[string]*bench, memThreshold float64) (string, bool) {
 	names := make([]string, 0, len(cur))
 	for name := range cur {
 		names = append(names, name)
@@ -151,9 +141,6 @@ func compare(base, cur map[string]*bench, timeThreshold, memThreshold float64, s
 
 	var b strings.Builder
 	failed := false
-	if !sameCPU {
-		b.WriteString("note: baseline and current runs are from different CPUs; time/op regressions are warnings, allocs/op still gates\n")
-	}
 	for _, name := range names {
 		c := cur[name]
 		bl, inBase := base[name]
@@ -161,17 +148,9 @@ func compare(base, cur map[string]*bench, timeThreshold, memThreshold float64, s
 			fmt.Fprintf(&b, "NEW    %s: no baseline (refresh testdata/bench-baseline.txt to start gating it)\n", name)
 			continue
 		}
-		ct, bt := median(c.times), median(bl.times)
-		switch {
-		case bt > 0 && ct > bt*(1+timeThreshold) && sameCPU:
-			fmt.Fprintf(&b, "FAIL   %s: time/op %.0fns vs baseline %.0fns (+%.1f%%, threshold %.0f%%)\n",
-				name, ct, bt, 100*(ct/bt-1), 100*timeThreshold)
-			failed = true
-		case bt > 0 && ct > bt*(1+timeThreshold):
-			fmt.Fprintf(&b, "WARN   %s: time/op %.0fns vs baseline %.0fns (+%.1f%%, different CPU — not gated)\n",
+		if ct, bt := median(c.times), median(bl.times); bt > 0 {
+			fmt.Fprintf(&b, "time   %s: %.0fns/op vs baseline %.0fns (%+.1f%%, not gated)\n",
 				name, ct, bt, 100*(ct/bt-1))
-		default:
-			fmt.Fprintf(&b, "ok     %s: time/op %.0fns vs %.0fns\n", name, ct, bt)
 		}
 		if len(c.allocs) > 0 && len(bl.allocs) > 0 {
 			ca, ba := median(c.allocs), median(bl.allocs)

@@ -9,12 +9,11 @@
 //     are deterministic enough that a +1 is a real regression (a lost
 //     pooling or staging optimisation), which is exactly what the
 //     pooled-buffer pipeline's acceptance numbers protect.
-//   - ns/op: a median regression beyond -time-threshold (default 10%)
-//     fails — but only when both files were recorded on the same CPU
-//     model (the "cpu:" header line). Absolute ns/op is meaningless
-//     across machines, so a cross-CPU comparison downgrades time
-//     regressions to warnings instead of flaking PRs red whenever the
-//     CI runner generation differs from the baseline machine.
+//   - ns/op: never gates. The median and its delta are printed for
+//     the job log; absolute time is not comparable across machines,
+//     nor across the speed states of one shared machine, so a time
+//     claim goes through paired parent/head runs instead (see
+//     benchmark/README.md).
 //   - bytes/idleconn: a median regression beyond -mem-threshold
 //     (default 10%) fails. This custom metric (ReportMetric from the
 //     idle-memory benchmark) is the heap cost of one established,
@@ -29,7 +28,7 @@
 //
 // Usage:
 //
-//	benchgate [-time-threshold 0.10] [-mem-threshold 0.10] baseline.txt current.txt
+//	benchgate [-mem-threshold 0.10] baseline.txt current.txt
 //
 // benchstat (golang.org/x/perf) renders a nicer statistical comparison
 // of the same two files; benchgate exists to turn the comparison into
@@ -39,30 +38,37 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
 func main() {
-	threshold := flag.Float64("time-threshold", 0.10, "fail when median ns/op regresses more than this fraction")
 	memThreshold := flag.Float64("mem-threshold", 0.10, "fail when median bytes/idleconn regresses more than this fraction")
 	flag.Parse()
 	if flag.NArg() != 2 {
-		fmt.Fprintln(os.Stderr, "usage: benchgate [-time-threshold 0.10] [-mem-threshold 0.10] baseline.txt current.txt")
+		fmt.Fprintln(os.Stderr, "usage: benchgate [-mem-threshold 0.10] baseline.txt current.txt")
 		os.Exit(2)
 	}
-	base, baseCPU, err := parseFile(flag.Arg(0))
+	os.Exit(gate(flag.Arg(0), flag.Arg(1), *memThreshold, os.Stdout, os.Stderr))
+}
+
+// gate compares the two files and returns the process exit code: 0 when
+// every gate passed, 1 on a regression, 2 when a file cannot be used.
+func gate(basePath, curPath string, memThreshold float64, stdout, stderr io.Writer) int {
+	base, err := parseFile(basePath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
-	cur, curCPU, err := parseFile(flag.Arg(1))
+	cur, err := parseFile(curPath)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchgate:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "benchgate:", err)
+		return 2
 	}
-	report, failed := compare(base, cur, *threshold, *memThreshold, baseCPU == curCPU)
-	fmt.Print(report)
+	report, failed := compare(base, cur, memThreshold)
+	fmt.Fprint(stdout, report)
 	if failed {
-		os.Exit(1)
+		return 1
 	}
+	return 0
 }

@@ -1,7 +1,9 @@
 // Command ncs-bench regenerates the tables and figures of the paper's
 // evaluation section (§4). Each experiment prints the measured series
 // in the paper's layout, with the 1998 published values alongside where
-// the paper gives them.
+// the paper gives them. It reports; it gates nothing — trajectory
+// numbers are recorded and bounded by benchmark/ (see README "Which
+// ruler for what").
 //
 // Usage:
 //
@@ -13,12 +15,6 @@
 //	ncs-bench -exp fig13
 //	ncs-bench -exp rpc
 //	ncs-bench -exp loss
-//	ncs-bench -exp scale -scale-max 4096 -scale-dur 400ms -scale-out BENCH_scale.json
-//	ncs-bench -exp scale -telemetry
-//	ncs-bench -exp collective -collective-members 8 -collective-out BENCH_collective.json
-//	ncs-bench -exp pressure -pressure-conns 4096 -pressure-out BENCH_pressure.json
-//	ncs-bench -exp wire -wire-dur 200ms -wire-out BENCH_wire.json
-//	ncs-bench -exp streams -streams-calls 1000 -streams-out BENCH_streams.json
 //	ncs-bench -exp all
 //
 // The rpc experiment is not from the paper: it exercises the RPC layer
@@ -26,39 +22,7 @@
 // the substrate the paper's figures evaluate. The loss experiment
 // reproduces the paper's error-control comparison (§3.2): the same
 // stream pushed through None, go-back-N, and selective repeat while
-// the simulated link loses an increasing fraction of its packets. The
-// scale experiment is the many-connection sweep: a fan-in/fan-out echo
-// workload from 16 to thousands of concurrent connections comparing
-// the threaded and sharded runtimes on throughput, tail latency,
-// goroutine count and allocations, with machine-readable results
-// written as JSON for CI archival. The collective experiment sweeps the
-// group layer's collectives — broadcast, allreduce, all-to-all — across
-// both multicast algorithms (§2's repetitive vs. spanning tree),
-// payload sizes, and both runtimes; its headline row shows the
-// chunk-pipelined spanning-tree broadcast beating repetitive at large
-// payloads. The pressure experiment stresses the credit flow control:
-// a slow-consumer fan-in (default 4096 connections) that must hold the
-// pooled-buffer population under a fixed budget, then a congestion
-// controller sweep (static, AIMD, RTT-adaptive) over clean and
-// Gilbert–Elliott burst-loss links whose verdict is that adaptivity
-// does not collapse throughput. The wire experiment floods the real
-// UDP loopback transport next to the in-process simulator across
-// message sizes and syscall batch depths; on platforms with
-// sendmmsg/recvmmsg its verdict asserts that batching beats the
-// one-syscall-per-datagram wire at 4KB messages. The streams
-// experiment demonstrates stream-level head-of-line isolation: RPC
-// echo latency is measured on an idle connection, then again while a
-// bulk transfer floods a sibling multiplexed stream on the SAME
-// connection; per-stream credit windows must keep the contended RPC
-// p99 within 2× of the baseline, over both the paced simulator and
-// real UDP loopback.
-//
-// -telemetry embeds a metrics snapshot — the delta of every registered
-// instrument across the experiment — in the scale and collective JSON
-// artifacts, so archived runs carry the stack's own counters next to
-// the measured series. Results tables print to stdout; diagnostics
-// (like the "wrote <path>" confirmation) go to stderr, so redirecting
-// stdout captures a clean table.
+// the simulated link loses an increasing fraction of its packets.
 package main
 
 import (
@@ -67,346 +31,78 @@ import (
 	"os"
 	"sort"
 	"strings"
-	"time"
 
 	"ncs/internal/bench"
 	"ncs/internal/platform"
-	"ncs/internal/telemetry"
 )
 
-// scaleOpts carries the scale experiment's knobs from flags to run.
-type scaleOpts struct {
-	max       int
-	maxConns  int // hard clamp; 0 derives it from host memory
-	dur       time.Duration
-	out       string
-	telemetry bool
-}
-
-// collectiveOpts carries the collective experiment's knobs.
-type collectiveOpts struct {
-	members   int
-	iters     int
-	maxSize   int
-	out       string
-	telemetry bool
-}
-
-// pressureOpts carries the pressure experiment's knobs.
-type pressureOpts struct {
-	conns     int
-	dur       time.Duration
-	out       string
-	telemetry bool
-}
-
-// wireOpts carries the wire experiment's knobs.
-type wireOpts struct {
-	dur        time.Duration
-	out        string
-	minRatio   float64
-	minSpeedup float64
-}
-
-// streamsOpts carries the streams experiment's knobs.
-type streamsOpts struct {
-	calls    int
-	maxRatio float64
-	out      string
-}
-
-// experiments maps each -exp value to its runner; "all" runs the
-// paper's set in order. Kept as a table so the usage string and the
-// unknown-experiment error can never drift from what actually runs.
-func experiments(plat string, iters int, sc scaleOpts, cc collectiveOpts, pc pressureOpts, wc wireOpts, so streamsOpts) map[string]func() error {
+// experiments maps each -exp value to its runner. Kept as a table so
+// the usage string and the unknown-experiment error can never drift
+// from what actually runs.
+func experiments(plat string, iters int) map[string]func() error {
 	return map[string]func() error{
-		"table1":     runTable1,
-		"fig10":      runFig10,
-		"fig11":      runFig11,
-		"fig12":      func() error { return runFig12(plat, iters) },
-		"fig13":      func() error { return runFig13(iters) },
-		"rpc":        func() error { return runRPC(iters) },
-		"loss":       func() error { return runLoss(iters) },
-		"scale":      func() error { return runScale(sc) },
-		"collective": func() error { return runCollective(cc) },
-		"pressure":   func() error { return runPressure(pc) },
-		"wire":       func() error { return runWire(wc) },
-		"streams":    func() error { return runStreams(so) },
+		"table1": runTable1,
+		"fig10":  runFig10,
+		"fig11":  runFig11,
+		"fig12":  func() error { return runFig12(plat, iters) },
+		"fig13":  func() error { return runFig13(iters) },
+		"rpc":    func() error { return runRPC(iters) },
+		"loss":   func() error { return runLoss(iters) },
 	}
 }
 
 // experimentList returns the valid -exp values, sorted, for usage and
 // error messages.
-func experimentList(plat string, iters int, sc scaleOpts, cc collectiveOpts, pc pressureOpts, wc wireOpts, so streamsOpts) []string {
-	names := make([]string, 0, 13)
-	for name := range experiments(plat, iters, sc, cc, pc, wc, so) {
+func experimentList() []string {
+	names := []string{"all"}
+	for name := range experiments("", 0) {
 		names = append(names, name)
 	}
-	names = append(names, "all")
 	sort.Strings(names)
 	return names
 }
 
 func main() {
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, fig10, fig11, fig12, fig13, rpc, loss, scale, collective, pressure, wire, streams, all")
-		plat     = flag.String("platform", "sun4", "fig12 platform: sun4 or rs6000")
-		iters    = flag.Int("iters", 10, "iterations per point for echo experiments")
-		scaleMax = flag.Int("scale-max", 4096, "scale: largest connection count in the sweep (sweep points: 16…100000; threaded points cap at 4096)")
-		maxConns = flag.Int("max-conns", 0, "scale: refuse connection counts above this (0: derive from host memory)")
-		scaleDur = flag.Duration("scale-dur", 400*time.Millisecond, "scale: measured interval per point")
-		scaleOut = flag.String("scale-out", "BENCH_scale.json", "scale: JSON results path (empty: skip)")
-
-		collMembers = flag.Int("collective-members", 8, "collective: group size")
-		collIters   = flag.Int("collective-iters", 30, "collective: measured collectives per point")
-		collMaxSize = flag.Int("collective-max-size", 256*1024, "collective: largest payload in the sweep")
-		collOut     = flag.String("collective-out", "BENCH_collective.json", "collective: JSON results path (empty: skip)")
-
-		pressConns = flag.Int("pressure-conns", 4096, "pressure: slow-consumer fan-in width")
-		pressDur   = flag.Duration("pressure-dur", 400*time.Millisecond, "pressure: measured interval per phase/point")
-		pressOut   = flag.String("pressure-out", "BENCH_pressure.json", "pressure: JSON results path (empty: skip)")
-
-		wireDur        = flag.Duration("wire-dur", 200*time.Millisecond, "wire: send window per sweep cell")
-		wireOut        = flag.String("wire-out", "BENCH_wire.json", "wire: JSON results path (empty: skip)")
-		wireMinRatio   = flag.Float64("wire-min-ratio", 2.0, "wire: verdict floor for the batched transport's syscall reduction per SDU at 4KB")
-		wireMinSpeedup = flag.Float64("wire-min-speedup", 1.0, "wire: verdict floor for batched-vs-unbatched UDP throughput at 4KB (CI smoke runs relax this for shared runners)")
-
-		streamsCalls    = flag.Int("streams-calls", 1000, "streams: measured RPC round trips per phase")
-		streamsMaxRatio = flag.Float64("streams-max-ratio", 2.0, "streams: verdict ceiling on contended-vs-baseline RPC p99 (CI smoke runs relax this for shared runners)")
-		streamsOut      = flag.String("streams-out", "BENCH_streams.json", "streams: JSON results path (empty: skip)")
-
-		withTelemetry = flag.Bool("telemetry", false, "embed a metrics snapshot (the instrument delta across the experiment) in the scale/collective/pressure JSON artifacts")
+		exp   = flag.String("exp", "all", "experiment: "+strings.Join(experimentList(), ", "))
+		plat  = flag.String("platform", "sun4", "fig12 platform: sun4 or rs6000")
+		iters = flag.Int("iters", 10, "iterations per point for echo experiments")
 	)
 	flag.Parse()
-	sc := scaleOpts{max: *scaleMax, maxConns: *maxConns, dur: *scaleDur, out: *scaleOut, telemetry: *withTelemetry}
-	cc := collectiveOpts{members: *collMembers, iters: *collIters, maxSize: *collMaxSize, out: *collOut, telemetry: *withTelemetry}
-	pc := pressureOpts{conns: *pressConns, dur: *pressDur, out: *pressOut, telemetry: *withTelemetry}
-	wc := wireOpts{dur: *wireDur, out: *wireOut, minRatio: *wireMinRatio, minSpeedup: *wireMinSpeedup}
-	so := streamsOpts{calls: *streamsCalls, maxRatio: *streamsMaxRatio, out: *streamsOut}
 	if flag.NArg() > 0 {
-		// A bare "ncs-bench scale" would otherwise silently run the
+		// A bare "ncs-bench fig12" would otherwise silently run the
 		// default experiment set and exit 0.
 		fmt.Fprintf(os.Stderr, "ncs-bench: unexpected argument %q (experiments are selected with -exp <name>)\n", flag.Arg(0))
-		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(experimentList(*plat, *iters, sc, cc, pc, wc, so), ", "))
+		fmt.Fprintf(os.Stderr, "experiments: %s\n", strings.Join(experimentList(), ", "))
 		os.Exit(2)
 	}
-	if err := run(*exp, *plat, *iters, sc, cc, pc, wc, so); err != nil {
+	if err := run(*exp, *plat, *iters); err != nil {
 		fmt.Fprintln(os.Stderr, "ncs-bench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(exp, plat string, iters int, sc scaleOpts, cc collectiveOpts, pc pressureOpts, wc wireOpts, so streamsOpts) error {
-	exps := experiments(plat, iters, sc, cc, pc, wc, so)
-	if e, ok := exps[exp]; ok {
+func run(exp, plat string, iters int) error {
+	if e, ok := experiments(plat, iters)[exp]; ok {
 		return e()
 	}
-	if exp == "all" {
-		// The paper's experiments in publication order; scale is
-		// excluded (it is the CI workload, minutes long at full sweep)
-		// and runs via -exp scale.
-		for _, name := range []string{"table1", "fig10", "fig11"} {
-			if err := exps[name](); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		for _, e := range []func() error{
-			func() error { return runFig12("sun4", iters) },
-			func() error { return runFig12("rs6000", iters) },
-			func() error { return runFig13(iters) },
-			func() error { return runRPC(iters) },
-			func() error { return runLoss(iters) },
-		} {
-			if err := e(); err != nil {
-				return err
-			}
-			fmt.Println()
-		}
-		return nil
+	if exp != "all" {
+		return fmt.Errorf("unknown experiment %q (experiments: %s)",
+			exp, strings.Join(experimentList(), ", "))
 	}
-	return fmt.Errorf("unknown experiment %q (experiments: %s)",
-		exp, strings.Join(experimentList(plat, iters, sc, cc, pc, wc, so), ", "))
-}
-
-// runStreams executes the stream HOL-isolation experiment and writes
-// the JSON artifact. Its verdict — RPC p99 under bulk contention on a
-// sibling stream within the configured multiple of the uncontended
-// baseline, over both the paced simulator and real UDP loopback — is
-// the acceptance check for per-stream flow control, so a failure is an
-// error and CI fails the step.
-func runStreams(so streamsOpts) error {
-	res, err := bench.StreamsSweep(bench.StreamsConfig{
-		Calls:    so.calls,
-		MaxRatio: so.maxRatio,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	if so.out != "" {
-		if err := res.WriteJSON(so.out); err != nil {
+	// Publication order, Figure 12 on both platforms.
+	for _, e := range []func() error{
+		runTable1, runFig10, runFig11,
+		func() error { return runFig12("sun4", iters) },
+		func() error { return runFig12("rs6000", iters) },
+		func() error { return runFig13(iters) },
+		func() error { return runRPC(iters) },
+		func() error { return runLoss(iters) },
+	} {
+		if err := e(); err != nil {
 			return err
 		}
-		// Diagnostics go to stderr so redirected stdout stays a clean
-		// results table.
-		fmt.Fprintf(os.Stderr, "wrote %s\n", so.out)
-	}
-	if res.Regressed() {
-		return fmt.Errorf("streams verdict: bulk on a sibling stream degraded RPC p99 beyond its ceiling (see verdict lines above)")
-	}
-	return nil
-}
-
-// runWire executes the wire transport sweep and writes the JSON
-// artifact. The verdict (batched UDP cutting kernel crossings per SDU
-// at 4KB without giving back throughput) only gates on platforms with
-// sendmmsg/recvmmsg support; elsewhere the table still prints for the
-// per-datagram fallback.
-func runWire(wc wireOpts) error {
-	res, err := bench.WireSweep(bench.WireConfig{
-		Duration:   wc.dur,
-		MinRatio:   wc.minRatio,
-		MinSpeedup: wc.minSpeedup,
-	})
-	if err != nil {
-		return err
-	}
-	fmt.Print(res.Render())
-	if wc.out != "" {
-		if err := res.WriteJSON(wc.out); err != nil {
-			return err
-		}
-		// Diagnostics go to stderr so redirected stdout stays a clean
-		// results table.
-		fmt.Fprintf(os.Stderr, "wrote %s\n", wc.out)
-	}
-	if res.Regressed() {
-		return fmt.Errorf("wire verdict: batched UDP failed its syscall-reduction/throughput floors at 4KB (see verdict line above)")
-	}
-	return nil
-}
-
-// runPressure executes the flow-control pressure experiment and writes
-// the JSON artifact. The sweep carries its own acceptance (bounded
-// fan-in memory, no throughput collapse under burst loss), so a failed
-// verdict is an error — CI fails the step.
-func runPressure(pc pressureOpts) error {
-	if pc.conns < 1 {
-		return fmt.Errorf("pressure: -pressure-conns must be at least 1 (got %d)", pc.conns)
-	}
-	before := telemetry.Capture()
-	res, err := bench.PressureSweep(bench.PressureConfig{
-		Conns:    pc.conns,
-		Duration: pc.dur,
-	})
-	if err != nil {
-		return err
-	}
-	if pc.telemetry {
-		delta := telemetry.Capture().Delta(before)
-		res.Telemetry = &delta
-	}
-	fmt.Print(res.Render())
-	if pc.out != "" {
-		if err := res.WriteJSON(pc.out); err != nil {
-			return err
-		}
-		// Diagnostics go to stderr so redirected stdout stays a clean
-		// results table.
-		fmt.Fprintf(os.Stderr, "wrote %s\n", pc.out)
-	}
-	if res.Regressed() {
-		return fmt.Errorf("pressure verdict: credit flow control failed its acceptance (see verdict lines above)")
-	}
-	return nil
-}
-
-// runCollective executes the collective sweep and writes the JSON
-// artifact.
-func runCollective(cc collectiveOpts) error {
-	if cc.members < 2 {
-		return fmt.Errorf("collective: -collective-members must be at least 2 (got %d)", cc.members)
-	}
-	sizes := []int{}
-	for _, s := range []int{4 * 1024, 64 * 1024, 256 * 1024} {
-		if s <= cc.maxSize {
-			sizes = append(sizes, s)
-		}
-	}
-	if len(sizes) == 0 {
-		sizes = []int{cc.maxSize}
-	}
-	before := telemetry.Capture()
-	res, err := bench.CollectiveSweep(bench.CollectiveConfig{
-		Members: cc.members,
-		Iters:   cc.iters,
-		Sizes:   sizes,
-	})
-	if err != nil {
-		return err
-	}
-	if cc.telemetry {
-		delta := telemetry.Capture().Delta(before)
-		res.Telemetry = &delta
-	}
-	fmt.Print(res.Render())
-	if cc.out != "" {
-		if err := res.WriteJSON(cc.out); err != nil {
-			return err
-		}
-		// Diagnostics go to stderr so redirected stdout stays a clean
-		// results table.
-		fmt.Fprintf(os.Stderr, "wrote %s\n", cc.out)
-	}
-	if res.Regressed() {
-		return fmt.Errorf("collective verdict: pipelined spanning-tree broadcast lost to repetitive at a ≥64KB payload — pipelining regression (see verdict lines above)")
-	}
-	return nil
-}
-
-// runScale executes the many-connection sweep and writes the JSON
-// artifact.
-func runScale(sc scaleOpts) error {
-	if sc.max < 1 {
-		return fmt.Errorf("scale: -scale-max must be at least 1 (got %d)", sc.max)
-	}
-	limit := sc.maxConns
-	if limit <= 0 {
-		limit = hostConnLimit()
-	}
-	if err := checkScaleConns(sc.max, limit); err != nil {
-		return err
-	}
-	conns := []int{}
-	for _, n := range []int{16, 64, 256, 1024, 2048, 4096, 16384, 32768, 65536, 100000} {
-		if n <= sc.max {
-			conns = append(conns, n)
-		}
-	}
-	if len(conns) == 0 {
-		conns = []int{sc.max}
-	}
-	before := telemetry.Capture()
-	res, err := bench.ScaleSweep(bench.ScaleConfig{
-		Conns:    conns,
-		Duration: sc.dur,
-	})
-	if err != nil {
-		return err
-	}
-	if sc.telemetry {
-		delta := telemetry.Capture().Delta(before)
-		res.Telemetry = &delta
-	}
-	fmt.Print(res.Render())
-	if sc.out != "" {
-		if err := res.WriteJSON(sc.out); err != nil {
-			return err
-		}
-		// Diagnostics go to stderr so redirected stdout stays a clean
-		// results table.
-		fmt.Fprintf(os.Stderr, "wrote %s\n", sc.out)
+		fmt.Println()
 	}
 	return nil
 }

@@ -1,34 +1,12 @@
 package main
 
 import (
-	"encoding/json"
-	"io"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
-	"time"
-
-	"ncs/internal/bench"
-)
-
-// quickScale, quickCollective and quickPressure keep test runs of the
-// sweep experiments small.
-var (
-	quickScale      = scaleOpts{max: 16, dur: 50 * time.Millisecond, out: ""}
-	quickCollective = collectiveOpts{members: 3, iters: 2, maxSize: 4096, out: ""}
-	quickPressure   = pressureOpts{conns: 32, dur: 100 * time.Millisecond, out: ""}
-	// quickWire's near-zero ratio floor keeps the functional test from
-	// asserting a performance property; the real floor is the wire CI
-	// gate's business.
-	quickWire = wireOpts{dur: 30 * time.Millisecond, out: "", minRatio: 0.01, minSpeedup: 0.01}
-	// quickStreams likewise: a handful of calls and a ratio ceiling far
-	// above anything a functional run can hit.
-	quickStreams = streamsOpts{calls: 30, maxRatio: 1000, out: ""}
 )
 
 func TestRunTable1(t *testing.T) {
-	if err := run("table1", "sun4", 2, quickScale, quickCollective, quickPressure, quickWire, quickStreams); err != nil {
+	if err := run("table1", "sun4", 2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -37,247 +15,20 @@ func TestRunFig12SmallIters(t *testing.T) {
 	if testing.Short() {
 		t.Skip("echo sweep")
 	}
-	if err := run("fig12", "rs6000", 2, quickScale, quickCollective, quickPressure, quickWire, quickStreams); err != nil {
+	if err := run("fig12", "rs6000", 2); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunRPC(t *testing.T) {
-	if err := run("rpc", "sun4", 1, quickScale, quickCollective, quickPressure, quickWire, quickStreams); err != nil {
+	if err := run("rpc", "sun4", 1); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestRunLoss(t *testing.T) {
-	if err := run("loss", "sun4", 1, quickScale, quickCollective, quickPressure, quickWire, quickStreams); err != nil {
+	if err := run("loss", "sun4", 1); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// TestRunScale runs a miniature sweep and checks the JSON artifact is
-// written and well-formed.
-func TestRunScale(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	sc := scaleOpts{max: 32, dur: 50 * time.Millisecond, out: out}
-	if err := run("scale", "sun4", 1, sc, quickCollective, quickPressure, quickWire, quickStreams); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res bench.ScaleResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_scale.json does not parse: %v", err)
-	}
-	// Two runtimes × the one sweep point under the cap ({16}).
-	if len(res.Points) != 2 {
-		t.Fatalf("got %d points, want 2", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Messages == 0 || p.Throughput <= 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-	}
-}
-
-// TestRunScaleTelemetry checks that -telemetry embeds a non-empty
-// instrument snapshot in the JSON artifact: the sweep's own echo
-// traffic must have moved the core counters.
-func TestRunScaleTelemetry(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	sc := scaleOpts{max: 16, dur: 50 * time.Millisecond, out: out, telemetry: true}
-	if err := run("scale", "sun4", 1, sc, quickCollective, quickPressure, quickWire, quickStreams); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res bench.ScaleResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_scale.json does not parse: %v", err)
-	}
-	if res.Telemetry == nil {
-		t.Fatal("-telemetry set but the artifact has no telemetry section")
-	}
-	if n := res.Telemetry.Counters["core.conn.send_msgs_total"]; n == 0 {
-		t.Fatalf("telemetry delta shows no sent messages across the sweep: %+v", res.Telemetry.Counters)
-	}
-}
-
-// captureStreams runs fn with stdout and stderr redirected to pipes
-// and returns what each stream received.
-func captureStreams(t *testing.T, fn func()) (stdout, stderr string) {
-	t.Helper()
-	or, ow, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	er, ew, err := os.Pipe()
-	if err != nil {
-		t.Fatal(err)
-	}
-	oldOut, oldErr := os.Stdout, os.Stderr
-	os.Stdout, os.Stderr = ow, ew
-	defer func() { os.Stdout, os.Stderr = oldOut, oldErr }()
-	outc := make(chan string, 1)
-	errc := make(chan string, 1)
-	go func() { b, _ := io.ReadAll(or); outc <- string(b) }()
-	go func() { b, _ := io.ReadAll(er); errc <- string(b) }()
-	fn()
-	ow.Close()
-	ew.Close()
-	return <-outc, <-errc
-}
-
-// TestScaleDiagnosticsOnStderr pins the stream split: the results
-// table goes to stdout, the "wrote <path>" diagnostic to stderr, so a
-// redirected table is never interleaved with bookkeeping lines.
-func TestScaleDiagnosticsOnStderr(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_scale.json")
-	sc := scaleOpts{max: 16, dur: 50 * time.Millisecond, out: out}
-	var runErr error
-	stdout, stderr := captureStreams(t, func() {
-		runErr = run("scale", "sun4", 1, sc, quickCollective, quickPressure, quickWire, quickStreams)
-	})
-	if runErr != nil {
-		t.Fatal(runErr)
-	}
-	if strings.Contains(stdout, "wrote ") {
-		t.Errorf("\"wrote\" diagnostic interleaved with the stdout results table:\n%s", stdout)
-	}
-	if !strings.Contains(stderr, "wrote "+out) {
-		t.Errorf("stderr missing the \"wrote %s\" diagnostic: %q", out, stderr)
-	}
-	if !strings.Contains(stdout, "Scale experiment") && !strings.Contains(stdout, "runtime") {
-		t.Errorf("stdout does not look like the results table:\n%s", stdout)
-	}
-}
-
-// TestRunCollective runs a miniature collective sweep and checks the
-// JSON artifact is written and well-formed.
-func TestRunCollective(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_collective.json")
-	cc := collectiveOpts{members: 3, iters: 2, maxSize: 4096, out: out}
-	if err := run("collective", "sun4", 1, quickScale, cc, quickPressure, quickWire, quickStreams); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res bench.CollectiveResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_collective.json does not parse: %v", err)
-	}
-	// 2 runtimes × 2 algorithms × 3 ops × 1 size under the cap.
-	if len(res.Points) != 12 {
-		t.Fatalf("got %d points, want 12", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.MicrosPer <= 0 || p.OpsPerSec <= 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-	}
-}
-
-// TestRunStreams runs a miniature streams sweep and checks the JSON
-// artifact is written and well-formed. The generous ratio ceiling
-// keeps this a functional test; the perf assertion belongs to the
-// full-size acceptance run and the CI smoke.
-func TestRunStreams(t *testing.T) {
-	if testing.Short() {
-		t.Skip("paced bulk sweep")
-	}
-	out := filepath.Join(t.TempDir(), "BENCH_streams.json")
-	so := streamsOpts{calls: 50, maxRatio: 1000, out: out}
-	if err := run("streams", "sun4", 1, quickScale, quickCollective, quickPressure, quickWire, so); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res bench.StreamsResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_streams.json does not parse: %v", err)
-	}
-	// {netsim, udp} × {baseline, contended}.
-	if len(res.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Calls == 0 || p.P99Micros <= 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-		if p.Phase == "contended" && p.BulkBytes == 0 {
-			t.Fatalf("contended point moved no bulk: %+v", p)
-		}
-	}
-}
-
-// TestRunPressure runs a miniature pressure sweep and checks the JSON
-// artifact is written and well-formed, with the verdict enforced (run
-// returns an error when the sweep regresses, so a failed acceptance
-// cannot write an artifact and still exit 0).
-func TestRunPressure(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_pressure.json")
-	pc := pressureOpts{conns: 32, dur: 100 * time.Millisecond, out: out}
-	if err := run("pressure", "sun4", 1, quickScale, quickCollective, pc, quickWire, quickStreams); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res bench.PressureResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_pressure.json does not parse: %v", err)
-	}
-	// The four sweep cells: static/clean, static/burst, aimd/burst,
-	// rtt/burst.
-	if len(res.Points) != 4 {
-		t.Fatalf("got %d points, want 4", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Messages == 0 || p.Throughput <= 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-	}
-	if res.PeakOutstanding <= 0 || res.PeakOutstanding > res.BufferBudget {
-		t.Fatalf("fan-in peak %d outside (0, budget %d]", res.PeakOutstanding, res.BufferBudget)
-	}
-}
-
-// TestRunWire runs a miniature wire sweep and checks the JSON artifact
-// is written and well-formed, with every cell populated for both
-// transports.
-func TestRunWire(t *testing.T) {
-	out := filepath.Join(t.TempDir(), "BENCH_wire.json")
-	wc := wireOpts{dur: 30 * time.Millisecond, out: out, minRatio: 0.01, minSpeedup: 0.01}
-	if err := run("wire", "sun4", 1, quickScale, quickCollective, quickPressure, wc, quickStreams); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var res bench.WireResult
-	if err := json.Unmarshal(data, &res); err != nil {
-		t.Fatalf("BENCH_wire.json does not parse: %v", err)
-	}
-	// 2 transports × 3 sizes × 3 batch depths.
-	if len(res.Points) != 18 {
-		t.Fatalf("got %d points, want 18", len(res.Points))
-	}
-	for _, p := range res.Points {
-		if p.Sent == 0 || p.Delivered == 0 || p.Throughput <= 0 {
-			t.Fatalf("empty point: %+v", p)
-		}
-		if p.Transport == "netsim" && p.SyscallsPerMsg != 0 {
-			t.Fatalf("netsim cell reports syscalls: %+v", p)
-		}
 	}
 }
 
@@ -285,51 +36,28 @@ func TestRunWire(t *testing.T) {
 // must return an error (main exits nonzero on it) that lists the valid
 // experiments, so a typo cannot silently succeed.
 func TestRunRejectsUnknown(t *testing.T) {
-	err := run("fig99", "sun4", 1, quickScale, quickCollective, quickPressure, quickWire, quickStreams)
+	err := run("fig99", "sun4", 1)
 	if err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
-	for _, want := range []string{"table1", "fig12", "rpc", "loss", "scale", "collective", "pressure", "all"} {
+	for _, want := range experimentList() {
 		if !strings.Contains(err.Error(), want) {
 			t.Errorf("unknown-experiment error does not list %q: %v", want, err)
 		}
 	}
-	if err := run("fig12", "cray", 1, quickScale, quickCollective, quickPressure, quickWire, quickStreams); err == nil {
+	if err := run("fig12", "cray", 1); err == nil {
 		t.Error("unknown platform accepted")
 	}
-	for _, max := range []int{0, -1} {
-		sc := quickScale
-		sc.max = max
-		if err := run("scale", "sun4", 1, sc, quickCollective, quickPressure, quickWire, quickStreams); err == nil {
-			t.Errorf("scale accepted -scale-max %d", max)
-		}
-	}
-	for _, conns := range []int{0, -1} {
-		pc := quickPressure
-		pc.conns = conns
-		if err := run("pressure", "sun4", 1, quickScale, quickCollective, pc, quickWire, quickStreams); err == nil {
-			t.Errorf("pressure accepted -pressure-conns %d", conns)
-		}
+	if err := run("scale", "sun4", 1); err == nil {
+		t.Error("a deleted sweep is still an experiment")
 	}
 }
 
-// TestExperimentListComplete keeps the usage/error roster in sync with
-// the runnable experiments.
+// TestExperimentListComplete pins the roster: the paper's tables and
+// figures, the rpc and loss reports, and nothing else.
 func TestExperimentListComplete(t *testing.T) {
-	exps := experiments("sun4", 1, quickScale, quickCollective, quickPressure, quickWire, quickStreams)
-	list := experimentList("sun4", 1, quickScale, quickCollective, quickPressure, quickWire, quickStreams)
-	if len(list) != len(exps)+1 { // +1 for "all"
-		t.Fatalf("experiment list %v out of sync with table (%d entries)", list, len(exps))
-	}
-	for name := range exps {
-		found := false
-		for _, l := range list {
-			if l == name {
-				found = true
-			}
-		}
-		if !found {
-			t.Errorf("experiment %q missing from list %v", name, list)
-		}
+	want := "all, fig10, fig11, fig12, fig13, loss, rpc, table1"
+	if got := strings.Join(experimentList(), ", "); got != want {
+		t.Fatalf("experiments = %q, want %q", got, want)
 	}
 }

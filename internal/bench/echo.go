@@ -275,7 +275,7 @@ type stallConn struct {
 
 func (s *stallConn) Send(p []byte) error {
 	if len(p) > s.threshold {
-		time.Sleep(s.perLarge)
+		platform.Charge(s.perLarge)
 	}
 	return s.Conn.Send(p)
 }

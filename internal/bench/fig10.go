@@ -71,14 +71,20 @@ func Figure10(cfg Fig10Config) Figure {
 	for _, model := range []thread.Model{thread.UserLevel, thread.KernelLevel} {
 		s := Series{Label: model.String()}
 		for _, size := range cfg.Sizes {
-			s.Points = append(s.Points, Point{Size: size, Value: fig10Run(cfg, model, size)})
+			perIter, _ := fig10Run(cfg, model, size)
+			s.Points = append(s.Points, Point{Size: size, Value: perIter})
 		}
 		fig.Series = append(fig.Series, s)
 	}
 	return fig
 }
 
-func fig10Run(cfg Fig10Config, model thread.Model, size int) time.Duration {
+// fig10Run returns the average time per iteration and, as the count
+// behind the figure's shape, how many compute quanta finished while the
+// Send Thread was still inside a transmission: structurally zero on the
+// user-level package (a blocked send holds the only processor), most of
+// them on the kernel-level package once the socket buffer is full.
+func fig10Run(cfg Fig10Config, model thread.Model, size int) (perIter time.Duration, overlapped int) {
 	pkg := thread.New(model)
 	defer pkg.Shutdown()
 
@@ -103,7 +109,7 @@ func fig10Run(cfg Fig10Config, model thread.Model, size int) time.Duration {
 
 	mini, err := newMiniSendPath(pkg, a)
 	if err != nil {
-		return 0
+		return 0, 0
 	}
 
 	msg := make([]byte, size)
@@ -115,12 +121,15 @@ func fig10Run(cfg Fig10Config, model thread.Model, size int) time.Duration {
 		for i := 0; i < cfg.Iterations; i++ {
 			mini.send(msg)
 			time.Sleep(cfg.ComputeLoad) // Computation(L)
+			if mini.sending.Load() {
+				overlapped++
+			}
 		}
 		elapsed = time.Since(start)
 	})
 	if err != nil {
 		mini.close()
-		return 0
+		return 0, 0
 	}
 	computeThread.Join()
 	<-computeDone
@@ -130,5 +139,5 @@ func fig10Run(cfg Fig10Config, model thread.Model, size int) time.Duration {
 	a.Close()
 	mini.close()
 	<-drainDone
-	return elapsed / time.Duration(cfg.Iterations)
+	return elapsed / time.Duration(cfg.Iterations), overlapped
 }

@@ -52,6 +52,7 @@ type miniSendPath struct {
 	items thread.Semaphore
 
 	sent    atomic.Int64 // transmissions completed (for sync sends)
+	sending atomic.Bool  // the Send Thread is inside ep.Send
 	stopped atomic.Bool
 
 	sendThread *thread.Thread
@@ -87,7 +88,9 @@ func (m *miniSendPath) sendLoop() {
 		m.queue = m.queue[1:]
 		m.mu.Unlock()
 
+		m.sending.Store(true)
 		_ = m.ep.Send(pkt)
+		m.sending.Store(false)
 		m.sent.Add(1)
 	}
 }

@@ -5,11 +5,15 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"ncs/internal/buf"
 	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
+	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -217,6 +221,152 @@ func TestInboxFanIn(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSlowConsumerFanInBudget is the sender-OOM scenario credit flow
+// control exists to prevent: a wide sharded fan-in of producers, error
+// control off, into one Inbox nobody reads. Admission credits are the
+// only thing between the producers and unbounded buffering, so once
+// every producer is blocked in admission the pooled-buffer population
+// must sit under a fixed per-connection budget — and draining the inbox
+// must then let every message through.
+func TestSlowConsumerFanInBudget(t *testing.T) {
+	const (
+		conns = 256
+		// budgetPerConn covers the credit window (every admitted SDU
+		// stages one pooled buffer end to end) plus the shard send-queue
+		// and transport-pipe depths a connection can fill while paused;
+		// budgetSlack the process-wide constant population (control
+		// packets in flight, per-shard staging).
+		budgetPerConn = 192
+		budgetSlack   = 4096
+		budget        = conns*budgetPerConn + budgetSlack
+	)
+	buffersBefore := buf.Outstanding()
+	waitsBefore := telemetry.Capture().Counters["flowctl.credit.wait_total"]
+
+	var (
+		stop      atomic.Bool
+		sent      atomic.Int64
+		producers sync.WaitGroup
+	)
+	nw := NewNetwork()
+	ib := NewInbox(2 * conns)
+	defer func() {
+		// On a failure path producers are still blocked in Send: closing
+		// the network releases them before the test returns.
+		stop.Store(true)
+		ib.Close()
+		nw.Close()
+		producers.Wait()
+	}()
+	a, _ := nw.NewSystem("budget-a")
+	b, _ := nw.NewSystem("budget-b")
+	bound := make(chan error, 1)
+	go func() {
+		for i := 0; i < conns; i++ {
+			c, err := b.Accept()
+			if err == nil {
+				err = c.BindInbox(ib)
+			}
+			if err != nil {
+				bound <- err
+				return
+			}
+		}
+		bound <- nil
+	}()
+	opts := Options{
+		Interface:   transport.HPI,
+		Runtime:     RuntimeSharded,
+		FlowControl: flowctl.Credit,
+		FlowConfig:  flowctl.Config{InitialCredits: 8, MaxCredits: 32},
+		SDUSize:     512,
+	}
+	clients := make([]*Connection, conns)
+	for i := range clients {
+		c, err := a.Connect("budget-b", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		clients[i] = c
+	}
+	if err := <-bound; err != nil {
+		t.Fatal(err)
+	}
+
+	msg := make([]byte, 512)
+	for _, c := range clients {
+		producers.Add(1)
+		go func(c *Connection) {
+			defer producers.Done()
+			for !stop.Load() {
+				if err := c.Send(msg); err != nil {
+					if !stop.Load() {
+						t.Error(err)
+					}
+					return
+				}
+				sent.Add(1)
+			}
+		}(c)
+	}
+
+	// Every producer blocked in admission: its grants are spent, it has
+	// entered an admission wait, and the peer, paused behind the unread
+	// inbox, consumes nothing more.
+	creditWaits := func() int64 {
+		return telemetry.Capture().Counters["flowctl.credit.wait_total"] - waitsBefore
+	}
+	allBlocked := func() bool {
+		for _, c := range clients {
+			if st, ok := c.FlowStats(); !ok || st.Available() > 0 {
+				return false
+			}
+		}
+		return int(ib.waiterN.Load()) == conns && creditWaits() >= conns
+	}
+	deadline := time.Now().Add(30 * time.Second)
+	for !allBlocked() {
+		if n := buf.Outstanding() - buffersBefore; n > budget {
+			t.Fatalf("%d pooled buffers outstanding with producers still being admitted (budget %d)", n, budget)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("producers never all blocked in admission (%d messages sent, %d credit waits, %d of %d paused on the inbox)",
+				sent.Load(), creditWaits(), ib.waiterN.Load(), conns)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	held := buf.Outstanding() - buffersBefore
+	if held <= 0 || held > budget {
+		t.Fatalf("%d pooled buffers outstanding behind an unread inbox, want (0, %d]", held, budget)
+	}
+	t.Logf("%d conns blocked: %d buffers outstanding (%.1f/conn, budget %d), %d messages admitted",
+		conns, held, float64(held)/conns, budget, sent.Load())
+
+	// Drain: the blocked sends complete, and everything sent arrives.
+	stop.Store(true)
+	var received atomic.Int64
+	go func() {
+		for {
+			if _, err := ib.Recv(); err != nil {
+				return // ib.Close, deferred above
+			}
+			received.Add(1)
+		}
+	}()
+	drained := make(chan struct{})
+	go func() { producers.Wait(); close(drained) }()
+	select {
+	case <-drained:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("producers still blocked with the inbox draining (%d of %d received)", received.Load(), sent.Load())
+	}
+	for deadline := time.Now().Add(30 * time.Second); received.Load() < sent.Load(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("drain stalled at %d of %d messages", received.Load(), sent.Load())
+		}
 	}
 }
 

@@ -282,3 +282,49 @@ func TestLargeBroadcastPayload(t *testing.T) {
 		return nil
 	})
 }
+
+// rootBroadcastBytes broadcasts one 64 KB payload from rank 0 of an
+// 8-member group and returns the bytes rank 0 put on its own links.
+func rootBroadcastBytes(t *testing.T, alg mcast.Algorithm, payload []byte) uint64 {
+	t.Helper()
+	groups, cleanup := buildGroup(t, 8, alg)
+	defer cleanup()
+	sent := func() (n uint64) {
+		for _, c := range groups[0].conns {
+			if c != nil {
+				n += c.Stats().BytesSent
+			}
+		}
+		return n
+	}
+	before := sent()
+	runAll(t, groups, func(g *Group) error {
+		var msg []byte
+		if g.Rank() == 0 {
+			msg = payload
+		}
+		got, err := g.Broadcast(0, msg)
+		if err == nil && !bytes.Equal(got, payload) {
+			err = fmt.Errorf("rank %d payload mismatch", g.Rank())
+		}
+		return err
+	})
+	return sent() - before
+}
+
+// TestTreeBroadcastUnloadsRoot is "spanning tree beats repetitive at
+// large payloads" as the quantity that makes it so: the root's links
+// carry the payload to its few children instead of to every member, so
+// it sends at most half the bytes.
+func TestTreeBroadcastUnloadsRoot(t *testing.T) {
+	payload := bytes.Repeat([]byte{0xA5}, 64*1024)
+	rep := rootBroadcastBytes(t, mcast.Repetitive, payload)
+	tree := rootBroadcastBytes(t, mcast.SpanningTree, payload)
+	t.Logf("root bytes sent for a 64KB broadcast to 8: repetitive %d, spanning tree %d", rep, tree)
+	if rep < 7*uint64(len(payload)) {
+		t.Fatalf("repetitive root sent %d bytes, want at least 7 x %d", rep, len(payload))
+	}
+	if tree*2 > rep {
+		t.Fatalf("spanning-tree root sent %d bytes, repetitive %d: want at most half", tree, rep)
+	}
+}

@@ -23,6 +23,7 @@
 package platform
 
 import (
+	"sync/atomic"
 	"time"
 
 	"ncs/internal/buf"
@@ -198,12 +199,22 @@ func (p Platform) XDRCost(n int) time.Duration {
 // adapters use it to bill conversion work.
 func Charge(d time.Duration) { busyWait(d) }
 
+// charged is the sum of every cost billed through busyWait.
+var charged atomic.Int64
+
+// Charged returns the modelled cost billed so far, process-wide: every
+// platform tax, conversion and calibrated stall, as asked for rather
+// than as slept. The difference across an experiment is what the model
+// made it cost, independent of how the host scheduled it.
+func Charged() time.Duration { return time.Duration(charged.Load()) }
+
 // busyWait charges a CPU-time cost. Durations under ~100µs are spun
 // (sleep granularity would distort them); longer ones sleep.
 func busyWait(d time.Duration) {
 	if d <= 0 {
 		return
 	}
+	charged.Add(int64(d))
 	if d > 200*time.Microsecond {
 		time.Sleep(d)
 		return
