@@ -106,9 +106,10 @@ type Receiver interface {
 	// or recycles the receiver, and may not hand a body to another
 	// goroutine. done reports that the message is fully reassembled.
 	OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (acks []packet.Control, done bool)
-	// Message returns the reassembled user message; valid once done.
-	// It releases the retained segment buffers on first call and caches
-	// the assembled message for any repeat call.
+	// Message assembles and returns the user message, releasing the
+	// retained segment buffers; valid once done. It transfers ownership,
+	// once: the receiver keeps no reference to what it returned, and a
+	// repeat call finds nothing left to assemble.
 	Message() []byte
 	// LostSDUs reports segments that were never received (only ever
 	// non-zero for the None algorithm, which does not recover losses).
@@ -166,12 +167,11 @@ const maxPooledSegs = 4096
 // slices indexed by SDU sequence number and reused across sessions, not
 // a fresh map per message. Segments are retained views of the pooled
 // receive buffers (zero-copy), released when assemble builds the
-// delivery, by Abandon, or at the latest by reset.
+// delivery, by Abandon, or at the latest by reset. The delivery itself
+// is never kept: a store pins nothing the application was given.
 type reassembly struct {
-	segs      []segment // segment payloads, indexed by SDU sequence
-	got       []bool    // which sequence numbers ever arrived
-	msg       []byte    // cached assembly; segments released once built
-	assembled bool
+	segs []segment // segment payloads, indexed by SDU sequence
+	got  []bool    // which sequence numbers ever arrived
 }
 
 // hold stores the payload of SDU seq (< MaxUnreliableSegments) unless
@@ -192,23 +192,19 @@ func (a *reassembly) hold(seq int, payload []byte, ref *buf.Buffer) bool {
 }
 
 // assemble concatenates the segments below total that arrived — the one
-// copy owed to the application — then releases the retained buffers.
-// The got bits stay: LostSDUs still counts them. Repeat calls return
-// the cached message.
+// copy owed to the application, whose it is from here on — then releases
+// the retained buffers. The got bits stay: LostSDUs still counts them.
 func (a *reassembly) assemble(total int) []byte {
-	if !a.assembled {
-		size := 0
-		for _, s := range a.segs[:total] {
-			size += len(s.data)
-		}
-		out := make([]byte, 0, size)
-		for _, s := range a.segs[:total] {
-			out = append(out, s.data...)
-		}
-		a.Abandon()
-		a.msg, a.assembled = out, true
+	size := 0
+	for _, s := range a.segs[:total] {
+		size += len(s.data)
 	}
-	return a.msg
+	out := make([]byte, 0, size)
+	for _, s := range a.segs[:total] {
+		out = append(out, s.data...)
+	}
+	a.Abandon()
+	return out
 }
 
 // Abandon releases every retained segment buffer without delivering.
@@ -230,9 +226,9 @@ func (a *reassembly) lost(total int) int {
 	return n
 }
 
-// reset returns the store to its fresh state for the pool: nothing of
-// the finished session — message, segment references, arrival bits —
-// carries over, and only modestly-sized tables are kept.
+// reset returns the store to its fresh state for the free list: nothing
+// of the finished session — segment references, arrival bits — carries
+// over, and only modestly-sized tables are kept.
 func (a *reassembly) reset() {
 	a.Abandon()
 	if cap(a.segs) > maxPooledSegs {
@@ -241,7 +237,6 @@ func (a *reassembly) reset() {
 	// Truncating is enough to forget the arrival bits: hold re-extends
 	// the tables with explicit zero values.
 	a.segs, a.got = a.segs[:0], a.got[:0]
-	a.msg, a.assembled = nil, false
 }
 
 // EffectiveSDUSize clamps a configured SDU size exactly the way

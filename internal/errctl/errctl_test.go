@@ -340,8 +340,8 @@ func TestNoneToleratesLoss(t *testing.T) {
 	if got := r.LostSDUs(); got != 2 {
 		t.Fatalf("LostSDUs = %d, want 2", got)
 	}
-	if len(r.Message()) != 800 {
-		t.Fatalf("message length = %d, want 800 (holes omitted)", len(r.Message()))
+	if n := len(r.Message()); n != 800 {
+		t.Fatalf("message length = %d, want 800 (holes omitted)", n)
 	}
 }
 

@@ -126,8 +126,8 @@ func TestRecycledReceiverCarriesNothingOver(t *testing.T) {
 					t.Fatalf("%v round %d: gap at SDU 0 not NACKed (done=%v)", alg, round, done)
 				}
 			case None:
-				if !done || r.LostSDUs() != 1 || !bytes.Equal(r.Message(), short[16:]) {
-					t.Fatalf("%v round %d: want SDU 1 alone with 1 lost, got lost=%d msg=%q", alg, round, r.LostSDUs(), r.Message())
+				if got := r.Message(); !done || r.LostSDUs() != 1 || !bytes.Equal(got, short[16:]) {
+					t.Fatalf("%v round %d: want SDU 1 alone with 1 lost, got lost=%d msg=%q", alg, round, r.LostSDUs(), got)
 				}
 			}
 			if alg != None {
@@ -135,8 +135,8 @@ func TestRecycledReceiverCarriesNothingOver(t *testing.T) {
 				if _, done = feed(r, sdus); !done {
 					t.Fatalf("%v round %d: short message incomplete after recovery", alg, round)
 				}
-				if !bytes.Equal(r.Message(), short) {
-					t.Fatalf("%v round %d: short message = %q", alg, round, r.Message())
+				if got := r.Message(); !bytes.Equal(got, short) {
+					t.Fatalf("%v round %d: short message = %q", alg, round, got)
 				}
 			}
 			Recycle(r)

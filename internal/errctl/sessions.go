@@ -1,6 +1,7 @@
 package errctl
 
 import (
+	"encoding/binary"
 	"sync"
 
 	"ncs/internal/buf"
@@ -20,37 +21,56 @@ type Delivery struct {
 	Lost int
 }
 
-// inbound is one tracked session: its receiver and whether its message
-// was already handed over (duplicates re-acknowledge, never re-deliver).
+// inbound is one tracked session. While it reassembles it holds its
+// receiver; once its message is handed over it is a tombstone — rcv nil,
+// and of the session only what a late duplicate's re-acknowledgment
+// needs: ack is the SDU count under selective repeat (answered with the
+// empty bitmap of that length), the last in-order sequence number under
+// go-back-N, nothing under None. A tombstone pins no receiver, no
+// segment and no message: what was delivered is the application's alone.
 type inbound struct {
-	rcv       Receiver
-	delivered bool
+	rcv Receiver
+	ack uint32
+}
+
+// tableState is what a table allocates on its first session: the age
+// ring, and the scratch every acknowledgment of a delivered session —
+// the one that completes it and any a duplicate draws — is staged in,
+// since the session's receiver is back in its free list by then.
+type tableState struct {
+	// age is a fixed ring of the tracked session ids, oldest at next
+	// once the table is full.
+	age    [MaxTrackedSessions]uint32
+	bitmap packet.Bitmap
+	body   [4]byte
+	ackOut [1]packet.Control
 }
 
 // SessionTable is the inbound half of one ordered channel — a
 // connection's default lane or one multiplexed stream: it routes each
 // arriving SDU to its reassembly session, creating sessions from the
-// receiver pools on first sight and recycling them as they age out. The
-// zero value with Alg set is ready; nothing is allocated until the
-// first session.
+// receiver free lists on first sight, recycling a session's receiver
+// the moment its message is delivered (or it ages out incomplete) and
+// keeping a tombstone in its place. The zero value with Alg set is
+// ready; nothing is allocated until the first session.
 //
 // The table locks itself, so Len and Reap are safe beside the channel's
-// receive loop; the acks OnData returns are still borrowed from the
-// session's receiver, which is why one loop owns the channel.
+// receive loop; the acks OnData returns are still borrowed — from the
+// session's receiver or the table's scratch — which is why one loop
+// owns the channel.
 type SessionTable struct {
 	Alg Algorithm
 
 	mu   sync.Mutex
 	byID map[uint32]inbound
-	// age is a fixed ring of the tracked session ids, oldest at next
-	// once the table is full.
-	age  *[MaxTrackedSessions]uint32
+	st   *tableState
 	next int
 }
 
 // OnData runs one arriving SDU through its session. acks follows the
 // Receiver.OnData borrow contract. done reports that this SDU completed
-// a message, handed over in d exactly once per session.
+// a message, handed over in d exactly once per session: d.Data is the
+// caller's, and the table keeps no reference to it.
 func (t *SessionTable) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (acks []packet.Control, d Delivery, done bool) {
 	// A one-SDU message without error control is complete on arrival: no
 	// acknowledgments will follow and no retransmission can ever revive
@@ -70,47 +90,92 @@ func (t *SessionTable) OnData(h packet.DataHeader, payload []byte, ref *buf.Buff
 		s = inbound{rcv: NewReceiver(t.Alg)}
 		t.trackLocked(h.SessionID, s)
 	}
+	if s.rcv == nil {
+		return t.reack(h, s.ack, true), Delivery{}, false
+	}
 	acks, complete := s.rcv.OnData(h, payload, ref)
-	if !complete || s.delivered {
+	if !complete {
 		return acks, Delivery{}, false
 	}
-	s.delivered = true
+	d = Delivery{Data: s.rcv.Message(), Lost: s.rcv.LostSDUs()}
+	switch r := s.rcv.(type) {
+	case *srReceiver:
+		s.ack = uint32(r.total)
+	case *gbnReceiver:
+		s.ack = r.expected - 1
+	}
+	// The completing acknowledgment is the receiver's scratch, which
+	// Recycle hands to the next session anywhere: restage it here.
+	Recycle(s.rcv)
+	s.rcv = nil
 	t.byID[h.SessionID] = s
 	mRecvSession.IncAt(h.ConnID)
-	return acks, Delivery{Data: s.rcv.Message(), Lost: s.rcv.LostSDUs()}, true
+	return t.reack(h, s.ack, false), d, true
+}
+
+// reack stages what a delivered session's receiver answers SDU h with —
+// byte for byte what the live receiver sent, or would send a duplicate
+// (dup: counted as one, as the receiver counts it) — from the
+// tombstone's state.
+func (t *SessionTable) reack(h packet.DataHeader, ack uint32, dup bool) []packet.Control {
+	c := packet.Control{Type: packet.CtrlAck, ConnID: h.ConnID, SessionID: h.SessionID}
+	switch t.Alg {
+	case SelectiveRepeat:
+		if h.Seq >= MaxUnreliableSegments {
+			return nil // corrupt header; dropped uncounted
+		}
+		if dup {
+			mRecvDup.Inc()
+		}
+		if !h.End() {
+			return nil
+		}
+		t.st.bitmap.ResetAcked(int(ack))
+		c.Body = t.st.bitmap.Bytes()
+	case GoBackN:
+		if dup {
+			mRecvDup.Inc()
+		}
+		binary.BigEndian.PutUint32(t.st.body[:], ack)
+		c.Body = t.st.body[:]
+	default:
+		return nil
+	}
+	t.st.ackOut[0] = c
+	return t.st.ackOut[:1]
 }
 
 // trackLocked enters a new session, pruning the oldest when the table
 // is full. An incomplete session that old has no live sender (a channel
 // carries one outbound session at a time): retire releases the segment
-// buffers it pins. Should a retransmission somehow still arrive, a
+// buffers it pins; pruning a tombstone releases nothing. Should a retransmission somehow still arrive, a
 // fresh session restarts reassembly — the whole-message retransmit
 // schemes recover from empty.
 func (t *SessionTable) trackLocked(id uint32, s inbound) {
 	if t.byID == nil {
 		t.byID = make(map[uint32]inbound)
-		t.age = new([MaxTrackedSessions]uint32)
+		t.st = new(tableState)
 	}
 	if n := len(t.byID); n < MaxTrackedSessions {
-		t.age[n] = id
+		t.st.age[n] = id
 	} else {
-		victim := t.age[t.next]
+		victim := t.st.age[t.next]
 		retire(t.byID[victim])
 		delete(t.byID, victim)
-		t.age[t.next] = id
+		t.st.age[t.next] = id
 		t.next = (t.next + 1) % MaxTrackedSessions
 	}
 	t.byID[id] = s
 }
 
-// retire abandons an undelivered session's retained buffers and returns
-// its receiver to the pool. The receive loop is the receiver's only
-// user, so once the session leaves the table it can recycle.
+// retire recycles an undelivered session's receiver, which releases the
+// buffers it retained. The receive loop is the receiver's only user, so
+// once the session leaves the table it can recycle. A tombstone holds
+// nothing to release.
 func retire(s inbound) {
-	if !s.delivered {
-		s.rcv.Abandon()
+	if s.rcv != nil {
+		Recycle(s.rcv)
 	}
-	Recycle(s.rcv)
 }
 
 // Reap retires every session — teardown, or a peer that announced it

@@ -2,7 +2,10 @@ package errctl
 
 import (
 	"bytes"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"ncs/internal/buf"
 	"ncs/internal/packet"
@@ -98,4 +101,175 @@ func TestSessionTableDeliversOnceAndPrunesOldest(t *testing.T) {
 	if d := deliverOne(t, none, 9, msg, packet.FlagUnreliable); !bytes.Equal(d.Data, msg) || none.Len() != 0 {
 		t.Fatalf("unreliable single-SDU message: delivered %q, table tracks %d sessions; want the message and no session", d.Data, none.Len())
 	}
+}
+
+// deliverAll feeds every SDU of one message to the table through pooled
+// buffers and returns the delivery and the marshalled acknowledgments of
+// the SDU that completed it.
+func deliverAll(t *testing.T, tbl *SessionTable, sdus []SDU) (Delivery, [][]byte) {
+	t.Helper()
+	for i, s := range sdus {
+		acks, d, done := replay(tbl.OnData, s)
+		if done != (i == len(sdus)-1) {
+			t.Fatalf("%v: SDU %d/%d: done=%v", tbl.Alg, i, len(sdus), done)
+		}
+		if done {
+			return d, acks
+		}
+	}
+	panic("unreachable")
+}
+
+// replay hands one SDU to a table's OnData through a pooled buffer and
+// returns the acknowledgments marshalled, as emit would take them before
+// the next OnData.
+func replay(onData func(packet.DataHeader, []byte, *buf.Buffer) ([]packet.Control, Delivery, bool), s SDU) ([][]byte, Delivery, bool) {
+	b := buf.GetCap(len(s.Payload))
+	b.B = append(b.B, s.Payload...)
+	acks, d, done := onData(s.Header, b.B, b)
+	var wire [][]byte
+	for _, a := range acks {
+		wire = append(wire, a.Marshal(nil))
+	}
+	b.Release()
+	return wire, d, done
+}
+
+func equalWire(a, b [][]byte) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !bytes.Equal(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestDuplicatesAfterDeliveryAnswerAsTheLiveReceiverDid: a delivered
+// session is a tombstone, and what a late duplicate draws from it — the
+// acknowledgment on the wire, the duplicate count, no second delivery,
+// no retained buffer — is what a live receiver driven past done answers
+// the same SDU with. The expectation is captured from a bare receiver,
+// which keeps that behaviour.
+func TestDuplicatesAfterDeliveryAnswerAsTheLiveReceiverDid(t *testing.T) {
+	for _, alg := range []Algorithm{SelectiveRepeat, GoBackN, None} {
+		for _, n := range []int{1, 4, 64} {
+			if alg == None && n == 1 {
+				continue // complete on arrival: never enters a table
+			}
+			msg := make([]byte, n*100)
+			for i := range msg {
+				msg[i] = byte(i)
+			}
+			sdus := Segment(msg, 100, 7, 1, 0)
+			dups := []SDU{sdus[n-1], sdus[n/2]} // the end-flagged last SDU, a middle one
+
+			// What the live receiver answers.
+			live := NewReceiver(alg)
+			asTable := func(h packet.DataHeader, p []byte, ref *buf.Buffer) ([]packet.Control, Delivery, bool) {
+				acks, done := live.OnData(h, p, ref)
+				return acks, Delivery{}, done
+			}
+			var wantFinal [][]byte
+			for _, s := range sdus {
+				wantFinal, _, _ = replay(asTable, s)
+			}
+			live.Message()
+			var want [][][]byte
+			var wantDup []int64
+			for _, s := range dups {
+				d0 := mRecvDup.Value()
+				w, _, _ := replay(asTable, s)
+				want = append(want, w)
+				wantDup = append(wantDup, mRecvDup.Value()-d0)
+			}
+			Recycle(live)
+
+			before := buf.Outstanding()
+			tbl := &SessionTable{Alg: alg}
+			d, final := deliverAll(t, tbl, sdus)
+			if !bytes.Equal(d.Data, msg) {
+				t.Fatalf("%v/%d: delivered message corrupted", alg, n)
+			}
+			if !equalWire(final, wantFinal) {
+				t.Fatalf("%v/%d: completing ack %x, live receiver sent %x", alg, n, final, wantFinal)
+			}
+			for i, s := range dups {
+				d0 := mRecvDup.Value()
+				got, _, done := replay(tbl.OnData, s)
+				if done {
+					t.Fatalf("%v/%d: duplicate of SDU %d delivered the message again", alg, n, s.Header.Seq)
+				}
+				if !equalWire(got, want[i]) {
+					t.Errorf("%v/%d: duplicate of SDU %d drew %x, the live receiver answers %x", alg, n, s.Header.Seq, got, want[i])
+				}
+				dup := mRecvDup.Value() - d0
+				if dup != wantDup[i] || (alg != None && dup != 1) {
+					t.Errorf("%v/%d: duplicate of SDU %d counted %d in errctl.recv.dup_total, live receiver %d", alg, n, s.Header.Seq, dup, wantDup[i])
+				}
+			}
+			if held := buf.Outstanding() - before; held != 0 {
+				t.Fatalf("%v/%d: %d pooled buffers held by a delivered session", alg, n, held)
+			}
+
+			// MaxTrackedSessions newer sessions prune the tombstone; a
+			// further duplicate then starts a fresh session, as it always has.
+			filler := make([]byte, 200) // two SDUs: enters the table under None too
+			for sess := uint32(2); sess < 2+MaxTrackedSessions; sess++ {
+				deliverAll(t, tbl, Segment(filler, 100, 7, sess, 0))
+			}
+			if got := tbl.Len(); got != MaxTrackedSessions {
+				t.Fatalf("%v/%d: table tracks %d sessions, want %d", alg, n, got, MaxTrackedSessions)
+			}
+			live = NewReceiver(alg)
+			wantAcks, _, wantDone := replay(asTable, dups[0])
+			Recycle(live)
+			got, _, done := replay(tbl.OnData, dups[0])
+			if done != wantDone || !equalWire(got, wantAcks) {
+				t.Errorf("%v/%d: duplicate of a pruned session: done=%v acks=%x; a fresh receiver answers done=%v acks=%x",
+					alg, n, done, got, wantDone, wantAcks)
+			}
+			tbl.Reap()
+			if held := buf.Outstanding() - before; held != 0 {
+				t.Fatalf("%v/%d: %d pooled buffers held after Reap", alg, n, held)
+			}
+		}
+	}
+}
+
+// TestNothingDeliveredStaysReachable: the table hands a message over
+// and forgets it. With all eight sessions still tracked and the table
+// alive, the collector must be able to take every delivered message the
+// application dropped.
+func TestNothingDeliveredStaysReachable(t *testing.T) {
+	const msgs, size = 8, 64 * 1024
+	tbl := &SessionTable{Alg: SelectiveRepeat}
+	var finalized atomic.Int32
+	func() {
+		msg := make([]byte, size)
+		for sess := uint32(1); sess <= msgs; sess++ {
+			d, _ := deliverAll(t, tbl, Segment(msg, DefaultSDUSize, 1, sess, 0))
+			if len(d.Data) != size {
+				t.Fatalf("session %d delivered %d bytes", sess, len(d.Data))
+			}
+			runtime.SetFinalizer(&d.Data[0], func(*byte) { finalized.Add(1) })
+		}
+	}()
+	runtime.GC()
+	runtime.GC()
+	// Finalizers run on their own goroutine after the cycle that found
+	// the object dead; give it the processor, not a deadline.
+	for i := 0; i < 1000 && finalized.Load() < msgs; i++ {
+		runtime.Gosched()
+		time.Sleep(time.Millisecond)
+	}
+	if got := tbl.Len(); got != msgs {
+		t.Fatalf("table tracks %d sessions, want %d", got, msgs)
+	}
+	if got := finalized.Load(); got != msgs {
+		t.Errorf("%d of %d delivered messages were collectable with their sessions still tracked", got, msgs)
+	}
+	tbl.Reap()
 }

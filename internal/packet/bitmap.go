@@ -53,6 +53,13 @@ func (b *Bitmap) Reset(n int) {
 	}
 }
 
+// ResetAcked is Reset with every bit clear — all n SDUs received: the
+// body of the acknowledgment that completes a session.
+func (b *Bitmap) ResetAcked(n int) {
+	b.Reset(n)
+	clear(b.enc[4:])
+}
+
 // Decode points the bitmap at the encoded ACK body p, which it then
 // ALIASES rather than copies: the bitmap is valid for as long as p is.
 func (b *Bitmap) Decode(p []byte) error {
