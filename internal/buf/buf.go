@@ -11,7 +11,7 @@
 //   - Get/GetCap return a Buffer owned by the caller with one
 //     reference.
 //   - Retain adds a reference; Release drops one. When the count
-//     reaches zero the storage returns to its size-class pool.
+//     reaches zero the storage returns to its size class's free list.
 //     Releasing below zero or retaining an already-released Buffer
 //     panics — a refcounting bug, never a recoverable condition.
 //   - transport.Conn.SendBuf and SendBatch CONSUME one reference per
@@ -37,12 +37,28 @@
 // control plane (acks, credits), the default 4 KB SDU plus data
 // header, and the 16/64 KB SDU tiers up to the AAL5 frame maximum.
 // Larger requests are satisfied with plain allocations that skip the
-// pools.
+// tiers.
+//
+// # Where idle buffers wait
+//
+// Each tier keeps its idle buffers on a FreeList — a bounded,
+// GC-stable free list owned by the message path — not in a pool of
+// package sync. A pool the collector empties every cycle makes "does
+// this Get allocate?" a function of how often the collector runs, and
+// on a message path that is a function of message size: the larger the
+// delivered copies, the more cycles, the emptier the pools, the more
+// allocations per message. A FreeList is reachable from a package
+// variable, so a cycle neither empties nor costs it, and it is bounded
+// by a constant: tierIdle states each tier's capacity and the byte
+// budget they add up to (≈ 4.4 MB), buf.pool.retained_bytes reports how
+// much of it is held, and a Release beyond it leaves the buffer to the
+// collector. The same type holds the rest of the message path's
+// recycled state: errctl's state machines, core's send sessions, rpc's
+// encoders and call records.
 package buf
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 
 	"ncs/internal/telemetry"
@@ -66,14 +82,33 @@ var tierSizes = [...]int{
 	64 * 1024,       // MaxSDUSize / AAL5 frame ceiling
 }
 
-var pools [len(tierSizes)]sync.Pool
+// tierIdle is how many idle buffers each tier's free list keeps; a
+// Release beyond it leaves the buffer to the collector. The byte budget
+// — the most idle storage the process ever retains, whatever the
+// traffic — is the sum of tierIdle × tierSizes:
+//
+//	1024 × 256 B + 512 × 4 224 B + 64 × 16 512 B + 16 × 64 KB ≈ 4.4 MB
+//
+// buf.pool.retained_bytes reports how much of it is held. The control
+// and default-SDU tiers are sized for a few hundred packets in flight
+// across a process's connections (one credit window of 4 KB SDUs is
+// 64); the large tiers for a handful, since one of their buffers is
+// worth a whole window of the small ones.
+var tierIdle = [len(tierSizes)]int{1024, 512, 64, 16}
+
+var tiers = func() (t [len(tierSizes)]*FreeList[Buffer]) {
+	for i, n := range tierIdle {
+		t[i] = NewFreeList[Buffer](n, nil)
+	}
+	return t
+}()
 
 // Buffer is a pooled, reference-counted byte buffer.
 //
 // B holds the current contents and may be re-sliced or appended to
 // freely by the owner; appending past the pooled capacity falls back
 // to the Go allocator (the oversized array is garbage collected, the
-// original storage still returns to its pool on Release).
+// original storage still returns to its tier on Release).
 type Buffer struct {
 	// B is the buffer contents.
 	B []byte
@@ -83,18 +118,28 @@ type Buffer struct {
 	refs  atomic.Int32
 }
 
-// outstanding counts buffers handed out by Get/GetCap whose last
-// reference has not yet been dropped (by Release or TakeBytes). It is
-// the refcount audit hook behind Outstanding: a pipeline that releases
-// everything it retained leaves the count exactly where it found it.
-var outstanding atomic.Int64
+// live counts the buffers in existence: made by a GetCap that found no
+// idle one, and not yet left to the collector (a Release that found its
+// tier full, an unpooled buffer's last Release, a TakeBytes). It moves
+// only on those paths, each of which allocates or frees; the per-packet
+// path — an idle buffer taken, a buffer returned — does not touch it.
+var live atomic.Int64
 
-// Outstanding reports the number of live pooled buffers: buffers
-// created and not yet fully released. Leak-audit tests snapshot it
-// before a scenario, drive the pipeline to quiescence, and assert the
-// count returned to the snapshot — any difference is a retained
-// reference that will pin pooled storage forever.
-func Outstanding() int64 { return outstanding.Load() }
+// Outstanding reports the number of buffers handed out by Get/GetCap
+// whose last reference has not yet been dropped (by Release or
+// TakeBytes): those in existence minus those idle in the tiers. It is
+// the refcount audit hook: leak-audit tests snapshot it before a
+// scenario, drive the pipeline to quiescence, and assert the count
+// returned to the snapshot — any difference is a retained reference
+// that will pin pooled storage forever. (Read while buffers are moving
+// it is a close estimate, exact once they rest.)
+func Outstanding() int64 {
+	n := live.Load()
+	for _, f := range tiers {
+		n -= int64(f.Len())
+	}
+	return n
+}
 
 // Pool telemetry (see internal/telemetry doc.go for the catalogue).
 // Hits and misses are counted at GetCap, the single choke point every
@@ -105,7 +150,18 @@ var (
 	mPoolMiss     = telemetry.NewCounter("buf.pool.miss_total")
 	mPoolOversize = telemetry.NewCounter("buf.pool.oversize_total")
 	_             = telemetry.NewFuncGauge("buf.pool.outstanding", Outstanding)
+	_             = telemetry.NewFuncGauge("buf.pool.retained_bytes", retainedBytes)
 )
+
+// retainedBytes is the idle storage the tiers' free lists hold: never
+// above the budget stated at tierIdle.
+func retainedBytes() int64 {
+	var n int64
+	for t, f := range tiers {
+		n += int64(f.Len()) * int64(tierSizes[t])
+	}
+	return n
+}
 
 // Get returns a buffer with len(b.B) == n, zero-filled only as far as
 // pool reuse left it (callers overwrite, as with make without zeroing
@@ -119,17 +175,16 @@ func Get(n int) *Buffer {
 // GetCap returns an empty buffer (len(b.B) == 0) with capacity at
 // least n, for append-style marshalling.
 func GetCap(n int) *Buffer {
-	outstanding.Add(1)
 	for t, size := range tierSizes {
 		if n <= size {
-			if v := pools[t].Get(); v != nil {
+			if b := tiers[t].TryGet(); b != nil {
 				mPoolHit.IncAt(uint32(t))
-				b := v.(*Buffer)
 				b.B = b.store[:0]
 				b.refs.Store(1)
 				return b
 			}
 			mPoolMiss.IncAt(uint32(t))
+			live.Add(1)
 			store := make([]byte, tierSizes[t])
 			b := &Buffer{store: store, B: store[:0], tier: int8(t)}
 			b.refs.Store(1)
@@ -138,6 +193,7 @@ func GetCap(n int) *Buffer {
 	}
 	// Oversized: plain allocation, never pooled.
 	mPoolOversize.Inc()
+	live.Add(1)
 	store := make([]byte, n)
 	b := &Buffer{store: store, B: store[:0], tier: -1}
 	b.refs.Store(1)
@@ -149,7 +205,7 @@ func (b *Buffer) Len() int { return len(b.B) }
 
 // Retain adds a reference and returns b. It panics if the buffer has
 // already been fully released: a released buffer may be concurrently
-// reused through the pool, so resurrecting it is always a bug.
+// reused through its tier, so resurrecting it is always a bug.
 func (b *Buffer) Retain() *Buffer {
 	if n := b.refs.Add(1); n <= 1 {
 		panic(fmt.Sprintf("buf: retain of released buffer (refs=%d)", n-1))
@@ -158,8 +214,8 @@ func (b *Buffer) Retain() *Buffer {
 }
 
 // Release drops one reference. When the last reference is dropped the
-// storage returns to its size-class pool. Releasing more times than
-// the buffer was retained panics.
+// storage returns to its tier's free list (or, that being full, to the
+// collector). Releasing more times than the buffer was retained panics.
 func (b *Buffer) Release() {
 	switch n := b.refs.Add(-1); {
 	case n > 0:
@@ -167,11 +223,13 @@ func (b *Buffer) Release() {
 	case n < 0:
 		panic(fmt.Sprintf("buf: over-release (refs=%d)", n))
 	}
-	outstanding.Add(-1)
 	if b.tier >= 0 {
-		b.B = nil // drop any oversized append spill before pooling
-		pools[b.tier].Put(b)
+		b.B = nil // drop any oversized append spill before it idles
+		if tiers[b.tier].Put(b) {
+			return
+		}
 	}
+	live.Add(-1) // unpooled, or its tier is full: the collector's
 }
 
 // Handoff retains b and returns it. Use it at the point where a parsed
@@ -194,7 +252,7 @@ func (b *Buffer) TakeBytes() []byte {
 	switch n := b.refs.Add(-1); {
 	case n == 0:
 		// Last reference: give the storage away instead of pooling it.
-		outstanding.Add(-1)
+		live.Add(-1)
 		return p
 	case n < 0:
 		panic(fmt.Sprintf("buf: TakeBytes of released buffer (refs=%d)", n))

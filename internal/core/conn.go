@@ -125,31 +125,40 @@ func (e ctrlEvent) release() {
 	}
 }
 
-// sendSession is what one reliable Send needs beyond the message: the
+// sendSession is what one Send needs beyond the message: the
 // error-control sender, the channel the connection's control demux
-// deposits its acknowledgments on, and the retransmission timer (idle
-// on the fast path, whose timed control read is its timer).
-// Sessions recycle through sendSessionPool — channel and timer are
-// built once and survive, the sender is drawn from errctl's own pool
-// per transfer — so a steady stream of reliable sends allocates
-// nothing. What makes the channel safe to reuse is endSend's order:
-// deposits happen under c.mu against the waiter table, so once the
-// session id is deleted no event can land, and the drain that follows
-// leaves the channel empty. An ack for an older session finds no waiter
-// under its id and is discarded, whoever holds the channel now.
+// deposits its acknowledgments on, the retransmission timer (idle on the
+// fast path, whose timed control read is its timer) and the channel the
+// Send Thread or shard confirms a synchronous transmission on — the one
+// part an unreliable Send uses. Sessions recycle through
+// idleSendSessions — channels and timer are built once and survive, the
+// sender is drawn from errctl's own free list per transfer — so a steady
+// stream of sends allocates nothing. What makes ackCh safe to reuse is
+// endSend's order: deposits happen under c.mu against the waiter table,
+// so once the session id is deleted no event can land, and the drain
+// that follows leaves the channel empty. An ack for an older session
+// finds no waiter under its id and is discarded, whoever holds the
+// channel now. done is clean whenever put returned normally: its one
+// token was consumed.
 type sendSession struct {
 	snd errctl.Sender
 	// ackCh holds the acks that arrive while Send is busy retransmitting;
 	// one that finds it full is dropped and the timer recovers.
 	ackCh chan ctrlEvent
-	timer *time.Timer // stopped and drained while pooled
+	timer *time.Timer   // stopped and drained while idle
+	done  chan struct{} // one token per synchronous transmission (put)
 }
 
-var sendSessionPool = sync.Pool{New: func() any {
+// idleSendSessions keeps up to 256 idle send sessions — one serves one
+// Send at a time, so 256 concurrent senders; further ones build their
+// own and leave them to the collector. Budget: a session is its ack
+// channel (4 events × 64 B), a stopped timer and a one-token channel,
+// ≈ 0.6 KB — 256 ≈ 150 KB.
+var idleSendSessions = buf.NewFreeList(256, func() *sendSession {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &sendSession{ackCh: make(chan ctrlEvent, 4), timer: t}
-}}
+	return &sendSession{ackCh: make(chan ctrlEvent, 4), timer: t, done: make(chan struct{}, 1)}
+})
 
 // Connection is one NCS point-to-point connection: a data connection
 // and a control connection, the per-connection threads of Figure 4, and
@@ -506,6 +515,7 @@ type sendLane struct {
 	streamID uint32
 	fc       flowctl.Sender
 	tx       *atomic.Uint32
+	done     chan struct{} // the running Send's confirmation channel (sendSession.done)
 }
 
 // lane0 is the connection's default (stream 0) send lane.
@@ -533,15 +543,18 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 	sess := c.nextSession.Add(1)
 	telemetry.TraceStart(c.id, sess, len(msg))
 
+	// A fast-path unreliable Send waits for neither acks nor a Send
+	// Thread, so it alone takes no session.
 	var ss *sendSession
-	if c.opts.ErrorControl != errctl.None {
+	if c.opts.ErrorControl != errctl.None || !c.opts.FastPath {
 		ss = c.beginSend(lane, msg, sess)
 		defer c.endSend(ss, sess)
+		lane.done = ss.done
 	}
 	if tr != nil {
 		tr.stamp(&tr.tHeader)
 	}
-	if ss == nil {
+	if c.opts.ErrorControl == errctl.None {
 		// A None session never retransmits, so nothing ever refers to it
 		// again and the whole sender object (session state, segmentation
 		// slice) is skipped: segmentation happens inline on the caller's
@@ -617,10 +630,14 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 	}
 }
 
-// beginSend draws a send session for transfer sess of msg and registers
-// its ack channel with the control demux.
+// beginSend draws a send session for transfer sess of msg and, when the
+// transfer is reliable, gives it a sender and registers its ack channel
+// with the control demux.
 func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSession {
-	ss := sendSessionPool.Get().(*sendSession)
+	ss := idleSendSessions.Get()
+	if c.opts.ErrorControl == errctl.None {
+		return ss
+	}
 	ss.snd = errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
 	c.mu.Lock()
 	if c.waiters == nil {
@@ -634,23 +651,25 @@ func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSess
 // endSend retires the session: deregister, then drain (releasing the
 // receive buffers buffered events retained — e.g. a duplicate final ack
 // that raced the session's completion), then return every part to its
-// pool. See sendSession for why this order makes the channel reusable.
+// free list. See sendSession for why this order makes the channels
+// reusable. On a closed (or failed) connection the session is left to
+// the collector instead: a put that gave up waiting may still be owed
+// its token.
 func (c *Connection) endSend(ss *sendSession, sess uint32) {
-	c.mu.Lock()
-	delete(c.waiters, sess)
-	c.mu.Unlock()
-	for drained := false; !drained; {
-		select {
-		case ev := <-ss.ackCh:
-			ev.release()
-		default:
-			drained = true
+	if ss.snd != nil {
+		c.mu.Lock()
+		delete(c.waiters, sess)
+		c.mu.Unlock()
+		for len(ss.ackCh) > 0 {
+			(<-ss.ackCh).release()
 		}
+		stopTimer(ss.timer)
+		errctl.Release(ss.snd)
+		ss.snd = nil
 	}
-	stopTimer(ss.timer)
-	errctl.Release(ss.snd)
-	ss.snd = nil
-	sendSessionPool.Put(ss)
+	if c.Err() == nil {
+		idleSendSessions.Put(ss)
+	}
 }
 
 // rto is how long a sender waits before presuming loss — the
@@ -736,13 +755,6 @@ func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
 	return false, nil
 }
 
-// doneChPool recycles the one-shot channels that synchronise a sender
-// with the Send Thread's transmission confirmation. The Send Thread
-// deposits a token (rather than closing), so a consumed channel is
-// clean for reuse; channels abandoned on connection close are simply
-// garbage collected.
-var doneChPool = sync.Pool{New: func() any { return make(chan struct{}, 1) }}
-
 // transmit performs the Error-Control → Flow-Control → wire hand-off
 // for a batch of SDUs on a send lane: admission and the transmit index
 // come from the lane, so a stream whose credit window is exhausted
@@ -753,15 +765,10 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, s
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
 	// control first, so the credit the loss returns can fund the
-	// retransmission itself.
-	rtx := 0
-	for _, sdu := range sdus {
-		if sdu.Header.Flags&packet.FlagRetransmit != 0 {
-			rtx++
-		}
-	}
-	if rtx > 0 {
-		flowctl.NoteLoss(lane.fc, rtx)
+	// retransmission itself. (A batch is a sender's Initial, unflagged,
+	// or one of its retransmission batches, flagged throughout.)
+	if len(sdus) > 0 && sdus[0].Header.Flags&packet.FlagRetransmit != 0 {
+		flowctl.NoteLoss(lane.fc, len(sdus))
 	}
 	wait := c.rto()
 	for i, sdu := range sdus {
@@ -777,11 +784,13 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, s
 		}
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
 		it := outItem{c: c, sdu: sdu}
-		last := i == len(sdus)-1
-		if last {
+		if i == len(sdus)-1 {
 			it.trace = tr
+			if sync && !c.opts.FastPath { // the fast path's put is inline
+				it.done = lane.done
+			}
 		}
-		if err := c.put(it, sync && last); err != nil {
+		if err := c.put(it); err != nil {
 			return err
 		}
 	}
@@ -864,9 +873,9 @@ func (c *Connection) creditTimeout(lane sendLane) error {
 
 // put hands one admitted SDU to the wire the way the connection's
 // runtime owns it: an inline write on the fast path, else the Send
-// Thread's or the shard's queue — waiting, when sync is set, for the
-// token that confirms the SDU left the interface.
-func (c *Connection) put(it outItem, sync bool) error {
+// Thread's or the shard's queue — waiting, when the item carries a done
+// channel, for the token that confirms the SDU left the interface.
+func (c *Connection) put(it outItem) error {
 	if c.opts.FastPath {
 		err := c.data.SendBuf(it.stage()) // consumes the buffer reference
 		it.finish()
@@ -887,9 +896,6 @@ func (c *Connection) put(it outItem, sync bool) error {
 			return ErrConnClosed
 		}
 	}
-	if sync {
-		it.done = doneChPool.Get().(chan struct{})
-	}
 	if it.trace != nil {
 		it.trace.stamp(&it.trace.tQueued)
 	}
@@ -899,13 +905,12 @@ func (c *Connection) put(it outItem, sync bool) error {
 	if it.done != nil {
 		select {
 		case <-it.done:
-			doneChPool.Put(it.done)
 			if it.trace != nil {
 				it.trace.stamp(&it.trace.tReturned)
 			}
 		case <-c.closedCh:
-			// The channel may still receive its token; abandon it
-			// to the garbage collector rather than repooling.
+			// The channel may still receive its token: endSend, seeing
+			// the connection closed, will not reuse the session.
 			return ErrConnClosed
 		}
 	}

@@ -10,10 +10,11 @@
 // packet I/O and timer scheduling stay with the caller (the NCS Error
 // Control Thread or the fast-path procedures).
 //
-// Instances are pooled: NewSender/NewReceiver draw a state machine whose
-// segment tables, bitmap and scratch survive from an earlier session,
-// and Release/Recycle hand it back, so a steady stream of reliable
-// messages allocates nothing here beyond each delivered copy. The price
+// Instances recycle through bounded free lists (buf.FreeList, which the
+// collector does not empty): NewSender/NewReceiver draw a state machine
+// whose segment tables, bitmap and scratch survive from an earlier
+// session, and Release/Recycle hand it back, so a steady stream of
+// reliable messages allocates nothing here beyond each delivered copy. The price
 // is that everything a state machine returns — SDU slices, control
 // packets and their bodies — is BORROWED from it, for no longer than the
 // doc of the method that returned it says.
@@ -23,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 
 	"ncs/internal/buf"
 	"ncs/internal/packet"
@@ -158,10 +158,11 @@ func (s segment) release() {
 // while capping the damage of a corrupt or hostile header at ~2MB.
 const MaxUnreliableSegments = 1 << 16
 
-// maxPooledSegs bounds the segment storage a pooled state machine
-// keeps: one that grew unusually large (a near-cap sequence number, a
-// huge message) frees its tables rather than pinning them in the pool.
-const maxPooledSegs = 4096
+// maxPooledSegs bounds the segment storage an idle state machine keeps:
+// one that carried a message of more SDUs (2 MB at the default SDU
+// size; a near-cap sequence number) frees its tables rather than pin
+// them in its free list — see stateIdle for the budget this sets.
+const maxPooledSegs = 512
 
 // reassembly is the dense segment store every receiver assembles from:
 // slices indexed by SDU sequence number and reused across sessions, not
@@ -332,13 +333,25 @@ func (s *segmented) release() {
 	s.sdus, s.rt, s.done = s.sdus[:0], s.rt[:0], false
 }
 
+// stateIdle is how many idle state machines of each kind the package
+// keeps. One serves a message transfer from first SDU to delivery, so
+// the count in use is the number of messages in flight in the process;
+// beyond stateIdle idle ones, Release/Recycle leave the instance to the
+// collector. Byte budget: an idle instance keeps only its tables — per
+// SDU of the largest message it carried, 96 B in a sender (SDU table and
+// retransmission scratch) and 33 B in a receiver, up to maxPooledSegs
+// SDUs — so the six kinds × 64 retain ≈ 1.6 MB if every instance last
+// carried a 256 KB message (64 SDUs), and never more than
+// 3 × 64 × (48 KB + 16.5 KB) ≈ 12 MB.
+const stateIdle = 64
+
 var (
-	srSenderPool    = sync.Pool{New: func() any { return new(srSender) }}
-	gbnSenderPool   = sync.Pool{New: func() any { return new(gbnSender) }}
-	noneSenderPool  = sync.Pool{New: func() any { return new(noneSender) }}
-	srReceiverPool  = sync.Pool{New: func() any { return new(srReceiver) }}
-	gbnReceiverPool = sync.Pool{New: func() any { return new(gbnReceiver) }}
-	noneRecvPool    = sync.Pool{New: func() any { return new(noneReceiver) }}
+	srSenders     = buf.NewFreeList(stateIdle, func() *srSender { return new(srSender) })
+	gbnSenders    = buf.NewFreeList(stateIdle, func() *gbnSender { return new(gbnSender) })
+	noneSenders   = buf.NewFreeList(stateIdle, func() *noneSender { return new(noneSender) })
+	srReceivers   = buf.NewFreeList(stateIdle, func() *srReceiver { return new(srReceiver) })
+	gbnReceivers  = buf.NewFreeList(stateIdle, func() *gbnReceiver { return new(gbnReceiver) })
+	noneReceivers = buf.NewFreeList(stateIdle, func() *noneReceiver { return new(noneReceiver) })
 )
 
 // NewSender builds the transmit side of a stream-0 session.
@@ -347,7 +360,7 @@ func NewSender(alg Algorithm, msg []byte, sduSize int, connID, sessionID uint32)
 }
 
 // NewSenderStream builds the transmit side of a session on an
-// arbitrary stream, reusing a pooled sender when one is available.
+// arbitrary stream, reusing an idle sender when one is available.
 func NewSenderStream(alg Algorithm, msg []byte, sduSize int, connID, streamID, sessionID uint32) Sender {
 	switch alg {
 	case SelectiveRepeat:
@@ -359,37 +372,37 @@ func NewSenderStream(alg Algorithm, msg []byte, sduSize int, connID, streamID, s
 	}
 }
 
-// Release returns a sender to its pool once the transfer is over
+// Release returns a sender to its free list once the transfer is over
 // (completed or given up). The sender, and every SDU slice it returned,
 // must not be used afterwards; it keeps no reference into the message.
 func Release(s Sender) {
 	switch s := s.(type) {
 	case *srSender:
 		s.release()
-		srSenderPool.Put(s)
+		srSenders.Put(s)
 	case *gbnSender:
 		s.release()
-		gbnSenderPool.Put(s)
+		gbnSenders.Put(s)
 	case *noneSender:
 		s.release()
-		noneSenderPool.Put(s)
+		noneSenders.Put(s)
 	}
 }
 
-// NewReceiver builds the receive side of a session, reusing a pooled
+// NewReceiver builds the receive side of a session, reusing an idle
 // receiver when one is available.
 func NewReceiver(alg Algorithm) Receiver {
 	switch alg {
 	case SelectiveRepeat:
-		return srReceiverPool.Get().(*srReceiver)
+		return srReceivers.Get()
 	case GoBackN:
-		return gbnReceiverPool.Get().(*gbnReceiver)
+		return gbnReceivers.Get()
 	default:
-		return noneRecvPool.Get().(*noneReceiver)
+		return noneReceivers.Get()
 	}
 }
 
-// Recycle returns a receiver to its pool once the caller is done with
+// Recycle returns a receiver to its free list once the caller is done with
 // it (message delivered, or the session abandoned). Segment buffers
 // still retained are released. The receiver must not be used after
 // Recycle, and neither may the acks of its last OnData: their bodies
@@ -398,12 +411,12 @@ func Recycle(r Receiver) {
 	switch r := r.(type) {
 	case *srReceiver:
 		r.reset()
-		srReceiverPool.Put(r)
+		srReceivers.Put(r)
 	case *gbnReceiver:
 		r.reset()
-		gbnReceiverPool.Put(r)
+		gbnReceivers.Put(r)
 	case *noneReceiver:
 		r.reset()
-		noneRecvPool.Put(r)
+		noneReceivers.Put(r)
 	}
 }

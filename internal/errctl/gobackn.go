@@ -27,7 +27,7 @@ type gbnSender struct {
 var _ Sender = (*gbnSender)(nil)
 
 func newGBNSender(msg []byte, sduSize int, connID, streamID, sessionID uint32) *gbnSender {
-	s := gbnSenderPool.Get().(*gbnSender)
+	s := gbnSenders.Get()
 	s.sdus = appendSegments(s.sdus, msg, sduSize, connID, streamID, sessionID, 0)
 	s.base, s.nackedAt = 0, -1
 	return s

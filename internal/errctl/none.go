@@ -21,7 +21,7 @@ type noneSender struct {
 var _ Sender = (*noneSender)(nil)
 
 func newNoneSender(msg []byte, sduSize int, connID, streamID, sessionID uint32) *noneSender {
-	s := noneSenderPool.Get().(*noneSender)
+	s := noneSenders.Get()
 	s.sdus = appendSegments(s.sdus, msg, sduSize, connID, streamID, sessionID, packet.FlagUnreliable)
 	s.done = true // unreliable sessions complete as soon as the SDUs leave the sender
 	return s

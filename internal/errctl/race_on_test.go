@@ -2,7 +2,7 @@
 
 package errctl
 
-// raceDetector reports that the race detector is on: sync.Pool then
-// drops a quarter of what is Put, so pooled cycles cannot be held to
-// zero allocations.
+// raceDetector reports that the race detector is on: its
+// instrumentation allocates on paths that otherwise do not, so recycled
+// cycles cannot be held to zero allocations.
 const raceDetector = true

@@ -18,7 +18,7 @@ type srSender struct {
 var _ Sender = (*srSender)(nil)
 
 func newSRSender(msg []byte, sduSize int, connID, streamID, sessionID uint32) *srSender {
-	s := srSenderPool.Get().(*srSender)
+	s := srSenders.Get()
 	s.sdus = appendSegments(s.sdus, msg, sduSize, connID, streamID, sessionID, 0)
 	return s
 }

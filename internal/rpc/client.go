@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"ncs/internal/buf"
 	"ncs/internal/core"
 	"ncs/internal/xdr"
 )
@@ -42,12 +43,14 @@ func (r reply) result(method string) ([]byte, error) {
 // call is the per-call rendezvous between the issuing goroutine and the
 // demultiplexing receive loop. The one-slot channel receives exactly
 // one deposit per call ID, so a consumed (or drained) call recycles
-// through callPool with a clean channel.
+// through idleCalls with a clean channel.
 type call struct {
 	ch chan reply
 }
 
-var callPool = sync.Pool{New: func() any { return &call{ch: make(chan reply, 1)} }}
+// idleCalls keeps up to 256 idle call records — one is held per call in
+// flight — of ≈ 0.2 KB each (a one-slot reply channel): ≈ 50 KB.
+var idleCalls = buf.NewFreeList(256, func() *call { return &call{ch: make(chan reply, 1)} })
 
 // Client issues multiplexed RPC calls over one NCS connection. Many
 // goroutines may Call concurrently; in-flight calls are matched to
@@ -103,7 +106,7 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 		}
 		return nil, err
 	}
-	ca := callPool.Get().(*call)
+	ca := idleCalls.Get()
 	id := c.nextID.Add(1)
 	c.calls[id] = ca
 	c.mu.Unlock()
@@ -119,7 +122,7 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 		}
 	}
 
-	enc := encPool.Get().(*xdr.Encoder)
+	enc := idleEncoders.Get()
 	enc.Reset()
 	appendCall(enc, id, method, budget, req)
 	if err := c.conn.Send(enc.Bytes()); err != nil {
@@ -129,11 +132,11 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 		c.abandon(id, ca)
 		return nil, err
 	}
-	encPool.Put(enc)
+	putEncoder(enc)
 
 	select {
 	case r := <-ca.ch:
-		callPool.Put(ca)
+		idleCalls.Put(ca)
 		mClientInflight.Dec()
 		mCallNS.ObserveSince(start)
 		return r.result(method)
@@ -156,7 +159,7 @@ func (c *Client) abandon(id uint64, ca *call) {
 	case <-ca.ch:
 	default:
 	}
-	callPool.Put(ca)
+	idleCalls.Put(ca)
 }
 
 // recvLoop is the client's demultiplexer: it drains the connection,

@@ -37,9 +37,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
+	"ncs/internal/buf"
 	"ncs/internal/xdr"
 )
 
@@ -93,9 +93,22 @@ func (e *ServerError) Error() string {
 	return fmt.Sprintf("rpc: %s: %s", e.Method, e.Message)
 }
 
-// encPool recycles the XDR encoders both sides use to frame messages:
-// steady-state call traffic encodes without allocating.
-var encPool = sync.Pool{New: func() any { return xdr.NewEncoder(256) }}
+// idleEncoders recycles the XDR encoders both sides use to frame
+// messages: steady-state call traffic encodes without allocating. An
+// encoder is held for one Send, so 64 cover 64 concurrent callers and
+// repliers; one that grew past maxIdleEncoder framing a large message
+// is left to the collector, which bounds what the list retains at
+// 64 × 32 KB = 2 MB (64 × 256 B–2 KB under typical call sizes).
+var idleEncoders = buf.NewFreeList(64, func() *xdr.Encoder { return xdr.NewEncoder(256) })
+
+const maxIdleEncoder = 32 * 1024
+
+// putEncoder returns enc to idleEncoders once its Send has completed.
+func putEncoder(enc *xdr.Encoder) {
+	if cap(enc.Bytes()) <= maxIdleEncoder {
+		idleEncoders.Put(enc)
+	}
+}
 
 // appendCall frames one call message.
 func appendCall(enc *xdr.Encoder, id uint64, method string, deadline time.Duration, req []byte) {

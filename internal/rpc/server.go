@@ -332,11 +332,11 @@ func (s *Server) run(ctx context.Context, h Handler, req []byte) (resp []byte, e
 // encoder is only repooled after a successful Send — a teardown-path
 // Send Thread may still hold SDU views of its buffer.
 func (s *Server) reply(conn *core.Connection, id uint64, status uint32, errmsg string, resp []byte) {
-	enc := encPool.Get().(*xdr.Encoder)
+	enc := idleEncoders.Get()
 	enc.Reset()
 	appendReply(enc, id, status, errmsg, resp)
 	if err := conn.Send(enc.Bytes()); err == nil {
-		encPool.Put(enc)
+		putEncoder(enc)
 	}
 }
 

@@ -196,7 +196,7 @@ func (c *Client) openStream(ctx context.Context, method string, mode StreamMode,
 		}
 		return nil, err
 	}
-	ca := callPool.Get().(*call)
+	ca := idleCalls.Get()
 	id := c.nextID.Add(1)
 	c.calls[id] = ca
 	c.mu.Unlock()
@@ -216,7 +216,7 @@ func (c *Client) openStream(ctx context.Context, method string, mode StreamMode,
 		return nil, err
 	}
 
-	enc := encPool.Get().(*xdr.Encoder)
+	enc := idleEncoders.Get()
 	enc.Reset()
 	appendStreamCall(enc, id, method, budget, mode, st.ID(), req)
 	if err := c.conn.Send(enc.Bytes()); err != nil {
@@ -224,7 +224,7 @@ func (c *Client) openStream(ctx context.Context, method string, mode StreamMode,
 		c.abandon(id, ca)
 		return nil, err
 	}
-	encPool.Put(enc)
+	putEncoder(enc)
 	return &ClientCall{c: c, st: st, id: id, method: method, mode: mode, ca: ca}, nil
 }
 
@@ -283,7 +283,7 @@ func (cc *ClientCall) Recv() ([]byte, error) {
 func (cc *ClientCall) Result(ctx context.Context) ([]byte, error) {
 	select {
 	case r := <-cc.ca.ch:
-		callPool.Put(cc.ca)
+		idleCalls.Put(cc.ca)
 		mClientInflight.Dec()
 		cc.st.Close()
 		return r.result(cc.method)

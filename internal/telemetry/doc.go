@@ -39,8 +39,8 @@
 //
 // Counters:
 //
-//	buf.pool.hit_total                 pooled buffer reused
-//	buf.pool.miss_total                pool empty, buffer allocated
+//	buf.pool.hit_total                 idle buffer reused from its tier's free list
+//	buf.pool.miss_total                none idle in the tier, buffer allocated
 //	buf.pool.oversize_total            request above the largest tier
 //	errctl.send.retransmit_sdus_total  SDUs retransmitted (SR + GBN)
 //	errctl.gbn.nack_replay_total       go-back-N window replays
@@ -85,7 +85,9 @@
 //
 // Gauges:
 //
-//	buf.pool.outstanding               buffers checked out of the pools
+//	buf.pool.outstanding               buffers checked out of the tiers
+//	buf.pool.retained_bytes            idle storage the tiers' free lists hold
+//	                                   (bounded: see buf.tierIdle, ≈ 4.4 MB)
 //	core.shard.parked_conns            sharded conns paused on a slow consumer
 //	rpc.client.inflight                calls awaiting replies
 //	rpc.server.inflight                requests admitted, not replied

@@ -180,8 +180,8 @@ func NewHistogram(name string) *Histogram {
 // Snapshots.
 
 // Snapshot is a point-in-time reading of every registered instrument.
-// It is plain data: safe to retain, diff, and marshal (the JSON form
-// is what ncs-bench -telemetry embeds in BENCH_*.json artifacts).
+// It is plain data: safe to retain, diff, and marshal (ncs.CaptureMetrics
+// returns one; the benchmark reads its counters by name).
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters"`
 	Gauges     map[string]int64             `json:"gauges"`
