@@ -556,7 +556,7 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 	}
 	if c.opts.ErrorControl == errctl.None {
 		// A None session never retransmits, so nothing ever refers to it
-		// again and the whole sender object (session state, segmentation
+		// again and the error-control sender (session state, segmentation
 		// slice) is skipped: segmentation happens inline on the caller's
 		// stack, and steady-state unreliable sends allocate nothing.
 		sduSize, n := c.unreliableSegments(msg)

@@ -14,10 +14,10 @@
 // collector does not empty): NewSender/NewReceiver draw a state machine
 // whose segment tables, bitmap and scratch survive from an earlier
 // session, and Release/Recycle hand it back, so a steady stream of
-// reliable messages allocates nothing here beyond each delivered copy. The price
-// is that everything a state machine returns — SDU slices, control
-// packets and their bodies — is BORROWED from it, for no longer than the
-// doc of the method that returned it says.
+// reliable messages allocates nothing here beyond each delivered copy.
+// The price is that everything a state machine returns — SDU slices,
+// control packets and their bodies — is BORROWED from it, for no longer
+// than the doc of the method that returned it says.
 package errctl
 
 import (
@@ -402,8 +402,8 @@ func NewReceiver(alg Algorithm) Receiver {
 	}
 }
 
-// Recycle returns a receiver to its free list once the caller is done with
-// it (message delivered, or the session abandoned). Segment buffers
+// Recycle returns a receiver to its free list once the caller is done
+// with it (message delivered, or the session abandoned). Segment buffers
 // still retained are released. The receiver must not be used after
 // Recycle, and neither may the acks of its last OnData: their bodies
 // are its scratch.

@@ -148,9 +148,9 @@ func (t *SessionTable) reack(h packet.DataHeader, ack uint32, dup bool) []packet
 // trackLocked enters a new session, pruning the oldest when the table
 // is full. An incomplete session that old has no live sender (a channel
 // carries one outbound session at a time): retire releases the segment
-// buffers it pins; pruning a tombstone releases nothing. Should a retransmission somehow still arrive, a
-// fresh session restarts reassembly — the whole-message retransmit
-// schemes recover from empty.
+// buffers it pins; pruning a tombstone releases nothing. Should a
+// retransmission somehow still arrive, a fresh session restarts
+// reassembly — the whole-message retransmit schemes recover from empty.
 func (t *SessionTable) trackLocked(id uint32, s inbound) {
 	if t.byID == nil {
 		t.byID = make(map[uint32]inbound)

@@ -3,6 +3,7 @@ package errctl
 import (
 	"bytes"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -135,17 +136,7 @@ func replay(onData func(packet.DataHeader, []byte, *buf.Buffer) ([]packet.Contro
 	return wire, d, done
 }
 
-func equalWire(a, b [][]byte) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if !bytes.Equal(a[i], b[i]) {
-			return false
-		}
-	}
-	return true
-}
+func equalWire(a, b [][]byte) bool { return slices.EqualFunc(a, b, bytes.Equal) }
 
 // TestDuplicatesAfterDeliveryAnswerAsTheLiveReceiverDid: a delivered
 // session is a tombstone, and what a late duplicate draws from it — the
