@@ -38,8 +38,11 @@ const stripeBusy = 1 << 31
 // stripe busy — a Get misses and a Put drops, both of which are merely
 // an allocation. A goroutine that gets and puts in a loop therefore
 // trades one value through its own front slot, in its own core's cache,
-// at one atomic operation each way. The zero value is not usable; build
-// one with NewFreeList.
+// at one atomic operation each way. (A sync.Mutex taken by TryLock per
+// stripe is the plainer structure and was measured beside this one: two
+// atomic operations each way, 67 against 52 ns for a buffer's get and
+// release on one goroutine, 110 against 15–95 ns on two.) The zero value
+// is not usable; build one with NewFreeList.
 type FreeList[T any] struct {
 	per     uint32    // capacity of one stripe's stack
 	fresh   func() *T // builds a value when Get finds none idle

@@ -766,7 +766,8 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, s
 	// transmission of that sequence was lost; hand the verdict to flow
 	// control first, so the credit the loss returns can fund the
 	// retransmission itself. (A batch is a sender's Initial, unflagged,
-	// or one of its retransmission batches, flagged throughout.)
+	// or one of its retransmission batches, flagged throughout: errctl's
+	// loss simulations check every batch — flaggedThroughout.)
 	if len(sdus) > 0 && sdus[0].Header.Flags&packet.FlagRetransmit != 0 {
 		flowctl.NoteLoss(lane.fc, len(sdus))
 	}

@@ -355,6 +355,7 @@ func lossySimulate(t *testing.T, alg Algorithm, msg []byte, sduSize int, dataLos
 	r := NewReceiver(alg)
 
 	queue := s.Initial()
+	flaggedThroughout(t, queue, false)
 	const maxRounds = 200
 	for round := 0; round < maxRounds; round++ {
 		var acks []packet.Control
@@ -377,6 +378,7 @@ func lossySimulate(t *testing.T, alg Algorithm, msg []byte, sduSize int, dataLos
 			if err != nil && err != ErrSessionDone {
 				t.Fatalf("OnAck: %v", err)
 			}
+			flaggedThroughout(t, rt, true)
 			queue = append(queue, rt...) // copies: rt is borrowed until the next OnAck
 			sdone = sdone || d
 		}
@@ -386,6 +388,7 @@ func lossySimulate(t *testing.T, alg Algorithm, msg []byte, sduSize int, dataLos
 		if len(queue) == 0 {
 			// Nothing in flight: the sender's retransmission timer fires.
 			queue = s.OnTimeout()
+			flaggedThroughout(t, queue, true)
 			if len(queue) == 0 && !progressed {
 				t.Fatalf("%v: stalled at round %d", alg, round)
 			}
@@ -393,6 +396,19 @@ func lossySimulate(t *testing.T, alg Algorithm, msg []byte, sduSize int, dataLos
 	}
 	t.Fatalf("%v: no convergence after %d rounds", alg, maxRounds)
 	return nil
+}
+
+// flaggedThroughout checks what core's transmit relies on when it reads
+// a whole batch's kind off its first SDU: a sender's Initial carries
+// FlagRetransmit nowhere, a retransmission batch (OnAck's, OnTimeout's)
+// on every SDU — each of which is one presumed loss to flow control.
+func flaggedThroughout(t *testing.T, batch []SDU, want bool) {
+	t.Helper()
+	for i, sdu := range batch {
+		if got := sdu.Header.Flags&packet.FlagRetransmit != 0; got != want {
+			t.Fatalf("SDU %d of a %d-SDU batch: FlagRetransmit = %v, want %v throughout", i, len(batch), got, want)
+		}
+	}
 }
 
 func TestReliableAlgorithmsUnderHeavyLoss(t *testing.T) {
