@@ -486,6 +486,70 @@ func BenchmarkAllocHPIShardedEcho(b *testing.B) {
 	runAllocEcho(b, "sh", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded}, 4096)
 }
 
+// BenchmarkAllocInboxFanIn is the sharded echo through the accept-side
+// pattern: two sharded HPI connections bound to one Inbox, one worker
+// looping on Inbox.Recv and echoing on the connection each delivery
+// names (the shape of the benchmark's rpc_fanin, without the RPC layer).
+// The gate holds the inbox path to what the connection's own mailbox
+// costs: the delivered copy on each side.
+func BenchmarkAllocInboxFanIn(b *testing.B) {
+	nw := ncs.NewNetwork()
+	defer nw.Close()
+	client, err := nw.NewSystem("alloc-inbox-a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	server, err := nw.NewSystem("alloc-inbox-b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	ib := ncs.NewInbox(0)
+	var conns [2]*ncs.Connection
+	for i := range conns {
+		conn, err := client.Connect("alloc-inbox-b", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded})
+		if err != nil {
+			b.Fatal(err)
+		}
+		peer, err := server.Accept()
+		if err == nil {
+			err = peer.BindInbox(ib)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		conns[i] = conn
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			im, err := ib.Recv()
+			if err != nil {
+				return
+			}
+			if err := im.Conn.Send(im.Msg.Data); err != nil {
+				return
+			}
+		}
+	}()
+	msg := make([]byte, 4096)
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		conn := conns[i&1]
+		if err := conn.Send(msg); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := conn.Recv(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.StopTimer()
+	ib.Close()
+	<-done
+}
+
 // The reliable-path gates. HPI's defaults bypass error and flow control,
 // so the gates above never enter them; these force selective repeat (or
 // go-back-N) and credits on, as a connection over a lossy interface

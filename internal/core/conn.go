@@ -187,12 +187,13 @@ type Connection struct {
 	ctrlQ chan *buf.Buffer // marshalled control packets; the queue owns the references
 
 	// box is the default lane's receive end — the same mailbox every
-	// stream has. Its producer holds it to deliveredQueueDepth: at depth
-	// it raises paused and stops reading the data connection, and the pop
-	// that frees a slot wakes it (afterRecv). space is the Receive
+	// stream has. Its producer holds it to deliveredQueueDepth (or, bound
+	// to an inbox, holds that to its depth — atDepth): there it raises
+	// paused and stops reading the data connection, and the pop that frees
+	// a slot wakes it (afterRecv, Inbox.wake). space is the Receive
 	// Thread's wake-up bell, built by that thread before it first raises
 	// paused; a shard is re-queued instead.
-	box   stream.Mailbox
+	box   stream.Mailbox[Message]
 	space chan struct{}
 
 	// mu guards the lazy constructors and the waiter table, nil until
@@ -1070,102 +1071,126 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 	}, d)
 }
 
-// await is the one wait loop: every blocking receive — a message on any
-// lane, a peer-opened stream on the accept queue — is try, then wait,
-// on every runtime. try takes what the caller is waiting for, or
-// reports the error that ends the wait (the lane's lifecycle is over).
-// When it finds nothing, a fast-path receiver that can take fastRecvMu
-// becomes the pump (fastpath.go) — want is its own lane's mailbox, nil
-// for an acceptor, and ready the pump's stop condition; everyone else
-// sleeps on the lane's bell, the pump hand-off, the connection's close
-// or the deadline (d > 0; otherwise none). A close drains what
-// completed before it, then reports itself.
-func (c *Connection) await(want *stream.Mailbox, bell func() <-chan struct{}, ready func() bool,
+// await is every blocking receive on a connection — a message on any
+// lane, a peer-opened stream on the accept queue. The wait loop is
+// stream.Await's, over try, which takes what the caller is waiting for
+// or reports the error that ends the wait (the lane's lifecycle is
+// over). Only the fast path's part is the connection's own: there a
+// receiver whose try finds nothing and who can take fastRecvMu becomes
+// the pump (fastpath.go) instead of sleeping — want is its own lane's
+// mailbox, nil for an acceptor, and ready the pump's stop condition —
+// and every other receiver sleeps on the pump hand-off as well.
+func (c *Connection) await(want *stream.Mailbox[Message], bell func() <-chan struct{}, ready func() bool,
 	try func() (Message, bool, error), d time.Duration) (Message, error) {
-	var deadline time.Time
-	if d > 0 {
-		deadline = time.Now().Add(d)
-	}
-	// Built on the first wait, not per call — a timed receive that finds
-	// its message waiting pays for no timer — and left running to the
-	// deadline across re-checks.
-	var timer *time.Timer
-	defer func() {
-		if timer != nil {
-			timer.Stop()
-		}
-	}()
-	for {
-		m, ok, err := try()
-		if ok && c.opts.FastPath {
-			// What is still queued behind this take needs a successor to
-			// drain it, if its receiver left while the pump was busy.
-			c.pumpRelease()
-		}
-		if ok || err != nil {
-			return m, err
-		}
-		if c.opts.FastPath && c.fastRecvMu.TryLock() {
-			m, ok, err := c.fastPump(want, ready, deadline)
-			c.fastRecvMu.Unlock()
-			c.pumpRelease()
-			if ok || err != nil {
-				return m, err
-			}
-			continue
-		}
-		var timeout <-chan time.Time
+	if c.opts.FastPath {
+		var deadline time.Time
 		if d > 0 {
-			if timer == nil {
-				timer = time.NewTimer(time.Until(deadline))
-			}
-			timeout = timer.C
+			deadline = time.Now().Add(d)
 		}
-		select {
-		case <-bell():
-		case <-c.pumpFree: // nil off the fast path: never ready
-		case <-c.closedCh:
-			if m, ok, _ := try(); ok {
-				return m, nil
+		take := try
+		try = func() (Message, bool, error) {
+			for {
+				m, ok, err := take()
+				if ok {
+					// What is still queued behind this take needs a successor
+					// to drain it, if its receiver left while the pump was busy.
+					c.pumpRelease()
+				}
+				if ok || err != nil || !c.fastRecvMu.TryLock() {
+					return m, ok, err
+				}
+				m, ok, err = c.fastPump(want, ready, deadline)
+				c.fastRecvMu.Unlock()
+				c.pumpRelease()
+				if ok || err != nil {
+					return m, ok, err
+				}
 			}
-			return Message{}, c.closeErr()
-		case <-timeout:
-			return Message{}, ErrRecvTimeout
 		}
+	}
+	m, err := stream.Await(bell, c.pumpFree, c.closedCh, d, try) // pumpFree is nil off the fast path
+	return m, awaitErr(err, c.closeErr())
+}
+
+// awaitErr names, for the caller of a receive, the two ways
+// stream.Await ends by itself.
+func awaitErr(err, closed error) error {
+	switch err {
+	case stream.ErrClosed:
+		return closed
+	case stream.ErrTimeout:
+		return ErrRecvTimeout
+	}
+	return err
+}
+
+// atDepth reports that the default lane's producer must not read the
+// wire: what it may complete has nowhere to wait — the bound inbox is
+// at its depth, else the connection's own mailbox at
+// deliveredQueueDepth. (A closed inbox is never at depth: the next
+// delivery unbinds it.)
+func (c *Connection) atDepth() bool {
+	if ib := c.inbox.Load(); ib != nil {
+		return ib.box.Len() >= ib.depth && !ib.closed()
+	}
+	return c.box.Len() >= deliveredQueueDepth
+}
+
+// pause is the producer stopping at depth: once per pause it raises
+// paused and, if an inbox is what filled, registers for its wake-up.
+// Both happen BEFORE the re-check it returns, so a consumer draining
+// concurrently either is seen here or sees the flag (afterRecv reads it
+// after every pop) or the registration (Inbox.wake).
+func (c *Connection) pause() (still bool) {
+	if !c.paused.Swap(true) {
+		if c.sh != nil {
+			mParkedConns.Inc()
+		}
+		if ib := c.inbox.Load(); ib != nil {
+			ib.parked.Put(c, false)
+		}
+	}
+	return c.atDepth()
+}
+
+// unpause ends a pause, whoever finds it over: the producer seeing room,
+// an inbox waking it, Close.
+func (c *Connection) unpause() {
+	if c.paused.Load() && c.paused.Swap(false) && c.sh != nil {
+		mParkedConns.Dec()
 	}
 }
 
 // awaitSpace is the Receive Thread's backpressure: it returns once the
-// default lane's mailbox is below deliveredQueueDepth, false if the
-// connection closed first. paused is raised BEFORE the re-check, so a
-// consumer draining concurrently either is seen here or sees the flag
-// (afterRecv reads it after every pop).
+// default lane is below depth, false if the connection closed first.
 func (c *Connection) awaitSpace() bool {
-	for c.box.Len() >= deliveredQueueDepth {
+	for c.atDepth() {
 		if c.space == nil {
 			c.space = make(chan struct{}, 1)
 		}
-		c.paused.Store(true)
-		if c.box.Len() >= deliveredQueueDepth {
+		if c.pause() {
 			select {
 			case <-c.space:
 			case <-c.closedCh:
 				return false
 			}
 		}
-		c.paused.Store(false)
+		c.unpause()
 	}
 	return true
 }
 
 // afterRecv runs after every pop from the default lane's mailbox: if
-// its producer paused at depth, wake it into the slot just freed — the
-// Receive Thread through its bell, a shard by re-queueing the
-// connection.
+// its producer paused at depth, wake it into the slot just freed.
 func (c *Connection) afterRecv() {
-	if !c.paused.Load() {
-		return
+	if c.paused.Load() {
+		c.resume()
 	}
+}
+
+// resume wakes the default lane's paused producer — the Receive Thread
+// through its bell, a shard by re-queueing the connection.
+func (c *Connection) resume() {
 	if sc := c.sh; sc != nil {
 		sc.shard.requeue(c)
 		return
@@ -1231,7 +1256,7 @@ func (c *Connection) noteHeard() {
 // fast-path pump, which names the lane it reads for: a message
 // completing there with nothing queued ahead of it is returned instead
 // of queued.
-func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox) (Message, bool) {
+func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox[Message]) (Message, bool) {
 	defer b.Release()
 	c.noteHeard()
 	h, payload, err := packet.SplitData(b.B)
@@ -1260,7 +1285,7 @@ func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox) (Message, bool)
 // connection only senders read) accept streams purely from data
 // arrivals. payload aliases the pooled receive buffer ref, which the
 // caller still owns.
-func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, want *stream.Mailbox) (m Message, handed bool) {
+func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, want *stream.Mailbox[Message]) (m Message, handed bool) {
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
 	c.stats.sdusReceived.Add(1)
 	c.stats.bytesReceived.Add(uint64(len(payload)))
@@ -1289,9 +1314,9 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	return m, handed
 }
 
-// deliver0 is the default lane's last hop: into the bound Inbox if
-// there is one, else into the lane's mailbox. It reports false when the
-// mailbox's direct rule left m with the caller (stream.Mailbox.Put).
+// deliver0 is the default lane's last hop: into the bound Inbox's
+// mailbox if there is one, else into the lane's own. It reports false
+// when the mailbox's direct rule left m with the caller (Mailbox.Put).
 func (c *Connection) deliver0(m Message, direct bool) (queued bool) {
 	if ib := c.inbox.Load(); ib != nil {
 		if ib.put(c, m) {

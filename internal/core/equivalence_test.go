@@ -206,7 +206,7 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 					case lane == "stream":
 						awaitCond(t, "the stream's window never arrived", func() bool { return peer.Stats().MessagesReceived == window })
 					case lane == "inbox":
-						awaitCond(t, "the inbox never filled", func() bool { return len(ib.ch) == inboxDepth })
+						awaitCond(t, "the inbox never filled", func() bool { return ib.box.Len() == inboxDepth })
 					default:
 						awaitCond(t, "the producer never paused at depth", peer.paused.Load)
 						if n := peer.box.Len(); n != deliveredQueueDepth {

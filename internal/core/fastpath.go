@@ -46,7 +46,7 @@ func (c *Connection) pumpRelease() {
 // each blocking read — reports the caller's wait is over (its stream's
 // lifecycle ended, an accept arrived), when the deadline passes
 // (ErrRecvTimeout), or when the transport dies.
-func (c *Connection) fastPump(want *stream.Mailbox, stop func() bool, deadline time.Time) (Message, bool, error) {
+func (c *Connection) fastPump(want *stream.Mailbox[Message], stop func() bool, deadline time.Time) (Message, bool, error) {
 	for {
 		if stop != nil && stop() {
 			return Message{}, false, nil

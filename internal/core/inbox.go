@@ -3,8 +3,9 @@ package core
 import (
 	"errors"
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"ncs/internal/stream"
 )
 
 // ErrInboxClosed is returned by Inbox receives after Close once the
@@ -27,23 +28,21 @@ type InboxMessage struct {
 // would undo everything the shards saved. Threaded connections may
 // bind too — their Receive Threads deliver into the inbox directly.
 //
-// On sharded connections a full inbox never blocks a shard: the
-// connection holds the one message the inbox refused, its data path
-// pauses, and the next Inbox.Recv wakes it — per-connection
-// backpressure with collective delivery.
+// It is a lane's receive end shared: the same mailbox, bounded the same
+// way. A bound connection's producer asks before it reads the wire
+// (Connection.atDepth) and, finding the inbox at depth, stops — the
+// Receive Thread waits, a shard pauses the connection's data path and
+// serves its others — after registering once in parked; the Recv that
+// frees a slot wakes every parked producer. So a message is in the
+// inbox or still on the wire, never in between, and the inbox holds at
+// most depth plus one message per producer already past the check.
 type Inbox struct {
-	ch   chan InboxMessage
-	done chan struct{}
+	box    stream.Mailbox[InboxMessage]
+	parked stream.Mailbox[*Connection] // producers stopped at depth, each once per pause
+	depth  int
 
+	done      chan struct{}
 	closeOnce sync.Once
-
-	// waiterN mirrors len(waiters) so the per-message wake check on
-	// the Recv hot path stays lock-free when nothing is stalled (the
-	// overwhelmingly common case).
-	waiterN atomic.Int32
-
-	mu      sync.Mutex
-	waiters []*Connection // sharded conns holding a message this inbox refused
 }
 
 // NewInbox creates an inbox holding up to depth undelivered messages
@@ -53,135 +52,70 @@ func NewInbox(depth int) *Inbox {
 	if depth <= 0 {
 		depth = 1024
 	}
-	return &Inbox{
-		ch:   make(chan InboxMessage, depth),
-		done: make(chan struct{}),
-	}
+	return &Inbox{depth: depth, done: make(chan struct{})}
 }
 
 // Recv blocks for the next delivery from any bound connection. After
 // Close it drains the remaining queue, then returns ErrInboxClosed.
-func (ib *Inbox) Recv() (InboxMessage, error) { return ib.recv(nil) }
+func (ib *Inbox) Recv() (InboxMessage, error) { return ib.RecvTimeout(0) }
 
-// RecvTimeout is Recv with a deadline.
+// RecvTimeout is Recv with a deadline (d > 0; otherwise none, as on
+// every other timed receive).
 func (ib *Inbox) RecvTimeout(d time.Duration) (InboxMessage, error) {
-	// A delivery already queued needs no timer.
-	select {
-	case m := <-ib.ch:
-		ib.wakeWaiters()
-		return m, nil
-	default:
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	return ib.recv(t.C)
-}
-
-func (ib *Inbox) recv(timeout <-chan time.Time) (InboxMessage, error) {
-	select {
-	case m := <-ib.ch:
-		ib.wakeWaiters()
-		return m, nil
-	case <-ib.done:
-		select {
-		case m := <-ib.ch:
-			ib.wakeWaiters()
-			return m, nil
-		default:
-			return InboxMessage{}, ErrInboxClosed
+	im, err := stream.Await(ib.box.Bell, nil, ib.done, d, func() (InboxMessage, bool, error) {
+		im, ok := ib.box.Pop()
+		if ok {
+			ib.wake()
 		}
-	case <-timeout:
-		return InboxMessage{}, ErrRecvTimeout
-	}
+		return im, ok, nil
+	})
+	return im, awaitErr(err, ErrInboxClosed)
 }
 
 // Close stops the inbox: pending Recv calls drain what is queued and
-// then observe ErrInboxClosed. Waiting connections are woken so their
-// held messages fall back to their own mailboxes.
+// then observe ErrInboxClosed. Parked producers are woken: a closed
+// inbox is never at depth, and what they read next lands in their own
+// connections' mailboxes (Connection.deliver0 unbinds).
 func (ib *Inbox) Close() {
 	ib.closeOnce.Do(func() {
 		close(ib.done)
-		ib.wakeWaiters()
+		ib.wake()
 	})
 }
 
 // Done returns a channel closed when the inbox is closed.
 func (ib *Inbox) Done() <-chan struct{} { return ib.done }
 
-// put delivers m, completed on c's default lane; false means the inbox
-// (or the connection) closed first and m is still the caller's. A
-// Receive Thread waits for room — that is its backpressure. A shard
-// must not: the message a full inbox refuses is held on the connection,
-// whose data path pauses (shardConn.dataPaused) until a Recv wakes it.
-func (ib *Inbox) put(c *Connection, m Message) bool {
-	im := InboxMessage{Conn: c, Msg: m}
-	if sc := c.sh; sc != nil {
-		select {
-		case <-ib.done:
-			return false
-		default:
-		}
-		if !ib.offer(c, im) {
-			sc.held, sc.holding = m, true
-		}
-		return true
-	}
+func (ib *Inbox) closed() bool {
 	select {
-	case ib.ch <- im:
-		return true
-	case <-c.closedCh:
-		return false
 	case <-ib.done:
-		return false
-	}
-}
-
-// offer is the sharded runtime's non-blocking delivery. On failure the
-// connection registers as a waiter (once) so the next Recv re-queues
-// it on its shard; a recheck after registration closes the race with a
-// concurrently draining consumer.
-func (ib *Inbox) offer(c *Connection, im InboxMessage) bool {
-	select {
-	case ib.ch <- im:
-		return true
-	default:
-	}
-	sc := c.sh
-	if !sc.inboxWaiting.Swap(true) {
-		ib.mu.Lock()
-		ib.waiters = append(ib.waiters, c)
-		ib.waiterN.Store(int32(len(ib.waiters)))
-		ib.mu.Unlock()
-	}
-	select {
-	case ib.ch <- im:
-		// Delivered after all; the pending wake just re-services the
-		// connection, which finds nothing held.
 		return true
 	default:
 		return false
 	}
 }
 
-// wakeWaiters re-queues every connection a full inbox made wait.
-// The lock-free empty check is safe against a concurrent registration:
-// offer re-attempts its delivery after registering, so a waiter this
-// wake misses either delivered after all or is woken by the next Recv.
-func (ib *Inbox) wakeWaiters() {
-	if ib.waiterN.Load() == 0 {
-		return
+// put delivers m, completed on c's default lane; false means the inbox
+// closed first and m is still the caller's.
+func (ib *Inbox) put(c *Connection, m Message) bool {
+	if ib.closed() {
+		return false
 	}
-	ib.mu.Lock()
-	if len(ib.waiters) == 0 {
-		ib.mu.Unlock()
-		return
-	}
-	ws := ib.waiters
-	ib.waiters = nil
-	ib.waiterN.Store(0)
-	ib.mu.Unlock()
-	for _, c := range ws {
-		c.sh.inboxWaiting.Store(false)
-		c.sh.shard.requeue(c)
+	return ib.box.Put(InboxMessage{Conn: c, Msg: m}, false)
+}
+
+// wake resumes every parked producer: all of them, because one may have
+// nothing left to read, and waking only it would strand the rest behind
+// a slot nobody fills. Ending the pause here — not where the producer
+// finds room — is what makes one that finds the inbox full again
+// register again. With nobody parked it costs one atomic load.
+func (ib *Inbox) wake() {
+	for {
+		c, ok := ib.parked.Pop()
+		if !ok {
+			return
+		}
+		c.unpause()
+		c.resume()
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -83,45 +84,61 @@ func TestOnePathEach(t *testing.T) {
 	}
 }
 
-// TestOneReceiveEnd holds the receive side's collapse in place: every
-// lane on every runtime delivers into a stream.Mailbox and every
-// blocking receive waits in Connection.await, so a second queue type,
-// wait loop, pump entry or producer wake-up fails here before it can
-// drift from the first.
-func TestOneReceiveEnd(t *testing.T) {
-	core := callSites(t, ".")
-	for callee, why := range map[string]string{
-		".TryLock":    "fastRecvMu.TryLock, becoming the fast path's pump: Connection.await",
-		".Pop":        "the default lane's take: Connection.recv",
-		".TryPop":     "a stream's take: Connection.recv",
-		".PopAccept":  "the accept queue's take: Connection.AcceptStreamTimeout",
-		".fastPump":   "the pump itself: Connection.await",
-		".awaitSpace": "the Receive Thread's wait at depth: Connection.recvThread",
-		".dataPaused": "the shard's pause at depth: shard.pumpData",
-	} {
-		if n := core[callee]; n != 1 {
-			t.Errorf("internal/core has %d call sites of %s, want exactly 1 (%s)", n, callee, why)
+// callersOf names, over the non-test Go files of dir, the function
+// around each call of a method by that name — "Recv.name" for a method,
+// "name" for a function — sorted, one entry per call site.
+func callersOf(t *testing.T, dir, method string) []string {
+	t.Helper()
+	var callers []string
+	inspectPackage(t, dir, func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			return true
 		}
-	}
-	// afterRecv is the one consumer-wakes-producer mechanism on the
-	// default lane, called from its one take.
-	if n := core[".afterRecv"]; n != 1 {
-		t.Errorf("internal/core has %d call sites of afterRecv, want exactly 1", n)
-	}
+		name := fn.Name.Name
+		if fn.Recv != nil && len(fn.Recv.List) == 1 {
+			typ := fn.Recv.List[0].Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			if idx, ok := typ.(*ast.IndexExpr); ok { // a generic receiver, Mailbox[T]
+				typ = idx.X
+			}
+			if id, ok := typ.(*ast.Ident); ok {
+				name = id.Name + "." + name
+			}
+		}
+		ast.Inspect(fn.Body, func(m ast.Node) bool {
+			if call, ok := m.(*ast.CallExpr); ok {
+				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == method {
+					callers = append(callers, name)
+				}
+			}
+			return true
+		})
+		return false
+	})
+	slices.Sort(callers)
+	return callers
+}
 
-	var bellSelects, messageLits int
-	gone := map[string]bool{
-		"deliveredQ": true, "delivered": true, "park0": true, "park0Mu": true, "park0Put": true, "park0Pop": true,
-		"bell0": true, "nPark0": true, "recvFast": true, "recvStreamFast": true, "acceptFast": true,
-		"recvMessage": true, "fastWait": true, "stalled": true, "hasStalled": true, "deliverOrStall": true,
-		"flushStalled": true, "Instrument": true,
-	}
-	inspectPackage(t, ".", func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.SelectStmt:
-			// A select that receives from the result of a call named
-			// bell/Bell/AcceptBell waits on a lane doorbell.
-			for _, clause := range n.Body.List {
+// bellSelects counts, in the function declarations of dir's non-test
+// files, the selects that wait on a doorbell: a receive from the result
+// of a call named bell/Bell/AcceptBell. It maps the function to its count.
+func bellSelects(t *testing.T, dir string) map[string]int {
+	t.Helper()
+	found := make(map[string]int)
+	inspectPackage(t, dir, func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			return true
+		}
+		ast.Inspect(fn.Body, func(m ast.Node) bool {
+			sel, ok := m.(*ast.SelectStmt)
+			if !ok {
+				return true
+			}
+			for _, clause := range sel.Body.List {
 				comm, _ := clause.(*ast.CommClause).Comm.(*ast.ExprStmt)
 				if comm == nil {
 					continue
@@ -142,42 +159,98 @@ func TestOneReceiveEnd(t *testing.T) {
 					name = fun.Sel.Name
 				}
 				if strings.HasSuffix(strings.ToLower(name), "bell") {
-					bellSelects++
+					found[fn.Name.Name]++
 				}
 			}
-		case *ast.CompositeLit:
-			// Message{Data: ...}: a field-by-field conversion between the
-			// (formerly distinct) delivery structs.
-			if id, ok := n.Type.(*ast.Ident); ok && id.Name == "Message" && len(n.Elts) > 0 {
-				messageLits++
-			}
-		case *ast.Ident:
-			if gone[n.Name] {
-				t.Errorf("identifier %s is back in internal/core", n.Name)
-				delete(gone, n.Name) // once is enough
-			}
-		}
-		return true
+			return true
+		})
+		return false
 	})
-	if bellSelects != 1 {
-		t.Errorf("internal/core selects on a lane doorbell in %d places, want exactly 1 (Connection.await)", bellSelects)
+	return found
+}
+
+// TestOneReceiveEnd holds the receive side's collapse in place: whatever
+// waits for a consumer — a message on any lane of any runtime, a
+// delivery in an Inbox, a producer the inbox parked, a stream nobody
+// accepted yet — waits in a stream.Mailbox, and every blocking receive
+// sleeps in stream.Await; so a second queue type, wait loop, pump entry
+// or producer wake-up fails here before it can drift from the first.
+func TestOneReceiveEnd(t *testing.T) {
+	streamDir := filepath.Join("..", "stream")
+	core := callSites(t, ".")
+	for callee, why := range map[string]string{
+		".TryLock":    "fastRecvMu.TryLock, becoming the fast path's pump: Connection.await",
+		".TryPop":     "a stream's take: Connection.recv",
+		".PopAccept":  "the accept queue's take: Connection.AcceptStreamTimeout",
+		".fastPump":   "the pump itself: Connection.await",
+		".awaitSpace": "the Receive Thread's wait at depth: Connection.recvThread",
+		".dataPaused": "the shard's pause at depth: shard.pumpData",
+		".pause":      "stopping at depth, behind awaitSpace and dataPaused alike: twice",
+		".afterRecv":  "the default lane's consumer-wakes-producer, from its one take",
+	} {
+		want := 1
+		if callee == ".pause" {
+			want = 2
+		}
+		if n := core[callee]; n != want {
+			t.Errorf("internal/core has %d call sites of %s, want exactly %d (%s)", n, callee, want, why)
+		}
 	}
+	// Every take from a mailbox, by name: a lane's message, an inbox's
+	// delivery, a parked producer, a parked stream message, an accept.
+	for dir, want := range map[string][]string{
+		".":       {"Connection.recv", "Inbox.RecvTimeout", "Inbox.wake"},
+		streamDir: {"Mux.PopAccept", "State.TryPop"},
+	} {
+		if got := callersOf(t, dir, "Pop"); !slices.Equal(got, want) {
+			t.Errorf("%s pops a mailbox in %v, want exactly %v", dir, got, want)
+		}
+	}
+	// One sleep: the only select on a doorbell is stream.Await's.
+	if got := bellSelects(t, "."); len(got) != 0 {
+		t.Errorf("internal/core selects on a doorbell in %v, want nowhere (stream.Await sleeps for it)", got)
+	}
+	if got := bellSelects(t, streamDir); len(got) != 1 || got["Await"] != 1 {
+		t.Errorf("internal/stream selects on a doorbell in %v, want exactly once, in Await", got)
+	}
+
+	var messageLits int
+	gone := map[string]bool{
+		"deliveredQ": true, "delivered": true, "park0": true, "park0Mu": true, "park0Put": true, "park0Pop": true,
+		"bell0": true, "nPark0": true, "recvFast": true, "recvStreamFast": true, "acceptFast": true,
+		"recvMessage": true, "fastWait": true, "stalled": true, "hasStalled": true, "deliverOrStall": true,
+		"flushStalled": true, "Instrument": true,
+		"waiterN": true, "wakeWaiters": true, "inboxWaiting": true, "holding": true, "acceptBell": true, "ringAccept": true,
+	}
+	visit := func(dir string, alsoGone ...string) func(ast.Node) bool {
+		seen := make(map[string]bool)
+		return func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.ChanType:
+				// A completed message waits in a mailbox, not a channel.
+				if id, ok := n.Value.(*ast.Ident); ok && (id.Name == "InboxMessage" || id.Name == "Message" || id.Name == "Msg") {
+					t.Errorf("%s declares a chan %s: a second kind of message queue", dir, id.Name)
+				}
+			case *ast.CompositeLit:
+				// Message{Data: ...}: a field-by-field conversion between the
+				// (formerly distinct) delivery structs.
+				if id, ok := n.Type.(*ast.Ident); ok && id.Name == "Message" && len(n.Elts) > 0 {
+					messageLits++
+				}
+			case *ast.Ident:
+				if (gone[n.Name] || slices.Contains(alsoGone, n.Name)) && !seen[n.Name] {
+					t.Errorf("identifier %s is back in %s", n.Name, dir)
+					seen[n.Name] = true // once is enough
+				}
+			}
+			return true
+		}
+	}
+	inspectPackage(t, ".", visit("internal/core"))
+	inspectPackage(t, streamDir, visit("internal/stream", "parked", "nParked")) // no parked slice beside the mailbox
 	if messageLits != 0 {
 		t.Errorf("internal/core builds %d Message{...} literals field by field, want 0 (Message is errctl.Delivery)", messageLits)
 	}
-
-	// The mailbox is the only completed-message queue: internal/stream
-	// pops it in one place (State.TryPop) and keeps no parked slice.
-	stream := callSites(t, filepath.Join("..", "stream"))
-	if n := stream[".Pop"]; n != 1 {
-		t.Errorf("internal/stream has %d call sites of Mailbox.Pop, want exactly 1 (State.TryPop)", n)
-	}
-	inspectPackage(t, filepath.Join("..", "stream"), func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && (id.Name == "parked" || id.Name == "nParked") {
-			t.Errorf("identifier %s is back in internal/stream", id.Name)
-		}
-		return true
-	})
 }
 
 // TestOneLivenessSweep holds the collapse of the three heartbeat

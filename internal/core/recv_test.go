@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -132,7 +133,7 @@ func TestTimedRecvOfWaitingMessageAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		awaitCond(t, "not every message reached the inbox", func() bool { return len(ib.ch) == 2*(runs+1) })
+		awaitCond(t, "not every message reached the inbox", func() bool { return ib.box.Len() == 2*(runs+1) })
 		untimed := testing.AllocsPerRun(runs, func() {
 			if _, err := ib.Recv(); err != nil {
 				t.Fatal(err)
@@ -143,8 +144,95 @@ func TestTimedRecvOfWaitingMessageAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 		})
-		if timed > untimed {
-			t.Fatalf("Inbox.RecvTimeout of a waiting message allocates %v times, Inbox.Recv %v", timed, untimed)
+		if timed > untimed || timed != 0 {
+			t.Fatalf("Inbox.RecvTimeout of a waiting message allocates %v times (a timer?), Inbox.Recv %v; want 0", timed, untimed)
 		}
 	})
+}
+
+// TestNonPositiveTimeoutMeansNoDeadline: every timed receive reads
+// d ≤ 0 as "no deadline" — they all sleep in one loop, so they agree.
+// (Inbox.RecvTimeout used to build a zero timer and time out at once.)
+// Each entry point is called with nothing to take; it must still be
+// waiting when what it waits for is supplied, and return that.
+func TestNonPositiveTimeoutMeansNoDeadline(t *testing.T) {
+	for _, d := range []time.Duration{0, -time.Second} {
+		nw := NewNetwork()
+		defer nw.Close()
+		a, _ := nw.NewSystem("nodeadline-a")
+		b, _ := nw.NewSystem("nodeadline-b")
+		opts := Options{Interface: transport.HPI}
+		conn, err := a.Connect("nodeadline-b", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := b.AcceptTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bound, err := a.Connect("nodeadline-b", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		boundPeer, err := b.AcceptTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ib := NewInbox(0)
+		defer ib.Close()
+		if err := boundPeer.BindInbox(ib); err != nil {
+			t.Fatal(err)
+		}
+		out, err := conn.OpenStream()
+		if err != nil {
+			t.Fatal(err)
+		}
+		in, err := peer.AcceptStreamTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+
+		for _, entry := range []struct {
+			name   string
+			wait   func() error // the timed receive under test
+			supply func() error // what ends its wait
+		}{
+			{"Connection.RecvTimeout",
+				func() error { _, err := peer.RecvTimeout(d); return err },
+				func() error { return conn.Send([]byte("lane 0")) }},
+			{"Stream.RecvTimeout",
+				func() error { _, err := in.RecvTimeout(d); return err },
+				func() error { return out.Send([]byte("stream")) }},
+			{"Connection.AcceptStreamTimeout",
+				func() error { _, err := peer.AcceptStreamTimeout(d); return err },
+				func() error { _, err := conn.OpenStream(); return err }},
+			{"System.AcceptTimeout",
+				func() error { _, err := b.AcceptTimeout(d); return err },
+				func() error { _, err := a.Connect("nodeadline-b", opts); return err }},
+			{"Inbox.RecvTimeout",
+				func() error { _, err := ib.RecvTimeout(d); return err },
+				func() error { return bound.Send([]byte("inbox")) }},
+		} {
+			t.Run(fmt.Sprintf("%s(%v)", entry.name, d), func(t *testing.T) {
+				got := make(chan error, 1)
+				go func() { got <- entry.wait() }()
+				select {
+				case err := <-got:
+					t.Fatalf("returned %v with nothing to take: d <= 0 must mean no deadline", err)
+				case <-time.After(30 * time.Millisecond):
+				}
+				if err := entry.supply(); err != nil {
+					t.Fatal(err)
+				}
+				select {
+				case err := <-got:
+					if err != nil {
+						t.Fatalf("after its wait was answered: %v", err)
+					}
+				case <-time.After(5 * time.Second):
+					t.Fatal("still waiting after what it waits for arrived")
+				}
+			})
+		}
+	}
 }

@@ -43,9 +43,9 @@ import (
 //   - the §4.2 fast path bypasses shards exactly as it bypasses
 //     threads: Options.FastPath takes precedence over Options.Runtime.
 //
-// Backpressure never blocks a shard: when a connection's mailbox is at
-// depth (or its bound Inbox refuses a message), its data path pauses;
-// the consumer's next Recv rings the shard's doorbell to resume.
+// Backpressure never blocks a shard: when a connection's mailbox (or
+// its bound Inbox) is at depth, its data path pauses before reading the
+// wire; the consumer's next Recv rings the shard's doorbell to resume.
 // Control packets keep flowing while data is paused, so acknowledgment
 // clocks never stop.
 //
@@ -106,13 +106,8 @@ type shardConn struct {
 	dataIn   chan *buf.Buffer // pump-fed when dataPoll is nil
 	ctrlIn   chan *buf.Buffer // pump-fed when ctrlPoll is nil (nil in in-band mode)
 
-	queued       atomic.Bool   // on the shard's ready list
-	inboxWaiting atomic.Bool   // registered as a bound Inbox's wake waiter
-	sendSlots    chan struct{} // bounds outbound data SDUs in the shard queue
-
-	// Loop-owned state.
-	held    Message // the one message the bound Inbox refused (Inbox.put)
-	holding bool
+	queued    atomic.Bool   // on the shard's ready list
+	sendSlots chan struct{} // bounds outbound data SDUs in the shard queue
 
 	// Loop-owned cycle scratch: the per-connection batches one flush
 	// builds and writes.
@@ -453,31 +448,14 @@ func (sh *shard) pumpData(c *Connection) {
 }
 
 // dataPaused is the shard's backpressure: the connection's data path
-// stays paused — and counted in core.shard.parked_conns — while the
-// default lane's mailbox is at deliveredQueueDepth, or while the bound
-// inbox still refuses the message held for it. c.paused is raised
-// BEFORE the final check, so a consumer draining concurrently either is
-// seen here or sees the flag (afterRecv reads it after every pop, and
-// re-queues the connection); a refusing inbox wakes it through its
-// waiter list.
+// stays paused — and counted in core.shard.parked_conns — while its
+// default lane is at depth. The consumer that frees a slot re-queues
+// the connection (afterRecv, Inbox.wake).
 func (sc *shardConn) dataPaused(c *Connection) bool {
-	if sc.holding {
-		m := sc.held
-		sc.held, sc.holding = Message{}, false
-		c.deliver0(m, false) // refused again: held again
+	if c.atDepth() && c.pause() {
+		return true
 	}
-	if sc.holding || c.box.Len() >= deliveredQueueDepth {
-		if !c.paused.Swap(true) {
-			mParkedConns.Inc()
-		}
-		if sc.holding || c.box.Len() >= deliveredQueueDepth {
-			return true
-		}
-	}
-	if c.paused.Load() {
-		c.paused.Store(false)
-		mParkedConns.Dec()
-	}
+	c.unpause()
 	return false
 }
 
@@ -488,11 +466,7 @@ func (sc *shardConn) dataPaused(c *Connection) bool {
 func (sc *shardConn) drainInbound(c *Connection) {
 	drainBufChan(sc.dataIn)
 	drainBufChan(sc.ctrlIn)
-	sc.held, sc.holding = Message{}, false
-	if c.paused.Swap(false) {
-		// A connection closed while paused leaves the gauge otherwise.
-		mParkedConns.Dec()
-	}
+	c.unpause() // a connection closed while paused leaves the gauge otherwise
 }
 
 func drainBufChan(ch chan *buf.Buffer) {

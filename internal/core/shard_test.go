@@ -325,7 +325,7 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 				return false
 			}
 		}
-		return int(ib.waiterN.Load()) == conns && creditWaits() >= conns
+		return ib.parked.Len() == conns && creditWaits() >= conns
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for !allBlocked() {
@@ -334,7 +334,7 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 		}
 		if time.Now().After(deadline) {
 			t.Fatalf("producers never all blocked in admission (%d messages sent, %d credit waits, %d of %d paused on the inbox)",
-				sent.Load(), creditWaits(), ib.waiterN.Load(), conns)
+				sent.Load(), creditWaits(), ib.parked.Len(), conns)
 		}
 		time.Sleep(time.Millisecond)
 	}

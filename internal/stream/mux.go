@@ -25,10 +25,11 @@ type Mux struct {
 	mu      sync.Mutex
 	streams map[uint32]*State
 	nextID  uint32
-	accepts []*State
 	closed  bool
 
-	acceptBell chan struct{} // cap 1: rung when accepts grows or mux closes
+	// accepts holds the peer-initiated streams nobody has accepted yet;
+	// its bell also rings when the mux closes.
+	accepts Mailbox[*State]
 }
 
 // NewMux builds the stream table for one connection end.
@@ -37,12 +38,7 @@ func NewMux(initiator bool, cfg Config) *Mux {
 	if initiator {
 		first = 1
 	}
-	return &Mux{
-		cfg:        cfg,
-		initiator:  initiator,
-		nextID:     first,
-		acceptBell: make(chan struct{}, 1),
-	}
+	return &Mux{cfg: cfg, initiator: initiator, nextID: first}
 }
 
 // SetEmitter installs the connection's control emitter. Must be called
@@ -97,40 +93,29 @@ func (m *Mux) Get(id uint32) *State {
 		return st
 	}
 	st := m.newStateLocked(id, m.localParity(id))
-	remote := !st.local
 	closed := m.closed
 	m.mu.Unlock()
-	if closed {
+	switch {
+	case closed:
 		st.Reap()
-		return st
-	}
-	if remote {
-		m.mu.Lock()
-		m.accepts = append(m.accepts, st)
-		m.mu.Unlock()
-		m.ringAccept()
+	case !st.local:
+		m.accepts.Put(st, false)
 	}
 	return st
 }
 
 // Take returns the stream's state, creating it if unknown, and —
-// unlike Get — claims it: a peer-initiated stream is removed from (or
-// never enters) the accept queue. Layered protocols that communicate
-// stream ids out of band (RPC streaming) use it so their streams do
-// not surface to AcceptStream.
+// unlike Get — claims it: a peer-initiated stream never enters the
+// accept queue, and one already there is skipped by PopAccept. Layered
+// protocols that communicate stream ids out of band (RPC streaming) use
+// it so their streams do not surface to AcceptStream.
 func (m *Mux) Take(id uint32) *State {
 	m.mu.Lock()
 	st, ok := m.streams[id]
-	if ok {
-		for i, a := range m.accepts {
-			if a == st {
-				m.accepts = append(m.accepts[:i], m.accepts[i+1:]...)
-				break
-			}
-		}
-	} else {
+	if !ok {
 		st = m.newStateLocked(id, m.localParity(id))
 	}
+	st.claimed.Store(true)
 	closed := m.closed
 	m.mu.Unlock()
 	if closed {
@@ -147,39 +132,24 @@ func (m *Mux) Lookup(id uint32) (*State, bool) {
 	return st, ok
 }
 
-// PopAccept takes the oldest not-yet-accepted peer-initiated stream.
+// PopAccept takes the oldest peer-initiated stream neither accepted nor
+// claimed (Take) yet.
 func (m *Mux) PopAccept() (*State, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if len(m.accepts) == 0 {
-		return nil, false
-	}
-	st := m.accepts[0]
-	m.accepts[0] = nil
-	m.accepts = m.accepts[1:]
-	if len(m.accepts) == 0 {
-		m.accepts = nil
-	}
-	return st, true
-}
-
-// HasAccept reports a peer-initiated stream is waiting for PopAccept,
-// or that the mux closed (so a blocked acceptor re-checks and fails).
-func (m *Mux) HasAccept() bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return len(m.accepts) > 0 || m.closed
-}
-
-// AcceptBell is rung whenever a stream lands on the accept queue.
-func (m *Mux) AcceptBell() <-chan struct{} { return m.acceptBell }
-
-func (m *Mux) ringAccept() {
-	select {
-	case m.acceptBell <- struct{}{}:
-	default:
+	for {
+		st, ok := m.accepts.Pop()
+		if !ok || !st.claimed.Load() {
+			return st, ok
+		}
 	}
 }
+
+// HasAccept reports the accept queue is worth a PopAccept, or that the
+// mux closed (so a blocked acceptor re-checks and fails).
+func (m *Mux) HasAccept() bool { return m.accepts.Len() > 0 || m.Closed() }
+
+// AcceptBell is the accept queue's bell: rung whenever a stream lands
+// on it, and when the mux closes.
+func (m *Mux) AcceptBell() <-chan struct{} { return m.accepts.Bell() }
 
 // Closed reports whether ReapAll ran.
 func (m *Mux) Closed() bool {
@@ -202,10 +172,10 @@ func (m *Mux) ReapAll() {
 	for _, st := range m.streams {
 		states = append(states, st)
 	}
-	m.accepts = nil
 	m.mu.Unlock()
 	for _, st := range states {
 		st.Reap()
 	}
-	m.ringAccept()
+	m.accepts.Drop()
+	m.accepts.Ring()
 }

@@ -13,7 +13,16 @@
 // default channel and keeps its own flow control (the connection's
 // negotiated algorithm, which speaks different control frames than a
 // stream's grants); its receive end is the same Mailbox every stream
-// has, and core's one wait loop serves both.
+// has.
+//
+// The package also owns the one queue and the one sleep of the receive
+// side (mailbox.go). Mailbox[T] is a ring with a doorbell, generic over
+// what waits in it: a lane's messages, a core.Inbox's deliveries and the
+// producers it made stop, this package's accept queue. Await is the wait
+// loop every blocking receive runs — try, else sleep on the bell, a
+// second doorbell, the owner's close or the deadline — on a lane, an
+// inbox or the accept queue alike, so they cannot disagree about
+// deadlines or about draining before a close is reported.
 //
 // A stream's credit receiver observes SDUs on arrival — so a large
 // message flows at wire speed, its window sliding as its SDUs land —
@@ -80,7 +89,11 @@ type State struct {
 	// gates grants: park queues under mu and offerGrant reads the length
 	// under mu, so a grant is withheld only behind a message whose pop
 	// will take mu after it and flush.
-	box Mailbox
+	box Mailbox[Msg]
+
+	// claimed: Take attached this stream out of band, so it must not
+	// surface to AcceptStream (PopAccept skips it).
+	claimed atomic.Bool
 
 	mu      sync.Mutex
 	held    grantBody // latest grant withheld while backlogged
@@ -115,7 +128,7 @@ func (s *State) TxCounter() *atomic.Uint32 { return &s.tx }
 
 // Box returns the stream's receive end. Its bell also rings when the
 // stream's lifecycle changes, so a blocked receiver re-checks.
-func (s *State) Box() *Mailbox { return &s.box }
+func (s *State) Box() *Mailbox[Msg] { return &s.box }
 
 // ensureFC builds the stream's credit flow-control halves on first
 // use. Streams always run the credit engine regardless of the

@@ -25,7 +25,7 @@
 // segment join with underscores. Conventions, following the Prometheus
 // style:
 //
-//   - Monotonic counters end in _total: core.conn.sends_total.
+//   - Monotonic counters end in _total: core.conn.send_msgs_total.
 //   - Quantities carry their unit as a suffix: _bytes, _ns.
 //   - Gauges are instantaneous levels and carry no _total suffix:
 //     buf.pool.outstanding, rpc.client.inflight.
@@ -89,13 +89,15 @@
 //	buf.pool.retained_bytes            idle storage the tiers' free lists hold
 //	                                   (bounded: see buf.tierIdle, ≈ 4.4 MB)
 //	core.shard.parked_conns            sharded conns paused on a slow consumer
+//	                                   (their own mailbox or a bound Inbox at depth)
 //	rpc.client.inflight                calls awaiting replies
 //	rpc.server.inflight                requests admitted, not replied
 //	stream.mux.open                    streams currently open (all conns)
 //
 // Histograms (power-of-two buckets):
 //
-//	core.send.coalesce_depth           SDUs coalesced per shard batch
+//	core.send.coalesce_depth           SDUs coalesced per vectored write (Send
+//	                                   Thread batch or shard flush)
 //	core.send.sendq_depth              send-queue occupancy at enqueue
 //	transport.udp.send_batch_depth     datagrams per send syscall
 //	transport.udp.recv_batch_depth     datagrams per receive syscall

@@ -126,7 +126,9 @@ type (
 	// Inbox is a shared delivery queue: connections bound to one
 	// (Connection.BindInbox) merge their deliveries into a single
 	// stream, so a fixed worker pool can serve thousands of
-	// connections without a receive goroutine per connection.
+	// connections without a receive goroutine per connection. Its
+	// RecvTimeout(d) reads d <= 0 as "no deadline", like every other
+	// timed receive (it used to time out at once).
 	Inbox = core.Inbox
 	// InboxMessage is one Inbox delivery: the message and the
 	// connection it arrived on.
