@@ -490,8 +490,8 @@ func BenchmarkAllocHPIShardedEcho(b *testing.B) {
 // pattern: two sharded HPI connections bound to one Inbox, one worker
 // looping on Inbox.Recv and echoing on the connection each delivery
 // names (the shape of the benchmark's rpc_fanin, without the RPC layer).
-// The gate holds the inbox path to what the connection's own mailbox
-// costs: the delivered copy on each side.
+// The worker releases each delivery once it has echoed it, so the gate
+// holds the path to the one copy left: the client's Recv.
 func BenchmarkAllocInboxFanIn(b *testing.B) {
 	nw := ncs.NewNetwork()
 	defer nw.Close()
@@ -527,7 +527,9 @@ func BenchmarkAllocInboxFanIn(b *testing.B) {
 			if err != nil {
 				return
 			}
-			if err := im.Conn.Send(im.Msg.Data); err != nil {
+			err = im.Conn.Send(im.Msg.Data)
+			im.Msg.Release()
+			if err != nil {
 				return
 			}
 		}
@@ -566,6 +568,51 @@ func reliableOpts() ncs.Options {
 // the shape of the benchmark's rtt_small.
 func BenchmarkAllocReliableEcho(b *testing.B) {
 	runAllocEcho(b, "rel", reliableOpts(), 64)
+}
+
+// BenchmarkAllocReliableEchoReleased is BenchmarkAllocReliableEcho with
+// both sides on RecvMessage → Release instead of Recv: a one-SDU message
+// is delivered as the buffer it arrived in, so nothing is allocated.
+func BenchmarkAllocReliableEchoReleased(b *testing.B) {
+	nw := ncs.NewNetwork()
+	defer nw.Close()
+	conn, peer, err := ncs.Pair(nw, "alloc-relrel-a", "alloc-relrel-b", reliableOpts())
+	if err != nil {
+		b.Fatal(err)
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for {
+			m, err := peer.RecvMessage()
+			if err != nil {
+				return
+			}
+			err = peer.Send(m.Data)
+			m.Release()
+			if err != nil {
+				return
+			}
+		}
+	}()
+	msg := make([]byte, 64)
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := conn.Send(msg); err != nil {
+			b.Fatal(err)
+		}
+		m, err := conn.RecvMessage()
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Release()
+	}
+	b.StopTimer()
+	conn.Close()
+	peer.Close()
+	<-done
 }
 
 // BenchmarkAllocReliableGoBackNEcho is the same echo under go-back-N.
@@ -968,6 +1015,55 @@ func benchmarkRPCEcho(b *testing.B, opts ncs.Options, size int) {
 // round trip over the §4.2 fast path must cost at most 8 allocs/op.
 func BenchmarkAllocRPCEchoHPIFastpath(b *testing.B) {
 	benchmarkRPCEcho(b, ncs.Options{Interface: ncs.HPI, FastPath: true}, 4096)
+}
+
+// BenchmarkAllocRPCEcho1KSharded is the benchmark's rpc_fanin with one
+// caller at a time: 1 KB echo calls alternating over two sharded HPI
+// connections, both bound to the one Inbox one server demultiplexes. The
+// server releases each request after its reply, so a call costs the one
+// slice Call returns.
+func BenchmarkAllocRPCEcho1KSharded(b *testing.B) {
+	nw := ncs.NewNetwork()
+	defer nw.Close()
+	sa, err := nw.NewSystem("rpc-fanin-a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sb, err := nw.NewSystem("rpc-fanin-b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := ncs.NewServer(ncs.RPCServerOptions{})
+	srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+	ib := ncs.NewInbox(0)
+	srv.ServeInbox(ib)
+	defer srv.Shutdown()
+	var clients [2]*ncs.RPCClient
+	for i := range clients {
+		conn, err := sa.Connect("rpc-fanin-b", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded})
+		if err != nil {
+			b.Fatal(err)
+		}
+		peer, err := sb.Accept()
+		if err == nil {
+			err = peer.BindInbox(ib)
+		}
+		if err != nil {
+			b.Fatal(err)
+		}
+		clients[i] = ncs.NewClient(conn)
+		defer clients[i].Close()
+	}
+	req := make([]byte, 1024)
+	ctx := context.Background()
+	b.SetBytes(int64(len(req)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := clients[i&1].Call(ctx, "echo", req); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // BenchmarkAllocRPCEchoSCI tracks the threaded TCP-loopback variant.

@@ -95,12 +95,17 @@ func run() error {
 	newStats := func() *mediaStats { return &mediaStats{done: make(chan struct{})} }
 	vStats, aStats, dStats := newStats(), newStats(), newStats()
 
-	drain := func(recv func() ([]byte, error), frames int, stats *mediaStats) {
+	drain := func(recv func() (ncs.Message, error), frames int, stats *mediaStats) {
 		defer close(stats.done)
 		for i := 0; i < frames; i++ {
-			if _, err := recv(); err != nil {
+			// A played frame is not kept: RecvMessage lends it (m.Data is
+			// read-only) and Release hands its buffer back, where Recv would
+			// copy it out. Release exactly once; m.Bytes() keeps it instead.
+			m, err := recv()
+			if err != nil {
 				return
 			}
+			m.Release()
 			stats.delivered.Add(1)
 		}
 	}
@@ -128,13 +133,13 @@ func run() error {
 				time.Sleep(videoLag) // the lagging viewer
 				audioDuringLag.Store(aStats.delivered.Load())
 				dataDuringLag.Store(dStats.delivered.Load())
-				drain(st.Recv, videoFrames, vStats)
+				drain(st.RecvMessage, videoFrames, vStats)
 			case audio.ID():
-				drain(st.Recv, audioFrames, aStats)
+				drain(st.RecvMessage, audioFrames, aStats)
 			}
 		}()
 	}
-	go drain(peer.Recv, dataBlocks, dStats)
+	go drain(peer.RecvMessage, dataBlocks, dStats)
 
 	// Sender side: pump the three media concurrently.
 	pump := func(send func([]byte) error, payload []byte, frames int) chan error {

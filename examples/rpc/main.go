@@ -53,7 +53,10 @@ func (s *store) get(_ context.Context, req []byte) ([]byte, error) {
 func (s *store) put(_ context.Context, req []byte) ([]byte, error) {
 	u := ncs.NewUnpacker(req)
 	key := u.String()
-	val := u.Bytes() // Unpacker copies, so the value outlives the call
+	// req is lent to the handler: the server releases it once the reply is
+	// sent, so what the store keeps must be a copy — Unpacker.Bytes makes
+	// one. Reading req, or returning it as the reply, needs none.
+	val := u.Bytes()
 	if err := u.Err(); err != nil {
 		return nil, err
 	}

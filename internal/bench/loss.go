@@ -159,6 +159,7 @@ func lossCell(cfg LossConfig, rate float64, mode errctl.Algorithm) (LossPoint, e
 			}
 			r.delivered++
 			r.lostSDUs += m.Lost
+			m.Release()
 		}
 		recvCh <- r
 	}()

@@ -24,6 +24,16 @@
 //     Buffer's storage may outlive the function that parsed it only if
 //     the holder retains the Buffer — see Handoff — and releases it
 //     when the view is dropped.
+//   - A delivered message may be such a view, all the way up to the
+//     application: one that arrived in a single SDU is handed over as
+//     its arrival buffer (errctl.Delivery), BORROWED. Its holder calls
+//     Release exactly once — never twice; never at all leaks that one
+//     buffer to the collector, which the leak audits report — or Bytes
+//     to own a copy instead, and only reads Data: on HPI it is the
+//     storage the sender staged, and a duplicate made by the network
+//     shares it. Queued unread, such a message pins one SDU-sized
+//     buffer, so a lane pins at most its depth × the SDU size; a
+//     mailbox whose owner closes owns or releases what it still holds.
 //
 // The contents live in the exported field B, fasthttp-style, so the
 // existing append-based Marshal helpers work unchanged:
@@ -213,6 +223,15 @@ func (b *Buffer) Retain() *Buffer {
 	return b
 }
 
+// poison is PoisonReleased's switch.
+var poison atomic.Bool
+
+// PoisonReleased is a test hook: while on, the last Release of a buffer
+// overwrites its storage with 0xDB before the storage idles, so a view
+// that outlived its reference — a borrowed delivery read after its
+// Release — reads garbage a payload check catches.
+func PoisonReleased(on bool) { poison.Store(on) }
+
 // Release drops one reference. When the last reference is dropped the
 // storage returns to its tier's free list (or, that being full, to the
 // collector). Releasing more times than the buffer was retained panics.
@@ -222,6 +241,11 @@ func (b *Buffer) Release() {
 		return
 	case n < 0:
 		panic(fmt.Sprintf("buf: over-release (refs=%d)", n))
+	}
+	if poison.Load() {
+		for i := range b.store {
+			b.store[i] = 0xDB
+		}
 	}
 	if b.tier >= 0 {
 		b.B = nil // drop any oversized append spill before it idles

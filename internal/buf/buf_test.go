@@ -191,3 +191,25 @@ func BenchmarkRetainRelease(b *testing.B) {
 		bb.Release()
 	}
 }
+
+// TestPoisonReleasedOverwritesOnLastRelease: the hook fills storage at
+// the last Release, not before, so a view that outlived its reference
+// reads 0xDB while the holders of live references read their bytes.
+func TestPoisonReleasedOverwritesOnLastRelease(t *testing.T) {
+	PoisonReleased(true)
+	defer PoisonReleased(false)
+	b := Get(8)
+	copy(b.B, "borrowed")
+	view := b.B
+	b.Retain()
+	b.Release()
+	if string(view) != "borrowed" {
+		t.Fatalf("poisoned with a reference still held: % x", view)
+	}
+	b.Release()
+	for i, c := range view {
+		if c != 0xDB {
+			t.Fatalf("byte %d reads %#x after the last Release, want 0xDB", i, c)
+		}
+	}
+}

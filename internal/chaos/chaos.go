@@ -409,6 +409,8 @@ func RunReport(cfg Config) (Report, error) {
 }
 
 // recvReliable asserts exactly-once, in-order, byte-identical delivery.
+// It reads borrowed messages — verify, then Release — so where the link
+// duplicates, the copies that share one buffer's storage are exercised.
 func (c Config) recvReliable(peer *core.Connection, expected [][]byte) error {
 	for i, want := range expected {
 		if c.ConsumerDelay > 0 {
@@ -418,18 +420,22 @@ func (c Config) recvReliable(peer *core.Connection, expected [][]byte) error {
 		if err != nil {
 			return c.violation("message %d/%d never delivered: %v", i+1, len(expected), err)
 		}
-		if m.Lost != 0 {
-			return c.violation("message %d delivered with Lost=%d on a reliable connection", i+1, m.Lost)
+		lost, size, intact := m.Lost, len(m.Data), bytes.Equal(m.Data, want)
+		m.Release()
+		if lost != 0 {
+			return c.violation("message %d delivered with Lost=%d on a reliable connection", i+1, lost)
 		}
-		if !bytes.Equal(m.Data, want) {
+		if !intact {
 			return c.violation("message %d corrupted or out of order: got %d bytes, want %d",
-				i+1, len(m.Data), len(want))
+				i+1, size, len(want))
 		}
 	}
 	// Nothing may trail the sequence: a duplicate here means a session
 	// was delivered twice.
 	if m, err := peer.RecvMessageTimeout(100 * time.Millisecond); err == nil {
-		return c.violation("extra %d-byte message delivered after the full sequence (duplicate delivery)", len(m.Data))
+		size := len(m.Data)
+		m.Release()
+		return c.violation("extra %d-byte message delivered after the full sequence (duplicate delivery)", size)
 	} else if !errors.Is(err, core.ErrRecvTimeout) {
 		return c.violation("post-sequence receive failed: %v", err)
 	}
@@ -472,8 +478,10 @@ func (c Config) recvUnreliable(peer *core.Connection, expected [][]byte, senderD
 		if delivered > 2*len(expected) {
 			return c.violation("delivered %d messages from %d sent (duplication storm)", delivered, len(expected))
 		}
-		if m.Lost == 0 && !sent[string(m.Data)] {
-			return c.violation("Lost=0 delivery of %d bytes matching no sent message (silent corruption)", len(m.Data))
+		size, honest := len(m.Data), m.Lost != 0 || sent[string(m.Data)]
+		m.Release()
+		if !honest {
+			return c.violation("Lost=0 delivery of %d bytes matching no sent message (silent corruption)", size)
 		}
 	}
 }

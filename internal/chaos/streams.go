@@ -159,18 +159,22 @@ func (c Config) drainStream(st *core.Stream, expected [][]byte) error {
 		if err != nil {
 			return c.violation("stream %d message %d/%d never delivered: %v", st.ID(), i+1, len(expected), err)
 		}
-		if m.Lost != 0 {
-			return c.violation("stream %d message %d delivered with Lost=%d on a reliable connection", st.ID(), i+1, m.Lost)
+		lost, size, intact := m.Lost, len(m.Data), bytes.Equal(m.Data, want)
+		m.Release()
+		if lost != 0 {
+			return c.violation("stream %d message %d delivered with Lost=%d on a reliable connection", st.ID(), i+1, lost)
 		}
-		if !bytes.Equal(m.Data, want) {
+		if !intact {
 			return c.violation("stream %d message %d corrupted or out of order: got %d bytes, want %d",
-				st.ID(), i+1, len(m.Data), len(want))
+				st.ID(), i+1, size, len(want))
 		}
 	}
 	// Nothing may trail the sequence on this stream — a duplicate here
 	// is a session delivered twice.
 	if m, err := st.RecvMessageTimeout(100 * time.Millisecond); err == nil {
-		return c.violation("stream %d: extra %d-byte message after the full sequence (duplicate delivery)", st.ID(), len(m.Data))
+		size := len(m.Data)
+		m.Release()
+		return c.violation("stream %d: extra %d-byte message after the full sequence (duplicate delivery)", st.ID(), size)
 	} else if !errors.Is(err, core.ErrRecvTimeout) && !errors.Is(err, core.ErrStreamClosed) {
 		return c.violation("stream %d: post-sequence receive failed: %v", st.ID(), err)
 	}

@@ -47,7 +47,9 @@ const sendBatchMax = 16
 
 // Message is a received user message. Lost reports SDUs missing from an
 // unreliable (ErrorControl: None) transfer; it is always zero on
-// reliable connections.
+// reliable connections. One returned by RecvMessage*, a stream's or an
+// Inbox's is borrowed (errctl.Delivery has the rule): Data is read-only,
+// and the holder calls Release exactly once, or Bytes to own it.
 type Message = errctl.Delivery
 
 // outItem is one outbound unit on its way to a transport write: a data
@@ -1022,25 +1024,26 @@ func (c *Connection) sendThread() {
 // ---------------------------------------------------------------------------
 // Receive path (steps 5–10 of Figure 4).
 
-// Recv blocks for the next fully received message.
-func (c *Connection) Recv() ([]byte, error) {
-	m, err := c.recv(nil, 0)
-	return m.Data, err
-}
+// Recv blocks for the next fully received message and returns it as a
+// slice the caller owns: RecvMessage, then Message.Bytes.
+func (c *Connection) Recv() ([]byte, error) { return owned(c.recv(nil, 0)) }
+
+// owned is what Recv adds to RecvMessage, on every lane: the borrowed
+// message becomes a slice the caller keeps, at the price of one copy.
+func owned(m Message, err error) ([]byte, error) { return m.Bytes(), err }
 
 // RecvMessage is Recv with loss metadata (relevant for unreliable
-// connections).
+// connections) and without Recv's copy: the message is borrowed — the
+// caller reads Data, never writes it, and calls Release exactly once
+// (or Bytes, to keep the contents).
 func (c *Connection) RecvMessage() (Message, error) { return c.recv(nil, 0) }
 
 // RecvTimeout is Recv with a deadline.
-func (c *Connection) RecvTimeout(d time.Duration) ([]byte, error) {
-	m, err := c.recv(nil, d)
-	return m.Data, err
-}
+func (c *Connection) RecvTimeout(d time.Duration) ([]byte, error) { return owned(c.recv(nil, d)) }
 
 // RecvMessageTimeout is RecvMessage with a deadline — the combination
 // media streams need: loss metadata plus a playout deadline for frames
-// whose final segment never arrived.
+// whose final segment never arrived. The caller releases the message.
 func (c *Connection) RecvMessageTimeout(d time.Duration) (Message, error) {
 	return c.recv(nil, d)
 }
@@ -1353,6 +1356,7 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 		a.ConnID = c.id
 		a.SessionID = h.SessionID
 		if !c.emitCtrl(a) {
+			d.Release() // closed under a completed message
 			return Message{}, false
 		}
 	}
@@ -1365,6 +1369,7 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 			g.ConnID = c.id
 			g.SessionID = h.SessionID
 			if !c.emitCtrl(g) {
+				d.Release()
 				return Message{}, false
 			}
 		}
@@ -1578,7 +1583,7 @@ func (c *Connection) ImpairData(imp netsim.Impairments) bool {
 // Close tears the connection down: both transport connections, the flow
 // control state, and all four per-connection threads. Inbound sessions
 // still incomplete at teardown are abandoned so the pooled receive
-// buffers they retained return to their pools.
+// buffers they retained return to their pools (reapInbound).
 func (c *Connection) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closedCh)
@@ -1608,8 +1613,7 @@ func (c *Connection) Close() error {
 			// drain the pump channels' pooled buffers and reap.
 			sc.shard.unregister(c)
 			sc.drainInbound(c)
-			c.inbound.Reap()
-			c.reapStreams()
+			c.reapInbound()
 			return
 		}
 		if c.opts.FastPath {
@@ -1621,15 +1625,32 @@ func (c *Connection) Close() error {
 			go func() {
 				c.fastRecvMu.Lock()
 				defer c.fastRecvMu.Unlock()
-				c.inbound.Reap()
-				c.reapStreams()
+				c.reapInbound()
 			}()
 		} else {
 			// The receive threads have exited; nothing touches the
 			// session table concurrently anymore.
-			c.inbound.Reap()
-			c.reapStreams()
+			c.reapInbound()
 		}
 	})
 	return nil
+}
+
+// reapInbound ends Close, once nothing produces into the connection's
+// lanes any more: incomplete sessions release the buffers they retained,
+// what is still queued on the default lane — readable after Close,
+// perhaps never read — is owned in place, and every stream is reaped
+// (releasing its retained buffers and parked messages, draining its
+// credit timers), so a closed connection pins no pooled buffer. The mux
+// is loaded under c.mu so this serialises with a racing mux():
+// whichever side runs second observes the other's work.
+func (c *Connection) reapInbound() {
+	c.inbound.Reap()
+	c.box.Each(func(m *Message) { m.Bytes() })
+	c.mu.Lock()
+	m := c.muxp.Load()
+	c.mu.Unlock()
+	if m != nil {
+		m.ReapAll()
+	}
 }

@@ -251,7 +251,7 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 							if err == nil && im.Conn != peer {
 								err = fmt.Errorf("delivery attributed to connection %d, want %d", im.Conn.ID(), peer.ID())
 							}
-							return im.Msg.Data, err
+							return im.Msg.Bytes(), err
 						}
 					}
 					for i := 0; i < msgs; i++ {

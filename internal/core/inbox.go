@@ -14,7 +14,8 @@ var ErrInboxClosed = errors.New("ncs: inbox closed")
 
 // InboxMessage is one delivery through an Inbox: the message plus the
 // connection it arrived on (the reply path for request/response
-// servers).
+// servers). Msg is borrowed, as RecvMessage's is: read-only, and the
+// receiver's to Release exactly once (or to own with Bytes).
 type InboxMessage struct {
 	Conn *Connection
 	Msg  Message
@@ -55,8 +56,9 @@ func NewInbox(depth int) *Inbox {
 	return &Inbox{depth: depth, done: make(chan struct{})}
 }
 
-// Recv blocks for the next delivery from any bound connection. After
-// Close it drains the remaining queue, then returns ErrInboxClosed.
+// Recv blocks for the next delivery from any bound connection, whose
+// Msg the caller releases. After Close it drains the remaining queue,
+// then returns ErrInboxClosed.
 func (ib *Inbox) Recv() (InboxMessage, error) { return ib.RecvTimeout(0) }
 
 // RecvTimeout is Recv with a deadline (d > 0; otherwise none, as on
@@ -73,15 +75,22 @@ func (ib *Inbox) RecvTimeout(d time.Duration) (InboxMessage, error) {
 }
 
 // Close stops the inbox: pending Recv calls drain what is queued and
-// then observe ErrInboxClosed. Parked producers are woken: a closed
-// inbox is never at depth, and what they read next lands in their own
-// connections' mailboxes (Connection.deliver0 unbinds).
+// then observe ErrInboxClosed. What is queued is owned in place first,
+// so a closed inbox nobody drains pins no pooled buffer. Parked
+// producers are woken: a closed inbox is never at depth, and what they
+// read next lands in their own connections' mailboxes
+// (Connection.deliver0 unbinds).
 func (ib *Inbox) Close() {
 	ib.closeOnce.Do(func() {
 		close(ib.done)
+		ib.box.Each(ownDelivery)
 		ib.wake()
 	})
 }
+
+// ownDelivery turns a queued delivery into a copy its eventual reader
+// owns, handing the borrowed buffer back.
+func ownDelivery(im *InboxMessage) { im.Msg.Bytes() }
 
 // Done returns a channel closed when the inbox is closed.
 func (ib *Inbox) Done() <-chan struct{} { return ib.done }
@@ -101,7 +110,11 @@ func (ib *Inbox) put(c *Connection, m Message) bool {
 	if ib.closed() {
 		return false
 	}
-	return ib.box.Put(InboxMessage{Conn: c, Msg: m}, false)
+	ib.box.Put(InboxMessage{Conn: c, Msg: m}, false)
+	if ib.closed() {
+		ib.box.Each(ownDelivery) // m landed behind Close's sweep
+	}
+	return true
 }
 
 // wake resumes every parked producer: all of them, because one may have

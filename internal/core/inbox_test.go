@@ -198,6 +198,7 @@ func TestInboxConformance(t *testing.T) {
 						t.Fatalf("recv %d of %d: %v", i, total, err)
 					}
 					f.took(im.Conn, im.Msg.Data)
+					im.Msg.Release()
 					f.observe()
 				}
 				if variant == "closed" {
@@ -215,6 +216,7 @@ func TestInboxConformance(t *testing.T) {
 							t.Fatal(err)
 						}
 						f.took(im.Conn, im.Msg.Data)
+						im.Msg.Release()
 					}
 					for i, p := range f.peers {
 						for f.next[i] < floodMsgs {

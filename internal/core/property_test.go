@@ -97,6 +97,7 @@ func TestUnreliableLossMetadata(t *testing.T) {
 		if err == nil {
 			delivered++
 			lostSDUs += m.Lost
+			m.Release()
 		}
 	}
 	if delivered == 0 {

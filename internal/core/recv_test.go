@@ -105,14 +105,18 @@ func TestTimedRecvOfWaitingMessageAllocatesNothing(t *testing.T) {
 					awaitCond(t, "not every message reached the mailbox", func() bool { return peer.box.Len() == 2*(runs+1) })
 				}
 				untimed := testing.AllocsPerRun(runs, func() {
-					if _, err := peer.RecvMessage(); err != nil {
+					m, err := peer.RecvMessage()
+					if err != nil {
 						t.Fatal(err)
 					}
+					m.Release()
 				})
 				timed := testing.AllocsPerRun(runs, func() {
-					if _, err := peer.RecvMessageTimeout(time.Minute); err != nil {
+					m, err := peer.RecvMessageTimeout(time.Minute)
+					if err != nil {
 						t.Fatal(err)
 					}
+					m.Release()
 				})
 				if timed > untimed {
 					t.Fatalf("RecvMessageTimeout of a waiting message allocates %v times, RecvMessage %v", timed, untimed)
@@ -135,14 +139,18 @@ func TestTimedRecvOfWaitingMessageAllocatesNothing(t *testing.T) {
 		}
 		awaitCond(t, "not every message reached the inbox", func() bool { return ib.box.Len() == 2*(runs+1) })
 		untimed := testing.AllocsPerRun(runs, func() {
-			if _, err := ib.Recv(); err != nil {
+			im, err := ib.Recv()
+			if err != nil {
 				t.Fatal(err)
 			}
+			im.Msg.Release()
 		})
 		timed := testing.AllocsPerRun(runs, func() {
-			if _, err := ib.RecvTimeout(time.Minute); err != nil {
+			im, err := ib.RecvTimeout(time.Minute)
+			if err != nil {
 				t.Fatal(err)
 			}
+			im.Msg.Release()
 		})
 		if timed > untimed || timed != 0 {
 			t.Fatalf("Inbox.RecvTimeout of a waiting message allocates %v times (a timer?), Inbox.Recv %v; want 0", timed, untimed)
@@ -210,7 +218,7 @@ func TestNonPositiveTimeoutMeansNoDeadline(t *testing.T) {
 				func() error { _, err := b.AcceptTimeout(d); return err },
 				func() error { _, err := a.Connect("nodeadline-b", opts); return err }},
 			{"Inbox.RecvTimeout",
-				func() error { _, err := ib.RecvTimeout(d); return err },
+				func() error { im, err := ib.RecvTimeout(d); im.Msg.Release(); return err },
 				func() error { return bound.Send([]byte("inbox")) }},
 		} {
 			t.Run(fmt.Sprintf("%s(%v)", entry.name, d), func(t *testing.T) {

@@ -189,7 +189,9 @@ func TestInboxFanIn(t *testing.T) {
 					if err != nil {
 						return
 					}
-					if err := im.Conn.Send(im.Msg.Data); err != nil {
+					err = im.Conn.Send(im.Msg.Data)
+					im.Msg.Release()
+					if err != nil {
 						return
 					}
 				}
@@ -350,9 +352,11 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 	var received atomic.Int64
 	go func() {
 		for {
-			if _, err := ib.Recv(); err != nil {
+			im, err := ib.Recv()
+			if err != nil {
 				return // ib.Close, deferred above
 			}
+			im.Msg.Release()
 			received.Add(1)
 		}
 	}()

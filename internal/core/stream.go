@@ -55,19 +55,6 @@ func (c *Connection) mux() *stream.Mux {
 	return m
 }
 
-// reapStreams tears down every stream at connection close, releasing
-// retained reassembly buffers and draining per-stream credit timers.
-// The load runs under c.mu so it serialises with a racing mux():
-// whichever side runs second observes the other's work.
-func (c *Connection) reapStreams() {
-	c.mu.Lock()
-	m := c.muxp.Load()
-	c.mu.Unlock()
-	if m != nil {
-		m.ReapAll()
-	}
-}
-
 // emitStreamCtrl sends one stream-scoped control packet (grants, open
 // and close announcements) over the connection's control path. It is
 // the mux's emitter, so it also runs on consumer goroutines — a
@@ -231,22 +218,20 @@ func (s *Stream) Send(msg []byte) error {
 	return s.c.send(sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}, msg, nil)
 }
 
-// Recv blocks for the next fully received message on the stream.
-func (s *Stream) Recv() ([]byte, error) {
-	m, err := s.c.recv(s.st, 0)
-	return m.Data, err
-}
+// Recv blocks for the next fully received message on the stream and
+// returns it as a slice the caller owns.
+func (s *Stream) Recv() ([]byte, error) { return owned(s.c.recv(s.st, 0)) }
 
-// RecvMessage is Recv with loss metadata.
+// RecvMessage is Recv with loss metadata and without its copy: the
+// message is borrowed, as Connection.RecvMessage's is — read-only, and
+// the caller's to Release exactly once.
 func (s *Stream) RecvMessage() (Message, error) { return s.c.recv(s.st, 0) }
 
 // RecvTimeout is Recv with a deadline.
-func (s *Stream) RecvTimeout(d time.Duration) ([]byte, error) {
-	m, err := s.c.recv(s.st, d)
-	return m.Data, err
-}
+func (s *Stream) RecvTimeout(d time.Duration) ([]byte, error) { return owned(s.c.recv(s.st, d)) }
 
-// RecvMessageTimeout is RecvMessage with a deadline.
+// RecvMessageTimeout is RecvMessage with a deadline; the caller
+// releases the message.
 func (s *Stream) RecvMessageTimeout(d time.Duration) (Message, error) {
 	return s.c.recv(s.st, d)
 }

@@ -314,7 +314,7 @@ func TestStreamUnconsumedReleasedAtConnClose(t *testing.T) {
 			// On the fast path nothing pumps the peer side unless a
 			// receiver runs; pump the frames up so they actually park.
 			if opts.FastPath {
-				peer.RecvMessageTimeout(200 * time.Millisecond)
+				peer.RecvTimeout(200 * time.Millisecond)
 			} else {
 				time.Sleep(100 * time.Millisecond)
 			}
@@ -401,6 +401,7 @@ func TestStreamErrCtlModes(t *testing.T) {
 				if !bytes.Equal(m.Data, msg) || m.Lost != 0 {
 					t.Fatalf("round %d: %d bytes (want %d), lost %d", i, len(m.Data), len(msg), m.Lost)
 				}
+				m.Release()
 			}
 		})
 	}

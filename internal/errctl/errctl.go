@@ -14,7 +14,9 @@
 // collector does not empty): NewSender/NewReceiver draw a state machine
 // whose segment tables, bitmap and scratch survive from an earlier
 // session, and Release/Recycle hand it back, so a steady stream of
-// reliable messages allocates nothing here beyond each delivered copy.
+// reliable messages allocates nothing here beyond what a message of
+// several SDUs is assembled into (one of a single SDU is delivered as
+// the buffer it arrived in: see Delivery).
 // The price is that everything a state machine returns — SDU slices,
 // control packets and their bodies — is BORROWED from it, for no longer
 // than the doc of the method that returned it says.
@@ -106,10 +108,14 @@ type Receiver interface {
 	// or recycles the receiver, and may not hand a body to another
 	// goroutine. done reports that the message is fully reassembled.
 	OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (acks []packet.Control, done bool)
-	// Message assembles and returns the user message, releasing the
-	// retained segment buffers; valid once done. It transfers ownership,
-	// once: the receiver keeps no reference to what it returned, and a
-	// repeat call finds nothing left to assemble.
+	// Message returns the user message; valid once done. One of several
+	// SDUs is assembled into an allocation the caller owns, the retained
+	// segment buffers are released, and a repeat call finds nothing left
+	// to assemble. One that arrived in a single SDU is that SDU's payload
+	// as it arrived, not a copy: it aliases the receive buffer the
+	// receiver still retains, so it is valid until Recycle or Abandon —
+	// or for as long as the caller likes, once it has taken that
+	// reference over (handOver; SessionTable does).
 	Message() []byte
 	// LostSDUs reports segments that were never received (only ever
 	// non-zero for the None algorithm, which does not recover losses).
@@ -119,6 +125,11 @@ type Receiver interface {
 	// the receiver must not be used afterwards. It is a no-op on a
 	// receiver whose message was already delivered.
 	Abandon()
+	// handOver gives the caller the reference pinning a single-SDU
+	// Message (nil if the message was assembled, or copied on arrival):
+	// the caller releases it when done with the message, and the
+	// receiver forgets the segment.
+	handOver() *buf.Buffer
 }
 
 // segment is one received SDU payload: a byte view plus the pooled
@@ -196,10 +207,16 @@ func (a *reassembly) hold(seq int, payload []byte, ref *buf.Buffer) bool {
 	return true
 }
 
-// assemble concatenates the segments below total that arrived — the one
-// copy owed to the application, whose it is from here on — then releases
-// the retained buffers. The got bits stay: LostSDUs still counts them.
+// assemble returns the message of total SDUs. A single segment is the
+// message, returned as it is held — nothing to concatenate, so no copy;
+// its buffer stays retained until handOver, Abandon or reset. Otherwise
+// the segments that arrived are concatenated into an allocation that is
+// the application's from here on, and the retained buffers released.
+// The got bits stay: LostSDUs still counts them.
 func (a *reassembly) assemble(total int) []byte {
+	if total == 1 {
+		return a.segs[0].data
+	}
 	size := 0
 	for _, s := range a.segs[:total] {
 		size += len(s.data)
@@ -210,6 +227,17 @@ func (a *reassembly) assemble(total int) []byte {
 	}
 	a.Abandon()
 	return out
+}
+
+// handOver implements Receiver: after assemble only a single-segment
+// message still holds its segment.
+func (a *reassembly) handOver() *buf.Buffer {
+	if len(a.segs) == 0 {
+		return nil
+	}
+	ref := a.segs[0].ref
+	a.segs[0] = segment{}
+	return ref
 }
 
 // Abandon releases every retained segment buffer without delivering.

@@ -16,9 +16,44 @@ const MaxTrackedSessions = 64
 
 // Delivery is one fully received message. Lost counts the SDUs missing
 // from an unreliable (None) transfer; it is zero on reliable ones.
+//
+// A message that arrived in one SDU is delivered as it arrived: Data is
+// that SDU's payload inside its pooled receive buffer, which the
+// delivery pins until the holder hands it back. Such a delivery is
+// BORROWED — Release it exactly once when done with Data (one never
+// released is collected, at the price of one buffer the pool must
+// re-make), or call Bytes to own the contents instead — and Data is
+// READ-ONLY: on HPI it is the very storage the sender staged, and a
+// duplicate the network made shares it. A message of several SDUs is
+// assembled into an allocation of its own, which pins nothing; Release
+// and Bytes cost it nothing, so callers need not tell the two apart.
 type Delivery struct {
 	Data []byte
 	Lost int
+
+	ref *buf.Buffer // pins Data when borrowed; nil when Data is the holder's own
+}
+
+// Release hands a borrowed delivery's storage back; Data must not be
+// touched afterwards. On an owned delivery it does nothing.
+func (d *Delivery) Release() {
+	if d.ref != nil {
+		d.ref.Release()
+		d.ref, d.Data = nil, nil
+	}
+}
+
+// Bytes returns the contents as a slice the caller owns, for good: Data
+// itself when already owned, else an exact-size copy made before the
+// borrowed storage goes back. The delivery is owned from then on.
+func (d *Delivery) Bytes() []byte {
+	if d.ref != nil {
+		own := make([]byte, len(d.Data))
+		copy(own, d.Data)
+		d.ref.Release()
+		d.ref, d.Data = nil, own
+	}
+	return d.Data
 }
 
 // inbound is one tracked session. While it reassembles it holds its
@@ -69,18 +104,18 @@ type SessionTable struct {
 
 // OnData runs one arriving SDU through its session. acks follows the
 // Receiver.OnData borrow contract. done reports that this SDU completed
-// a message, handed over in d exactly once per session: d.Data is the
-// caller's, and the table keeps no reference to it.
+// a message, handed over in d exactly once per session: d is the
+// caller's — to Release, if it arrived in one SDU (see Delivery) — and
+// the table keeps no reference to it.
 func (t *SessionTable) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer) (acks []packet.Control, d Delivery, done bool) {
 	// A one-SDU message without error control is complete on arrival: no
 	// acknowledgments will follow and no retransmission can ever revive
 	// the session, so the table and the reassembly machinery are skipped
-	// entirely. Only the user-facing copy is made.
+	// entirely, and the SDU is the delivery.
 	if h.Seq == 0 && h.End() && t.Alg == None {
-		out := make([]byte, len(payload))
-		copy(out, payload)
+		s := holdSegment(payload, ref)
 		mRecvDirect.IncAt(h.ConnID)
-		return nil, Delivery{Data: out}, true
+		return nil, Delivery{Data: s.data, ref: s.ref}, true
 	}
 
 	t.mu.Lock()
@@ -97,7 +132,7 @@ func (t *SessionTable) OnData(h packet.DataHeader, payload []byte, ref *buf.Buff
 	if !complete {
 		return acks, Delivery{}, false
 	}
-	d = Delivery{Data: s.rcv.Message(), Lost: s.rcv.LostSDUs()}
+	d = Delivery{Data: s.rcv.Message(), Lost: s.rcv.LostSDUs(), ref: s.rcv.handOver()}
 	switch r := s.rcv.(type) {
 	case *srReceiver:
 		s.ack = uint32(r.total)

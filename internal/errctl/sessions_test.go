@@ -30,7 +30,8 @@ func deliverOne(t *testing.T, tbl *SessionTable, sess uint32, msg []byte, flags 
 // TestSessionTableSteadyStateAllocatesOnlyDeliveries: the age ring is
 // fixed and sessions recycle as they age out, so a table receiving one
 // reliable message after another allocates the delivered copies and
-// nothing else, for ever.
+// nothing else, for ever — and a one-SDU message is delivered as it
+// arrived, so a consumer that releases it allocates nothing at all.
 func TestSessionTableSteadyStateAllocatesOnlyDeliveries(t *testing.T) {
 	if raceDetector {
 		t.Skip("the race detector's instrumentation allocates")
@@ -41,15 +42,17 @@ func TestSessionTableSteadyStateAllocatesOnlyDeliveries(t *testing.T) {
 		sess := uint32(0)
 		receive := func() {
 			sess++
-			if d := deliverOne(t, tbl, sess, msg, 0); !bytes.Equal(d.Data, msg) {
+			d := deliverOne(t, tbl, sess, msg, 0)
+			if !bytes.Equal(d.Data, msg) {
 				t.Fatalf("%v: session %d delivered %q", alg, sess, d.Data)
 			}
+			d.Release()
 		}
 		for i := 0; i < 2*MaxTrackedSessions; i++ {
 			receive() // fill the table and the receiver pool
 		}
-		if n := testing.AllocsPerRun(1000, receive); n != 1 {
-			t.Errorf("%v: %v allocs per single-SDU reliable receive, want 1 (the delivered copy)", alg, n)
+		if n := testing.AllocsPerRun(1000, receive); n != 0 {
+			t.Errorf("%v: %v allocs per single-SDU reliable receive released, want 0", alg, n)
 		}
 		if n := tbl.Len(); n != MaxTrackedSessions {
 			t.Errorf("%v: table tracks %d sessions after %d, want %d", alg, n, sess, MaxTrackedSessions)
@@ -67,7 +70,15 @@ func TestSessionTableDeliversOnceAndPrunesOldest(t *testing.T) {
 	before := buf.Outstanding()
 	tbl := &SessionTable{Alg: SelectiveRepeat}
 	msg := []byte("once")
-	deliverOne(t, tbl, 1, msg, 0)
+	deliverOnce := func(tbl *SessionTable, sess uint32, flags uint16) {
+		t.Helper()
+		d := deliverOne(t, tbl, sess, msg, flags)
+		if !bytes.Equal(d.Data, msg) {
+			t.Fatalf("%v: session %d delivered %q", tbl.Alg, sess, d.Data)
+		}
+		d.Release()
+	}
+	deliverOnce(tbl, 1, 0)
 	sdu := Segment(msg, 1024, 1, 1, 0)[0]
 	acks, _, done := tbl.OnData(sdu.Header, sdu.Payload, nil)
 	if done || len(acks) == 0 {
@@ -82,7 +93,7 @@ func TestSessionTableDeliversOnceAndPrunesOldest(t *testing.T) {
 	tbl.OnData(two[0].Header, b.B, b)
 	b.Release()
 	for sess := uint32(3); sess < 3+MaxTrackedSessions; sess++ {
-		deliverOne(t, tbl, sess, msg, 0)
+		deliverOnce(tbl, sess, 0)
 	}
 	if n := tbl.Len(); n != MaxTrackedSessions {
 		t.Fatalf("table tracks %d sessions, want %d", n, MaxTrackedSessions)
@@ -90,7 +101,7 @@ func TestSessionTableDeliversOnceAndPrunesOldest(t *testing.T) {
 	if got := buf.Outstanding(); got != before {
 		t.Fatalf("%d pooled buffers still held after the incomplete session was pruned", got-before)
 	}
-	if _, _, done := tbl.OnData(sdu.Header, sdu.Payload, nil); !done {
+	if _, d, done := tbl.OnData(sdu.Header, sdu.Payload, nil); !done || !bytes.Equal(d.Bytes(), msg) {
 		t.Fatal("session 1 still tracked after MaxTrackedSessions newer ones")
 	}
 	tbl.Reap()
@@ -99,8 +110,11 @@ func TestSessionTableDeliversOnceAndPrunesOldest(t *testing.T) {
 	}
 
 	none := &SessionTable{Alg: None}
-	if d := deliverOne(t, none, 9, msg, packet.FlagUnreliable); !bytes.Equal(d.Data, msg) || none.Len() != 0 {
-		t.Fatalf("unreliable single-SDU message: delivered %q, table tracks %d sessions; want the message and no session", d.Data, none.Len())
+	if deliverOnce(none, 9, packet.FlagUnreliable); none.Len() != 0 {
+		t.Fatalf("unreliable single-SDU message: table tracks %d sessions, want none", none.Len())
+	}
+	if got := buf.Outstanding(); got != before {
+		t.Fatalf("%d pooled buffers still held after every delivery was released", got-before)
 	}
 }
 
@@ -184,6 +198,7 @@ func TestDuplicatesAfterDeliveryAnswerAsTheLiveReceiverDid(t *testing.T) {
 			if !bytes.Equal(d.Data, msg) {
 				t.Fatalf("%v/%d: delivered message corrupted", alg, n)
 			}
+			d.Release()
 			if !equalWire(final, wantFinal) {
 				t.Fatalf("%v/%d: completing ack %x, live receiver sent %x", alg, n, final, wantFinal)
 			}
@@ -217,7 +232,8 @@ func TestDuplicatesAfterDeliveryAnswerAsTheLiveReceiverDid(t *testing.T) {
 			live = NewReceiver(alg)
 			wantAcks, _, wantDone := replay(asTable, dups[0])
 			Recycle(live)
-			got, _, done := replay(tbl.OnData, dups[0])
+			got, again, done := replay(tbl.OnData, dups[0])
+			again.Release() // a one-SDU message completes afresh
 			if done != wantDone || !equalWire(got, wantAcks) {
 				t.Errorf("%v/%d: duplicate of a pruned session: done=%v acks=%x; a fresh receiver answers done=%v acks=%x",
 					alg, n, done, got, wantDone, wantAcks)
@@ -263,4 +279,64 @@ func TestNothingDeliveredStaysReachable(t *testing.T) {
 		t.Errorf("%d of %d delivered messages were collectable with their sessions still tracked", got, msgs)
 	}
 	tbl.Reap()
+}
+
+// TestOneSDUDeliveryIsItsArrivalBuffer: under every scheme a message
+// that arrived in one SDU is delivered as that SDU — Data lies inside
+// the buffer the SDU was offered in, pinned by one more reference until
+// Release — and a message of two SDUs is assembled: its Data is nobody's
+// buffer and its delivery pins nothing. Bytes owns either for good.
+func TestOneSDUDeliveryIsItsArrivalBuffer(t *testing.T) {
+	for _, alg := range []Algorithm{SelectiveRepeat, GoBackN, None} {
+		before := buf.Outstanding()
+		tbl := &SessionTable{Alg: alg}
+		offer := func(s SDU) (*buf.Buffer, Delivery, bool) {
+			b := buf.GetCap(len(s.Payload))
+			b.B = append(b.B, s.Payload...)
+			_, d, done := tbl.OnData(s.Header, b.B, b)
+			return b, d, done
+		}
+
+		one := Segment([]byte("a message of one SDU"), 100, 1, 1, 0)[0]
+		b, d, done := offer(one)
+		if !done || !bytes.Equal(d.Data, one.Payload) {
+			t.Fatalf("%v: one-SDU message: done=%v data=%q", alg, done, d.Data)
+		}
+		if &d.Data[0] != &b.B[0] || b.Refs() != 2 {
+			t.Fatalf("%v: one-SDU delivery is a copy (refs=%d): want Data inside the offered buffer, retained once", alg, b.Refs())
+		}
+		kept := d.Bytes()
+		if b.Refs() != 1 || &kept[0] == &b.B[0] || !bytes.Equal(kept, one.Payload) {
+			t.Fatalf("%v: Bytes left refs=%d, returned %q", alg, b.Refs(), kept)
+		}
+		d.Release() // owned now: nothing to hand back
+		if b.Refs() != 1 {
+			t.Fatalf("%v: Release after Bytes dropped a reference it did not hold (refs=%d)", alg, b.Refs())
+		}
+		b.Release()
+
+		two := Segment(bytes.Repeat([]byte("two"), 50), 100, 1, 2, 0)
+		b0, _, done := offer(two[0])
+		if done {
+			t.Fatalf("%v: first of two SDUs completed the message", alg)
+		}
+		b1, d, done := offer(two[1])
+		if !done || !bytes.Equal(d.Data, bytes.Repeat([]byte("two"), 50)) {
+			t.Fatalf("%v: two-SDU message: done=%v, %d bytes", alg, done, len(d.Data))
+		}
+		if b0.Refs() != 1 || b1.Refs() != 1 {
+			t.Fatalf("%v: an assembled delivery pins its segments' buffers (refs %d, %d)", alg, b0.Refs(), b1.Refs())
+		}
+		data := d.Data
+		d.Release()
+		if d.Data == nil || &d.Data[0] != &data[0] {
+			t.Fatalf("%v: Release of an owned delivery took its Data away", alg)
+		}
+		b0.Release()
+		b1.Release()
+		tbl.Reap()
+		if held := buf.Outstanding() - before; held != 0 {
+			t.Fatalf("%v: %d pooled buffers held at the end", alg, held)
+		}
+	}
 }

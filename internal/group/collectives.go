@@ -49,6 +49,7 @@ func (g *Group) scatter(root int, parts [][]byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.own() // this member's part is returned
 		if bundle, err = decodeBundle(f.payload, g.size); err != nil {
 			return nil, fmt.Errorf("group scatter from %d: %w", parent, err)
 		}
@@ -91,10 +92,21 @@ func (g *Group) gather(root int, value []byte) ([][]byte, error) {
 	dl := g.opDeadline()
 
 	bundle := map[int][]byte{g.rank: value}
+	var held []frame // an interior rank's: pinned until their parts are forwarded
+	defer func() {
+		for i := range held {
+			held[i].release()
+		}
+	}()
 	for _, child := range mcast.Children(g.cfg.Algorithm, g.size, root, g.rank) {
 		f, err := g.recvFrame(child, opGather, tag, 0, dl)
 		if err != nil {
 			return nil, err
+		}
+		if g.rank == root {
+			f.own() // the parts are returned
+		} else {
+			held = append(held, f)
 		}
 		sub, err := decodeBundle(f.payload, g.size)
 		if err != nil {
@@ -200,11 +212,13 @@ func (g *Group) reduceScatter(parts [][]byte, op ReduceOp) ([]byte, error) {
 		}
 		sub, err := decodeVector(f.payload, g.size)
 		if err != nil {
+			f.release()
 			return nil, fmt.Errorf("group reduce-scatter from %d: %w", child, err)
 		}
 		for i := range acc {
-			acc[i] = op(acc[i], sub[i])
+			acc[i] = f.detach(op(acc[i], sub[i]))
 		}
+		f.release()
 	}
 	if g.rank != 0 {
 		parent := mcast.CombineParent(g.cfg.Algorithm, g.size, g.rank)
@@ -249,6 +263,7 @@ func (g *Group) allToAll(parts [][]byte) ([][]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.own()
 		out[ex.From] = f.payload
 	}
 	return out, nil

@@ -51,11 +51,13 @@
 package group
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"sort"
 	"time"
+	"unsafe"
 
 	"ncs/internal/buf"
 	"ncs/internal/core"
@@ -165,7 +167,9 @@ func appendFrameHeader(dst []byte, op byte, tag, chunk, nchunks, total uint32) [
 }
 
 // frame is a parsed collective transfer; payload aliases the delivered
-// message storage (no copy).
+// message msg (no copy), which is borrowed: a collective that only folds
+// or forwards the payload calls release when it has, and one that
+// returns (part of) it to its caller calls own first.
 type frame struct {
 	op      byte
 	tag     uint32
@@ -173,9 +177,11 @@ type frame struct {
 	nchunks uint32
 	total   uint32
 	payload []byte
+	msg     core.Message
 }
 
-func parseFrame(raw []byte) (frame, error) {
+func parseFrame(m core.Message) (frame, error) {
+	raw := m.Data
 	if len(raw) < frameHeaderSize {
 		return frame{}, fmt.Errorf("%w: %d-byte frame", ErrMismatch, len(raw))
 	}
@@ -186,7 +192,29 @@ func parseFrame(raw []byte) (frame, error) {
 		nchunks: binary.BigEndian.Uint32(raw[9:]),
 		total:   binary.BigEndian.Uint32(raw[13:]),
 		payload: raw[frameHeaderSize:],
+		msg:     m,
 	}, nil
+}
+
+// release hands the frame's storage back; payload is dead afterwards.
+func (f *frame) release() { f.msg.Release() }
+
+// own makes payload the caller's to keep (a copy, if msg was borrowed).
+func (f *frame) own() { f.payload = f.msg.Bytes()[frameHeaderSize:] }
+
+// detach returns r, copied out first if it lies inside the frame's
+// payload: a ReduceOp may return its second argument, or part of it, and
+// the frame it was folded from is about to be released. (unsafe only
+// reads the two addresses as numbers.)
+func (f *frame) detach(r []byte) []byte {
+	if len(r) == 0 || len(f.payload) == 0 {
+		return r
+	}
+	at, lo := uintptr(unsafe.Pointer(&r[0])), uintptr(unsafe.Pointer(&f.payload[0]))
+	if at < lo || at >= lo+uintptr(len(f.payload)) {
+		return r
+	}
+	return bytes.Clone(r)
 }
 
 // ---------------------------------------------------------------------------
@@ -203,10 +231,11 @@ type Group struct {
 	// (nil on fast-path groups, which must receive per connection);
 	// connRank demultiplexes a delivery back to its peer rank, and
 	// pending queues frames that arrived while the member was waiting
-	// on a different peer.
+	// on a different peer — owned, so a group closed with some unread
+	// pins no buffer.
 	inbox    *core.Inbox
 	connRank map[*core.Connection]int
-	pending  [][][]byte
+	pending  [][]core.Message
 
 	// tag is the member's collective sequence number. Collectives are
 	// called in the same order on every member (the communicator
@@ -390,7 +419,7 @@ func ConnectConfig(systems []*core.System, opts core.Options, cfg Config) ([]*Gr
 		for _, g := range groups {
 			g.inbox = core.NewInbox(depth)
 			g.connRank = make(map[*core.Connection]int, n-1)
-			g.pending = make([][][]byte, n)
+			g.pending = make([][]core.Message, n)
 			for peer, c := range g.conns {
 				if c == nil {
 					continue
@@ -431,40 +460,41 @@ func (g *Group) sendFrame(dst int, op byte, tag, chunk, nchunks, total uint32, p
 // recvRaw returns the next message from peer rank src, demultiplexing
 // through the member's inbox when one is bound. Frames from other peers
 // that arrive while waiting are queued for their own receives. The wait
-// is bounded by dl and by the source connection's liveness.
-func (g *Group) recvRaw(src int, dl time.Time) ([]byte, error) {
+// is bounded by dl and by the source connection's liveness. The message
+// is borrowed: the caller releases or owns it.
+func (g *Group) recvRaw(src int, dl time.Time) (core.Message, error) {
 	if q := g.pending; q != nil && len(q[src]) > 0 {
-		raw := q[src][0]
-		q[src][0] = nil
+		m := q[src][0]
+		q[src][0] = core.Message{}
 		q[src] = q[src][1:]
-		return raw, nil
+		return m, nil
 	}
 	if g.inbox == nil {
 		remain := time.Until(dl)
 		if remain <= 0 {
-			return nil, fmt.Errorf("recv from %d: %w", src, ErrDeadline)
+			return core.Message{}, fmt.Errorf("recv from %d: %w", src, ErrDeadline)
 		}
 		m, err := g.conns[src].RecvMessageTimeout(remain)
 		if err != nil {
 			if errors.Is(err, core.ErrRecvTimeout) {
 				err = ErrDeadline
 			}
-			return nil, fmt.Errorf("recv from %d: %w", src, err)
+			return core.Message{}, fmt.Errorf("recv from %d: %w", src, err)
 		}
-		if m.Lost > 0 {
-			return nil, fmt.Errorf("recv from %d: frame lost %d SDUs", src, m.Lost)
+		if err := lostErr(&m, src); err != nil {
+			return core.Message{}, err
 		}
-		return m.Data, nil
+		return m, nil
 	}
 	for {
 		// A dead peer delivers nothing more: fail now rather than
 		// holding every survivor until the operation deadline.
 		if err := g.conns[src].Err(); err != nil {
-			return nil, fmt.Errorf("recv from %d: %w", src, err)
+			return core.Message{}, fmt.Errorf("recv from %d: %w", src, err)
 		}
 		remain := time.Until(dl)
 		if remain <= 0 {
-			return nil, fmt.Errorf("recv from %d: %w", src, ErrDeadline)
+			return core.Message{}, fmt.Errorf("recv from %d: %w", src, ErrDeadline)
 		}
 		if remain > connCheckInterval {
 			remain = connCheckInterval
@@ -474,43 +504,57 @@ func (g *Group) recvRaw(src int, dl time.Time) ([]byte, error) {
 			if errors.Is(err, core.ErrRecvTimeout) {
 				continue
 			}
-			return nil, fmt.Errorf("recv from %d: %w", src, err)
+			return core.Message{}, fmt.Errorf("recv from %d: %w", src, err)
 		}
 		from, ok := g.connRank[im.Conn]
 		if !ok {
+			im.Msg.Release()
 			continue
 		}
-		if im.Msg.Lost > 0 {
-			// An unreliable (ErrorControl None) connection delivered a
-			// frame with missing SDUs: honest loss accounting, but
-			// never valid collective data — reject rather than combine
-			// damaged bytes.
-			return nil, fmt.Errorf("recv from %d: frame lost %d SDUs", from, im.Msg.Lost)
+		if err := lostErr(&im.Msg, from); err != nil {
+			return core.Message{}, err
 		}
 		if from == src {
-			return im.Msg.Data, nil
+			return im.Msg, nil
 		}
-		g.pending[from] = append(g.pending[from], im.Msg.Data)
+		im.Msg.Bytes()
+		g.pending[from] = append(g.pending[from], im.Msg)
 	}
+}
+
+// lostErr rejects (and releases) a frame an unreliable (ErrorControl
+// None) connection delivered with SDUs missing: honest loss accounting,
+// but never valid collective data — combining damaged bytes is worse
+// than failing.
+func lostErr(m *core.Message, from int) error {
+	if m.Lost == 0 {
+		return nil
+	}
+	lost := m.Lost
+	m.Release()
+	return fmt.Errorf("recv from %d: frame lost %d SDUs", from, lost)
 }
 
 // recvFrame receives and validates one frame of the given collective
 // from src: the operation, tag, and chunk index must match what this
-// member is executing, or the members have diverged.
+// member is executing, or the members have diverged. The frame is the
+// caller's to release or own.
 func (g *Group) recvFrame(src int, op byte, tag, chunk uint32, dl time.Time) (frame, error) {
-	raw, err := g.recvRaw(src, dl)
+	m, err := g.recvRaw(src, dl)
 	if err != nil {
 		if errors.Is(err, ErrDeadline) {
 			mDeadline.Inc()
 		}
 		return frame{}, fmt.Errorf("group %s: %w", opName(op), err)
 	}
-	f, err := parseFrame(raw)
+	f, err := parseFrame(m)
 	if err != nil {
+		m.Release()
 		mMismatch.Inc()
 		return frame{}, fmt.Errorf("group %s from %d: %w", opName(op), src, err)
 	}
 	if f.op != op || f.tag != tag || f.chunk != chunk {
+		m.Release()
 		mMismatch.Inc()
 		return frame{}, fmt.Errorf("%w: rank %d expected %s tag %d chunk %d from %d, got %s tag %d chunk %d",
 			ErrMismatch, g.rank, opName(op), tag, chunk, src, opName(f.op), f.tag, f.chunk)
@@ -560,6 +604,7 @@ func (g *Group) broadcast(root int, msg []byte) ([]byte, error) {
 	if f.nchunks == 1 {
 		// Single-chunk message: forward and return the payload view of
 		// the delivered frame — no reassembly copy.
+		f.own()
 		for _, child := range children {
 			if err := g.sendFrame(child, opBroadcast, tag, 0, 1, f.total, f.payload); err != nil {
 				return nil, err
@@ -569,6 +614,7 @@ func (g *Group) broadcast(root int, msg []byte) ([]byte, error) {
 	}
 	out := make([]byte, 0, f.total)
 	nchunks := f.nchunks
+	defer func() { f.release() }() // the chunk in hand, if an error ends the loop
 	for k := uint32(0); ; k++ {
 		if k > 0 {
 			if f, err = g.recvFrame(parent, opBroadcast, tag, k, dl); err != nil {
@@ -585,6 +631,7 @@ func (g *Group) broadcast(root int, msg []byte) ([]byte, error) {
 			}
 		}
 		out = append(out, f.payload...)
+		f.release()
 		if k == nchunks-1 {
 			break
 		}
@@ -677,7 +724,8 @@ func (g *Group) reduce(root int, value []byte, op ReduceOp) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		acc = op(acc, f.payload)
+		acc = f.detach(op(acc, f.payload))
+		f.release()
 	}
 	if g.rank != 0 {
 		parent := mcast.CombineParent(g.cfg.Algorithm, g.size, g.rank)
@@ -691,6 +739,7 @@ func (g *Group) reduce(root int, value []byte, op ReduceOp) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		f.own()
 		return f.payload, nil
 	}
 	// Rank 0 holds the full rank-ordered reduction.

@@ -163,8 +163,8 @@ func (c *Client) abandon(id uint64, ca *call) {
 }
 
 // recvLoop is the client's demultiplexer: it drains the connection,
-// drops undecodable or loss-damaged frames, and routes each reply to
-// its in-flight call.
+// drops undecodable or loss-damaged frames, and routes each reply —
+// owned, not borrowed — to its in-flight call.
 func (c *Client) recvLoop() {
 	defer close(c.recvDone)
 	for {
@@ -177,9 +177,12 @@ func (c *Client) recvLoop() {
 		// report it via Message.Lost) is damaged: drop it and let the
 		// caller's deadline recover, exactly as for a fully lost reply.
 		if m.Lost > 0 {
+			m.Release()
 			continue
 		}
-		d := xdr.NewDecoder(m.Data)
+		// Call hands its caller a slice to keep, so the frame is owned
+		// before anything aliases it: the one copy a call still costs.
+		d := xdr.NewDecoder(m.Bytes())
 		k, kerr := parseKind(d)
 		if kerr != nil || k != kindReply {
 			continue

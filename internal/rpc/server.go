@@ -12,10 +12,13 @@ import (
 	"ncs/internal/xdr"
 )
 
-// Handler services one call: req aliases the received message (copy it
-// to retain it past the call) and the returned bytes are sent back as
-// the response. A non-nil error reaches the caller as *ServerError.
-// ctx carries the caller's propagated deadline, when it sent one.
+// Handler services one call: req aliases the received message, which
+// the server releases once the reply is sent — it is read-only, and a
+// handler that retains it past its return must copy it. The returned
+// bytes are sent back as the response (returning req itself is fine:
+// the reply is framed before the release). A non-nil error reaches the
+// caller as *ServerError. ctx carries the caller's propagated deadline,
+// when it sent one.
 type Handler func(ctx context.Context, req []byte) ([]byte, error)
 
 // ServerOptions configures a Server's dispatcher.
@@ -37,8 +40,9 @@ type request struct {
 	conn     *core.Connection
 	id       uint64
 	h        Handler
-	deadline time.Time // zero: the caller sent no deadline
-	payload  []byte
+	deadline time.Time    // zero: the caller sent no deadline
+	msg      core.Message // the borrowed frame: the worker releases it after the reply
+	payload  []byte       // aliases msg
 
 	// Streaming calls (stream true) dispatch through sh against the
 	// chunk stream the client named.
@@ -160,40 +164,21 @@ func (s *Server) recvLoop(conn *core.Connection) {
 // call, admits it to the worker queue — the shared back half of
 // recvLoop and inboxLoop. Loss-damaged or undecodable frames are
 // dropped, never dispatched: the caller's deadline is the recovery
-// path.
+// path. m is borrowed: a queued request carries it to the worker, which
+// releases it after the reply; every other way out releases it here.
 func (s *Server) admit(conn *core.Connection, m core.Message) {
-	if m.Lost > 0 {
+	req, ok := s.parse(conn, m)
+	if !ok {
+		m.Release()
 		return
-	}
-	d := xdr.NewDecoder(m.Data)
-	k, kerr := parseKind(d)
-	if kerr != nil {
-		return
-	}
-	if k == kindStreamCall {
-		s.admitStream(conn, d)
-		return
-	}
-	if k != kindCall {
-		return
-	}
-	cf, cerr := parseCall(d)
-	if cerr != nil {
-		return
-	}
-	s.hmu.RLock()
-	h := s.handlers[string(cf.method)]
-	s.hmu.RUnlock()
-	req := request{conn: conn, id: cf.id, h: h, payload: cf.payload}
-	if cf.deadline > 0 {
-		req.deadline = time.Now().Add(cf.deadline)
 	}
 	// Admission happens under qmu so Shutdown's draining flag and
 	// inflight.Wait cannot race a late arrival.
 	s.qmu.Lock()
 	if s.draining {
 		s.qmu.Unlock()
-		s.reply(conn, cf.id, statusShuttingDown, "", nil)
+		m.Release()
+		s.reply(conn, req.id, statusShuttingDown, "", nil)
 		return
 	}
 	s.inflight.Add(1)
@@ -201,6 +186,45 @@ func (s *Server) admit(conn *core.Connection, m core.Message) {
 	s.queue = append(s.queue, req)
 	s.qmu.Unlock()
 	s.sem.Release()
+}
+
+// parse decodes m into the request a worker will run; false means m is
+// no well-formed call of either kind.
+func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
+	if m.Lost > 0 {
+		return request{}, false
+	}
+	d := xdr.NewDecoder(m.Data)
+	k, kerr := parseKind(d)
+	if kerr != nil || (k != kindCall && k != kindStreamCall) {
+		return request{}, false
+	}
+	req := request{conn: conn, msg: m}
+	var cf callFrame
+	if k == kindStreamCall {
+		sf, err := parseStreamCall(d)
+		if err != nil {
+			return request{}, false
+		}
+		cf, req.stream, req.streamID, req.mode = sf.callFrame, true, sf.streamID, sf.mode
+	} else {
+		var err error
+		if cf, err = parseCall(d); err != nil {
+			return request{}, false
+		}
+	}
+	s.hmu.RLock()
+	if req.stream {
+		req.sh = s.shandlers[string(cf.method)]
+	} else {
+		req.h = s.handlers[string(cf.method)]
+	}
+	s.hmu.RUnlock()
+	req.id, req.payload = cf.id, cf.payload
+	if cf.deadline > 0 {
+		req.deadline = time.Now().Add(cf.deadline)
+	}
+	return req, true
 }
 
 // ServeInbox serves every connection bound to ib with ONE
@@ -269,6 +293,7 @@ func (s *Server) worker() {
 		} else {
 			s.dispatch(req)
 		}
+		req.msg.Release() // the reply is sent: nothing aliases the frame now
 		s.inflight.Done()
 		mServerInflight.Dec()
 	}

@@ -326,7 +326,9 @@ func (sc *ServerCall) Send(chunk []byte) error {
 }
 
 // StreamHandler services one streaming call: req is the call frame's
-// request payload (aliasing the received message), sc the chunk flow.
+// request payload (aliasing the received message, which the server
+// releases once the final reply is sent: read-only, copy to retain), sc
+// the chunk flow.
 // The returned bytes become the final reply the client's Result
 // collects; a non-nil error reaches it as *ServerError. When the
 // handler returns, the server ends the server→client chunk flow
@@ -344,34 +346,6 @@ func (s *Server) HandleStream(method string, h StreamHandler) {
 	}
 	s.shandlers[method] = h
 	s.hmu.Unlock()
-}
-
-// admitStream is the kindStreamCall arm of admit: parse, resolve the
-// handler, queue for a worker.
-func (s *Server) admitStream(conn *core.Connection, d *xdr.Decoder) {
-	sf, err := parseStreamCall(d)
-	if err != nil {
-		return
-	}
-	s.hmu.RLock()
-	sh := s.shandlers[string(sf.method)]
-	s.hmu.RUnlock()
-	req := request{conn: conn, id: sf.id, sh: sh, stream: true,
-		streamID: sf.streamID, mode: sf.mode, payload: sf.payload}
-	if sf.deadline > 0 {
-		req.deadline = time.Now().Add(sf.deadline)
-	}
-	s.qmu.Lock()
-	if s.draining {
-		s.qmu.Unlock()
-		s.reply(conn, sf.id, statusShuttingDown, "", nil)
-		return
-	}
-	s.inflight.Add(1)
-	mServerInflight.Inc()
-	s.queue = append(s.queue, req)
-	s.qmu.Unlock()
-	s.sem.Release()
 }
 
 // dispatchStream runs one streaming call on a worker: attach to the

@@ -134,6 +134,17 @@ func (b *Mailbox[T]) Pop() (m T, ok bool) {
 	return m, true
 }
 
+// Each visits every queued element in place, oldest first, under the
+// mailbox's lock: an owner closing uses it to settle what its elements
+// borrowed — before a Drop, or in place of one where they stay readable.
+func (b *Mailbox[T]) Each(visit func(*T)) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	for i, n := uint32(0), uint32(b.n.Load()); i < n; i++ {
+		visit(&b.ring[(b.head+i)&uint32(len(b.ring)-1)])
+	}
+}
+
 // Drop discards everything queued and the ring's storage: the lane is
 // being torn down.
 func (b *Mailbox[T]) Drop() {

@@ -211,6 +211,7 @@ func (s *State) OnData(h packet.DataHeader, payload []byte, ref *buf.Buffer, emi
 	for _, a := range acks {
 		a.SessionID = h.SessionID
 		if !emit(a) {
+			d.Release() // the connection closed under a completed message
 			return Msg{}, false, false
 		}
 	}
@@ -270,14 +271,16 @@ func (s *State) offerGrant(ctl packet.Control) {
 }
 
 // park queues a completed message for TryPop (a reaped stream drops
-// it); it reports false when the direct rule left the message with the
-// caller (see Mailbox.Put). A park onto an already non-empty backlog is
-// exactly the situation where single-flow delivery would have
-// head-of-line-blocked the connection; count it.
+// it, releasing what it borrowed); it reports false when the direct
+// rule left the message with the caller (see Mailbox.Put). A park onto
+// an already non-empty backlog is exactly the situation where
+// single-flow delivery would have head-of-line-blocked the connection;
+// count it.
 func (s *State) park(m Msg, direct bool) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.reaped {
+		m.Release()
 		return true
 	}
 	if s.box.Len() > 0 {
@@ -286,7 +289,8 @@ func (s *State) park(m Msg, direct bool) bool {
 	return s.box.Put(m, direct)
 }
 
-// TryPop takes the oldest parked message. Draining the backlog is what
+// TryPop takes the oldest parked message, which the caller must Release
+// (or own with Bytes) when done with it. Draining the backlog is what
 // reopens the stream's credit flow: the pop that empties the mailbox
 // flushes the grant withheld while messages sat unconsumed, and the
 // peer's stalled sender resumes.
@@ -358,8 +362,8 @@ func (s *State) RemoteClose() {
 }
 
 // Reap tears the stream down: incomplete sessions release their
-// retained buffers, parked messages are dropped, and both credit
-// halves close (draining their retry timers, so the leak audits'
+// retained buffers, parked messages are released and dropped, and both
+// credit halves close (draining their retry timers, so the leak audits'
 // flowctl.PendingTimers sees zero). Idempotent.
 func (s *State) Reap() {
 	s.mu.Lock()
@@ -369,6 +373,7 @@ func (s *State) Reap() {
 	}
 	s.reaped = true
 	s.inbound.Reap()
+	s.box.Each((*Msg).Release)
 	s.box.Drop()
 	s.hasHeld = false
 	s.mu.Unlock()

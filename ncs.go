@@ -116,7 +116,13 @@ type (
 	// control, SDU size, QoS, and fast-path mode.
 	Options = core.Options
 	// Message is a received payload plus loss metadata (unreliable
-	// connections report how many SDUs never arrived).
+	// connections report how many SDUs never arrived). One returned by
+	// RecvMessage* or an Inbox is BORROWED: a message that arrived in one
+	// SDU is the buffer it arrived in, not a copy, so its receiver reads
+	// Data without writing it and calls Release exactly once when done
+	// (forgetting costs the pool that one buffer; twice is a bug) — or
+	// Bytes, which returns a copy to keep and releases. Recv/RecvTimeout
+	// are RecvMessage + Bytes: they return a slice the caller owns.
 	Message = core.Message
 	// Runtime selects a connection's runtime architecture: the paper's
 	// thread-per-connection model (RuntimeThreaded) or the System's
@@ -131,7 +137,8 @@ type (
 	// timed receive (it used to time out at once).
 	Inbox = core.Inbox
 	// InboxMessage is one Inbox delivery: the message and the
-	// connection it arrived on.
+	// connection it arrived on. Msg is borrowed (see Message): whoever
+	// took it from Inbox.Recv* releases it.
 	InboxMessage = core.InboxMessage
 	// ShardStats snapshots a System's shard pool (System.Telemetry().Shards).
 	ShardStats = core.ShardStats
@@ -346,7 +353,9 @@ type (
 	// RPCServer dispatches calls from any number of connections onto a
 	// worker pool; create one with NewServer.
 	RPCServer = rpc.Server
-	// RPCHandler services one call on the server.
+	// RPCHandler services one call on the server. req is lent: the
+	// server releases the request's buffer once the reply is sent, so a
+	// handler reads req (or returns it) freely and copies what it keeps.
 	RPCHandler = rpc.Handler
 	// RPCServerOptions sizes the server's dispatcher and selects its
 	// thread architecture.
@@ -360,7 +369,8 @@ type (
 	// chunk flow (see RPCStreamHandler).
 	RPCServerCall = rpc.ServerCall
 	// RPCStreamHandler services one streaming call registered with
-	// RPCServer.HandleStream.
+	// RPCServer.HandleStream; req is lent as RPCHandler's is, until the
+	// final reply is sent.
 	RPCStreamHandler = rpc.StreamHandler
 	// RPCStreamMode declares a streaming call's chunk-flow directions.
 	RPCStreamMode = rpc.StreamMode
