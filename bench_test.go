@@ -25,35 +25,16 @@ import (
 // ---------------------------------------------------------------------------
 // Table I: session overhead of a threaded 1-byte send.
 
-func BenchmarkTableI_InstrumentedSend1B(b *testing.B) {
-	nw := ncs.NewNetwork()
-	defer nw.Close()
-	conn, peer, err := ncs.Pair(nw, "t1a", "t1b", ncs.Options{Interface: ncs.SCI})
-	if err != nil {
-		b.Fatal(err)
-	}
-	go func() {
-		for {
-			if _, err := peer.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	msg := []byte{1}
-	b.ReportAllocs()
-	b.ResetTimer()
-	var tr *ncs.SendTrace
+func BenchmarkTable1(b *testing.B) {
+	var res *bench.TableIResult
 	for i := 0; i < b.N; i++ {
 		var err error
-		if tr, err = conn.SendInstrumented(msg); err != nil {
+		if res, err = bench.TableI(bench.TableIConfig{}); err != nil {
 			b.Fatal(err)
 		}
 	}
-	b.StopTimer()
-	if tr != nil {
-		b.ReportMetric(float64(tr.SessionOverhead().Nanoseconds()), "session-ns")
-		b.ReportMetric(float64(tr.DataTransfer().Nanoseconds()), "transfer-ns")
-	}
+	b.ReportMetric(float64(res.SessionOverhead.Nanoseconds()), "session-ns")
+	b.ReportMetric(float64(res.DataTransfer.Nanoseconds()), "transfer-ns")
 }
 
 // ---------------------------------------------------------------------------

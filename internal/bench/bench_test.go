@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"ncs/internal/platform"
+	"ncs/internal/telemetry"
 	"ncs/internal/thread"
 )
 
@@ -140,19 +141,29 @@ func TestTableI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Rows) != 6 {
-		t.Fatalf("rows = %d, want 6", len(res.Rows))
+	if len(res.Rows) != 5 {
+		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
 	var session float64
-	for _, r := range res.Rows[:5] {
+	for _, r := range res.Rows[:4] {
 		session += r.PaperUS
+		if r.Measured <= 0 {
+			t.Errorf("row %q measured %v: a stage delta read off the lifecycle stamps must be positive", r.Activity, r.Measured)
+		}
 	}
-	if session != res.PaperSessionUS || res.Rows[5].PaperUS != res.PaperDataUS {
+	if session != res.PaperSessionUS || res.Rows[4].PaperUS != res.PaperDataUS {
 		t.Fatalf("paper columns: session rows sum to %v (want %v), data row %v (want %v)",
-			session, res.PaperSessionUS, res.Rows[5].PaperUS, res.PaperDataUS)
+			session, res.PaperSessionUS, res.Rows[4].PaperUS, res.PaperDataUS)
+	}
+	if res.DataTransfer <= 0 || res.Total != res.SessionOverhead+res.DataTransfer {
+		t.Fatalf("data transfer %v, session overhead %v, total %v", res.DataTransfer, res.SessionOverhead, res.Total)
+	}
+	if telemetry.TracingEnabled() {
+		t.Fatal("TableI left the process-global tracer on")
 	}
 	out := res.Render()
-	for _, want := range []string{"Table I", "session overhead total", "274"} {
+	for _, want := range []string{"Table I", "entry + header", "Queuing", "Context switch to Send Thread", "switch back",
+		"Transmitting", "session overhead total", "108", "274", "383"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

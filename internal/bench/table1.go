@@ -2,10 +2,12 @@ package bench
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
 	"ncs/internal/core"
+	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -51,13 +53,15 @@ type TableIResult struct {
 }
 
 // TableI reproduces "Cost of Sending 1-Byte Message via Send Thread":
-// a threaded, instrumented NCS_send over the socket interface with flow
-// and error control bypassed, exactly the §4.2 configuration. Absolute
-// numbers reflect this machine; the paper's 1998 measurements are
-// carried alongside for comparison. The structural claim preserved is
-// the split into session overhead (everything threading adds) versus
-// data transfer, and session overhead dominating at 1 byte relative to
-// its share at large sizes.
+// a threaded NCS_send over the socket interface with flow and error
+// control bypassed, exactly the §4.2 configuration, read off the
+// lifecycle tracer: every send is sampled and bracketed on the tracer's
+// clock, each row is the median of one stage delta, and the sends are
+// paced (each is received before the next starts). Tracing is
+// process-global: TableI turns it on and leaves it off. Absolute numbers
+// reflect this machine, with the paper's 1998 measurements alongside;
+// the structural claim preserved is the split into session overhead
+// (everything threading adds) versus data transfer.
 func TableI(cfg TableIConfig) (*TableIResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -71,9 +75,7 @@ func TableI(cfg TableIConfig) (*TableIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	conn, err := a.Connect("t1-receiver", core.Options{
-		Interface: cfg.Interface,
-	})
+	conn, err := a.Connect("t1-receiver", core.Options{Interface: cfg.Interface})
 	if err != nil {
 		return nil, err
 	}
@@ -81,51 +83,54 @@ func TableI(cfg TableIConfig) (*TableIResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	recvDone := make(chan struct{})
-	go func() {
-		defer close(recvDone)
-		for {
-			if _, err := peer.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	defer func() { conn.Close(); peer.Close(); <-recvDone }()
 
+	telemetry.EnableTracing(1, 2*cfg.Iterations)
+	defer telemetry.DisableTracing()
 	msg := make([]byte, cfg.MessageSize)
-	type stages struct {
-		entry, queue, switchIn, data, back, exit []time.Duration
-	}
-	var st stages
-	for i := 0; i < cfg.Iterations; i++ {
-		tr, err := conn.SendInstrumented(msg)
-		if err != nil {
+	calls := make([][2]int64, cfg.Iterations) // each Send's entry and exit, on the tracer's clock
+	for i := range calls {
+		calls[i][0] = telemetry.TraceNow()
+		if err := conn.Send(msg); err != nil {
 			return nil, err
 		}
-		st.entry = append(st.entry, tr.EntryAndHeader())
-		st.queue = append(st.queue, tr.Queue())
-		st.switchIn = append(st.switchIn, tr.SwitchToSendThread())
-		st.data = append(st.data, tr.DataTransfer())
-		st.back = append(st.back, tr.SwitchBack())
-		st.exit = append(st.exit, tr.Exit())
+		calls[i][1] = telemetry.TraceNow()
+		m, err := peer.RecvMessageTimeout(5 * time.Second)
+		if err != nil {
+			return nil, fmt.Errorf("table I: send %d: %w", i, err)
+		}
+		m.Release()
+	}
+	traces := slices.DeleteFunc(telemetry.TakeTraces(), func(tr telemetry.Trace) bool { return tr.ConnID != conn.ID() })
+	if len(traces) != len(calls) {
+		return nil, fmt.Errorf("table I: the lifecycle tracer completed %d traces of %d sends", len(traces), len(calls))
 	}
 
+	var entry, queue, switchIn, data, back []time.Duration
+	for i, tr := range traces { // in delivery order, which pacing made the order of the calls
+		at := func(s telemetry.TraceStage) time.Duration { return time.Duration(tr.Stage(s)) }
+		enter, exit := time.Duration(calls[i][0]), time.Duration(calls[i][1])
+		if at(telemetry.StageWireOut) == 0 {
+			continue // delivered before the write returned to stamp it
+		}
+		entry = append(entry, at(telemetry.StageStaged)-enter)
+		queue = append(queue, at(telemetry.StageQueued)-at(telemetry.StageStaged))
+		switchIn = append(switchIn, at(telemetry.StageDequeued)-at(telemetry.StageQueued))
+		data = append(data, at(telemetry.StageWireOut)-at(telemetry.StageDequeued))
+		back = append(back, exit-at(telemetry.StageWireOut))
+	}
+
+	if len(data) < len(calls)/2 {
+		return nil, fmt.Errorf("table I: %d of %d traces carry a wire-out stamp", len(data), len(calls))
+	}
 	rows := []TableIRow{
-		{"NCS_send entry + header attach", median(st.entry), 14},             // rows 1-2: 10+4
-		{"Queuing a message request", median(st.queue), 15},                  // row 3
-		{"Context switch to Send Thread + dequeue", median(st.switchIn), 44}, // rows 4-5: 27+17
-		{"Free request + context switch back", median(st.back), 35},          // rows 7-8: 10+25
-		{"NCS_send exit (part of entry/exit)", median(st.exit), 0},
-		{"Transmitting the message", median(st.data), 274}, // row 6
+		{"NCS_send entry + header attach", median(entry), 14},             // rows 1-2: 10+4
+		{"Queuing a message request", median(queue), 15},                  // row 3
+		{"Context switch to Send Thread + dequeue", median(switchIn), 44}, // rows 4-5: 27+17
+		{"Free request + switch back + NCS_send exit", median(back), 35},  // rows 7-8: 10+25
+		{"Transmitting the message", median(data), 274},                   // row 6
 	}
-	res := &TableIResult{
-		Rows:           rows,
-		DataTransfer:   median(st.data),
-		PaperSessionUS: 108,
-		PaperDataUS:    274,
-		PaperTotalUS:   383,
-	}
-	for _, r := range rows[:5] {
+	res := &TableIResult{Rows: rows, DataTransfer: median(data), PaperSessionUS: 108, PaperDataUS: 274, PaperTotalUS: 383}
+	for _, r := range rows[:4] {
 		res.SessionOverhead += r.Measured
 	}
 	res.Total = res.SessionOverhead + res.DataTransfer
@@ -138,11 +143,7 @@ func (t *TableIResult) Render() string {
 	b.WriteString("Table I: cost of sending a 1-byte message via Send Thread\n")
 	fmt.Fprintf(&b, "  %-42s %12s %12s\n", "activity", "measured", "paper (µs)")
 	for _, r := range t.Rows {
-		paper := "-"
-		if r.PaperUS > 0 {
-			paper = fmt.Sprintf("%.0f", r.PaperUS)
-		}
-		fmt.Fprintf(&b, "  %-42s %12v %12s\n", r.Activity, r.Measured, paper)
+		fmt.Fprintf(&b, "  %-42s %12v %12.0f\n", r.Activity, r.Measured, r.PaperUS)
 	}
 	sessPct := 0.0
 	if t.Total > 0 {

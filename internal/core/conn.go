@@ -62,7 +62,6 @@ type outItem struct {
 	sdu        errctl.SDU
 	ctrl       *buf.Buffer   // non-nil: a control packet, not an SDU
 	ctrlPath   bool          // write to the control connection (false: data)
-	trace      *SendTrace    // Table I instrumentation, when capturing
 	done       chan struct{} // non-nil: deposit a token after transmission
 	slot       bool          // release one of the connection's shard send slots after transmission
 	streamSlot bool          // release one of the connection's stream send slots after transmission
@@ -76,20 +75,15 @@ func (it *outItem) stage() *buf.Buffer {
 		it.c.stats.controlSent.Add(1)
 		return it.ctrl
 	}
-	if it.trace != nil {
-		it.trace.stamp(&it.trace.tDequeued)
-	}
+	telemetry.TraceStamp(it.c.id, it.sdu.Header.SessionID, telemetry.StageDequeued)
 	sb := buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
 	sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
 	return sb
 }
 
-// finish is the post-transmission bookkeeping: trace stamps, the done
+// finish is the post-transmission bookkeeping: the trace stamp, the done
 // token a synchronous sender waits on, queue-slot releases.
 func (it *outItem) finish() {
-	if it.trace != nil {
-		it.trace.stamp(&it.trace.tTransmitted)
-	}
 	if it.ctrl == nil {
 		telemetry.TraceStamp(it.c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
 	}
@@ -215,6 +209,8 @@ type Connection struct {
 	txCounter atomic.Uint32
 	rxCounter atomic.Uint32
 
+	paused atomic.Bool // the default lane's producer stopped at depth (see box)
+
 	fastSendMu sync.Mutex // serialises fast-path senders
 	fastRecvMu sync.Mutex // serialises fast-path pump holders
 	fastCtrlMu sync.Mutex // serialises fast-path control writes
@@ -223,8 +219,7 @@ type Connection struct {
 	// a connection that never opens a stream carries none, and stream 0
 	// — the default channel — never touches it. initiator fixes stream
 	// id parity (dialer odd, acceptor even).
-	initiator bool
-	muxp      atomic.Pointer[stream.Mux]
+	muxp atomic.Pointer[stream.Mux]
 
 	// streamSlots is the counting semaphore behind streamSendSlots,
 	// shared by every non-zero stream's queued data SDUs. Lazy: built
@@ -242,19 +237,21 @@ type Connection struct {
 	inbox atomic.Pointer[Inbox]
 
 	closeOnce sync.Once
+	failed    atomic.Bool // the liveness sweep declared the peer dead (heartbeat.go)
 	closedCh  chan struct{}
 	wg        sync.WaitGroup
 
-	stats statCounters
-	rtt   rttEstimator
+	stats  statCounters
+	folded *connTotals // what the process's books hold of stats; nil until the connection left the registry (conns.go)
+	rtt    rttEstimator
 
 	// The liveness sweep's state (heartbeat.go); hbDue and misses are
 	// guarded by the System's mu.
 	hbDue  int64       // unix nanos from which a sweep pings next; 0: not swept
 	heard  atomic.Bool // a packet arrived since the last due sweep
-	failed atomic.Bool // the sweep declared the peer dead
-	paused atomic.Bool // the default lane's producer stopped at depth (see box)
 	misses uint8       // consecutive due sweeps that found heard down
+
+	initiator bool // fixes stream id parity (see muxp)
 }
 
 func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl transport.Conn, initiator bool) *Connection {
@@ -307,60 +304,55 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 	return c
 }
 
-// flowSend returns the connection's flow-control sender, creating it
-// on first use. The fast path is one atomic load.
-func (c *Connection) flowSend() flowctl.Sender {
-	if p := c.fcSend.Load(); p != nil {
-		return *p
+// lazily returns the flow-control half *p publishes, building it on
+// first use: c.mu serialises builders, and after the first the cost is
+// one atomic load. A half built while — or after — the connection closes
+// is closed on the spot: Close, under the same mutex, tears down only
+// what it finds built, and no admission waiter may block on a half
+// teardown never saw.
+func lazily[T interface{ Close() }](c *Connection, p *atomic.Pointer[T], build func() T) T {
+	if v := p.Load(); v != nil {
+		return *v
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if p := c.fcSend.Load(); p != nil {
-		return *p
+	if v := p.Load(); v != nil {
+		return *v
 	}
-	fs := flowctl.NewSender(c.opts.FlowControl, c.opts.FlowConfig)
+	v := build()
 	select {
 	case <-c.closedCh:
-		// Construction raced Close (which tears flow control down under
-		// this same mutex): close the newcomer so no admission waiter
-		// can block on a sender teardown never saw.
-		fs.Close()
+		v.Close()
 	default:
 	}
-	c.fcSend.Store(&fs)
-	return fs
+	p.Store(&v)
+	return v
 }
 
-// flowRecv returns the connection's flow-control receiver, creating it
-// on first use.
+// flowSend returns the connection's flow-control sender.
+func (c *Connection) flowSend() flowctl.Sender {
+	return lazily(c, &c.fcSend, func() flowctl.Sender {
+		return flowctl.NewSender(c.opts.FlowControl, c.opts.FlowConfig)
+	})
+}
+
+// flowRecv returns the connection's flow-control receiver.
 func (c *Connection) flowRecv() flowctl.Receiver {
-	if p := c.fcRecv.Load(); p != nil {
-		return *p
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.fcRecv.Load(); p != nil {
-		return *p
-	}
-	fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
-	if !c.opts.FastPath {
-		// Give a credit receiver an asynchronous emitter so its
-		// refill-retry timer can re-advertise a possibly-lost grant. The
-		// fast path gets none: it emits control inline on the receive
-		// procedure's goroutine, and an emitterless receiver arms no
-		// timers at all.
-		flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
-			ctl.ConnID = c.id
-			return c.emitCtrl(ctl)
-		})
-	}
-	select {
-	case <-c.closedCh:
-		fr.Close()
-	default:
-	}
-	c.fcRecv.Store(&fr)
-	return fr
+	return lazily(c, &c.fcRecv, func() flowctl.Receiver {
+		fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
+		if !c.opts.FastPath {
+			// Give a credit receiver an asynchronous emitter so its
+			// refill-retry timer can re-advertise a possibly-lost grant. The
+			// fast path gets none: it emits control inline on the receive
+			// procedure's goroutine, and an emitterless receiver arms no
+			// timers at all.
+			flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
+				ctl.ConnID = c.id
+				return c.emitCtrl(ctl)
+			})
+		}
+		return fr
+	})
 }
 
 // FlowStats snapshots the connection's credit flow-control sender state
@@ -474,7 +466,7 @@ func (c *Connection) Options() Options { return c.opts }
 // connection's error control configuration, blocking until the transfer
 // completes (reliable) or is fully handed to the interface (unreliable).
 func (c *Connection) Send(msg []byte) error {
-	return c.send(c.lane0(), msg, nil)
+	return c.send(c.lane0(), msg)
 }
 
 // unreliableSDU builds the header Segment would give SDU i of n of an
@@ -533,7 +525,7 @@ func (c *Connection) lane0() sendLane {
 // primitives know the runtime: admit (how a credit wait passes), put
 // (how an SDU reaches the wire) and awaitAck (how the acknowledgment
 // comes back).
-func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
+func (c *Connection) send(lane sendLane, msg []byte) error {
 	if err := c.checkSendSize(msg); err != nil {
 		return err
 	}
@@ -554,9 +546,6 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 		defer c.endSend(ss, sess)
 		lane.done = ss.done
 	}
-	if tr != nil {
-		tr.stamp(&tr.tHeader)
-	}
 	if c.opts.ErrorControl == errctl.None {
 		// A None session never retransmits, so nothing ever refers to it
 		// again and the error-control sender (session state, segmentation
@@ -568,21 +557,15 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 			lo := i * sduSize
 			hi := min(lo+sduSize, len(msg))
 			one[0] = c.unreliableSDU(msg[lo:hi], lane.streamID, sess, i, n)
-			last := i == n-1
-			var ltr *SendTrace
-			if last {
-				ltr = tr
-			}
-			if err := c.transmit(lane, one[:], ltr, last); err != nil {
+			if err := c.transmit(lane, one[:], i == n-1); err != nil {
 				return err
 			}
 		}
 		c.stats.messagesSent.Add(1)
-		mSendMsgs.IncAt(c.id)
 		return nil
 	}
 
-	if err := c.transmit(lane, ss.snd.Initial(), tr, false); err != nil {
+	if err := c.transmit(lane, ss.snd.Initial(), false); err != nil {
 		return err
 	}
 	lastSend := time.Now()
@@ -607,7 +590,6 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 			}
 			if done {
 				c.stats.messagesSent.Add(1)
-				mSendMsgs.IncAt(c.id)
 				return nil
 			}
 		} else {
@@ -624,7 +606,7 @@ func (c *Connection) send(lane sendLane, msg []byte, tr *SendTrace) error {
 			// such barrier: an ack proves its SDUs were already staged and
 			// written. Retransmission is the slow path; the extra round
 			// trip to the Send Thread does not touch healthy sends.
-			if err := c.transmit(lane, rt, nil, true); err != nil {
+			if err := c.transmit(lane, rt, true); err != nil {
 				return err
 			}
 			lastSend = time.Now()
@@ -657,7 +639,8 @@ func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSess
 // free list. See sendSession for why this order makes the channels
 // reusable. On a closed (or failed) connection the session is left to
 // the collector instead: a put that gave up waiting may still be owed
-// its token.
+// its token — and what this Send counted may have missed the
+// connection's folds, so it settles the books itself.
 func (c *Connection) endSend(ss *sendSession, sess uint32) {
 	if ss.snd != nil {
 		c.mu.Lock()
@@ -672,6 +655,8 @@ func (c *Connection) endSend(ss *sendSession, sess uint32) {
 	}
 	if c.Err() == nil {
 		idleSendSessions.Put(ss)
+	} else {
+		c.settle()
 	}
 }
 
@@ -763,8 +748,8 @@ func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
 // come from the lane, so a stream whose credit window is exhausted
 // blocks only its own sender. When sync is true it returns only once
 // the final SDU left the interface. This is the one place sent SDUs are
-// counted.
-func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, sync bool) error {
+// counted: c.stats is the only book (conns.go reads it for core.conn.*).
+func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
 	// control first, so the credit the loss returns can fund the
@@ -781,20 +766,16 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, tr *SendTrace, s
 		}
 		c.stats.sdusSent.Add(1)
 		c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
-		mSendSDUs.IncAt(c.id)
-		mSendBytes.AddAt(c.id, int64(len(sdu.Payload)))
 		if sdu.Header.Flags&packet.FlagRetransmit != 0 {
 			c.stats.retransmissions.Add(1)
 		}
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
 		it := outItem{c: c, sdu: sdu}
-		if i == len(sdus)-1 {
-			it.trace = tr
-			if sync && !c.opts.FastPath { // the fast path's put is inline
-				it.done = lane.done
-			}
+		if sync && i == len(sdus)-1 && !c.opts.FastPath { // the fast path's put is inline
+			it.done = lane.done
 		}
 		if err := c.put(it); err != nil {
+			c.settle() // the SDU is counted, and a closed connection's folds may be over
 			return err
 		}
 	}
@@ -880,6 +861,7 @@ func (c *Connection) creditTimeout(lane sendLane) error {
 // Thread's or the shard's queue — waiting, when the item carries a done
 // channel, for the token that confirms the SDU left the interface.
 func (c *Connection) put(it outItem) error {
+	telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageQueued)
 	if c.opts.FastPath {
 		err := c.data.SendBuf(it.stage()) // consumes the buffer reference
 		it.finish()
@@ -900,18 +882,15 @@ func (c *Connection) put(it outItem) error {
 			return ErrConnClosed
 		}
 	}
-	if it.trace != nil {
-		it.trace.stamp(&it.trace.tQueued)
-	}
 	if !c.enqueueData(it) {
+		if it.streamSlot {
+			<-c.streamSlotCh()
+		}
 		return ErrConnClosed
 	}
 	if it.done != nil {
 		select {
 		case <-it.done:
-			if it.trace != nil {
-				it.trace.stamp(&it.trace.tReturned)
-			}
 		case <-c.closedCh:
 			// The channel may still receive its token: endSend, seeing
 			// the connection closed, will not reuse the session.
@@ -938,15 +917,13 @@ func (c *Connection) streamSlotCh() chan struct{} {
 // enqueueData hands one data SDU to the connection's queue: the Send
 // Thread's (threaded) or the shard's outbound queue (sharded, after
 // taking one of the connection's send slots — the same depth bound
-// sendQ provides). It reports false when the connection closed.
+// sendQ provides). It reports false when the connection closed; the
+// item's stream slot is then still the caller's to release.
 func (c *Connection) enqueueData(it outItem) bool {
 	if sc := c.sh; sc != nil {
 		select {
 		case sc.sendSlots <- struct{}{}:
 		case <-c.closedCh:
-			if it.streamSlot {
-				<-c.streamSlotCh()
-			}
 			return false
 		}
 		mSendQDepth.Observe(int64(len(sc.sendSlots)))
@@ -958,9 +935,6 @@ func (c *Connection) enqueueData(it outItem) bool {
 	case c.sendQ <- it:
 		return true
 	case <-c.closedCh:
-		if it.streamSlot {
-			<-c.streamSlotCh()
-		}
 		return false
 	}
 }
@@ -1067,7 +1041,7 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 		m, ok := st.TryPop()
 		// Order matters: pop before the lifecycle check, so messages
 		// parked before a remote close drain to the application first.
-		if !ok && (st.Closed() || st.RemoteClosed()) {
+		if !ok && st.Over() {
 			return m, false, ErrStreamClosed
 		}
 		return m, ok, nil
@@ -1292,8 +1266,6 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
 	c.stats.sdusReceived.Add(1)
 	c.stats.bytesReceived.Add(uint64(len(payload)))
-	mRecvSDUs.IncAt(c.id)
-	mRecvBytes.AddAt(c.id, int64(len(payload)))
 	var done bool
 	if h.StreamID != 0 {
 		st := c.mux().Get(h.StreamID)
@@ -1305,7 +1277,6 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 		return Message{}, false
 	}
 	c.stats.messagesReceived.Add(1)
-	mRecvMsgs.IncAt(c.id)
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageReassembled)
 	// The trace completes at the delivery hand-off; a parked message
 	// would otherwise pin its slot until the consumer drains, starving
@@ -1555,23 +1526,6 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 
 // ---------------------------------------------------------------------------
 
-// SendInstrumented sends msg and captures the Table I stage breakdown.
-// Fast-path connections, which have no Send Thread to stamp the queue
-// stages, refuse with ErrFastPathOnly.
-func (c *Connection) SendInstrumented(msg []byte) (*SendTrace, error) {
-	if c.opts.FastPath {
-		return nil, ErrFastPathOnly
-	}
-	tr := newSendTrace()
-	tr.stamp(&tr.tEnter)
-	err := c.send(c.lane0(), msg, tr)
-	tr.stamp(&tr.tExit)
-	if err != nil {
-		return nil, err
-	}
-	return tr, nil
-}
-
 // ImpairData applies programmable impairments to this side's data
 // transport mid-run (see transport.Impair): packets sent from here are
 // impaired from the next one onward. It reports false when the data
@@ -1612,26 +1566,25 @@ func (c *Connection) Close() error {
 			// closed transports guarantee no new ones can surface. Then
 			// drain the pump channels' pooled buffers and reap.
 			sc.shard.unregister(c)
-			sc.drainInbound(c)
+			sc.drainInbound()
+		}
+		if !c.opts.FastPath {
+			// The receive threads have exited, a shard services the
+			// connection no more: nothing touches the session table
+			// concurrently.
 			c.reapInbound()
 			return
 		}
-		if c.opts.FastPath {
-			// No threads to join; a fast-path Recv may still be inside
-			// the session machinery (possibly the very caller running
-			// this Close after a transport error). Reap from a fresh
-			// goroutine once the receive procedure lock frees — the
-			// closed transports unblock it promptly.
-			go func() {
-				c.fastRecvMu.Lock()
-				defer c.fastRecvMu.Unlock()
-				c.reapInbound()
-			}()
-		} else {
-			// The receive threads have exited; nothing touches the
-			// session table concurrently anymore.
+		// No threads to join; a fast-path Recv may still be inside the
+		// session machinery (possibly the very caller running this Close
+		// after a transport error). Reap from a fresh goroutine once the
+		// receive procedure lock frees — the closed transports unblock it
+		// promptly.
+		go func() {
+			c.fastRecvMu.Lock()
+			defer c.fastRecvMu.Unlock()
 			c.reapInbound()
-		}
+		}()
 	})
 	return nil
 }
@@ -1643,8 +1596,18 @@ func (c *Connection) Close() error {
 // (releasing its retained buffers and parked messages, draining its
 // credit timers), so a closed connection pins no pooled buffer. The mux
 // is loaded under c.mu so this serialises with a racing mux():
-// whichever side runs second observes the other's work.
+// whichever side runs second observes the other's work. What the
+// connection's own threads counted after it left the registry settles
+// into the process's books here.
 func (c *Connection) reapInbound() {
+	c.settle()
+	if ib := c.inbox.Load(); ib != nil && c.paused.Load() {
+		// Closed while parked on a full inbox: nobody may ever read it, so
+		// do not wait for a Recv to drop the reference. The live producers
+		// woken with it park again if the inbox is still full.
+		ib.wake()
+	}
+	c.unpause() // closed while paused: the gauge would keep counting it
 	c.inbound.Reap()
 	c.box.Each(func(m *Message) { m.Bytes() })
 	c.mu.Lock()

@@ -11,6 +11,7 @@ import (
 	"ncs/internal/atm"
 	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
+	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -394,28 +395,74 @@ func TestRecvTimeout(t *testing.T) {
 	}
 }
 
-func TestSendInstrumented(t *testing.T) {
+// senderStages is the order the sender's lifecycle stamps come in,
+// whichever runtime makes them: each is stamped at one site (TestOneTracer).
+var senderStages = []telemetry.TraceStage{
+	telemetry.StageEnqueued, telemetry.StageStaged, telemetry.StageQueued, telemetry.StageDequeued, telemetry.StageWireOut,
+}
+
+// tracedSends sends paced messages over conn — each is delivered to peer
+// before the next starts — with every message sampled, until n of their
+// traces carry every sender-side stamp, and returns those next to each
+// one's Send's entry and exit on the tracer's clock. (WireOut is stamped
+// when the write returns; a message the receiver delivered before that
+// completed its trace without it, and is sent again.)
+func tracedSends(t *testing.T, conn, peer *Connection, n int, msg []byte) (traces []telemetry.Trace, calls [][2]int64) {
+	t.Helper()
+	telemetry.EnableTracing(1, 16)
+	defer telemetry.DisableTracing()
+	for i := 0; len(traces) < n; i++ {
+		if i == 20*n+50 {
+			t.Fatalf("%d sends, every one sampled, completed %d traces with a wire-out stamp", i, len(traces))
+		}
+		sent := make(chan error, 1)
+		enter := telemetry.TraceNow()
+		go func() { sent <- conn.Send(msg) }() // a fast-path reliable Send needs its peer in Recv
+		if _, err := peer.RecvTimeout(5 * time.Second); err != nil {
+			t.Fatalf("recv %d: %v", i, err)
+		}
+		if err := <-sent; err != nil {
+			t.Fatalf("send %d: %v", i, err)
+		}
+		exit := telemetry.TraceNow()
+		for _, tr := range telemetry.TakeTraces() {
+			if tr.ConnID == conn.ID() && tr.Stage(telemetry.StageWireOut) != 0 {
+				traces, calls = append(traces, tr), append(calls, [2]int64{enter, exit})
+			}
+		}
+	}
+	return traces, calls
+}
+
+// checkSenderStages holds one trace to the sender-side order, inside
+// the Send call that made it.
+func checkSenderStages(t *testing.T, tr telemetry.Trace, call [2]int64) {
+	t.Helper()
+	prev := call[0]
+	for _, st := range senderStages {
+		at := tr.Stage(st)
+		if at == 0 || at < prev {
+			t.Fatalf("stage %v stamped at %d after %d (0: never): Send entered at %d; %+v", st, at, prev, call[0], tr)
+		}
+		prev = at
+	}
+	if call[1] < prev || tr.Stage(telemetry.StageDelivered) < prev {
+		t.Fatalf("wire-out at %d, yet Send returned at %d and delivery was at %d", prev, call[1], tr.Stage(telemetry.StageDelivered))
+	}
+}
+
+// TestThreadedSendStages: Table I's breakdown of a threaded 1-byte send —
+// entry, queue, switch to the Send Thread, transfer, switch back — is
+// read off the lifecycle tracer's stamps and a bracket on its clock.
+func TestThreadedSendStages(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface: transport.SCI,
 	})
 	defer cleanup()
-
-	go func() { _, _ = peer.Recv() }()
-	tr, err := conn.SendInstrumented([]byte{1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.Total() <= 0 {
-		t.Fatal("trace total not positive")
-	}
-	if tr.SessionOverhead()+tr.DataTransfer() != tr.Total() {
-		t.Fatal("trace stages do not sum to total")
-	}
-	if tr.DataTransfer() <= 0 {
-		t.Fatal("data transfer stage missing")
-	}
-	if tbl := tr.Table(); len(tbl) == 0 || !bytes.Contains([]byte(tbl), []byte("Session Overhead")) {
-		t.Fatalf("Table output malformed:\n%s", tbl)
+	traces, calls := tracedSends(t, conn, peer, 1, []byte{1})
+	checkSenderStages(t, traces[0], calls[0])
+	if traces[0].Bytes != 1 {
+		t.Fatalf("trace of a 1-byte send records %d bytes", traces[0].Bytes)
 	}
 }
 

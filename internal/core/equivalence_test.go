@@ -14,6 +14,7 @@ import (
 	"ncs/internal/flowctl"
 	"ncs/internal/netsim"
 	"ncs/internal/packet"
+	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -57,7 +58,7 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 					}
 					rt.set(&opts)
 					buffersBefore := buf.Outstanding()
-					sdusBefore := mSendSDUs.Value()
+					booksBefore := telemetry.Capture()
 					conn, peer, cleanup := newPairT(t, opts)
 
 					// 1–8 SDUs per message, the same sizes in every cell.
@@ -120,10 +121,30 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 					if s.MessagesSent != msgs || p.MessagesReceived != msgs {
 						t.Errorf("MessagesSent = %d, peer MessagesReceived = %d, want %d each", s.MessagesSent, p.MessagesReceived, msgs)
 					}
-					if got, want := uint64(mSendSDUs.Value()-sdusBefore), s.SDUsSent+p.SDUsSent; got != want {
-						t.Errorf("core.conn.send_sdus_total moved by %d, the two ends' Stats.SDUsSent sum to %d", got, want)
+					// One book, two process-wide readers: what /debug/ncs/conns
+					// prints for the two ends sums to what core.conn.* moved by
+					// (a duplicate may still be landing, so between a capture
+					// before and one after), and closing them moves no total
+					// backwards and loses nothing.
+					lo := connTotalsSince(booksBefore)
+					rows := rowTotals(conn.ID())
+					hi := connTotalsSince(booksBefore)
+					for i, name := range connTotalNames {
+						if rows[i] < lo[i] || rows[i] > hi[i] {
+							t.Errorf("%s: the connection's rows sum to %d, the counter moved by %d…%d", name, rows[i], lo[i], hi[i])
+						}
 					}
 					cleanup()
+					closed := telemetry.Capture().Delta(booksBefore)
+					final := statTotals(conn.Stats(), peer.Stats())
+					for i, name := range connTotalNames {
+						if got := closed.Counters[name]; got != final[i] || got < hi[i] {
+							t.Errorf("%s moved by %d once both ends closed: their Stats sum to %d, and it read %d while they lived", name, got, final[i], hi[i])
+						}
+					}
+					if got := closed.Counters["errctl.recv.direct_total"] + closed.Counters["errctl.recv.session_total"]; got != final[3] {
+						t.Errorf("errctl delivered %d messages, core.conn.recv_msgs_total counts %d", got, final[3])
+					}
 					awaitBuffers(t, buffersBefore)
 				})
 			}

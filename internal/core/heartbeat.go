@@ -49,14 +49,20 @@ func (s *System) track(c *Connection) {
 }
 
 // untrack drops a closing connection from the registry — the last one
-// takes its slot — and disarms the sweep when no heartbeat connection
-// is left.
+// takes its slot — folding what it has counted so far into the process's
+// books in the same critical section (conns.go), and disarms the sweep
+// when no heartbeat connection is left.
 func (s *System) untrack(c *Connection) {
+	books.mu.Lock()
+	defer books.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	c.folded = new(connTotals)
+	c.fold()
 	if c.slot < 0 {
 		return
 	}
+	defer s.leave()
 	last := len(s.conns) - 1
 	moved := s.conns[last]
 	s.conns[c.slot], moved.slot = moved, c.slot

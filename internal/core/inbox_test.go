@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 
@@ -272,6 +273,72 @@ func TestParkedGaugeSurvivesClosePaused(t *testing.T) {
 			peer.Close()
 			if got := mParkedConns.Value(); got != before {
 				t.Fatalf("core.shard.parked_conns = %d after closing the paused connection, want %d", got, before)
+			}
+		})
+	}
+}
+
+// TestCloseLeavesInboxParkedList: a connection closed while parked on a
+// full Inbox nobody reads must not stay referenced from Inbox.parked
+// until a Recv that may never come. Its Close wakes the inbox's parked
+// producers: the closed one is gone from the list, a live one parks
+// again behind the inbox that is still full.
+func TestCloseLeavesInboxParkedList(t *testing.T) {
+	for _, rt := range allRuntimes[:2] { // fast-path connections cannot bind an Inbox
+		t.Run(rt.name, func(t *testing.T) {
+			gauge := mParkedConns.Value()
+			opts := Options{Interface: transport.HPI}
+			rt.set(&opts)
+			nw := NewNetwork()
+			defer nw.Close()
+			a, _ := nw.NewSystem("parked-a")
+			b, _ := nw.NewSystem("parked-b")
+			ib := NewInbox(2)
+			defer ib.Close()
+			var peers []*Connection
+			for i := 0; i < 2; i++ {
+				conn, err := a.Connect("parked-b", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				peer, err := b.AcceptTimeout(5 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := peer.BindInbox(ib); err != nil {
+					t.Fatal(err)
+				}
+				peers = append(peers, peer)
+				for j := 0; j < 4; j++ {
+					if err := conn.Send([]byte("nobody reads this")); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			parked := func() (list []*Connection) {
+				ib.parked.Each(func(c **Connection) { list = append(list, *c) })
+				return list
+			}
+			awaitCond(t, "the two producers never parked on the full inbox", func() bool { return len(parked()) == 2 })
+
+			peers[0].Close()
+			awaitCond(t, "the live producer did not park again", func() bool { return slices.Equal(parked(), peers[1:]) })
+			if peers[1].Err() != nil || !peers[1].paused.Load() {
+				t.Fatalf("the live connection: Err %v, paused %v; want it parked behind the still-full inbox", peers[1].Err(), peers[1].paused.Load())
+			}
+			wantGauge := gauge
+			if opts.Runtime == RuntimeSharded {
+				wantGauge++ // the live one
+			}
+			if got := mParkedConns.Value(); got != wantGauge {
+				t.Fatalf("core.shard.parked_conns = %d with one connection closed and one parked, want %d", got, wantGauge)
+			}
+			peers[1].Close()
+			if list := parked(); len(list) != 0 {
+				t.Fatalf("Inbox.parked still references %d closed connections", len(list))
+			}
+			if got := mParkedConns.Value(); got != gauge {
+				t.Fatalf("core.shard.parked_conns = %d after both closed, started at %d", got, gauge)
 			}
 		})
 	}

@@ -1,11 +1,5 @@
 package core
 
-import (
-	"unsafe"
-
-	"ncs/internal/buf"
-)
-
 // Rough heap sizes of lazily-built state that lives in other packages,
 // where unsafe.Sizeof cannot reach. They only need to be honest enough
 // for capacity planning: MemStats is an estimator, not an allocator
@@ -57,54 +51,20 @@ func (m MemStats) BytesPerConn() float64 {
 }
 
 // memStats estimates the System's per-connection memory footprint —
-// the Mem field of System.Telemetry. It walks every tracked connection,
-// so it is a diagnostic to sample, not a hot-path counter.
+// the Mem field of System.Telemetry — from the snapshot /debug/ncs/conns
+// prints (Connection.info). It walks every tracked connection, so it is
+// a diagnostic to sample, not a hot-path counter.
 func (s *System) memStats() MemStats {
 	s.mu.Lock()
-	conns := make([]*Connection, len(s.conns))
-	copy(conns, s.conns)
-	st := MemStats{Conns: len(conns)}
+	defer s.mu.Unlock()
+	st := MemStats{Conns: len(s.conns)}
 	if s.sweepEvery > 0 {
 		st.PendingTimers = 1
 	}
-	s.mu.Unlock()
-
-	for _, c := range conns {
-		bytes, sessions := c.memEstimate()
-		st.EstimatedBytes += bytes
-		st.LiveSessions += sessions
+	for _, c := range s.conns {
+		ci := c.info()
+		st.EstimatedBytes += ci.Bytes
+		st.LiveSessions += ci.Sessions
 	}
 	return st
-}
-
-// memEstimate sizes one connection: the struct itself plus every piece
-// of lazily-allocated state it has actually built. The estimate tracks
-// the memory-diet work directly — state that stays nil contributes
-// nothing, which is the point.
-func (c *Connection) memEstimate() (bytes uint64, sessions int) {
-	bytes = uint64(unsafe.Sizeof(*c))
-	if c.sendQ != nil {
-		bytes += uint64(cap(c.sendQ)) * uint64(unsafe.Sizeof(outItem{}))
-	}
-	if c.ctrlQ != nil {
-		bytes += uint64(cap(c.ctrlQ)) * uint64(unsafe.Sizeof((*buf.Buffer)(nil)))
-	}
-	bytes += uint64(c.box.Cap()) * uint64(unsafe.Sizeof(Message{}))
-	if c.fcSend.Load() != nil {
-		bytes += flowHalfEstimate
-	}
-	if c.fcRecv.Load() != nil {
-		bytes += flowHalfEstimate
-	}
-
-	sessions = c.inbound.Len()
-	bytes += uint64(sessions) * sessionEstimate
-	c.mu.Lock()
-	bytes += uint64(len(c.waiters)) * waiterEstimate
-	c.mu.Unlock()
-
-	if c.sh != nil {
-		bytes += uint64(unsafe.Sizeof(*c.sh))
-	}
-	return bytes, sessions
 }

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -337,4 +338,130 @@ func TestOneLivenessSweep(t *testing.T) {
 		}
 		return true
 	})
+}
+
+// TestOneTracer holds the collapse of the two tracers in place: the
+// lifecycle tracer is the only one, each of its stages is stamped at
+// exactly one site whatever the runtime, and nothing of the old
+// threaded-send tracer — its type, its parameter through the send
+// engine, its field on every queued item — is back. Table I is read off
+// the same stamps (internal/bench).
+func TestOneTracer(t *testing.T) {
+	stamps := make(map[string]int) // stage constant → TraceStamp call sites
+	params := make(map[string][]string)
+	inspectPackage(t, ".", func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.Ident:
+			if strings.HasSuffix(n.Name, "Send"+"Trace") || n.Name == "Send"+"Instrumented" { // spelled apart: no grep hit here
+				t.Errorf("identifier %s is back in internal/core", n.Name)
+			}
+		case *ast.FuncDecl:
+			for _, f := range n.Type.Params.List {
+				for _, name := range f.Names {
+					params[n.Name.Name] = append(params[n.Name.Name], name.Name)
+				}
+			}
+		case *ast.TypeSpec:
+			if st, ok := n.Type.(*ast.StructType); ok && n.Name.Name == "outItem" {
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if strings.Contains(strings.ToLower(name.Name), "trace") {
+							t.Errorf("outItem carries a %s field: an item's trace is its (connection, session) key", name.Name)
+						}
+					}
+				}
+			}
+		case *ast.CallExpr:
+			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == "TraceStamp" && len(n.Args) == 3 {
+				if stage, ok := n.Args[2].(*ast.SelectorExpr); ok {
+					stamps[stage.Sel.Name]++
+				}
+			}
+		}
+		return true
+	})
+	for fn, want := range map[string][]string{"send": {"lane", "msg"}, "transmit": {"lane", "sdus", "sync"}} {
+		if got := params[fn]; !slices.Equal(got, want) {
+			t.Errorf("%s takes %v, want %v: no trace rides the send engine", fn, got, want)
+		}
+	}
+	want := map[string]int{"StageStaged": 1, "StageQueued": 1, "StageDequeued": 1, "StageWireOut": 1, "StageWireIn": 1, "StageReassembled": 1}
+	for stage, n := range stamps {
+		if want[stage] != n {
+			t.Errorf("telemetry.%s is stamped at %d sites, want %d", stage, n, want[stage])
+		}
+		delete(want, stage)
+	}
+	for stage := range want {
+		t.Errorf("telemetry.%s is never stamped", stage)
+	}
+	core, stream := callSites(t, "."), callSites(t, filepath.Join("..", "stream"))
+	for callee, n := range map[string]int{"telemetry.TraceStart": 1, "telemetry.TraceFinish": 1} { // Enqueued, Delivered
+		if core[callee] != n {
+			t.Errorf("internal/core has %d call sites of %s, want exactly %d", core[callee], callee, n)
+		}
+	}
+	if n := stream[".TraceStamp"] + stream[".TraceStart"] + stream[".TraceFinish"]; n != 0 {
+		t.Errorf("internal/stream stamps the lifecycle tracer at %d sites, want 0: a stream's frames cross core's sites", n)
+	}
+}
+
+// TestOneSetOfBooks holds the collapse of the double books in place: a
+// connection's statCounters are the only hot-path count of its traffic —
+// each field added to at the sites pinned here — and core.conn.* is
+// computed from them at capture (telemetry.NewFuncCounters), so no event
+// in internal/core is added to two counters.
+func TestOneSetOfBooks(t *testing.T) {
+	adds := make(map[string]int) // statCounters field → x.stats.<field>.Add call sites
+	var computed []string
+	inspectPackage(t, ".", func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok {
+			return true
+		}
+		if field, ok := sel.X.(*ast.SelectorExpr); ok && sel.Sel.Name == "Add" {
+			if owner, ok := field.X.(*ast.SelectorExpr); ok && owner.Sel.Name == "stats" {
+				adds[field.Sel.Name]++
+			}
+		}
+		for _, arg := range call.Args {
+			if lit, ok := arg.(*ast.BasicLit); ok && strings.HasPrefix(lit.Value, `"core.conn.`) {
+				if sel.Sel.Name != "NewFuncCounters" {
+					t.Errorf("%s is registered through %s: core.conn.* must be computed from the connections' Stats, not incremented beside them", lit.Value, sel.Sel.Name)
+				}
+				computed = append(computed, strings.Trim(lit.Value, `"`))
+			}
+		}
+		return true
+	})
+	if !slices.Equal(computed, connTotalNames[:]) {
+		t.Errorf("computed counters %v, want %v", computed, connTotalNames)
+	}
+	want := map[string]int{
+		"messagesSent":     2, // Connection.send: an unreliable message handed over, a reliable one acknowledged
+		"messagesReceived": 1, // Connection.dispatchData
+		"sdusSent":         1, // Connection.transmit
+		"bytesSent":        1,
+		"retransmissions":  1,
+		"sdusReceived":     1, // Connection.dispatchData
+		"bytesReceived":    1,
+		"controlSent":      3, // outItem.stage, the fast path's inline write, the Control Send Thread
+		"controlReceived":  1, // Connection.routeControl
+	}
+	if typ := reflect.TypeOf(statCounters{}); typ.NumField() != len(want) {
+		t.Errorf("statCounters has %d fields, %d are pinned here", typ.NumField(), len(want))
+	}
+	for field, n := range want {
+		if adds[field] != n {
+			t.Errorf("statCounters.%s is added to at %d sites, want %d", field, adds[field], n)
+		}
+		delete(adds, field)
+	}
+	for field, n := range adds {
+		t.Errorf("stats.%s: %d Add sites on a field statCounters does not pin", field, n)
+	}
 }

@@ -10,6 +10,7 @@ import (
 	"ncs/internal/atm"
 	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
+	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
@@ -279,37 +280,29 @@ func TestHeartbeatKeepsHealthyConnectionAlive(t *testing.T) {
 	}
 }
 
-// TestTraceStagesMonotonic checks the Table I instrumentation is
-// internally consistent across many sends.
+// TestTraceStagesMonotonic checks the lifecycle stamps are internally
+// consistent across many sends, on every runtime: the sender's five in
+// order inside the Send that made them — Queued and Dequeued present on
+// the fast path too, whose put is its own inline write — and the six
+// path stages in path order.
 func TestTraceStagesMonotonic(t *testing.T) {
-	conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI})
-	defer cleanup()
-	go func() {
-		for {
-			if _, err := peer.Recv(); err != nil {
-				return
+	for _, rt := range allRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{Interface: transport.HPI}
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
+			traces, calls := tracedSends(t, conn, peer, 100, []byte{9})
+			for i, tr := range traces {
+				checkSenderStages(t, tr, calls[i])
+				var prev int64
+				for st := telemetry.StageEnqueued; st <= telemetry.StageDelivered; st++ {
+					if tr.Stage(st) < prev || tr.Stage(st) == 0 {
+						t.Fatalf("send %d: path stage %v out of order: %+v", i, st, tr)
+					}
+					prev = tr.Stage(st)
+				}
 			}
-		}
-	}()
-	for i := 0; i < 100; i++ {
-		tr, err := conn.SendInstrumented([]byte{9})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for name, d := range map[string]time.Duration{
-			"EntryAndHeader": tr.EntryAndHeader(),
-			"Queue":          tr.Queue(),
-			"SwitchToSend":   tr.SwitchToSendThread(),
-			"DataTransfer":   tr.DataTransfer(),
-			"SwitchBack":     tr.SwitchBack(),
-			"Exit":           tr.Exit(),
-		} {
-			if d < 0 {
-				t.Fatalf("stage %s negative: %v", name, d)
-			}
-		}
-		if tr.Total() < tr.DataTransfer() {
-			t.Fatal("total < data transfer")
-		}
+		})
 	}
 }

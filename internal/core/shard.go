@@ -366,8 +366,8 @@ func (sh *shard) flushOut() {
 	sh.outScratch = out
 }
 
-// clearItems zeroes a drained item slice so payload views, traces, and
-// done channels do not stay pinned until the scratch is overwritten.
+// clearItems zeroes a drained item slice so payload views and done
+// channels do not stay pinned until the scratch is overwritten.
 func clearItems(items *[]outItem) {
 	s := *items
 	for i := range s {
@@ -463,10 +463,9 @@ func (sc *shardConn) dataPaused(c *Connection) bool {
 // connection closed. Called from Close after unregister's barrier: the
 // pumps are dead and the loop no longer services this connection, so
 // nothing else touches the channels.
-func (sc *shardConn) drainInbound(c *Connection) {
+func (sc *shardConn) drainInbound() {
 	drainBufChan(sc.dataIn)
 	drainBufChan(sc.ctrlIn)
-	c.unpause() // a connection closed while paused leaves the gauge otherwise
 }
 
 func drainBufChan(ch chan *buf.Buffer) {

@@ -515,26 +515,14 @@ func TestShardedHeartbeat(t *testing.T) {
 	})
 }
 
-// TestShardedInstrumentedSend checks the Table I trace stamps survive
-// the shard path (queued → dequeued → transmitted → returned).
+// TestShardedInstrumentedSend: the same stamps, at the same sites, in
+// the same order when a shard loop is what dequeues and writes.
 func TestShardedInstrumentedSend(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface: transport.SCI,
 		Runtime:   RuntimeSharded,
 	})
 	defer cleanup()
-	go func() {
-		for {
-			if _, err := peer.Recv(); err != nil {
-				return
-			}
-		}
-	}()
-	tr, err := conn.SendInstrumented([]byte("trace me"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tr.SessionOverhead() < 0 || tr.DataTransfer() < 0 {
-		t.Fatalf("negative trace stages: %+v", tr)
-	}
+	traces, calls := tracedSends(t, conn, peer, 1, []byte("trace me"))
+	checkSenderStages(t, traces[0], calls[0])
 }

@@ -53,6 +53,15 @@ func (s *statCounters) snapshot() Stats {
 	}
 }
 
+// connTotals are the six Stats that core.conn.* sums over every
+// connection that ever existed, in the order telemetry.go names them.
+type connTotals [6]int64
+
+func (s Stats) totals() connTotals {
+	return connTotals{int64(s.MessagesSent), int64(s.SDUsSent), int64(s.BytesSent),
+		int64(s.MessagesReceived), int64(s.SDUsReceived), int64(s.BytesReceived)}
+}
+
 // Stats returns a snapshot of the connection's counters.
 func (c *Connection) Stats() Stats { return c.stats.snapshot() }
 

@@ -120,7 +120,7 @@ func (c *Connection) streamSendable(id uint32) error {
 	if !ok {
 		return nil
 	}
-	if st.Closed() || st.RemoteClosed() {
+	if st.Over() {
 		return ErrStreamClosed
 	}
 	return nil
@@ -212,10 +212,10 @@ func (s *Stream) Send(msg []byte) error {
 	st := s.st
 	st.LockSend()
 	defer st.UnlockSend()
-	if st.Closed() || st.RemoteClosed() {
+	if st.Over() {
 		return ErrStreamClosed
 	}
-	return s.c.send(sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}, msg, nil)
+	return s.c.send(sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}, msg)
 }
 
 // Recv blocks for the next fully received message on the stream and
@@ -256,5 +256,5 @@ func (s *Stream) Close() error {
 
 // Closed reports whether the stream was closed locally or by the peer.
 func (s *Stream) Closed() bool {
-	return s.st.Closed() || s.st.RemoteClosed()
+	return s.st.Over()
 }

@@ -7,18 +7,21 @@ import (
 )
 
 // Core-runtime telemetry (catalogue in internal/telemetry doc.go).
-// The counters sit next to the per-connection stats they mirror: the
-// stats stay per-connection diagnostics, the instruments aggregate the
-// same events system-wide for export. Hot-path sites pass the
-// connection or shard ID as the stripe hint so concurrent connections
-// do not false-share.
 var (
-	mSendMsgs  = telemetry.NewCounter("core.conn.send_msgs_total")
-	mSendSDUs  = telemetry.NewCounter("core.conn.send_sdus_total")
-	mSendBytes = telemetry.NewCounter("core.conn.send_bytes_total")
-	mRecvMsgs  = telemetry.NewCounter("core.conn.recv_msgs_total")
-	mRecvSDUs  = telemetry.NewCounter("core.conn.recv_sdus_total")
-	mRecvBytes = telemetry.NewCounter("core.conn.recv_bytes_total")
+	// core.conn.* is computed, not counted: at each capture, one walk
+	// sums the Stats of every live connection and adds what the closed
+	// ones left behind (conns.go). A connection's own Stats are the only
+	// hot-path count of its traffic.
+	_ = telemetry.NewFuncCounters(func(vals []int64) {
+		add := func(t connTotals) {
+			for i, n := range t {
+				vals[i] += n
+			}
+		}
+		add(walk(func(c *Connection) { add(c.stats.snapshot().totals()) }))
+	},
+		"core.conn.send_msgs_total", "core.conn.send_sdus_total", "core.conn.send_bytes_total",
+		"core.conn.recv_msgs_total", "core.conn.recv_sdus_total", "core.conn.recv_bytes_total")
 
 	// mShardCycles counts event-loop turns; mShardWakeups counts
 	// doorbell-triggered loop wakeups (1:1 with cycles today, kept

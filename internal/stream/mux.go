@@ -158,6 +158,21 @@ func (m *Mux) Closed() bool {
 	return m.closed
 }
 
+// Each visits every stream the table holds — reaped ones included: ids
+// are never reused, so a closed stream's placeholder stays — outside
+// the table's lock.
+func (m *Mux) Each(visit func(*State)) {
+	m.mu.Lock()
+	states := make([]*State, 0, len(m.streams))
+	for _, st := range m.streams {
+		states = append(states, st)
+	}
+	m.mu.Unlock()
+	for _, st := range states {
+		visit(st)
+	}
+}
+
 // ReapAll tears every stream down (releasing retained buffers and
 // draining credit retry timers) and marks the mux closed. Runs at
 // Connection.Close; idempotent.
@@ -168,14 +183,8 @@ func (m *Mux) ReapAll() {
 		return
 	}
 	m.closed = true
-	states := make([]*State, 0, len(m.streams))
-	for _, st := range m.streams {
-		states = append(states, st)
-	}
 	m.mu.Unlock()
-	for _, st := range states {
-		st.Reap()
-	}
+	m.Each((*State).Reap)
 	m.accepts.Drop()
 	m.accepts.Ring()
 }

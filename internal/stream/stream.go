@@ -319,12 +319,7 @@ func (s *State) TryPop() (Msg, bool) {
 // parked, or the stream's lifecycle ended (reaped locally or closed by
 // the peer). Pump loops use it as their stop condition.
 func (s *State) Ready() bool {
-	if s.box.Len() > 0 {
-		return true
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.reaped || s.remote
+	return s.box.Len() > 0 || s.Over()
 }
 
 // Closed reports that the stream was reaped locally.
@@ -334,11 +329,12 @@ func (s *State) Closed() bool {
 	return s.reaped
 }
 
-// RemoteClosed reports that the peer announced close.
-func (s *State) RemoteClosed() bool {
+// Over reports that the stream's lifecycle ended: it was reaped
+// locally, or the peer announced close.
+func (s *State) Over() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.remote
+	return s.reaped || s.remote
 }
 
 // RemoteClose handles the peer's CtrlStreamClose: in-flight sessions

@@ -9,7 +9,10 @@
 // production feature rather than ad-hoc one-offs: instruments are
 // registered once at package init, incremented with plain atomics on
 // the hot path (no maps, no interface boxing, no allocation), and read
-// by Capture, which walks the registry and materialises a Snapshot.
+// by Capture, which walks the registry and materialises a Snapshot. A
+// total its owners already keep is not counted a second time: it is
+// registered as a computed counter (NewFuncCounters) and summed from the
+// owners' books when a snapshot is captured.
 //
 // # Instrument naming conventions
 //
@@ -56,12 +59,12 @@
 //	flowctl.credit.piggyback_total     grants piggybacked on outgoing acks
 //	flowctl.credit.resync_total        sender resync probes (wedge escape)
 //	flowctl.send.blocked_ns_total      total ns senders spent blocked
-//	core.conn.send_msgs_total          messages sent
-//	core.conn.send_sdus_total          SDUs sent
-//	core.conn.send_bytes_total         payload bytes sent
-//	core.conn.recv_msgs_total          messages delivered
-//	core.conn.recv_sdus_total          SDUs received
-//	core.conn.recv_bytes_total         payload bytes received
+//	core.conn.send_msgs_total          messages sent              (computed: the six
+//	core.conn.send_sdus_total          SDUs sent                   core.conn.* are summed
+//	core.conn.send_bytes_total         payload bytes sent          at capture, in one walk,
+//	core.conn.recv_msgs_total          messages delivered          from every connection's
+//	core.conn.recv_sdus_total          SDUs received               own Stats, live or
+//	core.conn.recv_bytes_total         payload bytes received      closed; never lower)
 //	core.shard.cycles_total            shard service cycles
 //	core.shard.wakeups_total           shard doorbell wakeups
 //	rpc.server.deadline_expired_total  calls whose propagated deadline
@@ -109,8 +112,14 @@
 //
 // EnableTracing arms a global sampled tracer; every Nth traced message
 // gets monotonic stamps at the Enqueued → Staged → WireOut → WireIn →
-// Reassembled → Delivered stages as it crosses the stack, and the
-// completed Trace lands in a fixed ring drained by TakeTraces. Tracing
-// is off by default and free when off: every stamp site is a single
-// atomic pointer load and nil check.
+// Reassembled → Delivered stages as it crosses the stack (TraceStage
+// values 0–5, in path order), and the completed Trace lands in a fixed
+// ring drained by TakeTraces. Two stages were appended after those and
+// are not in path order — Queued and Dequeued, the sender's hand-off to
+// the runtime that writes the SDU, between Staged and WireOut: Table I's
+// queue and context-switch rows are their deltas, read against a
+// bracket on the tracer's clock (TraceNow). A sampled message that never
+// reaches delivery gives its slot up to a later one. Tracing is off by
+// default and free when off: every stamp site is a single atomic
+// pointer load and nil check.
 package telemetry

@@ -95,6 +95,16 @@ func (g *FuncGauge) Value() int64 { return g.fn() }
 // Name returns the registered instrument name.
 func (g *FuncGauge) Name() string { return g.name }
 
+// FuncCounters is a set of counters computed at capture time by one
+// callback — for totals their owners already keep (core.conn.*: the sum
+// of every connection's own Stats), so the hot path counts each event
+// once. One call of fn per Capture fills vals, in the order of the
+// names; a value must never be lower than one fn reported before.
+type FuncCounters struct {
+	names []string
+	fn    func(vals []int64)
+}
+
 // ---------------------------------------------------------------------------
 // Registry.
 
@@ -107,6 +117,7 @@ type registry struct {
 	counters   []*Counter
 	gauges     []*Gauge
 	funcGauges []*FuncGauge
+	funcCounts []*FuncCounters
 	histograms []*Histogram
 }
 
@@ -166,6 +177,20 @@ func NewFuncGauge(name string, fn func() int64) *FuncGauge {
 	return g
 }
 
+// NewFuncCounters registers capture-time computed counters, which land
+// in Snapshot.Counters beside the incremented ones. fn must be safe to
+// call from any goroutine.
+func NewFuncCounters(fn func(vals []int64), names ...string) *FuncCounters {
+	def.mu.Lock()
+	defer def.mu.Unlock()
+	for _, name := range names {
+		def.checkName(name)
+	}
+	c := &FuncCounters{names: names, fn: fn}
+	def.funcCounts = append(def.funcCounts, c)
+	return c
+}
+
 // NewHistogram registers a power-of-two-bucket histogram.
 func NewHistogram(name string) *Histogram {
 	def.mu.Lock()
@@ -196,6 +221,7 @@ func Capture() Snapshot {
 	counters := def.counters
 	gauges := def.gauges
 	funcGauges := def.funcGauges
+	funcCounts := def.funcCounts
 	histograms := def.histograms
 	def.mu.Unlock()
 
@@ -206,6 +232,13 @@ func Capture() Snapshot {
 	}
 	for _, c := range counters {
 		s.Counters[c.name] = c.Value()
+	}
+	for _, c := range funcCounts {
+		vals := make([]int64, len(c.names))
+		c.fn(vals)
+		for i, name := range c.names {
+			s.Counters[name] = vals[i]
+		}
 	}
 	for _, g := range gauges {
 		s.Gauges[g.name] = g.Value()

@@ -198,6 +198,31 @@ func TestFuncGauge(t *testing.T) {
 	}
 }
 
+// TestFuncCounters: computed counters land in Snapshot.Counters beside
+// the incremented ones, one callback per capture for the whole set, and
+// Delta subtracts them like any counter.
+func TestFuncCounters(t *testing.T) {
+	var calls int
+	vals := []int64{3, 40}
+	NewFuncCounters(func(out []int64) {
+		calls++
+		copy(out, vals)
+	}, "test.computed.a_total", "test.computed.b_total")
+	before := Capture()
+	if calls != 1 {
+		t.Fatalf("one capture called the callback %d times, want once for both names", calls)
+	}
+	vals[0], vals[1] = 5, 41
+	d := Capture().Delta(before)
+	if d.Counters["test.computed.a_total"] != 2 || d.Counters["test.computed.b_total"] != 1 {
+		t.Fatalf("computed counter deltas = %d, %d, want 2, 1", d.Counters["test.computed.a_total"], d.Counters["test.computed.b_total"])
+	}
+	var out strings.Builder
+	if err := Capture().WritePrometheus(&out); err != nil || !strings.Contains(out.String(), "# TYPE ncs_test_computed_a_total counter") {
+		t.Fatalf("computed counter missing from the Prometheus exposition (err %v)", err)
+	}
+}
+
 func TestTracerLifecycle(t *testing.T) {
 	tr := NewTracer(1, 8)
 	tracer.Store(tr)
@@ -205,6 +230,8 @@ func TestTracerLifecycle(t *testing.T) {
 
 	TraceStart(7, 3, 4096)
 	TraceStamp(7, 3, StageStaged)
+	TraceStamp(7, 3, StageQueued)
+	TraceStamp(7, 3, StageDequeued)
 	TraceStamp(7, 3, StageWireOut)
 	TraceStamp(7, 3, StageWireIn)
 	TraceStamp(7, 3, StageReassembled)
@@ -218,8 +245,14 @@ func TestTracerLifecycle(t *testing.T) {
 	if rec.ConnID != 7 || rec.Session != 3 || rec.Bytes != 4096 {
 		t.Fatalf("trace identity = %+v", rec)
 	}
+	// The appended sender-side stages sit between Staged and WireOut;
+	// the six path stages keep the values 0–5 the benchmark indexes by.
+	if StageEnqueued != 0 || StageDelivered != 5 || numStages != 8 {
+		t.Fatalf("path stages are %d…%d of %d, want 0…5 of 8", StageEnqueued, StageDelivered, numStages)
+	}
 	var prev int64
-	for st := StageEnqueued; st < numStages; st++ {
+	for _, st := range []TraceStage{StageEnqueued, StageStaged, StageQueued, StageDequeued,
+		StageWireOut, StageWireIn, StageReassembled, StageDelivered} {
 		if rec.Stamp[st] == 0 {
 			t.Fatalf("stage %v not stamped: %+v", st, rec)
 		}
@@ -231,6 +264,49 @@ func TestTracerLifecycle(t *testing.T) {
 	// Drained: a second take is empty.
 	if extra := TakeTraces(); len(extra) != 0 {
 		t.Fatalf("second TakeTraces = %d records, want 0", len(extra))
+	}
+}
+
+// TestTracerSurvivesUndeliveredMessages: only finish frees a slot, and a
+// message that never reaches delivery never calls it. The tracer must
+// go on recording what does complete, however many did not.
+func TestTracerSurvivesUndeliveredMessages(t *testing.T) {
+	tracer.Store(NewTracer(1, 128))
+	defer DisableTracing()
+	for i := uint32(1); i <= 500; i++ {
+		TraceStart(1, i, 10) // dropped on the wire, or its connection closed
+	}
+	for i := uint32(501); i <= 600; i++ {
+		TraceStart(1, i, 10)
+		TraceStamp(1, i, StageWireOut)
+		TraceFinish(1, i)
+	}
+	got := TakeTraces()
+	if len(got) != 100 {
+		t.Fatalf("after 500 messages that never reached delivery, %d of the next 100 completed ones were recorded, want all", len(got))
+	}
+	for _, rec := range got {
+		if rec.Session <= 500 || rec.Stamp[StageWireOut] < rec.Stamp[StageEnqueued] || rec.Stamp[StageStaged] != 0 {
+			t.Fatalf("a recycled slot leaked its evicted claim's stamps: %+v", rec)
+		}
+	}
+}
+
+// TestTraceNow: the exposed clock is the one the stamps are on.
+func TestTraceNow(t *testing.T) {
+	DisableTracing()
+	if got := TraceNow(); got != 0 {
+		t.Fatalf("TraceNow with tracing off = %d, want 0", got)
+	}
+	tracer.Store(NewTracer(1, 8))
+	defer DisableTracing()
+	before := TraceNow()
+	TraceStart(3, 1, 1)
+	TraceFinish(3, 1)
+	after := TraceNow()
+	rec := TakeTraces()[0]
+	if rec.Stamp[StageEnqueued] < before || rec.Stamp[StageDelivered] > after {
+		t.Fatalf("stamps %d…%d fall outside the bracket %d…%d read off TraceNow", rec.Stamp[StageEnqueued], rec.Stamp[StageDelivered], before, after)
 	}
 }
 

@@ -9,9 +9,12 @@ import (
 // TraceStage is one point in a message's life across the stack.
 type TraceStage int
 
-// The lifecycle stages, in the order a message crosses them. The first
-// three are stamped by the sender, the last three by the receiver; on
-// HPI both run in one process so a completed Trace spans the full path.
+// The lifecycle stages. The first six are the path, in the order a
+// message crosses it: three stamped by the sender, three by the
+// receiver; on HPI both run in one process so a completed Trace spans
+// the full path. The two after them were appended later and are NOT in
+// path order: they are sender-side stamps between Staged and WireOut,
+// which is where the threads' hand-off cost (Table I) lives.
 const (
 	// StageEnqueued: the message entered the send path.
 	StageEnqueued TraceStage = iota
@@ -29,6 +32,13 @@ const (
 	// StageDelivered: the message was handed to the application's
 	// receive queue or inbox.
 	StageDelivered
+	// StageQueued: the first SDU was handed to the runtime that writes
+	// it — the Send Thread's queue, the shard's, or (fast path) the
+	// caller's own inline write. Between Staged and WireOut.
+	StageQueued
+	// StageDequeued: that runtime picked the SDU up and began
+	// serialising it. Between Queued and WireOut.
+	StageDequeued
 
 	numStages
 )
@@ -48,6 +58,10 @@ func (s TraceStage) String() string {
 		return "reassembled"
 	case StageDelivered:
 		return "delivered"
+	case StageQueued:
+		return "queued"
+	case StageDequeued:
+		return "dequeued"
 	default:
 		return "unknown"
 	}
@@ -74,15 +88,21 @@ type Trace struct {
 func (t Trace) Stage(s TraceStage) int64 { return t.Stamp[s] }
 
 // traceSlots is the size of the in-flight slot table. Sampling keeps
-// the population small; collisions simply drop the sample.
+// the population small.
 const traceSlots = 64
 
-// traceProbes is how many slots a key probes before giving up.
+// traceProbes is how many slots a key probes: its window. A message
+// that finds its window full evicts the window's oldest claim.
 const traceProbes = 4
 
-// slot is one in-flight trace. The key claims the slot (CAS from 0);
-// stamps from different goroutines land in distinct atomic cells, and
-// finish drains them into a Trace under the ring mutex.
+// slotBusy holds a slot while finish drains it or start recycles it;
+// no message's key equals it (traceKey sets bit 63).
+const slotBusy = 1
+
+// slot is one in-flight trace. The key claims the slot (CAS from 0, or
+// from the claim it evicts); stamps from different goroutines land in
+// distinct atomic cells, and finish drains them into a Trace under the
+// ring mutex.
 type slot struct {
 	key    atomic.Uint64
 	bytes  atomic.Int64
@@ -133,16 +153,44 @@ func (t *Tracer) start(connID, session uint32, size int) {
 		return
 	}
 	key := traceKey(connID, session)
-	idx := int(key % traceSlots)
+	s := t.claim(int(key % traceSlots))
+	if s == nil {
+		return
+	}
+	for i := range s.stamps {
+		s.stamps[i].Store(0)
+	}
+	s.bytes.Store(int64(size))
+	s.stamps[StageEnqueued].Store(t.now())
+	s.key.Store(key)
+}
+
+// claim takes one slot of the window at idx out of circulation
+// (slotBusy) for start to fill: a free one, else the window's oldest
+// claim. Only finish frees a slot, and a message that never reaches
+// delivery — an unreliable SDU a lossy link dropped, a connection
+// closed mid-transfer — never calls it; without the eviction, 64 such
+// messages would end tracing for good. A victim that moved meanwhile
+// (finished, or evicted by another start) costs this sample, not a
+// retry.
+func (t *Tracer) claim(idx int) *slot {
+	var oldest *slot
+	var oldestKey uint64
+	var oldestAt int64
 	for p := 0; p < traceProbes; p++ {
 		s := &t.slots[(idx+p)%traceSlots]
-		if s.key.CompareAndSwap(0, key) {
-			s.bytes.Store(int64(size))
-			s.stamps[StageEnqueued].Store(t.now())
-			return
+		if s.key.CompareAndSwap(0, slotBusy) {
+			return s
+		}
+		k, at := s.key.Load(), s.stamps[StageEnqueued].Load()
+		if k != slotBusy && (oldest == nil || at < oldestAt) {
+			oldest, oldestKey, oldestAt = s, k, at
 		}
 	}
-	// Table full: drop the sample rather than block or allocate.
+	if oldest != nil && oldest.key.CompareAndSwap(oldestKey, slotBusy) {
+		return oldest
+	}
+	return nil
 }
 
 // stamp records a stage for the message if it is being traced.
@@ -161,13 +209,14 @@ func (t *Tracer) stamp(connID, session uint32, st TraceStage) {
 }
 
 // finish stamps Delivered, moves the record into the ring, and frees
-// the slot.
+// the slot. It holds the slot (slotBusy) while it reads, so an eviction
+// cannot recycle the stamps under it.
 func (t *Tracer) finish(connID, session uint32) {
 	key := traceKey(connID, session)
 	idx := int(key % traceSlots)
 	for p := 0; p < traceProbes; p++ {
 		s := &t.slots[(idx+p)%traceSlots]
-		if s.key.Load() != key {
+		if !s.key.CompareAndSwap(key, slotBusy) {
 			continue
 		}
 		s.stamps[StageDelivered].Store(t.now())
@@ -179,11 +228,8 @@ func (t *Tracer) finish(connID, session uint32) {
 		for i := range rec.Stamp {
 			rec.Stamp[i] = s.stamps[i].Load()
 		}
-		// Free the slot before publishing: stragglers stamping a stale
-		// key find no slot and drop their write.
-		for i := range s.stamps {
-			s.stamps[i].Store(0)
-		}
+		// Stragglers stamping the finished key find no slot and drop
+		// their write; start zeroes the stamps of the slot it claims.
 		s.key.Store(0)
 
 		t.mu.Lock()
@@ -241,6 +287,16 @@ func TakeTraces() []Trace {
 		return nil
 	}
 	return t.Take()
+}
+
+// TraceNow reads the global tracer's clock — the one every Trace.Stamp
+// is on — so a harness can bracket a call and subtract stamps from its
+// ends (0 when tracing is off).
+func TraceNow() int64 {
+	if t := tracer.Load(); t != nil {
+		return t.now()
+	}
+	return 0
 }
 
 // TraceStart marks a message entering the send path. All TraceX

@@ -151,9 +151,6 @@ type (
 	// sharded runtime should hold their estimated bytes near the
 	// bare-struct floor and contribute zero pending timers.
 	MemStats = core.MemStats
-	// SendTrace is the Table I per-stage send-cost breakdown captured
-	// by Connection.SendInstrumented.
-	SendTrace = core.SendTrace
 	// Stats are the cumulative per-connection counters returned by
 	// Connection.Stats.
 	Stats = core.Stats
@@ -503,7 +500,12 @@ type (
 	TraceStage = telemetry.TraceStage
 )
 
-// Lifecycle trace stages, in path order.
+// Lifecycle trace stages. The first six, values 0–5, are the path in
+// path order. StageQueued and StageDequeued were appended after them and
+// are not in path order: both are sender-side, between StageStaged and
+// StageWireOut — the SDU handed to the runtime that writes it (the Send
+// Thread's queue, the shard's, the fast path's own inline write), and
+// that runtime picking it up. Table I's hand-off rows are their deltas.
 const (
 	StageEnqueued    = telemetry.StageEnqueued
 	StageStaged      = telemetry.StageStaged
@@ -511,6 +513,8 @@ const (
 	StageWireIn      = telemetry.StageWireIn
 	StageReassembled = telemetry.StageReassembled
 	StageDelivered   = telemetry.StageDelivered
+	StageQueued      = telemetry.StageQueued
+	StageDequeued    = telemetry.StageDequeued
 )
 
 // CaptureMetrics reads every registered instrument. The snapshot is
@@ -529,6 +533,10 @@ func EnableTracing(every, capacity int) { telemetry.EnableTracing(every, capacit
 // DisableTracing turns sampled tracing back off and discards the
 // collected traces.
 func DisableTracing() { telemetry.DisableTracing() }
+
+// TraceNow reads the clock Trace stamps are on (0 when tracing is off),
+// so a caller can bracket a Send and subtract its stamps from the ends.
+func TraceNow() int64 { return telemetry.TraceNow() }
 
 // TakeTraces drains and returns the completed traces collected since
 // the last call (newest last). It returns nil when tracing is off.
