@@ -56,9 +56,6 @@ func reliablePair(t *testing.T, tag string) (conn, peer *ncs.Connection) {
 }
 
 func TestMessagePathAllocationsSurviveTheCollector(t *testing.T) {
-	if raceDetector {
-		t.Skip("the race detector's instrumentation allocates per packet")
-	}
 	t.Run("bulk one-way 64 SDUs", func(t *testing.T) {
 		conn, peer := reliablePair(t, "gc-bulk")
 		msg := make([]byte, 64*4096)

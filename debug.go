@@ -95,7 +95,7 @@ func writeConns(w io.Writer, conns []core.ConnInfo) {
 		}
 		fmt.Fprintf(w, "conn=%d system=%s peer=%s runtime=%s flowctl=%v errctl=%v state=%q paused=%t queued=%d/%d sessions=%d waiters=%d rto=%v rtt=%v misses=%d\n",
 			c.ID, c.System, c.Peer, runtime, c.Opts.FlowControl, c.Opts.ErrorControl, state,
-			c.Paused, c.Lanes[0].Queued, c.Depth, c.Sessions, c.Waiters, c.RTO, c.RTT, c.Misses)
+			c.Paused, c.Queued, c.Depth, c.Sessions, c.Waiters, c.RTO, c.RTT, c.Misses)
 		st := c.Stats
 		fmt.Fprintf(w, "  stats msgs_sent=%d sdus_sent=%d bytes_sent=%d retransmissions=%d msgs_recv=%d sdus_recv=%d bytes_recv=%d ctrl_sent=%d ctrl_recv=%d\n",
 			st.MessagesSent, st.SDUsSent, st.BytesSent, st.Retransmissions, st.MessagesReceived, st.SDUsReceived, st.BytesReceived, st.ControlSent, st.ControlReceived)

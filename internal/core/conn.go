@@ -304,55 +304,60 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 	return c
 }
 
-// lazily returns the flow-control half *p publishes, building it on
-// first use: c.mu serialises builders, and after the first the cost is
-// one atomic load. A half built while — or after — the connection closes
-// is closed on the spot: Close, under the same mutex, tears down only
-// what it finds built, and no admission waiter may block on a half
-// teardown never saw.
-func lazily[T interface{ Close() }](c *Connection, p *atomic.Pointer[T], build func() T) T {
-	if v := p.Load(); v != nil {
-		return *v
+// flowSend returns the connection's flow-control sender, creating it
+// on first use. The fast path is one atomic load.
+func (c *Connection) flowSend() flowctl.Sender {
+	if p := c.fcSend.Load(); p != nil {
+		return *p
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if v := p.Load(); v != nil {
-		return *v
+	if p := c.fcSend.Load(); p != nil {
+		return *p
 	}
-	v := build()
+	fs := flowctl.NewSender(c.opts.FlowControl, c.opts.FlowConfig)
 	select {
 	case <-c.closedCh:
-		v.Close()
+		// Construction raced Close (which tears flow control down under
+		// this same mutex): close the newcomer so no admission waiter
+		// can block on a sender teardown never saw.
+		fs.Close()
 	default:
 	}
-	p.Store(&v)
-	return v
+	c.fcSend.Store(&fs)
+	return fs
 }
 
-// flowSend returns the connection's flow-control sender.
-func (c *Connection) flowSend() flowctl.Sender {
-	return lazily(c, &c.fcSend, func() flowctl.Sender {
-		return flowctl.NewSender(c.opts.FlowControl, c.opts.FlowConfig)
-	})
-}
-
-// flowRecv returns the connection's flow-control receiver.
+// flowRecv returns the connection's flow-control receiver, creating it
+// on first use.
 func (c *Connection) flowRecv() flowctl.Receiver {
-	return lazily(c, &c.fcRecv, func() flowctl.Receiver {
-		fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
-		if !c.opts.FastPath {
-			// Give a credit receiver an asynchronous emitter so its
-			// refill-retry timer can re-advertise a possibly-lost grant. The
-			// fast path gets none: it emits control inline on the receive
-			// procedure's goroutine, and an emitterless receiver arms no
-			// timers at all.
-			flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
-				ctl.ConnID = c.id
-				return c.emitCtrl(ctl)
-			})
-		}
-		return fr
-	})
+	if p := c.fcRecv.Load(); p != nil {
+		return *p
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if p := c.fcRecv.Load(); p != nil {
+		return *p
+	}
+	fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
+	if !c.opts.FastPath {
+		// Give a credit receiver an asynchronous emitter so its
+		// refill-retry timer can re-advertise a possibly-lost grant. The
+		// fast path gets none: it emits control inline on the receive
+		// procedure's goroutine, and an emitterless receiver arms no
+		// timers at all.
+		flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
+			ctl.ConnID = c.id
+			return c.emitCtrl(ctl)
+		})
+	}
+	select {
+	case <-c.closedCh:
+		fr.Close()
+	default:
+	}
+	c.fcRecv.Store(&fr)
+	return fr
 }
 
 // FlowStats snapshots the connection's credit flow-control sender state
@@ -529,6 +534,7 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 	if err := c.checkSendSize(msg); err != nil {
 		return err
 	}
+	defer c.settle() // everything a Send counts, it counts before it returns
 	if c.opts.FastPath {
 		// The procedure-call model has one caller in the protocol at a
 		// time: sends on all lanes serialise.
@@ -639,8 +645,7 @@ func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSess
 // free list. See sendSession for why this order makes the channels
 // reusable. On a closed (or failed) connection the session is left to
 // the collector instead: a put that gave up waiting may still be owed
-// its token — and what this Send counted may have missed the
-// connection's folds, so it settles the books itself.
+// its token.
 func (c *Connection) endSend(ss *sendSession, sess uint32) {
 	if ss.snd != nil {
 		c.mu.Lock()
@@ -655,8 +660,6 @@ func (c *Connection) endSend(ss *sendSession, sess uint32) {
 	}
 	if c.Err() == nil {
 		idleSendSessions.Put(ss)
-	} else {
-		c.settle()
 	}
 }
 
@@ -775,7 +778,6 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 			it.done = lane.done
 		}
 		if err := c.put(it); err != nil {
-			c.settle() // the SDU is counted, and a closed connection's folds may be over
 			return err
 		}
 	}

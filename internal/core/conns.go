@@ -29,8 +29,11 @@ var books struct {
 	gone    connTotals
 }
 
-// walk visits every live connection in the process, its System's mu
-// held, and returns what the departed ones had counted.
+// walk visits every live connection in the process and returns what
+// the departed ones had counted. The visitor runs with books.mu and its
+// connection's System's mu held — every track, untrack and sweep in the
+// process waits for it — so it reads the connection's Stats or takes
+// the pointer, and leaves the rest to its caller.
 func walk(visit func(*Connection)) connTotals {
 	books.mu.Lock()
 	defer books.mu.Unlock()
@@ -54,13 +57,17 @@ func (c *Connection) fold() {
 	*c.folded = now
 }
 
-// settle folds what a connection that has left the registry (untrack's
-// fold took everything up to then) has counted since: its own threads,
-// until teardown joined them (reapInbound), and a Send the application
-// left running across Close, which may complete and count after that
-// (endSend). On a connection still in the registry it does nothing: the
-// walk reads that one live.
+// settle folds what a closed connection has counted since it left the
+// registry, where untrack's fold took everything up to then. Close
+// closes closedCh before it untracks, so a count made on a connection
+// whose Err is still nil precedes that fold; what can follow it are the
+// connection's own threads, which Close settles for once it has joined
+// them (reapInbound), and a Send the application left running across
+// Close, which settles as it returns (send).
 func (c *Connection) settle() {
+	if c.Err() == nil {
+		return
+	}
 	books.mu.Lock()
 	if c.folded != nil {
 		c.fold()
@@ -84,17 +91,18 @@ type ConnInfo struct {
 	ID           uint32
 	Opts         Options
 	Stats        Stats
-	Lanes        []LaneInfo // the default lane, then every open stream
 	RTO, RTT     time.Duration
 	Misses       int  // consecutive heartbeat sweeps that heard nothing
-	Paused       bool // the default lane's producer stopped reading the wire: Lanes[0] is at Depth
-	// Depth is where it stops: deliveredQueueDepth, or a bound Inbox's
-	// depth — Lanes[0].Queued then counts the inbox's messages.
-	Depth    int
-	Sessions int    // inbound reassembly sessions held
-	Waiters  int    // sends waiting for an acknowledgment
-	Err      error  // non-nil once failed or closing
-	Bytes    uint64 // estimated retained heap (MemStats)
+	Paused       bool // the default lane's producer stopped reading the wire: Queued is at Depth
+	// Queued counts the messages unread on the default lane and Depth is
+	// where its producer stops: deliveredQueueDepth, or a bound Inbox's
+	// depth — Queued then counts the inbox's messages.
+	Queued, Depth int
+	Sessions      int        // inbound reassembly sessions held
+	Waiters       int        // sends waiting for an acknowledgment
+	Err           error      // non-nil once failed or closing
+	Bytes         uint64     // estimated retained heap (MemStats)
+	Lanes         []LaneInfo // the default lane, then every open stream (Conns only)
 }
 
 // LaneInfo is one lane's two ends: the messages queued unread on this
@@ -107,38 +115,47 @@ type LaneInfo struct {
 	Credit bool
 }
 
-// info snapshots c. The caller holds c.sys.mu, which guards misses; no
-// lock of c's own is held when it returns.
+// info snapshots c, its lanes excepted. It takes the locks that guard
+// what it reads one at a time, holds none when it returns and allocates
+// nothing.
 func (c *Connection) info() ConnInfo {
-	ci := ConnInfo{System: c.sys.name, Peer: c.peer, ID: c.id, Opts: c.opts, Stats: c.stats.snapshot(),
-		RTO: c.rto(), RTT: c.RTT(), Misses: int(c.misses), Paused: c.paused.Load(), Sessions: c.inbound.Len(), Err: c.Err()}
-	lane0 := LaneInfo{Queued: c.box.Len()}
-	ci.Depth = deliveredQueueDepth
+	ci := ConnInfo{
+		System:   c.sys.name,
+		Peer:     c.peer,
+		ID:       c.id,
+		Opts:     c.opts,
+		Stats:    c.stats.snapshot(),
+		RTO:      c.rto(),
+		RTT:      c.RTT(),
+		Paused:   c.paused.Load(),
+		Queued:   c.box.Len(),
+		Depth:    deliveredQueueDepth,
+		Sessions: c.inbound.Len(),
+		Err:      c.Err(),
+	}
 	if ib := c.inbox.Load(); ib != nil {
-		lane0.Queued, ci.Depth = ib.box.Len(), ib.depth
+		ci.Queued = ib.box.Len()
+		ci.Depth = ib.depth
 	}
-	lane0.Flow, lane0.Credit = c.FlowStats()
-	ci.Lanes = append(ci.Lanes, lane0)
-	if m := c.muxIfAny(); m != nil {
-		m.Each(func(st *stream.State) {
-			if !st.Closed() {
-				fs, ok := flowctl.SenderStatsOf(st.FlowSender())
-				ci.Lanes = append(ci.Lanes, LaneInfo{st.ID(), st.Box().Len(), fs, ok})
-			}
-		})
-	}
+	c.sys.mu.Lock()
+	ci.Misses = int(c.misses)
+	c.sys.mu.Unlock()
 	c.mu.Lock()
 	ci.Waiters = len(c.waiters)
 	c.mu.Unlock()
 	// The struct plus every piece of lazily built state it has actually
 	// built: what stays nil contributes nothing, which is the point.
-	ci.Bytes = uint64(unsafe.Sizeof(*c)) + uint64(cap(c.sendQ))*uint64(unsafe.Sizeof(outItem{})) +
-		uint64(cap(c.ctrlQ))*uint64(unsafe.Sizeof((*buf.Buffer)(nil))) + uint64(c.box.Cap())*uint64(unsafe.Sizeof(Message{})) +
-		uint64(ci.Sessions)*sessionEstimate + uint64(ci.Waiters)*waiterEstimate
-	for _, half := range []bool{c.fcSend.Load() != nil, c.fcRecv.Load() != nil} {
-		if half {
-			ci.Bytes += flowHalfEstimate
-		}
+	ci.Bytes = uint64(unsafe.Sizeof(*c)) +
+		uint64(cap(c.sendQ))*uint64(unsafe.Sizeof(outItem{})) +
+		uint64(cap(c.ctrlQ))*uint64(unsafe.Sizeof((*buf.Buffer)(nil))) +
+		uint64(c.box.Cap())*uint64(unsafe.Sizeof(Message{})) +
+		uint64(ci.Sessions)*sessionEstimate +
+		uint64(ci.Waiters)*waiterEstimate
+	if c.fcSend.Load() != nil {
+		ci.Bytes += flowHalfEstimate
+	}
+	if c.fcRecv.Load() != nil {
+		ci.Bytes += flowHalfEstimate
 	}
 	if c.sh != nil {
 		ci.Bytes += uint64(unsafe.Sizeof(*c.sh))
@@ -146,10 +163,36 @@ func (c *Connection) info() ConnInfo {
 	return ci
 }
 
-// Conns snapshots every live connection of every System in the process;
-// a closed connection is absent.
+// lanes lists the default lane, queued messages unread on it, and every
+// open stream.
+func (c *Connection) lanes(queued int) []LaneInfo {
+	lane0 := LaneInfo{Queued: queued}
+	lane0.Flow, lane0.Credit = c.FlowStats()
+	out := []LaneInfo{lane0}
+	if m := c.muxIfAny(); m != nil {
+		m.Each(func(st *stream.State) {
+			if !st.Closed() {
+				fs, ok := flowctl.SenderStatsOf(st.FlowSender())
+				out = append(out, LaneInfo{st.ID(), st.Box().Len(), fs, ok})
+			}
+		})
+	}
+	return out
+}
+
+// Conns snapshots every live connection of every System in the process.
+// The walk only collects them: each is snapshotted after the registries'
+// locks are released, and one that closed in between is left out like
+// any other closed connection.
 func Conns() []ConnInfo {
-	var out []ConnInfo
-	walk(func(c *Connection) { out = append(out, c.info()) })
+	var conns []*Connection
+	walk(func(c *Connection) { conns = append(conns, c) })
+	out := make([]ConnInfo, 0, len(conns))
+	for _, c := range conns {
+		if ci := c.info(); ci.Err == nil {
+			ci.Lanes = c.lanes(ci.Queued)
+			out = append(out, ci)
+		}
+	}
 	return out
 }

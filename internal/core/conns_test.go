@@ -1,10 +1,12 @@
 package core
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
+	"ncs/internal/errctl"
 	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
@@ -54,103 +56,124 @@ func rowTotals(id uint32) connTotals {
 // the Stats of every connection there was.
 func TestBooksNeverRunBackwards(t *testing.T) {
 	for _, rt := range allRuntimes {
-		t.Run(rt.name, func(t *testing.T) {
-			before := telemetry.Capture()
-			opts := Options{Interface: transport.HPI}
-			rt.set(&opts)
-			nw := NewNetwork()
-			defer nw.Close()
-			systems := make(map[string]*System)
-			for _, name := range []string{"books-a", "books-b", "books-c", "books-d"} {
-				systems[name], _ = nw.NewSystem(name)
-			}
-			var conns []*Connection
-			var traffic sync.WaitGroup
-			echo := func(from, to string) {
-				conn, err := systems[from].Connect(to, opts)
-				if err != nil {
-					t.Fatal(err)
-				}
-				peer, err := systems[to].AcceptTimeout(5 * time.Second)
-				if err != nil {
-					t.Fatal(err)
-				}
-				conns = append(conns, conn, peer)
-				traffic.Add(2)
-				go func() { // until its connection closes
-					defer traffic.Done()
-					for conn.Send(make([]byte, 100)) == nil {
-						if _, err := conn.Recv(); err != nil {
-							return
-						}
-					}
-				}()
-				go func() {
-					defer traffic.Done()
-					for {
-						m, err := peer.Recv()
-						if err != nil || peer.Send(m) != nil {
-							return
-						}
-					}
-				}()
-			}
-			echo("books-a", "books-b")
-			echo("books-a", "books-b")
-			echo("books-c", "books-d")
+		// None: a fast-path Send takes no session, so nothing but send's own
+		// deferred settle follows the message it counts across a Close.
+		for _, ec := range []errctl.Algorithm{errctl.None, errctl.SelectiveRepeat} {
+			t.Run(fmt.Sprintf("%s/%v", rt.name, ec), func(t *testing.T) { booksAcrossCloses(t, rt.set, ec) })
+		}
+	}
+}
 
-			stop := make(chan struct{})
-			watched := make(chan int)
-			go func() { // the scraper
-				var last connTotals
-				n := 0
-				for {
-					now := connTotalsSince(before)
-					for i, name := range connTotalNames {
-						if now[i] < last[i] {
-							t.Errorf("%s read %d, then %d", name, last[i], now[i])
-						}
-					}
-					last = now
-					n++
-					select {
-					case <-stop:
-						watched <- n
-						return
-					default:
-					}
+func booksAcrossCloses(t *testing.T, runtime func(*Options), ec errctl.Algorithm) {
+	before := telemetry.Capture()
+	opts := Options{Interface: transport.HPI, ErrorControl: ec}
+	runtime(&opts)
+	nw := NewNetwork()
+	defer nw.Close()
+	systems := make(map[string]*System)
+	for _, name := range []string{"books-a", "books-b", "books-c", "books-d"} {
+		systems[name], _ = nw.NewSystem(name)
+	}
+	var conns []*Connection
+	var traffic sync.WaitGroup
+	echo := func(from, to string) {
+		conn, err := systems[from].Connect(to, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := systems[to].AcceptTimeout(5 * time.Second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns = append(conns, conn, peer)
+		traffic.Add(2)
+		go func() { // until its connection closes
+			defer traffic.Done()
+			for conn.Send(make([]byte, 100)) == nil {
+				if _, err := conn.Recv(); err != nil {
+					return
 				}
-			}()
-			settle := func() { time.Sleep(5 * time.Millisecond) }
-			settle()
-			conns[0].Close() // one end of one connection; its peer follows by itself
-			settle()
-			systems["books-b"].Close() // every connection of one System, and the System
-			settle()
-			nw.Close()
-			traffic.Wait()
-			close(stop)
-			if n := <-watched; n < 10 {
-				t.Fatalf("only %d captures raced the closes", n)
 			}
+		}()
+		go func() {
+			defer traffic.Done()
+			for {
+				m, err := peer.Recv()
+				if err != nil || peer.Send(m) != nil {
+					return
+				}
+			}
+		}()
+	}
+	echo("books-a", "books-b")
+	echo("books-a", "books-b")
+	echo("books-c", "books-d")
 
-			var stats []Stats
-			for _, c := range conns {
-				stats = append(stats, c.Stats())
-			}
-			if got, want := connTotalsSince(before), statTotals(stats...); got != want {
-				t.Errorf("at rest core.conn.* moved by %v, the Stats of every connection there was sum to %v (order: %v)", got, want, connTotalNames)
-			}
-			if want := statTotals(stats...); want[0] == 0 || want[3] == 0 {
-				t.Errorf("the echoes sent %d messages and received %d", want[0], want[3])
-			}
-			for _, ci := range Conns() {
-				for _, c := range conns {
-					if ci.ID == c.ID() {
-						t.Errorf("closed connection %d (%s→%s) still has a row", ci.ID, ci.System, ci.Peer)
-					}
+	stop := make(chan struct{})
+	watched := make(chan int)
+	go func() { // the scraper
+		var last connTotals
+		n := 0
+		for {
+			now := connTotalsSince(before)
+			for i, name := range connTotalNames {
+				if now[i] < last[i] {
+					t.Errorf("%s read %d, then %d", name, last[i], now[i])
 				}
 			}
-		})
+			last = now
+			n++
+			select {
+			case <-stop:
+				watched <- n
+				return
+			default:
+			}
+		}
+	}()
+	settle := func() { time.Sleep(5 * time.Millisecond) }
+	settle()
+	conns[0].Close() // one end of one connection; its peer follows by itself
+	settle()
+	systems["books-b"].Close() // every connection of one System, and the System
+	settle()
+	nw.Close()
+	traffic.Wait()
+	// At rest means every teardown is over. A connection that closed by
+	// itself had already left its System's registry, so no System.Close
+	// waited for it: Close again does (it returns once the first is
+	// through). The fast path's Close leaves its reap — and so its last
+	// settle — to a goroutine that follows the receive procedure out.
+	for _, c := range conns {
+		c.Close()
+	}
+	close(stop)
+	if n := <-watched; n < 10 {
+		t.Fatalf("only %d captures raced the closes", n)
+	}
+
+	atRest := func() (got, want connTotals) {
+		var stats []Stats
+		for _, c := range conns {
+			stats = append(stats, c.Stats())
+		}
+		return connTotalsSince(before), statTotals(stats...)
+	}
+	got, want := atRest()
+	for deadline := time.Now().Add(2 * time.Second); got != want && opts.FastPath && time.Now().Before(deadline); got, want = atRest() {
+		time.Sleep(time.Millisecond)
+	}
+	if got != want {
+		t.Errorf("at rest core.conn.* moved by %v, the Stats of every connection there was sum to %v (order: %v)", got, want, connTotalNames)
+	}
+	if want[0] == 0 || want[3] == 0 {
+		t.Errorf("the echoes sent %d messages and received %d", want[0], want[3])
+	}
+	for _, ci := range Conns() {
+		for _, c := range conns {
+			if ci.ID == c.ID() {
+				t.Errorf("closed connection %d (%s→%s) still has a row", ci.ID, ci.System, ci.Peer)
+			}
+		}
 	}
 }

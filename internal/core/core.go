@@ -28,7 +28,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -265,81 +264,86 @@ func (n *Network) lookup(name string) (*System, error) {
 }
 
 // newConnPair mints the data and control transport connections between
-// two systems — the separated planes of Figure 4: one pair of the
-// requested interface kind each. The first return value of each pair
-// belongs to the dialing side.
+// two systems for the requested interface kind. The first return value
+// of each pair belongs to the dialing side.
 func (n *Network) newConnPair(from, to *System, opts Options) (data, peerData, ctrl, peerCtrl transport.Conn, err error) {
-	if data, peerData, err = n.transportPair(from, to, opts, false); err != nil {
-		return nil, nil, nil, nil, err
-	}
-	if ctrl, peerCtrl, err = n.transportPair(from, to, opts, true); err != nil {
-		data.Close()
-		peerData.Close()
-		return nil, nil, nil, nil, err
-	}
-	return data, peerData, ctrl, peerCtrl, nil
-}
-
-// transportPair mints one connected pair of the interface kind. The
-// control plane's is always clean — no loss, no corruption, no
-// programmed impairment, the data plane's propagation profile: in NYNET
-// terms a low-bandwidth high-priority VC. Loss on it would only slow
-// convergence (timeout retransmission), not correctness, but a clean
-// control channel is the paper's architecture.
-func (n *Network) transportPair(from, to *System, opts Options, control bool) (transport.Conn, transport.Conn, error) {
 	switch opts.Interface {
 	case transport.HPI:
-		if opts.HPILink != nil && !control {
-			a, b := transport.HPIPairWithParams(*opts.HPILink, *opts.HPILink)
-			return a, b, nil
+		if opts.HPILink != nil {
+			data, peerData = transport.HPIPairWithParams(*opts.HPILink, *opts.HPILink)
+		} else {
+			data, peerData = transport.HPIPair()
 		}
-		a, b := transport.HPIPair()
-		return a, b, nil
-	case transport.ACI:
-		qos := opts.QoS
-		if control {
-			qos.CellLossRate, qos.CellCorruptRate = 0, 0
-			qos.Impair, qos.Schedule = netsim.Impairments{}, nil
-		}
-		vc, peer, err := n.dialVC(from, to, qos)
-		if err != nil {
-			return nil, nil, err
-		}
-		return transport.NewACI(vc), transport.NewACI(peer), nil
-	case transport.UDP: // real loopback sockets
-		link := opts.UDPLink
-		if control && link != nil {
-			clean := *link
-			clean.Impair, clean.Schedule = netsim.Impairments{}, nil
-			link = &clean
-		}
-		return transport.UDPPair(link)
-	case transport.SCI:
-		return n.sciPair()
-	default:
-		return nil, nil, fmt.Errorf("ncs: unsupported interface %v", opts.Interface)
-	}
-}
+		ctrl, peerCtrl = transport.HPIPair()
+		return data, peerData, ctrl, peerCtrl, nil
 
-// rendezvous pairs one dial with the accept it meets: accept runs beside
-// dial, and a dialed end whose accept failed is closed again.
-func rendezvous[T io.Closer](accept, dial func() (T, error)) (local, remote T, err error) {
-	var none T
-	acceptErr := make(chan error, 1)
-	accepted := make(chan T, 1)
-	go func() {
-		c, err := accept()
-		accepted <- c
-		acceptErr <- err
-	}()
-	if local, err = dial(); err != nil {
-		return none, none, err
+	case transport.ACI:
+		// Two VCs per connection: the separated data and control
+		// circuits of Figure 4. Control rides a loss-free, unimpaired
+		// circuit with the same propagation profile: in NYNET terms, a
+		// low-bandwidth high-priority VC. Loss on the control VC would
+		// only slow convergence (timeout retransmission), not
+		// correctness, but a clean control channel matches the paper's
+		// architecture.
+		dataQoS := opts.QoS
+		ctrlQoS := opts.QoS
+		ctrlQoS.CellLossRate = 0
+		ctrlQoS.CellCorruptRate = 0
+		ctrlQoS.Impair = netsim.Impairments{}
+		ctrlQoS.Schedule = nil
+		dvc, dpeer, err := n.dialVC(from, to, dataQoS)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		cvc, cpeer, err := n.dialVC(from, to, ctrlQoS)
+		if err != nil {
+			dvc.Close()
+			dpeer.Close()
+			return nil, nil, nil, nil, err
+		}
+		return transport.NewACI(dvc), transport.NewACI(dpeer),
+			transport.NewACI(cvc), transport.NewACI(cpeer), nil
+
+	case transport.UDP:
+		// Real loopback sockets. Impairments from UDPLink apply to the
+		// data pair only; control always gets a clean link, mirroring
+		// the separated loss-free control circuit of the other
+		// interfaces.
+		d1, d2, err := transport.UDPPair(opts.UDPLink)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		var ctrlLink *transport.UDPLink
+		if opts.UDPLink != nil {
+			clean := *opts.UDPLink
+			clean.Impair = netsim.Impairments{}
+			clean.Schedule = nil
+			ctrlLink = &clean
+		}
+		c1, c2, err := transport.UDPPair(ctrlLink)
+		if err != nil {
+			d1.Close()
+			d2.Close()
+			return nil, nil, nil, nil, err
+		}
+		return d1, d2, c1, c2, nil
+
+	case transport.SCI:
+		d1, d2, err := n.sciPair(to)
+		if err != nil {
+			return nil, nil, nil, nil, err
+		}
+		c1, c2, err := n.sciPair(to)
+		if err != nil {
+			d1.Close()
+			d2.Close()
+			return nil, nil, nil, nil, err
+		}
+		return d1, d2, c1, c2, nil
+
+	default:
+		return nil, nil, nil, nil, fmt.Errorf("ncs: unsupported interface %v", opts.Interface)
 	}
-	if remote, err = <-accepted, <-acceptErr; err != nil {
-		local.Close()
-		return none, none, err
-	}
-	return local, remote, nil
 }
 
 // dialVC establishes one ATM VC between two systems' hosts. The
@@ -348,17 +352,57 @@ func rendezvous[T io.Closer](accept, dial func() (T, error)) (local, remote T, e
 func (n *Network) dialVC(from, to *System, qos atm.QoS) (*atm.VC, *atm.VC, error) {
 	n.vcMu.Lock()
 	defer n.vcMu.Unlock()
-	return rendezvous(to.atmHost.Accept, func() (*atm.VC, error) { return from.atmHost.Dial(to.name, qos) })
+	acceptCh := make(chan *atm.VC, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		vc, err := to.atmHost.Accept()
+		if err != nil {
+			errCh <- err
+			return
+		}
+		acceptCh <- vc
+	}()
+	local, err := from.atmHost.Dial(to.name, qos)
+	if err != nil {
+		return nil, nil, err
+	}
+	select {
+	case remote := <-acceptCh:
+		return local, remote, nil
+	case err := <-errCh:
+		local.Close()
+		return nil, nil, err
+	}
 }
 
 // sciPair mints a connected TCP pair via an ephemeral loopback listener.
-func (n *Network) sciPair() (transport.Conn, transport.Conn, error) {
+func (n *Network) sciPair(to *System) (transport.Conn, transport.Conn, error) {
 	l, err := transport.ListenSCI("127.0.0.1:0")
 	if err != nil {
 		return nil, nil, err
 	}
 	defer l.Close()
-	return rendezvous(l.Accept, func() (transport.Conn, error) { return transport.DialSCI(l.Addr()) })
+	connCh := make(chan transport.Conn, 1)
+	errCh := make(chan error, 1)
+	go func() {
+		c, err := l.Accept()
+		if err != nil {
+			errCh <- err
+			return
+		}
+		connCh <- c
+	}()
+	out, err := transport.DialSCI(l.Addr())
+	if err != nil {
+		return nil, nil, err
+	}
+	select {
+	case in := <-connCh:
+		return out, in, nil
+	case err := <-errCh:
+		out.Close()
+		return nil, nil, err
+	}
 }
 
 // setupRequest is the signaling message handled by the Master Thread.

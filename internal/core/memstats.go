@@ -52,16 +52,20 @@ func (m MemStats) BytesPerConn() float64 {
 
 // memStats estimates the System's per-connection memory footprint —
 // the Mem field of System.Telemetry — from the snapshot /debug/ncs/conns
-// prints (Connection.info). It walks every tracked connection, so it is
-// a diagnostic to sample, not a hot-path counter.
+// prints (Connection.info). It sizes every tracked connection, outside
+// the registry's lock, so it is a diagnostic to sample, not a hot-path
+// counter.
 func (s *System) memStats() MemStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := MemStats{Conns: len(s.conns)}
+	conns := make([]*Connection, len(s.conns))
+	copy(conns, s.conns)
+	st := MemStats{Conns: len(conns)}
 	if s.sweepEvery > 0 {
 		st.PendingTimers = 1
 	}
-	for _, c := range s.conns {
+	s.mu.Unlock()
+
+	for _, c := range conns {
 		ci := c.info()
 		st.EstimatedBytes += ci.Bytes
 		st.LiveSessions += ci.Sessions

@@ -81,6 +81,9 @@ const minAdaptiveTimeout = 2 * time.Millisecond
 // before the first acknowledgment). Only meaningful on connections
 // with AdaptiveTimeout enabled.
 func (c *Connection) RTT() time.Duration {
-	srtt, _, _ := c.rtt.snapshot() // zero until the first sample
+	srtt, _, ok := c.rtt.snapshot()
+	if !ok {
+		return 0
+	}
 	return srtt
 }

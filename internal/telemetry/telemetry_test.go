@@ -292,6 +292,27 @@ func TestTracerSurvivesUndeliveredMessages(t *testing.T) {
 	}
 }
 
+// TestTracerOverloadedWindowStillCompletes: a probe window that sees
+// more sampled messages in flight than it has slots — many connections
+// in step share one, the connection id is not in the slot index — must
+// go on completing the ones it holds. Evicting the oldest claim for
+// every newcomer would evict each before it finished and record none.
+func TestTracerOverloadedWindowStillCompletes(t *testing.T) {
+	tracer.Store(NewTracer(1, 256))
+	defer DisableTracing()
+	const inFlight = traceProbes + 2
+	const n = 120
+	for conn := uint32(1); conn <= n; conn++ {
+		TraceStart(conn, 7, 10) // same session, same window
+		if conn > inFlight {
+			TraceFinish(conn-inFlight, 7)
+		}
+	}
+	if got := len(TakeTraces()); got < n/2 {
+		t.Fatalf("with %d messages in flight on a %d-slot window, %d of %d were recorded, want at least half", inFlight, traceProbes, got, n)
+	}
+}
+
 // TestTraceNow: the exposed clock is the one the stamps are on.
 func TestTraceNow(t *testing.T) {
 	DisableTracing()

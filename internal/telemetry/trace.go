@@ -92,7 +92,8 @@ func (t Trace) Stage(s TraceStage) int64 { return t.Stamp[s] }
 const traceSlots = 64
 
 // traceProbes is how many slots a key probes: its window. A message
-// that finds its window full evicts the window's oldest claim.
+// that finds its window full takes over the window's oldest claim once
+// traceSlots sampled messages have started since that one.
 const traceProbes = 4
 
 // slotBusy holds a slot while finish drains it or start recycles it;
@@ -105,6 +106,7 @@ const slotBusy = 1
 // ring mutex.
 type slot struct {
 	key    atomic.Uint64
+	seq    atomic.Uint64 // which sampled message claimed it, in start order
 	bytes  atomic.Int64
 	stamps [numStages]atomic.Int64
 }
@@ -149,11 +151,12 @@ func (t *Tracer) now() int64 { return int64(time.Since(t.base)) }
 
 // start claims a slot for the message if it is sampled.
 func (t *Tracer) start(connID, session uint32, size int) {
-	if t.n.Add(1)%t.every != 0 {
+	n := t.n.Add(1)
+	if n%t.every != 0 {
 		return
 	}
 	key := traceKey(connID, session)
-	s := t.claim(int(key % traceSlots))
+	s := t.claim(int(key%traceSlots), n/t.every)
 	if s == nil {
 		return
 	}
@@ -166,28 +169,33 @@ func (t *Tracer) start(connID, session uint32, size int) {
 }
 
 // claim takes one slot of the window at idx out of circulation
-// (slotBusy) for start to fill: a free one, else the window's oldest
-// claim. Only finish frees a slot, and a message that never reaches
-// delivery — an unreliable SDU a lossy link dropped, a connection
-// closed mid-transfer — never calls it; without the eviction, 64 such
-// messages would end tracing for good. A victim that moved meanwhile
-// (finished, or evicted by another start) costs this sample, not a
-// retry.
-func (t *Tracer) claim(idx int) *slot {
+// (slotBusy) for the seq-th sampled message: a free one, else the
+// window's oldest claim if it is stale. Only finish frees a slot, and a
+// message that never reaches delivery — an unreliable SDU a lossy link
+// dropped, a connection closed mid-transfer — never calls it; without
+// the eviction, 64 such messages would end tracing for good. Stale is a
+// count, not a clock reading: traceSlots sampled messages, a table's
+// worth, have started since. Evicting any younger claim would let a
+// window that sees more than traceProbes messages in flight at once
+// evict each before it finished and complete none; as it is, the first
+// traceProbes complete and the rest go unsampled. A victim that moved
+// meanwhile (finished, or evicted by another start) costs this sample,
+// not a retry.
+func (t *Tracer) claim(idx int, seq uint64) *slot {
 	var oldest *slot
 	var oldestKey uint64
-	var oldestAt int64
 	for p := 0; p < traceProbes; p++ {
 		s := &t.slots[(idx+p)%traceSlots]
 		if s.key.CompareAndSwap(0, slotBusy) {
+			s.seq.Store(seq)
 			return s
 		}
-		k, at := s.key.Load(), s.stamps[StageEnqueued].Load()
-		if k != slotBusy && (oldest == nil || at < oldestAt) {
-			oldest, oldestKey, oldestAt = s, k, at
+		if k := s.key.Load(); k != slotBusy && (oldest == nil || s.seq.Load() < oldest.seq.Load()) {
+			oldest, oldestKey = s, k
 		}
 	}
-	if oldest != nil && oldest.key.CompareAndSwap(oldestKey, slotBusy) {
+	if oldest != nil && int64(seq-oldest.seq.Load()) >= traceSlots && oldest.key.CompareAndSwap(oldestKey, slotBusy) {
+		oldest.seq.Store(seq)
 		return oldest
 	}
 	return nil
