@@ -29,9 +29,11 @@ type bench struct {
 //
 //	BenchmarkName-8  92341  12345 ns/op  67 B/op  8 allocs/op
 //
-// keyed by benchmark name with the trailing -GOMAXPROCS stripped, so a
-// baseline recorded on an 8-core machine compares against a 4-core
-// run.
+// keyed by the name as printed: benchmark name and GOMAXPROCS, which go
+// test appends as -N except at 1. A run at -cpu 1,2 thus gates each row
+// against the baseline row recorded at the same procs — a hand-off that
+// allocates only when two Ps run is a regression of the -2 row — and a
+// row recorded at other procs has no baseline (NEW, not gated).
 func parseFile(path string) (map[string]*bench, error) {
 	f, err := os.Open(path)
 	if err != nil {
@@ -75,7 +77,7 @@ func parseLine(line string) (name string, s sample, ok bool) {
 	if len(fields) < 4 || !strings.HasPrefix(fields[0], "Benchmark") {
 		return "", sample{}, false
 	}
-	name = stripProcs(fields[0])
+	name = fields[0]
 	for i := 2; i+1 < len(fields); i++ {
 		v, err := strconv.ParseFloat(fields[i], 64)
 		if err != nil {
@@ -97,18 +99,6 @@ func parseLine(line string) (name string, s sample, ok bool) {
 		}
 	}
 	return name, s, ok
-}
-
-// stripProcs removes the -GOMAXPROCS suffix from a benchmark name.
-func stripProcs(name string) string {
-	i := strings.LastIndex(name, "-")
-	if i < 0 {
-		return name
-	}
-	if _, err := strconv.Atoi(name[i+1:]); err != nil {
-		return name
-	}
-	return name[:i]
 }
 
 func median(xs []float64) float64 {

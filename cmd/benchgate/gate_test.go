@@ -33,7 +33,7 @@ func TestParseFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	b := got["BenchmarkAllocHPIFastpathEcho"]
+	b := got["BenchmarkAllocHPIFastpathEcho-8"]
 	if b == nil {
 		t.Fatalf("benchmark not parsed (keys: %v)", got)
 	}
@@ -45,20 +45,37 @@ func TestParseFile(t *testing.T) {
 	}
 }
 
-func TestStripProcsCrossMachine(t *testing.T) {
-	// A 4-core run must compare against an 8-core baseline.
-	cur := `BenchmarkAllocSCISend4KB-4  50000  20500 ns/op  120 B/op  2 allocs/op` + "\n"
-	base, err := parseFile(writeTemp(t, "b.txt", baselineSample))
+// TestRowsKeyedByProcs: a run at -cpu 1,2 gates each row against the
+// baseline row at the same GOMAXPROCS — no suffix is 1 — so an alloc
+// regression that shows only at -2 fails, and a row recorded at procs
+// the baseline never ran is new, not compared with another procs' row.
+func TestRowsKeyedByProcs(t *testing.T) {
+	base, err := parseFile(writeTemp(t, "b.txt", `BenchmarkAllocSCISend4KB  50000  20000 ns/op  120 B/op  2 allocs/op
+BenchmarkAllocSCISend4KB-2  50000  21000 ns/op  120 B/op  2 allocs/op
+`))
 	if err != nil {
 		t.Fatal(err)
 	}
+	cur := `BenchmarkAllocSCISend4KB  50000  20500 ns/op  120 B/op  2 allocs/op
+BenchmarkAllocSCISend4KB-2  50000  21000 ns/op  180 B/op  3 allocs/op
+BenchmarkAllocSCISend4KB-4  50000  22000 ns/op  120 B/op  2 allocs/op
+`
 	c, err := parseFile(writeTemp(t, "c.txt", cur))
 	if err != nil {
 		t.Fatal(err)
 	}
 	report, failed := compare(base, c, 0.10)
-	if failed || !strings.Contains(report, "time   BenchmarkAllocSCISend4KB: 20500ns/op vs baseline 20000ns (+2.5%") {
-		t.Fatalf("-4 run not matched to its -8 baseline:\n%s", report)
+	for _, want := range []string{
+		"time   BenchmarkAllocSCISend4KB: 20500ns/op vs baseline 20000ns (+2.5%",
+		"FAIL   BenchmarkAllocSCISend4KB-2: allocs/op 3 vs baseline 2",
+		"NEW    BenchmarkAllocSCISend4KB-4",
+	} {
+		if !strings.Contains(report, want) {
+			t.Errorf("report lacks %q", want)
+		}
+	}
+	if !failed || strings.Contains(report, "FAIL   BenchmarkAllocSCISend4KB:") {
+		t.Errorf("want the -2 row, and only it, to fail:\n%s", report)
 	}
 }
 

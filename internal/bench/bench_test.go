@@ -144,10 +144,19 @@ func TestTableI(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
+	// A paced 1-byte send finds the Send Thread idle and its caller writes
+	// it: that path has no queue and no switch to the Send Thread.
 	var session float64
-	for _, r := range res.Rows[:4] {
+	for i, r := range res.Rows[:4] {
 		session += r.PaperUS
-		if r.Measured <= 0 {
+		if handOff := i == 1 || i == 2; r.NotTaken != handOff {
+			t.Errorf("row %q: not taken = %v, want %v: paced 1-byte sends are written inline", r.Activity, r.NotTaken, handOff)
+		}
+		if r.NotTaken {
+			if r.Measured != 0 {
+				t.Errorf("row %q was not taken yet measured %v", r.Activity, r.Measured)
+			}
+		} else if r.Measured <= 0 {
 			t.Errorf("row %q measured %v: a stage delta read off the lifecycle stamps must be positive", r.Activity, r.Measured)
 		}
 	}
@@ -163,7 +172,7 @@ func TestTableI(t *testing.T) {
 	}
 	out := res.Render()
 	for _, want := range []string{"Table I", "entry + header", "Queuing", "Context switch to Send Thread", "switch back",
-		"Transmitting", "session overhead total", "108", "274", "383"} {
+		"Transmitting", "session overhead total", "108", "274", "383", "not taken (inline)"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("Render missing %q:\n%s", want, out)
 		}

@@ -55,8 +55,8 @@ type Message = errctl.Delivery
 // outItem is one outbound unit on its way to a transport write: a data
 // SDU, or a control packet (already marshalled; the item owns the
 // reference), with the bookkeeping that follows its transmission. The
-// Send Thread's queue, a shard's outbound queue and the fast path's
-// inline write all carry it through the same stage and finish.
+// Send Thread's queue, a shard's outbound queue and the inline write all
+// carry it through the same stage and finish.
 type outItem struct {
 	c          *Connection
 	sdu        errctl.SDU
@@ -67,9 +67,21 @@ type outItem struct {
 	streamSlot bool          // release one of the connection's stream send slots after transmission
 }
 
+// wire is one transport as its writers share it. Whoever writes it holds
+// mu across the write: a queue's writer (the Send Thread, the Control
+// Send Thread) for each batch, a producer writing inline for its one
+// packet (writeInline). queued counts the packets queued for it and not
+// yet written.
+type wire struct {
+	mu     sync.Mutex
+	queued atomic.Int32
+}
+
 // stage returns the marshalled packet to write: the control packet as
 // queued, or the SDU serialised into a pooled buffer — the one copy of
 // the payload, after which the caller's message is no longer referenced.
+// Its writer picked it up (Dequeued), off a queue or inline — an inline
+// write stamps no Queued.
 func (it *outItem) stage() *buf.Buffer {
 	if it.ctrl != nil {
 		it.c.stats.controlSent.Add(1)
@@ -82,7 +94,8 @@ func (it *outItem) stage() *buf.Buffer {
 }
 
 // finish is the post-transmission bookkeeping: the trace stamp, the done
-// token a synchronous sender waits on, queue-slot releases.
+// token a synchronous sender waits on (only a queued SDU carries one),
+// queue-slot releases.
 func (it *outItem) finish() {
 	if it.ctrl == nil {
 		telemetry.TraceStamp(it.c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
@@ -125,8 +138,8 @@ func (e ctrlEvent) release() {
 // error-control sender, the channel the connection's control demux
 // deposits its acknowledgments on, the retransmission timer (idle on the
 // fast path, whose timed control read is its timer) and the channel the
-// Send Thread or shard confirms a synchronous transmission on — the one
-// part an unreliable Send uses. Sessions recycle through
+// Send Thread or shard confirms a queued synchronous transmission on —
+// the one part an unreliable Send uses. Sessions recycle through
 // idleSendSessions — channels and timer are built once and survive, the
 // sender is drawn from errctl's own free list per transfer — so a steady
 // stream of sends allocates nothing. What makes ackCh safe to reuse is
@@ -213,7 +226,10 @@ type Connection struct {
 
 	fastSendMu sync.Mutex // serialises fast-path senders
 	fastRecvMu sync.Mutex // serialises fast-path pump holders
-	fastCtrlMu sync.Mutex // serialises fast-path control writes
+
+	// The data and control transports as their writers share them
+	// (writeInline). In-band control rides dataW.
+	dataW, ctrlW wire
 
 	// Stream multiplexing state (see internal/stream). The mux is lazy:
 	// a connection that never opens a stream carries none, and stream 0
@@ -608,10 +624,10 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 			// async duplicate still sits in the send queue. Waiting for
 			// the Send Thread's confirmation — it copies the payload into
 			// its own staging buffer before batching — keeps every queued
-			// alias inside Send's lifetime. The original window needs no
-			// such barrier: an ack proves its SDUs were already staged and
-			// written. Retransmission is the slow path; the extra round
-			// trip to the Send Thread does not touch healthy sends.
+			// alias inside Send's lifetime; a lone retransmission written
+			// inline is done when put returns. The original window needs
+			// no such barrier: an ack proves its SDUs were already staged
+			// and written.
 			if err := c.transmit(lane, rt, true); err != nil {
 				return err
 			}
@@ -752,6 +768,12 @@ func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
 // blocks only its own sender. When sync is true it returns only once
 // the final SDU left the interface. This is the one place sent SDUs are
 // counted: c.stats is the only book (conns.go reads it for core.conn.*).
+//
+// A batch of one SDU — a one-SDU message, a single retransmission — is
+// alone: put writes it inline when the wire is free. Larger batches
+// queue, and keep the Send Thread's coalescing; so do an unreliable
+// message's SDUs before its last, batches of one only because None
+// segments on the caller's stack. A shard keeps its queue (writeInline).
 func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
@@ -762,6 +784,7 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 	if len(sdus) > 0 && sdus[0].Header.Flags&packet.FlagRetransmit != 0 {
 		flowctl.NoteLoss(lane.fc, len(sdus))
 	}
+	alone := c.sh == nil && len(sdus) == 1 && sdus[0].Header.Flags&(packet.FlagEnd|packet.FlagRetransmit) != 0
 	wait := c.rto()
 	for i, sdu := range sdus {
 		if err := c.admit(lane, wait); err != nil {
@@ -773,11 +796,11 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 			c.stats.retransmissions.Add(1)
 		}
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
-		it := outItem{c: c, sdu: sdu}
-		if sync && i == len(sdus)-1 && !c.opts.FastPath { // the fast path's put is inline
-			it.done = lane.done
+		var done chan struct{}
+		if sync && i == len(sdus)-1 {
+			done = lane.done
 		}
-		if err := c.put(it); err != nil {
+		if err := c.put(outItem{c: c, sdu: sdu}, done, alone); err != nil {
 			return err
 		}
 	}
@@ -858,21 +881,20 @@ func (c *Connection) creditTimeout(lane sendLane) error {
 	return nil
 }
 
-// put hands one admitted SDU to the wire the way the connection's
-// runtime owns it: an inline write on the fast path, else the Send
-// Thread's or the shard's queue — waiting, when the item carries a done
-// channel, for the token that confirms the SDU left the interface.
-func (c *Connection) put(it outItem) error {
-	telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageQueued)
-	if c.opts.FastPath {
-		err := c.data.SendBuf(it.stage()) // consumes the buffer reference
-		it.finish()
-		if err != nil {
-			c.Close()
-			return ErrConnClosed
+// put hands one admitted SDU to the wire. A lone SDU (transmit) leaves
+// on the caller's goroutine when the wire is free, and so does every
+// fast-path SDU: the fast path has no queue, so it always finds the wire
+// free. Otherwise the SDU joins the Send Thread's or the shard's queue —
+// and put waits, when done is given, for the token that confirms it left
+// the interface. An inline write is finished when it returns: no token.
+func (c *Connection) put(it outItem, done chan struct{}, alone bool) error {
+	if alone || c.opts.FastPath {
+		if ok, err := c.writeInline(&it); ok {
+			return err
 		}
-		return nil
 	}
+	telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageQueued)
+	it.done = done
 	if it.sdu.Header.StreamID != 0 {
 		// Stream SDUs take a queue-residency slot so they can never
 		// monopolise the outbound queue ahead of stream 0 (see
@@ -890,9 +912,9 @@ func (c *Connection) put(it outItem) error {
 		}
 		return ErrConnClosed
 	}
-	if it.done != nil {
+	if done != nil {
 		select {
-		case <-it.done:
+		case <-done:
 		case <-c.closedCh:
 			// The channel may still receive its token: endSend, seeing
 			// the connection closed, will not reuse the session.
@@ -900,6 +922,48 @@ func (c *Connection) put(it outItem) error {
 		}
 	}
 	return nil
+}
+
+// writeInline is the one inline write: the packet leaves on the
+// goroutine that made it if its wire is free — nobody is writing that
+// transport and nothing is queued for it. The owner is taken before the
+// backlog is read, and every queue's writer holds it across its write
+// and shrinks the backlog under it, so an inline write never overtakes a
+// queued packet. Only the fast path, which has no queue, waits for the
+// owner. ok is false when the packet must queue instead.
+//
+// The sharded runtime never writes inline. With two callers on two Ps,
+// inline writes at both ends make each round trip a ring of runnext
+// hand-offs on one P; the other P, finding nothing to steal but a
+// running P's runnext, backs off in the Go scheduler's usleep(3) —
+// ≈ 60 µs under Linux's default 50 µs timer slack — while the second
+// caller waits in the first P's run queue: 2–3 % of rpc_fanin's calls
+// took 65–70 µs (none at a 1 ns timer slack). The shard's queue breaks
+// the ring. (Two busy threaded connections show the same mode.)
+func (c *Connection) writeInline(it *outItem) (ok bool, err error) {
+	w, t := &c.dataW, c.data
+	if it.ctrlPath {
+		w, t = &c.ctrlW, c.ctrl
+	}
+	if c.opts.FastPath {
+		w.mu.Lock()
+	} else if !w.mu.TryLock() {
+		return false, nil
+	}
+	defer w.mu.Unlock()
+	if w.queued.Load() > 0 {
+		return false, nil
+	}
+	if !it.ctrlPath {
+		mCoalesceDepth.Observe(1) // a batch of one
+	}
+	err = t.SendBuf(it.stage()) // consumes the buffer reference
+	it.finish()
+	if err != nil {
+		go c.Close() // the writer may be a thread Close joins, or the shard it waits for
+		err = ErrConnClosed
+	}
+	return true, err
 }
 
 // streamSlotCh returns the connection's stream send-slot semaphore,
@@ -933,12 +997,7 @@ func (c *Connection) enqueueData(it outItem) bool {
 		return sc.shard.enqueueOut(it)
 	}
 	mSendQDepth.Observe(int64(len(c.sendQ)))
-	select {
-	case c.sendQ <- it:
-		return true
-	case <-c.closedCh:
-		return false
-	}
+	return offer(&c.dataW, c.sendQ, it, true, c.closedCh)
 }
 
 func (c *Connection) checkSendSize(msg []byte) error {
@@ -959,8 +1018,8 @@ func (c *Connection) checkSendSize(msg []byte) error {
 // queue and performs only the data transfer for this connection. It
 // drains sendQ opportunistically, coalescing up to sendBatchMax queued
 // packets into one vectored transport write — under load, N SDUs share
-// a single syscall and its framing cost; an idle connection still
-// transmits each SDU the moment it arrives.
+// a single syscall and its framing cost. (A lone SDU that finds it idle
+// never reaches it: writeInline.)
 func (c *Connection) sendThread() {
 	defer c.wg.Done()
 	items := make([]outItem, 0, sendBatchMax)
@@ -983,7 +1042,10 @@ func (c *Connection) sendThread() {
 				batch = append(batch, items[i].stage())
 			}
 			mCoalesceDepth.Observe(int64(len(batch)))
+			c.dataW.mu.Lock()
 			err := c.data.SendBatch(batch) // consumes the buffer refs
+			c.dataW.queued.Add(-int32(len(items)))
+			c.dataW.mu.Unlock()
 			finishAll(items)
 			if err != nil {
 				// The connection is going down; propagate so Send
@@ -1350,40 +1412,40 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 	return d, done
 }
 
-// emitCtrl sends one control packet on the path the connection's
-// runtime owns: the Control Send Thread's queue (in in-band mode the
-// Send Thread's, where it competes with data), the shard's outbound
-// queue, or — on the fast path, which has no threads — an inline write.
-// It serialises the packet into a pooled buffer BEFORE it returns, on
-// every runtime, which is what lets error and flow control lend it
-// bodies that live in their scratch; the queues carry that buffer, not
-// the packet. Safe from any goroutine. It reports false when the
-// connection closed.
+// emitCtrl sends one control packet: inline (writeInline) when its wire
+// is free, else on the path the connection's runtime owns — the Control
+// Send Thread's queue (in in-band mode the Send Thread's, where it
+// competes with data) or the shard's outbound queue. It serialises the
+// packet into a pooled buffer BEFORE it returns, on every runtime, which
+// is what lets error and flow control lend it bodies that live in their
+// scratch; the queues carry that buffer, not the packet. Safe from any
+// goroutine. It reports false when the connection closed.
 func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
 	sb.B = ctl.Marshal(sb.B)
-	// A ping never waits for queue room: the liveness sweep that sends it
-	// must not block on one connection, and a full control queue is
-	// control traffic in flight — the verdict reads what was heard, not
-	// what was sent. (A shard's outbound queue never makes anyone wait.)
+	it := outItem{c: c, ctrl: sb, ctrlPath: c.opts.FastPath || !c.opts.InbandControl}
+	// A ping neither goes inline nor waits for queue room: the liveness
+	// sweep that sends it must not block on one connection, and a full
+	// control queue is control traffic in flight — the verdict reads what
+	// was heard, not what was sent. A shard's control rides its flush
+	// (writeInline says why; its outbound queue never makes anyone wait).
+	// The fast path has no queue and no sweep: everything goes inline.
 	wait := ctl.Type != packet.CtrlPing
+	if c.opts.FastPath || wait && c.sh == nil {
+		if ok, err := c.writeInline(&it); ok {
+			return err == nil
+		}
+	}
 	var queued bool
 	switch {
-	case c.opts.FastPath:
-		c.stats.controlSent.Add(1)
-		c.fastCtrlMu.Lock()
-		err := c.ctrl.SendBuf(sb) // consumes the reference
-		c.fastCtrlMu.Unlock()
-		return err == nil
 	case c.sh != nil:
-		// Sharded: the shard loop writes it, batched with whatever
-		// else this cycle produced. Control packets are bounded by the
-		// inbound budget that produced them, so they take no slot.
-		queued = c.sh.shard.enqueueOut(outItem{c: c, ctrl: sb, ctrlPath: !c.opts.InbandControl})
-	case c.opts.InbandControl:
-		queued = offer(c.sendQ, outItem{c: c, ctrl: sb}, wait, c.closedCh)
+		// Control packets are bounded by the inbound budget that produced
+		// them, so they take no slot.
+		queued = c.sh.shard.enqueueOut(it)
+	case it.ctrlPath:
+		queued = offer(&c.ctrlW, c.ctrlQ, sb, wait, c.closedCh)
 	default:
-		queued = offer(c.ctrlQ, sb, wait, c.closedCh)
+		queued = offer(&c.dataW, c.sendQ, it, wait, c.closedCh)
 	}
 	if !queued {
 		sb.Release()
@@ -1400,23 +1462,26 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	return true
 }
 
-// offer queues v if q has room; if it has none and wait is set, it waits
-// for room or for closed. It reports whether v was queued.
-func offer[T any](q chan<- T, v T, wait bool, closed <-chan struct{}) bool {
+// offer queues v for w if q has room; if it has none and wait is set, it
+// waits for room or for closed. It reports whether v was queued, and
+// counts it in w's backlog from before it can be seen in q until the
+// writer that dequeues it has written it.
+func offer[T any](w *wire, q chan<- T, v T, wait bool, closed <-chan struct{}) bool {
+	w.queued.Add(1)
 	select {
 	case q <- v:
 		return true
 	default:
-		if !wait {
-			return false
+	}
+	if wait {
+		select {
+		case q <- v:
+			return true
+		case <-closed:
 		}
 	}
-	select {
-	case q <- v:
-		return true
-	case <-closed:
-		return false
-	}
+	w.queued.Add(-1)
+	return false
 }
 
 // drainCtrl releases the marshalled control packets still queued on a
@@ -1444,7 +1509,11 @@ func (c *Connection) ctrlSendThread() {
 		select {
 		case sb := <-c.ctrlQ:
 			c.stats.controlSent.Add(1)
-			if err := c.ctrl.SendBuf(sb); err != nil {
+			c.ctrlW.mu.Lock()
+			err := c.ctrl.SendBuf(sb)
+			c.ctrlW.queued.Add(-1)
+			c.ctrlW.mu.Unlock()
+			if err != nil {
 				go c.Close()
 				return
 			}

@@ -90,9 +90,6 @@ type Options struct {
 	// connection rides a clean, unimpaired UDP pair. nil gives clean
 	// defaults when Interface is transport.UDP.
 	UDPLink *transport.UDPLink
-	// FastPath selects the §4.2 procedure variant: no per-connection
-	// threads; Send/Recv run the protocol inline on the caller.
-	FastPath bool
 	// Runtime selects the connection's runtime architecture:
 	// RuntimeThreaded (default) gives it the paper's dedicated
 	// per-connection threads; RuntimeSharded drives it from the
@@ -103,13 +100,26 @@ type Options struct {
 	// threads. The option travels through signaling, so both endpoints
 	// run the architecture the dialer chose.
 	Runtime Runtime
-	// AckTimeout is the retransmission timer (§3.2 step 5).
-	// Default 200 ms.
-	AckTimeout time.Duration
+	// FastPath selects the §4.2 procedure variant: no per-connection
+	// threads; Send/Recv run the protocol inline on the caller. (The
+	// three booleans sit together so they pack: every Connection holds
+	// a copy of its Options.)
+	FastPath bool
+	// InbandControl multiplexes control packets onto the data
+	// connection instead of the separate control connection. This is
+	// the architecture the paper argues AGAINST (§2, "Separation of
+	// Control and Data Functions"); it exists for the ablation
+	// benchmark that quantifies the separation's benefit. Honoured by the
+	// threaded and sharded runtimes; the fast path always keeps control
+	// on its own connection.
+	InbandControl bool
 	// AdaptiveTimeout derives the retransmission timer from observed
 	// acknowledgment round trips (Jacobson/Karels estimation, Karn's
 	// rule); AckTimeout then acts as the ceiling and initial value.
 	AdaptiveTimeout bool
+	// AckTimeout is the retransmission timer (§3.2 step 5).
+	// Default 200 ms.
+	AckTimeout time.Duration
 	// Heartbeat, when positive, probes the peer over the control
 	// connection at this interval and fails the connection with
 	// ErrPeerUnreachable once the peer has stayed silent through more
@@ -121,14 +131,6 @@ type Options struct {
 	// before passes the verdict. Ignored on the fast path: nobody reads
 	// an idle fast-path control connection, so a pong could not be heard.
 	Heartbeat time.Duration
-	// InbandControl multiplexes control packets onto the data
-	// connection instead of the separate control connection. This is
-	// the architecture the paper argues AGAINST (§2, "Separation of
-	// Control and Data Functions"); it exists for the ablation
-	// benchmark that quantifies the separation's benefit. Honoured by the
-	// threaded and sharded runtimes; the fast path always keeps control
-	// on its own connection.
-	InbandControl bool
 	// Platform, when non-nil, charges this side's per-operation CPU
 	// costs (copies, system calls) on the connection's transports — the
 	// benchmark harness's stand-in for 1998 hardware. PeerPlatform

@@ -397,6 +397,8 @@ func TestRecvTimeout(t *testing.T) {
 
 // senderStages is the order the sender's lifecycle stamps come in,
 // whichever runtime makes them: each is stamped at one site (TestOneTracer).
+// Queued is stamped only when the first SDU went through a queue; one
+// written inline (writeInline) goes from Staged straight to Dequeued.
 var senderStages = []telemetry.TraceStage{
 	telemetry.StageEnqueued, telemetry.StageStaged, telemetry.StageQueued, telemetry.StageDequeued, telemetry.StageWireOut,
 }
@@ -435,12 +437,19 @@ func tracedSends(t *testing.T, conn, peer *Connection, n int, msg []byte) (trace
 }
 
 // checkSenderStages holds one trace to the sender-side order, inside
-// the Send call that made it.
-func checkSenderStages(t *testing.T, tr telemetry.Trace, call [2]int64) {
+// the Send call that made it, and to the path its first SDU took: through
+// a queue (queued) or written inline.
+func checkSenderStages(t *testing.T, tr telemetry.Trace, call [2]int64, queued bool) {
 	t.Helper()
 	prev := call[0]
 	for _, st := range senderStages {
 		at := tr.Stage(st)
+		if st == telemetry.StageQueued && !queued {
+			if at != 0 {
+				t.Fatalf("the first SDU was queued at %d; want it written inline: %+v", at, tr)
+			}
+			continue
+		}
 		if at == 0 || at < prev {
 			t.Fatalf("stage %v stamped at %d after %d (0: never): Send entered at %d; %+v", st, at, prev, call[0], tr)
 		}
@@ -453,17 +462,22 @@ func checkSenderStages(t *testing.T, tr telemetry.Trace, call [2]int64) {
 
 // TestThreadedSendStages: Table I's breakdown of a threaded 1-byte send —
 // entry, queue, switch to the Send Thread, transfer, switch back — is
-// read off the lifecycle tracer's stamps and a bracket on its clock.
+// read off the lifecycle tracer's stamps and a bracket on its clock. A
+// paced 1-byte send finds the Send Thread idle and is written by the
+// caller, so it has no queue and no switch; a two-SDU send goes through
+// the Send Thread and has both.
 func TestThreadedSendStages(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface: transport.SCI,
 	})
 	defer cleanup()
 	traces, calls := tracedSends(t, conn, peer, 1, []byte{1})
-	checkSenderStages(t, traces[0], calls[0])
+	checkSenderStages(t, traces[0], calls[0], false)
 	if traces[0].Bytes != 1 {
 		t.Fatalf("trace of a 1-byte send records %d bytes", traces[0].Bytes)
 	}
+	traces, calls = tracedSends(t, conn, peer, 1, make([]byte, conn.opts.SDUSize+1))
+	checkSenderStages(t, traces[0], calls[0], true)
 }
 
 func TestCloseUnblocksEverything(t *testing.T) {

@@ -353,6 +353,104 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 	})
 }
 
+// TestInlineWritesNeverOvertake holds the inline write to its one rule:
+// a lone SDU leaves on its sender's goroutine only when nothing is queued
+// ahead of it on its wire. Concurrent senders mix one-SDU messages, which
+// go inline whenever the wire is free, with three-SDU ones, which queue;
+// an unreliable message's Send returns once its last SDU left, so a
+// sender's next message must find the previous one's SDUs written, not
+// queued behind it. Over a clean FIFO link with no error control, every
+// message then arrives exactly once and each sender's in order — on each
+// runtime that has a queue, lane 0 and streams alike; the sharded one
+// writes nothing inline (writeInline says why). (Lane 0's 60
+// three-SDU messages stay below errctl.MaxTrackedSessions: its session
+// table ages out the oldest session, assuming one sender per channel, so
+// a sender descheduled between two SDUs could otherwise lose a session
+// to its siblings' — a limit of concurrent unreliable senders on one
+// lane, not of the wire.)
+func TestInlineWritesNeverOvertake(t *testing.T) {
+	const senders, msgs, sduSize = 4, 45, 256
+	size := func(seq int) int {
+		if seq%3 == 0 {
+			return 5 + 2*sduSize // three SDUs, whatever the header takes
+		}
+		return 5 + seq%100
+	}
+	for _, rt := range heartbeatRuntimes {
+		for _, lane := range []string{"lane0", "stream"} {
+			t.Run(rt.name+"/"+lane, func(t *testing.T) {
+				opts := Options{Interface: transport.HPI, ErrorControl: errctl.None, FlowControl: flowctl.None, SDUSize: sduSize}
+				rt.set(&opts)
+				buffersBefore := buf.Outstanding()
+				conn, peer, cleanup := newPairT(t, opts)
+				defer cleanup()
+
+				// Lane 0 carries every sender; a stream carries one.
+				sends := make([]func([]byte) error, senders)
+				recvs := []func(time.Duration) ([]byte, error){peer.RecvTimeout}
+				for s := range sends {
+					sends[s] = conn.Send
+					if lane == "stream" {
+						out, err := conn.OpenStream()
+						if err != nil {
+							t.Fatal(err)
+						}
+						in, err := peer.AcceptStreamTimeout(10 * time.Second)
+						if err != nil {
+							t.Fatal(err)
+						}
+						sends[s], recvs = out.Send, append(recvs[:s], in.RecvTimeout)
+					}
+				}
+				errs := make(chan error, senders+len(recvs))
+				for s, send := range sends {
+					go func() {
+						for seq := range msgs {
+							if err := send(reuseMsg(byte(s), uint32(seq), size(seq))); err != nil {
+								errs <- fmt.Errorf("sender %d, message %d: %w", s, seq, err)
+								return
+							}
+						}
+						errs <- nil
+					}()
+				}
+				for _, recv := range recvs {
+					go func() {
+						next := make([]uint32, senders)
+						for range senders * msgs / len(recvs) {
+							m, err := recv(10 * time.Second)
+							if err == nil && int(m[0]) >= senders {
+								err = fmt.Errorf("a message from sender %d", m[0])
+							}
+							if err == nil {
+								err = checkReuseMsg(m, m[0], next[m[0]])
+							}
+							if err != nil {
+								errs <- fmt.Errorf("after %v messages per sender: %w", next, err)
+								return
+							}
+							next[m[0]]++
+						}
+						errs <- nil
+					}()
+				}
+				for range senders + len(recvs) {
+					if err := <-errs; err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, recv := range recvs {
+					if _, err := recv(20 * time.Millisecond); err == nil {
+						t.Fatal("a message was delivered twice")
+					}
+				}
+				cleanup()
+				awaitBuffers(t, buffersBefore)
+			})
+		}
+	}
+}
+
 // hbUnit is the heartbeat interval of the tests that drive the liveness
 // sweep themselves: so long that the System's own timer never fires
 // within a test, so every sweep is one the test calls, at a time the

@@ -90,37 +90,7 @@ func TestOnePathEach(t *testing.T) {
 // "name" for a function — sorted, one entry per call site.
 func callersOf(t *testing.T, dir, method string) []string {
 	t.Helper()
-	var callers []string
-	inspectPackage(t, dir, func(n ast.Node) bool {
-		fn, ok := n.(*ast.FuncDecl)
-		if !ok || fn.Body == nil {
-			return true
-		}
-		name := fn.Name.Name
-		if fn.Recv != nil && len(fn.Recv.List) == 1 {
-			typ := fn.Recv.List[0].Type
-			if star, ok := typ.(*ast.StarExpr); ok {
-				typ = star.X
-			}
-			if idx, ok := typ.(*ast.IndexExpr); ok { // a generic receiver, Mailbox[T]
-				typ = idx.X
-			}
-			if id, ok := typ.(*ast.Ident); ok {
-				name = id.Name + "." + name
-			}
-		}
-		ast.Inspect(fn.Body, func(m ast.Node) bool {
-			if call, ok := m.(*ast.CallExpr); ok {
-				if sel, ok := call.Fun.(*ast.SelectorExpr); ok && sel.Sel.Name == method {
-					callers = append(callers, name)
-				}
-			}
-			return true
-		})
-		return false
-	})
-	slices.Sort(callers)
-	return callers
+	return callersOfChain(t, dir, method)
 }
 
 // bellSelects counts, in the function declarations of dir's non-test
@@ -180,7 +150,6 @@ func TestOneReceiveEnd(t *testing.T) {
 	streamDir := filepath.Join("..", "stream")
 	core := callSites(t, ".")
 	for callee, why := range map[string]string{
-		".TryLock":    "fastRecvMu.TryLock, becoming the fast path's pump: Connection.await",
 		".TryPop":     "a stream's take: Connection.recv",
 		".PopAccept":  "the accept queue's take: Connection.AcceptStreamTimeout",
 		".fastPump":   "the pump itself: Connection.await",
@@ -196,6 +165,11 @@ func TestOneReceiveEnd(t *testing.T) {
 		if n := core[callee]; n != want {
 			t.Errorf("internal/core has %d call sites of %s, want exactly %d (%s)", n, callee, want, why)
 		}
+	}
+	// fastRecvMu.TryLock, becoming the fast path's pump, is in
+	// Connection.await; the other TryLock takes a wire (TestOneInlineWrite).
+	if got, want := callersOf(t, ".", "TryLock"), []string{"Connection.await", "Connection.writeInline"}; !slices.Equal(got, want) {
+		t.Errorf("internal/core calls TryLock in %v, want exactly %v", got, want)
 	}
 	// Every take from a mailbox, by name: a lane's message, an inbox's
 	// delivery, a parked producer, a parked stream message, an accept.
@@ -449,7 +423,7 @@ func TestOneSetOfBooks(t *testing.T) {
 		"retransmissions":  1,
 		"sdusReceived":     1, // Connection.dispatchData
 		"bytesReceived":    1,
-		"controlSent":      3, // outItem.stage, the fast path's inline write, the Control Send Thread
+		"controlSent":      2, // outItem.stage (queued on a Send Thread or shard, or written inline), the Control Send Thread
 		"controlReceived":  1, // Connection.routeControl
 	}
 	if typ := reflect.TypeOf(statCounters{}); typ.NumField() != len(want) {
@@ -464,4 +438,92 @@ func TestOneSetOfBooks(t *testing.T) {
 	for field, n := range adds {
 		t.Errorf("stats.%s: %d Add sites on a field statCounters does not pin", field, n)
 	}
+}
+
+// callersOfChain names, like callersOf, the function around each call
+// whose callee ends in the selector chain given — ("queued", "Load")
+// matches c.dataW.queued.Load() and w.queued.Load() alike.
+func callersOfChain(t *testing.T, dir string, chain ...string) []string {
+	t.Helper()
+	var callers []string
+	inspectPackage(t, dir, func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			return true
+		}
+		name := fn.Name.Name
+		if fn.Recv != nil && len(fn.Recv.List) == 1 {
+			typ := fn.Recv.List[0].Type
+			if star, ok := typ.(*ast.StarExpr); ok {
+				typ = star.X
+			}
+			if idx, ok := typ.(*ast.IndexExpr); ok { // a generic receiver, Mailbox[T]
+				typ = idx.X
+			}
+			if id, ok := typ.(*ast.Ident); ok {
+				name = id.Name + "." + name
+			}
+		}
+		ast.Inspect(fn.Body, func(m ast.Node) bool {
+			call, ok := m.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			e := call.Fun
+			for i := len(chain) - 1; i >= 0; i-- {
+				var got string
+				switch x := e.(type) {
+				case *ast.SelectorExpr:
+					got, e = x.Sel.Name, x.X
+				case *ast.Ident:
+					got, e = x.Name, nil
+				}
+				if got != chain[i] {
+					return true
+				}
+			}
+			callers = append(callers, name)
+			return true
+		})
+		return false
+	})
+	slices.Sort(callers)
+	return callers
+}
+
+// TestOneInlineWrite holds the write-when-the-wire-is-free rule in one
+// place: writeInline is the only write outside the three queue writers,
+// its two callers are put (a lone SDU) and emitCtrl (a control packet),
+// and the backlog it reads is kept where the writers hold the wire —
+// added to by offer before a packet can be seen in its queue, taken from
+// by the Send Thread and the Control Send Thread under the owner after
+// the write, and read by writeInline alone, once it holds the owner. So
+// no inline write can overtake a queued packet
+// (TestInlineWritesNeverOvertake is the behaviour). A shard never writes
+// inline, so its flush takes no owner.
+func TestOneInlineWrite(t *testing.T) {
+	for _, c := range []struct {
+		chain []string
+		want  []string
+	}{
+		{[]string{"writeInline"}, []string{"Connection.emitCtrl", "Connection.put"}},
+		{[]string{"SendBuf"}, []string{"Connection.ctrlSendThread", "Connection.writeInline"}},
+		{[]string{"SendBatch"}, []string{"Connection.sendThread", "shard.flushOut", "shard.flushOut"}}, // a shard's data and control batches
+		{[]string{"queued", "Load"}, []string{"Connection.writeInline"}},
+		{[]string{"queued", "Add"}, []string{"Connection.ctrlSendThread", "Connection.sendThread", "offer", "offer"}},
+		{[]string{"dataW", "mu", "Lock"}, []string{"Connection.sendThread"}},
+		{[]string{"ctrlW", "mu", "Lock"}, []string{"Connection.ctrlSendThread"}},
+		{[]string{"w", "mu", "Lock"}, []string{"Connection.writeInline"}}, // the fast path: no queue to fall back on
+		{[]string{"w", "mu", "TryLock"}, []string{"Connection.writeInline"}},
+	} {
+		if got := callersOfChain(t, ".", c.chain...); !slices.Equal(got, c.want) {
+			t.Errorf("%s is called in %v, want exactly %v", strings.Join(c.chain, "."), got, c.want)
+		}
+	}
+	inspectPackage(t, ".", func(n ast.Node) bool {
+		if id, ok := n.(*ast.Ident); ok && id.Name == "fastCtrlMu" {
+			t.Errorf("identifier %s is back in internal/core: ctrlW is the control wire's owner on every runtime", id.Name)
+		}
+		return true
+	})
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"runtime"
 	"testing"
 	"time"
@@ -102,9 +103,11 @@ func TestQueuedDeliveriesSurviveAndReturnAtClose(t *testing.T) {
 					queued = ib.box.Len
 				}
 				awaitCond(t, "not every message reached its mailbox", func() bool { return queued() == msgs })
-				if pinned := buf.Outstanding() - bufs; pinned != want {
-					t.Fatalf("%d queued one-SDU messages pin %d pooled buffers, want %d", msgs, pinned, want)
-				}
+				// A control packet on its way — the stream's announcement, which
+				// its sender wrote itself — pins a buffer until the peer's
+				// Control Receive Thread has read it.
+				awaitCond(t, fmt.Sprintf("%d queued one-SDU messages never pinned exactly %d pooled buffers", msgs, want),
+					func() bool { return buf.Outstanding()-bufs == want })
 
 				// Close the owner, nothing read.
 				switch lane {

@@ -31,10 +31,12 @@ import (
 //     goroutine that feeds the loop;
 //   - sends: NCS_send callers run flow-control admission on their own
 //     goroutine exactly as in the threaded runtime, then deposit SDUs
-//     on the shard's outbound queue; each loop cycle drains the queue
-//     and issues one vectored SendBatch per connection — PR 1's
-//     per-connection 16-SDU coalescing extended across connections, so
-//     one wakeup flushes many connections' traffic;
+//     on the shard's outbound queue — even a lone SDU the threaded
+//     runtime would write inline (Connection.writeInline says why);
+//     each loop cycle drains the queue and issues one vectored
+//     SendBatch per connection — PR 1's per-connection 16-SDU
+//     coalescing extended across connections, so one wakeup flushes
+//     many connections' traffic;
 //   - flow/error control state stays strictly per-connection (the same
 //     objects the threads drive); the shard serialises all receive-side
 //     protocol work for a connection on one goroutine, which is the

@@ -33,10 +33,10 @@ var (
 	// inbox refused a message (shardConn.dataPaused).
 	mParkedConns = telemetry.NewGauge("core.shard.parked_conns")
 
-	// mCoalesceDepth observes how many SDUs each vectored transport
-	// write carried (threaded Send Thread batches and sharded per-cycle
-	// flushes alike); mSendQDepth observes send-queue occupancy at
-	// enqueue time.
+	// mCoalesceDepth observes how many SDUs each data-connection write
+	// carried (threaded Send Thread batches, sharded per-cycle flushes,
+	// and an inline write as a batch of one); mSendQDepth observes
+	// send-queue occupancy at enqueue time.
 	mCoalesceDepth = telemetry.NewHistogram("core.send.coalesce_depth")
 	mSendQDepth    = telemetry.NewHistogram("core.send.sendq_depth")
 )

@@ -194,9 +194,12 @@ type reassembly struct {
 // that sequence number already arrived — the first copy wins and the
 // duplicate is counted — and reports whether it was new.
 func (a *reassembly) hold(seq int, payload []byte, ref *buf.Buffer) bool {
-	if seq >= len(a.segs) {
-		a.segs = append(a.segs, make([]segment, seq+1-len(a.segs))...)
-		a.got = append(a.got, make([]bool, seq+1-len(a.got))...)
+	// Grown element by element: append(x, make(…)…) is allocation-free
+	// only while the compiler optimises the make away, which -race
+	// instrumentation stops it from doing.
+	for len(a.segs) <= seq {
+		a.segs = append(a.segs, segment{})
+		a.got = append(a.got, false)
 	}
 	if a.got[seq] {
 		mRecvDup.Inc()

@@ -99,9 +99,11 @@
 //
 // Histograms (power-of-two buckets):
 //
-//	core.send.coalesce_depth           SDUs coalesced per vectored write (Send
-//	                                   Thread batch or shard flush)
-//	core.send.sendq_depth              send-queue occupancy at enqueue
+//	core.send.coalesce_depth           SDUs per data-connection write: a Send
+//	                                   Thread batch, a shard flush, or 1 for
+//	                                   an SDU its sender wrote inline
+//	core.send.sendq_depth              send-queue occupancy at enqueue (an
+//	                                   inline write never enqueues)
 //	transport.udp.send_batch_depth     datagrams per send syscall
 //	transport.udp.recv_batch_depth     datagrams per receive syscall
 //	flowctl.send.credit_wait_ns        time blocked awaiting credits
@@ -118,8 +120,10 @@
 // are not in path order — Queued and Dequeued, the sender's hand-off to
 // the runtime that writes the SDU, between Staged and WireOut: Table I's
 // queue and context-switch rows are their deltas, read against a
-// bracket on the tracer's clock (TraceNow). A sampled message that never
-// reaches delivery gives its slot up to a later one. Tracing is off by
-// default and free when off: every stamp site is a single atomic
-// pointer load and nil check.
+// bracket on the tracer's clock (TraceNow). An SDU its sender wrote
+// inline, the wire being free, is Dequeued (picked up by its writer)
+// but never Queued: a zero Queued stamp marks that path. A sampled
+// message that never reaches delivery gives its slot up to a later
+// one. Tracing is off by default and free when off: every stamp site is
+// a single atomic pointer load and nil check.
 package telemetry

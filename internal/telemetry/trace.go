@@ -32,12 +32,13 @@ const (
 	// StageDelivered: the message was handed to the application's
 	// receive queue or inbox.
 	StageDelivered
-	// StageQueued: the first SDU was handed to the runtime that writes
-	// it — the Send Thread's queue, the shard's, or (fast path) the
-	// caller's own inline write. Between Staged and WireOut.
+	// StageQueued: the first SDU was handed to the queue of the runtime
+	// that writes it — the Send Thread's or the shard's. Between Staged
+	// and WireOut; never stamped for an SDU its sender wrote inline.
 	StageQueued
-	// StageDequeued: that runtime picked the SDU up and began
-	// serialising it. Between Queued and WireOut.
+	// StageDequeued: its writer picked the SDU up and began serialising
+	// it — off the queue, or inline. Between Queued (when stamped) and
+	// WireOut.
 	StageDequeued
 
 	numStages

@@ -806,13 +806,13 @@ func (c *udpConn) sendLocked(bs []*buf.Buffer) error {
 	id := c.chanID.Load()
 	msgs := ep.msgs[:0]
 	for i, b := range bs {
-		if b.Len() > c.maxPacket {
+		if n := b.Len(); n > c.maxPacket {
 			for _, m := range msgs {
 				m.b.Release()
 			}
 			ep.msgs = msgs[:0]
-			releaseAll(bs[i:])
-			return fmt.Errorf("udp: packet %d bytes exceeds MaxPacket %d", b.Len(), c.maxPacket)
+			releaseAll(bs[i:]) // b may be reused from here on: n was read first
+			return fmt.Errorf("udp: packet %d bytes exceeds MaxPacket %d", n, c.maxPacket)
 		}
 		d := c.imp.Decide()
 		if d.Drop {

@@ -503,9 +503,12 @@ type (
 // Lifecycle trace stages. The first six, values 0–5, are the path in
 // path order. StageQueued and StageDequeued were appended after them and
 // are not in path order: both are sender-side, between StageStaged and
-// StageWireOut — the SDU handed to the runtime that writes it (the Send
-// Thread's queue, the shard's, the fast path's own inline write), and
-// that runtime picking it up. Table I's hand-off rows are their deltas.
+// StageWireOut — the SDU handed to the queue of the runtime that writes
+// it (the Send Thread's, the shard's), and its writer picking it up. An
+// SDU its sender wrote inline, the wire being free (every fast-path SDU,
+// a lone one on an idle threaded connection), is picked up without ever
+// being queued: StageQueued stays 0. Table I's hand-off rows are their
+// deltas.
 const (
 	StageEnqueued    = telemetry.StageEnqueued
 	StageStaged      = telemetry.StageStaged
