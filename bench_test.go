@@ -1000,12 +1000,61 @@ func BenchmarkAllocRPCEchoHPIFastpath(b *testing.B) {
 
 // BenchmarkAllocRPCEcho1KSharded is the benchmark's rpc_fanin with one
 // caller at a time: 1 KB echo calls alternating over two sharded HPI
-// connections, both bound to the one Inbox one server demultiplexes. The
-// server releases each request after its reply, so a call costs the one
-// slice Call returns.
+// connections, both bound to the one Inbox one server serves. The server
+// releases each request after its reply, so a call costs the one slice
+// Call returns.
 func BenchmarkAllocRPCEcho1KSharded(b *testing.B) {
+	clients := rpcFanIn(b)
+	req := make([]byte, 1024)
+	ctx := context.Background()
+	b.SetBytes(int64(len(req)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := clients[i&1].Call(ctx, "echo", req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkAllocRPCFanIn2 is rpc_fanin's shape itself: two callers at
+// once, one on each sharded connection, into the one Inbox. Its calls
+// contend — inline writes against shard flushes, inbox readers against
+// each other — so a hand-off that allocates only under contention shows
+// here and not in BenchmarkAllocRPCEcho1KSharded. Still the one slice
+// per call.
+func BenchmarkAllocRPCFanIn2(b *testing.B) {
+	clients := rpcFanIn(b)
+	req := make([]byte, 1024)
+	ctx := context.Background()
+	errs := make(chan error, len(clients))
+	b.SetBytes(int64(len(req)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for c, cli := range clients {
+		go func() {
+			for i := c; i < b.N; i += len(clients) {
+				if _, err := cli.Call(ctx, "echo", req); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for range clients {
+		if err := <-errs; err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// rpcFanIn is rpc_fanin's set-up: one server serving one Inbox, two
+// sharded HPI connections bound to it, a client on each; all torn down
+// with b.
+func rpcFanIn(b *testing.B) [2]*ncs.RPCClient {
 	nw := ncs.NewNetwork()
-	defer nw.Close()
+	b.Cleanup(nw.Close)
 	sa, err := nw.NewSystem("rpc-fanin-a")
 	if err != nil {
 		b.Fatal(err)
@@ -1018,7 +1067,7 @@ func BenchmarkAllocRPCEcho1KSharded(b *testing.B) {
 	srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
 	ib := ncs.NewInbox(0)
 	srv.ServeInbox(ib)
-	defer srv.Shutdown()
+	b.Cleanup(srv.Shutdown)
 	var clients [2]*ncs.RPCClient
 	for i := range clients {
 		conn, err := sa.Connect("rpc-fanin-b", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded})
@@ -1033,18 +1082,9 @@ func BenchmarkAllocRPCEcho1KSharded(b *testing.B) {
 			b.Fatal(err)
 		}
 		clients[i] = ncs.NewClient(conn)
-		defer clients[i].Close()
+		b.Cleanup(func() { clients[i].Close() })
 	}
-	req := make([]byte, 1024)
-	ctx := context.Background()
-	b.SetBytes(int64(len(req)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := clients[i&1].Call(ctx, "echo", req); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return clients
 }
 
 // BenchmarkAllocRPCEchoSCI tracks the threaded TCP-loopback variant.

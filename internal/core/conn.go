@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -69,12 +70,34 @@ type outItem struct {
 
 // wire is one transport as its writers share it. Whoever writes it holds
 // mu across the write: a queue's writer (the Send Thread, the Control
-// Send Thread) for each batch, a producer writing inline for its one
-// packet (writeInline). queued counts the packets queued for it and not
-// yet written.
+// Send Thread, a shard's flush) for each batch, a producer writing
+// inline for its one packet (writeInline). queued counts the packets
+// queued for it and not yet written.
 type wire struct {
 	mu     sync.Mutex
 	queued atomic.Int32
+}
+
+// write issues a queue writer's batch on t under the wire's owner and
+// takes it from the backlog once it is written — so an inline write that
+// finds the owner free and the backlog empty has nothing queued to
+// overtake — then finishes the batch's items.
+func (w *wire) write(t transport.Conn, bufs []*buf.Buffer, items []outItem) error {
+	w.mu.Lock()
+	err := t.SendBatch(bufs) // consumes the buffer refs
+	w.queued.Add(-int32(len(bufs)))
+	w.mu.Unlock()
+	finishAll(items)
+	return err
+}
+
+// wire returns the item's wire and transport: the control connection's
+// or, for data and in-band control, the data connection's.
+func (it *outItem) wire() (*wire, transport.Conn) {
+	if it.ctrlPath {
+		return &it.c.ctrlW, it.c.ctrl
+	}
+	return &it.c.dataW, it.c.data
 }
 
 // stage returns the marshalled packet to write: the control packet as
@@ -771,9 +794,9 @@ func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
 //
 // A batch of one SDU — a one-SDU message, a single retransmission — is
 // alone: put writes it inline when the wire is free. Larger batches
-// queue, and keep the Send Thread's coalescing; so do an unreliable
-// message's SDUs before its last, batches of one only because None
-// segments on the caller's stack. A shard keeps its queue (writeInline).
+// queue, and keep the Send Thread's or the shard's coalescing; so do an
+// unreliable message's SDUs before its last, batches of one only because
+// None segments on the caller's stack.
 func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
@@ -784,7 +807,7 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 	if len(sdus) > 0 && sdus[0].Header.Flags&packet.FlagRetransmit != 0 {
 		flowctl.NoteLoss(lane.fc, len(sdus))
 	}
-	alone := c.sh == nil && len(sdus) == 1 && sdus[0].Header.Flags&(packet.FlagEnd|packet.FlagRetransmit) != 0
+	alone := len(sdus) == 1 && sdus[0].Header.Flags&(packet.FlagEnd|packet.FlagRetransmit) != 0
 	wait := c.rto()
 	for i, sdu := range sdus {
 		if err := c.admit(lane, wait); err != nil {
@@ -887,9 +910,26 @@ func (c *Connection) creditTimeout(lane sendLane) error {
 // free. Otherwise the SDU joins the Send Thread's or the shard's queue —
 // and put waits, when done is given, for the token that confirms it left
 // the interface. An inline write is finished when it returns: no token.
+//
+// Having written inline, a sharded sender yields. The write woke the
+// peer's reader onto this P's runnext; Gosched runs it at once and moves
+// the sender to the global run queue, where an idle P takes it. Without
+// the yield, that P finds only a running P's runnext to steal and backs
+// off in the Go scheduler's usleep(3) — ≈ 60 µs under Linux's 50 µs
+// timer slack: with two callers on two Ps, 3–5 % of rpc_fanin's calls
+// took 65–80 µs. No yield follows a fast-path write or a control write
+// (emitCtrl): both measured worse with one. Nor a threaded write: there
+// the sender's move between Ps after each yield left the runtime's
+// per-P sudog caches to refill after every collection, and a 64 B
+// reliable echo allocated up to 2.11 times per echo under a forced
+// collection every 16th (TestMessagePathAllocationsSurviveTheCollector;
+// 2.00–2.01 without it).
 func (c *Connection) put(it outItem, done chan struct{}, alone bool) error {
 	if alone || c.opts.FastPath {
 		if ok, err := c.writeInline(&it); ok {
+			if c.sh != nil {
+				runtime.Gosched()
+			}
 			return err
 		}
 	}
@@ -931,20 +971,8 @@ func (c *Connection) put(it outItem, done chan struct{}, alone bool) error {
 // and shrinks the backlog under it, so an inline write never overtakes a
 // queued packet. Only the fast path, which has no queue, waits for the
 // owner. ok is false when the packet must queue instead.
-//
-// The sharded runtime never writes inline. With two callers on two Ps,
-// inline writes at both ends make each round trip a ring of runnext
-// hand-offs on one P; the other P, finding nothing to steal but a
-// running P's runnext, backs off in the Go scheduler's usleep(3) —
-// ≈ 60 µs under Linux's default 50 µs timer slack — while the second
-// caller waits in the first P's run queue: 2–3 % of rpc_fanin's calls
-// took 65–70 µs (none at a 1 ns timer slack). The shard's queue breaks
-// the ring. (Two busy threaded connections show the same mode.)
 func (c *Connection) writeInline(it *outItem) (ok bool, err error) {
-	w, t := &c.dataW, c.data
-	if it.ctrlPath {
-		w, t = &c.ctrlW, c.ctrl
-	}
+	w, t := it.wire()
 	if c.opts.FastPath {
 		w.mu.Lock()
 	} else if !w.mu.TryLock() {
@@ -1042,12 +1070,7 @@ func (c *Connection) sendThread() {
 				batch = append(batch, items[i].stage())
 			}
 			mCoalesceDepth.Observe(int64(len(batch)))
-			c.dataW.mu.Lock()
-			err := c.data.SendBatch(batch) // consumes the buffer refs
-			c.dataW.queued.Add(-int32(len(items)))
-			c.dataW.mu.Unlock()
-			finishAll(items)
-			if err != nil {
+			if err := c.dataW.write(c.data, batch, items); err != nil {
 				// The connection is going down; propagate so Send
 				// callers see ErrConnClosed via closedCh.
 				go c.Close()
@@ -1427,11 +1450,12 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	// A ping neither goes inline nor waits for queue room: the liveness
 	// sweep that sends it must not block on one connection, and a full
 	// control queue is control traffic in flight — the verdict reads what
-	// was heard, not what was sent. A shard's control rides its flush
-	// (writeInline says why; its outbound queue never makes anyone wait).
+	// was heard, not what was sent. The acks and grants a shard emits
+	// while it serves the connection ride its flush, coalesced with the
+	// rest of its cycle (its outbound queue never makes anyone wait).
 	// The fast path has no queue and no sweep: everything goes inline.
 	wait := ctl.Type != packet.CtrlPing
-	if c.opts.FastPath || wait && c.sh == nil {
+	if c.opts.FastPath || wait && (c.sh == nil || !c.sh.serving.Load()) {
 		if ok, err := c.writeInline(&it); ok {
 			return err == nil
 		}

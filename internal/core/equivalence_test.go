@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -361,8 +362,12 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 // sender's next message must find the previous one's SDUs written, not
 // queued behind it. Over a clean FIFO link with no error control, every
 // message then arrives exactly once and each sender's in order — on each
-// runtime that has a queue, lane 0 and streams alike; the sharded one
-// writes nothing inline (writeInline says why). (Lane 0's 60
+// runtime that has a queue, lane 0 and streams alike. On the sharded
+// runtime the one-SDU messages race the shard's flush. The sender's
+// transports are a wireWitness, which holds every write to the rule
+// inline writes rely on: the writer holds the wire's owner, and a
+// batch is still counted in the wire's backlog while it is written.
+// (Lane 0's 60
 // three-SDU messages stay below errctl.MaxTrackedSessions: its session
 // table ages out the oldest session, assuming one sender per channel, so
 // a sender descheduled between two SDUs could otherwise lose a session
@@ -382,7 +387,7 @@ func TestInlineWritesNeverOvertake(t *testing.T) {
 				opts := Options{Interface: transport.HPI, ErrorControl: errctl.None, FlowControl: flowctl.None, SDUSize: sduSize}
 				rt.set(&opts)
 				buffersBefore := buf.Outstanding()
-				conn, peer, cleanup := newPairT(t, opts)
+				conn, peer, witnessed, cleanup := newWitnessedPair(t, opts.withDefaults())
 				defer cleanup()
 
 				// Lane 0 carries every sender; a stream carries one.
@@ -444,11 +449,85 @@ func TestInlineWritesNeverOvertake(t *testing.T) {
 						t.Fatal("a message was delivered twice")
 					}
 				}
+				if err := witnessed(); err != nil {
+					t.Fatal(err)
+				}
 				cleanup()
 				awaitBuffers(t, buffersBefore)
 			})
 		}
 	}
+}
+
+// wireWitness is one of a connection's transports, holding each write
+// to what an inline write relies on: its writer holds the wire's owner,
+// and a batch — written only by a queue's writer — is still counted in
+// the wire's backlog while it is written. The first breach is kept.
+type wireWitness struct {
+	transport.Conn
+	transport.Poller
+	w      atomic.Pointer[wire]
+	breach atomic.Pointer[error]
+}
+
+// check judges one write of n packets; a batch is a queue writer's.
+func (ww *wireWitness) check(n int, batch bool) {
+	w := ww.w.Load()
+	var err error
+	if w.mu.TryLock() {
+		w.mu.Unlock()
+		err = fmt.Errorf("a write of %d packets without the wire's owner", n)
+	} else if backlog := w.queued.Load(); batch && int(backlog) < n {
+		err = fmt.Errorf("a batch of %d written with %d counted in the wire's backlog", n, backlog)
+	}
+	if err != nil {
+		ww.breach.CompareAndSwap(nil, &err)
+	}
+}
+
+func (ww *wireWitness) SendBuf(b *buf.Buffer) error {
+	ww.check(1, false)
+	return ww.Conn.SendBuf(b)
+}
+
+func (ww *wireWitness) SendBatch(bs []*buf.Buffer) error {
+	ww.check(len(bs), true)
+	return ww.Conn.SendBatch(bs)
+}
+
+// newWitnessedPair is newPairT over HPI with the client's two
+// transports watched by wireWitnesses; witnessed reports their first
+// breach.
+func newWitnessedPair(t *testing.T, opts Options) (conn, peer *Connection, witnessed func() error, cleanup func()) {
+	t.Helper()
+	nw := NewNetwork()
+	sysA, err := nw.NewSystem("witnessed")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sysB, err := nw.NewSystem("peer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, pdata := transport.HPIPair()
+	ctrl, pctrl := transport.HPIPair()
+	dataP, _ := transport.AsPoller(data)
+	ctrlP, _ := transport.AsPoller(ctrl)
+	wd := &wireWitness{Conn: data, Poller: dataP}
+	wc := &wireWitness{Conn: ctrl, Poller: ctrlP}
+	conn = newConnection(sysA, "peer", 1, opts, wd, wc, true)
+	wd.w.Store(&conn.dataW)
+	wc.w.Store(&conn.ctrlW)
+	peer = newConnection(sysB, "witnessed", 1, opts, pdata, pctrl, false)
+	witnessed = func() error {
+		for _, ww := range []*wireWitness{wd, wc} {
+			if err := ww.breach.Load(); err != nil {
+				return *err
+			}
+		}
+		return nil
+	}
+	return conn, peer, witnessed, nw.Close
 }
 
 // hbUnit is the heartbeat interval of the tests that drive the liveness

@@ -495,12 +495,14 @@ func callersOfChain(t *testing.T, dir string, chain ...string) []string {
 // place: writeInline is the only write outside the three queue writers,
 // its two callers are put (a lone SDU) and emitCtrl (a control packet),
 // and the backlog it reads is kept where the writers hold the wire —
-// added to by offer before a packet can be seen in its queue, taken from
-// by the Send Thread and the Control Send Thread under the owner after
-// the write, and read by writeInline alone, once it holds the owner. So
-// no inline write can overtake a queued packet
-// (TestInlineWritesNeverOvertake is the behaviour). A shard never writes
-// inline, so its flush takes no owner.
+// added to by offer and enqueueOut before a packet can be seen in its
+// queue, taken from by the Control Send Thread and by wire.write (the
+// Send Thread's and a shard's batches) under the owner after the write,
+// and read by writeInline
+// alone, once it holds the owner. So no inline write can overtake a
+// queued packet, on any runtime (TestInlineWritesNeverOvertake is the
+// behaviour), and writeInline asks no runtime whether it may write. The
+// yield after an inline data write is put's, the one Gosched in core.
 func TestOneInlineWrite(t *testing.T) {
 	for _, c := range []struct {
 		chain []string
@@ -508,21 +510,34 @@ func TestOneInlineWrite(t *testing.T) {
 	}{
 		{[]string{"writeInline"}, []string{"Connection.emitCtrl", "Connection.put"}},
 		{[]string{"SendBuf"}, []string{"Connection.ctrlSendThread", "Connection.writeInline"}},
-		{[]string{"SendBatch"}, []string{"Connection.sendThread", "shard.flushOut", "shard.flushOut"}}, // a shard's data and control batches
+		{[]string{"SendBatch"}, []string{"wire.write"}}, // the Send Thread's batches and a shard's
 		{[]string{"queued", "Load"}, []string{"Connection.writeInline"}},
-		{[]string{"queued", "Add"}, []string{"Connection.ctrlSendThread", "Connection.sendThread", "offer", "offer"}},
-		{[]string{"dataW", "mu", "Lock"}, []string{"Connection.sendThread"}},
+		{[]string{"queued", "Add"}, []string{"Connection.ctrlSendThread", "offer", "offer", "shard.enqueueOut", "shard.enqueueOut", "wire.write"}},
 		{[]string{"ctrlW", "mu", "Lock"}, []string{"Connection.ctrlSendThread"}},
-		{[]string{"w", "mu", "Lock"}, []string{"Connection.writeInline"}}, // the fast path: no queue to fall back on
+		{[]string{"w", "mu", "Lock"}, []string{"Connection.writeInline", "wire.write"}}, // writeInline's: the fast path, no queue to fall back on
 		{[]string{"w", "mu", "TryLock"}, []string{"Connection.writeInline"}},
+		{[]string{"runtime", "Gosched"}, []string{"Connection.put"}},
 	} {
 		if got := callersOfChain(t, ".", c.chain...); !slices.Equal(got, c.want) {
 			t.Errorf("%s is called in %v, want exactly %v", strings.Join(c.chain, "."), got, c.want)
 		}
 	}
 	inspectPackage(t, ".", func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "fastCtrlMu" {
-			t.Errorf("identifier %s is back in internal/core: ctrlW is the control wire's owner on every runtime", id.Name)
+		switch n := n.(type) {
+		case *ast.Ident:
+			if n.Name == "fastCtrlMu" {
+				t.Errorf("identifier %s is back in internal/core: ctrlW is the control wire's owner on every runtime", n.Name)
+			}
+		case *ast.FuncDecl:
+			if n.Name.Name != "writeInline" {
+				return true
+			}
+			ast.Inspect(n.Body, func(m ast.Node) bool {
+				if sel, ok := m.(*ast.SelectorExpr); ok && (sel.Sel.Name == "sh" || sel.Sel.Name == "Runtime") {
+					t.Errorf("writeInline reads %s: the inline write asks no runtime whether it may write", sel.Sel.Name)
+				}
+				return true
+			})
 		}
 		return true
 	})

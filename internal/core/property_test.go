@@ -282,9 +282,9 @@ func TestHeartbeatKeepsHealthyConnectionAlive(t *testing.T) {
 
 // TestTraceStagesMonotonic checks the lifecycle stamps are internally
 // consistent across many sends, on every runtime: the sender's in order
-// inside the Send that made them — no Queued where a paced one-SDU send
-// finds the wire free and is written inline, which is everywhere but on
-// a shard — and the six path stages in path order.
+// inside the Send that made them — no Queued: a paced one-SDU send finds
+// the wire free and is written inline, on every runtime — and the six
+// path stages in path order.
 func TestTraceStagesMonotonic(t *testing.T) {
 	for _, rt := range allRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
@@ -294,7 +294,7 @@ func TestTraceStagesMonotonic(t *testing.T) {
 			defer cleanup()
 			traces, calls := tracedSends(t, conn, peer, 100, []byte{9})
 			for i, tr := range traces {
-				checkSenderStages(t, tr, calls[i], opts.Runtime == RuntimeSharded && !opts.FastPath)
+				checkSenderStages(t, tr, calls[i], false)
 				var prev int64
 				for st := telemetry.StageEnqueued; st <= telemetry.StageDelivered; st++ {
 					if tr.Stage(st) < prev || tr.Stage(st) == 0 {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -30,13 +31,16 @@ import (
 //     kernel socket, ACI a cell reassembler), via a minimal pump
 //     goroutine that feeds the loop;
 //   - sends: NCS_send callers run flow-control admission on their own
-//     goroutine exactly as in the threaded runtime, then deposit SDUs
-//     on the shard's outbound queue — even a lone SDU the threaded
-//     runtime would write inline (Connection.writeInline says why);
-//     each loop cycle drains the queue and issues one vectored
+//     goroutine exactly as in the threaded runtime; a lone SDU then
+//     leaves on the caller's goroutine when the wire is free
+//     (Connection.writeInline), and the rest go on the shard's outbound
+//     queue. Each loop cycle drains the queue and issues one vectored
 //     SendBatch per connection — PR 1's per-connection 16-SDU
 //     coalescing extended across connections, so one wakeup flushes
-//     many connections' traffic;
+//     many connections' traffic — holding the connection's wire owner
+//     across the write, as the Send Thread does, so an inline write
+//     never overtakes a queued packet. The acks and grants the loop
+//     itself emits ride that flush;
 //   - flow/error control state stays strictly per-connection (the same
 //     objects the threads drive); the shard serialises all receive-side
 //     protocol work for a connection on one goroutine, which is the
@@ -70,7 +74,8 @@ const (
 	// pool: a fixed set of event loops demultiplexing receives and
 	// coalescing sends across all sharded connections. Goroutine count
 	// stays O(shards) regardless of connection count (on pollable
-	// transports), at the price of one queue hop per packet.
+	// transports), at the price of one queue hop per packet that does
+	// not find its wire free.
 	RuntimeSharded
 )
 
@@ -109,15 +114,20 @@ type shardConn struct {
 	ctrlIn   chan *buf.Buffer // pump-fed when ctrlPoll is nil (nil in in-band mode)
 
 	queued    atomic.Bool   // on the shard's ready list
+	serving   atomic.Bool   // the loop is running the connection's receive side (emitCtrl)
 	sendSlots chan struct{} // bounds outbound data SDUs in the shard queue
 
 	// Loop-owned cycle scratch: the per-connection batches one flush
 	// builds and writes.
-	inCycle   bool
-	dataBatch []*buf.Buffer
-	dataItems []outItem
-	ctrlBatch []*buf.Buffer
-	ctrlItems []outItem
+	inCycle    bool
+	data, ctrl batch
+}
+
+// batch is one wire's share of a flush: the staged packets and the
+// items they came from.
+type batch struct {
+	bufs  []*buf.Buffer
+	items []outItem
 }
 
 // shard is one event loop of a System's pool.
@@ -190,18 +200,23 @@ func (sh *shard) requeue(c *Connection) {
 	sh.ring()
 }
 
-// enqueueOut deposits one outbound item; it reports false — the item,
-// and any buffer it carries, stays the caller's — when the connection
-// has closed or the loop that would flush it is gone.
+// enqueueOut deposits one outbound item, counted in its wire's backlog
+// from before the loop can see it until the flush that writes it; it
+// reports false — the item, and any buffer it carries, stays the
+// caller's — when the connection has closed or the loop that would flush
+// it is gone.
 func (sh *shard) enqueueOut(it outItem) bool {
 	select {
 	case <-it.c.closedCh:
 		return false
 	default:
 	}
+	w, _ := it.wire()
+	w.queued.Add(1)
 	sh.mu.Lock()
 	if sh.stopped {
 		sh.mu.Unlock()
+		w.queued.Add(-1)
 		return false
 	}
 	sh.outQ = append(sh.outQ, it)
@@ -242,12 +257,7 @@ func (sh *shard) unregister(c *Connection) {
 	}
 	sh.mu.Lock()
 	delete(sh.conns, c)
-	for i, rc := range sh.ready {
-		if rc == c {
-			sh.ready = append(sh.ready[:i], sh.ready[i+1:]...)
-			break
-		}
-	}
+	sh.ready = slices.DeleteFunc(sh.ready, func(rc *Connection) bool { return rc == c })
 	sh.mu.Unlock()
 	sh.serviceMu.Lock()
 	//lint:ignore SA2001 empty critical section: the acquire itself is the barrier.
@@ -315,14 +325,12 @@ func (sh *shard) flushOut() {
 	for i := range out {
 		it := &out[i]
 		sc := it.c.sh
-		sb := it.stage()
+		b := &sc.data
 		if it.ctrlPath {
-			sc.ctrlBatch = append(sc.ctrlBatch, sb)
-			sc.ctrlItems = append(sc.ctrlItems, *it)
-		} else {
-			sc.dataBatch = append(sc.dataBatch, sb)
-			sc.dataItems = append(sc.dataItems, *it)
+			b = &sc.ctrl
 		}
+		b.bufs = append(b.bufs, it.stage())
+		b.items = append(b.items, *it)
 		if !sc.inCycle {
 			sc.inCycle = true
 			active = append(active, it.c)
@@ -332,30 +340,9 @@ func (sh *shard) flushOut() {
 
 	for i, c := range active {
 		sc := c.sh
-		var failed bool
-		if len(sc.dataBatch) > 0 {
-			sh.batches.Add(1)
-			sh.batchedPackets.Add(uint64(len(sc.dataBatch)))
-			mCoalesceDepth.Observe(int64(len(sc.dataBatch)))
-			if err := c.data.SendBatch(sc.dataBatch); err != nil { // consumes the buffer refs
-				failed = true
-			}
-			finishAll(sc.dataItems)
-		}
-		if len(sc.ctrlBatch) > 0 {
-			sh.batches.Add(1)
-			sh.batchedPackets.Add(uint64(len(sc.ctrlBatch)))
-			if err := c.ctrl.SendBatch(sc.ctrlBatch); err != nil {
-				failed = true
-			}
-			finishAll(sc.ctrlItems)
-		}
-		sc.dataBatch = sc.dataBatch[:0]
-		sc.ctrlBatch = sc.ctrlBatch[:0]
-		clearItems(&sc.dataItems)
-		clearItems(&sc.ctrlItems)
+		dataFailed := sh.write(&sc.data)
 		sc.inCycle = false
-		if failed {
+		if sh.write(&sc.ctrl) || dataFailed {
 			// The transport died; propagate as the threaded Send
 			// Thread does, from a fresh goroutine (Close barriers on
 			// this loop via serviceMu).
@@ -366,6 +353,26 @@ func (sh *shard) flushOut() {
 
 	clearItems(&out)
 	sh.outScratch = out
+}
+
+// write issues a connection's batch for one wire, if it holds anything,
+// with one vectored SendBatch under the wire's owner (wire.write, as the
+// Send Thread does), and leaves it empty; it reports whether the
+// transport failed.
+func (sh *shard) write(b *batch) (failed bool) {
+	if len(b.items) == 0 {
+		return false
+	}
+	w, t := b.items[0].wire()
+	if !b.items[0].ctrlPath {
+		mCoalesceDepth.Observe(int64(len(b.bufs)))
+	}
+	sh.batches.Add(1)
+	sh.batchedPackets.Add(uint64(len(b.bufs)))
+	failed = w.write(t, b.bufs, b.items) != nil
+	b.bufs = b.bufs[:0]
+	clearItems(&b.items)
+	return failed
 }
 
 // clearItems zeroes a drained item slice so payload views and done
@@ -382,8 +389,10 @@ func clearItems(items *[]outItem) {
 // arrivals up to the budget. Control always runs — the ack clock must
 // not stop while the data path is paused.
 func (sh *shard) service(c *Connection) {
+	c.sh.serving.Store(true)
 	sh.pumpCtrl(c)
 	sh.pumpData(c)
+	c.sh.serving.Store(false)
 }
 
 // pumpCtrl drains the control path through the connection's
@@ -395,19 +404,10 @@ func (sh *shard) pumpCtrl(c *Connection) {
 		return // in-band mode: control arrives on the data path
 	}
 	for i := 0; i < shardRecvBudget; i++ {
-		var b *buf.Buffer
-		if sc.ctrlPoll != nil {
-			var err error
-			b, err = sc.ctrlPoll.TryRecvBuf()
-			if err != nil {
-				go c.Close()
-				return
-			}
-		} else {
-			select {
-			case b = <-sc.ctrlIn:
-			default:
-			}
+		b, ok := nextArrival(sc.ctrlPoll, sc.ctrlIn)
+		if !ok {
+			go c.Close()
+			return
 		}
 		if b == nil {
 			return
@@ -427,19 +427,10 @@ func (sh *shard) pumpData(c *Connection) {
 		if sc.dataPaused(c) {
 			return
 		}
-		var b *buf.Buffer
-		if sc.dataPoll != nil {
-			var err error
-			b, err = sc.dataPoll.TryRecvBuf()
-			if err != nil {
-				go c.Close()
-				return
-			}
-		} else {
-			select {
-			case b = <-sc.dataIn:
-			default:
-			}
+		b, ok := nextArrival(sc.dataPoll, sc.dataIn)
+		if !ok {
+			go c.Close()
+			return
 		}
 		if b == nil {
 			return
@@ -447,6 +438,22 @@ func (sh *shard) pumpData(c *Connection) {
 		c.ingest(b, nil)
 	}
 	sh.requeue(c)
+}
+
+// nextArrival takes the next packet waiting on one of a connection's
+// transports — from its poller, or else from its pump's channel —
+// without blocking: nil when none is waiting, ok false when the
+// transport died.
+func nextArrival(p transport.Poller, in chan *buf.Buffer) (b *buf.Buffer, ok bool) {
+	if p != nil {
+		b, err := p.TryRecvBuf()
+		return b, err == nil
+	}
+	select {
+	case b = <-in:
+	default:
+	}
+	return b, true
 }
 
 // dataPaused is the shard's backpressure: the connection's data path
@@ -471,10 +478,7 @@ func (sc *shardConn) drainInbound() {
 }
 
 func drainBufChan(ch chan *buf.Buffer) {
-	if ch == nil {
-		return
-	}
-	for {
+	for { // a nil channel (no pump) is never ready
 		select {
 		case b := <-ch:
 			b.Release()

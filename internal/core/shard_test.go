@@ -516,9 +516,10 @@ func TestShardedHeartbeat(t *testing.T) {
 }
 
 // TestShardedInstrumentedSend: the same stamps, at the same sites, in
-// the same order when a shard loop is what dequeues and writes — which
-// it does even for a lone SDU on an idle connection (writeInline says
-// why the sharded runtime keeps its queue).
+// the same order on a shard as on the threaded runtime
+// (TestThreadedSendStages): a lone SDU on an idle connection is written
+// by its caller, with no queue; a two-SDU send is dequeued and written
+// by the shard loop's flush.
 func TestShardedInstrumentedSend(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface: transport.SCI,
@@ -526,5 +527,7 @@ func TestShardedInstrumentedSend(t *testing.T) {
 	})
 	defer cleanup()
 	traces, calls := tracedSends(t, conn, peer, 1, []byte("trace me"))
+	checkSenderStages(t, traces[0], calls[0], false)
+	traces, calls = tracedSends(t, conn, peer, 1, make([]byte, conn.opts.SDUSize+1))
 	checkSenderStages(t, traces[0], calls[0], true)
 }

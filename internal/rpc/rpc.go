@@ -10,10 +10,14 @@
 //
 // A Client multiplexes many concurrent in-flight calls over one
 // Connection, matching replies to callers by uint64 call IDs. A Server
-// dispatches named-method handlers on a worker pool built from
+// runs named-method handlers on worker threads built from
 // internal/thread, so the paper's kernel-level/user-level thread
 // architectures apply to RPC dispatch exactly as they do to Compute
-// Threads.
+// Threads. ServerOptions.Workers bounds the handlers running at once per
+// source of calls: the served connections' one queue, fed by a receive
+// loop per connection, and each served core.Inbox, whose workers receive
+// from it themselves — the thread that waits for a call is the one that
+// runs it.
 //
 // # Wire format
 //

@@ -74,8 +74,9 @@ var interfaceMatrix = []struct {
 }
 
 // TestServeInboxShardedFanIn serves many sharded connections through
-// ONE inbox demux loop: every client's calls must complete even though
-// the server parks no goroutine per connection.
+// ONE inbox, read by the server's workers themselves: every client's
+// calls must complete even though the server parks no goroutine per
+// connection.
 func TestServeInboxShardedFanIn(t *testing.T) {
 	const conns = 8
 	nw := core.NewNetwork()
@@ -414,57 +415,72 @@ func TestUnknownMethod(t *testing.T) {
 // TestGracefulShutdown: calls in flight when Shutdown begins complete
 // with their replies; calls arriving during the drain are refused.
 func TestGracefulShutdown(t *testing.T) {
-	started := make(chan struct{})
-	release := make(chan struct{})
-	slow := func(_ context.Context, req []byte) ([]byte, error) {
-		close(started)
-		<-release
-		return req, nil
-	}
-	conn, peerConn := pair(t, core.Options{Interface: transport.HPI})
-	srv := NewServer(ServerOptions{Workers: 2})
-	srv.Handle("slow", slow)
-	srv.ServeConn(peerConn)
-	cli := NewClient(conn)
-	defer cli.Close()
+	// Each source of calls: a served connection, whose calls a worker
+	// takes off the server's queue, and a served inbox, whose own
+	// threads take them straight off the inbox.
+	for _, source := range []string{"conn", "inbox"} {
+		t.Run(source, func(t *testing.T) {
+			started := make(chan struct{})
+			release := make(chan struct{})
+			slow := func(_ context.Context, req []byte) ([]byte, error) {
+				close(started)
+				<-release
+				return req, nil
+			}
+			conn, peerConn := pair(t, core.Options{Interface: transport.HPI})
+			srv := NewServer(ServerOptions{Workers: 2})
+			srv.Handle("slow", slow)
+			if source == "inbox" {
+				ib := core.NewInbox(0)
+				if err := peerConn.BindInbox(ib); err != nil {
+					t.Fatal(err)
+				}
+				srv.ServeInbox(ib)
+			} else {
+				srv.ServeConn(peerConn)
+			}
+			cli := NewClient(conn)
+			defer cli.Close()
 
-	inflight := make(chan error, 1)
-	var resp []byte
-	go func() {
-		var err error
-		resp, err = cli.Call(context.Background(), "slow", []byte("drain-me"))
-		inflight <- err
-	}()
-	<-started
+			inflight := make(chan error, 1)
+			var resp []byte
+			go func() {
+				var err error
+				resp, err = cli.Call(context.Background(), "slow", []byte("drain-me"))
+				inflight <- err
+			}()
+			<-started
 
-	shutdownDone := make(chan struct{})
-	go func() {
-		srv.Shutdown()
-		close(shutdownDone)
-	}()
+			shutdownDone := make(chan struct{})
+			go func() {
+				srv.Shutdown()
+				close(shutdownDone)
+			}()
 
-	// Shutdown must be draining, not done: the slow call still holds it.
-	select {
-	case <-shutdownDone:
-		t.Fatal("Shutdown returned while a call was in flight")
-	case <-time.After(50 * time.Millisecond):
-	}
+			// Shutdown must be draining, not done: the slow call still holds it.
+			select {
+			case <-shutdownDone:
+				t.Fatal("Shutdown returned while a call was in flight")
+			case <-time.After(50 * time.Millisecond):
+			}
 
-	// A new call during the drain is refused.
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	if _, err := cli.Call(ctx, "slow", nil); !errors.Is(err, ErrShuttingDown) {
-		t.Fatalf("call during drain: err = %v, want ErrShuttingDown", err)
-	}
+			// A new call during the drain is refused.
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+			defer cancel()
+			if _, err := cli.Call(ctx, "slow", nil); !errors.Is(err, ErrShuttingDown) {
+				t.Fatalf("call during drain: err = %v, want ErrShuttingDown", err)
+			}
 
-	close(release)
-	if err := <-inflight; err != nil {
-		t.Fatalf("in-flight call failed across shutdown: %v", err)
+			close(release)
+			if err := <-inflight; err != nil {
+				t.Fatalf("in-flight call failed across shutdown: %v", err)
+			}
+			if string(resp) != "drain-me" {
+				t.Fatalf("in-flight call response = %q", resp)
+			}
+			<-shutdownDone
+		})
 	}
-	if string(resp) != "drain-me" {
-		t.Fatalf("in-flight call response = %q", resp)
-	}
-	<-shutdownDone
 }
 
 // TestShutdownIdempotent: double Shutdown and Shutdown with queued work
@@ -516,6 +532,53 @@ func TestUserLevelDispatch(t *testing.T) {
 	close(errCh)
 	for err := range errCh {
 		t.Fatal(err)
+	}
+}
+
+// TestUserLevelServesConnAndInbox: a user-level server's workers wait
+// for calls in a jacket (thread.Package.Block), so one serving a
+// connection and an inbox at once completes calls from both. Without the
+// jacket the first worker to run would hold the cooperative processor
+// while it waited on its own source, and the other source's calls
+// would starve.
+func TestUserLevelServesConnAndInbox(t *testing.T) {
+	srv := NewServer(ServerOptions{Workers: 2, Threads: thread.UserLevel})
+	t.Cleanup(srv.Shutdown)
+	srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+
+	connSide, served := pair(t, core.Options{Interface: transport.HPI})
+	srv.ServeConn(served)
+	inboxSide, bound := pair(t, core.Options{Interface: transport.HPI, Runtime: core.RuntimeSharded})
+	ib := core.NewInbox(0)
+	if err := bound.BindInbox(ib); err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeInbox(ib)
+
+	clients := map[string]*Client{"conn": NewClient(connSide), "inbox": NewClient(inboxSide)}
+	errs := make(chan error, 2*len(clients))
+	for source, cli := range clients {
+		t.Cleanup(func() { cli.Close() })
+		for i := 0; i < 2; i++ {
+			go func() {
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				req := []byte(fmt.Sprintf("%s-%d", source, i))
+				resp, err := cli.Call(ctx, "echo", req)
+				if err == nil && !bytes.Equal(resp, req) {
+					err = fmt.Errorf("got %q", resp)
+				}
+				if err != nil {
+					err = fmt.Errorf("call %d through the %s: %w", i, source, err)
+				}
+				errs <- err
+			}()
+		}
+	}
+	for range 2 * len(clients) {
+		if err := <-errs; err != nil {
+			t.Error(err)
+		}
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"ncs/internal/core"
+	"ncs/internal/stream"
 	"ncs/internal/thread"
 	"ncs/internal/xdr"
 )
@@ -23,19 +24,25 @@ type Handler func(ctx context.Context, req []byte) ([]byte, error)
 
 // ServerOptions configures a Server's dispatcher.
 type ServerOptions struct {
-	// Workers is the dispatcher pool size. Default 4.
+	// Workers bounds the handlers running at once per source of calls:
+	// the connections attached with ServeConn share one queue, which
+	// Workers worker threads read, and each inbox served with ServeInbox
+	// gets Workers threads of its own, which read the inbox directly.
+	// Default 4.
 	Workers int
 	// Threads selects the worker thread architecture (§4.1): kernel
 	// level (default) overlaps handlers across cores; user level runs
 	// them on the cooperative scheduler, where one blocking handler
 	// stalls the pool — the Figure 10 trade-off applied to RPC dispatch.
+	// A worker waiting for its next call gives the processor up
+	// (thread.Package.Block), so an idle source never stalls the rest.
 	Threads thread.Model
 }
 
 // request is one admitted call waiting for (or on) a worker. A nil h
 // (or, for streaming calls, nil sh) marks a call to an unregistered
-// method: the worker sends the no-method reply, so the demux loop
-// never blocks on a reply send.
+// method: the worker sends the no-method reply, so a connection's
+// receive loop never blocks on a reply send.
 type request struct {
 	conn     *core.Connection
 	id       uint64
@@ -53,9 +60,10 @@ type request struct {
 }
 
 // Server dispatches named-method calls arriving over any number of NCS
-// connections onto a worker pool built from internal/thread. Register
-// handlers with Handle, attach connections with ServeConn, and stop
-// with Shutdown, which drains in-flight calls before tearing down.
+// connections onto worker threads built from internal/thread. Register
+// handlers with Handle, attach connections with ServeConn or an inbox
+// with ServeInbox, and stop with Shutdown, which drains in-flight calls
+// before tearing down.
 type Server struct {
 	opts ServerOptions
 	pkg  thread.Package
@@ -64,31 +72,27 @@ type Server struct {
 	handlers  map[string]Handler
 	shandlers map[string]StreamHandler
 
-	// The dispatch queue: a slice ring guarded by qmu, with sem (a
-	// thread.Semaphore, so user-level workers park cooperatively)
-	// counting queued requests. draining rejects new admissions;
-	// wstop, together with an empty queue, tells a woken worker to
-	// exit.
+	// queue holds the calls ServeConn's receive loops admitted until a
+	// worker takes one; qdone closes it once Shutdown has drained.
+	// draining, under qmu, refuses new admissions from every source.
+	queue    stream.Mailbox[request]
+	qdone    chan struct{}
 	qmu      sync.Mutex
-	queue    []request
-	head     int
-	sem      thread.Semaphore
 	draining bool
-	wstop    bool
 
 	inflight sync.WaitGroup // admitted requests not yet replied to
 
 	cmu      sync.Mutex
 	conns    map[*core.Connection]struct{}
 	inboxes  []*core.Inbox
-	stopping bool // Shutdown began; refuse new connections
+	stopping bool // Shutdown began; refuse new connections and inboxes
 	recvWG   sync.WaitGroup
 
 	shutdownOnce sync.Once
 }
 
-// NewServer creates a server and starts its worker pool. The server
-// owns the thread package it builds from opts.
+// NewServer creates a server and starts the workers of its connection
+// queue. The server owns the thread package it builds from opts.
 func NewServer(opts ServerOptions) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -100,14 +104,49 @@ func NewServer(opts ServerOptions) *Server {
 		opts:     opts,
 		pkg:      thread.New(opts.Threads),
 		handlers: make(map[string]Handler),
+		qdone:    make(chan struct{}),
 		conns:    make(map[*core.Connection]struct{}),
 	}
-	s.sem = s.pkg.NewSemaphore(0)
-	for i := 0; i < opts.Workers; i++ {
-		// Spawn cannot fail on a fresh package.
-		s.pkg.Spawn(fmt.Sprintf("rpc-worker-%d", i), s.worker)
-	}
+	s.spawnWorkers("rpc-worker", func() (request, bool, error) {
+		req, err := stream.Await(s.queue.Bell, nil, s.qdone, 0, func() (request, bool, error) {
+			req, ok := s.queue.Pop()
+			return req, ok, nil
+		})
+		return req, err == nil, err
+	})
 	return s
+}
+
+// spawnWorkers starts Workers threads over one source of calls. Spawn
+// cannot fail: the package shuts down only after Shutdown set stopping,
+// which ServeInbox checks under the lock it spawns under.
+func (s *Server) spawnWorkers(name string, next func() (request, bool, error)) {
+	for i := 0; i < s.opts.Workers; i++ {
+		s.pkg.Spawn(fmt.Sprintf("%s-%d", name, i), func() { s.worker(next) })
+	}
+}
+
+// worker is one thread over a source of calls: next waits for the next
+// call and admits it (ok false: dropped or refused), the worker runs it,
+// until next reports the source closed. next runs in a Block, so a
+// user-level package runs its other threads while this one waits.
+func (s *Server) worker(next func() (request, bool, error)) {
+	var (
+		req request
+		ok  bool
+		err error
+	)
+	wait := func() { req, ok, err = next() }
+	for {
+		s.pkg.Block(wait)
+		if err != nil {
+			return
+		}
+		if ok {
+			s.serve(req)
+		}
+		req = request{}
+	}
 }
 
 // Handle registers (or replaces) the handler for a named method.
@@ -136,7 +175,7 @@ func (s *Server) ServeConn(conn *core.Connection) {
 	go s.recvLoop(conn)
 }
 
-// recvLoop reads one connection and admits its calls to the worker
+// recvLoop reads one connection and admits its calls to the server's
 // queue; replies — including no-method replies — go out from workers,
 // so a reply send blocking on a reliable connection's ack cycle never
 // head-of-line-blocks the demultiplexing of later calls. The one
@@ -160,17 +199,26 @@ func (s *Server) recvLoop(conn *core.Connection) {
 	}
 }
 
-// admit parses one received message and, when it is a well-formed
-// call, admits it to the worker queue — the shared back half of
-// recvLoop and inboxLoop. Loss-damaged or undecodable frames are
-// dropped, never dispatched: the caller's deadline is the recovery
-// path. m is borrowed: a queued request carries it to the worker, which
-// releases it after the reply; every other way out releases it here.
+// admit takes one call a connection's receive loop read and queues it
+// for the workers.
 func (s *Server) admit(conn *core.Connection, m core.Message) {
+	if req, ok := s.take(conn, m); ok {
+		s.queue.Put(req, false)
+	}
+}
+
+// take admits one received message — the shared front half of both
+// sources — and reports whether it became a request in flight.
+// Loss-damaged or undecodable frames are dropped, never dispatched: the
+// caller's deadline is the recovery path; a call that arrives while
+// Shutdown drains is refused with an inline reply. m is borrowed: an
+// admitted request carries it to serve, which releases it after the
+// reply; every other way out releases it here.
+func (s *Server) take(conn *core.Connection, m core.Message) (request, bool) {
 	req, ok := s.parse(conn, m)
 	if !ok {
 		m.Release()
-		return
+		return request{}, false
 	}
 	// Admission happens under qmu so Shutdown's draining flag and
 	// inflight.Wait cannot race a late arrival.
@@ -179,13 +227,12 @@ func (s *Server) admit(conn *core.Connection, m core.Message) {
 		s.qmu.Unlock()
 		m.Release()
 		s.reply(conn, req.id, statusShuttingDown, "", nil)
-		return
+		return request{}, false
 	}
 	s.inflight.Add(1)
-	mServerInflight.Inc()
-	s.queue = append(s.queue, req)
 	s.qmu.Unlock()
-	s.sem.Release()
+	mServerInflight.Inc()
+	return req, true
 }
 
 // parse decodes m into the request a worker will run; false means m is
@@ -227,76 +274,43 @@ func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
 	return req, true
 }
 
-// ServeInbox serves every connection bound to ib with ONE
-// demultiplexing goroutine, however many connections feed it — the
-// RPC-layer counterpart of the core's sharded runtime. The caller
-// binds accepted connections (Connection.BindInbox) and owns their
-// lifecycle; the loop runs until the inbox closes or the server shuts
+// ServeInbox serves every connection bound to ib with Workers threads
+// of its own, however many connections feed it — the RPC-layer
+// counterpart of the core's sharded runtime. Each thread receives from
+// the inbox itself and runs the call it took: no demultiplexing
+// goroutine stands between the inbox and the handlers, and the inbox's
+// mailbox wakes one receiver per message. The caller binds accepted
+// connections (Connection.BindInbox) and owns their lifecycle; the
+// threads run until the inbox closes (and drains) or the server shuts
 // down. Compare ServeConn, which parks a goroutine per connection.
 func (s *Server) ServeInbox(ib *core.Inbox) {
 	s.cmu.Lock()
+	defer s.cmu.Unlock()
 	if s.stopping {
-		s.cmu.Unlock()
 		ib.Close()
 		return
 	}
 	s.inboxes = append(s.inboxes, ib)
-	s.recvWG.Add(1)
-	s.cmu.Unlock()
-	go s.inboxLoop(ib)
-}
-
-// inboxLoop is recvLoop over a shared inbox: the same admission, with
-// the source connection taken per-message from the delivery.
-func (s *Server) inboxLoop(ib *core.Inbox) {
-	defer s.recvWG.Done()
-	for {
+	s.spawnWorkers("rpc-inbox-worker", func() (request, bool, error) {
 		im, err := ib.Recv()
 		if err != nil {
-			return
+			return request{}, false, err
 		}
-		s.admit(im.Conn, im.Msg)
-	}
+		req, ok := s.take(im.Conn, im.Msg)
+		return req, ok, nil
+	})
 }
 
-// worker is one pool thread: wait for an admitted request, run it,
-// repeat. A semaphore release without a queued request is the shutdown
-// sentinel.
-func (s *Server) worker() {
-	for {
-		s.sem.Acquire()
-		s.qmu.Lock()
-		if s.wstop && s.head == len(s.queue) {
-			s.qmu.Unlock()
-			return
-		}
-		req := s.queue[s.head]
-		s.queue[s.head] = request{}
-		s.head++
-		if s.head == len(s.queue) {
-			s.queue = s.queue[:0]
-			s.head = 0
-		} else if s.head > 64 && s.head*2 >= len(s.queue) {
-			// Under sustained backlog the queue never fully drains, so
-			// compact the consumed prefix rather than letting append
-			// grow the backing array without bound.
-			n := copy(s.queue, s.queue[s.head:])
-			for i := n; i < len(s.queue); i++ {
-				s.queue[i] = request{}
-			}
-			s.queue = s.queue[:n]
-			s.head = 0
-		}
-		s.qmu.Unlock()
-		if req.stream {
-			s.dispatchStream(req)
-		} else {
-			s.dispatch(req)
-		}
-		req.msg.Release() // the reply is sent: nothing aliases the frame now
-		s.inflight.Done()
-		mServerInflight.Dec()
+// serve runs one admitted request and settles it.
+func (s *Server) serve(req request) {
+	if req.stream {
+		s.dispatchStream(req)
+	} else {
+		s.dispatch(req)
 	}
+	req.msg.Release() // the reply is sent: nothing aliases the frame now
+	s.inflight.Done()
+	mServerInflight.Dec()
 }
 
 // dispatch runs one request through its handler and sends the reply.
@@ -366,10 +380,12 @@ func (s *Server) reply(conn *core.Connection, id uint64, status uint32, errmsg s
 }
 
 // Shutdown stops the server gracefully: new calls are refused with
-// ErrShuttingDown, every already-admitted call runs to completion and
-// its reply is sent, then the workers, the thread package, and the
-// served connections are torn down. Safe to call more than once;
-// subsequent calls wait for the first to finish.
+// ErrShuttingDown, every already-admitted call — queued, or taken by an
+// inbox's thread — runs to completion and its reply is sent, then the
+// workers' sources close (the connection queue and every served inbox),
+// the workers and the thread package stop, and the served connections
+// are torn down. Safe to call more than once; subsequent calls wait for
+// the first to finish.
 func (s *Server) Shutdown() {
 	s.shutdownOnce.Do(func() {
 		s.qmu.Lock()
@@ -378,15 +394,6 @@ func (s *Server) Shutdown() {
 
 		// Drain: every admitted request replied to.
 		s.inflight.Wait()
-
-		// Wake each worker once with nothing queued; they exit.
-		s.qmu.Lock()
-		s.wstop = true
-		s.qmu.Unlock()
-		for i := 0; i < s.opts.Workers; i++ {
-			s.sem.Release()
-		}
-		s.pkg.Shutdown()
 
 		s.cmu.Lock()
 		s.stopping = true
@@ -397,11 +404,13 @@ func (s *Server) Shutdown() {
 		inboxes := s.inboxes
 		s.inboxes = nil
 		s.cmu.Unlock()
-		for _, conn := range conns {
-			conn.Close()
-		}
+		close(s.qdone)
 		for _, ib := range inboxes {
 			ib.Close()
+		}
+		s.pkg.Shutdown()
+		for _, conn := range conns {
+			conn.Close()
 		}
 	})
 	s.recvWG.Wait()

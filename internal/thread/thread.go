@@ -19,6 +19,13 @@
 // blocks in an ordinary call (for example a send on a full simulated
 // socket buffer) never reaches a scheduling point, so the entire
 // "process" stalls — reproducing the mechanism behind Figure 10.
+//
+// Block is the one way around that stall, and it must be asked for: a
+// thread that wraps a blocking call in Block — the jacket a user-level
+// package puts around a system call it knows may block — gives up the
+// processor before the call and queues for it after. NCS's RPC workers
+// wait for calls that way. An unwrapped blocking call still stalls the
+// whole package, so Figure 10's mechanism is unchanged.
 package thread
 
 import (
@@ -64,6 +71,13 @@ type Package interface {
 	// Yield gives up the processor: the NCS_thread_yield() primitive.
 	// Called from inside a thread.
 	Yield()
+	// Block runs fn, a call that may block outside the package — a
+	// receive on a mailbox, a channel — as a jacket: at kernel level it
+	// simply calls fn; at user level the calling thread gives up the
+	// processor for fn's duration and queues for it again once fn
+	// returns, so the other threads run meanwhile. Called from inside a
+	// thread.
+	Block(fn func())
 	// NewMutex creates a mutual-exclusion lock.
 	NewMutex() Mutex
 	// NewSemaphore creates a counting semaphore with an initial count.
@@ -136,6 +150,8 @@ func (k *kernelPackage) Spawn(name string, fn func()) (*Thread, error) {
 }
 
 func (k *kernelPackage) Yield() { runtime.Gosched() }
+
+func (k *kernelPackage) Block(fn func()) { fn() }
 
 func (k *kernelPackage) NewMutex() Mutex { return &sync.Mutex{} }
 

@@ -193,6 +193,53 @@ func TestUserLevelBlockingCallStallsProcess(t *testing.T) {
 	}
 }
 
+// TestUserLevelBlockJacket: a user-level thread that wraps its blocking
+// call in Block gives up the processor, so another thread runs while it
+// waits; when the call returns it queues for the processor again, and a
+// thread holding it in a bare blocking call still stalls it — the jacket
+// frees only the call it wraps.
+func TestUserLevelBlockJacket(t *testing.T) {
+	p := NewUser()
+	defer p.Shutdown()
+
+	unblockA, releaseH := make(chan struct{}), make(chan struct{})
+	hRunning := make(chan struct{})
+	var aBack atomic.Bool
+	a, err := p.Spawn("jacketed", func() {
+		p.Block(func() { <-unblockA })
+		aBack.Store(true)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := p.Spawn("holder", func() {
+		close(hRunning)
+		<-releaseH // a bare blocking call: holds the processor
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	select {
+	case <-hRunning:
+	case <-time.After(2 * time.Second):
+		close(unblockA)
+		close(releaseH)
+		t.Fatal("no other thread ran while one waited in Block")
+	}
+	close(unblockA)
+	time.Sleep(20 * time.Millisecond)
+	if aBack.Load() {
+		t.Fatal("a thread resumed from Block while another held the processor")
+	}
+	close(releaseH)
+	h.Join()
+	a.Join()
+	if !aBack.Load() {
+		t.Fatal("the jacketed thread never resumed")
+	}
+}
+
 // TestKernelLevelBlockingCallOverlaps verifies the complementary
 // behaviour: under the kernel-level package a blocked thread suspends
 // alone and others keep running — the overlap behind Figure 10's

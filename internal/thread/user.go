@@ -86,6 +86,21 @@ func (u *userPackage) Yield() {
 	<-ut.resume
 }
 
+// Block gives up the processor for fn's duration: fn runs beside the
+// scheduler, which dispatches other threads meanwhile, and the thread
+// queues for the processor again when fn returns.
+func (u *userPackage) Block(fn func()) {
+	ut := u.current
+	if ut == nil {
+		fn() // called from outside a managed thread
+		return
+	}
+	ut.paused <- struct{}{}
+	fn()
+	u.enqueue(ut)
+	<-ut.resume
+}
+
 // park blocks the calling thread without re-queuing it; some other
 // component will re-enqueue it (mutex unlock, semaphore release).
 func (u *userPackage) park() *uthread {
