@@ -620,8 +620,8 @@ func BenchmarkAllocReliableFastpathEcho16K(b *testing.B) {
 }
 
 // BenchmarkAllocSCISend4KB measures a threaded 4KB send over SCI (TCP
-// loopback), the configuration where the Send Thread's staging and the
-// transport framing dominate per-message allocation.
+// loopback), the configuration where staging and the transport framing
+// dominate per-message allocation.
 func BenchmarkAllocSCISend4KB(b *testing.B) {
 	nw := ncs.NewNetwork()
 	defer nw.Close()

@@ -144,8 +144,8 @@ func TestTableI(t *testing.T) {
 	if len(res.Rows) != 5 {
 		t.Fatalf("rows = %d, want 5", len(res.Rows))
 	}
-	// A paced 1-byte send finds the Send Thread idle and its caller writes
-	// it: that path has no queue and no switch to the Send Thread.
+	// A paced 1-byte send finds its wire free and its caller writes it:
+	// that path has no queue and no switch to another goroutine.
 	var session float64
 	for i, r := range res.Rows[:4] {
 		session += r.PaperUS

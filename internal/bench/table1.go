@@ -62,7 +62,7 @@ type TableIResult struct {
 // reflect this machine, with the paper's 1998 measurements alongside;
 // the structural claim preserved is the split into session overhead
 // (everything threading adds) versus data transfer. A paced send finds
-// the Send Thread idle and is written by its caller, never Queued.
+// its wire free and is written by its caller, never Queued.
 func TableI(cfg TableIConfig) (*TableIResult, error) {
 	cfg = cfg.withDefaults()
 
@@ -85,7 +85,8 @@ func TableI(cfg TableIConfig) (*TableIResult, error) {
 		return nil, err
 	}
 
-	// A trace completed before the write returned to stamp WireOut lacks it: send again.
+	// Only this connection's traces that reached the wire count. WireOut is
+	// stamped as the write starts: the write itself is in the exit row.
 	telemetry.EnableTracing(1, 16)
 	defer telemetry.DisableTracing()
 	msg := make([]byte, cfg.MessageSize)

@@ -26,24 +26,26 @@ import (
 const deliveredQueueDepth = 128
 
 // streamSendSlots bounds how many data SDUs from non-zero streams may
-// sit in a connection's outbound queue at once. The shared queue is
-// FIFO: without the bound, a bulk stream keeps it full of its own SDUs
-// and every stream-0 frame (RPC calls, latency-sensitive sends) waits
-// behind a whole credit window of bulk before reaching the wire. With
-// it, a stream-0 SDU finds at most streamSendSlots stream SDUs ahead
-// of itself, while bulk still batches deep enough to keep the wire
-// busy. Slots are a single pool across all non-zero streams — they
-// bound total queue residency, and the channel semaphore's FIFO
-// hand-off keeps concurrent streams interleaving fairly.
+// sit in a connection's data wire queue at once. The queue is FIFO:
+// without the bound, a bulk stream keeps it full of its own SDUs and
+// every stream-0 frame (RPC calls, latency-sensitive sends) waits behind
+// a whole credit window of bulk before reaching the wire. With it, a
+// stream-0 SDU finds at most streamSendSlots stream SDUs ahead of
+// itself, while bulk still batches deep enough to keep the wire busy.
+// Slots are a single pool across all non-zero streams — they bound
+// total queue residency, and the channel semaphore's FIFO hand-off keeps
+// concurrent streams interleaving fairly.
 const streamSendSlots = 8
 
-// sendQueueDepth is the Send Thread's queue. Deep enough that a
-// multi-SDU transfer can pipeline SDUs behind flow-control admission,
-// which is what gives the Send Thread batches to coalesce.
+// sendQueueDepth bounds each wire's queue: the packets pushed for it and
+// not yet taken by its owner. Deep enough that a multi-SDU transfer
+// stages a whole credit window before its sender hands it to the wire,
+// which is what gives the owner batches to coalesce; a producer that
+// finds it full takes the owner and drains it itself.
 const sendQueueDepth = 64
 
-// sendBatchMax bounds how many queued SDUs the Send Thread coalesces
-// into one vectored transport write.
+// sendBatchMax bounds how many queued packets the owner coalesces into
+// one vectored transport write.
 const sendBatchMax = 16
 
 // Message is a received user message. Lost reports SDUs missing from an
@@ -53,90 +55,215 @@ const sendBatchMax = 16
 // and the holder calls Release exactly once, or Bytes to own it.
 type Message = errctl.Delivery
 
-// outItem is one outbound unit on its way to a transport write: a data
-// SDU, or a control packet (already marshalled; the item owns the
-// reference), with the bookkeeping that follows its transmission. The
-// Send Thread's queue, a shard's outbound queue and the inline write all
-// carry it through the same stage and finish.
+// outItem is one packet queued for a wire: a data SDU, or a control
+// packet (already marshalled; the item owns the reference).
 type outItem struct {
-	c          *Connection
 	sdu        errctl.SDU
-	ctrl       *buf.Buffer   // non-nil: a control packet, not an SDU
-	ctrlPath   bool          // write to the control connection (false: data)
-	done       chan struct{} // non-nil: deposit a token after transmission
-	slot       bool          // release one of the connection's shard send slots after transmission
-	streamSlot bool          // release one of the connection's stream send slots after transmission
+	ctrl       *buf.Buffer // non-nil: a control packet, not an SDU
+	streamSlot bool        // holds one of the connection's stream send slots
 }
 
-// wire is one transport as its writers share it. Whoever writes it holds
-// mu across the write: a queue's writer (the Send Thread, the Control
-// Send Thread, a shard's flush) for each batch, a producer writing
-// inline for its one packet (writeInline). queued counts the packets
-// queued for it and not yet written.
+// wire is one transport as its writers share it: a bounded FIFO of the
+// packets pushed for it, and its owner. Whoever holds the owner drains
+// the queue — writes everything in it, in order — and nobody else
+// writes the transport (flush, writeInline), so a packet never
+// overtakes one pushed before it, whichever goroutine pushed either.
 type wire struct {
-	mu     sync.Mutex
-	queued atomic.Int32
+	mu sync.Mutex               // the owner
+	q  atomic.Pointer[outQueue] // built by the first push (queue)
 }
 
-// write issues a queue writer's batch on t under the wire's owner and
-// takes it from the backlog once it is written — so an inline write that
-// finds the owner free and the backlog empty has nothing queued to
-// overtake — then finishes the batch's items.
-func (w *wire) write(t transport.Conn, bufs []*buf.Buffer, items []outItem) error {
-	w.mu.Lock()
-	err := t.SendBatch(bufs) // consumes the buffer refs
-	w.queued.Add(-int32(len(bufs)))
+// outQueue is a wire's queue and its owner's scratch: items is guarded
+// by mu, and n mirrors its length for the owner's re-check (flush);
+// taken and bufs belong to whoever holds the wire's owner.
+type outQueue struct {
+	mu    sync.Mutex
+	n     atomic.Int32
+	items []outItem     // pushed, not yet taken; at most sendQueueDepth
+	taken []outItem     // the owner's: the batch it took, swapped back empty
+	bufs  []*buf.Buffer // the owner's: one write's staged packets
+}
+
+// queue returns w's queue, building it on first use — a connection
+// that never sends on a wire carries none.
+func (w *wire) queue() *outQueue {
+	if q := w.q.Load(); q != nil {
+		return q
+	}
+	w.q.CompareAndSwap(nil, new(outQueue))
+	return w.q.Load()
+}
+
+// push appends it to w's queue and returns how many packets the queue
+// holds with it. A full queue makes a producer with wait set take the
+// owner and drain it (flush) before trying again; one without — a
+// ping — is refused. It returns 0, the item still the caller's, when
+// refused or when the connection closed. A pushed SDU is stamped Queued
+// and its queue depth observed.
+func (c *Connection) push(w *wire, t transport.Conn, it outItem, wait bool) int {
+	q := w.queue()
+	for {
+		q.mu.Lock()
+		select {
+		case <-c.closedCh:
+			q.mu.Unlock()
+			return 0
+		default:
+		}
+		if n := len(q.items); n < sendQueueDepth {
+			if it.ctrl == nil {
+				telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageQueued)
+				mSendQDepth.Observe(int64(n))
+			}
+			q.items = append(q.items, it)
+			q.n.Store(int32(n + 1))
+			q.mu.Unlock()
+			return n + 1
+		}
+		q.mu.Unlock()
+		if !wait || c.flush(w, t, true) != nil {
+			return 0
+		}
+	}
+}
+
+// flush hands what is queued on w to its transport: it takes the owner —
+// waiting for it when wait is set, else only if it is free — takes the
+// whole queue and writes it (drain); then, having released the owner,
+// takes it again if the queue refilled meanwhile. A producer whose try
+// finds the owner held can therefore leave: it pushed before its try
+// failed, so the holder's re-check — or its successor's — sees what it
+// pushed; one whose try finds the queue empty can too, for only a
+// holder's take empties it. A synchronous caller (wait) returns only
+// once every packet it pushed before the call has been written. A
+// failed write closes the connection.
+func (c *Connection) flush(w *wire, t transport.Conn, wait bool) error {
+	q := w.q.Load()
+	if q == nil {
+		return nil // nothing was ever pushed
+	}
+	for {
+		if wait {
+			w.mu.Lock()
+			wait = false
+		} else if q.n.Load() == 0 || !w.mu.TryLock() {
+			return nil // taken by a holder, who writes it, or left to its re-check
+		}
+		q.mu.Lock()
+		all := q.items
+		q.items, q.taken = q.taken[:0], nil
+		q.n.Store(0)
+		q.mu.Unlock()
+		err := c.drain(q, t, w == &c.dataW, all)
+		clear(all)
+		q.taken = all[:0]
+		w.mu.Unlock()
+		if err != nil {
+			go c.Close() // the writer may be a thread Close joins, or the shard it waits for
+			return ErrConnClosed
+		}
+	}
+}
+
+// writeInline is a lone packet's way to the wire when the wire is free:
+// a producer that takes the owner with nothing queued writes the packet
+// itself, as the head of the empty queue — the write a push and a flush
+// would make, without the push and the take. ok is false when the owner
+// is held or packets are queued: the producer pushes instead. Like any
+// holder, it drains what was pushed while it held the owner.
+func (c *Connection) writeInline(w *wire, t transport.Conn, it outItem) (ok bool, err error) {
+	q := w.queue()
+	if !w.mu.TryLock() {
+		return false, nil
+	}
+	if q.n.Load() != 0 {
+		w.mu.Unlock()
+		return false, nil
+	}
+	one := [1]outItem{it}
+	err = c.drain(q, t, w == &c.dataW, one[:])
 	w.mu.Unlock()
-	finishAll(items)
+	if err != nil {
+		go c.Close()
+		return true, ErrConnClosed
+	}
+	return true, c.flush(w, t, false)
+}
+
+// drain is the one write: with its wire's owner held, it writes items in
+// order, at most sendBatchMax packets per vectored write. Each SDU is
+// serialised into a pooled buffer (stage) — the one copy of the payload,
+// after which the caller's message is no longer referenced — and
+// stamped WireOut before the write starts.
+func (c *Connection) drain(q *outQueue, t transport.Conn, data bool, items []outItem) (err error) {
+	for len(items) > 0 && err == nil {
+		batch := items[:min(len(items), sendBatchMax)]
+		items = items[len(batch):]
+		bufs := q.bufs[:0]
+		for i := range batch {
+			bufs = append(bufs, c.stage(&batch[i]))
+		}
+		for i := range batch {
+			if batch[i].ctrl == nil {
+				telemetry.TraceStamp(c.id, batch[i].sdu.Header.SessionID, telemetry.StageWireOut)
+			}
+		}
+		if data {
+			mCoalesceDepth.Observe(int64(len(bufs)))
+		}
+		if sc := c.sh; sc != nil && len(bufs) > 1 {
+			sc.shard.batches.Add(1)
+			sc.shard.batchedPackets.Add(uint64(len(bufs)))
+		}
+		if len(bufs) == 1 {
+			err = t.SendBuf(bufs[0]) // consumes the buffer reference
+		} else {
+			err = t.SendBatch(bufs) // consumes the buffer references
+		}
+		clear(bufs)
+		q.bufs = bufs[:0]
+	}
+	releaseItems(items) // what a failed write left unstaged
 	return err
 }
 
-// wire returns the item's wire and transport: the control connection's
-// or, for data and in-band control, the data connection's.
-func (it *outItem) wire() (*wire, transport.Conn) {
-	if it.ctrlPath {
-		return &it.c.ctrlW, it.c.ctrl
-	}
-	return &it.c.dataW, it.c.data
-}
-
 // stage returns the marshalled packet to write: the control packet as
-// queued, or the SDU serialised into a pooled buffer — the one copy of
-// the payload, after which the caller's message is no longer referenced.
-// Its writer picked it up (Dequeued), off a queue or inline — an inline
-// write stamps no Queued.
-func (it *outItem) stage() *buf.Buffer {
+// queued, or the SDU serialised into a pooled buffer. Its writer picked
+// it up (Dequeued), and it leaves the queue: a stream SDU gives its
+// slot back.
+func (c *Connection) stage(it *outItem) *buf.Buffer {
 	if it.ctrl != nil {
-		it.c.stats.controlSent.Add(1)
+		c.stats.controlSent.Add(1)
 		return it.ctrl
 	}
-	telemetry.TraceStamp(it.c.id, it.sdu.Header.SessionID, telemetry.StageDequeued)
+	if it.streamSlot {
+		<-c.streamSlotCh()
+	}
+	telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageDequeued)
 	sb := buf.GetCap(packet.DataHeaderSize + len(it.sdu.Payload))
 	sb.B = packet.AppendSDU(sb.B, it.sdu.Header, it.sdu.Payload)
 	return sb
 }
 
-// finish is the post-transmission bookkeeping: the trace stamp, the done
-// token a synchronous sender waits on (only a queued SDU carries one),
-// queue-slot releases.
-func (it *outItem) finish() {
-	if it.ctrl == nil {
-		telemetry.TraceStamp(it.c.id, it.sdu.Header.SessionID, telemetry.StageWireOut)
-	}
-	if it.done != nil {
-		it.done <- struct{}{} // one-token confirmation (pooled chan)
-	}
-	if it.slot {
-		<-it.c.sh.sendSlots
-	}
-	if it.streamSlot {
-		<-it.c.streamSlotCh()
+// releaseItems drops the control packets among items, which nothing
+// will write.
+func releaseItems(items []outItem) {
+	for i := range items {
+		if items[i].ctrl != nil {
+			items[i].ctrl.Release()
+		}
 	}
 }
 
-func finishAll(items []outItem) {
-	for i := range items {
-		items[i].finish()
+// close empties w's queue for good once the connection closed: push
+// refuses from then on, so nothing can be stranded behind it.
+func (w *wire) close() {
+	if q := w.q.Load(); q != nil {
+		q.mu.Lock()
+		releaseItems(q.items)
+		q.items = nil
+		q.n.Store(0)
+		q.mu.Unlock()
 	}
 }
 
@@ -157,44 +284,41 @@ func (e ctrlEvent) release() {
 	}
 }
 
-// sendSession is what one Send needs beyond the message: the
+// sendSession is what one reliable Send needs beyond the message: the
 // error-control sender, the channel the connection's control demux
-// deposits its acknowledgments on, the retransmission timer (idle on the
-// fast path, whose timed control read is its timer) and the channel the
-// Send Thread or shard confirms a queued synchronous transmission on —
-// the one part an unreliable Send uses. Sessions recycle through
-// idleSendSessions — channels and timer are built once and survive, the
-// sender is drawn from errctl's own free list per transfer — so a steady
-// stream of sends allocates nothing. What makes ackCh safe to reuse is
-// endSend's order: deposits happen under c.mu against the waiter table,
-// so once the session id is deleted no event can land, and the drain
-// that follows leaves the channel empty. An ack for an older session
-// finds no waiter under its id and is discarded, whoever holds the
-// channel now. done is clean whenever put returned normally: its one
-// token was consumed.
+// deposits its acknowledgments on, and the retransmission timer (idle on
+// the fast path, whose timed control read is its timer). Sessions
+// recycle through idleSendSessions — channel and timer are built once
+// and survive, the sender is drawn from errctl's own free list per
+// transfer — so a steady stream of sends allocates nothing. What makes
+// ackCh safe to reuse is endSend's order: deposits happen under c.mu
+// against the waiter table, so once the session id is deleted no event
+// can land, and the drain that follows leaves the channel empty. An ack
+// for an older session finds no waiter under its id and is discarded,
+// whoever holds the channel now.
 type sendSession struct {
 	snd errctl.Sender
 	// ackCh holds the acks that arrive while Send is busy retransmitting;
 	// one that finds it full is dropped and the timer recovers.
 	ackCh chan ctrlEvent
-	timer *time.Timer   // stopped and drained while idle
-	done  chan struct{} // one token per synchronous transmission (put)
+	timer *time.Timer // stopped and drained while idle
 }
 
 // idleSendSessions keeps up to 256 idle send sessions — one serves one
 // Send at a time, so 256 concurrent senders; further ones build their
 // own and leave them to the collector. Budget: a session is its ack
-// channel (4 events × 64 B), a stopped timer and a one-token channel,
-// ≈ 0.6 KB — 256 ≈ 150 KB.
+// channel (4 events × 64 B) and a stopped timer, ≈ 0.5 KB — 256 ≈
+// 130 KB.
 var idleSendSessions = buf.NewFreeList(256, func() *sendSession {
 	t := time.NewTimer(time.Hour)
 	t.Stop()
-	return &sendSession{ackCh: make(chan ctrlEvent, 4), timer: t, done: make(chan struct{}, 1)}
+	return &sendSession{ackCh: make(chan ctrlEvent, 4), timer: t}
 })
 
 // Connection is one NCS point-to-point connection: a data connection
-// and a control connection, the per-connection threads of Figure 4, and
-// the flow/error control configuration chosen at establishment.
+// and a control connection, the per-connection receive threads of
+// Figure 4 (its send side is procedures: flush), and the flow/error
+// control configuration chosen at establishment.
 type Connection struct {
 	sys  *System
 	peer string
@@ -211,12 +335,6 @@ type Connection struct {
 	// c.mu serialises construction.
 	fcSend atomic.Pointer[flowctl.Sender]
 	fcRecv atomic.Pointer[flowctl.Receiver]
-
-	// sendQ and ctrlQ exist only on threaded runtimes — the sharded
-	// runtime deposits on its shard's outbound queue and the fast path
-	// writes inline, so neither pays for queues it never uses.
-	sendQ chan outItem
-	ctrlQ chan *buf.Buffer // marshalled control packets; the queue owns the references
 
 	// box is the default lane's receive end — the same mailbox every
 	// stream has. Its producer holds it to deliveredQueueDepth (or, bound
@@ -251,7 +369,7 @@ type Connection struct {
 	fastRecvMu sync.Mutex // serialises fast-path pump holders
 
 	// The data and control transports as their writers share them
-	// (writeInline). In-band control rides dataW.
+	// (flush). In-band control rides dataW.
 	dataW, ctrlW wire
 
 	// Stream multiplexing state (see internal/stream). The mux is lazy:
@@ -321,22 +439,17 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		// drives the connection's protocol machinery (shard.go).
 		c.attachShard()
 	case opts.InbandControl:
-		// Ablation mode: control shares the data connection, so the
-		// Send Thread carries both and the Receive Thread demultiplexes
-		// — exactly the per-packet demux cost the split planes avoid.
-		c.sendQ = make(chan outItem, sendQueueDepth)
-		c.wg.Add(2)
-		go c.sendThread()
+		// Ablation mode: control shares the data connection, so its wire
+		// carries both and the Receive Thread demultiplexes — exactly the
+		// per-packet demux cost the split planes avoid.
+		c.wg.Add(1)
 		go c.recvThread()
 	default:
-		// Data plane: per-connection Send and Receive Threads; control
-		// plane: per-connection Control Send/Receive Threads.
-		c.sendQ = make(chan outItem, sendQueueDepth)
-		c.ctrlQ = make(chan *buf.Buffer, 16)
-		c.wg.Add(4)
-		go c.sendThread()
+		// Per-connection Receive and Control Receive Threads. The Send
+		// and Control Send Threads are procedures: whoever holds a
+		// wire's owner writes its queue (flush).
+		c.wg.Add(2)
 		go c.recvThread()
-		go c.ctrlSendThread()
 		go c.ctrlRecvThread()
 	}
 	sys.track(c)
@@ -417,10 +530,7 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 // the shard.
 func (c *Connection) attachShard() {
 	sh := c.sys.shardFor(c.id)
-	sc := &shardConn{
-		shard:     sh,
-		sendSlots: make(chan struct{}, sendQueueDepth),
-	}
+	sc := &shardConn{shard: sh}
 	c.sh = sc
 	if p, ok := transport.AsPoller(c.data); ok {
 		sc.dataPoll = p
@@ -554,7 +664,6 @@ type sendLane struct {
 	streamID uint32
 	fc       flowctl.Sender
 	tx       *atomic.Uint32
-	done     chan struct{} // the running Send's confirmation channel (sendSession.done)
 }
 
 // lane0 is the connection's default (stream 0) send lane.
@@ -565,10 +674,11 @@ func (c *Connection) lane0() sendLane {
 // send is the one send engine: every Send, on every lane and every
 // runtime, is this procedure — §4.2's point that the threads "can be
 // replaced by procedures" means flow control, error control and the
-// data transfer are the same steps whoever runs them. Only three
-// primitives know the runtime: admit (how a credit wait passes), put
-// (how an SDU reaches the wire) and awaitAck (how the acknowledgment
-// comes back).
+// data transfer are the same steps whoever runs them. Only two
+// primitives know the runtime: admit (how a credit wait passes) and
+// awaitAck (how the acknowledgment comes back). Every packet reaches
+// the wire the same way: pushed onto its wire's queue, written by
+// whoever holds the wire's owner (flush).
 func (c *Connection) send(lane sendLane, msg []byte) error {
 	if err := c.checkSendSize(msg); err != nil {
 		return err
@@ -583,14 +693,6 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 	sess := c.nextSession.Add(1)
 	telemetry.TraceStart(c.id, sess, len(msg))
 
-	// A fast-path unreliable Send waits for neither acks nor a Send
-	// Thread, so it alone takes no session.
-	var ss *sendSession
-	if c.opts.ErrorControl != errctl.None || !c.opts.FastPath {
-		ss = c.beginSend(lane, msg, sess)
-		defer c.endSend(ss, sess)
-		lane.done = ss.done
-	}
 	if c.opts.ErrorControl == errctl.None {
 		// A None session never retransmits, so nothing ever refers to it
 		// again and the error-control sender (session state, segmentation
@@ -610,6 +712,8 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 		return nil
 	}
 
+	ss := c.beginSend(lane, msg, sess)
+	defer c.endSend(ss, sess)
 	if err := c.transmit(lane, ss.snd.Initial(), false); err != nil {
 		return err
 	}
@@ -644,13 +748,12 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 			// Retransmissions transmit synchronously (the trailing true):
 			// their payloads alias msg, which the caller may recycle the
 			// moment Send returns, and the final ack can land while an
-			// async duplicate still sits in the send queue. Waiting for
-			// the Send Thread's confirmation — it copies the payload into
-			// its own staging buffer before batching — keeps every queued
-			// alias inside Send's lifetime; a lone retransmission written
-			// inline is done when put returns. The original window needs
-			// no such barrier: an ack proves its SDUs were already staged
-			// and written.
+			// async duplicate still sits in the wire's queue. Waiting for
+			// the wire's owner until they are written — staging copies
+			// each payload into its own buffer — keeps every queued alias
+			// inside Send's lifetime. The original window needs no such
+			// barrier: an ack proves its SDUs were already staged and
+			// written.
 			if err := c.transmit(lane, rt, true); err != nil {
 				return err
 			}
@@ -660,14 +763,11 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 	}
 }
 
-// beginSend draws a send session for transfer sess of msg and, when the
-// transfer is reliable, gives it a sender and registers its ack channel
-// with the control demux.
+// beginSend draws a send session for reliable transfer sess of msg,
+// gives it a sender and registers its ack channel with the control
+// demux.
 func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSession {
 	ss := idleSendSessions.Get()
-	if c.opts.ErrorControl == errctl.None {
-		return ss
-	}
 	ss.snd = errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
 	c.mu.Lock()
 	if c.waiters == nil {
@@ -681,25 +781,19 @@ func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSess
 // endSend retires the session: deregister, then drain (releasing the
 // receive buffers buffered events retained — e.g. a duplicate final ack
 // that raced the session's completion), then return every part to its
-// free list. See sendSession for why this order makes the channels
-// reusable. On a closed (or failed) connection the session is left to
-// the collector instead: a put that gave up waiting may still be owed
-// its token.
+// free list. See sendSession for why this order makes the channel
+// reusable.
 func (c *Connection) endSend(ss *sendSession, sess uint32) {
-	if ss.snd != nil {
-		c.mu.Lock()
-		delete(c.waiters, sess)
-		c.mu.Unlock()
-		for len(ss.ackCh) > 0 {
-			(<-ss.ackCh).release()
-		}
-		stopTimer(ss.timer)
-		errctl.Release(ss.snd)
-		ss.snd = nil
+	c.mu.Lock()
+	delete(c.waiters, sess)
+	c.mu.Unlock()
+	for len(ss.ackCh) > 0 {
+		(<-ss.ackCh).release()
 	}
-	if c.Err() == nil {
-		idleSendSessions.Put(ss)
-	}
+	stopTimer(ss.timer)
+	errctl.Release(ss.snd)
+	ss.snd = nil
+	idleSendSessions.Put(ss)
 }
 
 // rto is how long a sender waits before presuming loss — the
@@ -788,15 +882,29 @@ func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
 // transmit performs the Error-Control → Flow-Control → wire hand-off
 // for a batch of SDUs on a send lane: admission and the transmit index
 // come from the lane, so a stream whose credit window is exhausted
-// blocks only its own sender. When sync is true it returns only once
-// the final SDU left the interface. This is the one place sent SDUs are
+// blocks only its own sender. A lone SDU — a one-SDU message, a single
+// retransmission, an unreliable message's last SDU — is written by its
+// sender when the wire is free (writeInline). Otherwise each admitted
+// SDU is pushed onto the data wire's queue, and at the end of the batch
+// the sender hands the queue to the wire (flush) — when sync is true
+// waiting for the owner, so that it returns only once its SDUs left the
+// interface. An unreliable message's SDUs before its last are batches of
+// one only because None segments on the caller's stack: they stay
+// queued for the last one's flush. This is the one place sent SDUs are
 // counted: c.stats is the only book (conns.go reads it for core.conn.*).
 //
-// A batch of one SDU — a one-SDU message, a single retransmission — is
-// alone: put writes it inline when the wire is free. Larger batches
-// queue, and keep the Send Thread's or the shard's coalescing; so do an
-// unreliable message's SDUs before its last, batches of one only because
-// None segments on the caller's stack.
+// Having written a lone SDU inline, a sharded sender yields. The write woke the peer's reader onto this P's runnext;
+// Gosched runs it at once and moves the sender to the global run queue,
+// where an idle P takes it. Without the yield, that P finds only a
+// running P's runnext to steal and backs off in the Go scheduler's
+// usleep(3) — ≈ 60 µs under Linux's 50 µs timer slack: with two callers
+// on two Ps, 3–5 % of rpc_fanin's calls took 65–80 µs. No yield follows
+// a fast-path write or a control write (emitCtrl): both measured worse
+// with one. Nor a threaded write: there the sender's move between Ps
+// after each yield left the runtime's per-P sudog caches to refill after
+// every collection, and a 64 B reliable echo allocated up to 2.11 times
+// per echo under a forced collection every 16th
+// (TestMessagePathAllocationsSurviveTheCollector; 2.00–2.01 without it).
 func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
@@ -809,7 +917,7 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 	}
 	alone := len(sdus) == 1 && sdus[0].Header.Flags&(packet.FlagEnd|packet.FlagRetransmit) != 0
 	wait := c.rto()
-	for i, sdu := range sdus {
+	for _, sdu := range sdus {
 		if err := c.admit(lane, wait); err != nil {
 			return err
 		}
@@ -819,48 +927,64 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 			c.stats.retransmissions.Add(1)
 		}
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
-		var done chan struct{}
-		if sync && i == len(sdus)-1 {
-			done = lane.done
+		if alone {
+			if ok, err := c.writeInline(&c.dataW, c.data, outItem{sdu: sdu}); ok {
+				if err == nil && c.sh != nil {
+					runtime.Gosched()
+				}
+				return err
+			}
 		}
-		if err := c.put(outItem{c: c, sdu: sdu}, done, alone); err != nil {
+		if err := c.put(outItem{sdu: sdu}); err != nil {
 			return err
 		}
 	}
-	return nil
+	if !sync && sdus[len(sdus)-1].Header.Flags&packet.FlagEnd == 0 {
+		return nil
+	}
+	return c.flush(&c.dataW, c.data, sync)
 }
 
 // maxCreditWait bounds how long a fast-path sender waits for flow
 // control admission before giving up, in multiples of AckTimeout.
 const maxCreditWait = 10
 
-// admit blocks until the lane's flow control admits its next
-// transmission. Threaded and sharded senders sleep in the flow-control
-// sender, which the control demux wakes; the fast path polls it,
-// pumping the control connection between attempts — so a send that
-// exhausts its window delays the other lanes' sends (they serialise on
-// fastSendMu) by up to the bounded wait: keep unconsumed fast-path
-// streams within their initial credit window.
+// admit returns once the lane's flow control admits its next
+// transmission. A sender about to wait first hands what it queued to
+// the wire: the grants it waits for answer those SDUs. Threaded and
+// sharded senders sleep in the flow-control sender, which the control
+// demux wakes; the fast path polls it, pumping the control connection
+// between attempts — so a send that exhausts its window delays the
+// other lanes' sends (they serialise on fastSendMu) by up to the bounded
+// wait: keep unconsumed fast-path streams within their initial credit
+// window.
 func (c *Connection) admit(lane sendLane, wait time.Duration) error {
 	fc := lane.fc
 	idx := lane.tx.Add(1) - 1
+	if fc.TryAcquire(idx) {
+		return nil
+	}
+	if err := c.flush(&c.dataW, c.data, false); err != nil {
+		return err
+	}
 	if c.opts.FastPath {
-		if fc.TryAcquire(idx) {
-			return nil
-		}
 		// Polling bypasses the Sender's blocking entry points, so the
 		// admission wait is reported to flow control's instruments here.
 		blockedAt := time.Now()
 		defer func() { flowctl.NoteFastPathWait(c.opts.FlowControl, time.Since(blockedAt)) }()
 		for attempt := 0; attempt < maxCreditWait; attempt++ {
-			timedOut, err := c.pumpCtrl(wait)
-			if err != nil {
-				return err
-			}
-			if timedOut {
-				if err := c.creditTimeout(lane); err != nil {
+			// One wait: pump until a grant admits the SDU, or wait passes
+			// without one — however many other control packets arrive.
+			for end := time.Now().Add(wait); time.Now().Before(end); {
+				if _, err := c.pumpCtrl(time.Until(end)); err != nil {
 					return err
 				}
+				if fc.TryAcquire(idx) {
+					return nil
+				}
+			}
+			if err := c.creditTimeout(lane); err != nil {
+				return err
 			}
 			if fc.TryAcquire(idx) {
 				return nil
@@ -904,94 +1028,42 @@ func (c *Connection) creditTimeout(lane sendLane) error {
 	return nil
 }
 
-// put hands one admitted SDU to the wire. A lone SDU (transmit) leaves
-// on the caller's goroutine when the wire is free, and so does every
-// fast-path SDU: the fast path has no queue, so it always finds the wire
-// free. Otherwise the SDU joins the Send Thread's or the shard's queue —
-// and put waits, when done is given, for the token that confirms it left
-// the interface. An inline write is finished when it returns: no token.
-//
-// Having written inline, a sharded sender yields. The write woke the
-// peer's reader onto this P's runnext; Gosched runs it at once and moves
-// the sender to the global run queue, where an idle P takes it. Without
-// the yield, that P finds only a running P's runnext to steal and backs
-// off in the Go scheduler's usleep(3) — ≈ 60 µs under Linux's 50 µs
-// timer slack: with two callers on two Ps, 3–5 % of rpc_fanin's calls
-// took 65–80 µs. No yield follows a fast-path write or a control write
-// (emitCtrl): both measured worse with one. Nor a threaded write: there
-// the sender's move between Ps after each yield left the runtime's
-// per-P sudog caches to refill after every collection, and a 64 B
-// reliable echo allocated up to 2.11 times per echo under a forced
-// collection every 16th (TestMessagePathAllocationsSurviveTheCollector;
-// 2.00–2.01 without it).
-func (c *Connection) put(it outItem, done chan struct{}, alone bool) error {
-	if alone || c.opts.FastPath {
-		if ok, err := c.writeInline(&it); ok {
-			if c.sh != nil {
-				runtime.Gosched()
-			}
-			return err
-		}
-	}
-	telemetry.TraceStamp(c.id, it.sdu.Header.SessionID, telemetry.StageQueued)
-	it.done = done
+// put pushes one admitted SDU onto the data wire's queue, and hands the
+// queue to the wire once it holds a whole vectored write. A stream SDU
+// first takes a queue-residency slot, so that streams can never
+// monopolise the queue ahead of stream 0 (see streamSendSlots); the
+// drain gives it back. A sender about to wait for a slot first hands
+// what it queued to the wire: the slots it waits for may be its own.
+func (c *Connection) put(it outItem) error {
 	if it.sdu.Header.StreamID != 0 {
-		// Stream SDUs take a queue-residency slot so they can never
-		// monopolise the outbound queue ahead of stream 0 (see
-		// streamSendSlots); released after transmission.
+		slots := c.streamSlotCh()
 		select {
-		case c.streamSlotCh() <- struct{}{}:
-			it.streamSlot = true
-		case <-c.closedCh:
-			return ErrConnClosed
+		case slots <- struct{}{}:
+		default:
+			if err := c.flush(&c.dataW, c.data, false); err != nil {
+				return err
+			}
+			select {
+			case slots <- struct{}{}:
+			case <-c.closedCh:
+				return ErrConnClosed
+			}
 		}
+		it.streamSlot = true
 	}
-	if !c.enqueueData(it) {
+	n := c.push(&c.dataW, c.data, it, true)
+	if n == 0 {
 		if it.streamSlot {
 			<-c.streamSlotCh()
 		}
 		return ErrConnClosed
 	}
-	if done != nil {
-		select {
-		case <-done:
-		case <-c.closedCh:
-			// The channel may still receive its token: endSend, seeing
-			// the connection closed, will not reuse the session.
-			return ErrConnClosed
-		}
+	if n%sendBatchMax == 0 {
+		// A whole vectored write is queued: it leaves now, so the peer
+		// starts on it while the rest of the batch is admitted.
+		return c.flush(&c.dataW, c.data, false)
 	}
 	return nil
-}
-
-// writeInline is the one inline write: the packet leaves on the
-// goroutine that made it if its wire is free — nobody is writing that
-// transport and nothing is queued for it. The owner is taken before the
-// backlog is read, and every queue's writer holds it across its write
-// and shrinks the backlog under it, so an inline write never overtakes a
-// queued packet. Only the fast path, which has no queue, waits for the
-// owner. ok is false when the packet must queue instead.
-func (c *Connection) writeInline(it *outItem) (ok bool, err error) {
-	w, t := it.wire()
-	if c.opts.FastPath {
-		w.mu.Lock()
-	} else if !w.mu.TryLock() {
-		return false, nil
-	}
-	defer w.mu.Unlock()
-	if w.queued.Load() > 0 {
-		return false, nil
-	}
-	if !it.ctrlPath {
-		mCoalesceDepth.Observe(1) // a batch of one
-	}
-	err = t.SendBuf(it.stage()) // consumes the buffer reference
-	it.finish()
-	if err != nil {
-		go c.Close() // the writer may be a thread Close joins, or the shard it waits for
-		err = ErrConnClosed
-	}
-	return true, err
 }
 
 // streamSlotCh returns the connection's stream send-slot semaphore,
@@ -1008,26 +1080,6 @@ func (c *Connection) streamSlotCh() chan struct{} {
 	return *c.streamSlotsP.Load()
 }
 
-// enqueueData hands one data SDU to the connection's queue: the Send
-// Thread's (threaded) or the shard's outbound queue (sharded, after
-// taking one of the connection's send slots — the same depth bound
-// sendQ provides). It reports false when the connection closed; the
-// item's stream slot is then still the caller's to release.
-func (c *Connection) enqueueData(it outItem) bool {
-	if sc := c.sh; sc != nil {
-		select {
-		case sc.sendSlots <- struct{}{}:
-		case <-c.closedCh:
-			return false
-		}
-		mSendQDepth.Observe(int64(len(sc.sendSlots)))
-		it.slot = true
-		return sc.shard.enqueueOut(it)
-	}
-	mSendQDepth.Observe(int64(len(c.sendQ)))
-	return offer(&c.dataW, c.sendQ, it, true, c.closedCh)
-}
-
 func (c *Connection) checkSendSize(msg []byte) error {
 	if max := c.data.MaxPacket(); max > 0 && c.opts.SDUSize+packet.DataHeaderSize > max {
 		return ErrSendTooLarge
@@ -1040,46 +1092,6 @@ func (c *Connection) checkSendSize(msg []byte) error {
 		return ErrSendTooLarge
 	}
 	return nil
-}
-
-// sendThread is the per-connection Send Thread: it drains the message
-// queue and performs only the data transfer for this connection. It
-// drains sendQ opportunistically, coalescing up to sendBatchMax queued
-// packets into one vectored transport write — under load, N SDUs share
-// a single syscall and its framing cost. (A lone SDU that finds it idle
-// never reaches it: writeInline.)
-func (c *Connection) sendThread() {
-	defer c.wg.Done()
-	items := make([]outItem, 0, sendBatchMax)
-	batch := make([]*buf.Buffer, 0, sendBatchMax)
-	for {
-		select {
-		case item := <-c.sendQ:
-			items = append(items[:0], item)
-		drain:
-			for len(items) < sendBatchMax {
-				select {
-				case next := <-c.sendQ:
-					items = append(items, next)
-				default:
-					break drain
-				}
-			}
-			batch = batch[:0]
-			for i := range items {
-				batch = append(batch, items[i].stage())
-			}
-			mCoalesceDepth.Observe(int64(len(batch)))
-			if err := c.dataW.write(c.data, batch, items); err != nil {
-				// The connection is going down; propagate so Send
-				// callers see ErrConnClosed via closedCh.
-				go c.Close()
-				return
-			}
-		case <-c.closedCh:
-			return
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------
@@ -1435,116 +1447,51 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 	return d, done
 }
 
-// emitCtrl sends one control packet: inline (writeInline) when its wire
-// is free, else on the path the connection's runtime owns — the Control
-// Send Thread's queue (in in-band mode the Send Thread's, where it
-// competes with data) or the shard's outbound queue. It serialises the
-// packet into a pooled buffer BEFORE it returns, on every runtime, which
-// is what lets error and flow control lend it bodies that live in their
-// scratch; the queues carry that buffer, not the packet. Safe from any
-// goroutine. It reports false when the connection closed.
+// emitCtrl sends one control packet on its wire — the control
+// connection's, or in in-band mode the data connection's, where it
+// competes with data: inline when the wire is free (writeInline), else
+// pushed onto the wire's queue, which it hands to the wire (flush) if
+// the owner is free by then. It serialises the packet into a
+// pooled buffer BEFORE it returns, on every runtime, which is what lets
+// error and flow control lend it bodies that live in their scratch; the
+// queue carries that buffer, not the packet. Safe from any goroutine. It
+// reports false when the connection closed.
+//
+// A ping neither waits for queue room nor writes: the liveness sweep
+// that sends it must not block on one connection, and a full queue is
+// control traffic in flight — the verdict reads what was heard, not what
+// was sent. Its wire is drained by a fresh goroutine, or on a shard by
+// the loop, which the ping re-queues the connection on. The acks and
+// grants a shard emits while it serves the connection stay queued, too:
+// the loop drains every connection it served at the end of its cycle,
+// coalesced with the rest of the cycle's output.
 func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
 	sb.B = ctl.Marshal(sb.B)
-	it := outItem{c: c, ctrl: sb, ctrlPath: c.opts.FastPath || !c.opts.InbandControl}
-	// A ping neither goes inline nor waits for queue room: the liveness
-	// sweep that sends it must not block on one connection, and a full
-	// control queue is control traffic in flight — the verdict reads what
-	// was heard, not what was sent. The acks and grants a shard emits
-	// while it serves the connection ride its flush, coalesced with the
-	// rest of its cycle (its outbound queue never makes anyone wait).
-	// The fast path has no queue and no sweep: everything goes inline.
-	wait := ctl.Type != packet.CtrlPing
-	if c.opts.FastPath || wait && (c.sh == nil || !c.sh.serving.Load()) {
-		if ok, err := c.writeInline(&it); ok {
+	w, t := &c.ctrlW, c.ctrl
+	if c.opts.InbandControl && !c.opts.FastPath {
+		w, t = &c.dataW, c.data
+	}
+	ping := ctl.Type == packet.CtrlPing
+	it := outItem{ctrl: sb}
+	if !ping && (c.sh == nil || !c.sh.serving.Load()) {
+		if ok, err := c.writeInline(w, t, it); ok {
 			return err == nil
 		}
 	}
-	var queued bool
-	switch {
-	case c.sh != nil:
-		// Control packets are bounded by the inbound budget that produced
-		// them, so they take no slot.
-		queued = c.sh.shard.enqueueOut(it)
-	case it.ctrlPath:
-		queued = offer(&c.ctrlW, c.ctrlQ, sb, wait, c.closedCh)
-	default:
-		queued = offer(&c.dataW, c.sendQ, it, wait, c.closedCh)
-	}
-	if !queued {
+	if c.push(w, t, it, !ping) == 0 {
 		sb.Release()
 		return false
 	}
-	select {
-	case <-c.closedCh:
-		// Both select arms above were ready, and Close may already have
-		// swept the queues: sweep again, so that the buffer just queued
-		// cannot be stranded behind threads that have exited.
-		c.drainCtrl()
-	default:
+	switch {
+	case ping && c.sh != nil:
+		c.sh.shard.requeue(c)
+	case ping:
+		go c.flush(w, t, false)
+	case c.sh == nil || !c.sh.serving.Load(): // read after the push: a loop done serving flushed before it
+		return c.flush(w, t, false) == nil
 	}
 	return true
-}
-
-// offer queues v for w if q has room; if it has none and wait is set, it
-// waits for room or for closed. It reports whether v was queued, and
-// counts it in w's backlog from before it can be seen in q until the
-// writer that dequeues it has written it.
-func offer[T any](w *wire, q chan<- T, v T, wait bool, closed <-chan struct{}) bool {
-	w.queued.Add(1)
-	select {
-	case q <- v:
-		return true
-	default:
-	}
-	if wait {
-		select {
-		case q <- v:
-			return true
-		case <-closed:
-		}
-	}
-	w.queued.Add(-1)
-	return false
-}
-
-// drainCtrl releases the marshalled control packets still queued on a
-// threaded connection that closed; nothing will send them.
-func (c *Connection) drainCtrl() {
-	for {
-		select {
-		case sb := <-c.ctrlQ:
-			sb.Release()
-		case it := <-c.sendQ:
-			if it.ctrl != nil {
-				it.ctrl.Release()
-			}
-		default:
-			return
-		}
-	}
-}
-
-// ctrlSendThread serialises control packets onto the control connection
-// (the Control Send Thread of Figure 1).
-func (c *Connection) ctrlSendThread() {
-	defer c.wg.Done()
-	for {
-		select {
-		case sb := <-c.ctrlQ:
-			c.stats.controlSent.Add(1)
-			c.ctrlW.mu.Lock()
-			err := c.ctrl.SendBuf(sb)
-			c.ctrlW.queued.Add(-1)
-			c.ctrlW.mu.Unlock()
-			if err != nil {
-				go c.Close()
-				return
-			}
-		case <-c.closedCh:
-			return
-		}
-	}
 }
 
 // ctrlRecvThread reads the control connection and dispatches: flow
@@ -1630,7 +1577,7 @@ func (c *Connection) ImpairData(imp netsim.Impairments) bool {
 }
 
 // Close tears the connection down: both transport connections, the flow
-// control state, and all four per-connection threads. Inbound sessions
+// control state, both wires' queues and the per-connection threads. Inbound sessions
 // still incomplete at teardown are abandoned so the pooled receive
 // buffers they retained return to their pools (reapInbound).
 func (c *Connection) Close() error {
@@ -1651,10 +1598,11 @@ func (c *Connection) Close() error {
 		if fcr != nil {
 			(*fcr).Close()
 		}
+		c.dataW.close()
+		c.ctrlW.close()
 		c.data.Close()
 		c.ctrl.Close()
 		c.wg.Wait()
-		c.drainCtrl()
 		if sc := c.sh; sc != nil {
 			// Pumps have exited (wg). Deregister and barrier against
 			// the cycle that may still be dispatching our packets; the

@@ -146,8 +146,7 @@ func (c *Connection) info() ConnInfo {
 	// The struct plus every piece of lazily built state it has actually
 	// built: what stays nil contributes nothing, which is the point.
 	ci.Bytes = uint64(unsafe.Sizeof(*c)) +
-		uint64(cap(c.sendQ))*uint64(unsafe.Sizeof(outItem{})) +
-		uint64(cap(c.ctrlQ))*uint64(unsafe.Sizeof((*buf.Buffer)(nil))) +
+		c.dataW.bytes() + c.ctrlW.bytes() +
 		uint64(c.box.Cap())*uint64(unsafe.Sizeof(Message{})) +
 		uint64(ci.Sessions)*sessionEstimate +
 		uint64(ci.Waiters)*waiterEstimate
@@ -195,4 +194,18 @@ func Conns() []ConnInfo {
 		}
 	}
 	return out
+}
+
+// bytes estimates what w's queue retains once built: the queue and the
+// owner's batch, which swap places and so grow alike, and one write's
+// buffer list.
+func (w *wire) bytes() uint64 {
+	q := w.q.Load()
+	if q == nil {
+		return 0
+	}
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return uint64(unsafe.Sizeof(*q)) + 2*uint64(cap(q.items))*uint64(unsafe.Sizeof(outItem{})) +
+		sendBatchMax*uint64(unsafe.Sizeof((*buf.Buffer)(nil)))
 }

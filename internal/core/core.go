@@ -15,10 +15,15 @@
 //   - The paper multiplexes all connections' control traffic through one
 //     Control Send Thread and one Control Receive Thread per process
 //     (Figure 1). Here each connection owns its control connection and
-//     its own CS/CR threads: the wire-level property the paper argues
-//     for — control information never competes with data for a data
-//     connection's bandwidth — is identical, and per-connection control
-//     channels make teardown and the fast path simpler.
+//     its own Control Receive Thread: the wire-level property the paper
+//     argues for — control information never competes with data for a
+//     data connection's bandwidth — is identical, and per-connection
+//     control channels make teardown and the fast path simpler.
+//   - The Send and Control Send Threads are procedures on every runtime,
+//     as §4.2 says they can be: a packet is pushed onto its wire's queue,
+//     and whoever holds the wire's owner writes the queue
+//     (Connection.flush) — the goroutine that made the packet, when the
+//     wire is free.
 //   - NCS worker threads are goroutines (kernel-level threads in the
 //     paper's taxonomy). The user-level/kernel-level comparison of §4.1
 //     is reproduced in internal/bench with the internal/thread package,

@@ -397,8 +397,9 @@ func TestRecvTimeout(t *testing.T) {
 
 // senderStages is the order the sender's lifecycle stamps come in,
 // whichever runtime makes them: each is stamped at one site (TestOneTracer).
-// Queued is stamped only when the first SDU went through a queue; one
-// written inline (writeInline) goes from Staged straight to Dequeued.
+// Queued is stamped only when the first SDU waited in its wire's queue;
+// a lone one its sender wrote at once goes from Staged straight to
+// Dequeued.
 var senderStages = []telemetry.TraceStage{
 	telemetry.StageEnqueued, telemetry.StageStaged, telemetry.StageQueued, telemetry.StageDequeued, telemetry.StageWireOut,
 }
@@ -407,8 +408,8 @@ var senderStages = []telemetry.TraceStage{
 // before the next starts — with every message sampled, until n of their
 // traces carry every sender-side stamp, and returns those next to each
 // one's Send's entry and exit on the tracer's clock. (WireOut is stamped
-// when the write returns; a message the receiver delivered before that
-// completed its trace without it, and is sent again.)
+// before the write starts, so every completed trace carries it; one
+// without it would be sent again.)
 func tracedSends(t *testing.T, conn, peer *Connection, n int, msg []byte) (traces []telemetry.Trace, calls [][2]int64) {
 	t.Helper()
 	telemetry.EnableTracing(1, 16)
@@ -463,9 +464,9 @@ func checkSenderStages(t *testing.T, tr telemetry.Trace, call [2]int64, queued b
 // TestThreadedSendStages: Table I's breakdown of a threaded 1-byte send —
 // entry, queue, switch to the Send Thread, transfer, switch back — is
 // read off the lifecycle tracer's stamps and a bracket on its clock. A
-// paced 1-byte send finds the Send Thread idle and is written by the
-// caller, so it has no queue and no switch; a two-SDU send goes through
-// the Send Thread and has both.
+// paced 1-byte send finds its wire free and is written by the caller,
+// so it has no queue and no switch; a two-SDU send's first SDU waits in
+// the queue while the second is admitted, and has both.
 func TestThreadedSendStages(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface: transport.SCI,

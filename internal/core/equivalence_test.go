@@ -37,13 +37,28 @@ var allRuntimes = []struct {
 // runs them. Reliable cells cross a link that loses, duplicates and
 // reorders data packets; None recovers nothing by definition, so its
 // cells keep the link's delay but not its impairments — the assertions
-// are the same.
+// are the same. The last lane is three streams sending 64-SDU messages
+// at once under a credit window of 2: each send outgrows both the
+// window (below sendBatchMax) and the streams' shared send slots
+// (streamSendSlots), so a sender that waited for a credit or a slot with
+// its own SDUs still queued, unwritten, would stall — its cell must
+// complete inside the same deadlines.
 func TestOneEngineAcrossRuntimes(t *testing.T) {
-	const msgs, sduSize = 200, 256
+	const sduSize = 256
 	for _, rt := range allRuntimes {
-		for _, lane := range []string{"lane0", "stream"} {
+		for _, lane := range []struct {
+			name    string
+			streams int    // senders, one stream each; 0: one sender on lane 0
+			msgs    int    // per sender
+			sdus    int    // per message: 1–8 drawn from the seed, or exactly this many
+			window  uint32 // the credit window; 0: flow control's default
+		}{
+			{"lane0", 0, 200, 0, 0},
+			{"stream", 1, 200, 0, 0},
+			{"3streams-window2", 3, 4, 64, 2},
+		} {
 			for _, ec := range []errctl.Algorithm{errctl.SelectiveRepeat, errctl.GoBackN, errctl.None} {
-				t.Run(fmt.Sprintf("%s/%s/%v", rt.name, lane, ec), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/%v", rt.name, lane.name, ec), func(t *testing.T) {
 					link := &netsim.Params{Delay: 100 * time.Microsecond, Seed: 11}
 					if ec != errctl.None {
 						link.LossRate = 0.04
@@ -53,6 +68,7 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 						Interface:    transport.HPI,
 						ErrorControl: ec,
 						FlowControl:  flowctl.Credit,
+						FlowConfig:   flowctl.Config{InitialCredits: int(lane.window), MaxCredits: int(lane.window)},
 						SDUSize:      sduSize,
 						AckTimeout:   5 * time.Millisecond,
 						HPILink:      link,
@@ -64,54 +80,77 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 
 					// 1–8 SDUs per message, the same sizes in every cell.
 					rng := rand.New(rand.NewSource(42))
-					sizes := make([]int, msgs)
+					sizes := make([]int, lane.msgs)
 					wantSDUs := 0
 					for i := range sizes {
 						sizes[i] = 5 + rng.Intn(8*sduSize-4) // reuseMsg's header is 5 bytes
+						if lane.sdus > 0 {
+							sizes[i] = lane.sdus * sduSize
+						}
 						wantSDUs += (sizes[i] + sduSize - 1) / sduSize
 					}
-					send := conn.Send
-					if lane == "stream" {
+					senders := max(lane.streams, 1)
+					msgs := senders * lane.msgs
+					wantSDUs *= senders
+					sends := []func([]byte) error{conn.Send}
+					for s := 0; s < lane.streams; s++ {
 						out, err := conn.OpenStream()
 						if err != nil {
 							t.Fatal(err)
 						}
-						send = out.Send
+						sends = append(sends[:s], out.Send)
 					}
-					sendErr := make(chan error, 1)
-					go func() {
-						for seq, n := range sizes {
-							if err := send(reuseMsg(0, uint32(seq), n)); err != nil {
-								sendErr <- fmt.Errorf("send %d: %w", seq, err)
-								return
+					errs := make(chan error, 2*senders)
+					for s, send := range sends {
+						go func() {
+							for seq, n := range sizes {
+								if err := send(reuseMsg(byte(s), uint32(seq), n)); err != nil {
+									errs <- fmt.Errorf("sender %d, send %d: %w", s, seq, err)
+									return
+								}
 							}
-						}
-						sendErr <- nil
-					}()
-					recv := peer.RecvTimeout
-					if lane == "stream" {
-						// After the sender started: a fast-path accept
+							errs <- nil
+						}()
+					}
+					recvs := []func(time.Duration) ([]byte, error){peer.RecvTimeout}
+					for s := 0; s < lane.streams; s++ {
+						// After the senders started: a fast-path accept
 						// materialises from the stream's first data frame.
 						in, err := peer.AcceptStreamTimeout(10 * time.Second)
 						if err != nil {
 							t.Fatal(err)
 						}
-						recv = in.RecvTimeout
+						recvs = append(recvs[:s], in.RecvTimeout)
 					}
-					for seq := range sizes {
-						m, err := recv(20 * time.Second)
-						if err != nil {
-							t.Fatalf("recv %d: %v", seq, err)
+					// Each lane carries one sender's schedule, in order.
+					for _, recv := range recvs {
+						go func() {
+							var from byte
+							for seq := range sizes {
+								m, err := recv(20 * time.Second)
+								if err == nil && seq == 0 && len(m) > 0 {
+									from = m[0]
+								}
+								if err == nil {
+									err = checkReuseMsg(m, from, uint32(seq))
+								}
+								if err != nil {
+									errs <- fmt.Errorf("recv %d: %w", seq, err)
+									return
+								}
+							}
+							errs <- nil
+						}()
+					}
+					for range 2 * senders {
+						if err := <-errs; err != nil {
+							t.Fatal(err)
 						}
-						if err := checkReuseMsg(m, 0, uint32(seq)); err != nil {
-							t.Fatalf("recv %d: %v", seq, err)
+					}
+					for _, recv := range recvs {
+						if _, err := recv(20 * time.Millisecond); err == nil {
+							t.Fatal("a message was delivered twice")
 						}
-					}
-					if err := <-sendErr; err != nil {
-						t.Fatal(err)
-					}
-					if _, err := recv(20 * time.Millisecond); err == nil {
-						t.Fatal("a message was delivered twice")
 					}
 
 					s, p := conn.Stats(), peer.Stats()
@@ -119,7 +158,7 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 						t.Errorf("SDUsSent − Retransmissions = %d − %d = %d, want the %d SDUs of the schedule",
 							s.SDUsSent, s.Retransmissions, got, wantSDUs)
 					}
-					if s.MessagesSent != msgs || p.MessagesReceived != msgs {
+					if s.MessagesSent != uint64(msgs) || p.MessagesReceived != uint64(msgs) {
 						t.Errorf("MessagesSent = %d, peer MessagesReceived = %d, want %d each", s.MessagesSent, p.MessagesReceived, msgs)
 					}
 					// One book, two process-wide readers: what /debug/ncs/conns
@@ -354,19 +393,19 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 	})
 }
 
-// TestInlineWritesNeverOvertake holds the inline write to its one rule:
-// a lone SDU leaves on its sender's goroutine only when nothing is queued
-// ahead of it on its wire. Concurrent senders mix one-SDU messages, which
-// go inline whenever the wire is free, with three-SDU ones, which queue;
+// TestInlineWritesNeverOvertake holds every write to its one rule: a
+// packet leaves only from its wire's queue, in the order it was pushed,
+// whichever goroutine writes it. Concurrent senders mix one-SDU
+// messages, which their senders usually write themselves, with
+// three-SDU ones, which wait in the queue for their last SDU's flush;
 // an unreliable message's Send returns once its last SDU left, so a
 // sender's next message must find the previous one's SDUs written, not
 // queued behind it. Over a clean FIFO link with no error control, every
-// message then arrives exactly once and each sender's in order — on each
-// runtime that has a queue, lane 0 and streams alike. On the sharded
-// runtime the one-SDU messages race the shard's flush. The sender's
-// transports are a wireWitness, which holds every write to the rule
-// inline writes rely on: the writer holds the wire's owner, and a
-// batch is still counted in the wire's backlog while it is written.
+// message then arrives exactly once and each sender's in order — on
+// every runtime, lane 0 and streams alike. The sender's transports are
+// a wireWitness, which holds every write to what the order relies on:
+// the writer holds the wire's owner, and nothing still in the queue was
+// pushed before what it writes.
 // (Lane 0's 60
 // three-SDU messages stay below errctl.MaxTrackedSessions: its session
 // table ages out the oldest session, assuming one sender per channel, so
@@ -460,9 +499,9 @@ func TestInlineWritesNeverOvertake(t *testing.T) {
 }
 
 // wireWitness is one of a connection's transports, holding each write
-// to what an inline write relies on: its writer holds the wire's owner,
-// and a batch — written only by a queue's writer — is still counted in
-// the wire's backlog while it is written. The first breach is kept.
+// to what the order of a wire relies on: its writer holds the wire's
+// owner, and no SDU still in the wire's queue precedes, in its message,
+// one being written. The first breach is kept.
 type wireWitness struct {
 	transport.Conn
 	transport.Poller
@@ -470,28 +509,40 @@ type wireWitness struct {
 	breach atomic.Pointer[error]
 }
 
-// check judges one write of n packets; a batch is a queue writer's.
-func (ww *wireWitness) check(n int, batch bool) {
+// check judges one write.
+func (ww *wireWitness) check(bs []*buf.Buffer) {
 	w := ww.w.Load()
 	var err error
 	if w.mu.TryLock() {
 		w.mu.Unlock()
-		err = fmt.Errorf("a write of %d packets without the wire's owner", n)
-	} else if backlog := w.queued.Load(); batch && int(backlog) < n {
-		err = fmt.Errorf("a batch of %d written with %d counted in the wire's backlog", n, backlog)
+		err = fmt.Errorf("a write of %d packets without the wire's owner", len(bs))
 	}
+	q := w.queue()
+	q.mu.Lock()
+	for _, b := range bs {
+		h, _, perr := packet.SplitData(b.B)
+		if perr != nil {
+			continue // a control packet
+		}
+		for _, it := range q.items {
+			if q := it.sdu.Header; it.ctrl == nil && q.StreamID == h.StreamID && q.SessionID == h.SessionID && q.Seq < h.Seq {
+				err = fmt.Errorf("SDU %d of session %d on stream %d written while its SDU %d was still queued", h.Seq, h.SessionID, h.StreamID, q.Seq)
+			}
+		}
+	}
+	q.mu.Unlock()
 	if err != nil {
 		ww.breach.CompareAndSwap(nil, &err)
 	}
 }
 
 func (ww *wireWitness) SendBuf(b *buf.Buffer) error {
-	ww.check(1, false)
+	ww.check([]*buf.Buffer{b})
 	return ww.Conn.SendBuf(b)
 }
 
 func (ww *wireWitness) SendBatch(bs []*buf.Buffer) error {
-	ww.check(len(bs), true)
+	ww.check(bs)
 	return ww.Conn.SendBatch(bs)
 }
 
@@ -751,9 +802,6 @@ func TestOneHeartbeatAcrossRuntimes(t *testing.T) {
 			}
 		})
 
-		if opts.Runtime == RuntimeSharded {
-			continue // a shard's outbound queue is unbounded: it never fills
-		}
 		t.Run(rt.name+"/full-queue", func(t *testing.T) {
 			sys := newSystem(t)
 			data, rawData := transport.HPIPair()

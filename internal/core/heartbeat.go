@@ -11,7 +11,8 @@ import (
 // connection registry, on one timer armed at the smallest Heartbeat
 // among the registered connections and only while there is one. The
 // sweep runs on the timer's transient goroutine, so a heartbeat costs a
-// threaded connection no fifth thread and a System with none no timer.
+// threaded connection no thread of its own and a System with none no
+// timer.
 //
 // The verdict is a count, not a clock reading. Every inbound packet
 // raises the connection's heard flag; each sweep a connection is due for
@@ -98,8 +99,9 @@ func (s *System) armSweep(every time.Duration) {
 // with ErrPeerUnreachable; then the timer is re-armed at the smallest
 // interval seen. It holds s.mu throughout, so a connection cannot leave
 // the registry mid-sweep, and it never waits on a connection: a ping
-// takes no queue room it has to wait for (emitCtrl). A connection whose
-// Close is already under way is harmless to ping — emitCtrl refuses.
+// waits for no queue room and is written by another goroutine
+// (emitCtrl). A connection whose Close is already under way is harmless
+// to ping — emitCtrl refuses.
 func (s *System) sweep(now time.Time) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -140,10 +140,11 @@ func TestHeartbeatScaleOneSweepTimer(t *testing.T) {
 	}
 }
 
-// TestHeartbeatCostsNoThread: a threaded connection is the paper's four
-// threads (Figure 4) whether or not it asks for a heartbeat — fault
-// detection uses the control path, it does not add a fifth — and the
-// System's sweep is a timer, not a goroutine.
+// TestHeartbeatCostsNoThread: a threaded connection is its two receive
+// threads (Figure 4's Send and Control Send Threads are procedures)
+// whether or not it asks for a heartbeat — fault detection uses the
+// control path, it does not add a third — and the System's sweep is a
+// timer, not a goroutine.
 func TestHeartbeatCostsNoThread(t *testing.T) {
 	// Earlier tests' stragglers must be gone before goroutines are
 	// counted exactly: back to the idle process plus this test's own.
@@ -152,18 +153,18 @@ func TestHeartbeatCostsNoThread(t *testing.T) {
 	}
 	nw := NewNetwork()
 	defer nw.Close()
-	a, _ := nw.NewSystem("four-a")
-	b, _ := nw.NewSystem("four-b")
+	a, _ := nw.NewSystem("two-a")
+	b, _ := nw.NewSystem("two-b")
 	before := runtime.NumGoroutine() // the two Master Threads included
-	conn, err := a.Connect("four-b", Options{Interface: transport.HPI, Heartbeat: time.Hour})
+	conn, err := a.Connect("two-b", Options{Interface: transport.HPI, Heartbeat: time.Hour})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := b.Accept(); err != nil {
 		t.Fatal(err)
 	}
-	if grown := runtime.NumGoroutine() - before; grown != 2*4 {
-		t.Fatalf("a threaded heartbeat connection added %d goroutines over its two ends, want exactly 4 per end", grown)
+	if grown := runtime.NumGoroutine() - before; grown != 2*2 {
+		t.Fatalf("a threaded heartbeat connection added %d goroutines over its two ends, want exactly 2 per end", grown)
 	}
 	if n := a.Telemetry().Mem.PendingTimers; n != 1 {
 		t.Fatalf("PendingTimers = %d with a heartbeat connection live, want the one sweep timer", n)

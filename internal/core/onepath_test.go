@@ -167,8 +167,8 @@ func TestOneReceiveEnd(t *testing.T) {
 		}
 	}
 	// fastRecvMu.TryLock, becoming the fast path's pump, is in
-	// Connection.await; the other TryLock takes a wire (TestOneInlineWrite).
-	if got, want := callersOf(t, ".", "TryLock"), []string{"Connection.await", "Connection.writeInline"}; !slices.Equal(got, want) {
+	// Connection.await; the others take a wire's owner (TestOneInlineWrite).
+	if got, want := callersOf(t, ".", "TryLock"), []string{"Connection.await", "Connection.flush", "Connection.writeInline"}; !slices.Equal(got, want) {
 		t.Errorf("internal/core calls TryLock in %v, want exactly %v", got, want)
 	}
 	// Every take from a mailbox, by name: a lane's message, an inbox's
@@ -423,7 +423,7 @@ func TestOneSetOfBooks(t *testing.T) {
 		"retransmissions":  1,
 		"sdusReceived":     1, // Connection.dispatchData
 		"bytesReceived":    1,
-		"controlSent":      2, // outItem.stage (queued on a Send Thread or shard, or written inline), the Control Send Thread
+		"controlSent":      1, // Connection.stage: a control packet picked up by its wire's owner
 		"controlReceived":  1, // Connection.routeControl
 	}
 	if typ := reflect.TypeOf(statCounters{}); typ.NumField() != len(want) {
@@ -491,50 +491,69 @@ func callersOfChain(t *testing.T, dir string, chain ...string) []string {
 	return callers
 }
 
-// TestOneInlineWrite holds the write-when-the-wire-is-free rule in one
-// place: writeInline is the only write outside the three queue writers,
-// its two callers are put (a lone SDU) and emitCtrl (a control packet),
-// and the backlog it reads is kept where the writers hold the wire —
-// added to by offer and enqueueOut before a packet can be seen in its
-// queue, taken from by the Control Send Thread and by wire.write (the
-// Send Thread's and a shard's batches) under the owner after the write,
-// and read by writeInline
-// alone, once it holds the owner. So no inline write can overtake a
-// queued packet, on any runtime (TestInlineWritesNeverOvertake is the
-// behaviour), and writeInline asks no runtime whether it may write. The
-// yield after an inline data write is put's, the one Gosched in core.
+// TestOneInlineWrite holds each wire to one queue and one write: a
+// packet is pushed onto its wire's queue (push: put for an SDU, emitCtrl
+// for a control packet) unless, alone and finding the owner free with
+// nothing queued, its producer writes it inline (writeInline, from the
+// same two: transmit and emitCtrl); and drain — run under the wire's
+// owner by flush and writeInline — is the only write of a transport in
+// this package. The owner is waited for (Lock) only in flush, for a
+// synchronous batch or a full queue, and tried (TryLock) only there and
+// in writeInline, which reads the queue's length once it holds it. So no
+// packet can overtake one pushed before it, on any runtime
+// (TestInlineWritesNeverOvertake is the behaviour). The Send Thread, the
+// Control Send Thread, the queued-count handshake, the done token and
+// the shard's outbound queue are gone, and neither drain nor writeInline
+// asks a runtime whether it may write. The yield after an inline data
+// write is transmit's, the one Gosched in core.
 func TestOneInlineWrite(t *testing.T) {
 	for _, c := range []struct {
 		chain []string
 		want  []string
 	}{
-		{[]string{"writeInline"}, []string{"Connection.emitCtrl", "Connection.put"}},
-		{[]string{"SendBuf"}, []string{"Connection.ctrlSendThread", "Connection.writeInline"}},
-		{[]string{"SendBatch"}, []string{"wire.write"}}, // the Send Thread's batches and a shard's
-		{[]string{"queued", "Load"}, []string{"Connection.writeInline"}},
-		{[]string{"queued", "Add"}, []string{"Connection.ctrlSendThread", "offer", "offer", "shard.enqueueOut", "shard.enqueueOut", "wire.write"}},
-		{[]string{"ctrlW", "mu", "Lock"}, []string{"Connection.ctrlSendThread"}},
-		{[]string{"w", "mu", "Lock"}, []string{"Connection.writeInline", "wire.write"}}, // writeInline's: the fast path, no queue to fall back on
-		{[]string{"w", "mu", "TryLock"}, []string{"Connection.writeInline"}},
-		{[]string{"runtime", "Gosched"}, []string{"Connection.put"}},
+		{[]string{"push"}, []string{"Connection.emitCtrl", "Connection.put"}},
+		{[]string{"writeInline"}, []string{"Connection.emitCtrl", "Connection.transmit"}},
+		{[]string{"drain"}, []string{"Connection.flush", "Connection.writeInline"}},
+		{[]string{"SendBuf"}, []string{"Connection.drain"}},
+		{[]string{"SendBatch"}, []string{"Connection.drain"}},
+		{[]string{"w", "mu", "Lock"}, []string{"Connection.flush"}},
+		{[]string{"w", "mu", "TryLock"}, []string{"Connection.flush", "Connection.writeInline"}},
+		{[]string{"queued", "Add"}, nil},
+		{[]string{"runtime", "Gosched"}, []string{"Connection.transmit"}},
 	} {
 		if got := callersOfChain(t, ".", c.chain...); !slices.Equal(got, c.want) {
 			t.Errorf("%s is called in %v, want exactly %v", strings.Join(c.chain, "."), got, c.want)
 		}
 	}
+	gone := map[string]bool{
+		"fastCtrlMu": true, "sendThread": true, "ctrlSendThread": true, "sendQ": true, "ctrlQ": true,
+		"offer": true, "drainCtrl": true, "enqueueData": true, "enqueueOut": true,
+		"outQ": true, "outScratch": true, "sendSlots": true, "flushOut": true, "finishAll": true,
+	}
 	inspectPackage(t, ".", func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
-			if n.Name == "fastCtrlMu" {
-				t.Errorf("identifier %s is back in internal/core: ctrlW is the control wire's owner on every runtime", n.Name)
+			if gone[n.Name] {
+				t.Errorf("identifier %s is back in internal/core: a wire's owner drains its one queue", n.Name)
+			}
+		case *ast.TypeSpec:
+			// No token confirms a write: a synchronous sender waits for the owner.
+			if st, ok := n.Type.(*ast.StructType); ok && (n.Name.Name == "outItem" || n.Name.Name == "sendSession" || n.Name.Name == "sendLane") {
+				for _, f := range st.Fields.List {
+					for _, name := range f.Names {
+						if name.Name == "done" {
+							t.Errorf("%s has a done field: a synchronous send waits for the wire's owner", n.Name.Name)
+						}
+					}
+				}
 			}
 		case *ast.FuncDecl:
-			if n.Name.Name != "writeInline" {
+			if n.Name.Name != "drain" && n.Name.Name != "writeInline" {
 				return true
 			}
 			ast.Inspect(n.Body, func(m ast.Node) bool {
-				if sel, ok := m.(*ast.SelectorExpr); ok && (sel.Sel.Name == "sh" || sel.Sel.Name == "Runtime") {
-					t.Errorf("writeInline reads %s: the inline write asks no runtime whether it may write", sel.Sel.Name)
+				if sel, ok := m.(*ast.SelectorExpr); ok && (sel.Sel.Name == "FastPath" || sel.Sel.Name == "Runtime" || sel.Sel.Name == "serving") {
+					t.Errorf("%s reads %s: the write asks no runtime whether it may write", n.Name.Name, sel.Sel.Name)
 				}
 				return true
 			})

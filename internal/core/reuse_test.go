@@ -187,3 +187,85 @@ func TestConcurrentStreamSendsShareSendSessions(t *testing.T) {
 		})
 	}
 }
+
+// TestSendLeavesNoAlias holds Send to what its return means on every
+// runtime and scheme: once it returns, nothing refers to the caller's
+// message any more — not an SDU still queued for its wire, not a
+// retransmission, not a duplicate. The caller overwrites its buffer the
+// moment Send returns, over a link that loses and duplicates data, and
+// the peer must still receive the bytes that were sent (under -race, a
+// write staged after the return is also a reported race). An unreliable
+// message may arrive with SDUs missing, or not at all; each one that
+// arrives whole is checked, and some must.
+func TestSendLeavesNoAlias(t *testing.T) {
+	const msgs, sduSize = 16, 256
+	for _, rt := range allRuntimes {
+		for _, ec := range []errctl.Algorithm{errctl.None, errctl.SelectiveRepeat, errctl.GoBackN} {
+			for _, sdus := range []int{1, 4, 64} {
+				t.Run(fmt.Sprintf("%s/%v/%d", rt.name, ec, sdus), func(t *testing.T) {
+					opts := reuseOpts(RuntimeThreaded, ec)
+					opts.SDUSize = sduSize
+					opts.AckTimeout = 5 * time.Millisecond
+					opts.HPILink.LossRate = 0.02
+					rt.set(&opts)
+					before := buf.Outstanding()
+					conn, peer, cleanup := newPairT(t, opts)
+					size := sdus * sduSize // reuseMsg's header rides in the first SDU
+					sendErr := make(chan error, 1)
+					go func() {
+						msg := make([]byte, size)
+						for seq := range uint32(msgs) {
+							copy(msg, reuseMsg(0, seq, size))
+							err := conn.Send(msg)
+							for i := range msg {
+								msg[i] = 0xEE
+							}
+							if err != nil {
+								sendErr <- fmt.Errorf("send %d: %w", seq, err)
+								return
+							}
+						}
+						sendErr <- nil
+					}()
+					whole, wait := 0, 10*time.Second
+					if ec == errctl.None {
+						wait = 200 * time.Millisecond
+					}
+					for seq := uint32(0); seq < msgs; {
+						m, err := peer.RecvMessageTimeout(wait)
+						if err != nil && ec == errctl.None {
+							break // the rest lost their last SDU
+						}
+						if err != nil {
+							t.Fatalf("recv %d: %v", seq, err)
+						}
+						got := m.Bytes()
+						if m.Lost > 0 {
+							continue
+						}
+						if len(got) < 5 {
+							t.Fatalf("a %d-byte message", len(got))
+						}
+						next := binary.BigEndian.Uint32(got[1:])
+						if ec != errctl.None && next != seq {
+							t.Fatalf("message %d arrived where %d was due", next, seq)
+						}
+						if err := checkReuseMsg(got, 0, next); err != nil {
+							t.Fatal(err)
+						}
+						whole++
+						seq = next + 1
+					}
+					if err := <-sendErr; err != nil {
+						t.Fatal(err)
+					}
+					if whole == 0 || ec != errctl.None && whole != msgs {
+						t.Fatalf("%d of %d messages arrived whole", whole, msgs)
+					}
+					cleanup()
+					awaitBuffers(t, before)
+				})
+			}
+		}
+	}
+}

@@ -12,10 +12,10 @@ import (
 
 // The sharded runtime is the scale-out alternative to the paper's
 // thread-per-function architecture. The paper gives every connection
-// dedicated Send/Receive (and Control Send/Receive) threads — faithful,
-// and ideal up to a few hundred connections, but each connection then
-// costs four goroutines and four channel hops whether it is busy or
-// idle. A server facing thousands of connections wants the opposite
+// dedicated Send/Receive (and Control Send/Receive) threads; here the
+// send side is already procedures (Connection.flush), but a threaded
+// connection still costs its two receive goroutines whether it is busy
+// or idle. A server facing thousands of connections wants the opposite
 // trade: a small fixed pool of event loops that amortise scheduling and
 // syscall cost across every connection they own.
 //
@@ -30,17 +30,12 @@ import (
 //     goroutines) or, for transports that cannot be polled (SCI rides a
 //     kernel socket, ACI a cell reassembler), via a minimal pump
 //     goroutine that feeds the loop;
-//   - sends: NCS_send callers run flow-control admission on their own
-//     goroutine exactly as in the threaded runtime; a lone SDU then
-//     leaves on the caller's goroutine when the wire is free
-//     (Connection.writeInline), and the rest go on the shard's outbound
-//     queue. Each loop cycle drains the queue and issues one vectored
-//     SendBatch per connection — PR 1's per-connection 16-SDU
-//     coalescing extended across connections, so one wakeup flushes
-//     many connections' traffic — holding the connection's wire owner
-//     across the write, as the Send Thread does, so an inline write
-//     never overtakes a queued packet. The acks and grants the loop
-//     itself emits ride that flush;
+//   - sends: NCS_send callers run exactly as in the threaded runtime —
+//     admission, then the push onto the connection's wire queue and the
+//     flush, on their own goroutine. The loop writes only what it
+//     queued itself: the acks and grants it emits while serving a
+//     connection stay queued, and it drains every connection it served
+//     at the end of the cycle, in one vectored write per wire;
 //   - flow/error control state stays strictly per-connection (the same
 //     objects the threads drive); the shard serialises all receive-side
 //     protocol work for a connection on one goroutine, which is the
@@ -65,17 +60,17 @@ import (
 type Runtime int
 
 const (
-	// RuntimeThreaded is the paper's architecture: dedicated Send,
-	// Receive, Control Send, and Control Receive threads per
-	// connection. Lowest latency at modest connection counts; cost
-	// grows linearly with connections. The default.
+	// RuntimeThreaded is the paper's architecture: dedicated Receive
+	// and Control Receive threads per connection, its Send and Control
+	// Send threads replaced by procedures (§4.2; Connection.flush).
+	// Lowest latency at modest connection counts; cost grows linearly
+	// with connections. The default.
 	RuntimeThreaded Runtime = iota
 	// RuntimeSharded drives the connection from its System's shard
 	// pool: a fixed set of event loops demultiplexing receives and
-	// coalescing sends across all sharded connections. Goroutine count
-	// stays O(shards) regardless of connection count (on pollable
-	// transports), at the price of one queue hop per packet that does
-	// not find its wire free.
+	// writing what they emit while serving in one batch per connection.
+	// Goroutine count stays O(shards) regardless of connection count (on
+	// pollable transports), at the price of one hop per arriving packet.
 	RuntimeSharded
 )
 
@@ -113,21 +108,8 @@ type shardConn struct {
 	dataIn   chan *buf.Buffer // pump-fed when dataPoll is nil
 	ctrlIn   chan *buf.Buffer // pump-fed when ctrlPoll is nil (nil in in-band mode)
 
-	queued    atomic.Bool   // on the shard's ready list
-	serving   atomic.Bool   // the loop is running the connection's receive side (emitCtrl)
-	sendSlots chan struct{} // bounds outbound data SDUs in the shard queue
-
-	// Loop-owned cycle scratch: the per-connection batches one flush
-	// builds and writes.
-	inCycle    bool
-	data, ctrl batch
-}
-
-// batch is one wire's share of a flush: the staged packets and the
-// items they came from.
-type batch struct {
-	bufs  []*buf.Buffer
-	items []outItem
+	queued  atomic.Bool // on the shard's ready list
+	serving atomic.Bool // the loop is running the connection's receive side (emitCtrl)
 }
 
 // shard is one event loop of a System's pool.
@@ -144,16 +126,12 @@ type shard struct {
 	// connection's packets, so the session table can be reaped.
 	serviceMu sync.Mutex
 
-	mu      sync.Mutex
-	conns   map[*Connection]struct{}
-	ready   []*Connection
-	outQ    []outItem
-	stopped bool // the loop is gone (or never ran): refuse outbound items
+	mu    sync.Mutex
+	conns map[*Connection]struct{}
+	ready []*Connection
 
-	// Loop-owned scratch, ping-ponged with the locked slices.
+	// Loop-owned scratch, ping-ponged with ready.
 	readyScratch []*Connection
-	outScratch   []outItem
-	active       []*Connection
 
 	wakeups        atomic.Uint64
 	batches        atomic.Uint64
@@ -200,31 +178,6 @@ func (sh *shard) requeue(c *Connection) {
 	sh.ring()
 }
 
-// enqueueOut deposits one outbound item, counted in its wire's backlog
-// from before the loop can see it until the flush that writes it; it
-// reports false — the item, and any buffer it carries, stays the
-// caller's — when the connection has closed or the loop that would flush
-// it is gone.
-func (sh *shard) enqueueOut(it outItem) bool {
-	select {
-	case <-it.c.closedCh:
-		return false
-	default:
-	}
-	w, _ := it.wire()
-	w.queued.Add(1)
-	sh.mu.Lock()
-	if sh.stopped {
-		sh.mu.Unlock()
-		w.queued.Add(-1)
-		return false
-	}
-	sh.outQ = append(sh.outQ, it)
-	sh.mu.Unlock()
-	sh.ring()
-	return true
-}
-
 // register attaches a connection: readiness hooks ring this shard's
 // doorbell, and an initial requeue catches anything that arrived
 // before the hooks were installed.
@@ -244,9 +197,8 @@ func (sh *shard) register(c *Connection) {
 
 // unregister detaches a closing connection and barriers against the
 // cycle that may be dispatching its packets. After unregister returns,
-// the loop will never run the connection's receive-side protocol again
-// (leftover outbound items still flush — into a closed transport,
-// which releases them). The caller may then reap session state.
+// the loop will never run the connection's receive-side protocol again.
+// The caller may then reap session state.
 func (sh *shard) unregister(c *Connection) {
 	sc := c.sh
 	if sc.dataPoll != nil {
@@ -282,15 +234,13 @@ func (sh *shard) loop() {
 	}
 }
 
-// cycle is one turn of the loop: flush outbound, service every ready
-// connection, flush the outbound traffic those services produced
-// (acknowledgments, credits) before sleeping again.
+// cycle is one turn of the loop: service every ready connection, then
+// hand what those services queued (acknowledgments, credits) to the
+// wire, one flush per connection, before sleeping again.
 func (sh *shard) cycle() {
 	sh.serviceMu.Lock()
 	defer sh.serviceMu.Unlock()
 	mShardCycles.IncAt(uint32(sh.id))
-
-	sh.flushOut()
 
 	sh.mu.Lock()
 	ready := sh.ready
@@ -298,91 +248,15 @@ func (sh *shard) cycle() {
 	sh.readyScratch = ready
 	sh.mu.Unlock()
 
-	for i, c := range ready {
+	for _, c := range ready {
 		c.sh.queued.Store(false)
 		sh.service(c)
+	}
+	for i, c := range ready {
+		c.flush(&c.dataW, c.data, false)
+		c.flush(&c.ctrlW, c.ctrl, false)
 		ready[i] = nil
 	}
-
-	sh.flushOut()
-}
-
-// flushOut drains the outbound queue, building one data batch and one
-// control batch per connection, then issues one vectored SendBatch per
-// batch — the cross-connection coalescing that lets a single wakeup
-// flush many connections' queued SDUs.
-func (sh *shard) flushOut() {
-	sh.mu.Lock()
-	out := sh.outQ
-	sh.outQ = sh.outScratch[:0]
-	sh.outScratch = out
-	sh.mu.Unlock()
-	if len(out) == 0 {
-		return
-	}
-
-	active := sh.active[:0]
-	for i := range out {
-		it := &out[i]
-		sc := it.c.sh
-		b := &sc.data
-		if it.ctrlPath {
-			b = &sc.ctrl
-		}
-		b.bufs = append(b.bufs, it.stage())
-		b.items = append(b.items, *it)
-		if !sc.inCycle {
-			sc.inCycle = true
-			active = append(active, it.c)
-		}
-	}
-	sh.active = active
-
-	for i, c := range active {
-		sc := c.sh
-		dataFailed := sh.write(&sc.data)
-		sc.inCycle = false
-		if sh.write(&sc.ctrl) || dataFailed {
-			// The transport died; propagate as the threaded Send
-			// Thread does, from a fresh goroutine (Close barriers on
-			// this loop via serviceMu).
-			go c.Close()
-		}
-		active[i] = nil
-	}
-
-	clearItems(&out)
-	sh.outScratch = out
-}
-
-// write issues a connection's batch for one wire, if it holds anything,
-// with one vectored SendBatch under the wire's owner (wire.write, as the
-// Send Thread does), and leaves it empty; it reports whether the
-// transport failed.
-func (sh *shard) write(b *batch) (failed bool) {
-	if len(b.items) == 0 {
-		return false
-	}
-	w, t := b.items[0].wire()
-	if !b.items[0].ctrlPath {
-		mCoalesceDepth.Observe(int64(len(b.bufs)))
-	}
-	sh.batches.Add(1)
-	sh.batchedPackets.Add(uint64(len(b.bufs)))
-	failed = w.write(t, b.bufs, b.items) != nil
-	b.bufs = b.bufs[:0]
-	clearItems(&b.items)
-	return failed
-}
-
-// clearItems zeroes a drained item slice so payload views and done
-// channels do not stay pinned until the scratch is overwritten.
-func clearItems(items *[]outItem) {
-	s := *items
-	for i := range s {
-		s[i] = outItem{}
-	}
-	*items = s[:0]
 }
 
 // service runs one connection's receive side: drain control and data
@@ -540,19 +414,4 @@ func (s *System) stopShards() {
 		close(sh.quit)
 	}
 	s.shardWG.Wait()
-	for _, sh := range shards {
-		// An emitter that passed enqueueOut's closed check just before its
-		// connection closed may have queued a control packet no loop will
-		// flush; release it, and refuse whatever comes later.
-		sh.mu.Lock()
-		sh.stopped = true
-		left := sh.outQ
-		sh.outQ = nil
-		sh.mu.Unlock()
-		for _, it := range left {
-			if it.ctrl != nil {
-				it.ctrl.Release()
-			}
-		}
-	}
 }

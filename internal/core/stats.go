@@ -67,9 +67,7 @@ func (c *Connection) Stats() Stats { return c.stats.snapshot() }
 
 // ShardStats is a snapshot of a System's sharded-runtime pool: how
 // many event loops it runs, how many connections they carry, and how
-// well the cross-connection send coalescing is working (PacketsPerBatch
-// above 1 means queued SDUs from one or more connections shared
-// vectored writes).
+// deep the vectored writes on those connections run (PacketsPerBatch).
 type ShardStats struct {
 	// Shards is the pool size; zero until the first sharded connection.
 	Shards int
@@ -77,7 +75,8 @@ type ShardStats struct {
 	Conns int
 	// Wakeups counts event-loop cycles across all shards.
 	Wakeups uint64
-	// Batches counts vectored transport writes issued by the shards.
+	// Batches counts vectored (multi-packet) transport writes on the
+	// shards' connections, whoever drained the queue.
 	Batches uint64
 	// BatchedPackets counts packets written through those batches.
 	BatchedPackets uint64

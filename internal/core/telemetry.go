@@ -33,10 +33,9 @@ var (
 	// inbox refused a message (shardConn.dataPaused).
 	mParkedConns = telemetry.NewGauge("core.shard.parked_conns")
 
-	// mCoalesceDepth observes how many SDUs each data-connection write
-	// carried (threaded Send Thread batches, sharded per-cycle flushes,
-	// and an inline write as a batch of one); mSendQDepth observes
-	// send-queue occupancy at enqueue time.
+	// mCoalesceDepth observes how many packets each data-connection
+	// write carried (Connection.drain, on every runtime); mSendQDepth
+	// observes the data wire's queue occupancy at each SDU's push.
 	mCoalesceDepth = telemetry.NewHistogram("core.send.coalesce_depth")
 	mSendQDepth    = telemetry.NewHistogram("core.send.sendq_depth")
 )

@@ -126,8 +126,8 @@ func (c *Client) Call(ctx context.Context, method string, req []byte) ([]byte, e
 	enc.Reset()
 	appendCall(enc, id, method, budget, req)
 	if err := c.conn.Send(enc.Bytes()); err != nil {
-		// A failed Send means the connection is tearing down, and its
-		// Send Thread may still hold SDU views of the encoder's buffer:
+		// A failed Send means the connection is tearing down, and an
+		// SDU still queued for its wire may alias the encoder's buffer:
 		// abandon the encoder to the GC instead of repooling it.
 		c.abandon(id, ca)
 		return nil, err

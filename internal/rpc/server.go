@@ -368,8 +368,8 @@ func (s *Server) run(ctx context.Context, h Handler, req []byte) (resp []byte, e
 
 // reply frames and sends one reply. Send failures are ignored: the
 // connection is going down and the caller's deadline recovers. The
-// encoder is only repooled after a successful Send — a teardown-path
-// Send Thread may still hold SDU views of its buffer.
+// encoder is only repooled after a successful Send — on a connection
+// tearing down, an SDU still queued for its wire may alias its buffer.
 func (s *Server) reply(conn *core.Connection, id uint64, status uint32, errmsg string, resp []byte) {
 	enc := idleEncoders.Get()
 	enc.Reset()

@@ -14,14 +14,15 @@ type TraceStage int
 // receiver; on HPI both run in one process so a completed Trace spans
 // the full path. The two after them were appended later and are NOT in
 // path order: they are sender-side stamps between Staged and WireOut,
-// which is where the threads' hand-off cost (Table I) lives.
+// which is where the hand-off cost (Table I) lives.
 const (
 	// StageEnqueued: the message entered the send path.
 	StageEnqueued TraceStage = iota
 	// StageStaged: the first SDU was segmented and admitted by flow
-	// control (handed to the Send Thread or shard).
+	// control, on its way to its wire's queue.
 	StageStaged
-	// StageWireOut: the first SDU left for the transport.
+	// StageWireOut: the first SDU left for the transport — stamped just
+	// before the write starts, so it precedes the peer's WireIn.
 	StageWireOut
 	// StageWireIn: the first SDU surfaced from the transport at the
 	// receiver.
@@ -32,13 +33,12 @@ const (
 	// StageDelivered: the message was handed to the application's
 	// receive queue or inbox.
 	StageDelivered
-	// StageQueued: the first SDU was handed to the queue of the runtime
-	// that writes it — the Send Thread's or the shard's. Between Staged
-	// and WireOut; never stamped for an SDU its sender wrote inline.
+	// StageQueued: the first SDU waited in its wire's queue for the
+	// wire's owner. Between Staged and WireOut; never stamped for a lone
+	// SDU its sender wrote at once.
 	StageQueued
-	// StageDequeued: its writer picked the SDU up and began serialising
-	// it — off the queue, or inline. Between Queued (when stamped) and
-	// WireOut.
+	// StageDequeued: the wire's owner picked the SDU up and began
+	// serialising it. Between Queued (when stamped) and WireOut.
 	StageDequeued
 
 	numStages

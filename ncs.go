@@ -29,9 +29,9 @@
 //   - separated control and data connections: acknowledgments and
 //     credits never compete with payload for data-path bandwidth;
 //   - a thread-per-function runtime (Master, Flow Control, Error
-//     Control, Control Send/Receive, and per-connection Send/Receive
-//     threads) plus a thread-bypassing fast path for latency-critical
-//     connections (§4.2 of the paper);
+//     Control, and per-connection Receive and Control Receive threads;
+//     sending is a procedure on every runtime) plus a thread-bypassing
+//     fast path for latency-critical connections (§4.2 of the paper);
 //   - an RPC layer on top of any connection: multiplexed named-method
 //     request/response calls with per-call deadlines, application-error
 //     propagation, and a worker-pool dispatcher running on either
@@ -310,9 +310,10 @@ const (
 
 // Runtime architectures (Options.Runtime).
 const (
-	// RuntimeThreaded is the paper's architecture: dedicated Send,
-	// Receive, and Control Send/Receive threads per connection. The
-	// default; lowest latency at modest connection counts.
+	// RuntimeThreaded is the paper's architecture: dedicated Receive
+	// and Control Receive threads per connection, its Send and Control
+	// Send threads replaced by procedures (§4.2). The default; lowest
+	// latency at modest connection counts.
 	RuntimeThreaded = core.RuntimeThreaded
 	// RuntimeSharded drives connections from a fixed pool of I/O
 	// shards (default GOMAXPROCS, see System.SetShards) that
@@ -503,12 +504,11 @@ type (
 // Lifecycle trace stages. The first six, values 0–5, are the path in
 // path order. StageQueued and StageDequeued were appended after them and
 // are not in path order: both are sender-side, between StageStaged and
-// StageWireOut — the SDU handed to the queue of the runtime that writes
-// it (the Send Thread's, the shard's), and its writer picking it up. An
-// SDU its sender wrote inline, the wire being free (every fast-path SDU,
-// a lone one on an idle threaded connection), is picked up without ever
-// being queued: StageQueued stays 0. Table I's hand-off rows are their
-// deltas.
+// StageWireOut — the SDU pushed onto its wire's queue to wait, and the
+// wire's owner picking it up. A lone SDU that its own sender writes at
+// once, the wire being free, is picked up without ever waiting:
+// StageQueued stays 0. StageWireOut is stamped just before the write
+// starts. Table I's hand-off rows are their deltas.
 const (
 	StageEnqueued    = telemetry.StageEnqueued
 	StageStaged      = telemetry.StageStaged
