@@ -182,8 +182,22 @@ func BenchmarkNCSSendRecv(b *testing.B) {
 // Ablations (DESIGN.md §6).
 
 // BenchmarkAblationFastPath quantifies §4.2: the session overhead
-// removed by replacing the per-connection threads with procedures.
+// removed by replacing the per-connection threads with procedures. Its
+// echo64-reliable cells run rtt_small's shape — a 64 B echo with
+// selective repeat and credits — on every runtime: the goroutine that
+// waits on a wire reads it on the threaded runtime and the fast path
+// alike, so the two should read within a few percent of each other.
 func BenchmarkAblationFastPath(b *testing.B) {
+	for _, mode := range []string{"threaded", "fastpath", "sharded"} {
+		b.Run("echo64-reliable/"+mode, func(b *testing.B) {
+			opts := reliableOpts()
+			opts.FastPath = mode == "fastpath"
+			if mode == "sharded" {
+				opts.Runtime = ncs.RuntimeSharded
+			}
+			runAllocEcho(b, "abfp-"+mode, opts, 64)
+		})
+	}
 	for _, mode := range []string{"threaded", "fastpath"} {
 		for _, size := range []int{1, 65536} {
 			b.Run(fmt.Sprintf("%s/%s", mode, sizeName(size)), func(b *testing.B) {

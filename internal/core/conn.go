@@ -1,6 +1,7 @@
 package core
 
 import (
+	"cmp"
 	"errors"
 	"runtime"
 	"sync"
@@ -20,9 +21,9 @@ import (
 
 // deliveredQueueDepth is the number of fully reassembled messages that
 // may wait for NCS_recv in the default lane's mailbox before its
-// producer stops reading the data connection — the Receive Thread
-// waits, a shard pauses the connection's data path — which is the
-// natural backpressure toward the peer.
+// producer stops reading the data connection — whoever pumps the data
+// wire leaves it, a shard pauses the connection's data path — which is
+// the natural backpressure toward the peer.
 const deliveredQueueDepth = 128
 
 // streamSendSlots bounds how many data SDUs from non-zero streams may
@@ -286,39 +287,36 @@ func (e ctrlEvent) release() {
 
 // sendSession is what one reliable Send needs beyond the message: the
 // error-control sender, the channel the connection's control demux
-// deposits its acknowledgments on, and the retransmission timer (idle on
-// the fast path, whose timed control read is its timer). Sessions
-// recycle through idleSendSessions — channel and timer are built once
-// and survive, the sender is drawn from errctl's own free list per
-// transfer — so a steady stream of sends allocates nothing. What makes
-// ackCh safe to reuse is endSend's order: deposits happen under c.mu
-// against the waiter table, so once the session id is deleted no event
-// can land, and the drain that follows leaves the channel empty. An ack
-// for an older session finds no waiter under its id and is discarded,
-// whoever holds the channel now.
+// deposits its acknowledgments on, and the sender's waiter, which every
+// deposit rings. Sessions recycle through idleSendSessions — channel and
+// waiter are built once and survive, the sender is drawn from errctl's
+// own free list per transfer — so a steady stream of sends allocates
+// nothing. What makes ackCh safe to reuse is endSend's order: deposits
+// happen under c.mu against the waiter table, so once the session id is
+// deleted no event can land, and the drain that follows leaves the
+// channel empty. An ack for an older session finds no waiter under its
+// id and is discarded, whoever holds the channel now.
 type sendSession struct {
 	snd errctl.Sender
 	// ackCh holds the acks that arrive while Send is busy retransmitting;
 	// one that finds it full is dropped and the timer recovers.
 	ackCh chan ctrlEvent
-	timer *time.Timer // stopped and drained while idle
+	wt    *waiter
 }
 
 // idleSendSessions keeps up to 256 idle send sessions — one serves one
 // Send at a time, so 256 concurrent senders; further ones build their
 // own and leave them to the collector. Budget: a session is its ack
-// channel (4 events × 64 B) and a stopped timer, ≈ 0.5 KB — 256 ≈
-// 130 KB.
+// channel (4 events × 64 B) and a waiter, ≈ 0.6 KB — 256 ≈ 150 KB.
 var idleSendSessions = buf.NewFreeList(256, func() *sendSession {
-	t := time.NewTimer(time.Hour)
-	t.Stop()
-	return &sendSession{ackCh: make(chan ctrlEvent, 4), timer: t}
+	return &sendSession{ackCh: make(chan ctrlEvent, 4), wt: newWaiter()}
 })
 
 // Connection is one NCS point-to-point connection: a data connection
 // and a control connection, the per-connection receive threads of
-// Figure 4 (its send side is procedures: flush), and the flow/error
-// control configuration chosen at establishment.
+// Figure 4 as pumps of last resort (pump.go; its send side is
+// procedures: flush), and the flow/error control configuration chosen
+// at establishment.
 type Connection struct {
 	sys  *System
 	peer string
@@ -340,16 +338,13 @@ type Connection struct {
 	// stream has. Its producer holds it to deliveredQueueDepth (or, bound
 	// to an inbox, holds that to its depth — atDepth): there it raises
 	// paused and stops reading the data connection, and the pop that frees
-	// a slot wakes it (afterRecv, Inbox.wake). space is the Receive
-	// Thread's wake-up bell, built by that thread before it first raises
-	// paused; a shard is re-queued instead.
-	box   stream.Mailbox[Message]
-	space chan struct{}
+	// a slot wakes it (afterRecv, Inbox.wake).
+	box stream.Mailbox[Message]
 
 	// mu guards the lazy constructors and the waiter table, nil until
 	// the first outbound reliable send.
 	mu      sync.Mutex
-	waiters map[uint32]chan ctrlEvent
+	waiters map[uint32]*sendSession
 
 	// inbound is the default lane's reassembly session table (streams
 	// carry their own); it allocates on the first inbound session.
@@ -365,12 +360,17 @@ type Connection struct {
 
 	paused atomic.Bool // the default lane's producer stopped at depth (see box)
 
-	fastSendMu sync.Mutex // serialises fast-path senders
-	fastRecvMu sync.Mutex // serialises fast-path pump holders
-
 	// The data and control transports as their writers share them
-	// (flush). In-band control rides dataW.
+	// (flush), and as their readers do (pump.go: wireData, wireCtrl).
+	// In-band control rides the data wire both ways.
 	dataW, ctrlW wire
+	in           [2]*inWire // built with the connection
+
+	// The goroutines waiting on the connection, newest first — each reads
+	// its wires when rung (pump.go) — and how many of them are blind.
+	waitMu  sync.Mutex
+	waiting *waiter
+	blind   atomic.Int32
 
 	// Stream multiplexing state (see internal/stream). The mux is lazy:
 	// a connection that never opens a stream carries none, and stream 0
@@ -382,10 +382,6 @@ type Connection struct {
 	// shared by every non-zero stream's queued data SDUs. Lazy: built
 	// by streamSlotCh on a connection's first stream send.
 	streamSlotsP atomic.Pointer[chan struct{}]
-
-	// pumpFree (cap 1) wakes one waiting receiver when the fast path's
-	// pump changes hands (see fastpath.go). Built only for FastPath.
-	pumpFree chan struct{}
 
 	// sh is the connection's shard attachment (RuntimeSharded only);
 	// inbox, when bound, merges this connection's deliveries into a
@@ -428,29 +424,18 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		slot:      -1,
 	}
 	c.inbound.Alg = opts.ErrorControl
-	switch {
-	case opts.FastPath:
-		// No threads: Send/Recv run the protocol inline (§4.2). The
-		// fast path bypasses the sharded runtime exactly as it
+	if opts.Runtime == RuntimeSharded && !opts.FastPath {
+		// The System's shard pool drives the connection's protocol
+		// machinery (shard.go). The fast path bypasses it exactly as it
 		// bypasses the threads.
-		c.pumpFree = make(chan struct{}, 1)
-	case opts.Runtime == RuntimeSharded:
-		// No per-connection threads either: the System's shard pool
-		// drives the connection's protocol machinery (shard.go).
 		c.attachShard()
-	case opts.InbandControl:
-		// Ablation mode: control shares the data connection, so its wire
-		// carries both and the Receive Thread demultiplexes — exactly the
-		// per-packet demux cost the split planes avoid.
-		c.wg.Add(1)
-		go c.recvThread()
-	default:
-		// Per-connection Receive and Control Receive Threads. The Send
-		// and Control Send Threads are procedures: whoever holds a
-		// wire's owner writes its queue (flush).
-		c.wg.Add(2)
-		go c.recvThread()
-		go c.ctrlRecvThread()
+	} else {
+		// Whoever waits on a wire reads it; the threaded runtime adds a
+		// Receive and a Control Receive Thread as its pumps of last
+		// resort, the fast path none (pump.go). In-band control (the
+		// ablation of §2's split planes) rides the data wire, whose
+		// reader demultiplexes it.
+		c.listen(nil, !opts.FastPath)
 	}
 	sys.track(c)
 	return c
@@ -492,16 +477,13 @@ func (c *Connection) flowRecv() flowctl.Receiver {
 		return *p
 	}
 	fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
-	if !c.opts.FastPath {
+	if c.sh != nil || c.in[wireData].last != nil {
 		// Give a credit receiver an asynchronous emitter so its
-		// refill-retry timer can re-advertise a possibly-lost grant. The
-		// fast path gets none: it emits control inline on the receive
-		// procedure's goroutine, and an emitterless receiver arms no
-		// timers at all.
-		flowctl.SetEmitter(fr, func(ctl packet.Control) bool {
-			ctl.ConnID = c.id
-			return c.emitCtrl(ctl)
-		})
+		// refill-retry timer can re-advertise a possibly-lost grant:
+		// progress nobody asked for, which a connection without a pump of
+		// last resort — the fast path — declines. An emitterless receiver
+		// arms no timers at all.
+		flowctl.SetEmitter(fr, c.emitStamped)
 	}
 	select {
 	case <-c.closedCh:
@@ -524,55 +506,15 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 }
 
 // attachShard registers the connection with its System's shard pool:
-// pollable transports (HPI) feed the shard's event loop directly at
-// zero goroutines; others get a minimal pump goroutine per transport
-// that only reads the wire — every protocol decision still runs on
-// the shard.
+// the wires' sources re-queue it on its shard — pollable transports (HPI,
+// UDP) at zero goroutines, others through a bridge goroutine that only
+// reads the wire (pump.go) — and every protocol decision runs on the
+// shard.
 func (c *Connection) attachShard() {
 	sh := c.sys.shardFor(c.id)
-	sc := &shardConn{shard: sh}
-	c.sh = sc
-	if p, ok := transport.AsPoller(c.data); ok {
-		sc.dataPoll = p
-	} else {
-		sc.dataIn = make(chan *buf.Buffer, pumpDepth)
-		c.wg.Add(1)
-		go c.pump(c.data, sc.dataIn)
-	}
-	if !c.opts.InbandControl {
-		if p, ok := transport.AsPoller(c.ctrl); ok {
-			sc.ctrlPoll = p
-		} else {
-			sc.ctrlIn = make(chan *buf.Buffer, pumpDepth)
-			c.wg.Add(1)
-			go c.pump(c.ctrl, sc.ctrlIn)
-		}
-	}
+	c.sh = &shardConn{shard: sh}
+	c.listen(func() { sh.requeue(c) }, false)
 	sh.register(c)
-}
-
-// pump bridges a non-pollable transport into the shard loop: it parks
-// in the blocking receive (the thing the transport cannot avoid) and
-// hands packets over; everything else — demux, protocol, delivery —
-// happens on the shard. Blocking on a full channel is the same
-// backpressure a Receive Thread applies by not reading.
-func (c *Connection) pump(t transport.Conn, ch chan *buf.Buffer) {
-	defer c.wg.Done()
-	for {
-		b, err := t.RecvBuf()
-		if err != nil {
-			// Transport death is connection death, as in recvThread.
-			go c.Close()
-			return
-		}
-		select {
-		case ch <- b:
-			c.sh.shard.requeue(c)
-		case <-c.closedCh:
-			b.Release()
-			return
-		}
-	}
 }
 
 // closeErr maps connection shutdown to the caller-visible error.
@@ -674,22 +616,17 @@ func (c *Connection) lane0() sendLane {
 // send is the one send engine: every Send, on every lane and every
 // runtime, is this procedure — §4.2's point that the threads "can be
 // replaced by procedures" means flow control, error control and the
-// data transfer are the same steps whoever runs them. Only two
-// primitives know the runtime: admit (how a credit wait passes) and
-// awaitAck (how the acknowledgment comes back). Every packet reaches
-// the wire the same way: pushed onto its wire's queue, written by
-// whoever holds the wire's owner (flush).
+// data transfer are the same steps whoever runs them. A sender waits on
+// the control wire for its acknowledgments and grants and reads them
+// itself (awaitCtrl); every packet reaches the wire the same way: pushed
+// onto its wire's queue, written by whoever holds the wire's owner
+// (flush). Sends on different lanes, or on one, may run concurrently on
+// every runtime.
 func (c *Connection) send(lane sendLane, msg []byte) error {
 	if err := c.checkSendSize(msg); err != nil {
 		return err
 	}
 	defer c.settle() // everything a Send counts, it counts before it returns
-	if c.opts.FastPath {
-		// The procedure-call model has one caller in the protocol at a
-		// time: sends on all lanes serialise.
-		c.fastSendMu.Lock()
-		defer c.fastSendMu.Unlock()
-	}
 	sess := c.nextSession.Add(1)
 	telemetry.TraceStart(c.id, sess, len(msg))
 
@@ -720,7 +657,7 @@ func (c *Connection) send(lane sendLane, msg []byte) error {
 	lastSend := time.Now()
 	retransmitted := false // Karn's rule: skip samples after a retransmit
 	for {
-		ev, acked, err := c.awaitAck(ss)
+		ev, acked, err := c.awaitCtrl(ss.wt, ss.ackCh, nil, c.rto())
 		if err != nil {
 			return err
 		}
@@ -771,9 +708,9 @@ func (c *Connection) beginSend(lane sendLane, msg []byte, sess uint32) *sendSess
 	ss.snd = errctl.NewSenderStream(c.opts.ErrorControl, msg, c.opts.SDUSize, c.id, lane.streamID, sess)
 	c.mu.Lock()
 	if c.waiters == nil {
-		c.waiters = make(map[uint32]chan ctrlEvent)
+		c.waiters = make(map[uint32]*sendSession)
 	}
-	c.waiters[sess] = ss.ackCh
+	c.waiters[sess] = ss
 	c.mu.Unlock()
 	return ss
 }
@@ -790,7 +727,6 @@ func (c *Connection) endSend(ss *sendSession, sess uint32) {
 	for len(ss.ackCh) > 0 {
 		(<-ss.ackCh).release()
 	}
-	stopTimer(ss.timer)
 	errctl.Release(ss.snd)
 	ss.snd = nil
 	idleSendSessions.Put(ss)
@@ -803,8 +739,8 @@ func (c *Connection) endSend(ss *sendSession, sess uint32) {
 // connection adapts.
 //
 // The fast path deliberately does not adapt, and gives up admission
-// after maxCreditWait waits: its waits were always the fixed AckTimeout,
-// and the benchmark gate measures what that does to a lossy link
+// after maxCreditWait waits (admit): its waits were always the fixed
+// AckTimeout, and the benchmark gate measures what that does to a lossy link
 // (adapting takes lossy_echo from ~90 to ~7000 echoes/s and its peak RSS
 // past the bound). Honouring AdaptiveTimeout there is its own change.
 func (c *Connection) rto() time.Duration {
@@ -812,71 +748,6 @@ func (c *Connection) rto() time.Duration {
 		return c.opts.AckTimeout
 	}
 	return c.rtt.timeout(c.opts.AckTimeout, minAdaptiveTimeout)
-}
-
-// stopTimer stops t and leaves its channel empty, whichever timer
-// channel semantics the binary was built with.
-func stopTimer(t *time.Timer) {
-	if !t.Stop() {
-		select {
-		case <-t.C:
-		default:
-		}
-	}
-}
-
-func resetTimer(t *time.Timer, d time.Duration) {
-	stopTimer(t)
-	t.Reset(d)
-}
-
-// awaitAck waits for the session's next acknowledgment; acked is false
-// when the retransmission timeout passed first. Threaded and sharded
-// senders sleep on the channel the control demux deposits on. The fast
-// path has no thread reading the control connection, so the sender
-// reads it itself: one packet at a time through the same demux, which
-// lands this session's acks on the same channel — including those that
-// arrived while admit was pumping.
-func (c *Connection) awaitAck(ss *sendSession) (ev ctrlEvent, acked bool, err error) {
-	if c.opts.FastPath {
-		for {
-			select {
-			case ev = <-ss.ackCh:
-				return ev, true, nil
-			default:
-			}
-			if timedOut, err := c.pumpCtrl(c.rto()); timedOut || err != nil {
-				return ev, false, err
-			}
-		}
-	}
-	resetTimer(ss.timer, c.rto())
-	select {
-	case ev = <-ss.ackCh:
-		return ev, true, nil
-	case <-ss.timer.C:
-		return ev, false, nil
-	case <-c.closedCh:
-		return ev, false, ErrConnClosed
-	}
-}
-
-// pumpCtrl is the fast path's Control Receive Thread, one packet per
-// call: it reads the control connection for at most wait and routes
-// what arrives. With no thread to observe transport death, it closes
-// the connection on any other failure.
-func (c *Connection) pumpCtrl(wait time.Duration) (timedOut bool, err error) {
-	b, err := c.ctrl.RecvBufTimeout(wait)
-	switch {
-	case errors.Is(err, transport.ErrRecvTimeout):
-		return true, nil
-	case err != nil:
-		c.Close()
-		return false, ErrConnClosed
-	}
-	c.demuxControl(b)
-	b.Release()
-	return false, nil
 }
 
 // transmit performs the Error-Control → Flow-Control → wire hand-off
@@ -950,14 +821,15 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 const maxCreditWait = 10
 
 // admit returns once the lane's flow control admits its next
-// transmission. A sender about to wait first hands what it queued to
-// the wire: the grants it waits for answer those SDUs. Threaded and
-// sharded senders sleep in the flow-control sender, which the control
-// demux wakes; the fast path polls it, pumping the control connection
-// between attempts — so a send that exhausts its window delays the
-// other lanes' sends (they serialise on fastSendMu) by up to the bounded
-// wait: keep unconsumed fast-path streams within their initial credit
-// window.
+// transmission. A sender about to wait first hands what it queued to the
+// wire: the grants it waits for answer those SDUs. It then waits on the
+// control wire (awaitCtrl), reading the grants itself while nobody else
+// does, in waits of up to wait — however many other control packets
+// arrive — after each of which without an admission it resynchronises
+// flow control (creditTimeout). A rate sender's wait ends early when
+// time alone refills its bucket. The fast path gives up after
+// maxCreditWait waits: keep its unconsumed streams within their initial
+// credit window.
 func (c *Connection) admit(lane sendLane, wait time.Duration) error {
 	fc := lane.fc
 	idx := lane.tx.Add(1) - 1
@@ -967,46 +839,27 @@ func (c *Connection) admit(lane sendLane, wait time.Duration) error {
 	if err := c.flush(&c.dataW, c.data, false); err != nil {
 		return err
 	}
-	if c.opts.FastPath {
-		// Polling bypasses the Sender's blocking entry points, so the
-		// admission wait is reported to flow control's instruments here.
-		blockedAt := time.Now()
-		defer func() { flowctl.NoteFastPathWait(c.opts.FlowControl, time.Since(blockedAt)) }()
-		for attempt := 0; attempt < maxCreditWait; attempt++ {
-			// One wait: pump until a grant admits the SDU, or wait passes
-			// without one — however many other control packets arrive.
-			for end := time.Now().Add(wait); time.Now().Before(end); {
-				if _, err := c.pumpCtrl(time.Until(end)); err != nil {
-					return err
-				}
-				if fc.TryAcquire(idx) {
-					return nil
-				}
+	blockedAt := time.Now()
+	defer func() { flowctl.NoteWait(c.opts.FlowControl, time.Since(blockedAt)) }()
+	wt := idleWaiters.Get()
+	defer idleWaiters.Put(wt)
+	// Admitted — or the stream closed, which ends the wait too.
+	admitted := func() bool { return fc.TryAcquire(idx) || c.streamSendable(lane.streamID) != nil }
+	for attempt := 1; ; attempt++ {
+		for end := time.Now().Add(wait); time.Now().Before(end); {
+			d := time.Until(end)
+			if r := flowctl.Refill(fc); r > 0 {
+				d = min(d, r)
 			}
-			if err := c.creditTimeout(lane); err != nil {
-				return err
-			}
-			if fc.TryAcquire(idx) {
-				return nil
+			if _, ok, err := c.awaitCtrl(wt, nil, admitted, d); ok || err != nil {
+				return cmp.Or(err, c.streamSendable(lane.streamID))
 			}
 		}
-		return ErrRecvTimeout
-	}
-	for {
-		err := fc.AcquireTimeout(idx, wait)
-		if err == nil {
-			return nil
-		}
-		if !errors.Is(err, flowctl.ErrAcquireTimeout) {
-			if lane.streamID != 0 {
-				if serr := c.streamSendable(lane.streamID); serr != nil {
-					return serr
-				}
-			}
-			return ErrConnClosed
-		}
-		if err := c.creditTimeout(lane); err != nil {
+		if err := c.creditTimeout(lane); err != nil || fc.TryAcquire(idx) {
 			return err
+		}
+		if c.opts.FastPath && attempt == maxCreditWait {
+			return ErrRecvTimeout
 		}
 	}
 }
@@ -1127,7 +980,7 @@ func (c *Connection) RecvMessageTimeout(d time.Duration) (Message, error) {
 // can end the wait; the waiting itself is await's.
 func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 	if st == nil {
-		return c.await(&c.box, c.box.Bell, nil, func() (Message, bool, error) {
+		return c.await(&c.box, c.box.Bell, func() (Message, bool, error) {
 			m, ok := c.box.Pop()
 			if ok {
 				c.afterRecv()
@@ -1136,7 +989,7 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 		}, d)
 	}
 	box := st.Box()
-	return c.await(box, box.Bell, st.Ready, func() (Message, bool, error) {
+	return c.await(box, box.Bell, func() (Message, bool, error) {
 		m, ok := st.TryPop()
 		// Order matters: pop before the lifecycle check, so messages
 		// parked before a remote close drain to the application first.
@@ -1151,40 +1004,33 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 // lane, a peer-opened stream on the accept queue. The wait loop is
 // stream.Await's, over try, which takes what the caller is waiting for
 // or reports the error that ends the wait (the lane's lifecycle is
-// over). Only the fast path's part is the connection's own: there a
-// receiver whose try finds nothing and who can take fastRecvMu becomes
-// the pump (fastpath.go) instead of sleeping — want is its own lane's
-// mailbox, nil for an acceptor, and ready the pump's stop condition —
-// and every other receiver sleeps on the pump hand-off as well.
-func (c *Connection) await(want *stream.Mailbox[Message], bell func() <-chan struct{}, ready func() bool,
+// over). The connection's part is the pump: parked on the connection, a
+// receiver whose try finds nothing reads the wires itself when it is
+// rung and a pump is free (pump) — a message completing on want, its
+// own lane's mailbox (nil for an acceptor), comes back directly. On a
+// shard, which reads every wire itself, a receiver only sleeps. A
+// message waiting already is taken without parking.
+func (c *Connection) await(want *stream.Mailbox[Message], bell func() <-chan struct{},
 	try func() (Message, bool, error), d time.Duration) (Message, error) {
-	if c.opts.FastPath {
-		var deadline time.Time
-		if d > 0 {
-			deadline = time.Now().Add(d)
-		}
-		take := try
-		try = func() (Message, bool, error) {
-			for {
-				m, ok, err := take()
-				if ok {
-					// What is still queued behind this take needs a successor
-					// to drain it, if its receiver left while the pump was busy.
-					c.pumpRelease()
-				}
-				if ok || err != nil || !c.fastRecvMu.TryLock() {
-					return m, ok, err
-				}
-				m, ok, err = c.fastPump(want, ready, deadline)
-				c.fastRecvMu.Unlock()
-				c.pumpRelease()
-				if ok || err != nil {
-					return m, ok, err
-				}
+	take := func() (m Message, ok bool, err error) {
+		for read := true; read && !ok && err == nil; {
+			if m, ok, err = try(); !ok && err == nil {
+				m, ok, read = c.pump(want, nil)
 			}
 		}
+		if !ok && err == nil && c.Err() != nil {
+			err = stream.ErrClosed // Close rings every waiter
+		}
+		return m, ok, err
 	}
-	m, err := stream.Await(bell, c.pumpFree, c.closedCh, d, try) // pumpFree is nil off the fast path
+	m, ok, err := take()
+	if !ok && err == nil {
+		wt := idleWaiters.Get()
+		defer idleWaiters.Put(wt)
+		c.park(wt, false)
+		defer c.unpark(wt)
+		m, err = stream.Await(bell, wt.ring, nil, d, take)
+	}
 	return m, awaitErr(err, c.closeErr())
 }
 
@@ -1212,6 +1058,19 @@ func (c *Connection) atDepth() bool {
 	return c.box.Len() >= deliveredQueueDepth
 }
 
+// dataPaused is the producer's backpressure, asked before each read of
+// the data wire: the wire stays unread — and a sharded connection is
+// counted in core.shard.parked_conns — while the default lane is at
+// depth. The consumer that frees a slot resumes it (afterRecv,
+// Inbox.wake).
+func (c *Connection) dataPaused() bool {
+	if c.atDepth() && c.pause() {
+		return true
+	}
+	c.unpause()
+	return false
+}
+
 // pause is the producer stopping at depth: once per pause it raises
 // paused and, if an inbox is what filled, registers for its wake-up.
 // Both happen BEFORE the re-check it returns, so a consumer draining
@@ -1237,25 +1096,6 @@ func (c *Connection) unpause() {
 	}
 }
 
-// awaitSpace is the Receive Thread's backpressure: it returns once the
-// default lane is below depth, false if the connection closed first.
-func (c *Connection) awaitSpace() bool {
-	for c.atDepth() {
-		if c.space == nil {
-			c.space = make(chan struct{}, 1)
-		}
-		if c.pause() {
-			select {
-			case <-c.space:
-			case <-c.closedCh:
-				return false
-			}
-		}
-		c.unpause()
-	}
-	return true
-}
-
 // afterRecv runs after every pop from the default lane's mailbox: if
 // its producer paused at depth, wake it into the slot just freed.
 func (c *Connection) afterRecv() {
@@ -1264,54 +1104,23 @@ func (c *Connection) afterRecv() {
 	}
 }
 
-// resume wakes the default lane's paused producer — the Receive Thread
-// through its bell, a shard by re-queueing the connection.
-func (c *Connection) resume() {
-	if sc := c.sh; sc != nil {
-		sc.shard.requeue(c)
-		return
-	}
-	select {
-	case c.space <- struct{}{}:
-	default:
-	}
-}
+// resume wakes the default lane's paused producer: it fires the data
+// wire's source, which rings a waiter or the pump of last resort — or on
+// a shard re-queues the connection.
+func (c *Connection) resume() { c.in[wireData].fire() }
 
 // BindInbox merges this connection's future deliveries into ib: they
 // become InboxMessages on the shared queue instead of landing in the
 // connection's own mailbox. Bind before traffic starts (right
 // after Connect/Accept); messages already delivered remain readable
-// via Recv. Fast-path connections run delivery inline in Recv and
-// cannot bind.
+// via Recv. Fast-path connections cannot bind: they have no pump of
+// last resort to deliver while every consumer waits on the inbox.
 func (c *Connection) BindInbox(ib *Inbox) error {
 	if c.opts.FastPath {
 		return ErrFastPathOnly
 	}
 	c.inbox.Store(ib)
 	return nil
-}
-
-// recvThread is the per-connection Receive Thread: it reads the data
-// connection into pooled buffers and activates the flow- and
-// error-control machinery, while the default lane has room for what
-// that may complete.
-func (c *Connection) recvThread() {
-	defer c.wg.Done()
-	for c.awaitSpace() {
-		b, err := c.data.RecvBuf()
-		if err != nil {
-			// The data transport died: the peer tore the connection
-			// down (or the local side is closing). Propagate to
-			// connection state so blocked senders — e.g. a flow-control
-			// admission retrying against a peer that will never grant
-			// another credit — observe the teardown instead of spinning
-			// forever. Close from a fresh goroutine: Close waits for
-			// this thread via wg.Wait.
-			go c.Close()
-			return
-		}
-		c.ingest(b, nil)
-	}
 }
 
 // noteHeard records that the peer is alive — all the liveness sweep
@@ -1324,14 +1133,13 @@ func (c *Connection) noteHeard() {
 }
 
 // ingest is the one receive path: every packet read off the data
-// connection — by a Receive Thread, a shard loop or the fast-path pump —
+// connection — by a waiter, a pump of last resort or a shard loop —
 // goes through it, down to the completed message landing in its lane's
 // mailbox. It consumes the caller's reference to b; any layer that
 // needs a payload view beyond this call (the error-control reassembly,
-// a control waiter) retains the buffer. want is nil except from the
-// fast-path pump, which names the lane it reads for: a message
-// completing there with nothing queued ahead of it is returned instead
-// of queued.
+// a control waiter) retains the buffer. want is nil except from a
+// receiver pumping for its own lane: a message completing there with
+// nothing queued ahead of it is returned instead of queued.
 func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox[Message]) (Message, bool) {
 	defer b.Release()
 	c.noteHeard()
@@ -1368,7 +1176,7 @@ func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.
 	var done bool
 	if h.StreamID != 0 {
 		st := c.mux().Get(h.StreamID)
-		m, done, handed = st.OnData(h, payload, ref, c.emitStreamCtrl, want == st.Box())
+		m, done, handed = st.OnData(h, payload, ref, c.emitStamped, want == st.Box())
 	} else {
 		m, done = c.dispatchLane0(h, payload, ref)
 	}
@@ -1469,7 +1277,7 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
 	sb.B = ctl.Marshal(sb.B)
 	w, t := &c.ctrlW, c.ctrl
-	if c.opts.InbandControl && !c.opts.FastPath {
+	if c.opts.InbandControl {
 		w, t = &c.dataW, c.data
 	}
 	ping := ctl.Type == packet.CtrlPing
@@ -1494,32 +1302,13 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	return true
 }
 
-// ctrlRecvThread reads the control connection and dispatches: flow
-// control updates go to the Flow Control machinery, acknowledgments to
-// the waiting Error Control session (the Control Receive Thread).
-func (c *Connection) ctrlRecvThread() {
-	defer c.wg.Done()
-	for {
-		b, err := c.ctrl.RecvBuf()
-		if err != nil {
-			// Control transport death is connection death: propagate,
-			// as the Receive Thread does for the data connection.
-			go c.Close()
-			return
-		}
-		c.demuxControl(b)
-		b.Release()
-	}
-}
-
 // demuxControl parses and routes one control packet out of the pooled
 // receive buffer b. The body stays aliased to b throughout: routing
 // either consumes it synchronously on this goroutine (credits, rate
 // and window updates, pings) or hands the waiting sender a retained
 // reference (buf.Handoff) alongside the event. This is the single
-// demultiplex point shared by the control-path receive loop and the
-// in-band data-path receive loop, which used to duplicate a defensive
-// body copy here.
+// demultiplex point of the control wire and of in-band control on the
+// data wire.
 func (c *Connection) demuxControl(b *buf.Buffer) {
 	ctl, err := packet.UnmarshalControl(b.B)
 	if err != nil {
@@ -1542,20 +1331,23 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 		// Heard, like everything else; nothing more to do.
 	case packet.CtrlCredit, packet.CtrlCreditGrant, packet.CtrlRate, packet.CtrlWinAck:
 		c.flowSend().OnControl(ctl)
+		c.wakeAll(true)
 	case packet.CtrlStreamGrant, packet.CtrlStreamOpen, packet.CtrlStreamClose:
 		c.routeStreamCtrl(ctl)
+		c.wakeAll(true)
 	case packet.CtrlAck, packet.CtrlNack:
 		// The deposit stays under c.mu so a completing sender can
 		// delete its waiter and then drain the channel without racing a
 		// late deposit (the channel is buffered; the send never blocks).
 		c.mu.Lock()
-		if w := c.waiters[ctl.SessionID]; w != nil {
+		if ss := c.waiters[ctl.SessionID]; ss != nil {
 			ev := ctrlEvent{ctl: ctl}
 			if ref != nil {
 				ev.ref = ref.Handoff()
 			}
 			select {
-			case w <- ev:
+			case ss.ackCh <- ev:
+				ring(ss.wt.ring)
 			default:
 				// The session is busy processing a previous ack; dropping
 				// this one is safe — the sender's timer recovers.
@@ -1583,6 +1375,7 @@ func (c *Connection) ImpairData(imp netsim.Impairments) bool {
 func (c *Connection) Close() error {
 	c.closeOnce.Do(func() {
 		close(c.closedCh)
+		c.wakeAll(false)
 		c.sys.untrack(c)
 		// Serialise against the lazy flow-control constructors: after
 		// closedCh is closed and this section ran, any sender/receiver
@@ -1604,30 +1397,23 @@ func (c *Connection) Close() error {
 		c.ctrl.Close()
 		c.wg.Wait()
 		if sc := c.sh; sc != nil {
-			// Pumps have exited (wg). Deregister and barrier against
+			// Bridges have exited (wg). Deregister and barrier against
 			// the cycle that may still be dispatching our packets; the
-			// closed transports guarantee no new ones can surface. Then
-			// drain the pump channels' pooled buffers and reap.
+			// closed transports guarantee no new ones can surface.
 			sc.shard.unregister(c)
-			sc.drainInbound()
 		}
-		if !c.opts.FastPath {
-			// The receive threads have exited, a shard services the
-			// connection no more: nothing touches the session table
-			// concurrently.
-			c.reapInbound()
-			return
+		// A waiter may still be reading a wire; once it lets the pump go,
+		// no one will (pump checks the close under it). Then nothing
+		// touches the lanes concurrently, and what the bridges handed
+		// over unread goes back to its pool.
+		for _, w := range c.in {
+			w.pump.Lock()
+			for len(w.in) > 0 {
+				(<-w.in).Release()
+			}
+			w.pump.Unlock()
 		}
-		// No threads to join; a fast-path Recv may still be inside the
-		// session machinery (possibly the very caller running this Close
-		// after a transport error). Reap from a fresh goroutine once the
-		// receive procedure lock frees — the closed transports unblock it
-		// promptly.
-		go func() {
-			c.fastRecvMu.Lock()
-			defer c.fastRecvMu.Unlock()
-			c.reapInbound()
-		}()
+		c.reapInbound()
 	})
 	return nil
 }

@@ -23,7 +23,9 @@
 //     as §4.2 says they can be: a packet is pushed onto its wire's queue,
 //     and whoever holds the wire's owner writes the queue
 //     (Connection.flush) — the goroutine that made the packet, when the
-//     wire is free.
+//     wire is free. The Receive and Control Receive Threads are pumps of
+//     last resort: the goroutine that waits on a wire reads it, and they
+//     run only when nobody does (pump.go).
 //   - NCS worker threads are goroutines (kernel-level threads in the
 //     paper's taxonomy). The user-level/kernel-level comparison of §4.1
 //     is reproduced in internal/bench with the internal/thread package,
@@ -52,7 +54,6 @@ var (
 	ErrConnClosed      = errors.New("ncs: connection closed")
 	ErrSendTooLarge    = errors.New("ncs: message exceeds connection limit")
 	ErrRecvTimeout     = errors.New("ncs: receive timed out")
-	ErrNotFastPath     = errors.New("ncs: connection not configured for fast path")
 	ErrFastPathOnly    = errors.New("ncs: connection configured for fast path")
 	ErrPeerUnreachable = errors.New("ncs: peer unreachable (heartbeat timeout)")
 	ErrStreamClosed    = errors.New("ncs: stream closed")
@@ -96,8 +97,8 @@ type Options struct {
 	// defaults when Interface is transport.UDP.
 	UDPLink *transport.UDPLink
 	// Runtime selects the connection's runtime architecture:
-	// RuntimeThreaded (default) gives it the paper's dedicated
-	// per-connection threads; RuntimeSharded drives it from the
+	// RuntimeThreaded (default) gives it the paper's per-connection
+	// receive threads as pumps of last resort; RuntimeSharded drives it from the
 	// System's fixed pool of I/O shards, which demultiplex receives
 	// and coalesce sends across every sharded connection — the
 	// many-connection scale-out. FastPath takes precedence: a
@@ -105,18 +106,20 @@ type Options struct {
 	// threads. The option travels through signaling, so both endpoints
 	// run the architecture the dialer chose.
 	Runtime Runtime
-	// FastPath selects the §4.2 procedure variant: no per-connection
-	// threads; Send/Recv run the protocol inline on the caller. (The
-	// three booleans sit together so they pack: every Connection holds
-	// a copy of its Options.)
+	// FastPath selects the §4.2 procedure variant: the threaded
+	// runtime without its pumps of last resort. On every runtime but
+	// the sharded one, Send and Recv read the wire they wait on
+	// themselves; on the fast path nothing else does, so what arrives
+	// while nobody waits stays on the wire. Its policies differ too: a
+	// fixed retransmission timeout, an admission wait that gives up, no
+	// Inbox and no heartbeat. (The three booleans sit together so they
+	// pack: every Connection holds a copy of its Options.)
 	FastPath bool
 	// InbandControl multiplexes control packets onto the data
 	// connection instead of the separate control connection. This is
 	// the architecture the paper argues AGAINST (§2, "Separation of
 	// Control and Data Functions"); it exists for the ablation
-	// benchmark that quantifies the separation's benefit. Honoured by the
-	// threaded and sharded runtimes; the fast path always keeps control
-	// on its own connection.
+	// benchmark that quantifies the separation's benefit.
 	InbandControl bool
 	// AdaptiveTimeout derives the retransmission timer from observed
 	// acknowledgment round trips (Jacobson/Karels estimation, Karn's

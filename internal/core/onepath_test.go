@@ -144,33 +144,69 @@ func bellSelects(t *testing.T, dir string) map[string]int {
 // waits for a consumer — a message on any lane of any runtime, a
 // delivery in an Inbox, a producer the inbox parked, a stream nobody
 // accepted yet — waits in a stream.Mailbox, and every blocking receive
-// sleeps in stream.Await; so a second queue type, wait loop, pump entry
-// or producer wake-up fails here before it can drift from the first.
+// sleeps in stream.Await; every read of a wire is one drain, readIn,
+// entered by whoever waits on the connection, by a pump of last resort
+// or by a shard loop, on every runtime alike; so a second queue type,
+// wait loop, drain entry or producer wake-up fails here before it can
+// drift from the first.
 func TestOneReceiveEnd(t *testing.T) {
 	streamDir := filepath.Join("..", "stream")
 	core := callSites(t, ".")
 	for callee, why := range map[string]string{
-		".TryPop":     "a stream's take: Connection.recv",
-		".PopAccept":  "the accept queue's take: Connection.AcceptStreamTimeout",
-		".fastPump":   "the pump itself: Connection.await",
-		".awaitSpace": "the Receive Thread's wait at depth: Connection.recvThread",
-		".dataPaused": "the shard's pause at depth: shard.pumpData",
-		".pause":      "stopping at depth, behind awaitSpace and dataPaused alike: twice",
-		".afterRecv":  "the default lane's consumer-wakes-producer, from its one take",
+		".TryPop":    "a stream's take: Connection.recv",
+		".PopAccept": "the accept queue's take: Connection.AcceptStreamTimeout",
+		".pause":     "stopping at depth: Connection.dataPaused",
+		".afterRecv": "the default lane's consumer-wakes-producer, from its one take",
 	} {
-		want := 1
-		if callee == ".pause" {
-			want = 2
-		}
-		if n := core[callee]; n != want {
-			t.Errorf("internal/core has %d call sites of %s, want exactly %d (%s)", n, callee, want, why)
+		if n := core[callee]; n != 1 {
+			t.Errorf("internal/core has %d call sites of %s, want exactly 1 (%s)", n, callee, why)
 		}
 	}
-	// fastRecvMu.TryLock, becoming the fast path's pump, is in
-	// Connection.await; the others take a wire's owner (TestOneInlineWrite).
-	if got, want := callersOf(t, ".", "TryLock"), []string{"Connection.await", "Connection.flush", "Connection.writeInline"}; !slices.Equal(got, want) {
+	// The one drain, readIn: the receivers, the senders and the pumps of
+	// last resort enter it through pump, the shard loop directly; only it
+	// reads what arrived, asks for room at depth and runs the receive
+	// path; the blocking receive is the bridge's alone.
+	for _, c := range []struct {
+		chain []string
+		want  []string
+	}{
+		{[]string{"pump"}, []string{"Connection.await", "Connection.awaitCtrl", "Connection.lastResort", "Connection.lastResort"}},
+		{[]string{"readIn"}, []string{"Connection.pump", "shard.service"}},
+		{[]string{"dataPaused"}, []string{"Connection.readIn"}},
+		{[]string{"ingest"}, []string{"Connection.readIn"}},
+		{[]string{"demuxControl"}, []string{"Connection.ingest", "Connection.readIn"}},
+		{[]string{"TryRecvBuf"}, []string{"Connection.readIn"}},
+		{[]string{"RecvBuf"}, []string{"Connection.bridge"}},
+		{[]string{"RecvBufTimeout"}, nil},
+	} {
+		if got := callersOfChain(t, ".", c.chain...); !slices.Equal(got, c.want) {
+			t.Errorf("%s is called in %v, want exactly %v", strings.Join(c.chain, "."), got, c.want)
+		}
+	}
+	// pump.TryLock takes a wire's pump token, in the drain; the others
+	// take a wire's owner (TestOneInlineWrite).
+	if got, want := callersOf(t, ".", "TryLock"), []string{"Connection.flush", "Connection.pump", "Connection.writeInline"}; !slices.Equal(got, want) {
 		t.Errorf("internal/core calls TryLock in %v, want exactly %v", got, want)
 	}
+	// The runtimes differ in who pumps last, and in policy: FastPath is
+	// read where a policy differs — the runtime's construction
+	// (newConnection), the retransmission timeout (rto), the admission
+	// wait's give-up (admit), binding an Inbox (BindInbox) and the
+	// heartbeat (heartbeat.go) — and nowhere else.
+	policies := []string{"BindInbox", "System.track", "newConnection", "rto", "admit"}
+	inspectPackage(t, ".", func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			return true
+		}
+		ast.Inspect(fn.Body, func(m ast.Node) bool {
+			if sel, ok := m.(*ast.SelectorExpr); ok && sel.Sel.Name == "FastPath" && !slices.Contains(policies, funcName(fn)) {
+				t.Errorf("%s reads FastPath: the runtimes share one engine, and differ only in who pumps last", funcName(fn))
+			}
+			return true
+		})
+		return false
+	})
 	// Every take from a mailbox, by name: a lane's message, an inbox's
 	// delivery, a parked producer, a parked stream message, an accept.
 	for dir, want := range map[string][]string{
@@ -196,6 +232,8 @@ func TestOneReceiveEnd(t *testing.T) {
 		"recvMessage": true, "fastWait": true, "stalled": true, "hasStalled": true, "deliverOrStall": true,
 		"flushStalled": true, "Instrument": true,
 		"waiterN": true, "wakeWaiters": true, "inboxWaiting": true, "holding": true, "acceptBell": true, "ringAccept": true,
+		"fastPump": true, "fastRecvMu": true, "fastSendMu": true, "pumpFree": true, "pumpRelease": true, "pumpCtrl": true,
+		"awaitSpace": true, "awaitAck": true, "recvThread": true, "ctrlRecvThread": true, "ErrNotFastPath": true,
 	}
 	visit := func(dir string, alsoGone ...string) func(ast.Node) bool {
 		seen := make(map[string]bool)
@@ -305,7 +343,8 @@ func TestOneLivenessSweep(t *testing.T) {
 			t.Errorf("%s has no call site: the clock-free list names a function that is gone", name)
 		}
 	}
-	// Admission has one blocking form, the timed one admit calls.
+	// Admission has one blocking form in flowctl, the timed one (core's
+	// admit waits on the connection instead: awaitCtrl).
 	inspectPackage(t, filepath.Join("..", "flowctl"), func(n ast.Node) bool {
 		if id, ok := n.(*ast.Ident); ok && id.Name == "Acquire" {
 			t.Errorf("identifier Acquire is back in internal/flowctl")
@@ -438,6 +477,22 @@ func TestOneSetOfBooks(t *testing.T) {
 	for field, n := range adds {
 		t.Errorf("stats.%s: %d Add sites on a field statCounters does not pin", field, n)
 	}
+}
+
+// funcName names a function declaration as callersOf does: "Recv.name"
+// for a method (the connection's "name" alone), "name" for a function.
+func funcName(fn *ast.FuncDecl) string {
+	name := fn.Name.Name
+	if fn.Recv != nil && len(fn.Recv.List) == 1 {
+		typ := fn.Recv.List[0].Type
+		if star, ok := typ.(*ast.StarExpr); ok {
+			typ = star.X
+		}
+		if id, ok := typ.(*ast.Ident); ok && id.Name != "Connection" {
+			name = id.Name + "." + name
+		}
+	}
+	return name
 }
 
 // callersOfChain names, like callersOf, the function around each call

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"time"
 
+	"ncs/internal/errctl"
+	"ncs/internal/flowctl"
 	"ncs/internal/transport"
 )
 
@@ -239,6 +241,86 @@ func TestNonPositiveTimeoutMeansNoDeadline(t *testing.T) {
 					}
 				case <-time.After(5 * time.Second):
 					t.Fatal("still waiting after what it waits for arrived")
+				}
+			})
+		}
+	}
+}
+
+// TestAsyncProgress pins what the pumps of last resort are for: on the
+// threaded and sharded runtimes a reliable, credit-controlled sender
+// completes every Send while the peer application never calls Recv —
+// its acknowledgments and grants flow although nobody waits on the
+// peer's wires — with more messages than the credit window admits at
+// once and no more than the default lane holds. In the mid-stream cells
+// the peer's receiver enters Recv halfway and reads the wire itself from
+// then on; either way every message arrives exactly once, in order.
+func TestAsyncProgress(t *testing.T) {
+	const msgs, window = 64, 4
+	for _, rt := range allRuntimes[:2] { // threaded, sharded: the fast path has no pump of last resort
+		for _, midstream := range []bool{false, true} {
+			name := rt.name + "/unread"
+			if midstream {
+				name = rt.name + "/midstream"
+			}
+			t.Run(name, func(t *testing.T) {
+				opts := Options{
+					Interface:    transport.HPI,
+					ErrorControl: errctl.SelectiveRepeat,
+					FlowControl:  flowctl.Credit,
+					FlowConfig:   flowctl.Config{InitialCredits: window, MaxCredits: window},
+					SDUSize:      256,
+				}
+				rt.set(&opts)
+				conn, peer, cleanup := newPairT(t, opts)
+				defer cleanup()
+				sent := make(chan int, msgs)
+				errs := make(chan error, 1)
+				go func() {
+					for i := 0; i < msgs; i++ {
+						if err := conn.Send(reuseMsg(0, uint32(i), 600)); err != nil { // 3 SDUs
+							errs <- fmt.Errorf("send %d: %w", i, err)
+							return
+						}
+						sent <- i
+					}
+					errs <- nil
+				}()
+				if midstream {
+					for i := 0; i < msgs/2; i++ {
+						<-sent
+					}
+				}
+				recv := func(from int) {
+					for seq := from; seq < msgs; seq++ {
+						m, err := peer.RecvTimeout(10 * time.Second)
+						if err == nil {
+							err = checkReuseMsg(m, 0, uint32(seq))
+						}
+						if err != nil {
+							t.Fatalf("recv %d: %v", seq, err)
+						}
+					}
+					if _, err := peer.RecvTimeout(20 * time.Millisecond); err == nil {
+						t.Fatal("a message was delivered twice")
+					}
+				}
+				if midstream {
+					recv(0)
+				}
+				select {
+				case err := <-errs:
+					if err != nil {
+						t.Fatal(err)
+					}
+				case <-time.After(20 * time.Second):
+					t.Fatalf("%d of %d sends completed while the peer did not receive", len(sent), msgs)
+				}
+				if !midstream {
+					if n := peer.box.Len(); n != msgs {
+						t.Fatalf("%d messages wait in the peer's mailbox, want all %d", n, msgs)
+					}
+					recv(0)
 				}
 			})
 		}

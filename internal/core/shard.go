@@ -5,19 +5,19 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-
-	"ncs/internal/buf"
-	"ncs/internal/transport"
 )
 
 // The sharded runtime is the scale-out alternative to the paper's
 // thread-per-function architecture. The paper gives every connection
 // dedicated Send/Receive (and Control Send/Receive) threads; here the
-// send side is already procedures (Connection.flush), but a threaded
-// connection still costs its two receive goroutines whether it is busy
-// or idle. A server facing thousands of connections wants the opposite
-// trade: a small fixed pool of event loops that amortise scheduling and
-// syscall cost across every connection they own.
+// send side is procedures (Connection.flush) and the receive side is
+// read by whoever waits on it (pump.go), but a threaded connection still
+// keeps two pumps of last resort whether it is busy or idle. A server
+// facing thousands of connections wants the opposite trade: a small
+// fixed pool of event loops that amortise scheduling and syscall cost
+// across every connection they own. The runtimes differ in who pumps:
+// on a shard the loop reads every wire, and a waiting receiver or sender
+// only sleeps until it has.
 //
 // A System lazily builds one pool of I/O shards (default GOMAXPROCS;
 // see SetShards). Connections established with Options.Runtime ==
@@ -25,11 +25,11 @@ import (
 // entirely by that shard's loop:
 //
 //   - receives: the shard demultiplexes arrivals across all of its
-//     connections — via transport.Poller (HPI exposes its arrival queue
-//     plus a readiness doorbell, so an idle connection costs zero
-//     goroutines) or, for transports that cannot be polled (SCI rides a
-//     kernel socket, ACI a cell reassembler), via a minimal pump
-//     goroutine that feeds the loop;
+//     connections — via transport.Poller (HPI and UDP expose their
+//     arrival queue plus a readiness doorbell, so an idle connection
+//     costs zero goroutines) or, for transports that cannot be polled
+//     (SCI rides a kernel socket, ACI a cell reassembler), via the
+//     bridge goroutine every runtime uses there (pump.go);
 //   - sends: NCS_send callers run exactly as in the threaded runtime —
 //     admission, then the push onto the connection's wire queue and the
 //     flush, on their own goroutine. The loop writes only what it
@@ -39,8 +39,7 @@ import (
 //   - flow/error control state stays strictly per-connection (the same
 //     objects the threads drive); the shard serialises all receive-side
 //     protocol work for a connection on one goroutine, which is the
-//     same single-writer discipline the per-connection Receive Thread
-//     provided;
+//     same single-writer discipline a wire's pump token provides;
 //   - the §4.2 fast path bypasses shards exactly as it bypasses
 //     threads: Options.FastPath takes precedence over Options.Runtime.
 //
@@ -60,11 +59,13 @@ import (
 type Runtime int
 
 const (
-	// RuntimeThreaded is the paper's architecture: dedicated Receive
-	// and Control Receive threads per connection, its Send and Control
-	// Send threads replaced by procedures (§4.2; Connection.flush).
-	// Lowest latency at modest connection counts; cost grows linearly
-	// with connections. The default.
+	// RuntimeThreaded is the paper's architecture with its threads
+	// replaced by procedures as far as §4.2 allows: a waiting Send or
+	// Recv reads the wire itself, the per-connection Receive and Control
+	// Receive threads only when nobody waits (pumps of last resort,
+	// pump.go), and the Send and Control Send threads are gone
+	// (Connection.flush). Lowest latency at modest connection counts;
+	// cost grows linearly with connections. The default.
 	RuntimeThreaded Runtime = iota
 	// RuntimeSharded drives the connection from its System's shard
 	// pool: a fixed set of event loops demultiplexing receives and
@@ -86,27 +87,16 @@ func (r Runtime) String() string {
 	}
 }
 
-// shardRecvBudget bounds how many packets one cycle drains from a
-// single connection's data (and control) path before yielding, so one
-// busy connection cannot starve its shard-mates. A connection with
-// leftover backlog is simply re-queued.
-const shardRecvBudget = 64
-
-// pumpDepth is the inbound queue between a pump goroutine and the
-// shard loop for non-pollable transports. The pump blocks when it
-// fills — per-connection backpressure toward the transport, exactly
-// like a Receive Thread that stopped reading.
+// pumpDepth is the inbound queue between a bridge goroutine and whoever
+// reads a non-pollable transport. The bridge blocks when it fills —
+// per-connection backpressure toward the transport, exactly like a
+// Receive Thread that stopped reading.
 const pumpDepth = 64
 
 // shardConn is a connection's attachment to its shard. Fields marked
 // loop-owned are touched only by the shard loop goroutine.
 type shardConn struct {
 	shard *shard
-
-	dataPoll transport.Poller // non-nil: poll the data transport directly
-	ctrlPoll transport.Poller // non-nil: poll the control transport directly
-	dataIn   chan *buf.Buffer // pump-fed when dataPoll is nil
-	ctrlIn   chan *buf.Buffer // pump-fed when ctrlPoll is nil (nil in in-band mode)
 
 	queued  atomic.Bool // on the shard's ready list
 	serving atomic.Bool // the loop is running the connection's receive side (emitCtrl)
@@ -162,7 +152,8 @@ func (sh *shard) ring() {
 // checked under the lock so a stale wakeup — a transport notify or an
 // afterRecv drain racing Close — can never resurrect a deregistered
 // connection on the ready list (the loop must not touch its state
-// after unregister's barrier).
+// after unregister's barrier), and one before register leaves the flag
+// down for register's own requeue.
 func (sh *shard) requeue(c *Connection) {
 	sc := c.sh
 	if sc.queued.Swap(true) {
@@ -170,6 +161,7 @@ func (sh *shard) requeue(c *Connection) {
 	}
 	sh.mu.Lock()
 	if _, registered := sh.conns[c]; !registered {
+		sc.queued.Store(false)
 		sh.mu.Unlock()
 		return
 	}
@@ -178,20 +170,13 @@ func (sh *shard) requeue(c *Connection) {
 	sh.ring()
 }
 
-// register attaches a connection: readiness hooks ring this shard's
-// doorbell, and an initial requeue catches anything that arrived
-// before the hooks were installed.
+// register attaches a connection whose readiness sources re-queue it
+// here (attachShard): an initial requeue catches anything that arrived
+// before it was registered.
 func (sh *shard) register(c *Connection) {
-	sc := c.sh
 	sh.mu.Lock()
 	sh.conns[c] = struct{}{}
 	sh.mu.Unlock()
-	if sc.dataPoll != nil {
-		sc.dataPoll.SetRecvNotify(func() { sh.requeue(c) })
-	}
-	if sc.ctrlPoll != nil {
-		sc.ctrlPoll.SetRecvNotify(func() { sh.requeue(c) })
-	}
 	sh.requeue(c)
 }
 
@@ -200,12 +185,10 @@ func (sh *shard) register(c *Connection) {
 // the loop will never run the connection's receive-side protocol again.
 // The caller may then reap session state.
 func (sh *shard) unregister(c *Connection) {
-	sc := c.sh
-	if sc.dataPoll != nil {
-		sc.dataPoll.SetRecvNotify(nil)
-	}
-	if sc.ctrlPoll != nil {
-		sc.ctrlPoll.SetRecvNotify(nil)
+	for _, w := range c.in {
+		if w.poll != nil {
+			w.poll.SetRecvNotify(nil)
+		}
 	}
 	sh.mu.Lock()
 	delete(sh.conns, c)
@@ -260,106 +243,20 @@ func (sh *shard) cycle() {
 }
 
 // service runs one connection's receive side: drain control and data
-// arrivals up to the budget. Control always runs — the ack clock must
-// not stop while the data path is paused.
+// arrivals up to the budget each (readIn, the drain every wire's reader
+// runs), re-queueing the connection when one ran out. Control always
+// runs — the ack clock must not stop while the data path is paused.
 func (sh *shard) service(c *Connection) {
 	c.sh.serving.Store(true)
-	sh.pumpCtrl(c)
-	sh.pumpData(c)
+	for i, w := range c.in {
+		if i == wireData && w == c.in[wireCtrl] {
+			break // in-band: control arrives on the data path
+		}
+		if _, _, n := c.readIn(w, nil, nil); n == pumpBudget {
+			sh.requeue(c) // likely backlog
+		}
+	}
 	c.sh.serving.Store(false)
-}
-
-// pumpCtrl drains the control path through the connection's
-// demultiplexer (credits and rate updates to flow control, acks to the
-// waiting sender).
-func (sh *shard) pumpCtrl(c *Connection) {
-	sc := c.sh
-	if sc.ctrlPoll == nil && sc.ctrlIn == nil {
-		return // in-band mode: control arrives on the data path
-	}
-	for i := 0; i < shardRecvBudget; i++ {
-		b, ok := nextArrival(sc.ctrlPoll, sc.ctrlIn)
-		if !ok {
-			go c.Close()
-			return
-		}
-		if b == nil {
-			return
-		}
-		c.demuxControl(b)
-		b.Release()
-	}
-	sh.requeue(c) // budget exhausted: likely backlog
-}
-
-// pumpData drains the data path through ingest — the same flow
-// control, error control, reassembly and delivery the Receive Thread
-// drives — while the default lane has room for what that may complete.
-func (sh *shard) pumpData(c *Connection) {
-	sc := c.sh
-	for i := 0; i < shardRecvBudget; i++ {
-		if sc.dataPaused(c) {
-			return
-		}
-		b, ok := nextArrival(sc.dataPoll, sc.dataIn)
-		if !ok {
-			go c.Close()
-			return
-		}
-		if b == nil {
-			return
-		}
-		c.ingest(b, nil)
-	}
-	sh.requeue(c)
-}
-
-// nextArrival takes the next packet waiting on one of a connection's
-// transports — from its poller, or else from its pump's channel —
-// without blocking: nil when none is waiting, ok false when the
-// transport died.
-func nextArrival(p transport.Poller, in chan *buf.Buffer) (b *buf.Buffer, ok bool) {
-	if p != nil {
-		b, err := p.TryRecvBuf()
-		return b, err == nil
-	}
-	select {
-	case b = <-in:
-	default:
-	}
-	return b, true
-}
-
-// dataPaused is the shard's backpressure: the connection's data path
-// stays paused — and counted in core.shard.parked_conns — while its
-// default lane is at depth. The consumer that frees a slot re-queues
-// the connection (afterRecv, Inbox.wake).
-func (sc *shardConn) dataPaused(c *Connection) bool {
-	if c.atDepth() && c.pause() {
-		return true
-	}
-	c.unpause()
-	return false
-}
-
-// drainInbound releases pooled buffers the pumps parked after the
-// connection closed. Called from Close after unregister's barrier: the
-// pumps are dead and the loop no longer services this connection, so
-// nothing else touches the channels.
-func (sc *shardConn) drainInbound() {
-	drainBufChan(sc.dataIn)
-	drainBufChan(sc.ctrlIn)
-}
-
-func drainBufChan(ch chan *buf.Buffer) {
-	for { // a nil channel (no pump) is never ready
-		select {
-		case b := <-ch:
-			b.Release()
-		default:
-			return
-		}
-	}
 }
 
 // ---------------------------------------------------------------------------

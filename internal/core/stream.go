@@ -40,7 +40,7 @@ func (c *Connection) mux() *stream.Mux {
 		Flow: c.opts.FlowConfig,
 		Err:  c.opts.ErrorControl,
 	})
-	m.SetEmitter(c.emitStreamCtrl)
+	m.SetEmitter(c.emitStamped)
 	c.muxp.Store(m)
 	var closed bool
 	select {
@@ -55,12 +55,13 @@ func (c *Connection) mux() *stream.Mux {
 	return m
 }
 
-// emitStreamCtrl sends one stream-scoped control packet (grants, open
-// and close announcements) over the connection's control path. It is
-// the mux's emitter, so it also runs on consumer goroutines — a
-// TryPop that refills the peer's credit window emits from whatever
-// goroutine popped.
-func (c *Connection) emitStreamCtrl(ctl packet.Control) bool {
+// emitStamped sends one control packet stamped with the connection's
+// id over its control path. It is the emitter of the stream mux (grants,
+// open and close announcements) and of the credit receiver's refill
+// timer, so it also runs on consumer and timer goroutines — a TryPop
+// that refills the peer's credit window emits from whatever goroutine
+// popped.
+func (c *Connection) emitStamped(ctl packet.Control) bool {
 	ctl.ConnID = c.id
 	return c.emitCtrl(ctl)
 }
@@ -162,7 +163,7 @@ func (c *Connection) OpenStream() (*Stream, error) {
 	}
 	// The announcement is advisory — the first data frame would create
 	// the peer state too — but it lets the peer accept before traffic.
-	c.emitStreamCtrl(packet.Control{
+	c.emitStamped(packet.Control{
 		Type: packet.CtrlStreamOpen,
 		Body: packet.StreamIDBody(st.ID()),
 	})
@@ -175,15 +176,15 @@ func (c *Connection) AcceptStream() (*Stream, error) {
 }
 
 // AcceptStreamTimeout is AcceptStream with a deadline (d > 0); it
-// returns ErrRecvTimeout when no stream arrives in time. On the fast
-// path the accept pumps the data transport when no one else is: the
-// peer's CtrlStreamOpen rides the control connection (which only
-// senders read), so accepts there materialise from the stream's first
-// data frame instead.
+// returns ErrRecvTimeout when no stream arrives in time. Like any
+// receiver, the acceptor reads the data wire while it waits. On the fast
+// path the peer's CtrlStreamOpen rides the control connection (which
+// only senders read), so accepts there materialise from the stream's
+// first data frame instead.
 func (c *Connection) AcceptStreamTimeout(d time.Duration) (*Stream, error) {
 	m := c.mux()
 	var st *stream.State
-	_, err := c.await(nil, m.AcceptBell, m.HasAccept, func() (_ Message, ok bool, err error) {
+	_, err := c.await(nil, m.AcceptBell, func() (_ Message, ok bool, err error) {
 		if st, ok = m.PopAccept(); !ok && m.Closed() {
 			err = c.closeErr()
 		}
@@ -247,7 +248,8 @@ func (s *Stream) Close() error {
 		return nil
 	}
 	s.st.Reap()
-	s.c.emitStreamCtrl(packet.Control{
+	s.c.wakeAll(true) // a sender waiting for its credits stops
+	s.c.emitStamped(packet.Control{
 		Type: packet.CtrlStreamClose,
 		Body: packet.StreamIDBody(s.st.ID()),
 	})

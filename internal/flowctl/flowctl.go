@@ -62,12 +62,12 @@ var (
 	hCreditWait = telemetry.NewHistogram("flowctl.send.credit_wait_ns")
 )
 
-// NoteFastPathWait records a §4.2 fast-path admission that had to pump
-// control traffic before flow control admitted it. The fast path
-// bypasses the Sender blocking entry points (it interleaves TryAcquire
-// with control processing on the caller), so core reports the wait
-// here to keep the instruments algorithm-owned.
-func NoteFastPathWait(alg Algorithm, blocked time.Duration) {
+// NoteWait records an admission that had to wait, reading control
+// traffic, before flow control admitted it. Core bypasses the Sender's
+// blocking entry point (it interleaves TryAcquire with control
+// processing on the waiting sender), so it reports the wait here to keep
+// the instruments algorithm-owned.
+func NoteWait(alg Algorithm, blocked time.Duration) {
 	switch alg {
 	case Credit:
 		mCreditWait.Inc()
@@ -529,14 +529,10 @@ func (s *rateSender) AcquireTimeout(seq uint32, d time.Duration) error {
 		if blockedAt.IsZero() {
 			blockedAt = time.Now()
 		}
-		s.mu.Lock()
-		closed := s.closed
-		need := (1 - s.tokens) / s.rate
-		s.mu.Unlock()
+		wait, closed := s.refill()
 		if closed {
 			return ErrClosed
 		}
-		wait := time.Duration(need * float64(time.Second))
 		if remain := time.Until(deadline); remain <= 0 {
 			return ErrAcquireTimeout
 		} else if wait > remain {
@@ -544,6 +540,25 @@ func (s *rateSender) AcquireTimeout(seq uint32, d time.Duration) error {
 		}
 		time.Sleep(wait)
 	}
+}
+
+// refill is how long the bucket takes to hold a whole token again.
+func (s *rateSender) refill() (time.Duration, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return time.Duration((1 - s.tokens) / s.rate * float64(time.Second)), s.closed
+}
+
+// Refill reports how soon time alone may admit a sender whose TryAcquire
+// just failed: a rate sender's next token. It is 0 for the schemes only
+// the receiver's feedback refills, and for a closed sender.
+func Refill(s Sender) time.Duration {
+	if r, ok := s.(*rateSender); ok {
+		if d, closed := r.refill(); !closed {
+			return d
+		}
+	}
+	return 0
 }
 
 // Resync is a no-op: token buckets refill by time, not by feedback.

@@ -143,10 +143,6 @@ func (m *Mux) PopAccept() (*State, bool) {
 	}
 }
 
-// HasAccept reports the accept queue is worth a PopAccept, or that the
-// mux closed (so a blocked acceptor re-checks and fails).
-func (m *Mux) HasAccept() bool { return m.accepts.Len() > 0 || m.Closed() }
-
 // AcceptBell is the accept queue's bell: rung whenever a stream lands
 // on it, and when the mux closes.
 func (m *Mux) AcceptBell() <-chan struct{} { return m.accepts.Bell() }

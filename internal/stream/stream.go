@@ -315,13 +315,6 @@ func (s *State) TryPop() (Msg, bool) {
 	return m, true
 }
 
-// Ready reports that a receiver need not keep waiting: a message is
-// parked, or the stream's lifecycle ended (reaped locally or closed by
-// the peer). Pump loops use it as their stop condition.
-func (s *State) Ready() bool {
-	return s.box.Len() > 0 || s.Over()
-}
-
 // Closed reports that the stream was reaped locally.
 func (s *State) Closed() bool {
 	s.mu.Lock()
