@@ -160,7 +160,7 @@ func (c *Connection) flush(w *wire, t transport.Conn, wait bool) error {
 		q.taken = all[:0]
 		w.mu.Unlock()
 		if err != nil {
-			go c.Close() // the writer may be a thread Close joins, or the shard it waits for
+			go c.Close() // the writer may be a thread Close joins, or hold a pump token Close takes
 			return ErrConnClosed
 		}
 	}
@@ -424,18 +424,19 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 		slot:      -1,
 	}
 	c.inbound.Alg = opts.ErrorControl
-	if opts.Runtime == RuntimeSharded && !opts.FastPath {
-		// The System's shard pool drives the connection's protocol
-		// machinery (shard.go). The fast path bypasses it exactly as it
-		// bypasses the threads.
+	// Whoever waits on a wire reads it; the runtimes differ in its pump of
+	// last resort (pump.go): the System's shard pool (shard.go), else a
+	// Receive and a Control Receive Thread, and for the fast path none —
+	// it bypasses shards exactly as it bypasses threads. In-band control
+	// (the ablation of §2's split planes) rides the data wire, whose
+	// reader demultiplexes it.
+	switch {
+	case opts.FastPath:
+		c.listen(nil)
+	case opts.Runtime == RuntimeSharded:
 		c.attachShard()
-	} else {
-		// Whoever waits on a wire reads it; the threaded runtime adds a
-		// Receive and a Control Receive Thread as its pumps of last
-		// resort, the fast path none (pump.go). In-band control (the
-		// ablation of §2's split planes) rides the data wire, whose
-		// reader demultiplexes it.
-		c.listen(nil, !opts.FastPath)
+	default:
+		c.listen(c.thread)
 	}
 	sys.track(c)
 	return c
@@ -477,7 +478,7 @@ func (c *Connection) flowRecv() flowctl.Receiver {
 		return *p
 	}
 	fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
-	if c.sh != nil || c.in[wireData].last != nil {
+	if c.in[wireData].last != nil {
 		// Give a credit receiver an asynchronous emitter so its
 		// refill-retry timer can re-advertise a possibly-lost grant:
 		// progress nobody asked for, which a connection without a pump of
@@ -505,15 +506,16 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 	return flowctl.SenderStatsOf(*p)
 }
 
-// attachShard registers the connection with its System's shard pool:
-// the wires' sources re-queue it on its shard — pollable transports (HPI,
-// UDP) at zero goroutines, others through a bridge goroutine that only
-// reads the wire (pump.go) — and every protocol decision runs on the
-// shard.
+// attachShard registers the connection with its System's shard pool,
+// its wires' pump of last resort: what arrives while nobody waits
+// re-queues it on its shard — pollable transports (HPI, UDP) at zero
+// goroutines, others through a bridge goroutine that only reads the wire
+// (pump.go).
 func (c *Connection) attachShard() {
 	sh := c.sys.shardFor(c.id)
 	c.sh = &shardConn{shard: sh}
-	c.listen(func() { sh.requeue(c) }, false)
+	requeue := func() { sh.requeue(c) }
+	c.listen(func() func() { return requeue })
 	sh.register(c)
 }
 
@@ -764,18 +766,23 @@ func (c *Connection) rto() time.Duration {
 // queued for the last one's flush. This is the one place sent SDUs are
 // counted: c.stats is the only book (conns.go reads it for core.conn.*).
 //
-// Having written a lone SDU inline, a sharded sender yields. The write woke the peer's reader onto this P's runnext;
+// Having written a lone SDU of an unreliable message inline, a sharded
+// sender yields. The write woke the peer's reader onto this P's runnext;
 // Gosched runs it at once and moves the sender to the global run queue,
 // where an idle P takes it. Without the yield, that P finds only a
 // running P's runnext to steal and backs off in the Go scheduler's
 // usleep(3) — ≈ 60 µs under Linux's 50 µs timer slack: with two callers
-// on two Ps, 3–5 % of rpc_fanin's calls took 65–80 µs. No yield follows
-// a fast-path write or a control write (emitCtrl): both measured worse
-// with one. Nor a threaded write: there the sender's move between Ps
-// after each yield left the runtime's per-P sudog caches to refill after
-// every collection, and a 64 B reliable echo allocated up to 2.11 times
-// per echo under a forced collection every 16th
-// (TestMessagePathAllocationsSurviveTheCollector; 2.00–2.01 without it).
+// on two Ps, 3–5 % of rpc_fanin's calls took 65–80 µs. A reliable sender
+// does not yield: it parks for its acknowledgment next, which hands the
+// P to the reader as well, and a yield would let the acknowledgment
+// arrive while nobody waits, ringing the shard's loop instead of the
+// sender. No yield follows a fast-path write or a control write
+// (emitCtrl): both measured worse with one. Nor a threaded write: there
+// the sender's move between Ps after each yield left the runtime's per-P
+// sudog caches to refill after every collection, and a 64 B reliable
+// echo allocated up to 2.11 times per echo under a forced collection
+// every 16th (TestMessagePathAllocationsSurviveTheCollector; 2.00–2.01
+// without it).
 func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
@@ -800,7 +807,7 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
 		if alone {
 			if ok, err := c.writeInline(&c.dataW, c.data, outItem{sdu: sdu}); ok {
-				if err == nil && c.sh != nil {
+				if err == nil && c.sh != nil && c.opts.ErrorControl == errctl.None {
 					runtime.Gosched()
 				}
 				return err
@@ -1007,9 +1014,9 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 // over). The connection's part is the pump: parked on the connection, a
 // receiver whose try finds nothing reads the wires itself when it is
 // rung and a pump is free (pump) — a message completing on want, its
-// own lane's mailbox (nil for an acceptor), comes back directly. On a
-// shard, which reads every wire itself, a receiver only sleeps. A
-// message waiting already is taken without parking.
+// own lane's mailbox (nil for an acceptor), comes back directly, on
+// every runtime alike. A message waiting already is taken without
+// parking.
 func (c *Connection) await(want *stream.Mailbox[Message], bell func() <-chan struct{},
 	try func() (Message, bool, error), d time.Duration) (Message, error) {
 	take := func() (m Message, ok bool, err error) {
@@ -1105,9 +1112,8 @@ func (c *Connection) afterRecv() {
 }
 
 // resume wakes the default lane's paused producer: it fires the data
-// wire's source, which rings a waiter or the pump of last resort — or on
-// a shard re-queues the connection.
-func (c *Connection) resume() { c.in[wireData].fire() }
+// wire's source, which rings a waiter or the pump of last resort.
+func (c *Connection) resume() { c.in[wireData].arrived() }
 
 // BindInbox merges this connection's future deliveries into ib: they
 // become InboxMessages on the shared queue instead of landing in the
@@ -1397,15 +1403,12 @@ func (c *Connection) Close() error {
 		c.ctrl.Close()
 		c.wg.Wait()
 		if sc := c.sh; sc != nil {
-			// Bridges have exited (wg). Deregister and barrier against
-			// the cycle that may still be dispatching our packets; the
-			// closed transports guarantee no new ones can surface.
-			sc.shard.unregister(c)
+			sc.shard.unregister(c) // nothing re-queues it any more
 		}
-		// A waiter may still be reading a wire; once it lets the pump go,
-		// no one will (pump checks the close under it). Then nothing
-		// touches the lanes concurrently, and what the bridges handed
-		// over unread goes back to its pool.
+		// A waiter or a pump of last resort may still be reading a wire;
+		// once it lets the pump go, no one will (readIn checks the close
+		// under it). Then nothing touches the lanes concurrently, and what
+		// the bridges handed over unread goes back to its pool.
 		for _, w := range c.in {
 			w.pump.Lock()
 			for len(w.in) > 0 {

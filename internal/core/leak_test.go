@@ -35,11 +35,10 @@ func TestMain(m *testing.M) {
 
 // awaitQuiescence polls until the goroutine count returns to the
 // baseline, no pooled buffers remain outstanding, and no flow-control
-// deadline timers are still armed, tolerating the short tail of
-// exiting threads after the final Close. The timer check catches acked
-// sends that abandon their AcquireTimeout timers: each would pin its
-// sender (and its connection) on the runtime timer heap until the full
-// ack deadline elapsed.
+// timers are still armed, tolerating the short tail of exiting threads
+// after the final Close. The timer check catches credit receivers whose
+// refill retries outlive their connection: each would pin its receiver
+// (and its connection) on the runtime timer heap.
 func awaitQuiescence(baseline int, patience time.Duration) error {
 	deadline := time.Now().Add(patience)
 	for {

@@ -163,15 +163,15 @@ func TestOneReceiveEnd(t *testing.T) {
 		}
 	}
 	// The one drain, readIn: the receivers, the senders and the pumps of
-	// last resort enter it through pump, the shard loop directly; only it
-	// reads what arrived, asks for room at depth and runs the receive
+	// last resort — a thread, a shard's loop — enter it through pump; only
+	// it reads what arrived, asks for room at depth and runs the receive
 	// path; the blocking receive is the bridge's alone.
 	for _, c := range []struct {
 		chain []string
 		want  []string
 	}{
-		{[]string{"pump"}, []string{"Connection.await", "Connection.awaitCtrl", "Connection.lastResort", "Connection.lastResort"}},
-		{[]string{"readIn"}, []string{"Connection.pump", "shard.service"}},
+		{[]string{"pump"}, []string{"Connection.await", "Connection.awaitCtrl", "Connection.lastResort", "Connection.lastResort", "shard.service"}},
+		{[]string{"readIn"}, []string{"Connection.pump"}},
 		{[]string{"dataPaused"}, []string{"Connection.readIn"}},
 		{[]string{"ingest"}, []string{"Connection.readIn"}},
 		{[]string{"demuxControl"}, []string{"Connection.ingest", "Connection.readIn"}},
@@ -194,14 +194,27 @@ func TestOneReceiveEnd(t *testing.T) {
 	// wait's give-up (admit), binding an Inbox (BindInbox) and the
 	// heartbeat (heartbeat.go) — and nowhere else.
 	policies := []string{"BindInbox", "System.track", "newConnection", "rto", "admit"}
+	// So is a connection's shard, besides the shard's own methods: its
+	// attachment (attachShard), the yield after an inline write
+	// (transmit), the batch counters (drain), the parked gauge
+	// (pause/unpause), emitCtrl's cork and ping, Close and the byte count
+	// (info). A wire asks its own pump of last resort (inWire.last), not
+	// the runtime.
+	shardPolicies := []string{"attachShard", "transmit", "drain", "pause", "unpause", "emitCtrl", "Close", "info"}
 	inspectPackage(t, ".", func(n ast.Node) bool {
 		fn, ok := n.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
 			return true
 		}
+		name := funcName(fn)
 		ast.Inspect(fn.Body, func(m ast.Node) bool {
-			if sel, ok := m.(*ast.SelectorExpr); ok && sel.Sel.Name == "FastPath" && !slices.Contains(policies, funcName(fn)) {
-				t.Errorf("%s reads FastPath: the runtimes share one engine, and differ only in who pumps last", funcName(fn))
+			sel, ok := m.(*ast.SelectorExpr)
+			switch {
+			case !ok:
+			case sel.Sel.Name == "FastPath" && !slices.Contains(policies, name):
+				t.Errorf("%s reads FastPath: the runtimes share one engine, and differ only in who pumps last", name)
+			case sel.Sel.Name == "sh" && !slices.Contains(shardPolicies, name) && !strings.HasPrefix(name, "shard."):
+				t.Errorf("%s reads the connection's shard: the runtimes share one engine, and differ only in who pumps last", name)
 			}
 			return true
 		})
@@ -234,6 +247,7 @@ func TestOneReceiveEnd(t *testing.T) {
 		"waiterN": true, "wakeWaiters": true, "inboxWaiting": true, "holding": true, "acceptBell": true, "ringAccept": true,
 		"fastPump": true, "fastRecvMu": true, "fastSendMu": true, "pumpFree": true, "pumpRelease": true, "pumpCtrl": true,
 		"awaitSpace": true, "awaitAck": true, "recvThread": true, "ctrlRecvThread": true, "ErrNotFastPath": true,
+		"fire": true, "serviceMu": true,
 	}
 	visit := func(dir string, alsoGone ...string) func(ast.Node) bool {
 		seen := make(map[string]bool)
@@ -343,11 +357,11 @@ func TestOneLivenessSweep(t *testing.T) {
 			t.Errorf("%s has no call site: the clock-free list names a function that is gone", name)
 		}
 	}
-	// Admission has one blocking form in flowctl, the timed one (core's
-	// admit waits on the connection instead: awaitCtrl).
+	// Admission has no blocking form in flowctl: core's admit waits on
+	// the connection (awaitCtrl) and asks flowctl only TryAcquire.
 	inspectPackage(t, filepath.Join("..", "flowctl"), func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok && id.Name == "Acquire" {
-			t.Errorf("identifier Acquire is back in internal/flowctl")
+		if id, ok := n.(*ast.Ident); ok && (id.Name == "Acquire" || id.Name == "AcquireTimeout" || id.Name == "acquireTimeout" || id.Name == "waitTimer") {
+			t.Errorf("identifier %s is back in internal/flowctl", id.Name)
 		}
 		return true
 	})

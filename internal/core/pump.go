@@ -22,18 +22,18 @@ import (
 // itself (pump): the packet it waits for is read by the goroutine that
 // wants it, with no hand-off, and a sender waiting for its
 // acknowledgment reads the reply that overtakes it. Only when nobody
-// waits does the source ring the wire's pump of last resort — the
-// connection's Receive or Control Receive Thread — which drains the wire
-// and sleeps again. It is there so that acks, grants, a bound Inbox and
-// back-pressure progress while the application is busy elsewhere.
+// waits does the source ring the wire's pump of last resort, which takes
+// the token like any other reader, drains the wire and sleeps again. It
+// is there so that acks, grants, a bound Inbox and back-pressure progress
+// while the application is busy elsewhere.
 //
-// The runtimes differ in who pumps last. The threaded runtime has its
-// two threads. The fast path (Options.FastPath) has none: what arrives
-// while nobody waits stays on the wire until somebody does. Besides
-// that, only its policies differ (rto, admit's give-up, BindInbox, the
-// heartbeat). A shard's source re-queues the connection on the shard
-// instead (shard.go), whose loop reads both wires through the same
-// drain (readIn); its waiters only sleep.
+// The runtimes are this one engine with three last resorts. The threaded
+// runtime rings the wire's Receive or Control Receive Thread. The sharded
+// runtime re-queues the connection on its shard, whose loop pumps it
+// (shard.go). The fast path (Options.FastPath) rings nobody: what arrives
+// while nobody waits stays on the wire until somebody does. Besides that,
+// only its policies differ (rto, admit's give-up, BindInbox, the
+// heartbeat).
 
 // pumpBudget bounds how many packets one drain reads, so that under a
 // busy wire a waiter still looks again at what it waits for, the token
@@ -49,8 +49,7 @@ type inWire struct {
 	c    *Connection
 	poll transport.Poller // the source: the transport's notify hook,
 	in   chan *buf.Buffer // or, when it has none, the bridge's hand-off
-	fire func()           // what the source calls: arrived, or a shard's requeue
-	last chan struct{}    // rings the pump of last resort; nil: there is none
+	last func()           // rings the pump of last resort; nil: there is none
 
 	pump    sync.Mutex  // the pump token: its holder reads the wire
 	pending atomic.Bool // the source fired since the holder's drain began
@@ -105,10 +104,10 @@ func ring(ch chan struct{}) {
 }
 
 // listen builds the connection's wires and starts their readiness
-// sources, which call fire (nil: each wire's arrived); with last, each
-// wire gets its pump of last resort.
-func (c *Connection) listen(fire func(), last bool) {
-	ctrl, data := &inWire{c: c, fire: fire}, &inWire{c: c, fire: fire}
+// sources, which call arrived. last, when not nil, gives each wire its
+// pump of last resort: it returns what arrived rings when nobody waits.
+func (c *Connection) listen(last func() func()) {
+	ctrl, data := &inWire{c: c}, &inWire{c: c}
 	if c.opts.InbandControl {
 		ctrl = data // in-band: control rides the data wire
 	}
@@ -118,22 +117,26 @@ func (c *Connection) listen(fire func(), last bool) {
 		if i == wireCtrl && w == data {
 			continue
 		}
-		if w.fire == nil {
-			w.fire = w.arrived
-		}
-		if last {
-			w.last = make(chan struct{}, 1)
-			c.wg.Add(1)
-			go c.lastResort(w.last)
+		if last != nil {
+			w.last = last()
 		}
 		if w.poll, _ = transport.AsPoller(t); w.poll != nil {
-			w.poll.SetRecvNotify(w.fire) // fires once now: nothing that came first is missed
+			w.poll.SetRecvNotify(w.arrived) // fires once now: nothing that came first is missed
 		} else {
 			w.in = make(chan *buf.Buffer, pumpDepth)
 			c.wg.Add(1)
-			go c.bridge(t, w.in, w.fire)
+			go c.bridge(t, w.in, w.arrived)
 		}
 	}
+}
+
+// thread starts a wire's Receive or Control Receive Thread, the threaded
+// runtime's pump of last resort, and returns its bell.
+func (c *Connection) thread() func() {
+	bell := make(chan struct{}, 1)
+	c.wg.Add(1)
+	go c.lastResort(bell)
+	return func() { ring(bell) }
 }
 
 // arrived is the wire's readiness source firing: a packet may be waiting,
@@ -145,7 +148,7 @@ func (w *inWire) arrived() {
 	if p := w.c.waiting; p != nil {
 		ring(p.ring)
 	} else if w.last != nil {
-		ring(w.last)
+		w.last()
 	}
 	w.c.waitMu.Unlock()
 }
@@ -201,19 +204,20 @@ func (c *Connection) wakeAll(blind bool) {
 	c.waitMu.Unlock()
 }
 
-// pump is a waiter's — or a pump of last resort's — turn at the
-// connection's wires: each whose source fired and whose token is free,
-// it reads (readIn) holding the token, control first, so a sender reads
-// the data that overtakes its acknowledgment and a receiver the grants
-// that trail its message. A message completing on want, the caller's
-// own lane whose mailbox it found empty, is returned directly (got).
-// read reports that packets were read: the caller looks again at what
-// it waits for, and pumps again before it sleeps. A holder leaving a
-// wire that may hold more — the drain's budget ran out, or it stopped
-// at an acknowledgment for the caller — marks it pending again; one that
-// finds the source fired during a drain that read nothing takes the
-// token again; one whose try fails can sleep, for the holder looks
-// again. A sender with an acknowledgment still on ack reads nothing.
+// pump is a waiter's — or a pump of last resort's: a thread, a shard's
+// loop — turn at the connection's wires: each whose source fired and
+// whose token is free, it reads (readIn) holding the token, control
+// first, so a sender reads the data that overtakes its acknowledgment
+// and a receiver the grants that trail its message. A message completing
+// on want, the caller's own lane whose mailbox it found empty, is
+// returned directly (got). read reports that packets were read: the
+// caller looks again at what it waits for, and pumps again before it
+// sleeps. A holder leaving a wire that may hold more — the drain's
+// budget ran out, or it stopped at an acknowledgment for the caller —
+// marks it pending again; one that finds the source fired during a drain
+// that read nothing takes the token again; one whose try fails can
+// sleep, for the holder looks again. A sender with an acknowledgment
+// still on ack reads nothing.
 func (c *Connection) pump(want *stream.Mailbox[Message], ack chan ctrlEvent) (m Message, got, read bool) {
 	for _, w := range c.in {
 		for len(ack) == 0 && w.pending.Load() && w.pump.TryLock() {
@@ -235,15 +239,14 @@ func (c *Connection) pump(want *stream.Mailbox[Message], ack chan ctrlEvent) (m 
 	return m, got, read
 }
 
-// readIn is the one drain, under whatever serialises the wire's reader —
-// the pump token, or the shard loop: it reads what waits on w, at most
-// pumpBudget packets (n), through ingest (the data wire, in-band control
-// with it) or demuxControl. It stops early when the default lane is at
-// depth (dataPaused; the consumer that frees a slot fires the source
-// again, resume), and at the first acknowledgment deposited on ack, a
-// sender's own channel, which it takes before it reads on: a channel
-// left to fill would drop what overflows, and the peer re-acknowledges
-// only as it reads. Once the connection closed it reads nothing: Close's
+// readIn is the one drain, run by pump under the wire's token: it reads
+// what waits on w, at most pumpBudget packets (n), through ingest (the
+// data wire, in-band control with it) or demuxControl. It stops early
+// when the default lane is at depth (dataPaused; the consumer that frees
+// a slot fires the source again, resume), and at the first
+// acknowledgment deposited on ack, a sender's own channel, which it
+// takes before it reads on: a channel left to fill would drop what
+// overflows, and the peer re-acknowledges only as it reads. Once the connection closed it reads nothing: Close's
 // barrier is the token, and nothing may touch the lanes past it.
 func (c *Connection) readIn(w *inWire, want *stream.Mailbox[Message], ack chan ctrlEvent) (m Message, got bool, n int) {
 	data := w == c.in[wireData]
@@ -273,9 +276,10 @@ func (c *Connection) readIn(w *inWire, want *stream.Mailbox[Message], ack chan c
 	return m, got, n
 }
 
-// lastResort is a wire's pump of last resort — the Control Receive
-// Thread, or the Receive Thread: rung only when a packet arrived and
-// nobody waits on the connection, it drains the wires and sleeps again.
+// lastResort is a wire's pump of last resort on the threaded runtime —
+// the Control Receive Thread, or the Receive Thread: rung only when a
+// packet arrived and nobody waits on the connection, it drains the wires
+// and sleeps again.
 func (c *Connection) lastResort(last chan struct{}) {
 	defer c.wg.Done()
 	for {
@@ -291,9 +295,9 @@ func (c *Connection) lastResort(last chan struct{}) {
 
 // bridge is the readiness source of a transport that cannot be polled:
 // it parks in the blocking receive and hands each packet to whoever reads
-// the wire — a waiter, the pump of last resort, a shard loop — then fires
-// arrived. A full hand-off blocks it: the back-pressure of a thread that
-// stopped reading.
+// the wire — a waiter or the pump of last resort — then fires arrived.
+// A full hand-off blocks it: the back-pressure of a thread that stopped
+// reading.
 func (c *Connection) bridge(t transport.Conn, in chan *buf.Buffer, arrived func()) {
 	defer c.wg.Done()
 	for {

@@ -15,21 +15,22 @@ import (
 // keeps two pumps of last resort whether it is busy or idle. A server
 // facing thousands of connections wants the opposite trade: a small
 // fixed pool of event loops that amortise scheduling and syscall cost
-// across every connection they own. The runtimes differ in who pumps:
-// on a shard the loop reads every wire, and a waiting receiver or sender
-// only sleeps until it has.
+// across every connection they own. The runtimes differ only in who
+// pumps last: here a waiting receiver or sender reads its own wires, as
+// on every runtime, and the loop reads those of the connections nobody
+// waits on.
 //
 // A System lazily builds one pool of I/O shards (default GOMAXPROCS;
 // see SetShards). Connections established with Options.Runtime ==
-// RuntimeSharded hash onto a shard by connection ID and are driven
-// entirely by that shard's loop:
+// RuntimeSharded hash onto a shard by connection ID, and that shard's
+// loop is their pump of last resort:
 //
-//   - receives: the shard demultiplexes arrivals across all of its
-//     connections — via transport.Poller (HPI and UDP expose their
-//     arrival queue plus a readiness doorbell, so an idle connection
-//     costs zero goroutines) or, for transports that cannot be polled
-//     (SCI rides a kernel socket, ACI a cell reassembler), via the
-//     bridge goroutine every runtime uses there (pump.go);
+//   - receives: what arrives while nobody waits re-queues the connection
+//     — via transport.Poller (HPI and UDP expose their arrival queue plus
+//     a readiness doorbell, so an idle connection costs zero goroutines)
+//     or, for transports that cannot be polled (SCI rides a kernel
+//     socket, ACI a cell reassembler), via the bridge goroutine every
+//     runtime uses there (pump.go) — and the loop pumps it;
 //   - sends: NCS_send callers run exactly as in the threaded runtime —
 //     admission, then the push onto the connection's wire queue and the
 //     flush, on their own goroutine. The loop writes only what it
@@ -37,15 +38,14 @@ import (
 //     connection stay queued, and it drains every connection it served
 //     at the end of the cycle, in one vectored write per wire;
 //   - flow/error control state stays strictly per-connection (the same
-//     objects the threads drive); the shard serialises all receive-side
-//     protocol work for a connection on one goroutine, which is the
-//     same single-writer discipline a wire's pump token provides;
+//     objects the threads drive), and a wire's pump token serialises its
+//     readers, the loop among them;
 //   - the §4.2 fast path bypasses shards exactly as it bypasses
 //     threads: Options.FastPath takes precedence over Options.Runtime.
 //
 // Backpressure never blocks a shard: when a connection's mailbox (or
 // its bound Inbox) is at depth, its data path pauses before reading the
-// wire; the consumer's next Recv rings the shard's doorbell to resume.
+// wire; the consumer's next Recv fires the wire's source to resume.
 // Control packets keep flowing while data is paused, so acknowledgment
 // clocks never stop.
 //
@@ -67,11 +67,13 @@ const (
 	// (Connection.flush). Lowest latency at modest connection counts;
 	// cost grows linearly with connections. The default.
 	RuntimeThreaded Runtime = iota
-	// RuntimeSharded drives the connection from its System's shard
-	// pool: a fixed set of event loops demultiplexing receives and
-	// writing what they emit while serving in one batch per connection.
+	// RuntimeSharded makes its System's shard pool the connection's
+	// pump of last resort: a fixed set of event loops reading the wires
+	// nobody waits on and writing what they emit while serving in one
+	// batch per connection.
 	// Goroutine count stays O(shards) regardless of connection count (on
-	// pollable transports), at the price of one hop per arriving packet.
+	// pollable transports), at the price of one hop per arriving packet
+	// when nobody waits.
 	RuntimeSharded
 )
 
@@ -93,13 +95,12 @@ func (r Runtime) String() string {
 // Receive Thread that stopped reading.
 const pumpDepth = 64
 
-// shardConn is a connection's attachment to its shard. Fields marked
-// loop-owned are touched only by the shard loop goroutine.
+// shardConn is a connection's attachment to its shard.
 type shardConn struct {
 	shard *shard
 
 	queued  atomic.Bool // on the shard's ready list
-	serving atomic.Bool // the loop is running the connection's receive side (emitCtrl)
+	serving atomic.Bool // the loop is pumping the connection: what it emits waits for the cycle's flush (emitCtrl)
 }
 
 // shard is one event loop of a System's pool.
@@ -109,12 +110,6 @@ type shard struct {
 
 	doorbell chan struct{} // level-triggered wakeup, capacity 1
 	quit     chan struct{}
-
-	// serviceMu is held by the loop across each cycle. Connection.Close
-	// acquires it (after deregistering) as a barrier: once it is
-	// released, no in-flight cycle is still dispatching the closing
-	// connection's packets, so the session table can be reaped.
-	serviceMu sync.Mutex
 
 	mu    sync.Mutex
 	conns map[*Connection]struct{}
@@ -150,10 +145,9 @@ func (sh *shard) ring() {
 // the loop clears it just before servicing, so an event arriving
 // mid-service re-queues the connection for another pass. Membership is
 // checked under the lock so a stale wakeup — a transport notify or an
-// afterRecv drain racing Close — can never resurrect a deregistered
-// connection on the ready list (the loop must not touch its state
-// after unregister's barrier), and one before register leaves the flag
-// down for register's own requeue.
+// afterRecv drain racing Close — never puts a deregistered connection
+// back on the ready list, and one before register leaves the flag down
+// for register's own requeue.
 func (sh *shard) requeue(c *Connection) {
 	sc := c.sh
 	if sc.queued.Swap(true) {
@@ -180,10 +174,9 @@ func (sh *shard) register(c *Connection) {
 	sh.requeue(c)
 }
 
-// unregister detaches a closing connection and barriers against the
-// cycle that may be dispatching its packets. After unregister returns,
-// the loop will never run the connection's receive-side protocol again.
-// The caller may then reap session state.
+// unregister detaches a closing connection. A cycle may still be
+// serving it: Close's barrier is the pump tokens, which the loop reads
+// under like any other reader, and past which it reads nothing.
 func (sh *shard) unregister(c *Connection) {
 	for _, w := range c.in {
 		if w.poll != nil {
@@ -194,9 +187,6 @@ func (sh *shard) unregister(c *Connection) {
 	delete(sh.conns, c)
 	sh.ready = slices.DeleteFunc(sh.ready, func(rc *Connection) bool { return rc == c })
 	sh.mu.Unlock()
-	sh.serviceMu.Lock()
-	//lint:ignore SA2001 empty critical section: the acquire itself is the barrier.
-	sh.serviceMu.Unlock()
 }
 
 // loop is the shard's event loop. Heartbeats do not wake it: the
@@ -221,8 +211,6 @@ func (sh *shard) loop() {
 // hand what those services queued (acknowledgments, credits) to the
 // wire, one flush per connection, before sleeping again.
 func (sh *shard) cycle() {
-	sh.serviceMu.Lock()
-	defer sh.serviceMu.Unlock()
 	mShardCycles.IncAt(uint32(sh.id))
 
 	sh.mu.Lock()
@@ -242,21 +230,19 @@ func (sh *shard) cycle() {
 	}
 }
 
-// service runs one connection's receive side: drain control and data
-// arrivals up to the budget each (readIn, the drain every wire's reader
-// runs), re-queueing the connection when one ran out. Control always
-// runs — the ack clock must not stop while the data path is paused.
+// service is the loop's turn at one connection's wires as their pump of
+// last resort: it pumps them like any reader, with serving raised so
+// that the acks and grants it emits stay queued to the cycle's end. A
+// wire a waiter holds is skipped, for the waiter reads it; one still
+// pending once the loop read (its budget ran out) re-queues the
+// connection.
 func (sh *shard) service(c *Connection) {
 	c.sh.serving.Store(true)
-	for i, w := range c.in {
-		if i == wireData && w == c.in[wireCtrl] {
-			break // in-band: control arrives on the data path
-		}
-		if _, _, n := c.readIn(w, nil, nil); n == pumpBudget {
-			sh.requeue(c) // likely backlog
-		}
-	}
+	_, _, read := c.pump(nil, nil)
 	c.sh.serving.Store(false)
+	if read && (c.in[wireCtrl].pending.Load() || c.in[wireData].pending.Load()) {
+		sh.requeue(c) // likely backlog
+	}
 }
 
 // ---------------------------------------------------------------------------

@@ -48,8 +48,6 @@ const (
 // send would cost a full resync timeout.
 type creditSender struct {
 	mu   sync.Mutex
-	cond *sync.Cond
-	wait waitTimer
 	ctrl Controller
 	now  func() time.Time
 
@@ -69,41 +67,29 @@ type creditSender struct {
 func newCreditSender(cfg Config) *creditSender {
 	// The initial grant is implicit and symmetric: both halves seed
 	// InitialCredits, so no wire exchange is needed before first send.
-	s := &creditSender{
+	return &creditSender{
 		ctrl:    NewController(cfg.Controller, cfg),
 		now:     cfg.Now,
 		granted: uint64(cfg.InitialCredits),
 	}
-	s.cond = sync.NewCond(&s.mu)
-	s.wait.init(&s.mu, s.cond)
-	return s
 }
 
-// tryLocked is the single admission decision; callers hold s.mu.
-func (s *creditSender) tryLocked() (ok, closed bool) {
-	if s.closed {
-		return false, true
-	}
-	if s.used-s.lost >= s.granted+s.probes {
-		return false, false
-	}
-	if s.used-s.peerConsumed-s.lost >= uint64(s.ctrl.Window()) {
-		return false, false
-	}
-	s.sendNanos[s.used%rttRingSize] = s.now().UnixNano()
-	s.used++
-	return true, false
-}
-
-func (s *creditSender) AcquireTimeout(seq uint32, d time.Duration) error {
-	return acquireTimeout(&s.wait, d, mCreditWait, hCreditWait, s.tryLocked)
-}
-
+// TryAcquire is the single admission decision.
 func (s *creditSender) TryAcquire(uint32) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ok, _ := s.tryLocked()
-	return ok
+	if s.closed {
+		return false
+	}
+	if s.used-s.lost >= s.granted+s.probes {
+		return false
+	}
+	if s.used-s.peerConsumed-s.lost >= uint64(s.ctrl.Window()) {
+		return false
+	}
+	s.sendNanos[s.used%rttRingSize] = s.now().UnixNano()
+	s.used++
+	return true
 }
 
 // Resync repairs the two ways lost packets wedge the sender. A lost
@@ -126,7 +112,6 @@ func (s *creditSender) Resync() {
 		s.probes++
 		mResync.Inc()
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -151,7 +136,6 @@ func (s *creditSender) NoteLoss(n int) {
 		s.lost = s.used - s.peerConsumed
 	}
 	s.ctrl.OnLoss()
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -197,14 +181,12 @@ func (s *creditSender) OnControl(c packet.Control) {
 		}
 		s.ctrl.OnAck(rtt)
 	}
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
 func (s *creditSender) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 

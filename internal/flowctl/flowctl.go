@@ -15,18 +15,18 @@
 //   - None: no flow control (audio/video streams, Figure 2).
 //
 // The algorithms are pure protocol state machines: the sender half
-// blocks in AcquireTimeout until transmission is admitted (or its
-// deadline passes), and the receiver half turns packet arrivals into
-// control packets for the caller to ship over the control connection. Packet I/O stays in the caller (the NCS
-// Flow Control Thread or the fast-path procedures), which is what makes
-// each algorithm independently testable and hot-swappable — "each
-// algorithm will be implemented as a thread, [so] we can easily
+// answers whether transmission is admitted now (TryAcquire) and takes
+// the receiver's feedback (OnControl, Resync), and the receiver half
+// turns packet arrivals into control packets for the caller to ship over
+// the control connection. Waiting and packet I/O stay in the caller (a
+// sender waits on its connection, reading the grants itself), which is
+// what makes each algorithm independently testable and hot-swappable —
+// "each algorithm will be implemented as a thread, [so] we can easily
 // incorporate other advanced algorithms" (§3).
 package flowctl
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -63,10 +63,9 @@ var (
 )
 
 // NoteWait records an admission that had to wait, reading control
-// traffic, before flow control admitted it. Core bypasses the Sender's
-// blocking entry point (it interleaves TryAcquire with control
-// processing on the waiting sender), so it reports the wait here to keep
-// the instruments algorithm-owned.
+// traffic, before flow control admitted it. The caller waits (core
+// interleaves TryAcquire with control processing on the waiting sender),
+// so it reports the wait here to keep the instruments algorithm-owned.
 func NoteWait(alg Algorithm, blocked time.Duration) {
 	switch alg {
 	case Credit:
@@ -104,16 +103,6 @@ func (a Algorithm) String() string {
 		return fmt.Sprintf("Algorithm(%d)", int(a))
 	}
 }
-
-// Errors returned by flow control senders.
-var (
-	// ErrClosed is returned by AcquireTimeout after Close.
-	ErrClosed = errors.New("flowctl: closed")
-	// ErrAcquireTimeout is returned by AcquireTimeout when flow control
-	// withholds admission past the deadline — on lossy links this means
-	// credits were lost with the packets that carried them.
-	ErrAcquireTimeout = errors.New("flowctl: acquire timed out")
-)
 
 // Config tunes an algorithm instance.
 type Config struct {
@@ -166,13 +155,10 @@ func (c Config) withDefaults() Config {
 
 // Sender is the transmit-side half of a flow control instance.
 type Sender interface {
-	// AcquireTimeout blocks until one packet with the given sequence
-	// number may be transmitted; it returns ErrAcquireTimeout when
-	// admission does not arrive within d.
-	AcquireTimeout(seq uint32, d time.Duration) error
-	// TryAcquire is the non-blocking form: it reports whether
-	// transmission of seq was admitted. The fast path (§4.2) uses it to
-	// interleave credit processing with transmission on one goroutine.
+	// TryAcquire reports whether transmission of the packet with the
+	// given sequence number was admitted. It never blocks: a refused
+	// caller waits for the receiver's feedback (OnControl), for time
+	// (Refill) or for its own timeout (Resync), and asks again.
 	TryAcquire(seq uint32) bool
 	// Resync restores flow control state after presumed control-packet
 	// loss (credit resynchronisation): lost data packets consumed
@@ -181,7 +167,7 @@ type Sender interface {
 	Resync()
 	// OnControl processes a control packet from the receiver.
 	OnControl(c packet.Control)
-	// Close unblocks AcquireTimeout with ErrClosed.
+	// Close refuses every admission from then on.
 	Close()
 }
 
@@ -201,15 +187,15 @@ type Receiver interface {
 	Close()
 }
 
-// pendingTimers counts armed AcquireTimeout deadline timers across the
-// package. The steady state is zero: admissions that succeed on the
-// first try never arm a timer, and callers that are woken by an ack
-// stop theirs on the way out. Leak audits (the TestMain in this package
-// and in internal/core) assert it drains between tests.
+// pendingTimers counts the package's armed timers: the credit
+// receivers' refill retries. The steady state is zero: every retry chain
+// ends (progress proof, Close, or the bounded retry count). Leak audits
+// (the TestMain in this package and in internal/core) assert it drains
+// between tests.
 var pendingTimers atomic.Int64
 
-// PendingTimers reports the number of deadline timers currently armed
-// by AcquireTimeout waiters. Exposed for leak audits and stats.
+// PendingTimers reports the number of timers currently armed by the
+// package. Exposed for leak audits and stats.
 func PendingTimers() int64 { return pendingTimers.Load() }
 
 // countedTimer is a re-armable AfterFunc timer whose pending state is
@@ -247,96 +233,6 @@ func (c *countedTimer) fire() {
 	c.fn()
 }
 
-// waitTimer is a sender's one deadline timer, shared by every
-// AcquireTimeout blocked on it: the overwhelming majority of
-// acquisitions are admitted immediately (credits are in hand) and never
-// touch it, and a blocked admission costs a Reset, not a timer and a
-// closure. Firing wakes every waiter; each re-checks its own deadline
-// and re-arms for it if it must keep waiting. The timer is stopped —
-// not abandoned — when the last waiter leaves, so PendingTimers drains
-// at idle.
-type waitTimer struct {
-	mu   *sync.Mutex // the sender's lock; guards the fields below
-	cond *sync.Cond
-
-	timer   countedTimer
-	at      time.Time // when timer is due; zero when it is not needed
-	waiters int
-}
-
-// init binds the timer to the sender's lock and condition variable.
-func (w *waitTimer) init(mu *sync.Mutex, cond *sync.Cond) {
-	w.mu, w.cond = mu, cond
-	w.timer.fn = w.fire
-}
-
-// armLocked makes sure the timer fires no later than deadline.
-func (w *waitTimer) armLocked(deadline time.Time) {
-	if w.at.IsZero() || deadline.Before(w.at) {
-		w.at = deadline
-		w.timer.arm(time.Until(deadline))
-	}
-}
-
-// leaveLocked is called by a waiter on its way out; the last one stops
-// the timer.
-func (w *waitTimer) leaveLocked() {
-	w.waiters--
-	if w.waiters == 0 && !w.at.IsZero() {
-		w.at = time.Time{}
-		w.timer.stop()
-	}
-}
-
-func (w *waitTimer) fire() {
-	w.mu.Lock()
-	w.at = time.Time{}
-	w.cond.Broadcast()
-	w.mu.Unlock()
-}
-
-// acquireTimeout runs a cond-wait loop on w's lock with a deadline; try
-// must be called with the lock held and reports (admitted, closed).
-func acquireTimeout(w *waitTimer, d time.Duration, stalls *telemetry.Counter, hist *telemetry.Histogram, try func() (ok, closed bool)) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-
-	ok, closed := try()
-	if closed {
-		return ErrClosed
-	}
-	if ok {
-		return nil
-	}
-
-	stalls.Inc()
-	start := time.Now()
-	deadline := start.Add(d)
-	w.waiters++
-	defer func() {
-		w.leaveLocked()
-		blocked := time.Since(start)
-		mBlockedNS.Add(int64(blocked))
-		if hist != nil {
-			hist.Observe(int64(blocked))
-		}
-	}()
-	for {
-		if !time.Now().Before(deadline) {
-			return ErrAcquireTimeout
-		}
-		w.armLocked(deadline)
-		w.cond.Wait()
-		ok, closed := try()
-		if closed {
-			return ErrClosed
-		}
-		if ok {
-			return nil
-		}
-	}
-}
-
 // NewSender builds the transmit side for the chosen algorithm.
 func NewSender(alg Algorithm, cfg Config) Sender {
 	cfg = cfg.withDefaults()
@@ -372,11 +268,10 @@ func NewReceiver(alg Algorithm, cfg Config) Receiver {
 
 type noneSender struct{}
 
-func (noneSender) TryAcquire(uint32) bool                     { return true }
-func (noneSender) AcquireTimeout(uint32, time.Duration) error { return nil }
-func (noneSender) Resync()                                    {}
-func (noneSender) OnControl(packet.Control)                   {}
-func (noneSender) Close()                                     {}
+func (noneSender) TryAcquire(uint32) bool   { return true }
+func (noneSender) Resync()                  {}
+func (noneSender) OnControl(packet.Control) {}
+func (noneSender) Close()                   {}
 
 type noneReceiver struct{}
 
@@ -388,8 +283,6 @@ func (noneReceiver) Close()                         {}
 
 type windowSender struct {
 	mu     sync.Mutex
-	cond   *sync.Cond
-	wait   waitTimer
 	window int
 	base   uint32 // lowest unacknowledged sequence number
 	next   uint32 // next sequence number to admit
@@ -397,25 +290,7 @@ type windowSender struct {
 }
 
 func newWindowSender(cfg Config) *windowSender {
-	s := &windowSender{window: cfg.WindowSize}
-	s.cond = sync.NewCond(&s.mu)
-	s.wait.init(&s.mu, s.cond)
-	return s
-}
-
-func (s *windowSender) AcquireTimeout(seq uint32, d time.Duration) error {
-	return acquireTimeout(&s.wait, d, mWindowStall, nil, func() (ok, closed bool) {
-		if s.closed {
-			return false, true
-		}
-		if seq < s.base+uint32(s.window) {
-			if seq >= s.next {
-				s.next = seq + 1
-			}
-			return true, false
-		}
-		return false, false
-	})
+	return &windowSender{window: cfg.WindowSize}
 }
 
 // Resync assumes outstanding packets (and their acks) were lost and
@@ -424,7 +299,6 @@ func (s *windowSender) Resync() {
 	s.mu.Lock()
 	if s.next > s.base {
 		s.base = s.next
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 }
@@ -452,7 +326,6 @@ func (s *windowSender) OnControl(c packet.Control) {
 	s.mu.Lock()
 	if n+1 > s.base {
 		s.base = n + 1
-		s.cond.Broadcast()
 	}
 	s.mu.Unlock()
 }
@@ -460,7 +333,6 @@ func (s *windowSender) OnControl(c packet.Control) {
 func (s *windowSender) Close() {
 	s.mu.Lock()
 	s.closed = true
-	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
@@ -510,35 +382,6 @@ func newRateSender(cfg Config) *rateSender {
 		tokens: float64(cfg.Burst),
 		last:   cfg.Now(),
 		now:    cfg.Now,
-	}
-}
-
-// AcquireTimeout for the rate scheme simply bounds the pacing sleep.
-func (s *rateSender) AcquireTimeout(seq uint32, d time.Duration) error {
-	deadline := time.Now().Add(d)
-	var blockedAt time.Time
-	defer func() {
-		if !blockedAt.IsZero() {
-			mBlockedNS.Add(int64(time.Since(blockedAt)))
-		}
-	}()
-	for {
-		if s.TryAcquire(seq) {
-			return nil
-		}
-		if blockedAt.IsZero() {
-			blockedAt = time.Now()
-		}
-		wait, closed := s.refill()
-		if closed {
-			return ErrClosed
-		}
-		if remain := time.Until(deadline); remain <= 0 {
-			return ErrAcquireTimeout
-		} else if wait > remain {
-			wait = remain
-		}
-		time.Sleep(wait)
 	}
 }
 

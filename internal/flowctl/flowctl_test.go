@@ -1,8 +1,6 @@
 package flowctl
 
 import (
-	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -21,16 +19,12 @@ func TestAlgorithmString(t *testing.T) {
 	}
 }
 
-// patience bounds every blocking admission in these tests: far longer
-// than any of them waits, so a timeout is a failure, never a verdict.
-const patience = time.Minute
-
 func TestNoneNeverBlocks(t *testing.T) {
 	s := NewSender(None, Config{})
 	defer s.Close()
 	for i := 0; i < 1000; i++ {
-		if err := s.AcquireTimeout(uint32(i), patience); err != nil {
-			t.Fatal(err)
+		if !s.TryAcquire(uint32(i)) {
+			t.Fatalf("None refused packet %d", i)
 		}
 	}
 	r := NewReceiver(None, Config{})
@@ -44,31 +38,21 @@ func TestCreditSenderBlocksWithoutCredits(t *testing.T) {
 	s := NewSender(Credit, Config{InitialCredits: 2})
 	defer s.Close()
 
-	if err := s.AcquireTimeout(0, patience); err != nil {
-		t.Fatal(err)
+	if !s.TryAcquire(0) || !s.TryAcquire(1) {
+		t.Fatal("the 2 initial credits did not admit 2 packets")
 	}
-	if err := s.AcquireTimeout(1, patience); err != nil {
-		t.Fatal(err)
-	}
-
-	acquired := make(chan error, 1)
-	go func() { acquired <- s.AcquireTimeout(2, patience) }()
-	select {
-	case <-acquired:
-		t.Fatal("third Acquire succeeded with 2 credits")
-	case <-time.After(20 * time.Millisecond):
-	}
-
-	// A cumulative grant covering a third packet must complete the
-	// blocked Acquire.
-	s.OnControl(creditGrant(3))
-	select {
-	case err := <-acquired:
-		if err != nil {
-			t.Fatal(err)
+	for i := 0; i < 3; i++ { // asked again, as a waiting sender does
+		if s.TryAcquire(2) {
+			t.Fatal("a third packet was admitted with 2 credits")
 		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("Acquire still blocked after credit grant")
+	}
+	// A cumulative grant covering a third packet admits it.
+	s.OnControl(creditGrant(3))
+	if !s.TryAcquire(2) {
+		t.Fatal("the third packet was refused after its credit grant")
+	}
+	if s.TryAcquire(3) {
+		t.Fatal("a fourth packet was admitted with 3 credits")
 	}
 }
 
@@ -125,17 +109,19 @@ func TestCreditResyncMintsProbe(t *testing.T) {
 	}
 }
 
+// TestCreditCloseUnblocks: a closed sender admits nothing more, whatever
+// arrives after the close — a grant, a resynchronisation — so a waiting
+// sender's next ask ends its wait.
 func TestCreditCloseUnblocks(t *testing.T) {
 	s := NewSender(Credit, Config{InitialCredits: 1})
-	if err := s.AcquireTimeout(0, patience); err != nil {
-		t.Fatal(err)
+	if !s.TryAcquire(0) {
+		t.Fatal("the initial credit did not admit")
 	}
-	errCh := make(chan error, 1)
-	go func() { errCh <- s.AcquireTimeout(1, patience) }()
-	time.Sleep(10 * time.Millisecond)
 	s.Close()
-	if err := <-errCh; err != ErrClosed {
-		t.Fatalf("err = %v, want ErrClosed", err)
+	s.OnControl(creditGrant(10))
+	s.Resync()
+	if s.TryAcquire(1) {
+		t.Fatal("a closed sender admitted a packet")
 	}
 }
 
@@ -290,27 +276,25 @@ func TestWindowSenderBlocksAtWindowEdge(t *testing.T) {
 	defer s.Close()
 
 	for seq := uint32(0); seq < 4; seq++ {
-		if err := s.AcquireTimeout(seq, patience); err != nil {
-			t.Fatal(err)
+		if !s.TryAcquire(seq) {
+			t.Fatalf("seq %d refused inside the window", seq)
 		}
 	}
-	blocked := make(chan error, 1)
-	go func() { blocked <- s.AcquireTimeout(4, patience) }()
-	select {
-	case <-blocked:
-		t.Fatal("Acquire(4) succeeded beyond window")
-	case <-time.After(20 * time.Millisecond):
+	if s.TryAcquire(4) {
+		t.Fatal("seq 4 admitted beyond the window")
 	}
-
 	// Cumulative ack of seq 1 slides the window to base=2: seq 4 < 2+4.
 	s.OnControl(packet.Control{Type: packet.CtrlWinAck, Body: packet.CreditBody(1)})
-	select {
-	case err := <-blocked:
-		if err != nil {
-			t.Fatal(err)
-		}
-	case <-time.After(2 * time.Second):
+	if !s.TryAcquire(4) {
 		t.Fatal("window never slid after ack")
+	}
+	if s.TryAcquire(6) {
+		t.Fatal("seq 6 admitted beyond the slid window")
+	}
+	// Resync presumes everything outstanding lost and reopens the window.
+	s.Resync()
+	if !s.TryAcquire(8) {
+		t.Fatal("window still closed after Resync")
 	}
 }
 
@@ -336,19 +320,34 @@ func TestWindowReceiverCumulativeAcks(t *testing.T) {
 }
 
 func TestRateSenderPacesTransmission(t *testing.T) {
-	// 100 packets/sec, burst 1: ~10 ms between acquisitions.
-	s := NewSender(Rate, Config{RatePerSec: 100, Burst: 1})
+	// 100 packets/sec, burst 1: 10 ms between admissions.
+	clock := time.Unix(0, 0)
+	s := NewSender(Rate, Config{RatePerSec: 100, Burst: 1, Now: func() time.Time { return clock }})
 	defer s.Close()
 
-	if err := s.AcquireTimeout(0, patience); err != nil { // consumes the burst token
-		t.Fatal(err)
+	if !s.TryAcquire(0) { // consumes the burst token
+		t.Fatal("the burst token did not admit")
 	}
-	start := time.Now()
-	if err := s.AcquireTimeout(1, patience); err != nil {
-		t.Fatal(err)
+	if s.TryAcquire(1) {
+		t.Fatal("a second packet was admitted at once; pacing not enforced")
 	}
-	if took := time.Since(start); took < 5*time.Millisecond {
-		t.Fatalf("second Acquire returned in %v; pacing not enforced", took)
+	// Refill says when time alone admits the sender again, and it does
+	// then, not before.
+	wait := Refill(s)
+	if wait < 9*time.Millisecond || wait > 10*time.Millisecond {
+		t.Fatalf("Refill = %v, want 10 ms", wait)
+	}
+	clock = clock.Add(wait / 2)
+	if s.TryAcquire(1) {
+		t.Fatal("admitted half-way through the refill")
+	}
+	clock = clock.Add(wait)
+	if !s.TryAcquire(1) {
+		t.Fatal("refused once the bucket refilled")
+	}
+	s.Close()
+	if d := Refill(s); d != 0 {
+		t.Fatalf("Refill = %v for a closed sender, want 0", d)
 	}
 }
 
@@ -425,47 +424,35 @@ func TestCreditEndToEndConservation(t *testing.T) {
 	defer r.Close()
 
 	const total = 200
-	var outstanding, maxOutstanding atomic.Int32
-
-	var wg sync.WaitGroup
-	acked := make(chan []packet.Control, total)
-
-	wg.Add(1)
-	go func() { // "receiver": consume and grant credits
-		defer wg.Done()
-		for i := 0; i < total; i++ {
-			ctrls := <-acked
-			outstanding.Add(-1)
-			for _, c := range ctrls {
-				s.OnControl(c)
-			}
-		}
-	}()
+	var outstanding, maxOutstanding int
+	var ctrlQ []packet.Control // control packets on their way back
 
 	for i := 0; i < total; i++ {
-		if err := s.AcquireTimeout(uint32(i), patience); err != nil {
-			t.Fatal(err)
-		}
-		cur := outstanding.Add(1)
-		for {
-			prev := maxOutstanding.Load()
-			if cur <= prev || maxOutstanding.CompareAndSwap(prev, cur) {
-				break
+		// The sender asks; refused, it reads the control packets that
+		// arrived meanwhile, as a waiting sender does, and asks again.
+		for !s.TryAcquire(uint32(i)) {
+			if len(ctrlQ) == 0 {
+				t.Fatalf("sender wedged at %d with no control packet in flight: %+v", i, s.Stats())
 			}
+			for _, c := range ctrlQ {
+				s.OnControl(c)
+			}
+			ctrlQ, outstanding = ctrlQ[:0], 0
 		}
+		outstanding++
+		maxOutstanding = max(maxOutstanding, outstanding)
 		// OnData's scratch slice and the grant bodies are borrowed only
-		// until the next call; copy both out before shipping them
-		// across goroutines (the runtime's emit marshals them into a
-		// pooled buffer for the same reason).
-		acked <- cloneControls(r.OnData(uint32(i)))
+		// until the next call; copy both out before queueing them (the
+		// runtime's emit marshals them into a pooled buffer for the same
+		// reason).
+		ctrlQ = append(ctrlQ, cloneControls(r.OnData(uint32(i)))...)
 		if st := s.Stats(); st.Used > st.Granted+st.Probes {
 			t.Fatalf("conservation violated at %d: %+v", i, st)
 		}
 	}
-	wg.Wait()
 
-	if maxOutstanding.Load() == 0 {
-		t.Fatal("no packets flowed")
+	if maxOutstanding < 2 {
+		t.Fatalf("at most %d packet in flight: the grants never ran ahead", maxOutstanding)
 	}
 	st := s.Stats()
 	if st.Used != total {

@@ -19,14 +19,11 @@ func creditGrant(granted uint64) packet.Control {
 	}
 }
 
-// TestMain audits the package's hidden resources: the deadline timers
-// AcquireTimeout arms while a sender waits for admission, and the
-// refill-retry timers a credit receiver arms after issuing a grant
-// that might be lost. Every waiter must stop its timer on the way out
-// — whether it was admitted, timed out, or closed — and every retry
-// chain must end (progress proof, Close, or the bounded retry count),
-// so after the full test run the armed count must be back to zero. A
-// nonzero count means acked windows or refills are leaving pending
+// TestMain audits the package's hidden resource: the refill-retry
+// timers a credit receiver arms after issuing a grant that might be
+// lost. Every retry chain must end (progress proof, Close, or the
+// bounded retry count), so after the full test run the armed count must
+// be back to zero. A nonzero count means refills are leaving pending
 // timers behind, which at scale is a slow leak on the runtime timer
 // heap.
 func TestMain(m *testing.M) {
@@ -40,9 +37,8 @@ func TestMain(m *testing.M) {
 	os.Exit(code)
 }
 
-// awaitTimersDrained polls until no AcquireTimeout deadline timers
-// remain armed, tolerating the brief tail of a timer whose callback is
-// still running as its waiter returns.
+// awaitTimersDrained polls until no timers remain armed, tolerating the
+// brief tail of a timer whose callback is still running.
 func awaitTimersDrained(patience time.Duration) error {
 	deadline := time.Now().Add(patience)
 	for {
@@ -51,149 +47,15 @@ func awaitTimersDrained(patience time.Duration) error {
 			return nil
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("leak audit: %d AcquireTimeout deadline timers still armed", n)
+			return fmt.Errorf("leak audit: %d timers still armed", n)
 		}
 		time.Sleep(5 * time.Millisecond)
 	}
 }
 
-// TestAcquireTimeoutFastPathArmsNoTimer checks the common case: when
-// credits are in hand, AcquireTimeout admits immediately and never
-// touches the timer heap.
-func TestAcquireTimeoutFastPathArmsNoTimer(t *testing.T) {
-	s := NewSender(Credit, Config{InitialCredits: 4})
-	defer s.Close()
-	before := PendingTimers()
-	for seq := uint32(0); seq < 4; seq++ {
-		if err := s.AcquireTimeout(seq, time.Second); err != nil {
-			t.Fatalf("AcquireTimeout(%d): %v", seq, err)
-		}
-	}
-	if after := PendingTimers(); after != before {
-		t.Fatalf("fast-path admission armed timers: %d -> %d", before, after)
-	}
-}
-
-// TestAcquireTimeoutStopsTimerOnAck verifies the ack path: a waiter
-// blocked on an exhausted window arms exactly one deadline timer, and
-// when a credit grant admits it before the deadline the timer is
-// stopped rather than left to fire.
-func TestAcquireTimeoutStopsTimerOnAck(t *testing.T) {
-	s := NewSender(Credit, Config{InitialCredits: 1})
-	defer s.Close()
-	if err := s.AcquireTimeout(0, time.Second); err != nil {
-		t.Fatalf("seed acquire: %v", err)
-	}
-
-	armed := make(chan struct{})
-	done := make(chan error, 1)
-	go func() {
-		close(armed)
-		done <- s.AcquireTimeout(1, 10*time.Second)
-	}()
-	<-armed
-	// Wait for the blocked sender to arm its deadline timer.
-	deadline := time.Now().Add(2 * time.Second)
-	for PendingTimers() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("waiter never armed a deadline timer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-
-	s.OnControl(creditGrant(2))
-	if err := <-done; err != nil {
-		t.Fatalf("acked AcquireTimeout: %v", err)
-	}
-	// The long deadline timer must be gone the moment the waiter
-	// returns, not 10 seconds from now.
-	if n := PendingTimers(); n != 0 {
-		t.Fatalf("ack left %d deadline timers armed", n)
-	}
-}
-
-// TestAcquireTimeoutExpiredDeadline verifies the timeout path also
-// drains its timer (AfterFunc fires, so Stop alone must not
-// double-count).
-func TestAcquireTimeoutExpiredDeadline(t *testing.T) {
-	s := NewSender(Credit, Config{InitialCredits: 0, MaxCredits: 1})
-	defer s.Close()
-	// InitialCredits falls back to the default when <= 0, so drain it.
-	for s.TryAcquire(0) {
-	}
-	if err := s.AcquireTimeout(1, 5*time.Millisecond); err != ErrAcquireTimeout {
-		t.Fatalf("want ErrAcquireTimeout, got %v", err)
-	}
-	if err := awaitTimersDrained(time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestAcquireTimeoutWaitersShareOneTimer: concurrent senders blocked on
-// one exhausted window share the sender's single re-armable deadline
-// timer, yet each keeps its own deadline — the short wait must not be
-// stretched to the long one, the long one not cut to the short — and
-// only one timer is ever armed for the two of them.
-func TestAcquireTimeoutWaitersShareOneTimer(t *testing.T) {
-	s := NewSender(Credit, Config{InitialCredits: 1})
-	defer s.Close()
-	if err := s.AcquireTimeout(0, time.Second); err != nil {
-		t.Fatalf("seed acquire: %v", err)
-	}
-	const short, long = 20 * time.Millisecond, 150 * time.Millisecond
-	type result struct {
-		err     error
-		blocked time.Duration
-	}
-	wait := func(d time.Duration) chan result {
-		ch := make(chan result, 1)
-		go func() {
-			start := time.Now()
-			err := s.AcquireTimeout(1, d)
-			ch <- result{err, time.Since(start)}
-		}()
-		return ch
-	}
-	longCh, shortCh := wait(long), wait(short)
-	for deadline := time.Now().Add(2 * time.Second); PendingTimers() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("no waiter armed the deadline timer")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	if n := PendingTimers(); n != 1 {
-		t.Fatalf("%d deadline timers armed for two waiters on one sender, want 1", n)
-	}
-	r := <-shortCh
-	if r.err != ErrAcquireTimeout || r.blocked < short || r.blocked >= long {
-		t.Fatalf("short waiter: err=%v after %v, want ErrAcquireTimeout in [%v, %v)", r.err, r.blocked, short, long)
-	}
-	if r = <-longCh; r.err != ErrAcquireTimeout || r.blocked < long {
-		t.Fatalf("long waiter: err=%v after %v, want ErrAcquireTimeout no sooner than %v", r.err, r.blocked, long)
-	}
-	if err := awaitTimersDrained(time.Second); err != nil {
-		t.Fatal(err)
-	}
-	// The timer is re-armed, not rebuilt: a later blocked admission on
-	// the same sender goes through the one that already exists.
-	cs := s.(*creditSender)
-	before := cs.wait.timer.t
-	if err := s.AcquireTimeout(1, 5*time.Millisecond); err != ErrAcquireTimeout {
-		t.Fatalf("want ErrAcquireTimeout, got %v", err)
-	}
-	if before == nil || cs.wait.timer.t != before {
-		t.Fatal("a later blocked admission built a new deadline timer")
-	}
-	if err := awaitTimersDrained(time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // ---------------------------------------------------------------------------
-// Refill-retry timer audit. The blocking-wait audit above covers
-// AcquireTimeout's deadline timers; these cover the other armed timer
-// in the package — the credit receiver's refill-retry — and assert it
-// drains on every exit path.
+// Refill-retry timer audit: the package's one armed timer, the credit
+// receiver's refill-retry, drains on every exit path.
 
 // refillReceiver builds a credit receiver with an emitter installed
 // (the configuration that arms retry timers) and returns the emission

@@ -111,7 +111,7 @@ func runCreditSchedule(t *testing.T, seed int64) {
 	for step := 0; step < steps; step++ {
 		switch op := rng.Intn(10); {
 		case op < 4: // attempt a send; on refusal, sometimes emulate the
-			// transmit() path's AcquireTimeout-expiry → Resync retry.
+			// sender's admission wait expiring → Resync retry.
 			if s.TryAcquire(seq) {
 				dataQ = append(dataQ, seq)
 				seq++
