@@ -160,7 +160,7 @@ func (c *Connection) flush(w *wire, t transport.Conn, wait bool) error {
 		q.taken = all[:0]
 		w.mu.Unlock()
 		if err != nil {
-			go c.Close() // the writer may be a thread Close joins, or hold a pump token Close takes
+			go c.Close() // the writer may be a loop Close joins, or hold a pump token Close takes
 			return ErrConnClosed
 		}
 	}
@@ -314,9 +314,9 @@ var idleSendSessions = buf.NewFreeList(256, func() *sendSession {
 
 // Connection is one NCS point-to-point connection: a data connection
 // and a control connection, the per-connection receive threads of
-// Figure 4 as pumps of last resort (pump.go; its send side is
-// procedures: flush), and the flow/error control configuration chosen
-// at establishment.
+// Figure 4 as a shard's loop, its pump of last resort (pump.go; its send
+// side is procedures: flush), and the flow/error control configuration
+// chosen at establishment.
 type Connection struct {
 	sys  *System
 	peer string
@@ -383,9 +383,9 @@ type Connection struct {
 	// by streamSlotCh on a connection's first stream send.
 	streamSlotsP atomic.Pointer[chan struct{}]
 
-	// sh is the connection's shard attachment (RuntimeSharded only);
-	// inbox, when bound, merges this connection's deliveries into a
-	// shared queue.
+	// sh is the connection's shard attachment — a private shard's, or
+	// the System's pool's; nil on the fast path. inbox, when bound,
+	// merges this connection's deliveries into a shared queue.
 	sh    *shardConn
 	inbox atomic.Pointer[Inbox]
 
@@ -425,18 +425,21 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 	}
 	c.inbound.Alg = opts.ErrorControl
 	// Whoever waits on a wire reads it; the runtimes differ in its pump of
-	// last resort (pump.go): the System's shard pool (shard.go), else a
-	// Receive and a Control Receive Thread, and for the fast path none —
-	// it bypasses shards exactly as it bypasses threads. In-band control
-	// (the ablation of §2's split planes) rides the data wire, whose
-	// reader demultiplexes it.
+	// last resort (pump.go): a shard's loop (shard.go) — one of the
+	// System's pool, else a private one that serves this connection alone
+	// and stops with it (Close's barrier is c.wg) — and for the fast path
+	// none. In-band control (the ablation of §2's split planes) rides the
+	// data wire, whose reader demultiplexes it.
 	switch {
 	case opts.FastPath:
 		c.listen(nil)
 	case opts.Runtime == RuntimeSharded:
-		c.attachShard()
+		c.attachShard(sys.shardFor(id))
 	default:
-		c.listen(c.thread)
+		sh := newShard(int(id), c.closedCh, &c.wg)
+		c.wg.Add(1)
+		go sh.loop()
+		c.attachShard(sh)
 	}
 	sys.track(c)
 	return c
@@ -506,16 +509,13 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 	return flowctl.SenderStatsOf(*p)
 }
 
-// attachShard registers the connection with its System's shard pool,
-// its wires' pump of last resort: what arrives while nobody waits
-// re-queues it on its shard — pollable transports (HPI, UDP) at zero
-// goroutines, others through a bridge goroutine that only reads the wire
-// (pump.go).
-func (c *Connection) attachShard() {
-	sh := c.sys.shardFor(c.id)
+// attachShard registers the connection with sh, its wires' pump of last
+// resort: what arrives while nobody waits re-queues it there — pollable
+// transports (HPI, UDP) at no goroutine of their own, others through a
+// bridge goroutine that only reads the wire (pump.go).
+func (c *Connection) attachShard(sh *shard) {
 	c.sh = &shardConn{shard: sh}
-	requeue := func() { sh.requeue(c) }
-	c.listen(func() func() { return requeue })
+	c.listen(func() { sh.requeue(c) })
 	sh.register(c)
 }
 
@@ -766,10 +766,10 @@ func (c *Connection) rto() time.Duration {
 // queued for the last one's flush. This is the one place sent SDUs are
 // counted: c.stats is the only book (conns.go reads it for core.conn.*).
 //
-// Having written a lone SDU of an unreliable message inline, a sharded
-// sender yields. The write woke the peer's reader onto this P's runnext;
-// Gosched runs it at once and moves the sender to the global run queue,
-// where an idle P takes it. Without the yield, that P finds only a
+// Having written a lone SDU of an unreliable message inline, a sender on
+// the System's shard pool yields. The write woke the peer's reader onto
+// this P's runnext; Gosched runs it at once and moves the sender to the
+// global run queue, where an idle P takes it. Without the yield, that P finds only a
 // running P's runnext to steal and backs off in the Go scheduler's
 // usleep(3) — ≈ 60 µs under Linux's 50 µs timer slack: with two callers
 // on two Ps, 3–5 % of rpc_fanin's calls took 65–80 µs. A reliable sender
@@ -777,12 +777,16 @@ func (c *Connection) rto() time.Duration {
 // P to the reader as well, and a yield would let the acknowledgment
 // arrive while nobody waits, ringing the shard's loop instead of the
 // sender. No yield follows a fast-path write or a control write
-// (emitCtrl): both measured worse with one. Nor a threaded write: there
-// the sender's move between Ps after each yield left the runtime's per-P
-// sudog caches to refill after every collection, and a 64 B reliable
-// echo allocated up to 2.11 times per echo under a forced collection
-// every 16th (TestMessagePathAllocationsSurviveTheCollector; 2.00–2.01
-// without it).
+// (emitCtrl): both measured worse with one. Nor a threaded write, though
+// its connection has a shard too, a private one: there the sender's move
+// between Ps after each yield left the runtime's per-P sudog caches to
+// refill after every collection, and a 64 B reliable echo allocated up
+// to 2.11 times per echo under a forced collection every 16th
+// (TestMessagePathAllocationsSurviveTheCollector; 2.00–2.01 without it),
+// and an unreliable one-way send took 3.2–6.2 µs instead of 2.2–3.9
+// (BenchmarkAllocCreditSend and StreamSend, -cpu 1,2 on 2 CPUs). A connection is on the pool when
+// Options.Runtime chose it and it has a pump of last resort, which the
+// fast path has not.
 func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
@@ -807,7 +811,7 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
 		if alone {
 			if ok, err := c.writeInline(&c.dataW, c.data, outItem{sdu: sdu}); ok {
-				if err == nil && c.sh != nil && c.opts.ErrorControl == errctl.None {
+				if err == nil && c.opts.Runtime == RuntimeSharded && c.in[wireData].last != nil && c.opts.ErrorControl == errctl.None {
 					runtime.Gosched()
 				}
 				return err
@@ -1085,9 +1089,7 @@ func (c *Connection) dataPaused() bool {
 // after every pop) or the registration (Inbox.wake).
 func (c *Connection) pause() (still bool) {
 	if !c.paused.Swap(true) {
-		if c.sh != nil {
-			mParkedConns.Inc()
-		}
+		mParkedConns.Inc()
 		if ib := c.inbox.Load(); ib != nil {
 			ib.parked.Put(c, false)
 		}
@@ -1098,7 +1100,7 @@ func (c *Connection) pause() (still bool) {
 // unpause ends a pause, whoever finds it over: the producer seeing room,
 // an inbox waking it, Close.
 func (c *Connection) unpause() {
-	if c.paused.Load() && c.paused.Swap(false) && c.sh != nil {
+	if c.paused.Load() && c.paused.Swap(false) {
 		mParkedConns.Dec()
 	}
 }
@@ -1169,7 +1171,7 @@ func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox[Message]) (Messa
 // the connection-level flow control ever sees them: stream arrivals
 // must not consume stream-0 credits (isolation), and an unconsumed
 // stream backs up only its own mailbox, behind its own withheld grants
-// — so it cannot stall the shard loop, the receive thread, or stream 0.
+// — so it cannot stall the shard's loop or stream 0.
 // The stream is created on first frame, which is what makes
 // CtrlStreamOpen advisory and lets the fast path (whose control
 // connection only senders read) accept streams purely from data
@@ -1274,11 +1276,12 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 // A ping neither waits for queue room nor writes: the liveness sweep
 // that sends it must not block on one connection, and a full queue is
 // control traffic in flight — the verdict reads what was heard, not what
-// was sent. Its wire is drained by a fresh goroutine, or on a shard by
-// the loop, which the ping re-queues the connection on. The acks and
-// grants a shard emits while it serves the connection stay queued, too:
-// the loop drains every connection it served at the end of its cycle,
-// coalesced with the rest of the cycle's output.
+// was sent. Its wire is drained by the shard's loop, which the ping
+// re-queues the connection on — or, on the fast path, which has no
+// shard, by a flush that only tries the owner. The acks and grants a
+// shard emits while it serves the connection stay queued, too: the loop
+// drains every connection it served at the end of its cycle, coalesced
+// with the rest of the cycle's output.
 func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
 	sb.B = ctl.Marshal(sb.B)
@@ -1300,8 +1303,6 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	switch {
 	case ping && c.sh != nil:
 		c.sh.shard.requeue(c)
-	case ping:
-		go c.flush(w, t, false)
 	case c.sh == nil || !c.sh.serving.Load(): // read after the push: a loop done serving flushed before it
 		return c.flush(w, t, false) == nil
 	}
@@ -1375,7 +1376,8 @@ func (c *Connection) ImpairData(imp netsim.Impairments) bool {
 }
 
 // Close tears the connection down: both transport connections, the flow
-// control state, both wires' queues and the per-connection threads. Inbound sessions
+// control state, both wires' queues, its bridges and its private shard's
+// loop. Inbound sessions
 // still incomplete at teardown are abandoned so the pooled receive
 // buffers they retained return to their pools (reapInbound).
 func (c *Connection) Close() error {
@@ -1429,7 +1431,7 @@ func (c *Connection) Close() error {
 // credit timers), so a closed connection pins no pooled buffer. The mux
 // is loaded under c.mu so this serialises with a racing mux():
 // whichever side runs second observes the other's work. What the
-// connection's own threads counted after it left the registry settles
+// connection's own readers counted after it left the registry settles
 // into the process's books here.
 func (c *Connection) reapInbound() {
 	c.settle()

@@ -61,7 +61,7 @@ func (c *Connection) fold() {
 // registry, where untrack's fold took everything up to then. Close
 // closes closedCh before it untracks, so a count made on a connection
 // whose Err is still nil precedes that fold; what can follow it are the
-// connection's own threads, which Close settles for once it has joined
+// connection's own readers, which Close settles for once it has joined
 // them (reapInbound), and a Send the application left running across
 // Close, which settles as it returns (send).
 func (c *Connection) settle() {
@@ -156,8 +156,11 @@ func (c *Connection) info() ConnInfo {
 	if c.fcRecv.Load() != nil {
 		ci.Bytes += flowHalfEstimate
 	}
-	if c.sh != nil {
-		ci.Bytes += uint64(unsafe.Sizeof(*c.sh))
+	if sc := c.sh; sc != nil {
+		ci.Bytes += uint64(unsafe.Sizeof(*sc))
+		if sc.shard.quit == c.closedCh { // a private shard, the connection's own
+			ci.Bytes += uint64(unsafe.Sizeof(shard{}))
+		}
 	}
 	return ci
 }

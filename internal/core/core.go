@@ -14,8 +14,8 @@
 //
 //   - The paper multiplexes all connections' control traffic through one
 //     Control Send Thread and one Control Receive Thread per process
-//     (Figure 1). Here each connection owns its control connection and
-//     its own Control Receive Thread: the wire-level property the paper
+//     (Figure 1). Here each connection owns its control connection, read
+//     like its data connection: the wire-level property the paper
 //     argues for — control information never competes with data for a
 //     data connection's bandwidth — is identical, and per-connection
 //     control channels make teardown and the fast path simpler.
@@ -23,9 +23,10 @@
 //     as §4.2 says they can be: a packet is pushed onto its wire's queue,
 //     and whoever holds the wire's owner writes the queue
 //     (Connection.flush) — the goroutine that made the packet, when the
-//     wire is free. The Receive and Control Receive Threads are pumps of
-//     last resort: the goroutine that waits on a wire reads it, and they
-//     run only when nobody does (pump.go).
+//     wire is free. The Receive and Control Receive Threads are one pump
+//     of last resort: the goroutine that waits on a wire reads it, and a
+//     shard's loop only when nobody does — on the threaded runtime a
+//     private shard that serves the connection alone (pump.go, shard.go).
 //   - NCS worker threads are goroutines (kernel-level threads in the
 //     paper's taxonomy). The user-level/kernel-level comparison of §4.1
 //     is reproduced in internal/bench with the internal/thread package,
@@ -98,18 +99,18 @@ type Options struct {
 	UDPLink *transport.UDPLink
 	// Runtime selects the connection's runtime architecture:
 	// RuntimeThreaded (default) gives it the paper's per-connection
-	// receive threads as pumps of last resort; RuntimeSharded drives it from the
-	// System's fixed pool of I/O shards, which demultiplex receives
-	// and coalesce sends across every sharded connection — the
-	// many-connection scale-out. FastPath takes precedence: a
-	// fast-path connection bypasses shards exactly as it bypasses
-	// threads. The option travels through signaling, so both endpoints
-	// run the architecture the dialer chose.
+	// receive threads as one private shard's loop, its pump of last
+	// resort; RuntimeSharded drives it from the System's fixed pool of
+	// I/O shards, which demultiplex receives and coalesce sends across
+	// every sharded connection — the many-connection scale-out.
+	// FastPath takes precedence: a fast-path connection has no shard,
+	// private or pooled. The option travels through signaling, so both
+	// endpoints run the architecture the dialer chose.
 	Runtime Runtime
 	// FastPath selects the §4.2 procedure variant: the threaded
-	// runtime without its pumps of last resort. On every runtime but
-	// the sharded one, Send and Recv read the wire they wait on
-	// themselves; on the fast path nothing else does, so what arrives
+	// runtime without its pump of last resort. On every runtime, Send
+	// and Recv read the wire they wait on themselves; on the fast path
+	// nothing else does, so what arrives
 	// while nobody waits stays on the wire. Its policies differ too: a
 	// fixed retransmission timeout, an admission wait that gives up, no
 	// Inbox and no heartbeat. (The three booleans sit together so they

@@ -99,7 +99,7 @@ func (s *System) armSweep(every time.Duration) {
 // with ErrPeerUnreachable; then the timer is re-armed at the smallest
 // interval seen. It holds s.mu throughout, so a connection cannot leave
 // the registry mid-sweep, and it never waits on a connection: a ping
-// waits for no queue room and is written by another goroutine
+// waits for no queue room and is written by the connection's shard
 // (emitCtrl). A connection whose Close is already under way is harmless
 // to ping — emitCtrl refuses.
 func (s *System) sweep(now time.Time) {

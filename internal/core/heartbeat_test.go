@@ -140,10 +140,11 @@ func TestHeartbeatScaleOneSweepTimer(t *testing.T) {
 	}
 }
 
-// TestHeartbeatCostsNoThread: a threaded connection is its two receive
-// threads (Figure 4's Send and Control Send Threads are procedures)
-// whether or not it asks for a heartbeat — fault detection uses the
-// control path, it does not add a third — and the System's sweep is a
+// TestHeartbeatCostsNoThread: a threaded connection is one goroutine,
+// its private shard's loop — Figure 4's Send and Control Send Threads
+// are procedures, its Receive and Control Receive Threads that one loop
+// — whether or not it asks for a heartbeat: fault detection uses the
+// control path, it does not add a second, and the System's sweep is a
 // timer, not a goroutine.
 func TestHeartbeatCostsNoThread(t *testing.T) {
 	// Earlier tests' stragglers must be gone before goroutines are
@@ -163,8 +164,8 @@ func TestHeartbeatCostsNoThread(t *testing.T) {
 	if _, err := b.Accept(); err != nil {
 		t.Fatal(err)
 	}
-	if grown := runtime.NumGoroutine() - before; grown != 2*2 {
-		t.Fatalf("a threaded heartbeat connection added %d goroutines over its two ends, want exactly 2 per end", grown)
+	if grown := runtime.NumGoroutine() - before; grown != 2*1 {
+		t.Fatalf("a threaded heartbeat connection added %d goroutines over its two ends, want exactly 1 per end", grown)
 	}
 	if n := a.Telemetry().Mem.PendingTimers; n != 1 {
 		t.Fatalf("PendingTimers = %d with a heartbeat connection live, want the one sweep timer", n)

@@ -27,13 +27,13 @@ type InboxMessage struct {
 // runtime: a fixed pool of workers looping on Inbox.Recv can serve
 // thousands of connections, where one Recv goroutine per connection
 // would undo everything the shards saved. Threaded connections may
-// bind too — their Receive Threads deliver into the inbox directly.
+// bind too — their private shards deliver into the inbox directly.
 //
 // It is a lane's receive end shared: the same mailbox, bounded the same
 // way. A bound connection's producer asks before it reads the wire
-// (Connection.atDepth) and, finding the inbox at depth, stops — the
-// Receive Thread waits, a shard pauses the connection's data path and
-// serves its others — after registering once in parked; the Recv that
+// (Connection.atDepth) and, finding the inbox at depth, stops — a
+// shard pauses the connection's data path and serves its others —
+// after registering once in parked; the Recv that
 // frees a slot wakes every parked producer. So a message is in the
 // inbox or still on the wire, never in between, and the inbox holds at
 // most depth plus one message per producer already past the check.

@@ -282,7 +282,8 @@ func TestParkedGaugeSurvivesClosePaused(t *testing.T) {
 // full Inbox nobody reads must not stay referenced from Inbox.parked
 // until a Recv that may never come. Its Close wakes the inbox's parked
 // producers: the closed one is gone from the list, a live one parks
-// again behind the inbox that is still full.
+// again behind the inbox that is still full, and core.shard.parked_conns
+// counts it, whatever its runtime.
 func TestCloseLeavesInboxParkedList(t *testing.T) {
 	for _, rt := range allRuntimes[:2] { // fast-path connections cannot bind an Inbox
 		t.Run(rt.name, func(t *testing.T) {
@@ -326,11 +327,7 @@ func TestCloseLeavesInboxParkedList(t *testing.T) {
 			if peers[1].Err() != nil || !peers[1].paused.Load() {
 				t.Fatalf("the live connection: Err %v, paused %v; want it parked behind the still-full inbox", peers[1].Err(), peers[1].paused.Load())
 			}
-			wantGauge := gauge
-			if opts.Runtime == RuntimeSharded {
-				wantGauge++ // the live one
-			}
-			if got := mParkedConns.Value(); got != wantGauge {
+			if got, wantGauge := mParkedConns.Value(), gauge+1; got != wantGauge { // the live one, on every runtime
 				t.Fatalf("core.shard.parked_conns = %d with one connection closed and one parked, want %d", got, wantGauge)
 			}
 			peers[1].Close()

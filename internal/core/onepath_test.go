@@ -145,10 +145,10 @@ func bellSelects(t *testing.T, dir string) map[string]int {
 // delivery in an Inbox, a producer the inbox parked, a stream nobody
 // accepted yet — waits in a stream.Mailbox, and every blocking receive
 // sleeps in stream.Await; every read of a wire is one drain, readIn,
-// entered by whoever waits on the connection, by a pump of last resort
-// or by a shard loop, on every runtime alike; so a second queue type,
-// wait loop, drain entry or producer wake-up fails here before it can
-// drift from the first.
+// entered by whoever waits on the connection or by a shard's loop, the
+// one pump of last resort, on every runtime alike; so a second queue
+// type, wait loop, drain entry or producer wake-up fails here before it
+// can drift from the first.
 func TestOneReceiveEnd(t *testing.T) {
 	streamDir := filepath.Join("..", "stream")
 	core := callSites(t, ".")
@@ -162,15 +162,15 @@ func TestOneReceiveEnd(t *testing.T) {
 			t.Errorf("internal/core has %d call sites of %s, want exactly 1 (%s)", n, callee, why)
 		}
 	}
-	// The one drain, readIn: the receivers, the senders and the pumps of
-	// last resort — a thread, a shard's loop — enter it through pump; only
-	// it reads what arrived, asks for room at depth and runs the receive
-	// path; the blocking receive is the bridge's alone.
+	// The one drain, readIn: the receivers, the senders and the pump of
+	// last resort — a shard's loop, private or pooled — enter it through
+	// pump; only it reads what arrived, asks for room at depth and runs
+	// the receive path; the blocking receive is the bridge's alone.
 	for _, c := range []struct {
 		chain []string
 		want  []string
 	}{
-		{[]string{"pump"}, []string{"Connection.await", "Connection.awaitCtrl", "Connection.lastResort", "Connection.lastResort", "shard.service"}},
+		{[]string{"pump"}, []string{"Connection.await", "Connection.awaitCtrl", "shard.service"}},
 		{[]string{"readIn"}, []string{"Connection.pump"}},
 		{[]string{"dataPaused"}, []string{"Connection.readIn"}},
 		{[]string{"ingest"}, []string{"Connection.readIn"}},
@@ -195,12 +195,14 @@ func TestOneReceiveEnd(t *testing.T) {
 	// heartbeat (heartbeat.go) — and nowhere else.
 	policies := []string{"BindInbox", "System.track", "newConnection", "rto", "admit"}
 	// So is a connection's shard, besides the shard's own methods: its
-	// attachment (attachShard), the yield after an inline write
-	// (transmit), the batch counters (drain), the parked gauge
-	// (pause/unpause), emitCtrl's cork and ping, Close and the byte count
-	// (info). A wire asks its own pump of last resort (inWire.last), not
-	// the runtime.
-	shardPolicies := []string{"attachShard", "transmit", "drain", "pause", "unpause", "emitCtrl", "Close", "info"}
+	// attachment (attachShard), the batch counters (drain), emitCtrl's
+	// cork and ping, Close and the byte count (info). A wire asks its own
+	// pump of last resort (inWire.last), not the runtime. Options.Runtime
+	// is read where the shard is chosen (newConnection) and at the one
+	// policy only the pool has, the yield after an inline write
+	// (transmit).
+	shardPolicies := []string{"attachShard", "drain", "emitCtrl", "Close", "info"}
+	runtimePolicies := []string{"newConnection", "transmit"}
 	inspectPackage(t, ".", func(n ast.Node) bool {
 		fn, ok := n.(*ast.FuncDecl)
 		if !ok || fn.Body == nil {
@@ -215,6 +217,8 @@ func TestOneReceiveEnd(t *testing.T) {
 				t.Errorf("%s reads FastPath: the runtimes share one engine, and differ only in who pumps last", name)
 			case sel.Sel.Name == "sh" && !slices.Contains(shardPolicies, name) && !strings.HasPrefix(name, "shard."):
 				t.Errorf("%s reads the connection's shard: the runtimes share one engine, and differ only in who pumps last", name)
+			case sel.Sel.Name == "Runtime" && !slices.Contains(runtimePolicies, name):
+				t.Errorf("%s reads Options.Runtime: the runtimes share one engine, and differ only in whose shard pumps last", name)
 			}
 			return true
 		})
@@ -247,7 +251,7 @@ func TestOneReceiveEnd(t *testing.T) {
 		"waiterN": true, "wakeWaiters": true, "inboxWaiting": true, "holding": true, "acceptBell": true, "ringAccept": true,
 		"fastPump": true, "fastRecvMu": true, "fastSendMu": true, "pumpFree": true, "pumpRelease": true, "pumpCtrl": true,
 		"awaitSpace": true, "awaitAck": true, "recvThread": true, "ctrlRecvThread": true, "ErrNotFastPath": true,
-		"fire": true, "serviceMu": true,
+		"fire": true, "serviceMu": true, "thread": true, "lastResort": true,
 	}
 	visit := func(dir string, alsoGone ...string) func(ast.Node) bool {
 		seen := make(map[string]bool)

@@ -27,13 +27,13 @@ import (
 // is there so that acks, grants, a bound Inbox and back-pressure progress
 // while the application is busy elsewhere.
 //
-// The runtimes are this one engine with three last resorts. The threaded
-// runtime rings the wire's Receive or Control Receive Thread. The sharded
-// runtime re-queues the connection on its shard, whose loop pumps it
-// (shard.go). The fast path (Options.FastPath) rings nobody: what arrives
-// while nobody waits stays on the wire until somebody does. Besides that,
-// only its policies differ (rto, admit's give-up, BindInbox, the
-// heartbeat).
+// The runtimes are this one engine with two last resorts. A shard's loop
+// is one: the threaded and sharded runtimes re-queue the connection on
+// its shard — a private one, or one of the System's pool — whose loop
+// pumps it (shard.go). None is the other: the fast path
+// (Options.FastPath) rings nobody, and what arrives while nobody waits
+// stays on the wire until somebody does. Besides that, only its policies
+// differ (rto, admit's give-up, BindInbox, the heartbeat).
 
 // pumpBudget bounds how many packets one drain reads, so that under a
 // busy wire a waiter still looks again at what it waits for, the token
@@ -104,9 +104,9 @@ func ring(ch chan struct{}) {
 }
 
 // listen builds the connection's wires and starts their readiness
-// sources, which call arrived. last, when not nil, gives each wire its
-// pump of last resort: it returns what arrived rings when nobody waits.
-func (c *Connection) listen(last func() func()) {
+// sources, which call arrived. last, when not nil, is the wires' pump of
+// last resort: what arrived rings when nobody waits.
+func (c *Connection) listen(last func()) {
 	ctrl, data := &inWire{c: c}, &inWire{c: c}
 	if c.opts.InbandControl {
 		ctrl = data // in-band: control rides the data wire
@@ -117,9 +117,7 @@ func (c *Connection) listen(last func() func()) {
 		if i == wireCtrl && w == data {
 			continue
 		}
-		if last != nil {
-			w.last = last()
-		}
+		w.last = last
 		if w.poll, _ = transport.AsPoller(t); w.poll != nil {
 			w.poll.SetRecvNotify(w.arrived) // fires once now: nothing that came first is missed
 		} else {
@@ -128,15 +126,6 @@ func (c *Connection) listen(last func() func()) {
 			go c.bridge(t, w.in, w.arrived)
 		}
 	}
-}
-
-// thread starts a wire's Receive or Control Receive Thread, the threaded
-// runtime's pump of last resort, and returns its bell.
-func (c *Connection) thread() func() {
-	bell := make(chan struct{}, 1)
-	c.wg.Add(1)
-	go c.lastResort(bell)
-	return func() { ring(bell) }
 }
 
 // arrived is the wire's readiness source firing: a packet may be waiting,
@@ -204,8 +193,8 @@ func (c *Connection) wakeAll(blind bool) {
 	c.waitMu.Unlock()
 }
 
-// pump is a waiter's — or a pump of last resort's: a thread, a shard's
-// loop — turn at the connection's wires: each whose source fired and
+// pump is a waiter's — or the pump of last resort's, a shard's loop —
+// turn at the connection's wires: each whose source fired and
 // whose token is free, it reads (readIn) holding the token, control
 // first, so a sender reads the data that overtakes its acknowledgment
 // and a receiver the grants that trail its message. A message completing
@@ -276,27 +265,10 @@ func (c *Connection) readIn(w *inWire, want *stream.Mailbox[Message], ack chan c
 	return m, got, n
 }
 
-// lastResort is a wire's pump of last resort on the threaded runtime —
-// the Control Receive Thread, or the Receive Thread: rung only when a
-// packet arrived and nobody waits on the connection, it drains the wires
-// and sleeps again.
-func (c *Connection) lastResort(last chan struct{}) {
-	defer c.wg.Done()
-	for {
-		select {
-		case <-last:
-		case <-c.closedCh:
-			return
-		}
-		for _, _, read := c.pump(nil, nil); read; _, _, read = c.pump(nil, nil) {
-		}
-	}
-}
-
 // bridge is the readiness source of a transport that cannot be polled:
 // it parks in the blocking receive and hands each packet to whoever reads
 // the wire — a waiter or the pump of last resort — then fires arrived.
-// A full hand-off blocks it: the back-pressure of a thread that stopped
+// A full hand-off blocks it: the back-pressure of a reader that stopped
 // reading.
 func (c *Connection) bridge(t transport.Conn, in chan *buf.Buffer, arrived func()) {
 	defer c.wg.Done()
@@ -324,8 +296,8 @@ func (c *Connection) bridge(t transport.Conn, in chan *buf.Buffer, arrived func(
 // rings wt: an acknowledgment deposited on ack (routeControl), a grant
 // (wakeAll), the close. Having its acknowledgment, a sender reads what
 // is still pending behind it — the rest of the peer's ack burst, the
-// peer's reply — rather than leave it to a thread. ok is false when d
-// passed first.
+// peer's reply — rather than leave it to the pump of last resort. ok is
+// false when d passed first.
 func (c *Connection) awaitCtrl(wt *waiter, ack chan ctrlEvent, admitted func() bool, d time.Duration) (ev ctrlEvent, ok bool, err error) {
 	c.park(wt, ack == nil)
 	defer c.unpark(wt)

@@ -247,8 +247,9 @@ func TestNonPositiveTimeoutMeansNoDeadline(t *testing.T) {
 	}
 }
 
-// TestAsyncProgress pins what the pumps of last resort are for: on the
-// threaded and sharded runtimes a reliable, credit-controlled sender
+// TestAsyncProgress pins what the pump of last resort — a shard's loop,
+// private or pooled — is for: on the threaded and sharded runtimes a
+// reliable, credit-controlled sender
 // completes every Send while the peer application never calls Recv —
 // its acknowledgments and grants flow although nobody waits on the
 // peer's wires — with more messages than the credit window admits at

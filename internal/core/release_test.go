@@ -106,7 +106,7 @@ func TestQueuedDeliveriesSurviveAndReturnAtClose(t *testing.T) {
 				awaitCond(t, "not every message reached its mailbox", func() bool { return queued() == msgs })
 				// A control packet on its way — the stream's announcement, which
 				// its sender wrote itself — pins a buffer until the peer's
-				// Control Receive Thread has read it.
+				// shard has read it.
 				awaitCond(t, fmt.Sprintf("%d queued one-SDU messages never pinned exactly %d pooled buffers", msgs, want),
 					func() bool { return buf.Outstanding()-bufs == want })
 

@@ -11,19 +11,21 @@ import (
 // thread-per-function architecture. The paper gives every connection
 // dedicated Send/Receive (and Control Send/Receive) threads; here the
 // send side is procedures (Connection.flush) and the receive side is
-// read by whoever waits on it (pump.go), but a threaded connection still
-// keeps two pumps of last resort whether it is busy or idle. A server
-// facing thousands of connections wants the opposite trade: a small
-// fixed pool of event loops that amortise scheduling and syscall cost
-// across every connection they own. The runtimes differ only in who
-// pumps last: here a waiting receiver or sender reads its own wires, as
-// on every runtime, and the loop reads those of the connections nobody
-// waits on.
+// read by whoever waits on it (pump.go). What nobody waits on, a shard's
+// loop reads: its pump of last resort. A threaded connection is a shard
+// of one — a private shard whose loop serves it alone, one goroutine
+// whether it is busy or idle. A server facing thousands of connections
+// wants the opposite trade: a small fixed pool of event loops that
+// amortise scheduling and syscall cost across every connection they own.
+// The runtimes differ only in whose loop pumps last: a waiting receiver
+// or sender reads its own wires, on every runtime, and the loop reads
+// those of the connections nobody waits on.
 //
 // A System lazily builds one pool of I/O shards (default GOMAXPROCS;
 // see SetShards). Connections established with Options.Runtime ==
 // RuntimeSharded hash onto a shard by connection ID, and that shard's
-// loop is their pump of last resort:
+// loop is their pump of last resort. A shard works the same, private or
+// pooled:
 //
 //   - receives: what arrives while nobody waits re-queues the connection
 //     — via transport.Poller (HPI and UDP expose their arrival queue plus
@@ -37,11 +39,10 @@ import (
 //     queued itself: the acks and grants it emits while serving a
 //     connection stay queued, and it drains every connection it served
 //     at the end of the cycle, in one vectored write per wire;
-//   - flow/error control state stays strictly per-connection (the same
-//     objects the threads drive), and a wire's pump token serialises its
-//     readers, the loop among them;
-//   - the §4.2 fast path bypasses shards exactly as it bypasses
-//     threads: Options.FastPath takes precedence over Options.Runtime.
+//   - flow/error control state stays strictly per-connection, and a
+//     wire's pump token serialises its readers, the loop among them;
+//   - the §4.2 fast path has no shard, private or pooled:
+//     Options.FastPath takes precedence over Options.Runtime.
 //
 // Backpressure never blocks a shard: when a connection's mailbox (or
 // its bound Inbox) is at depth, its data path pauses before reading the
@@ -61,10 +62,10 @@ type Runtime int
 const (
 	// RuntimeThreaded is the paper's architecture with its threads
 	// replaced by procedures as far as §4.2 allows: a waiting Send or
-	// Recv reads the wire itself, the per-connection Receive and Control
-	// Receive threads only when nobody waits (pumps of last resort,
-	// pump.go), and the Send and Control Send threads are gone
-	// (Connection.flush). Lowest latency at modest connection counts;
+	// Recv reads the wire itself, the Send and Control Send threads are
+	// gone (Connection.flush), and the Receive and Control Receive
+	// threads are one private shard's loop, the connection's own pump of
+	// last resort (pump.go). Lowest latency at modest connection counts;
 	// cost grows linearly with connections. The default.
 	RuntimeThreaded Runtime = iota
 	// RuntimeSharded makes its System's shard pool the connection's
@@ -91,8 +92,8 @@ func (r Runtime) String() string {
 
 // pumpDepth is the inbound queue between a bridge goroutine and whoever
 // reads a non-pollable transport. The bridge blocks when it fills —
-// per-connection backpressure toward the transport, exactly like a
-// Receive Thread that stopped reading.
+// per-connection backpressure toward the transport, exactly like the
+// paper's Receive Thread that stopped reading.
 const pumpDepth = 64
 
 // shardConn is a connection's attachment to its shard.
@@ -103,13 +104,14 @@ type shardConn struct {
 	serving atomic.Bool // the loop is pumping the connection: what it emits waits for the cycle's flush (emitCtrl)
 }
 
-// shard is one event loop of a System's pool.
+// shard is one event loop: one of a System's pool, or a threaded
+// connection's private one.
 type shard struct {
-	sys *System
-	id  int
+	id int
+	wg *sync.WaitGroup // the loop's: the pool's, or the connection's
 
 	doorbell chan struct{} // level-triggered wakeup, capacity 1
-	quit     chan struct{}
+	quit     chan struct{} // the pool's, or the connection's closedCh
 
 	mu    sync.Mutex
 	conns map[*Connection]struct{}
@@ -123,12 +125,14 @@ type shard struct {
 	batchedPackets atomic.Uint64
 }
 
-func newShard(sys *System, id int) *shard {
+// newShard builds a shard. Its owner starts the loop, counted on wg,
+// which returns once quit is closed.
+func newShard(id int, quit chan struct{}, wg *sync.WaitGroup) *shard {
 	return &shard{
-		sys:      sys,
 		id:       id,
+		wg:       wg,
 		doorbell: make(chan struct{}, 1),
-		quit:     make(chan struct{}),
+		quit:     quit,
 		conns:    make(map[*Connection]struct{}),
 	}
 }
@@ -194,7 +198,7 @@ func (sh *shard) unregister(c *Connection) {
 // directly, so an all-idle shard sleeps in this select with no timer
 // armed.
 func (sh *shard) loop() {
-	defer sh.sys.shardWG.Done()
+	defer sh.wg.Done()
 	for {
 		select {
 		case <-sh.doorbell:
@@ -271,9 +275,10 @@ func (s *System) shardFor(connID uint32) *shard {
 		if n <= 0 {
 			n = runtime.GOMAXPROCS(0)
 		}
+		quit := make(chan struct{}) // the pool's, closed by stopShards
 		s.shards = make([]*shard, n)
 		for i := range s.shards {
-			sh := newShard(s, i)
+			sh := newShard(i, quit, &s.shardWG)
 			s.shards[i] = sh
 			// A Connect that raced System.Close gets inert shards:
 			// registration works, nothing runs, nothing leaks.
@@ -293,8 +298,8 @@ func (s *System) stopShards() {
 	s.shards = nil
 	s.shardStopped = true
 	s.shardMu.Unlock()
-	for _, sh := range shards {
-		close(sh.quit)
+	if len(shards) > 0 {
+		close(shards[0].quit) // the pool's, one for all
 	}
 	s.shardWG.Wait()
 }

@@ -532,71 +532,80 @@ func TestShardedInstrumentedSend(t *testing.T) {
 	checkSenderStages(t, traces[0], calls[0], true)
 }
 
-// TestShardedWaitersReadTheirWires: a sharded receiver or sender that
-// waits reads its own wires, and the shard's loop — the runtime's pump of
-// last resort — is rung only when nobody waits. Through 200 reliable
-// 64 B echoes, each end keeps one goroutine blocked in Recv and another
-// in Send, so an arrival finds a waiter, and the two Systems' loops wake
-// for fewer than half of the echoes. A loop that read every arrival would
-// wake at least once per echo.
+// TestShardedWaitersReadTheirWires: a receiver or sender that waits
+// reads its own wires, and its shard's loop — the runtime's pump of last
+// resort, one of the System's pool or a threaded connection's private
+// one — is rung only when nobody waits. Through 200 reliable 64 B
+// echoes, each end keeps one goroutine blocked in Recv and another in
+// Send, so an arrival finds a waiter, and the two ends' loops wake for
+// fewer than half of the echoes. A loop that read every arrival would
+// wake at least once per echo. The wake-ups are read off the two
+// connections' own shards: a private one is not in Telemetry's Shards.
 func TestShardedWaitersReadTheirWires(t *testing.T) {
 	const echoes = 200
-	conn, peer, cleanup := newPairT(t, Options{
-		Interface:    transport.HPI,
-		Runtime:      RuntimeSharded,
-		ErrorControl: errctl.SelectiveRepeat,
-		FlowControl:  flowctl.Credit,
-	})
-	defer cleanup()
-	wakeups := func() uint64 {
-		return conn.sys.Telemetry().Shards.Wakeups + peer.sys.Telemetry().Shards.Wakeups
-	}
-	before := wakeups()
-	errs := make(chan error, 2)
-	relay := make(chan []byte, echoes)
-	go func() { // the peer's receiver
-		defer close(relay)
-		for i := 0; i < echoes; i++ {
-			m, err := peer.RecvTimeout(5 * time.Second)
-			if err != nil {
-				errs <- fmt.Errorf("peer recv %d: %w", i, err)
-				return
+	for _, rt := range allRuntimes[:2] { // the fast path has no loop
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{
+				Interface:    transport.HPI,
+				ErrorControl: errctl.SelectiveRepeat,
+				FlowControl:  flowctl.Credit,
 			}
-			relay <- m
-		}
-	}()
-	go func() { // the peer's sender
-		for m := range relay {
-			if err := peer.Send(m); err != nil {
-				errs <- fmt.Errorf("echo: %w", err)
-				return
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
+			wakeups := func() uint64 {
+				return conn.sh.shard.wakeups.Load() + peer.sh.shard.wakeups.Load()
 			}
-		}
-		errs <- nil
-	}()
-	replies := make(chan error, echoes)
-	go func() { // the caller's receiver
-		for i := 0; i < echoes; i++ {
-			got, err := conn.RecvTimeout(5 * time.Second)
-			if err == nil && len(got) != 64 {
-				err = fmt.Errorf("%d bytes", len(got))
+			before := wakeups()
+			errs := make(chan error, 2)
+			relay := make(chan []byte, echoes)
+			go func() { // the peer's receiver
+				defer close(relay)
+				for i := 0; i < echoes; i++ {
+					m, err := peer.RecvTimeout(5 * time.Second)
+					if err != nil {
+						errs <- fmt.Errorf("peer recv %d: %w", i, err)
+						return
+					}
+					relay <- m
+				}
+			}()
+			go func() { // the peer's sender
+				for m := range relay {
+					if err := peer.Send(m); err != nil {
+						errs <- fmt.Errorf("echo: %w", err)
+						return
+					}
+				}
+				errs <- nil
+			}()
+			replies := make(chan error, echoes)
+			go func() { // the caller's receiver
+				for i := 0; i < echoes; i++ {
+					got, err := conn.RecvTimeout(5 * time.Second)
+					if err == nil && len(got) != 64 {
+						err = fmt.Errorf("%d bytes", len(got))
+					}
+					replies <- err
+				}
+			}()
+			msg := bytes.Repeat([]byte{0x5a}, 64)
+			for i := 0; i < echoes; i++ {
+				if err := conn.Send(msg); err != nil {
+					t.Fatalf("send %d: %v", i, err)
+				}
+				if err := <-replies; err != nil {
+					t.Fatalf("reply %d: %v", i, err)
+				}
 			}
-			replies <- err
-		}
-	}()
-	msg := bytes.Repeat([]byte{0x5a}, 64)
-	for i := 0; i < echoes; i++ {
-		if err := conn.Send(msg); err != nil {
-			t.Fatalf("send %d: %v", i, err)
-		}
-		if err := <-replies; err != nil {
-			t.Fatalf("reply %d: %v", i, err)
-		}
-	}
-	if err := <-errs; err != nil {
-		t.Fatal(err)
-	}
-	if n := wakeups() - before; n >= echoes/2 {
-		t.Fatalf("the shard loops woke %d times over %d echoes whose ends all waited, want fewer than %d", n, echoes, echoes/2)
+			if err := <-errs; err != nil {
+				t.Fatal(err)
+			}
+			n := wakeups() - before
+			t.Logf("the loops woke %d times over %d echoes", n, echoes)
+			if n >= echoes/2 {
+				t.Fatalf("the shard loops woke %d times over %d echoes whose ends all waited, want fewer than %d", n, echoes, echoes/2)
+			}
+		})
 	}
 }

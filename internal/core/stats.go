@@ -12,8 +12,8 @@ type Stats struct {
 	// SDUsSent counts data-plane packets transmitted, including
 	// retransmissions.
 	SDUsSent uint64
-	// SDUsReceived counts data-plane packets accepted by the Receive
-	// Thread (or the fast-path receive procedure).
+	// SDUsReceived counts data-plane packets accepted by whoever read
+	// the data wire: a waiting receiver or sender, or the shard's loop.
 	SDUsReceived uint64
 	// Retransmissions counts SDUs re-sent by error control.
 	Retransmissions uint64

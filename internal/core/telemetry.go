@@ -25,12 +25,14 @@ var (
 
 	// mShardCycles counts event-loop turns; mShardWakeups counts
 	// doorbell-triggered loop wakeups (1:1 with cycles today, kept
-	// separate so batched-cycle variants stay observable).
+	// separate so batched-cycle variants stay observable). Both count
+	// every loop, a threaded connection's private one as well as the
+	// pool's (System.Telemetry's Shards is the pool's alone).
 	mShardCycles  = telemetry.NewCounter("core.shard.cycles_total")
 	mShardWakeups = telemetry.NewCounter("core.shard.wakeups_total")
-	// mParkedConns is the number of sharded connections whose data path
-	// is paused: the default lane's mailbox is at depth, or the bound
-	// inbox refused a message (shardConn.dataPaused).
+	// mParkedConns is the number of connections, on every runtime, whose
+	// data path is paused: the default lane's mailbox is at depth, or the
+	// bound inbox refused a message (Connection.pause).
 	mParkedConns = telemetry.NewGauge("core.shard.parked_conns")
 
 	// mCoalesceDepth observes how many packets each data-connection

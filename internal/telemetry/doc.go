@@ -91,7 +91,7 @@
 //	buf.pool.outstanding               buffers checked out of the tiers
 //	buf.pool.retained_bytes            idle storage the tiers' free lists hold
 //	                                   (bounded: see buf.tierIdle, ≈ 4.4 MB)
-//	core.shard.parked_conns            sharded conns paused on a slow consumer
+//	core.shard.parked_conns            conns paused on a slow consumer, any runtime
 //	                                   (their own mailbox or a bound Inbox at depth)
 //	rpc.client.inflight                calls awaiting replies
 //	rpc.server.inflight                requests admitted, not replied

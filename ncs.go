@@ -29,9 +29,10 @@
 //   - separated control and data connections: acknowledgments and
 //     credits never compete with payload for data-path bandwidth;
 //   - a thread-per-function runtime (Master, Flow Control, Error
-//     Control, and per-connection Receive and Control Receive threads;
-//     sending is a procedure on every runtime) plus a thread-bypassing
-//     fast path for latency-critical connections (§4.2 of the paper);
+//     Control; a connection's Receive and Control Receive threads are
+//     one loop that reads only what nobody waits on, and sending is a
+//     procedure on every runtime) plus a thread-bypassing fast path for
+//     latency-critical connections (§4.2 of the paper);
 //   - an RPC layer on top of any connection: multiplexed named-method
 //     request/response calls with per-call deadlines, application-error
 //     propagation, and a worker-pool dispatcher running on either
@@ -310,10 +311,11 @@ const (
 
 // Runtime architectures (Options.Runtime).
 const (
-	// RuntimeThreaded is the paper's architecture: dedicated Receive
-	// and Control Receive threads per connection, its Send and Control
-	// Send threads replaced by procedures (§4.2). The default; lowest
-	// latency at modest connection counts.
+	// RuntimeThreaded is the paper's architecture with its threads
+	// replaced by procedures (§4.2): the Send and Control Send threads
+	// are the sender's own writes, the Receive and Control Receive
+	// threads one loop per connection that reads only what nobody waits
+	// on. The default; lowest latency at modest connection counts.
 	RuntimeThreaded = core.RuntimeThreaded
 	// RuntimeSharded drives connections from a fixed pool of I/O
 	// shards (default GOMAXPROCS, see System.SetShards) that
