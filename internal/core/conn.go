@@ -2,6 +2,7 @@ package core
 
 import (
 	"cmp"
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -211,10 +212,6 @@ func (c *Connection) drain(q *outQueue, t transport.Conn, data bool, items []out
 		}
 		if data {
 			mCoalesceDepth.Observe(int64(len(bufs)))
-		}
-		if sc := c.sh; sc != nil && len(bufs) > 1 {
-			sc.shard.batches.Add(1)
-			sc.shard.batchedPackets.Add(uint64(len(bufs)))
 		}
 		if len(bufs) == 1 {
 			err = t.SendBuf(bufs[0]) // consumes the buffer reference
@@ -529,8 +526,8 @@ func (c *Connection) closeErr() error {
 
 // Done returns a channel closed when the connection has shut down —
 // locally via Close or remotely via a heartbeat-declared peer failure.
-// Layers above the core (the RPC client, application select loops) use
-// it to observe connection state without polling.
+// Layers above the core (application select loops) use it to observe
+// connection state without polling.
 func (c *Connection) Done() <-chan struct{} { return c.closedCh }
 
 // Err reports the connection's terminal state: nil while it is live,
@@ -963,7 +960,7 @@ func (c *Connection) checkSendSize(msg []byte) error {
 
 // Recv blocks for the next fully received message and returns it as a
 // slice the caller owns: RecvMessage, then Message.Bytes.
-func (c *Connection) Recv() ([]byte, error) { return owned(c.recv(nil, 0)) }
+func (c *Connection) Recv() ([]byte, error) { return owned(c.recv(nil, nil, 0)) }
 
 // owned is what Recv adds to RecvMessage, on every lane: the borrowed
 // message becomes a slice the caller keeps, at the price of one copy.
@@ -973,23 +970,37 @@ func owned(m Message, err error) ([]byte, error) { return m.Bytes(), err }
 // connections) and without Recv's copy: the message is borrowed — the
 // caller reads Data, never writes it, and calls Release exactly once
 // (or Bytes, to keep the contents).
-func (c *Connection) RecvMessage() (Message, error) { return c.recv(nil, 0) }
+func (c *Connection) RecvMessage() (Message, error) { return c.recv(nil, nil, 0) }
+
+// RecvMessageContext is RecvMessage that also ends when ctx does, with
+// ctx.Err() unless the connection failed first. An ended wait returns
+// nothing but what its last try took, so no message is popped and then
+// dropped; a ctx whose Done is nil (context.Background) costs what
+// RecvMessage costs — no timer, no goroutine.
+func (c *Connection) RecvMessageContext(ctx context.Context) (Message, error) {
+	m, err := c.recv(nil, ctx.Done(), 0)
+	if err != nil && c.Err() == nil && ctx.Err() != nil {
+		err = ctx.Err()
+	}
+	return m, err
+}
 
 // RecvTimeout is Recv with a deadline.
-func (c *Connection) RecvTimeout(d time.Duration) ([]byte, error) { return owned(c.recv(nil, d)) }
+func (c *Connection) RecvTimeout(d time.Duration) ([]byte, error) { return owned(c.recv(nil, nil, d)) }
 
 // RecvMessageTimeout is RecvMessage with a deadline — the combination
 // media streams need: loss metadata plus a playout deadline for frames
 // whose final segment never arrived. The caller releases the message.
 func (c *Connection) RecvMessageTimeout(d time.Duration) (Message, error) {
-	return c.recv(nil, d)
+	return c.recv(nil, nil, d)
 }
 
 // recv is the body of every message receive: the default lane's
 // (st == nil) and each stream's. What differs per lane is only the pop
 // — what taking a message tells the producer — and the lifecycle that
-// can end the wait; the waiting itself is await's.
-func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
+// can end the wait; the waiting itself is await's, which done (nil: never)
+// and d (<= 0: no deadline) also end.
+func (c *Connection) recv(st *stream.State, done <-chan struct{}, d time.Duration) (Message, error) {
 	if st == nil {
 		return c.await(&c.box, c.box.Bell, func() (Message, bool, error) {
 			m, ok := c.box.Pop()
@@ -997,7 +1008,7 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 				c.afterRecv()
 			}
 			return m, ok, nil
-		}, d)
+		}, done, d)
 	}
 	box := st.Box()
 	return c.await(box, box.Bell, func() (Message, bool, error) {
@@ -1008,21 +1019,22 @@ func (c *Connection) recv(st *stream.State, d time.Duration) (Message, error) {
 			return m, false, ErrStreamClosed
 		}
 		return m, ok, nil
-	}, d)
+	}, done, d)
 }
 
 // await is every blocking receive on a connection — a message on any
 // lane, a peer-opened stream on the accept queue. The wait loop is
 // stream.Await's, over try, which takes what the caller is waiting for
 // or reports the error that ends the wait (the lane's lifecycle is
-// over). The connection's part is the pump: parked on the connection, a
-// receiver whose try finds nothing reads the wires itself when it is
-// rung and a pump is free (pump) — a message completing on want, its
-// own lane's mailbox (nil for an acceptor), comes back directly, on
-// every runtime alike. A message waiting already is taken without
-// parking.
+// over); a closed done ends it as the connection's close would, after
+// one last take. The connection's part is the pump: parked on the
+// connection, a receiver whose try finds nothing reads the wires itself
+// when it is rung and a pump is free (pump) — a message completing on
+// want, its own lane's mailbox (nil for an acceptor), comes back
+// directly, on every runtime alike. A message waiting already is taken
+// without parking.
 func (c *Connection) await(want *stream.Mailbox[Message], bell func() <-chan struct{},
-	try func() (Message, bool, error), d time.Duration) (Message, error) {
+	try func() (Message, bool, error), done <-chan struct{}, d time.Duration) (Message, error) {
 	take := func() (m Message, ok bool, err error) {
 		for read := true; read && !ok && err == nil; {
 			if m, ok, err = try(); !ok && err == nil {
@@ -1040,7 +1052,7 @@ func (c *Connection) await(want *stream.Mailbox[Message], bell func() <-chan str
 		defer idleWaiters.Put(wt)
 		c.park(wt, false)
 		defer c.unpark(wt)
-		m, err = stream.Await(bell, wt.ring, nil, d, take)
+		m, err = stream.Await(bell, wt.ring, done, d, take)
 	}
 	return m, awaitErr(err, c.closeErr())
 }

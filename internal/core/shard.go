@@ -119,10 +119,6 @@ type shard struct {
 
 	// Loop-owned scratch, ping-ponged with ready.
 	readyScratch []*Connection
-
-	wakeups        atomic.Uint64
-	batches        atomic.Uint64
-	batchedPackets atomic.Uint64
 }
 
 // newShard builds a shard. Its owner starts the loop, counted on wg,
@@ -205,7 +201,6 @@ func (sh *shard) loop() {
 		case <-sh.quit:
 			return
 		}
-		sh.wakeups.Add(1)
 		mShardWakeups.IncAt(uint32(sh.id))
 		sh.cycle()
 	}

@@ -421,6 +421,9 @@ func TestShardedDeliveryBackpressure(t *testing.T) {
 }
 
 // TestShardStats checks the pool's counters move and batching occurs.
+// Batch depth has one count, core.send.coalesce_depth: a write of one
+// packet lands in its bucket 1, so what the other buckets hold are the
+// vectored writes.
 func TestShardStats(t *testing.T) {
 	nw := NewNetwork()
 	defer nw.Close()
@@ -444,19 +447,22 @@ func TestShardStats(t *testing.T) {
 			}
 		}
 	}()
+	before := telemetry.Capture().Histograms["core.send.coalesce_depth"]
 	if err := conn.Send(bytes.Repeat([]byte("x"), 8*256)); err != nil {
 		t.Fatal(err)
 	}
 
-	st := a.Telemetry().Shards
+	tel := a.Telemetry()
+	st, depth := tel.Shards, tel.Metrics.Histograms["core.send.coalesce_depth"]
 	if st.Shards != 2 {
 		t.Fatalf("Shards = %d, want 2", st.Shards)
 	}
 	if st.Conns != 1 {
 		t.Fatalf("Conns = %d, want 1", st.Conns)
 	}
-	if st.Batches == 0 || st.BatchedPackets < 8 {
-		t.Fatalf("batching counters did not move: %+v", st)
+	batches := depth.Count - before.Count - (depth.Buckets[0] - before.Buckets[0]) - (depth.Buckets[1] - before.Buckets[1])
+	if packets := depth.Sum - before.Sum - (depth.Buckets[1] - before.Buckets[1]); batches == 0 || packets < 8 {
+		t.Fatalf("batching did not show: %d vectored writes carried %d packets", batches, packets)
 	}
 	if err := a.SetShards(4); err == nil {
 		t.Fatal("SetShards accepted after the pool started")
@@ -539,8 +545,9 @@ func TestShardedInstrumentedSend(t *testing.T) {
 // echoes, each end keeps one goroutine blocked in Recv and another in
 // Send, so an arrival finds a waiter, and the two ends' loops wake for
 // fewer than half of the echoes. A loop that read every arrival would
-// wake at least once per echo. The wake-ups are read off the two
-// connections' own shards: a private one is not in Telemetry's Shards.
+// wake at least once per echo. The wake-ups are the one count of them,
+// core.shard.wakeups_total, which counts private loops and the pool's
+// alike.
 func TestShardedWaitersReadTheirWires(t *testing.T) {
 	const echoes = 200
 	for _, rt := range allRuntimes[:2] { // the fast path has no loop
@@ -553,10 +560,7 @@ func TestShardedWaitersReadTheirWires(t *testing.T) {
 			rt.set(&opts)
 			conn, peer, cleanup := newPairT(t, opts)
 			defer cleanup()
-			wakeups := func() uint64 {
-				return conn.sh.shard.wakeups.Load() + peer.sh.shard.wakeups.Load()
-			}
-			before := wakeups()
+			before := mShardWakeups.Value()
 			errs := make(chan error, 2)
 			relay := make(chan []byte, echoes)
 			go func() { // the peer's receiver
@@ -601,11 +605,47 @@ func TestShardedWaitersReadTheirWires(t *testing.T) {
 			if err := <-errs; err != nil {
 				t.Fatal(err)
 			}
-			n := wakeups() - before
+			n := mShardWakeups.Value() - before
 			t.Logf("the loops woke %d times over %d echoes", n, echoes)
 			if n >= echoes/2 {
 				t.Fatalf("the shard loops woke %d times over %d echoes whose ends all waited, want fewer than %d", n, echoes, echoes/2)
 			}
 		})
+	}
+}
+
+// TestPrivateLoopWakeupsCounted: loop wake-ups have one count,
+// core.shard.wakeups_total, and a threaded connection's private loop adds
+// to it as the pool's loops do — System.Telemetry's Shards describes the
+// pool alone and is empty here. Messages sent while the peer waits for
+// none are read by the peer's loop, which must wake (the test waits
+// until the peer's books show them all).
+func TestPrivateLoopWakeupsCounted(t *testing.T) {
+	conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI})
+	defer cleanup()
+	before := conn.sys.Telemetry().Metrics.Counters["core.shard.wakeups_total"]
+	const n = 8
+	for i := 0; i < n; i++ {
+		if err := conn.Send([]byte("wake the peer's loop")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; peer.Stats().MessagesReceived < n; i++ { // nobody waits: the loop reads them
+		if i == 1_000_000 {
+			t.Fatalf("the peer's loop read %d of %d messages", peer.Stats().MessagesReceived, n)
+		}
+		runtime.Gosched()
+	}
+	for i := 0; i < n; i++ {
+		if _, err := peer.RecvTimeout(5 * time.Second); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tel := conn.sys.Telemetry()
+	if tel.Shards != (ShardStats{}) {
+		t.Fatalf("Shards = %+v: a threaded connection built a pool", tel.Shards)
+	}
+	if after := tel.Metrics.Counters["core.shard.wakeups_total"]; after <= before {
+		t.Fatalf("core.shard.wakeups_total %d → %d: the peer's private loop read %d messages uncounted", before, after, n)
 	}
 }

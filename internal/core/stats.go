@@ -66,32 +66,19 @@ func (s Stats) totals() connTotals {
 func (c *Connection) Stats() Stats { return c.stats.snapshot() }
 
 // ShardStats is a snapshot of a System's sharded-runtime pool: how
-// many event loops it runs, how many connections they carry, and how
-// deep the vectored writes on those connections run (PacketsPerBatch).
+// many event loops it runs and how many connections they carry. How
+// often loops wake is core.shard.wakeups_total and how deep vectored
+// writes run is core.send.coalesce_depth, both process-wide and on
+// every runtime.
 type ShardStats struct {
 	// Shards is the pool size; zero until the first sharded connection.
 	Shards int
 	// Conns is the number of currently registered sharded connections.
 	Conns int
-	// Wakeups counts event-loop cycles across all shards.
-	Wakeups uint64
-	// Batches counts vectored (multi-packet) transport writes on the
-	// shards' connections, whoever drained the queue.
-	Batches uint64
-	// BatchedPackets counts packets written through those batches.
-	BatchedPackets uint64
 }
 
-// PacketsPerBatch reports the mean batch occupancy.
-func (s ShardStats) PacketsPerBatch() float64 {
-	if s.Batches == 0 {
-		return 0
-	}
-	return float64(s.BatchedPackets) / float64(s.Batches)
-}
-
-// shardStats snapshots the System's shard pool counters — the Shards
-// field of System.Telemetry.
+// shardStats snapshots the System's shard pool — the Shards field of
+// System.Telemetry.
 func (s *System) shardStats() ShardStats {
 	s.shardMu.Lock()
 	shards := s.shards
@@ -101,9 +88,6 @@ func (s *System) shardStats() ShardStats {
 		sh.mu.Lock()
 		st.Conns += len(sh.conns)
 		sh.mu.Unlock()
-		st.Wakeups += sh.wakeups.Load()
-		st.Batches += sh.batches.Load()
-		st.BatchedPackets += sh.batchedPackets.Load()
 	}
 	return st
 }

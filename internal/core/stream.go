@@ -189,7 +189,7 @@ func (c *Connection) AcceptStreamTimeout(d time.Duration) (*Stream, error) {
 			err = c.closeErr()
 		}
 		return
-	}, d)
+	}, nil, d)
 	if err != nil {
 		return nil, err
 	}
@@ -221,20 +221,20 @@ func (s *Stream) Send(msg []byte) error {
 
 // Recv blocks for the next fully received message on the stream and
 // returns it as a slice the caller owns.
-func (s *Stream) Recv() ([]byte, error) { return owned(s.c.recv(s.st, 0)) }
+func (s *Stream) Recv() ([]byte, error) { return owned(s.c.recv(s.st, nil, 0)) }
 
 // RecvMessage is Recv with loss metadata and without its copy: the
 // message is borrowed, as Connection.RecvMessage's is — read-only, and
 // the caller's to Release exactly once.
-func (s *Stream) RecvMessage() (Message, error) { return s.c.recv(s.st, 0) }
+func (s *Stream) RecvMessage() (Message, error) { return s.c.recv(s.st, nil, 0) }
 
 // RecvTimeout is Recv with a deadline.
-func (s *Stream) RecvTimeout(d time.Duration) ([]byte, error) { return owned(s.c.recv(s.st, d)) }
+func (s *Stream) RecvTimeout(d time.Duration) ([]byte, error) { return owned(s.c.recv(s.st, nil, d)) }
 
 // RecvMessageTimeout is RecvMessage with a deadline; the caller
 // releases the message.
 func (s *Stream) RecvMessageTimeout(d time.Duration) (Message, error) {
-	return s.c.recv(s.st, d)
+	return s.c.recv(s.st, nil, d)
 }
 
 // Close tears the stream down on this side and announces the close to

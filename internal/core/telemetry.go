@@ -27,7 +27,8 @@ var (
 	// doorbell-triggered loop wakeups (1:1 with cycles today, kept
 	// separate so batched-cycle variants stay observable). Both count
 	// every loop, a threaded connection's private one as well as the
-	// pool's (System.Telemetry's Shards is the pool's alone).
+	// pool's: the one count of loop wake-ups (System.Telemetry's Shards
+	// is the pool's size alone).
 	mShardCycles  = telemetry.NewCounter("core.shard.cycles_total")
 	mShardWakeups = telemetry.NewCounter("core.shard.wakeups_total")
 	// mParkedConns is the number of connections, on every runtime, whose

@@ -43,17 +43,25 @@ func (d *Delivery) Release() {
 	}
 }
 
-// Bytes returns the contents as a slice the caller owns, for good: Data
-// itself when already owned, else an exact-size copy made before the
-// borrowed storage goes back. The delivery is owned from then on.
-func (d *Delivery) Bytes() []byte {
-	if d.ref != nil {
-		own := make([]byte, len(d.Data))
-		copy(own, d.Data)
-		d.ref.Release()
-		d.ref, d.Data = nil, own
+// Bytes returns the contents as a slice the caller owns, for good:
+// Keep(0, len(d.Data)).
+func (d *Delivery) Bytes() []byte { return d.Keep(0, len(d.Data)) }
+
+// Keep returns Data[i:j] as a slice the caller owns, for good: a slice of
+// Data when Data is already owned, else an exact-size copy of the range
+// made before the borrowed storage goes back — the rest of the message
+// is never copied. The delivery is owned from then on, and Data is what
+// Keep returned.
+func (d *Delivery) Keep(i, j int) []byte {
+	if d.ref == nil {
+		d.Data = d.Data[i:j]
+		return d.Data
 	}
-	return d.Data
+	own := make([]byte, j-i)
+	copy(own, d.Data[i:j])
+	d.ref.Release()
+	d.ref, d.Data = nil, own
+	return own
 }
 
 // inbound is one tracked session. While it reassembles it holds its

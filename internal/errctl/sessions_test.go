@@ -340,3 +340,38 @@ func TestOneSDUDeliveryIsItsArrivalBuffer(t *testing.T) {
 		}
 	}
 }
+
+// TestKeepCopiesOnlyTheRange: Keep is Bytes for a range. A borrowed
+// delivery's range comes back as an exact-size copy, and the arrival
+// buffer goes back at once; an owned delivery's range is a slice of its
+// Data, at no allocation.
+func TestKeepCopiesOnlyTheRange(t *testing.T) {
+	msg := []byte("head|payload|tail")
+	before := buf.Outstanding()
+	d := deliverOne(t, &SessionTable{Alg: SelectiveRepeat}, 1, msg, 0)
+	if d.ref == nil {
+		t.Fatal("a one-SDU delivery is not borrowed")
+	}
+	got := d.Keep(5, 12)
+	if string(got) != "payload" || cap(got) != len(got) {
+		t.Fatalf("borrowed Keep = %q (cap %d), want an exact-size %q", got, cap(got), "payload")
+	}
+	if d.ref != nil || string(d.Data) != "payload" {
+		t.Fatalf("after Keep: borrowed %v, Data %q", d.ref != nil, d.Data)
+	}
+	if held := buf.Outstanding() - before; held != 0 {
+		t.Fatalf("%d buffers still pinned after Keep", held)
+	}
+
+	owned := Delivery{Data: []byte("head|payload|tail")}
+	var kept []byte
+	if n := testing.AllocsPerRun(10, func() { o := owned; kept = o.Keep(5, 12) }); n != 0 && !raceDetector {
+		t.Fatalf("owned Keep allocates %v", n)
+	}
+	if string(kept) != "payload" || &kept[0] != &owned.Data[5] {
+		t.Fatalf("owned Keep = %q, not a slice of Data", kept)
+	}
+	if all := d.Bytes(); string(all) != "payload" {
+		t.Fatalf("Bytes after Keep = %q", all)
+	}
+}

@@ -9,8 +9,16 @@
 // path.
 //
 // A Client multiplexes many concurrent in-flight calls over one
-// Connection, matching replies to callers by uint64 call IDs. A Server
-// runs named-method handlers on worker threads built from
+// Connection, matching replies to callers by uint64 call IDs, and runs
+// no goroutine of its own: the caller reads its own reply. Of the calls
+// in flight, the one holding the Client's lead token reads the
+// connection, deposits every other call's reply with that call, and
+// hands the token on once its own has come (Leader/Followers), so a
+// sole caller neither registers nor is handed its reply. A reply keeps
+// only its payload. On the fast path, whose connections nobody reads
+// unless someone waits on them, the Client keeps one reader instead.
+//
+// A Server runs named-method handlers on worker threads built from
 // internal/thread, so the paper's kernel-level/user-level thread
 // architectures apply to RPC dispatch exactly as they do to Compute
 // Threads. ServerOptions.Workers bounds the handlers running at once per
@@ -114,17 +122,9 @@ func putEncoder(enc *xdr.Encoder) {
 	}
 }
 
-// appendCall frames one call message.
+// appendCall frames one unary call message.
 func appendCall(enc *xdr.Encoder, id uint64, method string, deadline time.Duration, req []byte) {
-	enc.PutUint32(kindCall)
-	enc.PutUint64(id)
-	enc.PutString(method)
-	if deadline > 0 {
-		enc.PutUint64(uint64(deadline / time.Microsecond))
-	} else {
-		enc.PutUint64(0)
-	}
-	enc.PutOpaque(req)
+	appendStreamCall(enc, id, method, deadline, 0, 0, req)
 }
 
 // appendReply frames one reply message.
@@ -136,12 +136,14 @@ func appendReply(enc *xdr.Encoder, id uint64, status uint32, errmsg string, resp
 	enc.PutOpaque(resp)
 }
 
-// callFrame is a parsed call. method and payload alias the message the
-// frame was parsed from.
+// callFrame is a parsed call, unary or streaming (mode non-zero).
+// method and payload alias the message the frame was parsed from.
 type callFrame struct {
 	id       uint64
 	method   []byte
 	deadline time.Duration // 0 = none
+	mode     StreamMode
+	streamID uint32
 	payload  []byte
 }
 
@@ -152,6 +154,7 @@ type replyFrame struct {
 	status  uint32
 	errmsg  []byte
 	payload []byte
+	at      int // the payload's offset in the frame
 }
 
 // parseKind reads the leading message kind.
@@ -163,8 +166,9 @@ func parseKind(d *xdr.Decoder) (uint32, error) {
 	return k, nil
 }
 
-// parseCall decodes the remainder of a call frame after its kind.
-func parseCall(d *xdr.Decoder) (callFrame, error) {
+// parseCall decodes the remainder of a call frame after its kind k: a
+// streaming call's (kindStreamCall) carries its mode and chunk stream.
+func parseCall(d *xdr.Decoder, k uint32) (callFrame, error) {
 	var cf callFrame
 	var err error
 	if cf.id, err = d.Uint64(); err != nil {
@@ -174,13 +178,22 @@ func parseCall(d *xdr.Decoder) (callFrame, error) {
 		return cf, errBadFrame
 	}
 	us, err := d.Uint64()
-	if err != nil {
-		return cf, errBadFrame
-	}
-	if us > maxDeadlineMicros {
+	if err != nil || us > maxDeadlineMicros {
 		return cf, errBadFrame
 	}
 	cf.deadline = time.Duration(us) * time.Microsecond
+	if k == kindStreamCall {
+		mode, err := d.Uint32()
+		if err != nil {
+			return cf, errBadFrame
+		}
+		cf.mode = StreamMode(mode)
+		// Stream 0 is the call/reply channel itself; a frame naming it
+		// is corrupt.
+		if cf.streamID, err = d.Uint32(); err != nil || cf.streamID == 0 {
+			return cf, errBadFrame
+		}
+	}
 	if cf.payload, err = d.Opaque(); err != nil {
 		return cf, errBadFrame
 	}
@@ -200,6 +213,7 @@ func parseReply(d *xdr.Decoder) (replyFrame, error) {
 	if rf.errmsg, err = d.Opaque(); err != nil {
 		return rf, errBadFrame
 	}
+	rf.at = d.Offset() + 4 // past the payload's length word
 	if rf.payload, err = d.Opaque(); err != nil {
 		return rf, errBadFrame
 	}

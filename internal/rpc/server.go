@@ -246,20 +246,11 @@ func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
 	if kerr != nil || (k != kindCall && k != kindStreamCall) {
 		return request{}, false
 	}
-	req := request{conn: conn, msg: m}
-	var cf callFrame
-	if k == kindStreamCall {
-		sf, err := parseStreamCall(d)
-		if err != nil {
-			return request{}, false
-		}
-		cf, req.stream, req.streamID, req.mode = sf.callFrame, true, sf.streamID, sf.mode
-	} else {
-		var err error
-		if cf, err = parseCall(d); err != nil {
-			return request{}, false
-		}
+	cf, err := parseCall(d, k)
+	if err != nil {
+		return request{}, false
 	}
+	req := request{conn: conn, msg: m, stream: k == kindStreamCall, streamID: cf.streamID, mode: cf.mode}
 	s.hmu.RLock()
 	if req.stream {
 		req.sh = s.shandlers[string(cf.method)]

@@ -71,65 +71,23 @@ const (
 // chunk; the accompanying message is attached.
 var ErrStreamAborted = errors.New("rpc: stream aborted")
 
-// appendStreamCall frames one streaming-call open.
+// appendStreamCall frames one call: a streaming call's open (mode
+// non-zero) names its mode and chunk stream; with mode 0 it is a unary
+// call's frame (appendCall).
 func appendStreamCall(enc *xdr.Encoder, id uint64, method string, deadline time.Duration, mode StreamMode, streamID uint32, req []byte) {
-	enc.PutUint32(kindStreamCall)
+	if mode != 0 {
+		enc.PutUint32(kindStreamCall)
+	} else {
+		enc.PutUint32(kindCall)
+	}
 	enc.PutUint64(id)
 	enc.PutString(method)
-	if deadline > 0 {
-		enc.PutUint64(uint64(deadline / time.Microsecond))
-	} else {
-		enc.PutUint64(0)
+	enc.PutUint64(uint64(max(deadline, 0) / time.Microsecond))
+	if mode != 0 {
+		enc.PutUint32(uint32(mode))
+		enc.PutUint32(streamID)
 	}
-	enc.PutUint32(uint32(mode))
-	enc.PutUint32(streamID)
 	enc.PutOpaque(req)
-}
-
-// streamCallFrame is a parsed streaming-call open. method and payload
-// alias the message the frame was parsed from.
-type streamCallFrame struct {
-	callFrame
-	mode     StreamMode
-	streamID uint32
-}
-
-// parseStreamCall decodes the remainder of a stream-call frame after
-// its kind.
-func parseStreamCall(d *xdr.Decoder) (streamCallFrame, error) {
-	var sf streamCallFrame
-	var err error
-	if sf.id, err = d.Uint64(); err != nil {
-		return sf, errBadFrame
-	}
-	if sf.method, err = d.Opaque(); err != nil {
-		return sf, errBadFrame
-	}
-	us, err := d.Uint64()
-	if err != nil {
-		return sf, errBadFrame
-	}
-	if us > maxDeadlineMicros {
-		return sf, errBadFrame
-	}
-	sf.deadline = time.Duration(us) * time.Microsecond
-	mode, err := d.Uint32()
-	if err != nil {
-		return sf, errBadFrame
-	}
-	sf.mode = StreamMode(mode)
-	if sf.streamID, err = d.Uint32(); err != nil {
-		return sf, errBadFrame
-	}
-	if sf.streamID == 0 {
-		// Stream 0 is the call/reply channel itself; a frame naming it
-		// is corrupt.
-		return sf, errBadFrame
-	}
-	if sf.payload, err = d.Opaque(); err != nil {
-		return sf, errBadFrame
-	}
-	return sf, nil
 }
 
 // sendChunk stages one prefixed chunk through a pooled buffer and
@@ -187,44 +145,16 @@ type ClientCall struct {
 // openStream opens a streaming call: a dedicated chunk stream plus the
 // kindStreamCall frame naming it.
 func (c *Client) openStream(ctx context.Context, method string, mode StreamMode, req []byte) (*ClientCall, error) {
-	c.mu.Lock()
-	if c.closed || c.err != nil {
-		err := c.err
-		c.mu.Unlock()
-		if err == nil {
-			err = ErrClientClosed
-		}
-		return nil, err
-	}
-	ca := idleCalls.Get()
-	id := c.nextID.Add(1)
-	c.calls[id] = ca
-	c.mu.Unlock()
-	mClientInflight.Inc()
-
-	var budget time.Duration
-	if dl, ok := ctx.Deadline(); ok {
-		budget = time.Until(dl)
-		if budget <= 0 {
-			c.abandon(id, ca)
-			return nil, ctx.Err()
-		}
-	}
 	st, err := c.conn.OpenStream()
 	if err != nil {
-		c.abandon(id, ca)
-		return nil, err
+		return nil, c.teardown(err)
 	}
-
-	enc := idleEncoders.Get()
-	enc.Reset()
-	appendStreamCall(enc, id, method, budget, mode, st.ID(), req)
-	if err := c.conn.Send(enc.Bytes()); err != nil {
+	id, ca, err := c.issue(ctx, false, method, mode, st.ID(), req)
+	if err != nil {
 		st.Close()
-		c.abandon(id, ca)
 		return nil, err
 	}
-	putEncoder(enc)
+	mClientInflight.Inc()
 	return &ClientCall{c: c, st: st, id: id, method: method, mode: mode, ca: ca}, nil
 }
 
@@ -272,26 +202,24 @@ func (cc *ClientCall) Abort(msg string) error {
 
 // Recv returns the next server chunk. io.EOF reports the handler
 // finished its chunk flow (collect the final reply with Result);
-// ErrStreamAborted carries a handler-side abnormal end.
+// ErrStreamAborted carries a handler-side abnormal end. Before it waits
+// it sweeps the connection's unread replies (Client.sweep), this call's
+// and others', so they cannot stop the chunks it waits for.
 func (cc *ClientCall) Recv() ([]byte, error) {
+	cc.c.sweep()
 	return recvChunk(cc.st)
 }
 
 // Result blocks for the server's final reply — exactly a unary call's
 // completion: the handler's return value, or its error as
-// *ServerError — and closes the chunk stream. ctx bounds the wait.
+// *ServerError — and closes the chunk stream. It waits as a unary call
+// does (Client.wait): it may lead, and read the connection itself. ctx
+// bounds the wait.
 func (cc *ClientCall) Result(ctx context.Context) ([]byte, error) {
-	select {
-	case r := <-cc.ca.ch:
-		idleCalls.Put(cc.ca)
-		mClientInflight.Dec()
-		cc.st.Close()
-		return r.result(cc.method)
-	case <-ctx.Done():
-		cc.c.abandon(cc.id, cc.ca)
-		cc.st.Close()
-		return nil, ctx.Err()
-	}
+	r := cc.c.wait(ctx, cc.id, cc.ca)
+	mClientInflight.Dec()
+	cc.st.Close()
+	return r.result(cc.method)
 }
 
 // Close abandons the call without waiting for its reply and tears the
@@ -299,6 +227,8 @@ func (cc *ClientCall) Result(ctx context.Context) ([]byte, error) {
 // flow). Use Result for a graceful finish.
 func (cc *ClientCall) Close() error {
 	cc.c.abandon(cc.id, cc.ca)
+	cc.c.sweep()
+	mClientInflight.Dec()
 	return cc.st.Close()
 }
 

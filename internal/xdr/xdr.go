@@ -137,6 +137,10 @@ func NewDecoder(p []byte) *Decoder { return &Decoder{buf: p} }
 // Remaining reports the number of unread bytes.
 func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
+// Offset reports the number of bytes read so far: where the next value
+// starts in p.
+func (d *Decoder) Offset() int { return d.off }
+
 // Uint32 decodes a 32-bit unsigned integer.
 func (d *Decoder) Uint32() (uint32, error) {
 	if d.Remaining() < 4 {
