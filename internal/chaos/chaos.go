@@ -66,7 +66,7 @@ type Config struct {
 	FastPath bool
 	// Sharded drives the connection from the System's shard pool
 	// (core.RuntimeSharded) instead of per-connection threads. Ignored
-	// when FastPath is set (the fast path bypasses both runtimes).
+	// when FastPath is set (a fast-path connection is on the pool anyway).
 	Sharded bool
 	// Schedule is the impairment schedule applied to the data path
 	// (both directions); the control path stays clean, per the paper's

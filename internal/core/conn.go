@@ -355,7 +355,9 @@ type Connection struct {
 	txCounter atomic.Uint32
 	rxCounter atomic.Uint32
 
-	paused atomic.Bool // the default lane's producer stopped at depth (see box)
+	paused  atomic.Bool // the default lane's producer stopped at depth (see box)
+	queued  atomic.Bool // on its shard's ready list
+	serving atomic.Bool // its shard's loop is pumping it: what it emits waits for the cycle's flush (emitCtrl)
 
 	// The data and control transports as their writers share them
 	// (flush), and as their readers do (pump.go: wireData, wireCtrl).
@@ -380,10 +382,10 @@ type Connection struct {
 	// by streamSlotCh on a connection's first stream send.
 	streamSlotsP atomic.Pointer[chan struct{}]
 
-	// sh is the connection's shard attachment — a private shard's, or
-	// the System's pool's; nil on the fast path. inbox, when bound,
-	// merges this connection's deliveries into a shared queue.
-	sh    *shardConn
+	// sh is the connection's pump of last resort: a private shard, or one
+	// of the System's pool. inbox, when bound, merges this connection's
+	// deliveries into a shared queue.
+	sh    *shard
 	inbox atomic.Pointer[Inbox]
 
 	closeOnce sync.Once
@@ -422,17 +424,14 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 	}
 	c.inbound.Alg = opts.ErrorControl
 	// Whoever waits on a wire reads it; the runtimes differ in its pump of
-	// last resort (pump.go): a shard's loop (shard.go) — one of the
-	// System's pool, else a private one that serves this connection alone
-	// and stops with it (Close's barrier is c.wg) — and for the fast path
-	// none. In-band control (the ablation of §2's split planes) rides the
+	// last resort (pump.go), a shard's loop (shard.go): one of the System's
+	// pool — a sharded or fast-path connection's — else a private one that
+	// serves this connection alone and stops with it (Close's barrier is
+	// c.wg). In-band control (the ablation of §2's split planes) rides the
 	// data wire, whose reader demultiplexes it.
-	switch {
-	case opts.FastPath:
-		c.listen(nil)
-	case opts.Runtime == RuntimeSharded:
+	if opts.FastPath || opts.Runtime == RuntimeSharded {
 		c.attachShard(sys.shardFor(id))
-	default:
+	} else {
 		sh := newShard(int(id), c.closedCh, &c.wg)
 		c.wg.Add(1)
 		go sh.loop()
@@ -478,14 +477,9 @@ func (c *Connection) flowRecv() flowctl.Receiver {
 		return *p
 	}
 	fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
-	if c.in[wireData].last != nil {
-		// Give a credit receiver an asynchronous emitter so its
-		// refill-retry timer can re-advertise a possibly-lost grant:
-		// progress nobody asked for, which a connection without a pump of
-		// last resort — the fast path — declines. An emitterless receiver
-		// arms no timers at all.
-		flowctl.SetEmitter(fr, c.emitStamped)
-	}
+	// A credit receiver's refill-retry timer re-advertises a possibly-lost
+	// grant through this emitter.
+	flowctl.SetEmitter(fr, c.emitStamped)
 	select {
 	case <-c.closedCh:
 		fr.Close()
@@ -504,16 +498,6 @@ func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
 		return flowctl.SenderStats{}, false
 	}
 	return flowctl.SenderStatsOf(*p)
-}
-
-// attachShard registers the connection with sh, its wires' pump of last
-// resort: what arrives while nobody waits re-queues it there — pollable
-// transports (HPI, UDP) at no goroutine of their own, others through a
-// bridge goroutine that only reads the wire (pump.go).
-func (c *Connection) attachShard(sh *shard) {
-	c.sh = &shardConn{shard: sh}
-	c.listen(func() { sh.requeue(c) })
-	sh.register(c)
 }
 
 // closeErr maps connection shutdown to the caller-visible error.
@@ -764,7 +748,7 @@ func (c *Connection) rto() time.Duration {
 // counted: c.stats is the only book (conns.go reads it for core.conn.*).
 //
 // Having written a lone SDU of an unreliable message inline, a sender on
-// the System's shard pool yields. The write woke the peer's reader onto
+// the sharded runtime yields. The write woke the peer's reader onto
 // this P's runnext; Gosched runs it at once and moves the sender to the
 // global run queue, where an idle P takes it. Without the yield, that P finds only a
 // running P's runnext to steal and backs off in the Go scheduler's
@@ -773,17 +757,19 @@ func (c *Connection) rto() time.Duration {
 // does not yield: it parks for its acknowledgment next, which hands the
 // P to the reader as well, and a yield would let the acknowledgment
 // arrive while nobody waits, ringing the shard's loop instead of the
-// sender. No yield follows a fast-path write or a control write
-// (emitCtrl): both measured worse with one. Nor a threaded write, though
+// sender. No yield follows a control write (emitCtrl): it measured
+// worse with one. Nor a threaded write, though
 // its connection has a shard too, a private one: there the sender's move
 // between Ps after each yield left the runtime's per-P sudog caches to
 // refill after every collection, and a 64 B reliable echo allocated up
 // to 2.11 times per echo under a forced collection every 16th
 // (TestMessagePathAllocationsSurviveTheCollector; 2.00–2.01 without it),
 // and an unreliable one-way send took 3.2–6.2 µs instead of 2.2–3.9
-// (BenchmarkAllocCreditSend and StreamSend, -cpu 1,2 on 2 CPUs). A connection is on the pool when
-// Options.Runtime chose it and it has a pump of last resort, which the
-// fast path has not.
+// (BenchmarkAllocCreditSend and StreamSend, -cpu 1,2 on 2 CPUs). A
+// fast-path connection is on the pool whatever Options.Runtime says, and
+// never yields: with the yield, a 4 KB fast-path echo took 9.6 µs
+// instead of 8.1–8.4 at -cpu 2 (BenchmarkAllocHPIFastpathEcho, medians
+// of 10 alternating runs on 2 CPUs).
 func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error {
 	// Each retransmission is error control's verdict that one earlier
 	// transmission of that sequence was lost; hand the verdict to flow
@@ -808,7 +794,7 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 		telemetry.TraceStamp(c.id, sdu.Header.SessionID, telemetry.StageStaged)
 		if alone {
 			if ok, err := c.writeInline(&c.dataW, c.data, outItem{sdu: sdu}); ok {
-				if err == nil && c.opts.Runtime == RuntimeSharded && c.in[wireData].last != nil && c.opts.ErrorControl == errctl.None {
+				if err == nil && c.opts.Runtime == RuntimeSharded && !c.opts.FastPath && c.opts.ErrorControl == errctl.None {
 					runtime.Gosched()
 				}
 				return err
@@ -1133,12 +1119,9 @@ func (c *Connection) resume() { c.in[wireData].arrived() }
 // become InboxMessages on the shared queue instead of landing in the
 // connection's own mailbox. Bind before traffic starts (right
 // after Connect/Accept); messages already delivered remain readable
-// via Recv. Fast-path connections cannot bind: they have no pump of
-// last resort to deliver while every consumer waits on the inbox.
+// via Recv. Every runtime binds: while every consumer waits on the
+// inbox, the connection's pump of last resort delivers.
 func (c *Connection) BindInbox(ib *Inbox) error {
-	if c.opts.FastPath {
-		return ErrFastPathOnly
-	}
 	c.inbox.Store(ib)
 	return nil
 }
@@ -1185,10 +1168,9 @@ func (c *Connection) ingest(b *buf.Buffer, want *stream.Mailbox[Message]) (Messa
 // stream backs up only its own mailbox, behind its own withheld grants
 // — so it cannot stall the shard's loop or stream 0.
 // The stream is created on first frame, which is what makes
-// CtrlStreamOpen advisory and lets the fast path (whose control
-// connection only senders read) accept streams purely from data
-// arrivals. payload aliases the pooled receive buffer ref, which the
-// caller still owns.
+// CtrlStreamOpen advisory: a data frame read before it opens the stream.
+// payload aliases the pooled receive buffer ref, which the caller still
+// owns.
 func (c *Connection) dispatchData(h packet.DataHeader, payload []byte, ref *buf.Buffer, want *stream.Mailbox[Message]) (m Message, handed bool) {
 	telemetry.TraceStamp(c.id, h.SessionID, telemetry.StageWireIn)
 	c.stats.sdusReceived.Add(1)
@@ -1288,12 +1270,11 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 // A ping neither waits for queue room nor writes: the liveness sweep
 // that sends it must not block on one connection, and a full queue is
 // control traffic in flight — the verdict reads what was heard, not what
-// was sent. Its wire is drained by the shard's loop, which the ping
-// re-queues the connection on — or, on the fast path, which has no
-// shard, by a flush that only tries the owner. The acks and grants a
-// shard emits while it serves the connection stay queued, too: the loop
-// drains every connection it served at the end of its cycle, coalesced
-// with the rest of the cycle's output.
+// was sent. Its wire is drained by the connection's pump of last resort,
+// a shard's loop, which the ping rings. The acks and grants a shard
+// emits while it serves the connection stay queued, too: the loop drains
+// every connection it served at the end of its cycle, coalesced with the
+// rest of the cycle's output.
 func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	sb := buf.GetCap(packet.ControlHeaderSize + len(ctl.Body))
 	sb.B = ctl.Marshal(sb.B)
@@ -1303,7 +1284,7 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 	}
 	ping := ctl.Type == packet.CtrlPing
 	it := outItem{ctrl: sb}
-	if !ping && (c.sh == nil || !c.sh.serving.Load()) {
+	if !ping && !c.serving.Load() {
 		if ok, err := c.writeInline(w, t, it); ok {
 			return err == nil
 		}
@@ -1313,9 +1294,9 @@ func (c *Connection) emitCtrl(ctl packet.Control) bool {
 		return false
 	}
 	switch {
-	case ping && c.sh != nil:
-		c.sh.shard.requeue(c)
-	case c.sh == nil || !c.sh.serving.Load(): // read after the push: a loop done serving flushed before it
+	case ping:
+		c.in[wireCtrl].last()
+	case !c.serving.Load(): // read after the push: a loop done serving flushed before it
 		return c.flush(w, t, false) == nil
 	}
 	return true
@@ -1416,9 +1397,7 @@ func (c *Connection) Close() error {
 		c.data.Close()
 		c.ctrl.Close()
 		c.wg.Wait()
-		if sc := c.sh; sc != nil {
-			sc.shard.unregister(c) // nothing re-queues it any more
-		}
+		c.detachShard() // nothing re-queues it any more
 		// A waiter or a pump of last resort may still be reading a wire;
 		// once it lets the pump go, no one will (readIn checks the close
 		// under it). Then nothing touches the lanes concurrently, and what

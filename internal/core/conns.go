@@ -156,12 +156,7 @@ func (c *Connection) info() ConnInfo {
 	if c.fcRecv.Load() != nil {
 		ci.Bytes += flowHalfEstimate
 	}
-	if sc := c.sh; sc != nil {
-		ci.Bytes += uint64(unsafe.Sizeof(*sc))
-		if sc.shard.quit == c.closedCh { // a private shard, the connection's own
-			ci.Bytes += uint64(unsafe.Sizeof(shard{}))
-		}
-	}
+	ci.Bytes += c.privateShardBytes()
 	return ci
 }
 

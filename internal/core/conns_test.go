@@ -142,8 +142,7 @@ func booksAcrossCloses(t *testing.T, runtime func(*Options), ec errctl.Algorithm
 	// At rest means every teardown is over. A connection that closed by
 	// itself had already left its System's registry, so no System.Close
 	// waited for it: Close again does (it returns once the first is
-	// through). The fast path's Close leaves its reap — and so its last
-	// settle — to a goroutine that follows the receive procedure out.
+	// through).
 	for _, c := range conns {
 		c.Close()
 	}
@@ -152,17 +151,11 @@ func booksAcrossCloses(t *testing.T, runtime func(*Options), ec errctl.Algorithm
 		t.Fatalf("only %d captures raced the closes", n)
 	}
 
-	atRest := func() (got, want connTotals) {
-		var stats []Stats
-		for _, c := range conns {
-			stats = append(stats, c.Stats())
-		}
-		return connTotalsSince(before), statTotals(stats...)
+	var stats []Stats
+	for _, c := range conns {
+		stats = append(stats, c.Stats())
 	}
-	got, want := atRest()
-	for deadline := time.Now().Add(2 * time.Second); got != want && opts.FastPath && time.Now().Before(deadline); got, want = atRest() {
-		time.Sleep(time.Millisecond)
-	}
+	got, want := connTotalsSince(before), statTotals(stats...)
 	if got != want {
 		t.Errorf("at rest core.conn.* moved by %v, the Stats of every connection there was sum to %v (order: %v)", got, want, connTotalNames)
 	}

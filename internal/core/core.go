@@ -55,7 +55,6 @@ var (
 	ErrConnClosed      = errors.New("ncs: connection closed")
 	ErrSendTooLarge    = errors.New("ncs: message exceeds connection limit")
 	ErrRecvTimeout     = errors.New("ncs: receive timed out")
-	ErrFastPathOnly    = errors.New("ncs: connection configured for fast path")
 	ErrPeerUnreachable = errors.New("ncs: peer unreachable (heartbeat timeout)")
 	ErrStreamClosed    = errors.New("ncs: stream closed")
 
@@ -103,17 +102,19 @@ type Options struct {
 	// resort; RuntimeSharded drives it from the System's fixed pool of
 	// I/O shards, which demultiplex receives and coalesce sends across
 	// every sharded connection — the many-connection scale-out.
-	// FastPath takes precedence: a fast-path connection has no shard,
-	// private or pooled. The option travels through signaling, so both
-	// endpoints run the architecture the dialer chose.
+	// FastPath puts the connection on the pool whatever Runtime says.
+	// The option travels through signaling, so both endpoints run the
+	// architecture the dialer chose.
 	Runtime Runtime
-	// FastPath selects the §4.2 procedure variant: the threaded
-	// runtime without its pump of last resort. On every runtime, Send
-	// and Recv read the wire they wait on themselves; on the fast path
-	// nothing else does, so what arrives
-	// while nobody waits stays on the wire. Its policies differ too: a
-	// fixed retransmission timeout, an admission wait that gives up, no
-	// Inbox and no heartbeat. (The three booleans sit together so they
+	// FastPath selects the §4.2 procedure variant: no thread of the
+	// connection's own. On every runtime, Send and Recv read the wire
+	// they wait on themselves; what arrives while nobody waits is read
+	// by the System's shard pool, which a fast-path connection joins at
+	// no goroutine of its own on a pollable transport (HPI, UDP) — the
+	// System's first sharded or fast-path connection starts the pool's
+	// loops (see SetShards). What
+	// differs is policy: a fixed retransmission timeout and an admission
+	// wait that gives up. (The three booleans sit together so they
 	// pack: every Connection holds a copy of its Options.)
 	FastPath bool
 	// InbandControl multiplexes control packets onto the data
@@ -135,10 +136,9 @@ type Options struct {
 	// than three of them — the fault-tolerance hook §2 attributes to the
 	// separated control path. Silence is counted in sweeps, not read off
 	// a clock: the System's one liveness sweep (heartbeat.go) pings each
-	// such connection once per interval, on either runtime, and the
+	// such connection once per interval, on every runtime, and the
 	// fourth in a row to find that nothing at all arrived since the one
-	// before passes the verdict. Ignored on the fast path: nobody reads
-	// an idle fast-path control connection, so a pong could not be heard.
+	// before passes the verdict.
 	Heartbeat time.Duration
 	// Platform, when non-nil, charges this side's per-operation CPU
 	// costs (copies, system calls) on the connection's transports — the

@@ -30,6 +30,50 @@ var allRuntimes = []struct {
 	{"fastpath", func(o *Options) { o.FastPath = true }},
 }
 
+// TestLostLastAckIsAnswered: a reliable Send whose last acknowledgment
+// was lost returns once a retransmission is acknowledged again, on every
+// runtime, though the application at the far end reads nothing more —
+// whether anything reads a wire must not depend on the application
+// calling in. The peer's outgoing data wire, which carries its acks
+// (in-band control), is partitioned while it receives one 100 B message
+// and healed 50 ms later; from then on only the peer's pump of last
+// resort reads the retransmissions.
+func TestLostLastAckIsAnswered(t *testing.T) {
+	for _, rt := range allRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{
+				Interface:     transport.HPI,
+				ErrorControl:  errctl.SelectiveRepeat,
+				InbandControl: true,
+				AckTimeout:    5 * time.Millisecond,
+			}
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
+			if !peer.ImpairData(netsim.Impairments{Partitioned: true}) {
+				t.Fatal("no simulated link to partition")
+			}
+			start := time.Now()
+			sent := make(chan error, 1)
+			go func() { sent <- conn.Send(make([]byte, 100)) }()
+			if _, err := peer.RecvTimeout(5 * time.Second); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(50 * time.Millisecond)
+			peer.ImpairData(netsim.Impairments{})
+			select {
+			case err := <-sent:
+				if err != nil {
+					t.Fatalf("Send: %v", err)
+				}
+				t.Logf("Send returned %v after the start, %d retransmissions", time.Since(start).Round(time.Millisecond), conn.Stats().Retransmissions)
+			case <-time.After(20 * time.Second):
+				t.Fatalf("Send had not returned 20 s after the link healed: %d retransmissions, none acknowledged", conn.Stats().Retransmissions)
+			}
+		})
+	}
+}
+
 // TestOneEngineAcrossRuntimes runs one seeded message schedule through
 // every runtime × lane × error-control scheme and holds each cell to
 // the same outcome and the same books: the send engine, the receive
@@ -193,11 +237,10 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 }
 
 // TestOneReceiveEndAcrossRuntimes holds every receive end — each
-// runtime's default lane and stream, and an Inbox on the two runtimes
-// that can bind one — to the same outcome under the same abuse: the
-// consumer starts only after the sender has pushed everything it can
-// (far past the default lane's depth, or a stream's whole credit
-// window), through both receive variants. Delivery is exactly-once and
+// runtime's default lane, stream and Inbox — to the same outcome under
+// the same abuse: the consumer starts only after the sender has pushed
+// everything it can (far past the default lane's depth, or a stream's
+// whole credit window), through both receive variants. Delivery is exactly-once and
 // in order, backpressure pauses only the connection it belongs to — a
 // second connection on the same shard keeps flowing — and a closed cell
 // leaves no paused connection, pooled buffer or goroutine behind.
@@ -205,9 +248,6 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 	const window, inboxDepth = 64, 16
 	for _, rt := range allRuntimes {
 		for _, lane := range []string{"lane0", "stream", "inbox"} {
-			if lane == "inbox" && rt.name == "fastpath" {
-				continue // fast-path connections cannot bind an Inbox
-			}
 			for _, variant := range []string{"Recv", "RecvTimeout"} {
 				t.Run(rt.name+"/"+lane+"/"+variant, func(t *testing.T) {
 					goroutines := runtime.NumGoroutine()
@@ -262,8 +302,6 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 
 					// Let the backlog build as far as the producer lets it.
 					switch {
-					case opts.FastPath:
-						// The consumer is the producer: nothing builds.
 					case lane == "stream":
 						awaitCond(t, "the stream's window never arrived", func() bool { return peer.Stats().MessagesReceived == window })
 					case lane == "inbox":
@@ -274,7 +312,7 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 							t.Fatalf("paused with %d messages queued, want deliveredQueueDepth = %d", n, deliveredQueueDepth)
 						}
 					}
-					if opts.Runtime == RuntimeSharded && lane != "stream" {
+					if (opts.Runtime == RuntimeSharded || opts.FastPath) && lane != "stream" {
 						awaitCond(t, "core.shard.parked_conns never counted the paused connection", func() bool { return mParkedConns.Value() == 1 })
 					}
 					go other.Send([]byte("still flowing"))
@@ -838,19 +876,24 @@ func TestOneHeartbeatAcrossRuntimes(t *testing.T) {
 		})
 	}
 
-	// The fast path has no reader on an idle control connection, so it
-	// takes no part: never armed, never pinged, never failed.
+	// The fast path is swept like the rest: pinged once per interval, and
+	// failed by a peer that answers nothing after maxMisses+1 of them.
 	t.Run("fastpath", func(t *testing.T) {
 		sys := newSystem(t)
 		p := newTestPeer(t, sys, 1, Options{Interface: transport.HPI, Heartbeat: hbUnit, FastPath: true})
-		if n := sys.Telemetry().Mem.PendingTimers; n != 0 {
-			t.Fatalf("PendingTimers = %d for a fast-path heartbeat, want 0", n)
-		}
 		at := time.Now()
-		sweepN(t, sys, &at, 10)
-		// The fast path writes control inline, so the count is exact.
-		if sent := p.Stats().ControlSent; sent != 0 || p.Err() != nil {
-			t.Fatalf("fast path after 10 sweeps: %d control packets sent, err %v; want none, alive", sent, p.Err())
+		sweepN(t, sys, &at, maxMisses)
+		if err := p.Err(); err != nil {
+			t.Fatalf("after %d silent intervals: %v, want still alive", maxMisses, err)
+		}
+		for i := 0; i < maxMisses; i++ {
+			if ctl := p.next(t); ctl.Type != packet.CtrlPing || len(ctl.Body) != 0 {
+				t.Fatalf("control packet %d = %+v, want an empty-bodied ping", i, ctl)
+			}
+		}
+		sweepN(t, sys, &at, 1)
+		if err := p.Err(); !errors.Is(err, ErrPeerUnreachable) {
+			t.Fatalf("after %d silent intervals: %v, want ErrPeerUnreachable", maxMisses+1, err)
 		}
 	})
 }

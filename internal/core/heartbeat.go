@@ -39,7 +39,7 @@ func (s *System) track(c *Connection) {
 	c.slot = int32(len(s.conns))
 	s.conns = append(s.conns, c)
 	hb := c.opts.Heartbeat
-	if hb <= 0 || c.opts.FastPath || s.closed {
+	if hb <= 0 || s.closed {
 		return
 	}
 	c.hbDue = time.Now().Add(hb).UnixNano()

@@ -26,8 +26,9 @@ type InboxMessage struct {
 // one stream. It is the accept-side counterpart of the sharded
 // runtime: a fixed pool of workers looping on Inbox.Recv can serve
 // thousands of connections, where one Recv goroutine per connection
-// would undo everything the shards saved. Threaded connections may
-// bind too — their private shards deliver into the inbox directly.
+// would undo everything the shards saved. Threaded and fast-path
+// connections may bind too — their shards, private or pooled, deliver
+// into the inbox directly.
 //
 // It is a lane's receive end shared: the same mailbox, bounded the same
 // way. A bound connection's producer asks before it reads the wire

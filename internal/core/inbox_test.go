@@ -165,11 +165,11 @@ func TestInboxConformance(t *testing.T) {
 					// arriving); each pass must find it already registered.
 					for round := 0; round < 3; round++ {
 						for _, p := range f.peers {
-							p.sh.shard.requeue(p)
+							p.sh.requeue(p)
 						}
 						awaitCond(t, "the shard never serviced the re-queued connections", func() bool {
 							for _, p := range f.peers {
-								if p.sh.queued.Load() {
+								if p.queued.Load() {
 									return false
 								}
 							}

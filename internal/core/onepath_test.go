@@ -178,6 +178,7 @@ func TestOneReceiveEnd(t *testing.T) {
 		{[]string{"TryRecvBuf"}, []string{"Connection.readIn"}},
 		{[]string{"RecvBuf"}, []string{"Connection.bridge"}},
 		{[]string{"RecvBufTimeout"}, nil},
+		{[]string{"listen"}, []string{"Connection.attachShard"}}, // every wire has a pump of last resort
 	} {
 		if got := callersOfChain(t, ".", c.chain...); !slices.Equal(got, c.want) {
 			t.Errorf("%s is called in %v, want exactly %v", strings.Join(c.chain, "."), got, c.want)
@@ -188,20 +189,19 @@ func TestOneReceiveEnd(t *testing.T) {
 	if got, want := callersOf(t, ".", "TryLock"), []string{"Connection.flush", "Connection.pump", "Connection.writeInline"}; !slices.Equal(got, want) {
 		t.Errorf("internal/core calls TryLock in %v, want exactly %v", got, want)
 	}
-	// The runtimes differ in who pumps last, and in policy: FastPath is
-	// read where a policy differs — the runtime's construction
-	// (newConnection), the retransmission timeout (rto), the admission
-	// wait's give-up (admit), binding an Inbox (BindInbox) and the
-	// heartbeat (heartbeat.go) — and nowhere else.
-	policies := []string{"BindInbox", "System.track", "newConnection", "rto", "admit"}
-	// So is a connection's shard, besides the shard's own methods: its
-	// attachment (attachShard), the batch counters (drain), emitCtrl's
-	// cork and ping, Close and the byte count (info). A wire asks its own
-	// pump of last resort (inWire.last), not the runtime. Options.Runtime
-	// is read where the shard is chosen (newConnection) and at the one
-	// policy only the pool has, the yield after an inline write
-	// (transmit).
-	shardPolicies := []string{"attachShard", "drain", "emitCtrl", "Close", "info"}
+	// The runtimes differ in whose shard pumps last, and in policy:
+	// FastPath is read where the shard is chosen (newConnection) and where
+	// a policy differs — the retransmission timeout (rto), the admission
+	// wait's give-up (admit) and the yield it never takes (transmit) — and
+	// nowhere else.
+	policies := []string{"newConnection", "rto", "admit", "transmit"}
+	// Every connection has a shard, its pump of last resort: it is read in
+	// shard.go alone, where attachShard sets it, and asked whether it is
+	// there nowhere. A wire rings its own pump of last resort
+	// (inWire.last), never absent. Options.Runtime is read where the
+	// shard is chosen (newConnection) and at the one policy only the
+	// sharded runtime has, the yield after an inline write (transmit).
+	shardPolicies := declaredIn(t, "shard.go")
 	runtimePolicies := []string{"newConnection", "transmit"}
 	inspectPackage(t, ".", func(n ast.Node) bool {
 		fn, ok := n.(*ast.FuncDecl)
@@ -210,13 +210,21 @@ func TestOneReceiveEnd(t *testing.T) {
 		}
 		name := funcName(fn)
 		ast.Inspect(fn.Body, func(m ast.Node) bool {
+			if cmp, ok := m.(*ast.BinaryExpr); ok && (cmp.Op == token.EQL || cmp.Op == token.NEQ) {
+				for _, side := range [][2]ast.Expr{{cmp.X, cmp.Y}, {cmp.Y, cmp.X}} {
+					sel, ok := side[0].(*ast.SelectorExpr)
+					if nilID, _ := side[1].(*ast.Ident); ok && nilID != nil && nilID.Name == "nil" && (sel.Sel.Name == "sh" || sel.Sel.Name == "last") {
+						t.Errorf("%s compares %s with nil: every connection has a pump of last resort", name, sel.Sel.Name)
+					}
+				}
+			}
 			sel, ok := m.(*ast.SelectorExpr)
 			switch {
 			case !ok:
 			case sel.Sel.Name == "FastPath" && !slices.Contains(policies, name):
 				t.Errorf("%s reads FastPath: the runtimes share one engine, and differ only in who pumps last", name)
-			case sel.Sel.Name == "sh" && !slices.Contains(shardPolicies, name) && !strings.HasPrefix(name, "shard."):
-				t.Errorf("%s reads the connection's shard: the runtimes share one engine, and differ only in who pumps last", name)
+			case sel.Sel.Name == "sh" && !slices.Contains(shardPolicies, name):
+				t.Errorf("%s reads the connection's shard outside shard.go: the runtimes share one engine, and differ only in whose shard pumps last", name)
 			case sel.Sel.Name == "Runtime" && !slices.Contains(runtimePolicies, name):
 				t.Errorf("%s reads Options.Runtime: the runtimes share one engine, and differ only in whose shard pumps last", name)
 			}
@@ -252,6 +260,7 @@ func TestOneReceiveEnd(t *testing.T) {
 		"fastPump": true, "fastRecvMu": true, "fastSendMu": true, "pumpFree": true, "pumpRelease": true, "pumpCtrl": true,
 		"awaitSpace": true, "awaitAck": true, "recvThread": true, "ctrlRecvThread": true, "ErrNotFastPath": true,
 		"fire": true, "serviceMu": true, "thread": true, "lastResort": true,
+		"ErrFastPathOnly": true, "shardConn": true,
 	}
 	visit := func(dir string, alsoGone ...string) func(ast.Node) bool {
 		seen := make(map[string]bool)
@@ -511,6 +520,23 @@ func funcName(fn *ast.FuncDecl) string {
 		}
 	}
 	return name
+}
+
+// declaredIn names, as funcName does, the functions declared in one
+// non-test Go file of this package.
+func declaredIn(t *testing.T, file string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, d := range f.Decls {
+		if fn, ok := d.(*ast.FuncDecl); ok {
+			names = append(names, funcName(fn))
+		}
+	}
+	return names
 }
 
 // callersOfChain names, like callersOf, the function around each call

@@ -27,13 +27,11 @@ import (
 // is there so that acks, grants, a bound Inbox and back-pressure progress
 // while the application is busy elsewhere.
 //
-// The runtimes are this one engine with two last resorts. A shard's loop
-// is one: the threaded and sharded runtimes re-queue the connection on
-// its shard — a private one, or one of the System's pool — whose loop
-// pumps it (shard.go). None is the other: the fast path
-// (Options.FastPath) rings nobody, and what arrives while nobody waits
-// stays on the wire until somebody does. Besides that, only its policies
-// differ (rto, admit's give-up, BindInbox, the heartbeat).
+// Every connection has one, a shard's loop: the source re-queues the
+// connection on its shard, whose loop pumps it (shard.go) — a private
+// shard on the threaded runtime, one of the System's pool on the sharded
+// runtime and the fast path (Options.FastPath). The runtimes differ in
+// nothing else but the fast path's policies (rto, admit's give-up).
 
 // pumpBudget bounds how many packets one drain reads, so that under a
 // busy wire a waiter still looks again at what it waits for, the token
@@ -49,7 +47,7 @@ type inWire struct {
 	c    *Connection
 	poll transport.Poller // the source: the transport's notify hook,
 	in   chan *buf.Buffer // or, when it has none, the bridge's hand-off
-	last func()           // rings the pump of last resort; nil: there is none
+	last func()           // rings the pump of last resort
 
 	pump    sync.Mutex  // the pump token: its holder reads the wire
 	pending atomic.Bool // the source fired since the holder's drain began
@@ -104,8 +102,8 @@ func ring(ch chan struct{}) {
 }
 
 // listen builds the connection's wires and starts their readiness
-// sources, which call arrived. last, when not nil, is the wires' pump of
-// last resort: what arrived rings when nobody waits.
+// sources, which call arrived. last is the wires' pump of last resort:
+// what arrived rings it when nobody waits.
 func (c *Connection) listen(last func()) {
 	ctrl, data := &inWire{c: c}, &inWire{c: c}
 	if c.opts.InbandControl {
@@ -136,7 +134,7 @@ func (w *inWire) arrived() {
 	w.c.waitMu.Lock()
 	if p := w.c.waiting; p != nil {
 		ring(p.ring)
-	} else if w.last != nil {
+	} else {
 		w.last()
 	}
 	w.c.waitMu.Unlock()

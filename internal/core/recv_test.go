@@ -46,21 +46,6 @@ func TestRecvDrainsBeforeReportingClose(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if opts.FastPath {
-					// Nothing reads the wire until a receiver pumps: an
-					// accept does, queueing the default lane's messages on
-					// its way to the stream's first frame.
-					out, err := conn.OpenStream()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if err := out.Send([]byte("open")); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := peer.AcceptStreamTimeout(5 * time.Second); err != nil {
-						t.Fatal(err)
-					}
-				}
 				awaitCond(t, "not every message reached the mailbox", func() bool { return peer.box.Len() == msgs })
 				peer.Close()
 
@@ -103,9 +88,7 @@ func TestTimedRecvOfWaitingMessageAllocatesNothing(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				if !opts.FastPath {
-					awaitCond(t, "not every message reached the mailbox", func() bool { return peer.box.Len() == 2*(runs+1) })
-				}
+				awaitCond(t, "not every message reached the mailbox", func() bool { return peer.box.Len() == 2*(runs+1) })
 				untimed := testing.AllocsPerRun(runs, func() {
 					m, err := peer.RecvMessage()
 					if err != nil {
@@ -248,7 +231,7 @@ func TestNonPositiveTimeoutMeansNoDeadline(t *testing.T) {
 }
 
 // TestAsyncProgress pins what the pump of last resort — a shard's loop,
-// private or pooled — is for: on the threaded and sharded runtimes a
+// private or pooled — is for: on every runtime a
 // reliable, credit-controlled sender
 // completes every Send while the peer application never calls Recv —
 // its acknowledgments and grants flow although nobody waits on the
@@ -258,7 +241,7 @@ func TestNonPositiveTimeoutMeansNoDeadline(t *testing.T) {
 // then on; either way every message arrives exactly once, in order.
 func TestAsyncProgress(t *testing.T) {
 	const msgs, window = 64, 4
-	for _, rt := range allRuntimes[:2] { // threaded, sharded: the fast path has no pump of last resort
+	for _, rt := range allRuntimes {
 		for _, midstream := range []bool{false, true} {
 			name := rt.name + "/unread"
 			if midstream {

@@ -26,9 +26,6 @@ func TestQueuedDeliveriesSurviveAndReturnAtClose(t *testing.T) {
 	const msgs = 16
 	for _, rt := range allRuntimes {
 		for _, lane := range []string{"lane0", "stream", "inbox"} {
-			if lane == "inbox" && rt.name == "fastpath" {
-				continue // fast-path connections cannot bind an Inbox
-			}
 			t.Run(rt.name+"/"+lane, func(t *testing.T) {
 				goroutines, bufs := runtime.NumGoroutine(), buf.Outstanding()
 				// The window covers every message: nothing here is read, so
@@ -45,19 +42,14 @@ func TestQueuedDeliveriesSurviveAndReturnAtClose(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				// want: pooled buffers pinned once everything is queued; rest:
-				// those the owner's close leaves pinned. A fast path reads its
-				// control connection only while someone waits on it, so there
-				// the notice of a stream's close, going back to an idle end,
-				// waits on it until the connection closes.
-				send, want, rest := conn.Send, int64(msgs), int64(0)
-				var out, in *Stream
-				if lane == "stream" || opts.FastPath {
-					if out, err = conn.OpenStream(); err != nil {
+				// want: pooled buffers pinned once everything is queued.
+				send, want := conn.Send, int64(msgs)
+				var in *Stream
+				if lane == "stream" {
+					out, err := conn.OpenStream()
+					if err != nil {
 						t.Fatal(err)
 					}
-				}
-				if lane == "stream" {
 					send = out.Send
 				}
 				for i := uint32(0); i < msgs; i++ {
@@ -65,36 +57,11 @@ func TestQueuedDeliveriesSurviveAndReturnAtClose(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				switch {
-				case lane == "stream":
-					// Accepting finds the stream at its first frame; on the fast
-					// path, where only a receiver reads the wire, a default-lane
-					// message sent after the rest and received pumps them in.
+				if lane == "stream" {
+					// Accepting finds the stream at its first frame.
 					if in, err = peer.AcceptStreamTimeout(5 * time.Second); err != nil {
 						t.Fatal(err)
 					}
-					if err := conn.Send([]byte("the end")); err != nil {
-						t.Fatal(err)
-					}
-					if m, err := peer.RecvTimeout(5 * time.Second); err != nil || string(m) != "the end" {
-						t.Fatalf("the default lane: %q, %v", m, err)
-					}
-					if opts.FastPath {
-						rest = 1
-					}
-				case opts.FastPath:
-					// An accept is the pump: it reads the stream's
-					// announcement and queues the default lane's messages on
-					// its way to the stream's first frame, which stays parked
-					// on that stream — pinned until the connection closes
-					// below.
-					if err := out.Send([]byte("open")); err != nil {
-						t.Fatal(err)
-					}
-					if _, err := peer.AcceptStreamTimeout(5 * time.Second); err != nil {
-						t.Fatal(err)
-					}
-					want++
 				}
 				queued := peer.box.Len
 				switch lane {
@@ -119,7 +86,7 @@ func TestQueuedDeliveriesSurviveAndReturnAtClose(t *testing.T) {
 				case "inbox":
 					ib.Close()
 				}
-				awaitCond(t, "the closed owner still pins pooled buffers", func() bool { return buf.Outstanding() == bufs+rest })
+				awaitCond(t, "the closed owner still pins pooled buffers", func() bool { return buf.Outstanding() == bufs })
 
 				recv, closed := peer.RecvMessage, ErrConnClosed
 				switch lane {

@@ -16,12 +16,12 @@ import (
 // the trade-off against "the available timer resolution" (§3.2);
 // adaptive timers are the natural extension and are enabled with
 // Options.AdaptiveTimeout. Samples from retransmitted batches are
-// excluded (Karn's rule).
+// excluded (Karn's rule). srtt is zero until the first sample and never
+// after: every sample is positive, and srtt moves toward it.
 type rttEstimator struct {
 	mu     sync.Mutex
 	srtt   time.Duration
 	rttvar time.Duration
-	inited bool
 }
 
 // observe folds one acknowledgment round-trip sample in.
@@ -31,10 +31,9 @@ func (e *rttEstimator) observe(sample time.Duration) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.inited {
+	if e.srtt == 0 {
 		e.srtt = sample
 		e.rttvar = sample / 2
-		e.inited = true
 		return
 	}
 	diff := e.srtt - sample
@@ -52,7 +51,7 @@ func (e *rttEstimator) observe(sample time.Duration) {
 func (e *rttEstimator) timeout(fallback, min time.Duration) time.Duration {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if !e.inited {
+	if e.srtt == 0 {
 		return fallback
 	}
 	rto := e.srtt + 4*e.rttvar
@@ -69,7 +68,7 @@ func (e *rttEstimator) timeout(fallback, min time.Duration) time.Duration {
 func (e *rttEstimator) snapshot() (srtt, rttvar time.Duration, ok bool) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return e.srtt, e.rttvar, e.inited
+	return e.srtt, e.rttvar, e.srtt != 0
 }
 
 // minAdaptiveTimeout floors the adaptive RTO; Go timers are reliable

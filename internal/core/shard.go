@@ -4,7 +4,7 @@ import (
 	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
+	"unsafe"
 )
 
 // The sharded runtime is the scale-out alternative to the paper's
@@ -22,9 +22,10 @@ import (
 // those of the connections nobody waits on.
 //
 // A System lazily builds one pool of I/O shards (default GOMAXPROCS;
-// see SetShards). Connections established with Options.Runtime ==
-// RuntimeSharded hash onto a shard by connection ID, and that shard's
-// loop is their pump of last resort. A shard works the same, private or
+// see SetShards) when its first connection with Options.Runtime ==
+// RuntimeSharded or Options.FastPath is established. Those connections
+// hash onto a shard by connection ID, and that shard's loop is their
+// pump of last resort. A shard works the same, private or
 // pooled:
 //
 //   - receives: what arrives while nobody waits re-queues the connection
@@ -41,8 +42,10 @@ import (
 //     at the end of the cycle, in one vectored write per wire;
 //   - flow/error control state stays strictly per-connection, and a
 //     wire's pump token serialises its readers, the loop among them;
-//   - the §4.2 fast path has no shard, private or pooled:
-//     Options.FastPath takes precedence over Options.Runtime.
+//   - the §4.2 fast path is on the pool too, whatever Options.Runtime
+//     says: a pool shard is no per-connection thread, and without a
+//     pump of last resort nothing would answer a retransmission that
+//     arrives while the application is not calling in.
 //
 // Backpressure never blocks a shard: when a connection's mailbox (or
 // its bound Inbox) is at depth, its data path pauses before reading the
@@ -96,14 +99,6 @@ func (r Runtime) String() string {
 // paper's Receive Thread that stopped reading.
 const pumpDepth = 64
 
-// shardConn is a connection's attachment to its shard.
-type shardConn struct {
-	shard *shard
-
-	queued  atomic.Bool // on the shard's ready list
-	serving atomic.Bool // the loop is pumping the connection: what it emits waits for the cycle's flush (emitCtrl)
-}
-
 // shard is one event loop: one of a System's pool, or a threaded
 // connection's private one.
 type shard struct {
@@ -146,16 +141,15 @@ func (sh *shard) ring() {
 // mid-service re-queues the connection for another pass. Membership is
 // checked under the lock so a stale wakeup — a transport notify or an
 // afterRecv drain racing Close — never puts a deregistered connection
-// back on the ready list, and one before register leaves the flag down
-// for register's own requeue.
+// back on the ready list, and one before attachShard registers it leaves
+// the flag down for attachShard's own requeue.
 func (sh *shard) requeue(c *Connection) {
-	sc := c.sh
-	if sc.queued.Swap(true) {
+	if c.queued.Swap(true) {
 		return
 	}
 	sh.mu.Lock()
 	if _, registered := sh.conns[c]; !registered {
-		sc.queued.Store(false)
+		c.queued.Store(false)
 		sh.mu.Unlock()
 		return
 	}
@@ -164,29 +158,44 @@ func (sh *shard) requeue(c *Connection) {
 	sh.ring()
 }
 
-// register attaches a connection whose readiness sources re-queue it
-// here (attachShard): an initial requeue catches anything that arrived
-// before it was registered.
-func (sh *shard) register(c *Connection) {
+// attachShard makes sh the pump of last resort of c's wires: what
+// arrives while nobody waits re-queues c there — pollable transports
+// (HPI, UDP) at no goroutine of their own, others through a bridge
+// goroutine that only reads the wire (pump.go). An initial requeue
+// catches anything that arrived before c was registered.
+func (c *Connection) attachShard(sh *shard) {
+	c.sh = sh
+	c.listen(func() { sh.requeue(c) })
 	sh.mu.Lock()
 	sh.conns[c] = struct{}{}
 	sh.mu.Unlock()
 	sh.requeue(c)
 }
 
-// unregister detaches a closing connection. A cycle may still be
-// serving it: Close's barrier is the pump tokens, which the loop reads
-// under like any other reader, and past which it reads nothing.
-func (sh *shard) unregister(c *Connection) {
+// detachShard unregisters a closing connection from its shard. A cycle
+// may still be serving it: Close's barrier is the pump tokens, which the
+// loop reads under like any other reader, and past which it reads
+// nothing.
+func (c *Connection) detachShard() {
 	for _, w := range c.in {
 		if w.poll != nil {
 			w.poll.SetRecvNotify(nil)
 		}
 	}
+	sh := c.sh
 	sh.mu.Lock()
 	delete(sh.conns, c)
 	sh.ready = slices.DeleteFunc(sh.ready, func(rc *Connection) bool { return rc == c })
 	sh.mu.Unlock()
+}
+
+// privateShardBytes is what c's shard adds to its retained heap: a
+// private shard, the connection's own, or nothing on the pool (info).
+func (c *Connection) privateShardBytes() uint64 {
+	if c.sh.quit != c.closedCh {
+		return 0
+	}
+	return uint64(unsafe.Sizeof(shard{}))
 }
 
 // loop is the shard's event loop. Heartbeats do not wake it: the
@@ -219,7 +228,7 @@ func (sh *shard) cycle() {
 	sh.mu.Unlock()
 
 	for _, c := range ready {
-		c.sh.queued.Store(false)
+		c.queued.Store(false)
 		sh.service(c)
 	}
 	for i, c := range ready {
@@ -236,9 +245,9 @@ func (sh *shard) cycle() {
 // pending once the loop read (its budget ran out) re-queues the
 // connection.
 func (sh *shard) service(c *Connection) {
-	c.sh.serving.Store(true)
+	c.serving.Store(true)
 	_, _, read := c.pump(nil, nil)
-	c.sh.serving.Store(false)
+	c.serving.Store(false)
 	if read && (c.in[wireCtrl].pending.Load() || c.in[wireData].pending.Load()) {
 		sh.requeue(c) // likely backlog
 	}
@@ -248,8 +257,8 @@ func (sh *shard) service(c *Connection) {
 // System-side pool management.
 
 // SetShards configures the size of this System's shard pool. It must
-// be called before the first sharded connection is established; the
-// default is GOMAXPROCS.
+// be called before the first sharded or fast-path connection is
+// established, which starts the pool; the default is GOMAXPROCS.
 func (s *System) SetShards(n int) error {
 	s.shardMu.Lock()
 	defer s.shardMu.Unlock()

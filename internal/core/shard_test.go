@@ -469,6 +469,31 @@ func TestShardStats(t *testing.T) {
 	}
 }
 
+// TestFastPathStartsThePool: a fast-path connection joins its System's
+// shard pool, so the first one starts it, as a sharded one does, and
+// SetShards refuses from then on.
+func TestFastPathStartsThePool(t *testing.T) {
+	nw := NewNetwork()
+	defer nw.Close()
+	a, _ := nw.NewSystem("fp-pool-a")
+	b, _ := nw.NewSystem("fp-pool-b")
+	if err := a.SetShards(2); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Connect("fp-pool-b", Options{Interface: transport.HPI, FastPath: true}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Accept(); err != nil {
+		t.Fatal(err)
+	}
+	if st := a.Telemetry().Shards; st.Shards != 2 || st.Conns != 1 {
+		t.Fatalf("Shards = %+v after one fast-path Connect, want 2 shards serving 1 connection", st)
+	}
+	if err := a.SetShards(4); !errors.Is(err, errShardsStarted) {
+		t.Fatalf("SetShards after a fast-path Connect = %v, want errShardsStarted", err)
+	}
+}
+
 // TestShardedHeartbeat covers both heartbeat outcomes on the sharded
 // runtime: a silent peer is declared unreachable, and a healthy idle
 // connection stays up (pongs flow through the shard loop).
@@ -550,7 +575,7 @@ func TestShardedInstrumentedSend(t *testing.T) {
 // alike.
 func TestShardedWaitersReadTheirWires(t *testing.T) {
 	const echoes = 200
-	for _, rt := range allRuntimes[:2] { // the fast path has no loop
+	for _, rt := range allRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
 			opts := Options{
 				Interface:    transport.HPI,

@@ -71,9 +71,11 @@ func (c *Connection) Stats() Stats { return c.stats.snapshot() }
 // writes run is core.send.coalesce_depth, both process-wide and on
 // every runtime.
 type ShardStats struct {
-	// Shards is the pool size; zero until the first sharded connection.
+	// Shards is the pool size; zero until the first sharded or
+	// fast-path connection.
 	Shards int
-	// Conns is the number of currently registered sharded connections.
+	// Conns is the number of connections on the pool: sharded and
+	// fast-path ones.
 	Conns int
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -155,13 +156,6 @@ func TestStatsControlBooksBalance(t *testing.T) {
 			}
 			deadline := time.Now().Add(5 * time.Second)
 			for {
-				if opts.FastPath {
-					// Nothing reads a fast-path control wire between
-					// sends; read what the last grant left there, as the
-					// next send would.
-					for _, _, read := conn.pump(nil, nil); read; _, _, read = conn.pump(nil, nil) {
-					}
-				}
 				got, want := conn.Stats().ControlReceived, peer.Stats().ControlSent
 				if got == want && want > 0 {
 					return
@@ -175,11 +169,15 @@ func TestStatsControlBooksBalance(t *testing.T) {
 	}
 }
 
-// TestFastPathAdmissionPumpRoutesControl: what a fast-path sender reads
-// off the control connection while it waits for credits goes through
-// the one control demux — an acknowledgment lands on its session's
-// channel (it used to be dropped, leaving recovery to the timer), a
-// ping is answered, and both are counted.
+// TestFastPathAdmissionPumpRoutesControl: what arrives on the control
+// connection while a sender waits for credits goes through the one
+// control demux — an acknowledgment lands on its session's channel, a
+// ping is answered with a pong, and both are counted — and the admission
+// wait is still running once they have been routed. Whether the parked
+// sender or its shard's loop read them is the scheduler's choice; both
+// call the same demux. The test reads the answer off the peer's control
+// wire itself, holding that wire's pump token so no loop of the peer's
+// reads it first.
 func TestFastPathAdmissionPumpRoutesControl(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface:    transport.HPI,
@@ -187,9 +185,12 @@ func TestFastPathAdmissionPumpRoutesControl(t *testing.T) {
 		FlowControl:  flowctl.Credit,
 		ErrorControl: errctl.SelectiveRepeat,
 		FlowConfig:   flowctl.Config{InitialCredits: 2, MaxCredits: 8},
-		AckTimeout:   2 * time.Millisecond,
+		AckTimeout:   time.Minute, // the wait ends with the close below
 	})
 	defer cleanup()
+	peerCtrl := &peer.in[wireCtrl].pump
+	peerCtrl.Lock()
+	defer peerCtrl.Unlock()
 
 	lane := conn.lane0()
 	for lane.fc.TryAcquire(lane.tx.Add(1) - 1) {
@@ -197,25 +198,36 @@ func TestFastPathAdmissionPumpRoutesControl(t *testing.T) {
 	const sess = 77
 	ss := conn.beginSend(lane, []byte("x"), sess)
 	defer conn.endSend(ss, sess)
+	admitted := make(chan error, 1)
+	go func() { admitted <- conn.admit(lane, conn.rto()) }()
+	awaitCond(t, "the sender never parked", func() bool {
+		conn.waitMu.Lock()
+		defer conn.waitMu.Unlock()
+		return conn.waiting != nil
+	})
 	peer.emitCtrl(packet.Control{Type: packet.CtrlPing, ConnID: peer.id})
 	peer.emitCtrl(packet.Control{Type: packet.CtrlAck, ConnID: peer.id, SessionID: sess})
 
-	// No grant will come; whether the resync frees a credit or the
-	// bounded wait runs out is not what is under test.
-	_ = conn.admit(lane, conn.rto())
-
-	if n := len(ss.ackCh); n != 1 {
-		t.Errorf("%d acknowledgments on the session's channel after the admission wait, want 1", n)
+	awaitCond(t, "the acknowledgment never reached the session's channel", func() bool { return len(ss.ackCh) == 1 })
+	b, err := peer.ctrl.RecvBufTimeout(5 * time.Second)
+	if err != nil {
+		t.Fatalf("no answer to the ping: %v", err)
+	}
+	ctl, err := packet.UnmarshalControl(b.B)
+	b.Release()
+	if err != nil || ctl.Type != packet.CtrlPong {
+		t.Errorf("answer to the ping = %+v (err %v), want a pong", ctl, err)
 	}
 	if got := conn.Stats().ControlReceived; got != 2 {
 		t.Errorf("ControlReceived = %d, want 2 (ping, ack)", got)
 	}
-	b, err := peer.ctrl.RecvBufTimeout(2 * time.Second)
-	if err != nil {
-		t.Fatalf("no answer to the ping: %v", err)
+	select {
+	case err := <-admitted:
+		t.Fatalf("the admission wait ended (%v) before the test closed the connection", err)
+	default:
 	}
-	defer b.Release()
-	if ctl, err := packet.UnmarshalControl(b.B); err != nil || ctl.Type != packet.CtrlPong {
-		t.Errorf("answer to the ping = %+v (err %v), want a pong", ctl, err)
+	conn.Close()
+	if err := <-admitted; !errors.Is(err, ErrConnClosed) {
+		t.Errorf("admission wait across Close: %v, want ErrConnClosed", err)
 	}
 }

@@ -177,10 +177,9 @@ func (c *Connection) AcceptStream() (*Stream, error) {
 
 // AcceptStreamTimeout is AcceptStream with a deadline (d > 0); it
 // returns ErrRecvTimeout when no stream arrives in time. Like any
-// receiver, the acceptor reads the data wire while it waits. On the fast
-// path the peer's CtrlStreamOpen rides the control connection (which
-// only senders read), so accepts there materialise from the stream's
-// first data frame instead.
+// receiver, the acceptor reads the wires while it waits; a stream is
+// accepted from the peer's CtrlStreamOpen or its first data frame,
+// whichever is read first.
 func (c *Connection) AcceptStreamTimeout(d time.Duration) (*Stream, error) {
 	m := c.mux()
 	var st *stream.State

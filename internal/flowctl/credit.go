@@ -18,6 +18,7 @@ package flowctl
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ncs/internal/packet"
@@ -277,6 +278,10 @@ type creditReceiver struct {
 	// caller has marshalled one grant before it asks for the next.
 	body [packet.CreditGrantSize]byte
 	out  [1]packet.Control
+	// retryBody is the retry timer's own scratch, the emitting retry's
+	// while emitting is up.
+	emitting  atomic.Bool
+	retryBody [packet.CreditGrantSize]byte
 }
 
 func newCreditReceiver(cfg Config) *creditReceiver {
@@ -367,8 +372,8 @@ func (r *creditReceiver) refillLocked(now time.Time) packet.CreditGrant {
 }
 
 // armRetryLocked starts the refill-retry chain for the grant just
-// issued; a no-op without an emitter (fast path, pure state-machine
-// tests) so those configurations never arm a timer.
+// issued; a no-op without an emitter (pure state-machine tests) so
+// those configurations never arm a timer.
 func (r *creditReceiver) armRetryLocked() {
 	if r.emit == nil {
 		return
@@ -389,13 +394,23 @@ func (r *creditReceiver) retryFire() {
 	// A callback that expired just before its chain was stopped or
 	// re-armed finds retryAt zero or in the future: it is stale, and the
 	// timer's current arming (if any) will call again.
-	if r.closed || r.retryAt.IsZero() || time.Now().Before(r.retryAt) || r.arrived > r.grantProof {
+	//
+	// The emit below runs outside the lock and possibly beside OnData, so
+	// it cannot share the receive path's scratch: it has its own, which a
+	// local array escaping into emit would make an allocation per retry.
+	// A retry that fires while the one before is still in emit (blocked
+	// on control-queue room) sends nothing and counts no retry: it tries
+	// again one backoff later.
+	stale := r.closed || r.retryAt.IsZero() || time.Now().Before(r.retryAt) || r.arrived > r.grantProof
+	if stale || !r.emitting.CompareAndSwap(false, true) {
+		if !stale {
+			r.scheduleRetryLocked()
+		}
 		r.mu.Unlock()
 		return
 	}
 	g := packet.CreditGrant{Granted: r.granted, Consumed: r.arrived, Window: uint32(r.window)}
-	r.retries++
-	if r.retries < maxGrantRetries {
+	if r.retries++; r.retries < maxGrantRetries {
 		r.backoff *= 2
 		r.scheduleRetryLocked()
 	} else {
@@ -404,12 +419,8 @@ func (r *creditReceiver) retryFire() {
 	emit := r.emit
 	r.mu.Unlock()
 	mRefill.Inc()
-	// This runs on a timer goroutine, outside the lock and possibly
-	// beside OnData, so it cannot share the receive path's scratch: the
-	// body is its own (it escapes into emit), one small allocation on a
-	// path taken only when a grant went unanswered for a whole backoff.
-	var body [packet.CreditGrantSize]byte
-	emit(packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(body[:0], g)})
+	emit(packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(r.retryBody[:0], g)})
+	r.emitting.Store(false)
 }
 
 // stopRetryLocked cancels the retry chain; clearing retryAt turns any
@@ -438,16 +449,6 @@ func (r *creditReceiver) PiggybackGrant() (packet.Control, bool) {
 	r.mu.Unlock()
 	mPiggyback.Inc()
 	return packet.Control{Type: packet.CtrlCreditGrant, Body: packet.AppendCreditGrant(r.body[:0], g)}, true
-}
-
-// SetEmit installs the asynchronous control emitter the refill-retry
-// timer uses. Emit is called without receiver locks held and must be
-// safe from a timer goroutine; the packet's body is borrowed until emit
-// returns.
-func (r *creditReceiver) SetEmit(emit func(packet.Control) bool) {
-	r.mu.Lock()
-	r.emit = emit
-	r.mu.Unlock()
 }
 
 func (r *creditReceiver) Close() {
@@ -504,15 +505,14 @@ func NoteLoss(s Sender, n int) {
 
 // SetEmitter installs an asynchronous control emitter on r when r is a
 // credit receiver; the refill-retry timer re-emits possibly-lost
-// grants through it, from its own goroutine. emit must serialise the
-// packet before it returns: the body is borrowed until then. A no-op
-// for other algorithms. Without an emitter the receiver arms no timers
-// at all.
+// grants through it, from its own goroutine, with no receiver lock
+// held. emit must serialise the packet before it returns: the body is
+// borrowed until then. A no-op for other algorithms. Without an emitter
+// the receiver arms no timers at all.
 func SetEmitter(r Receiver, emit func(packet.Control) bool) {
-	type emitSetter interface {
-		SetEmit(func(packet.Control) bool)
-	}
-	if s, ok := r.(emitSetter); ok {
-		s.SetEmit(emit)
+	if cr, ok := r.(*creditReceiver); ok {
+		cr.mu.Lock()
+		cr.emit = emit
+		cr.mu.Unlock()
 	}
 }

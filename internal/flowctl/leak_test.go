@@ -70,9 +70,9 @@ func refillReceiver(cfg Config) (*creditReceiver, *int32) {
 	return r, &emitted
 }
 
-// TestRefillWithoutEmitterArmsNoTimer: a receiver with no emitter (the
-// fast path, and pure state-machine property tests) must never touch
-// the timer heap, however many refills it issues.
+// TestRefillWithoutEmitterArmsNoTimer: a receiver with no emitter (pure
+// state-machine property tests) must never touch the timer heap,
+// however many refills it issues.
 func TestRefillWithoutEmitterArmsNoTimer(t *testing.T) {
 	r := newCreditReceiver(Config{InitialCredits: 4}.withDefaults())
 	defer r.Close()
@@ -146,5 +146,78 @@ func TestRefillRetryStoppedByClose(t *testing.T) {
 	r.Close()
 	if err := awaitTimersDrained(time.Second); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRefillRetryAllocatesNothing: a retry that fires re-emits the grant
+// from the receiver's own scratch — every connection's credit receiver
+// has an emitter, so a lossy link fires retries at loss rate.
+func TestRefillRetryAllocatesNothing(t *testing.T) {
+	r, emitted := refillReceiver(Config{InitialCredits: 4, ActiveWindow: time.Minute})
+	defer r.Close()
+	for i := 0; i < 3; i++ {
+		r.OnData(uint32(i)) // the refill, whose retry is due in minutes
+	}
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() {
+		r.mu.Lock()
+		r.retryAt, r.retries, r.backoff = time.Now(), 0, time.Minute // due now, the chain's first retry
+		r.mu.Unlock()
+		r.retryFire()
+	})
+	if n := atomic.LoadInt32(emitted); n != runs+1 {
+		t.Fatalf("%d retries emitted a grant, want %d", n, runs+1)
+	}
+	if allocs != 0 {
+		t.Fatalf("a fired retry allocates %v times, want 0", allocs)
+	}
+}
+
+// TestRefillRetryBlockedEmitCountsNoRetry: a retry that fires while the
+// one before is still in emit sends nothing, so it must not use up the
+// chain's budget — it re-arms and leaves the count alone.
+func TestRefillRetryBlockedEmitCountsNoRetry(t *testing.T) {
+	r := newCreditReceiver(Config{InitialCredits: 4, ActiveWindow: time.Minute}.withDefaults())
+	defer r.Close()
+	entered, release := make(chan struct{}), make(chan struct{})
+	var emitted int32
+	SetEmitter(r, func(packet.Control) bool {
+		if atomic.AddInt32(&emitted, 1) == 1 {
+			close(entered)
+			<-release // control-queue room, arriving late
+		}
+		return true
+	})
+	for i := 0; i < 3; i++ {
+		r.OnData(uint32(i)) // the refill, whose retry is due in minutes
+	}
+	due := func() {
+		r.mu.Lock()
+		r.retryAt = time.Now()
+		r.mu.Unlock()
+	}
+	due()
+	done := make(chan struct{})
+	go func() { r.retryFire(); close(done) }()
+	<-entered
+	for i := 0; i < 2*maxGrantRetries; i++ {
+		due()
+		r.retryFire()
+	}
+	r.mu.Lock()
+	retries, armed := r.retries, !r.retryAt.IsZero()
+	r.mu.Unlock()
+	close(release)
+	<-done
+	if n := atomic.LoadInt32(&emitted); n != 1 {
+		t.Fatalf("%d grants emitted while the first emit blocked, want 1", n)
+	}
+	if retries != 1 || !armed {
+		t.Fatalf("skipped fires left retries=%d armed=%v, want 1 and true", retries, armed)
+	}
+	due()
+	r.retryFire()
+	if n := atomic.LoadInt32(&emitted); n != 2 {
+		t.Fatalf("the next fire after the emit returned sent %d grants in all, want 2", n)
 	}
 }

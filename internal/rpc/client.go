@@ -55,16 +55,15 @@ var idleCalls = buf.NewFreeList(256, func() *call { return &call{ch: make(chan r
 
 // Client issues multiplexed RPC calls over one NCS connection. Many
 // goroutines may Call concurrently; in-flight calls are matched to
-// replies by call ID, so slow calls never head-of-line-block fast ones
-// beyond what the connection itself serialises. The caller reads its own
-// reply (Leader/Followers): the call holding the lead token reads the
-// connection, hands each other call's reply to that call's channel, and
-// passes the token on once it has its own, so a Client runs no goroutine
-// and a sole caller is never handed a reply. The fast path is the
-// exception: it has no pump of last resort, so there one reader holds
-// the token for the connection's life (NewClient). The Client owns the
-// connection's receive side: do not call Recv on the connection while a
-// Client is attached.
+// replies by call ID, so a slow handler's reply does not hold up a fast
+// one behind it. The caller reads its own reply (Leader/Followers): the
+// call holding the lead token reads the connection, hands each other
+// call's reply to that call's channel, and passes the token on once it
+// has its own, so a Client runs no goroutine, on any runtime, and a sole
+// caller is never handed a reply. A call that leads from its start holds
+// the token across its own Send, so replies that arrive meanwhile wait
+// for that Send to return. The Client owns the connection's receive
+// side: do not call Recv on the connection while a Client is attached.
 type Client struct {
 	conn *core.Connection
 	lead chan struct{} // one slot, full while no call reads the connection
@@ -81,14 +80,6 @@ type Client struct {
 // down and fails any in-flight calls.
 func NewClient(conn *core.Connection) *Client {
 	c := &Client{conn: conn, lead: make(chan struct{}, 1), calls: make(map[uint64]*call)}
-	if conn.Options().FastPath {
-		// Nothing reads a fast-path connection nobody waits on: an idle
-		// Client would neither see its peer go (Done) nor re-acknowledge
-		// a retransmitted reply. So a reader takes the token for good and
-		// every call waits behind it; it ends when the connection does.
-		go c.read(context.Background(), 0)
-		return c
-	}
 	c.lead <- struct{}{}
 	return c
 }
@@ -225,8 +216,8 @@ func (c *Client) wait(ctx context.Context, id uint64, ca *call) reply {
 // channel, and drops a loss-damaged or undecodable frame and a reply
 // nobody waits for (a call that gave up). It ends early when ctx does,
 // or when the read fails: then the client fails first every call waiting
-// behind it. Call IDs start at 1, so read(ctx, 0) reads until one of
-// those ends.
+// behind it. Call IDs start at 1, so read(swept, 0) takes what is waiting
+// and returns.
 func (c *Client) read(ctx context.Context, id uint64) reply {
 	for {
 		m, err := c.conn.RecvMessageContext(ctx)

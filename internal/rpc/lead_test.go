@@ -162,26 +162,23 @@ func TestFollowerGetsConnectionError(t *testing.T) {
 	}
 }
 
-// TestClientGoroutines: NewClient starts no goroutine where the
-// connection has a pump of last resort (threaded, sharded), and one
-// reader on the fast path, which has none. A Close with calls in flight
-// fails them with ErrClientClosed and leaves no goroutine behind. Nobody
-// serves the peer, so only Close ends the calls.
+// TestClientGoroutines: NewClient starts no goroutine on any runtime —
+// every connection has a pump of last resort, so a Client needs no
+// reader of its own. A Close with calls in flight fails them with
+// ErrClientClosed and leaves no goroutine behind. Nobody serves the
+// peer, so only Close ends the calls.
 func TestClientGoroutines(t *testing.T) {
-	for name, cell := range map[string]struct {
-		opts    core.Options
-		readers int
-	}{
-		"threaded": {core.Options{Interface: transport.HPI}, 0},
-		"sharded":  {core.Options{Interface: transport.HPI, Runtime: core.RuntimeSharded}, 0},
-		"fastpath": {core.Options{Interface: transport.HPI, FastPath: true}, 1},
+	for name, opts := range map[string]core.Options{
+		"threaded": {Interface: transport.HPI},
+		"sharded":  {Interface: transport.HPI, Runtime: core.RuntimeSharded},
+		"fastpath": {Interface: transport.HPI, FastPath: true},
 	} {
 		t.Run(name, func(t *testing.T) {
-			conn, _ := pair(t, cell.opts)
+			conn, _ := pair(t, opts)
 			base := runtime.NumGoroutine()
 			cli := NewClient(conn)
-			if n := runtime.NumGoroutine() - base; n != cell.readers {
-				t.Fatalf("NewClient started %d goroutines, want %d", n, cell.readers)
+			if n := runtime.NumGoroutine() - base; n != 0 {
+				t.Fatalf("NewClient started %d goroutines, want 0", n)
 			}
 			var wg sync.WaitGroup
 			errs := make(chan error, 2)
@@ -193,7 +190,7 @@ func TestClientGoroutines(t *testing.T) {
 			wg.Add(2)
 			go call()
 			go call()
-			until(t, "both calls wait", func() bool { return cli.registered()+(1-len(cli.lead))-cell.readers == 2 })
+			until(t, "both calls wait", func() bool { return cli.registered()+(1-len(cli.lead)) == 2 })
 			cli.Close()
 			wg.Wait()
 			for range 2 {
@@ -207,23 +204,19 @@ func TestClientGoroutines(t *testing.T) {
 }
 
 // TestClientGoStatements pins the Client's shape: a call reads its own
-// reply, so the one go statement in client.go is NewClient's fast-path
-// reader.
+// reply, on every runtime, so client.go has no go statement.
 func TestClientGoStatements(t *testing.T) {
 	fset := token.NewFileSet()
 	f, err := parser.ParseFile(fset, "client.go", nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, decl := range f.Decls {
-		fn, _ := decl.(*ast.FuncDecl)
-		ast.Inspect(decl, func(n ast.Node) bool {
-			if g, ok := n.(*ast.GoStmt); ok && (fn == nil || fn.Name.Name != "NewClient") {
-				t.Errorf("%s: a go statement outside NewClient", fset.Position(g.Pos()))
-			}
-			return true
-		})
-	}
+	ast.Inspect(f, func(n ast.Node) bool {
+		if g, ok := n.(*ast.GoStmt); ok {
+			t.Errorf("%s: a go statement in client.go", fset.Position(g.Pos()))
+		}
+		return true
+	})
 }
 
 // TestUnreadRepliesDoNotStopChunks: one past the connection's delivery

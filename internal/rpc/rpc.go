@@ -15,8 +15,7 @@
 // connection, deposits every other call's reply with that call, and
 // hands the token on once its own has come (Leader/Followers), so a
 // sole caller neither registers nor is handed its reply. A reply keeps
-// only its payload. On the fast path, whose connections nobody reads
-// unless someone waits on them, the Client keeps one reader instead.
+// only its payload.
 //
 // A Server runs named-method handlers on worker threads built from
 // internal/thread, so the paper's kernel-level/user-level thread

@@ -75,8 +75,8 @@ func ring(bell chan struct{}) {
 }
 
 // Put queues m and rings the bell. direct is set by a producer that is
-// also this lane's consumer (the fast path's pump reading for its own
-// caller): when nothing is queued ahead of m it skips the queue — Put
+// also this lane's consumer (a receiver reading the wire for itself):
+// when nothing is queued ahead of m it skips the queue — Put
 // reports false and the caller keeps m. A lane has one producer at a
 // time, so an empty mailbox cannot fill between that check and the
 // caller's return.

@@ -399,8 +399,8 @@ var (
 
 // NewClient attaches an RPC client to an established connection. The
 // client owns the connection's receive side — its calls read their own
-// replies, so it runs no goroutine (on the fast path, one reader) — and
-// tears the connection down on Close.
+// replies, so it runs no goroutine — and tears the connection down on
+// Close.
 func NewClient(conn *Connection) *RPCClient { return rpc.NewClient(conn) }
 
 // NewServer creates an RPC server and starts its worker pool. Register
