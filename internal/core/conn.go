@@ -1115,14 +1115,27 @@ func (c *Connection) afterRecv() {
 // wire's source, which rings a waiter or the pump of last resort.
 func (c *Connection) resume() { c.in[wireData].arrived() }
 
-// BindInbox merges this connection's future deliveries into ib: they
-// become InboxMessages on the shared queue instead of landing in the
-// connection's own mailbox. Bind before traffic starts (right
-// after Connect/Accept); messages already delivered remain readable
-// via Recv. Every runtime binds: while every consumer waits on the
-// inbox, the connection's pump of last resort delivers.
+// BindInbox merges this connection's deliveries into ib: they become
+// InboxMessages on the shared queue instead of landing in the
+// connection's own mailbox. Binding is safe at any time, traffic
+// flowing or not: under the data wire's pump token — every delivery
+// runs under it — the messages already waiting in the connection's
+// mailbox move into ib, in order, ahead of anything read after. Then a
+// producer paused at the connection's own depth looks again, at ib's.
+// Every runtime binds: while every consumer waits on the inbox, the
+// connection's pump of last resort delivers.
 func (c *Connection) BindInbox(ib *Inbox) error {
+	w := c.in[wireData]
+	w.pump.Lock()
 	c.inbox.Store(ib)
+	for n := c.box.Len(); n > 0; n-- {
+		if m, ok := c.box.Pop(); ok {
+			c.deliver0(m, false) // a closed ib unbinds: the rest re-queue in order
+		}
+	}
+	c.unpause() // a pause at the own depth registered with no inbox
+	w.pump.Unlock()
+	c.resume()
 	return nil
 }
 

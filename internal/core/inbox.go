@@ -15,10 +15,13 @@ var ErrInboxClosed = errors.New("ncs: inbox closed")
 // InboxMessage is one delivery through an Inbox: the message plus the
 // connection it arrived on (the reply path for request/response
 // servers). Msg is borrowed, as RecvMessage's is: read-only, and the
-// receiver's to Release exactly once (or to own with Bytes).
+// receiver's to Release exactly once (or to own with Bytes). At is when
+// the message entered the inbox, so a consumer can count the time it
+// waited there (an RPC server charges it to the call's deadline).
 type InboxMessage struct {
 	Conn *Connection
 	Msg  Message
+	At   time.Time
 }
 
 // Inbox is a shared delivery queue: any number of connections bind to
@@ -37,7 +40,9 @@ type InboxMessage struct {
 // after registering once in parked; the Recv that
 // frees a slot wakes every parked producer. So a message is in the
 // inbox or still on the wire, never in between, and the inbox holds at
-// most depth plus one message per producer already past the check.
+// most depth plus one message per producer already past the check, plus
+// the backlog each connection bound late brought with it (BindInbox; at
+// most deliveredQueueDepth, what its own mailbox held).
 type Inbox struct {
 	box    stream.Mailbox[InboxMessage]
 	parked stream.Mailbox[*Connection] // producers stopped at depth, each once per pause
@@ -111,7 +116,7 @@ func (ib *Inbox) put(c *Connection, m Message) bool {
 	if ib.closed() {
 		return false
 	}
-	ib.box.Put(InboxMessage{Conn: c, Msg: m}, false)
+	ib.box.Put(InboxMessage{Conn: c, Msg: m, At: time.Now()}, false)
 	if ib.closed() {
 		ib.box.Each(ownDelivery) // m landed behind Close's sweep
 	}

@@ -340,3 +340,59 @@ func TestCloseLeavesInboxParkedList(t *testing.T) {
 		})
 	}
 }
+
+// TestBindMovesTheBacklog: a connection bound while its default lane is
+// at depth — deliveredQueueDepth messages queued on it, the rest on the
+// wire behind its paused producer — delivers every message through the
+// inbox, in order, on every runtime. The bind moves what its own mailbox
+// holds into the inbox, ahead of anything read after; without the move
+// the first message would never arrive there.
+func TestBindMovesTheBacklog(t *testing.T) {
+	const msgs = deliveredQueueDepth + 50
+	for _, rt := range allRuntimes {
+		t.Run(rt.name, func(t *testing.T) {
+			opts := Options{Interface: transport.HPI}
+			rt.set(&opts)
+			conn, peer, cleanup := newPairT(t, opts)
+			defer cleanup()
+			sent := make(chan error, 1)
+			go func() {
+				for seq := uint32(0); seq < msgs; seq++ {
+					if err := conn.Send(reuseMsg(1, seq, 16)); err != nil {
+						sent <- fmt.Errorf("message %d: %w", seq, err)
+						return
+					}
+				}
+				sent <- nil
+			}()
+			awaitCond(t, "the default lane never reached its depth", func() bool {
+				return peer.paused.Load() && peer.box.Len() == deliveredQueueDepth
+			})
+
+			ib := NewInbox(0)
+			defer ib.Close()
+			if err := peer.BindInbox(ib); err != nil {
+				t.Fatal(err)
+			}
+			for seq := uint32(0); seq < msgs; seq++ {
+				im, err := ib.RecvTimeout(5 * time.Second)
+				if err != nil {
+					t.Fatalf("message %d of %d: %v", seq, msgs, err)
+				}
+				if im.Conn != peer {
+					t.Fatalf("message %d attributed to connection %d", seq, im.Conn.ID())
+				}
+				if err := checkReuseMsg(im.Msg.Data, 1, seq); err != nil {
+					t.Fatal(err)
+				}
+				im.Msg.Release()
+			}
+			if err := <-sent; err != nil {
+				t.Fatal(err)
+			}
+			if n := peer.box.Len(); n != 0 {
+				t.Fatalf("%d messages stayed on the connection's own lane", n)
+			}
+		})
+	}
+}

@@ -232,10 +232,11 @@ func TestOneReceiveEnd(t *testing.T) {
 		})
 		return false
 	})
-	// Every take from a mailbox, by name: a lane's message, an inbox's
-	// delivery, a parked producer, a parked stream message, an accept.
+	// Every take from a mailbox, by name: a lane's message, the backlog
+	// a late bind hands over to its inbox, an inbox's delivery, a parked
+	// producer, a parked stream message, an accept.
 	for dir, want := range map[string][]string{
-		".":       {"Connection.recv", "Inbox.RecvTimeout", "Inbox.wake"},
+		".":       {"Connection.BindInbox", "Connection.recv", "Inbox.RecvTimeout", "Inbox.wake"},
 		streamDir: {"Mux.PopAccept", "State.TryPop"},
 	} {
 		if got := callersOf(t, dir, "Pop"); !slices.Equal(got, want) {

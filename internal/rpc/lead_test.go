@@ -162,17 +162,20 @@ func TestFollowerGetsConnectionError(t *testing.T) {
 	}
 }
 
+// runtimes are the three a connection can run on, over HPI.
+var runtimes = map[string]core.Options{
+	"threaded": {Interface: transport.HPI},
+	"sharded":  {Interface: transport.HPI, Runtime: core.RuntimeSharded},
+	"fastpath": {Interface: transport.HPI, FastPath: true},
+}
+
 // TestClientGoroutines: NewClient starts no goroutine on any runtime —
 // every connection has a pump of last resort, so a Client needs no
 // reader of its own. A Close with calls in flight fails them with
 // ErrClientClosed and leaves no goroutine behind. Nobody serves the
 // peer, so only Close ends the calls.
 func TestClientGoroutines(t *testing.T) {
-	for name, opts := range map[string]core.Options{
-		"threaded": {Interface: transport.HPI},
-		"sharded":  {Interface: transport.HPI, Runtime: core.RuntimeSharded},
-		"fastpath": {Interface: transport.HPI, FastPath: true},
-	} {
+	for name, opts := range runtimes {
 		t.Run(name, func(t *testing.T) {
 			conn, _ := pair(t, opts)
 			base := runtime.NumGoroutine()
@@ -205,18 +208,53 @@ func TestClientGoroutines(t *testing.T) {
 
 // TestClientGoStatements pins the Client's shape: a call reads its own
 // reply, on every runtime, so client.go has no go statement.
-func TestClientGoStatements(t *testing.T) {
+func TestClientGoStatements(t *testing.T) { noGoStatements(t, "client.go") }
+
+// TestServerGoStatements pins the Server's shape: its workers read their
+// inboxes themselves, a served connection's among them, so server.go
+// has no go statement.
+func TestServerGoStatements(t *testing.T) { noGoStatements(t, "server.go") }
+
+func noGoStatements(t *testing.T, file string) {
+	t.Helper()
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "client.go", nil, 0)
+	f, err := parser.ParseFile(fset, file, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ast.Inspect(f, func(n ast.Node) bool {
 		if g, ok := n.(*ast.GoStmt); ok {
-			t.Errorf("%s: a go statement in client.go", fset.Position(g.Pos()))
+			t.Errorf("%s: a go statement in %s", fset.Position(g.Pos()), file)
 		}
 		return true
 	})
+}
+
+// TestServerGoroutines: ServeConn starts no goroutine on any runtime —
+// the connection's pump of last resort delivers its calls into the
+// server's inbox, whose workers NewServer started — and Shutdown leaves
+// none behind.
+func TestServerGoroutines(t *testing.T) {
+	for name, opts := range runtimes {
+		t.Run(name, func(t *testing.T) {
+			conn, peer := pair(t, opts)
+			base := runtime.NumGoroutine()
+			srv := NewServer(ServerOptions{})
+			srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+			workers := runtime.NumGoroutine()
+			srv.ServeConn(peer)
+			if n := runtime.NumGoroutine() - workers; n != 0 {
+				t.Fatalf("ServeConn started %d goroutines, want 0", n)
+			}
+			cli := NewClient(conn)
+			defer cli.Close()
+			if _, err := cli.Call(context.Background(), "echo", []byte("served")); err != nil {
+				t.Fatal(err)
+			}
+			srv.Shutdown()
+			until(t, "every goroutine exits", func() bool { return runtime.NumGoroutine() <= base })
+		})
+	}
 }
 
 // TestUnreadRepliesDoNotStopChunks: one past the connection's delivery

@@ -84,8 +84,11 @@ func TestEchoHandlerMayReturnItsRequest(t *testing.T) {
 }
 
 // TestAdmitReleasesOnEveryExit drives each way a received frame can
-// leave Server.admit — dropped, refused, or dispatched to the worker
-// that replies — and requires the frame's buffer back afterwards.
+// leave Server.take — dropped, refused, or admitted and served by the
+// worker that replies — and requires the frame's buffer back afterwards.
+// The peer is served by nobody: the test takes each frame off it,
+// through take, and one goroutine serves what take admits, so a held
+// handler holds the call behind it as a busy worker would.
 func TestAdmitReleasesOnEveryExit(t *testing.T) {
 	buf.PoisonReleased(true)
 	defer buf.PoisonReleased(false)
@@ -97,6 +100,13 @@ func TestAdmitReleasesOnEveryExit(t *testing.T) {
 	srv.Handle("gate", func(_ context.Context, req []byte) ([]byte, error) { <-gate; return req, nil })
 	srv.Handle("panic", func(context.Context, []byte) ([]byte, error) { panic("handler bug") })
 	srv.HandleStream("sink", func(_ context.Context, req []byte, _ *ServerCall) ([]byte, error) { return req, nil })
+	admitted := make(chan request, 2) // the held gate call and the expired call behind it
+	defer close(admitted)             // before Shutdown, which waits for what was admitted
+	go func() {
+		for req := range admitted {
+			srv.serve(req)
+		}
+	}()
 
 	const id = 7
 	call := func(id uint64, method string, deadline time.Duration) []byte {
@@ -108,7 +118,7 @@ func TestAdmitReleasesOnEveryExit(t *testing.T) {
 	appendStreamCall(streamCall, id, "sink", 0, ClientStream, 1, []byte("payload"))
 	badKind := xdr.NewEncoder(8)
 	badKind.PutUint32(99)
-	// deliver carries one frame to the server's side and into admit.
+	// deliver carries one frame to the server's side and through take.
 	deliver := func(frame []byte, doctor func(*core.Message)) {
 		t.Helper()
 		before := buf.Outstanding()
@@ -125,15 +135,17 @@ func TestAdmitReleasesOnEveryExit(t *testing.T) {
 		if doctor != nil {
 			doctor(&m)
 		}
-		srv.admit(peer, m)
+		if req, ok := srv.take(core.InboxMessage{Conn: peer, Msg: m, At: time.Now()}); ok {
+			admitted <- req
+		}
 	}
 
 	for _, exit := range []struct {
 		name   string
 		frame  []byte
-		doctor func(*core.Message) // alters the received message before admit sees it
+		doctor func(*core.Message) // alters the received message before take sees it
 		pre    func()              // runs before the frame is sent
-		post   func()              // runs once admit has returned
+		post   func()              // runs once take has returned
 		status uint32              // the reply's, when one is sent
 		reply  bool
 	}{
@@ -147,7 +159,7 @@ func TestAdmitReleasesOnEveryExit(t *testing.T) {
 			post: func() { conn.StreamByID(1).RecvTimeout(5 * time.Second) }},
 		{name: "no such method", frame: call(id, "nobody", 0), reply: true, status: statusNoMethod},
 		{name: "expired deadline", frame: call(id, "echo", time.Microsecond), reply: true, status: statusDeadlineExceeded,
-			// The one worker is held while the call's microsecond passes.
+			// The serving goroutine is held while the call's microsecond passes.
 			pre:  func() { deliver(call(id+1, "gate", 0), nil) },
 			post: func() { time.Sleep(time.Millisecond); close(gate) }},
 		{name: "handler panic", frame: call(id, "panic", 0), reply: true, status: statusError},
@@ -187,7 +199,7 @@ func TestAdmitReleasesOnEveryExit(t *testing.T) {
 			deadline := time.Now().Add(5 * time.Second)
 			for buf.Outstanding() != start {
 				if time.Now().After(deadline) {
-					t.Fatalf("%d buffers still pinned after the frame left admit", buf.Outstanding()-start)
+					t.Fatalf("%d buffers still pinned after the frame left take", buf.Outstanding()-start)
 				}
 				time.Sleep(time.Millisecond)
 			}

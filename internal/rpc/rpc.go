@@ -20,11 +20,11 @@
 // A Server runs named-method handlers on worker threads built from
 // internal/thread, so the paper's kernel-level/user-level thread
 // architectures apply to RPC dispatch exactly as they do to Compute
-// Threads. ServerOptions.Workers bounds the handlers running at once per
-// source of calls: the served connections' one queue, fed by a receive
-// loop per connection, and each served core.Inbox, whose workers receive
+// Threads. Every source of calls is a core.Inbox whose workers receive
 // from it themselves — the thread that waits for a call is the one that
-// runs it.
+// runs it: the server's own, which every connection given to ServeConn
+// is bound to, and each inbox given to ServeInbox. ServerOptions.Workers
+// bounds the handlers running at once per inbox.
 //
 // # Wire format
 //

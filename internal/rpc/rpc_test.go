@@ -341,38 +341,113 @@ func TestExpiredBeforeSend(t *testing.T) {
 	}
 }
 
+// sources are the two ways a server is given calls: a served connection,
+// bound to the server's own inbox, and an inbox the caller bound and
+// served. serveBy attaches peer to srv through one of them.
+var sources = []string{"conn", "inbox"}
+
+func serveBy(t *testing.T, srv *Server, peer *core.Connection, source string) {
+	t.Helper()
+	if source == "conn" {
+		srv.ServeConn(peer)
+		return
+	}
+	ib := core.NewInbox(0)
+	if err := peer.BindInbox(ib); err != nil {
+		t.Fatal(err)
+	}
+	srv.ServeInbox(ib)
+}
+
 // TestServerSkipsExpiredWork: the propagated deadline lets the server
-// refuse work whose caller has already given up.
+// refuse work whose caller has already given up, counting from the
+// call's arrival, whichever source it came from.
 func TestServerSkipsExpiredWork(t *testing.T) {
-	ran := make(chan struct{}, 8)
-	gate := make(chan struct{})
-	slow := func(_ context.Context, req []byte) ([]byte, error) {
-		ran <- struct{}{}
-		<-gate
-		return req, nil
+	for _, source := range sources {
+		t.Run(source, func(t *testing.T) {
+			ran := make(chan struct{}, 8)
+			gate := make(chan struct{})
+			slow := func(_ context.Context, req []byte) ([]byte, error) {
+				ran <- struct{}{}
+				<-gate
+				return req, nil
+			}
+			// One worker: the first (slow) call occupies it, so the second
+			// call's budget expires while it waits in the inbox.
+			conn, peer := pair(t, core.Options{Interface: transport.HPI})
+			srv := NewServer(ServerOptions{Workers: 1})
+			t.Cleanup(srv.Shutdown)
+			srv.Handle("slow", slow)
+			serveBy(t, srv, peer, source)
+			cli := NewClient(conn)
+			t.Cleanup(func() { cli.Close() })
+
+			go cli.Call(context.Background(), "slow", nil)
+			<-ran
+
+			ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+			defer cancel()
+			if _, err := cli.Call(ctx, "slow", nil); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("queued call err = %v, want DeadlineExceeded", err)
+			}
+			close(gate)
+
+			// The worker must NOT have run the expired request: it replies
+			// DeadlineExceeded without dispatching the handler.
+			time.Sleep(20 * time.Millisecond)
+			select {
+			case <-ran:
+				t.Fatal("server ran a request whose deadline had expired in queue")
+			default:
+			}
+		})
 	}
-	// One worker: the first (slow) call occupies it, so the second
-	// call's budget expires in the queue.
-	cli, _ := startEcho(t, core.Options{Interface: transport.HPI}, ServerOptions{Workers: 1},
-		map[string]Handler{"slow": slow})
+}
 
-	go cli.Call(context.Background(), "slow", nil)
-	<-ran
+// TestCallBeforeServeConnIsServed: calls that reached the served end
+// before ServeConn — queued on the connection's own lane — are answered
+// once it runs: the bind hands them to the server's inbox.
+func TestCallBeforeServeConnIsServed(t *testing.T) {
+	const calls = 8
+	for _, tc := range interfaceMatrix {
+		t.Run(tc.name, func(t *testing.T) {
+			conn, peer := pair(t, tc.opts)
+			srv := NewServer(ServerOptions{})
+			t.Cleanup(srv.Shutdown)
+			srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+			cli := NewClient(conn)
+			t.Cleanup(func() { cli.Close() })
 
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
-	defer cancel()
-	if _, err := cli.Call(ctx, "slow", nil); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("queued call err = %v, want DeadlineExceeded", err)
-	}
-	close(gate)
-
-	// The worker must NOT have run the expired request: it replies
-	// DeadlineExceeded without dispatching the handler.
-	time.Sleep(20 * time.Millisecond)
-	select {
-	case <-ran:
-		t.Fatal("server ran a request whose deadline had expired in queue")
-	default:
+			errs := make(chan error, calls)
+			for i := range calls {
+				go func() {
+					ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+					defer cancel()
+					req := fmt.Appendf(nil, "early %d", i)
+					resp, err := cli.Call(ctx, "echo", req)
+					if err == nil && !bytes.Equal(resp, req) {
+						err = fmt.Errorf("got %q", resp)
+					}
+					if err != nil {
+						err = fmt.Errorf("call %d: %w", i, err)
+					}
+					errs <- err
+				}()
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for peer.Stats().MessagesReceived < calls {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d of %d calls reached the served end", peer.Stats().MessagesReceived, calls)
+				}
+				time.Sleep(time.Millisecond)
+			}
+			srv.ServeConn(peer)
+			for range calls {
+				if err := <-errs; err != nil {
+					t.Error(err)
+				}
+			}
+		})
 	}
 }
 
@@ -415,10 +490,10 @@ func TestUnknownMethod(t *testing.T) {
 // TestGracefulShutdown: calls in flight when Shutdown begins complete
 // with their replies; calls arriving during the drain are refused.
 func TestGracefulShutdown(t *testing.T) {
-	// Each source of calls: a served connection, whose calls a worker
-	// takes off the server's queue, and a served inbox, whose own
-	// threads take them straight off the inbox.
-	for _, source := range []string{"conn", "inbox"} {
+	// Each source of calls: a served connection, whose calls the
+	// server's own inbox threads take, and a served inbox, whose own
+	// threads take them.
+	for _, source := range sources {
 		t.Run(source, func(t *testing.T) {
 			started := make(chan struct{})
 			release := make(chan struct{})
@@ -430,15 +505,7 @@ func TestGracefulShutdown(t *testing.T) {
 			conn, peerConn := pair(t, core.Options{Interface: transport.HPI})
 			srv := NewServer(ServerOptions{Workers: 2})
 			srv.Handle("slow", slow)
-			if source == "inbox" {
-				ib := core.NewInbox(0)
-				if err := peerConn.BindInbox(ib); err != nil {
-					t.Fatal(err)
-				}
-				srv.ServeInbox(ib)
-			} else {
-				srv.ServeConn(peerConn)
-			}
+			serveBy(t, srv, peerConn, source)
 			cli := NewClient(conn)
 			defer cli.Close()
 
@@ -612,34 +679,47 @@ func TestClientCloseFailsInFlight(t *testing.T) {
 	}
 }
 
-// TestDeadConnDeregistered: a connection that dies leaves the server's
-// connection table, so a long-lived server does not accumulate entries
-// for every client that ever connected.
+// TestDeadConnDeregistered: a connection that died leaves the server's
+// connection table at the next ServeConn, so a long-lived server serving
+// client after client holds the live ones only, though no goroutine
+// watches any connection.
 func TestDeadConnDeregistered(t *testing.T) {
-	conn, peerConn := pair(t, core.Options{Interface: transport.HPI})
+	nw := core.NewNetwork()
+	t.Cleanup(nw.Close)
+	sa, _ := nw.NewSystem("dead-a")
+	sb, _ := nw.NewSystem("dead-b")
 	srv := NewServer(ServerOptions{})
 	defer srv.Shutdown()
 	srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
-	srv.ServeConn(peerConn)
 
-	cli := NewClient(conn)
-	if _, err := cli.Call(context.Background(), "echo", []byte("x")); err != nil {
-		t.Fatal(err)
-	}
-	cli.Close()
-
-	deadline := time.Now().Add(2 * time.Second)
-	for {
+	for i := 0; i < 20; i++ {
+		conn, err := sa.Connect("dead-b", core.Options{Interface: transport.HPI})
+		if err != nil {
+			t.Fatal(err)
+		}
+		peer, err := sb.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv.ServeConn(peer)
 		srv.cmu.Lock()
+		_, served := srv.conns[peer]
 		n := len(srv.conns)
 		srv.cmu.Unlock()
-		if n == 0 {
-			return
+		if !served || n != 1 {
+			t.Fatalf("client %d: the server tracks %d connections (the live one among them: %v), want only the live one", i, n, served)
 		}
-		if time.Now().After(deadline) {
-			t.Fatalf("server still tracks %d connections after client close", n)
+
+		cli := NewClient(conn)
+		if _, err := cli.Call(context.Background(), "echo", []byte("x")); err != nil {
+			t.Fatalf("client %d: %v", i, err)
 		}
-		time.Sleep(5 * time.Millisecond)
+		cli.Close()
+		select {
+		case <-peer.Done():
+		case <-time.After(2 * time.Second):
+			t.Fatalf("client %d: the served end never saw its peer close", i)
+		}
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"ncs/internal/core"
-	"ncs/internal/stream"
 	"ncs/internal/thread"
 	"ncs/internal/xdr"
 )
@@ -25,10 +24,9 @@ type Handler func(ctx context.Context, req []byte) ([]byte, error)
 // ServerOptions configures a Server's dispatcher.
 type ServerOptions struct {
 	// Workers bounds the handlers running at once per source of calls:
-	// the connections attached with ServeConn share one queue, which
-	// Workers worker threads read, and each inbox served with ServeInbox
-	// gets Workers threads of its own, which read the inbox directly.
-	// Default 4.
+	// the server's own inbox, which every connection attached with
+	// ServeConn is bound to, and each inbox served with ServeInbox get
+	// Workers threads each, which read their inbox directly. Default 4.
 	Workers int
 	// Threads selects the worker thread architecture (§4.1): kernel
 	// level (default) overlaps handlers across cores; user level runs
@@ -41,8 +39,8 @@ type ServerOptions struct {
 
 // request is one admitted call waiting for (or on) a worker. A nil h
 // (or, for streaming calls, nil sh) marks a call to an unregistered
-// method: the worker sends the no-method reply, so a connection's
-// receive loop never blocks on a reply send.
+// method: the worker sends the no-method reply, so the producer that
+// delivered the call never blocks on a reply send.
 type request struct {
 	conn     *core.Connection
 	id       uint64
@@ -72,27 +70,27 @@ type Server struct {
 	handlers  map[string]Handler
 	shandlers map[string]StreamHandler
 
-	// queue holds the calls ServeConn's receive loops admitted until a
-	// worker takes one; qdone closes it once Shutdown has drained.
 	// draining, under qmu, refuses new admissions from every source.
-	queue    stream.Mailbox[request]
-	qdone    chan struct{}
 	qmu      sync.Mutex
 	draining bool
 
 	inflight sync.WaitGroup // admitted requests not yet replied to
 
+	// ib is the server's own inbox: every connection attached with
+	// ServeConn is bound to it, and conns holds them for Shutdown to
+	// close.
+	ib       *core.Inbox
 	cmu      sync.Mutex
 	conns    map[*core.Connection]struct{}
 	inboxes  []*core.Inbox
 	stopping bool // Shutdown began; refuse new connections and inboxes
-	recvWG   sync.WaitGroup
 
 	shutdownOnce sync.Once
 }
 
-// NewServer creates a server and starts the workers of its connection
-// queue. The server owns the thread package it builds from opts.
+// NewServer creates a server and serves its own inbox, the one every
+// ServeConn connection is bound to, as ServeInbox would. The server
+// owns the thread package it builds from opts, and the inbox.
 func NewServer(opts ServerOptions) *Server {
 	if opts.Workers <= 0 {
 		opts.Workers = 4
@@ -104,41 +102,32 @@ func NewServer(opts ServerOptions) *Server {
 		opts:     opts,
 		pkg:      thread.New(opts.Threads),
 		handlers: make(map[string]Handler),
-		qdone:    make(chan struct{}),
+		ib:       core.NewInbox(0),
 		conns:    make(map[*core.Connection]struct{}),
 	}
-	s.spawnWorkers("rpc-worker", func() (request, bool, error) {
-		req, err := stream.Await(s.queue.Bell, nil, s.qdone, 0, func() (request, bool, error) {
-			req, ok := s.queue.Pop()
-			return req, ok, nil
-		})
-		return req, err == nil, err
-	})
+	s.ServeInbox(s.ib)
 	return s
 }
 
-// spawnWorkers starts Workers threads over one source of calls. Spawn
-// cannot fail: the package shuts down only after Shutdown set stopping,
-// which ServeInbox checks under the lock it spawns under.
-func (s *Server) spawnWorkers(name string, next func() (request, bool, error)) {
-	for i := 0; i < s.opts.Workers; i++ {
-		s.pkg.Spawn(fmt.Sprintf("%s-%d", name, i), func() { s.worker(next) })
-	}
-}
-
-// worker is one thread over a source of calls: next waits for the next
-// call and admits it (ok false: dropped or refused), the worker runs it,
-// until next reports the source closed. next runs in a Block, so a
-// user-level package runs its other threads while this one waits.
-func (s *Server) worker(next func() (request, bool, error)) {
+// worker is one thread over an inbox: it receives the next call and
+// admits it (take; ok false: dropped or refused), runs it, and returns
+// once the inbox is closed and drained. The receive and the admission
+// run in a Block, so a user-level package runs its other threads while
+// this one waits.
+func (s *Server) worker(ib *core.Inbox) {
 	var (
 		req request
 		ok  bool
 		err error
 	)
-	wait := func() { req, ok, err = next() }
+	next := func() {
+		var im core.InboxMessage
+		if im, err = ib.Recv(); err == nil {
+			req, ok = s.take(im)
+		}
+	}
 	for {
-		s.pkg.Block(wait)
+		s.pkg.Block(next)
 		if err != nil {
 			return
 		}
@@ -157,65 +146,44 @@ func (s *Server) Handle(method string, h Handler) {
 	s.hmu.Unlock()
 }
 
-// ServeConn attaches an established connection to the server and starts
-// demultiplexing its calls. It returns immediately; the connection is
+// ServeConn attaches an established connection to the server: it binds
+// the connection to the server's own inbox (Connection.BindInbox, which
+// also moves the calls that arrived before it), whose workers read it.
+// It starts no goroutine and returns immediately; the connection is
 // served until it closes or the server shuts down (Shutdown closes
-// served connections). A connection offered after Shutdown began is
-// closed immediately. The server owns the connection's receive side.
+// served connections). At most 1024 calls wait in the inbox, across
+// every served connection; beyond that the connections' producers stop
+// reading their wires until a worker takes one. A connection that died
+// leaves the server's set at the next ServeConn, so a long-lived server
+// does not accumulate dead ones. A connection offered after Shutdown
+// began is closed immediately. The server owns the connection's receive
+// side.
 func (s *Server) ServeConn(conn *core.Connection) {
 	s.cmu.Lock()
+	defer s.cmu.Unlock()
 	if s.stopping {
-		s.cmu.Unlock()
 		conn.Close()
 		return
 	}
-	s.conns[conn] = struct{}{}
-	s.recvWG.Add(1)
-	s.cmu.Unlock()
-	go s.recvLoop(conn)
-}
-
-// recvLoop reads one connection and admits its calls to the server's
-// queue; replies — including no-method replies — go out from workers,
-// so a reply send blocking on a reliable connection's ack cycle never
-// head-of-line-blocks the demultiplexing of later calls. The one
-// inline reply is the shutting-down refusal, bounded because Shutdown
-// closes served connections right after the drain. On exit (connection
-// death or shutdown) the loop deregisters its connection, so a
-// long-lived server does not accumulate dead ones.
-func (s *Server) recvLoop(conn *core.Connection) {
-	defer func() {
-		s.cmu.Lock()
-		delete(s.conns, conn)
-		s.cmu.Unlock()
-		s.recvWG.Done()
-	}()
-	for {
-		m, err := conn.RecvMessage()
-		if err != nil {
-			return
+	for c := range s.conns {
+		if c.Err() != nil {
+			delete(s.conns, c)
 		}
-		s.admit(conn, m)
 	}
+	s.conns[conn] = struct{}{}
+	conn.BindInbox(s.ib)
 }
 
-// admit takes one call a connection's receive loop read and queues it
-// for the workers.
-func (s *Server) admit(conn *core.Connection, m core.Message) {
-	if req, ok := s.take(conn, m); ok {
-		s.queue.Put(req, false)
-	}
-}
-
-// take admits one received message — the shared front half of both
-// sources — and reports whether it became a request in flight.
-// Loss-damaged or undecodable frames are dropped, never dispatched: the
-// caller's deadline is the recovery path; a call that arrives while
-// Shutdown drains is refused with an inline reply. m is borrowed: an
-// admitted request carries it to serve, which releases it after the
-// reply; every other way out releases it here.
-func (s *Server) take(conn *core.Connection, m core.Message) (request, bool) {
-	req, ok := s.parse(conn, m)
+// take admits one message a worker received from its inbox and reports
+// whether it became a request in flight. Loss-damaged or undecodable
+// frames are dropped, never dispatched: the caller's deadline is the
+// recovery path; a call that arrives while Shutdown drains is refused
+// with an inline reply. im.Msg is borrowed: an admitted request carries
+// it to serve, which releases it after the reply; every other way out
+// releases it here.
+func (s *Server) take(im core.InboxMessage) (request, bool) {
+	conn, m := im.Conn, im.Msg
+	req, ok := s.parse(im)
 	if !ok {
 		m.Release()
 		return request{}, false
@@ -235,9 +203,12 @@ func (s *Server) take(conn *core.Connection, m core.Message) (request, bool) {
 	return req, true
 }
 
-// parse decodes m into the request a worker will run; false means m is
-// no well-formed call of either kind.
-func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
+// parse decodes im into the request a worker will run; false means its
+// message is no well-formed call of either kind. A propagated deadline
+// runs from the call's arrival in the inbox, so time spent waiting
+// there for a worker counts against it.
+func (s *Server) parse(im core.InboxMessage) (request, bool) {
+	m := im.Msg
 	if m.Lost > 0 {
 		return request{}, false
 	}
@@ -250,7 +221,7 @@ func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
 	if err != nil {
 		return request{}, false
 	}
-	req := request{conn: conn, msg: m, stream: k == kindStreamCall, streamID: cf.streamID, mode: cf.mode}
+	req := request{conn: im.Conn, msg: m, stream: k == kindStreamCall, streamID: cf.streamID, mode: cf.mode}
 	s.hmu.RLock()
 	if req.stream {
 		req.sh = s.shandlers[string(cf.method)]
@@ -260,7 +231,7 @@ func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
 	s.hmu.RUnlock()
 	req.id, req.payload = cf.id, cf.payload
 	if cf.deadline > 0 {
-		req.deadline = time.Now().Add(cf.deadline)
+		req.deadline = im.At.Add(cf.deadline)
 	}
 	return req, true
 }
@@ -273,7 +244,7 @@ func (s *Server) parse(conn *core.Connection, m core.Message) (request, bool) {
 // mailbox wakes one receiver per message. The caller binds accepted
 // connections (Connection.BindInbox) and owns their lifecycle; the
 // threads run until the inbox closes (and drains) or the server shuts
-// down. Compare ServeConn, which parks a goroutine per connection.
+// down.
 func (s *Server) ServeInbox(ib *core.Inbox) {
 	s.cmu.Lock()
 	defer s.cmu.Unlock()
@@ -282,14 +253,11 @@ func (s *Server) ServeInbox(ib *core.Inbox) {
 		return
 	}
 	s.inboxes = append(s.inboxes, ib)
-	s.spawnWorkers("rpc-inbox-worker", func() (request, bool, error) {
-		im, err := ib.Recv()
-		if err != nil {
-			return request{}, false, err
-		}
-		req, ok := s.take(im.Conn, im.Msg)
-		return req, ok, nil
-	})
+	// Spawn cannot fail: the package shuts down only after Shutdown set
+	// stopping, checked above under the lock held here.
+	for i := 0; i < s.opts.Workers; i++ {
+		s.pkg.Spawn(fmt.Sprintf("rpc-inbox-worker-%d", i), func() { s.worker(ib) })
+	}
 }
 
 // serve runs one admitted request and settles it.
@@ -371,12 +339,12 @@ func (s *Server) reply(conn *core.Connection, id uint64, status uint32, errmsg s
 }
 
 // Shutdown stops the server gracefully: new calls are refused with
-// ErrShuttingDown, every already-admitted call — queued, or taken by an
-// inbox's thread — runs to completion and its reply is sent, then the
-// workers' sources close (the connection queue and every served inbox),
-// the workers and the thread package stop, and the served connections
-// are torn down. Safe to call more than once; subsequent calls wait for
-// the first to finish.
+// ErrShuttingDown — those still waiting in an inbox too, as a worker
+// takes them — every already-admitted call runs to completion and its
+// reply is sent, then the workers' sources close (the server's own inbox
+// and every served inbox), the workers and the thread package stop, and
+// the served connections are torn down. Safe to call more than once;
+// subsequent calls wait for the first to finish.
 func (s *Server) Shutdown() {
 	s.shutdownOnce.Do(func() {
 		s.qmu.Lock()
@@ -395,7 +363,6 @@ func (s *Server) Shutdown() {
 		inboxes := s.inboxes
 		s.inboxes = nil
 		s.cmu.Unlock()
-		close(s.qdone)
 		for _, ib := range inboxes {
 			ib.Close()
 		}
@@ -404,5 +371,4 @@ func (s *Server) Shutdown() {
 			conn.Close()
 		}
 	})
-	s.recvWG.Wait()
 }

@@ -137,9 +137,10 @@ type (
 	// RecvTimeout(d) reads d <= 0 as "no deadline", like every other
 	// timed receive (it used to time out at once).
 	Inbox = core.Inbox
-	// InboxMessage is one Inbox delivery: the message and the
-	// connection it arrived on. Msg is borrowed (see Message): whoever
-	// took it from Inbox.Recv* releases it.
+	// InboxMessage is one Inbox delivery: the message, the connection
+	// it arrived on, and At, when it entered the inbox (an RPC server
+	// counts a call's wait there against its deadline). Msg is borrowed
+	// (see Message): whoever took it from Inbox.Recv* releases it.
 	InboxMessage = core.InboxMessage
 	// ShardStats snapshots a System's shard pool (System.Telemetry().Shards).
 	ShardStats = core.ShardStats
@@ -403,9 +404,10 @@ var (
 // Close.
 func NewClient(conn *Connection) *RPCClient { return rpc.NewClient(conn) }
 
-// NewServer creates an RPC server and starts its worker pool. Register
-// handlers with Handle, attach accepted connections with ServeConn, and
-// stop with Shutdown (which drains in-flight calls).
+// NewServer creates an RPC server and starts the worker pool of its own
+// inbox. Register handlers with Handle, attach accepted connections
+// with ServeConn (which binds each to that inbox and starts no
+// goroutine), and stop with Shutdown (which drains in-flight calls).
 func NewServer(opts RPCServerOptions) *RPCServer { return rpc.NewServer(opts) }
 
 // Multithreading services (§2: "thread synchronization, thread
