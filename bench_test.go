@@ -1063,6 +1063,47 @@ func BenchmarkAllocRPCFanIn2(b *testing.B) {
 	}
 }
 
+// BenchmarkAllocRPCEcho1KServeConn is BenchmarkAllocRPCEcho1KSharded's
+// call through the server's own Inbox: one sharded HPI connection given
+// to ServeConn, which binds it there and starts no goroutine. Still the
+// one slice per call.
+func BenchmarkAllocRPCEcho1KServeConn(b *testing.B) {
+	nw := ncs.NewNetwork()
+	b.Cleanup(nw.Close)
+	sa, err := nw.NewSystem("rpc-serveconn-a")
+	if err != nil {
+		b.Fatal(err)
+	}
+	sb, err := nw.NewSystem("rpc-serveconn-b")
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv := ncs.NewServer(ncs.RPCServerOptions{})
+	srv.Handle("echo", func(_ context.Context, req []byte) ([]byte, error) { return req, nil })
+	b.Cleanup(srv.Shutdown)
+	conn, err := sa.Connect("rpc-serveconn-b", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded})
+	if err != nil {
+		b.Fatal(err)
+	}
+	peer, err := sb.Accept()
+	if err != nil {
+		b.Fatal(err)
+	}
+	srv.ServeConn(peer)
+	client := ncs.NewClient(conn)
+	b.Cleanup(func() { client.Close() })
+	req := make([]byte, 1024)
+	ctx := context.Background()
+	b.SetBytes(int64(len(req)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := client.Call(ctx, "echo", req); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // rpcFanIn is rpc_fanin's set-up: one server serving one Inbox, two
 // sharded HPI connections bound to it, a client on each; all torn down
 // with b.

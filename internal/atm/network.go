@@ -363,38 +363,62 @@ func (vc *VC) recvFrame(timeout time.Duration) (*buf.Buffer, error) {
 		if err != nil {
 			return nil, vc.mapErr(err)
 		}
-		cell, err := UnmarshalCell(raw.B)
-		raw.Release()
-		if err != nil {
-			// Header corruption: the cell is undeliverable; the frame it
-			// belonged to will fail CRC/length at end-of-frame, or we
-			// lose the end bit and the length guard recovers. Count it
-			// as a drop event now and also reset reassembly, because a
-			// missing end-bit would otherwise merge two frames.
-			vc.mu.Lock()
-			vc.drops++
-			vc.reass.Reset()
-			vc.mu.Unlock()
-			continue
-		}
 		vc.mu.Lock()
-		if vc.closed {
-			// Close already reset the reassembler; staging this cell
-			// would re-pin a pooled buffer nothing will release.
-			vc.mu.Unlock()
-			return nil, ErrVCClosed
-		}
-		payload, done, err := vc.reass.PushFrame(cell)
-		if err != nil {
-			vc.drops++
-			vc.mu.Unlock()
-			continue
-		}
+		b, err := vc.pushCell(raw)
 		vc.mu.Unlock()
-		if done {
-			return payload, nil
+		if b != nil || err != nil {
+			return b, err
 		}
 	}
+}
+
+// TryRecvFrameBuf is RecvFrameBuf that never blocks: it pushes the
+// cells that have arrived through the reassembler and returns nil when
+// they complete no frame. With SetRecvNotify it makes the circuit
+// pollable. A circuit has one reader: this, or the blocking receives.
+func (vc *VC) TryRecvFrameBuf() (*buf.Buffer, error) {
+	vc.mu.Lock()
+	defer vc.mu.Unlock()
+	for {
+		raw, err := vc.link.TryRecvBuf()
+		if raw == nil {
+			return nil, vc.mapErr(err)
+		}
+		if b, err := vc.pushCell(raw); b != nil || err != nil {
+			return b, err
+		}
+	}
+}
+
+// SetRecvNotify hooks the arrival of every cell and the circuit's close
+// (see netsim.Endpoint.SetRecvNotify).
+func (vc *VC) SetRecvNotify(fn func()) { vc.link.SetRecvNotify(fn) }
+
+// pushCell feeds one arrived cell, released here, to the reassembler
+// under vc.mu, and returns the intact frame it completes.
+func (vc *VC) pushCell(raw *buf.Buffer) (*buf.Buffer, error) {
+	cell, err := UnmarshalCell(raw.B)
+	raw.Release()
+	if err != nil {
+		// Header corruption: the cell is undeliverable; the frame it
+		// belonged to will fail CRC/length at end-of-frame, or we
+		// lose the end bit and the length guard recovers. Count it
+		// as a drop event now and also reset reassembly, because a
+		// missing end-bit would otherwise merge two frames.
+		vc.drops++
+		vc.reass.Reset()
+		return nil, nil
+	}
+	if vc.closed {
+		// Close already reset the reassembler; staging this cell
+		// would re-pin a pooled buffer nothing will release.
+		return nil, ErrVCClosed
+	}
+	payload, _, err := vc.reass.PushFrame(cell) // nil until a frame completes intact
+	if err != nil {
+		vc.drops++
+	}
+	return payload, nil
 }
 
 // FramesDropped reports how many frames were discarded due to cell loss

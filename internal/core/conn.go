@@ -1381,9 +1381,9 @@ func (c *Connection) ImpairData(imp netsim.Impairments) bool {
 	return transport.Impair(c.data, imp)
 }
 
-// Close tears the connection down: both transport connections, the flow
-// control state, both wires' queues, its bridges and its private shard's
-// loop. Inbound sessions
+// Close tears the connection down: both transport connections — which
+// release what they received and nobody read — the flow control state,
+// both wires' queues and its private shard's loop. Inbound sessions
 // still incomplete at teardown are abandoned so the pooled receive
 // buffers they retained return to their pools (reapInbound).
 func (c *Connection) Close() error {
@@ -1413,13 +1413,10 @@ func (c *Connection) Close() error {
 		c.detachShard() // nothing re-queues it any more
 		// A waiter or a pump of last resort may still be reading a wire;
 		// once it lets the pump go, no one will (readIn checks the close
-		// under it). Then nothing touches the lanes concurrently, and what
-		// the bridges handed over unread goes back to its pool.
+		// under it). Then nothing touches the lanes concurrently.
 		for _, w := range c.in {
 			w.pump.Lock()
-			for len(w.in) > 0 {
-				(<-w.in).Release()
-			}
+			w.pending.Store(false) // nothing will be read again
 			w.pump.Unlock()
 		}
 		c.reapInbound()

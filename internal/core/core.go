@@ -110,7 +110,7 @@ type Options struct {
 	// connection's own. On every runtime, Send and Recv read the wire
 	// they wait on themselves; what arrives while nobody waits is read
 	// by the System's shard pool, which a fast-path connection joins at
-	// no goroutine of its own on a pollable transport (HPI, UDP) — the
+	// no goroutine of its own in core, on every transport — the
 	// System's first sharded or fast-path connection starts the pool's
 	// loops (see SetShards). What
 	// differs is policy: a fixed retransmission timeout and an admission

@@ -542,7 +542,6 @@ func TestInlineWritesNeverOvertake(t *testing.T) {
 // one being written. The first breach is kept.
 type wireWitness struct {
 	transport.Conn
-	transport.Poller
 	w      atomic.Pointer[wire]
 	breach atomic.Pointer[error]
 }
@@ -600,10 +599,8 @@ func newWitnessedPair(t *testing.T, opts Options) (conn, peer *Connection, witne
 	}
 	data, pdata := transport.HPIPair()
 	ctrl, pctrl := transport.HPIPair()
-	dataP, _ := transport.AsPoller(data)
-	ctrlP, _ := transport.AsPoller(ctrl)
-	wd := &wireWitness{Conn: data, Poller: dataP}
-	wc := &wireWitness{Conn: ctrl, Poller: ctrlP}
+	wd := &wireWitness{Conn: data}
+	wc := &wireWitness{Conn: ctrl}
 	conn = newConnection(sysA, "peer", 1, opts, wd, wc, true)
 	wd.w.Store(&conn.dataW)
 	wc.w.Store(&conn.ctrlW)

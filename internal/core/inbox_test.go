@@ -92,13 +92,19 @@ func (f *inboxFlood) observe() {
 }
 
 // awaitAllPaused waits for the flood to fill the inbox and for every
-// producer to have stopped behind it.
+// producer to have stopped behind it and registered with the inbox:
+// Connection.pause raises paused before it puts the producer on
+// ib.parked, so paused alone can be read inside that window. (Once a
+// consumer has run, a producer that found room after it registered may
+// be on the list twice.)
 func (f *inboxFlood) awaitAllPaused() {
 	f.t.Helper()
 	awaitCond(f.t, "the producers never all paused behind the full inbox", func() bool {
 		f.observe()
+		registered := make(map[*Connection]bool)
+		f.ib.parked.Each(func(c **Connection) { registered[*c] = true })
 		for _, p := range f.peers {
-			if !p.paused.Load() {
+			if !p.paused.Load() || !registered[p] {
 				return false
 			}
 		}
@@ -285,7 +291,7 @@ func TestParkedGaugeSurvivesClosePaused(t *testing.T) {
 // again behind the inbox that is still full, and core.shard.parked_conns
 // counts it, whatever its runtime.
 func TestCloseLeavesInboxParkedList(t *testing.T) {
-	for _, rt := range allRuntimes[:2] { // fast-path connections cannot bind an Inbox
+	for _, rt := range allRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
 			gauge := mParkedConns.Value()
 			opts := Options{Interface: transport.HPI}

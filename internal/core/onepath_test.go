@@ -165,7 +165,10 @@ func TestOneReceiveEnd(t *testing.T) {
 	// The one drain, readIn: the receivers, the senders and the pump of
 	// last resort — a shard's loop, private or pooled — enter it through
 	// pump; only it reads what arrived, asks for room at depth and runs
-	// the receive path; the blocking receive is the bridge's alone.
+	// the receive path. Its one receive is the transport's TryRecvBuf, and
+	// the transport's notify hook is the one readiness source, set where a
+	// wire is built and cleared where the connection leaves its shard:
+	// core makes no blocking receive.
 	for _, c := range []struct {
 		chain []string
 		want  []string
@@ -176,8 +179,9 @@ func TestOneReceiveEnd(t *testing.T) {
 		{[]string{"ingest"}, []string{"Connection.readIn"}},
 		{[]string{"demuxControl"}, []string{"Connection.ingest", "Connection.readIn"}},
 		{[]string{"TryRecvBuf"}, []string{"Connection.readIn"}},
-		{[]string{"RecvBuf"}, []string{"Connection.bridge"}},
+		{[]string{"RecvBuf"}, nil},
 		{[]string{"RecvBufTimeout"}, nil},
+		{[]string{"SetRecvNotify"}, []string{"Connection.detachShard", "Connection.listen"}},
 		{[]string{"listen"}, []string{"Connection.attachShard"}}, // every wire has a pump of last resort
 	} {
 		if got := callersOfChain(t, ".", c.chain...); !slices.Equal(got, c.want) {

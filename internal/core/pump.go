@@ -13,19 +13,18 @@ import (
 // The receive side is one engine, and §4.2's conclusion — "all threads
 // can be replaced by procedures" — taken as far as asynchronous progress
 // allows. Each wire a connection reads (control and data; in-band control
-// rides the data wire) has one pump token and one readiness source: the
-// transport's notify hook (transport.Poller: HPI, UDP), or else a bridge
-// goroutine parked in the blocking receive the transport cannot avoid
-// (SCI, ACI, chunked, a taxed platform). The source rings a goroutine
-// that waits on the connection — a receiver in await, a sender in
-// awaitCtrl — and that goroutine takes the token and reads the wire
-// itself (pump): the packet it waits for is read by the goroutine that
-// wants it, with no hand-off, and a sender waiting for its
-// acknowledgment reads the reply that overtakes it. Only when nobody
-// waits does the source ring the wire's pump of last resort, which takes
-// the token like any other reader, drains the wire and sleeps again. It
-// is there so that acks, grants, a bound Inbox and back-pressure progress
-// while the application is busy elsewhere.
+// rides the data wire) has one pump token, one receive — the transport's
+// TryRecvBuf — and one readiness source, its notify hook (SetRecvNotify;
+// every transport.Conn has both). The source rings a goroutine that waits
+// on the connection — a receiver in await, a sender in awaitCtrl — and
+// that goroutine takes the token and reads the wire itself (pump): the
+// packet it waits for is read by the goroutine that wants it, with no
+// hand-off, and a sender waiting for its acknowledgment reads the reply
+// that overtakes it. Only when nobody waits does the source ring the
+// wire's pump of last resort, which takes the token like any other
+// reader, drains the wire and sleeps again. It is there so that acks,
+// grants, a bound Inbox and back-pressure progress while the application
+// is busy elsewhere.
 //
 // Every connection has one, a shard's loop: the source re-queues the
 // connection on its shard, whose loop pumps it (shard.go) — a private
@@ -41,13 +40,11 @@ const pumpBudget = 64
 // The index of each wire in Connection.in: a waiter reads control first.
 const wireCtrl, wireData = 0, 1
 
-// inWire is one transport as its readers share it: its readiness source
-// and its pump token.
+// inWire is one transport as its readers share it, with its pump token.
 type inWire struct {
 	c    *Connection
-	poll transport.Poller // the source: the transport's notify hook,
-	in   chan *buf.Buffer // or, when it has none, the bridge's hand-off
-	last func()           // rings the pump of last resort
+	t    transport.Conn
+	last func() // rings the pump of last resort
 
 	pump    sync.Mutex  // the pump token: its holder reads the wire
 	pending atomic.Bool // the source fired since the holder's drain began
@@ -101,28 +98,18 @@ func ring(ch chan struct{}) {
 	}
 }
 
-// listen builds the connection's wires and starts their readiness
+// listen builds the connection's wires and hooks their readiness
 // sources, which call arrived. last is the wires' pump of last resort:
 // what arrived rings it when nobody waits.
 func (c *Connection) listen(last func()) {
-	ctrl, data := &inWire{c: c}, &inWire{c: c}
-	if c.opts.InbandControl {
-		ctrl = data // in-band: control rides the data wire
+	data := &inWire{c: c, t: c.data, last: last}
+	ctrl := data // in-band: control rides the data wire
+	if !c.opts.InbandControl {
+		ctrl = &inWire{c: c, t: c.ctrl, last: last}
 	}
 	c.in = [2]*inWire{ctrl, data}
-	for i, t := range [2]transport.Conn{c.ctrl, c.data} {
-		w := c.in[i]
-		if i == wireCtrl && w == data {
-			continue
-		}
-		w.last = last
-		if w.poll, _ = transport.AsPoller(t); w.poll != nil {
-			w.poll.SetRecvNotify(w.arrived) // fires once now: nothing that came first is missed
-		} else {
-			w.in = make(chan *buf.Buffer, pumpDepth)
-			c.wg.Add(1)
-			go c.bridge(t, w.in, w.arrived)
-		}
+	for _, w := range c.in {
+		w.t.SetRecvNotify(w.arrived) // fires once now: nothing that came first is missed
 	}
 }
 
@@ -238,17 +225,9 @@ func (c *Connection) pump(want *stream.Mailbox[Message], ack chan ctrlEvent) (m 
 func (c *Connection) readIn(w *inWire, want *stream.Mailbox[Message], ack chan ctrlEvent) (m Message, got bool, n int) {
 	data := w == c.in[wireData]
 	for ; n < pumpBudget && len(ack) == 0 && c.Err() == nil && !(data && c.dataPaused()); n++ {
-		var b *buf.Buffer
-		if w.poll != nil {
-			var err error
-			if b, err = w.poll.TryRecvBuf(); err != nil {
-				go c.Close() // transport death is connection death
-			}
-		} else {
-			select {
-			case b = <-w.in:
-			default:
-			}
+		b, err := w.t.TryRecvBuf()
+		if err != nil {
+			go c.Close() // transport death is connection death
 		}
 		if b == nil {
 			break
@@ -261,29 +240,6 @@ func (c *Connection) readIn(w *inWire, want *stream.Mailbox[Message], ack chan c
 		}
 	}
 	return m, got, n
-}
-
-// bridge is the readiness source of a transport that cannot be polled:
-// it parks in the blocking receive and hands each packet to whoever reads
-// the wire — a waiter or the pump of last resort — then fires arrived.
-// A full hand-off blocks it: the back-pressure of a reader that stopped
-// reading.
-func (c *Connection) bridge(t transport.Conn, in chan *buf.Buffer, arrived func()) {
-	defer c.wg.Done()
-	for {
-		b, err := t.RecvBuf()
-		if err != nil {
-			go c.Close() // transport death is connection death
-			return
-		}
-		select {
-		case in <- b:
-			arrived()
-		case <-c.closedCh:
-			b.Release()
-			return
-		}
-	}
 }
 
 // awaitCtrl is a sender's wait on the connection, parked as wt: for

@@ -29,11 +29,10 @@ import (
 // pooled:
 //
 //   - receives: what arrives while nobody waits re-queues the connection
-//     — via transport.Poller (HPI and UDP expose their arrival queue plus
-//     a readiness doorbell, so an idle connection costs zero goroutines)
-//     or, for transports that cannot be polled (SCI rides a kernel
-//     socket, ACI a cell reassembler), via the bridge goroutine every
-//     runtime uses there (pump.go) — and the loop pumps it;
+//     through the transport's notify hook — every transport has one, so
+//     an idle connection costs core no goroutine (SCI's socket reader,
+//     one per connection, is the transport's own) — and the loop pumps
+//     it;
 //   - sends: NCS_send callers run exactly as in the threaded runtime —
 //     admission, then the push onto the connection's wire queue and the
 //     flush, on their own goroutine. The loop writes only what it
@@ -75,9 +74,9 @@ const (
 	// pump of last resort: a fixed set of event loops reading the wires
 	// nobody waits on and writing what they emit while serving in one
 	// batch per connection.
-	// Goroutine count stays O(shards) regardless of connection count (on
-	// pollable transports), at the price of one hop per arriving packet
-	// when nobody waits.
+	// Goroutine count in core stays O(shards) regardless of connection
+	// count, at the price of one hop per arriving packet when nobody
+	// waits.
 	RuntimeSharded
 )
 
@@ -92,12 +91,6 @@ func (r Runtime) String() string {
 		return "runtime?"
 	}
 }
-
-// pumpDepth is the inbound queue between a bridge goroutine and whoever
-// reads a non-pollable transport. The bridge blocks when it fills —
-// per-connection backpressure toward the transport, exactly like the
-// paper's Receive Thread that stopped reading.
-const pumpDepth = 64
 
 // shard is one event loop: one of a System's pool, or a threaded
 // connection's private one.
@@ -159,10 +152,9 @@ func (sh *shard) requeue(c *Connection) {
 }
 
 // attachShard makes sh the pump of last resort of c's wires: what
-// arrives while nobody waits re-queues c there — pollable transports
-// (HPI, UDP) at no goroutine of their own, others through a bridge
-// goroutine that only reads the wire (pump.go). An initial requeue
-// catches anything that arrived before c was registered.
+// arrives while nobody waits re-queues c there, through the transports'
+// notify hooks (pump.go). An initial requeue catches anything that
+// arrived before c was registered.
 func (c *Connection) attachShard(sh *shard) {
 	c.sh = sh
 	c.listen(func() { sh.requeue(c) })
@@ -178,9 +170,7 @@ func (c *Connection) attachShard(sh *shard) {
 // nothing.
 func (c *Connection) detachShard() {
 	for _, w := range c.in {
-		if w.poll != nil {
-			w.poll.SetRecvNotify(nil)
-		}
+		w.t.SetRecvNotify(nil)
 	}
 	sh := c.sh
 	sh.mu.Lock()

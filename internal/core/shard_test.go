@@ -13,13 +13,14 @@ import (
 	"ncs/internal/buf"
 	"ncs/internal/errctl"
 	"ncs/internal/flowctl"
+	"ncs/internal/platform"
 	"ncs/internal/telemetry"
 	"ncs/internal/transport"
 )
 
 // TestShardedSendRecvAllInterfaces runs the basic duplex exchange over
-// every interface with the sharded runtime on both ends: pollable HPI,
-// pumped SCI and ACI.
+// every interface with the sharded runtime on both ends: HPI, SCI and
+// ACI, each read through its notify hook.
 func TestShardedSendRecvAllInterfaces(t *testing.T) {
 	for _, kind := range []transport.Kind{transport.HPI, transport.SCI, transport.ACI} {
 		t.Run(kind.String(), func(t *testing.T) {
@@ -89,56 +90,88 @@ func TestShardedErrorControl(t *testing.T) {
 }
 
 // TestShardedGoroutinesStayFlat is the runtime's reason to exist: many
-// open sharded HPI connections must cost O(shards) goroutines, not
-// O(connections).
+// open sharded connections must cost O(shards) goroutines, not
+// O(connections), on every transport — each is read through its notify
+// hook, so core parks no goroutine per connection, a taxed platform and
+// ATM's cell reassembly included. SCI's socket readers, one per wire
+// end, are the transport's own, and counted apart.
 func TestShardedGoroutinesStayFlat(t *testing.T) {
-	const conns = 256
-	base := runtime.NumGoroutine()
-
-	nw := NewNetwork()
-	defer nw.Close()
-	a, err := nw.NewSystem("flat-a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := nw.NewSystem("flat-b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	accepted := make(chan *Connection, conns)
-	go func() {
-		for i := 0; i < conns; i++ {
-			c, err := b.Accept()
+	plat := platform.RS6000
+	for _, cell := range []struct {
+		name  string
+		opts  Options
+		conns int
+	}{
+		{"HPI", Options{Interface: transport.HPI}, 256},
+		{"HPI-platform", Options{Interface: transport.HPI, Platform: &plat, PeerPlatform: &plat}, 256},
+		{"ACI", Options{Interface: transport.ACI}, 256},
+		{"SCI", Options{Interface: transport.SCI}, 32},
+	} {
+		t.Run(cell.name, func(t *testing.T) {
+			base := runtime.NumGoroutine()
+			nw := NewNetwork()
+			defer nw.Close()
+			a, err := nw.NewSystem("flat-a")
 			if err != nil {
-				return
+				t.Fatal(err)
 			}
-			accepted <- c
-		}
-	}()
-	opts := Options{Interface: transport.HPI, Runtime: RuntimeSharded}
-	for i := 0; i < conns; i++ {
-		c, err := a.Connect("flat-b", opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer c.Close()
-	}
-	for i := 0; i < conns; i++ {
-		select {
-		case c := <-accepted:
-			defer c.Close()
-		case <-time.After(5 * time.Second):
-			t.Fatalf("only %d connections accepted", i)
-		}
-	}
+			b, err := nw.NewSystem("flat-b")
+			if err != nil {
+				t.Fatal(err)
+			}
+			accepted := make(chan *Connection, cell.conns)
+			go func() {
+				for i := 0; i < cell.conns; i++ {
+					c, err := b.Accept()
+					if err != nil {
+						return
+					}
+					accepted <- c
+				}
+			}()
+			opts := cell.opts
+			opts.Runtime = RuntimeSharded
+			for i := 0; i < cell.conns; i++ {
+				c, err := a.Connect("flat-b", opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+			}
+			for i := 0; i < cell.conns; i++ {
+				select {
+				case c := <-accepted:
+					defer c.Close()
+				case <-time.After(5 * time.Second):
+					t.Fatalf("only %d connections accepted", i)
+				}
+			}
 
-	// Two systems each run at most GOMAXPROCS shards plus a master
-	// thread; everything beyond that slack is a per-connection
-	// goroutine that should not exist.
-	limit := base + 2*runtime.GOMAXPROCS(0) + 8
-	if n := runtime.NumGoroutine(); n > limit {
-		t.Fatalf("%d goroutines for %d sharded connections (baseline %d, limit %d): O(conns), want O(shards)",
-			n, conns, base, limit)
+			// Two systems each run at most GOMAXPROCS shards plus a master
+			// thread; everything beyond that slack is a per-connection
+			// goroutine that should not exist.
+			readers := goroutinesIn("transport.(*sciConn).readLoop")
+			if most := 4 * cell.conns; readers > most {
+				t.Fatalf("%d SCI socket readers for %d connections, want at most one per wire end (%d)", readers, cell.conns, most)
+			}
+			limit := base + 2*runtime.GOMAXPROCS(0) + 8
+			if n := runtime.NumGoroutine() - readers; n > limit {
+				t.Fatalf("%d goroutines besides %d socket readers for %d sharded connections (baseline %d, limit %d): O(conns), want O(shards)",
+					n, readers, cell.conns, base, limit)
+			}
+		})
+	}
+}
+
+// goroutinesIn counts the goroutines whose stack runs through fn.
+func goroutinesIn(fn string) int {
+	stacks := make([]byte, 1<<20)
+	for {
+		n := runtime.Stack(stacks, true)
+		if n < len(stacks) {
+			return bytes.Count(stacks[:n], []byte(fn+"("))
+		}
+		stacks = make([]byte, 2*len(stacks))
 	}
 }
 

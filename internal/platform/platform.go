@@ -173,6 +173,19 @@ func (t *TaxedConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
 	return b, nil
 }
 
+// TryRecvBuf polls the wrapped connection and charges the receive cost
+// of what it took on the goroutine that reads.
+func (t *TaxedConn) TryRecvBuf() (*buf.Buffer, error) {
+	b, err := t.inner.TryRecvBuf()
+	if b != nil {
+		busyWait(t.plat.recvCost(b.Len()))
+	}
+	return b, err
+}
+
+// SetRecvNotify hooks the wrapped connection's arrivals.
+func (t *TaxedConn) SetRecvNotify(fn func()) { t.inner.SetRecvNotify(fn) }
+
 // Close closes the wrapped connection.
 func (t *TaxedConn) Close() error { return t.inner.Close() }
 

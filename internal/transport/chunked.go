@@ -9,10 +9,12 @@ import (
 
 // chunkedConn splits every outbound packet into chunks of at most
 // chunkSize bytes and reassembles inbound chunks back into whole
-// packets. It models a protocol stack that accepts only small writes
-// (the SunOS-era TCP path that p4 and MPICH rode): layered under a
-// platform tax, every chunk pays its own per-call costs, which is
-// exactly the behaviour behind the SUN-4 degradation in Figure 12.
+// packets; its receives, blocking or polled, share one reassembly
+// (partial), so a connection has one reader. It models a protocol stack
+// that accepts only small writes (the SunOS-era TCP path that p4 and
+// MPICH rode): layered under a platform tax, every chunk pays its own
+// per-call costs, which is exactly the behaviour behind the SUN-4
+// degradation in Figure 12.
 type chunkedConn struct {
 	inner Conn
 	chunk int
@@ -78,13 +80,7 @@ func (c *chunkedConn) sendChunk(body []byte, last bool) error {
 	return c.inner.SendBuf(cb)
 }
 
-func (c *chunkedConn) Recv() ([]byte, error) {
-	b, err := c.RecvBuf()
-	if err != nil {
-		return nil, err
-	}
-	return b.TakeBytes(), nil
-}
+func (c *chunkedConn) Recv() ([]byte, error) { return takeBytes(c.RecvBuf()) }
 
 // RecvBuf reassembles chunks into a pooled buffer owned by the caller.
 func (c *chunkedConn) RecvBuf() (*buf.Buffer, error) {
@@ -93,22 +89,14 @@ func (c *chunkedConn) RecvBuf() (*buf.Buffer, error) {
 		if err != nil {
 			return nil, err
 		}
-		done, msg, err := c.push(raw)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return msg, nil
+		if done, msg, err := c.push(raw); done || err != nil {
+			return msg, err
 		}
 	}
 }
 
 func (c *chunkedConn) RecvTimeout(d time.Duration) ([]byte, error) {
-	b, err := c.RecvBufTimeout(d)
-	if err != nil {
-		return nil, err
-	}
-	return b.TakeBytes(), nil
+	return takeBytes(c.RecvBufTimeout(d))
 }
 
 func (c *chunkedConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
@@ -122,15 +110,28 @@ func (c *chunkedConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
 		if err != nil {
 			return nil, err
 		}
-		done, msg, err := c.push(raw)
-		if err != nil {
-			return nil, err
-		}
-		if done {
-			return msg, nil
+		if done, msg, err := c.push(raw); done || err != nil {
+			return msg, err
 		}
 	}
 }
+
+// TryRecvBuf takes the chunks that have arrived, keeping a packet's
+// first chunks in partial until its last one comes.
+func (c *chunkedConn) TryRecvBuf() (*buf.Buffer, error) {
+	for {
+		raw, err := c.inner.TryRecvBuf()
+		if raw == nil {
+			return nil, err
+		}
+		if done, msg, err := c.push(raw); done || err != nil {
+			return msg, err
+		}
+	}
+}
+
+// SetRecvNotify hooks the inner connection's arrivals.
+func (c *chunkedConn) SetRecvNotify(fn func()) { c.inner.SetRecvNotify(fn) }
 
 // push consumes raw (releasing it) after copying its body into the
 // pooled reassembly buffer; on the final chunk it hands the assembled

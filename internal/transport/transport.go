@@ -17,19 +17,31 @@
 // A Conn is datagram-oriented: packet boundaries are preserved, because
 // the NCS data plane exchanges discrete SDUs.
 //
+// # Readiness
+//
+// Every Conn can be polled: TryRecvBuf takes what has arrived without
+// blocking, and SetRecvNotify's hook says when to look again, so a
+// runtime reads any transport from the goroutine that waits on it and
+// parks none in a blocking receive. HPI polls the in-process link's
+// arrival queue and ACI the circuit's cells through its reassembler, at
+// no goroutine of their own; UDP and SCI fill the package's arrival
+// queue (inq) from one reader goroutine, per socket and per connection
+// respectively. Chunked and platform.Tax poll the Conn they wrap.
+//
 // # Buffer ownership
 //
-// The pooled paths (SendBuf, SendBatch, RecvBuf, RecvBufTimeout) move
-// packets in reference-counted buf.Buffers so the hot pipeline never
-// copies at a layer boundary. The ownership contract, repeated from
-// package buf:
+// The pooled paths (SendBuf, SendBatch, TryRecvBuf, RecvBuf,
+// RecvBufTimeout) move packets in reference-counted buf.Buffers so the
+// hot pipeline never copies at a layer boundary. The ownership
+// contract, repeated from package buf:
 //
 //   - SendBuf and SendBatch CONSUME one reference per buffer: the
 //     transport releases it once the wire has accepted the bytes (or
 //     the send failed). Callers that need the contents afterwards must
 //     Retain first.
-//   - RecvBuf and RecvBufTimeout return a buffer the caller OWNS: the
-//     caller must Release it when every slice aliasing it is dropped.
+//   - TryRecvBuf, RecvBuf and RecvBufTimeout return a buffer the caller
+//     OWNS: the caller must Release it when every slice aliasing it is
+//     dropped.
 //
 // The []byte paths (Send, Recv, RecvTimeout) remain for callers
 // outside the hot pipeline; they stage through the same pools where
@@ -106,35 +118,6 @@ type Conn interface {
 	// the batch into a single writev so queued SDUs share the syscall
 	// and framing cost.
 	SendBatch(bs []*buf.Buffer) error
-	// Recv blocks for the next packet.
-	Recv() ([]byte, error)
-	// RecvBuf blocks for the next packet, staged in a pooled buffer the
-	// caller owns and must Release.
-	RecvBuf() (*buf.Buffer, error)
-	// RecvTimeout is Recv with a deadline; it returns ErrRecvTimeout if
-	// no packet arrives in time. On SCI a timeout that lands mid-packet
-	// desynchronises the stream and surfaces as a hard error; use
-	// generous deadlines on SCI.
-	RecvTimeout(d time.Duration) ([]byte, error)
-	// RecvBufTimeout is RecvBuf with a deadline (same SCI caveat as
-	// RecvTimeout).
-	RecvBufTimeout(d time.Duration) (*buf.Buffer, error)
-	// Close releases the connection. Blocked Recv calls return an error.
-	Close() error
-	// MaxPacket is the largest packet Send accepts; 0 means unlimited.
-	MaxPacket() int
-	// Kind reports the interface type.
-	Kind() Kind
-}
-
-// Poller is the optional readiness interface a Conn may implement for
-// reactor-style runtimes: a non-blocking receive plus a doorbell hook,
-// so one event loop can demultiplex arrivals across many connections
-// without parking a goroutine in RecvBuf per connection. HPI implements
-// it natively (the in-process link exposes its arrival queue); SCI
-// rides a kernel socket and ACI a cell-level reassembler, so neither
-// does — runtimes fall back to a pump goroutine there.
-type Poller interface {
 	// TryRecvBuf returns the next packet without blocking: (nil, nil)
 	// when none is available yet, ErrConnClosed once the connection is
 	// closed and drained. The returned buffer follows RecvBuf's
@@ -145,12 +128,22 @@ type Poller interface {
 	// (a non-blocking doorbell send is the intended body); it fires
 	// once immediately on registration. nil clears the hook.
 	SetRecvNotify(fn func())
-}
-
-// AsPoller reports the Poller behind c, if it has one.
-func AsPoller(c Conn) (Poller, bool) {
-	p, ok := c.(Poller)
-	return p, ok
+	// Recv blocks for the next packet.
+	Recv() ([]byte, error)
+	// RecvBuf blocks for the next packet, staged in a pooled buffer the
+	// caller owns and must Release.
+	RecvBuf() (*buf.Buffer, error)
+	// RecvTimeout is Recv with a deadline; it returns ErrRecvTimeout if
+	// no packet arrives in time.
+	RecvTimeout(d time.Duration) ([]byte, error)
+	// RecvBufTimeout is RecvBuf with a deadline.
+	RecvBufTimeout(d time.Duration) (*buf.Buffer, error)
+	// Close releases the connection. Blocked Recv calls return an error.
+	Close() error
+	// MaxPacket is the largest packet Send accepts; 0 means unlimited.
+	MaxPacket() int
+	// Kind reports the interface type.
+	Kind() Kind
 }
 
 // releaseAll drops one reference from every buffer of a batch; send
@@ -187,12 +180,13 @@ type Listener interface {
 // SCI: TCP with 4-byte big-endian length prefixes.
 
 type sciConn struct {
-	c net.Conn
+	c   net.Conn
+	inq // arrivals, from readLoop: the receive methods are the queue's
 
-	readMu  sync.Mutex
+	lenBuf [4]byte       // readLoop's
+	done   chan struct{} // closed when readLoop returns
+
 	writeMu sync.Mutex
-	lenBuf  [4]byte
-
 	// Batch-write scratch, reused under writeMu: the length prefixes
 	// and the iovec for SendBatch's writev.
 	prefixes []byte
@@ -201,16 +195,29 @@ type sciConn struct {
 
 var _ Conn = (*sciConn)(nil)
 
+// sciInqDepth bounds the packets read ahead of the runtime on one SCI
+// connection; past it the socket's reader stops, and TCP's window
+// pushes back on the peer.
+const sciInqDepth = 64
+
+// newSCI starts the socket's reader on an established TCP connection.
+func newSCI(c net.Conn) *sciConn {
+	if tc, ok := c.(*net.TCPConn); ok {
+		_ = tc.SetNoDelay(true)
+	}
+	s := &sciConn{c: c, done: make(chan struct{})}
+	s.inq.init(sciInqDepth)
+	go s.readLoop()
+	return s
+}
+
 // DialSCI connects to a ListenSCI address ("host:port").
 func DialSCI(addr string) (Conn, error) {
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("sci dial %s: %w", addr, err)
 	}
-	if tc, ok := c.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	return &sciConn{c: c}, nil
+	return newSCI(c), nil
 }
 
 type sciListener struct{ l net.Listener }
@@ -232,10 +239,7 @@ func (l *sciListener) Accept() (Conn, error) {
 	if err != nil {
 		return nil, err
 	}
-	if tc, ok := c.(*net.TCPConn); ok {
-		_ = tc.SetNoDelay(true)
-	}
-	return &sciConn{c: c}, nil
+	return newSCI(c), nil
 }
 
 func (l *sciListener) Close() error { return l.l.Close() }
@@ -293,71 +297,37 @@ func (s *sciConn) SendBatch(bs []*buf.Buffer) error {
 	return nil
 }
 
-func (s *sciConn) Recv() ([]byte, error) {
-	b, err := s.RecvBuf()
-	if err != nil {
-		return nil, err
-	}
-	return b.TakeBytes(), nil
-}
-
-// RecvBuf reads the next length-prefixed packet into a pooled buffer
-// owned by the caller.
-func (s *sciConn) RecvBuf() (*buf.Buffer, error) {
-	s.readMu.Lock()
-	defer s.readMu.Unlock()
-	if _, err := io.ReadFull(s.c, s.lenBuf[:]); err != nil {
-		return nil, s.mapErr(err)
-	}
-	n := binary.BigEndian.Uint32(s.lenBuf[:])
-	b := buf.Get(int(n))
-	if _, err := io.ReadFull(s.c, b.B); err != nil {
-		b.Release()
-		return nil, s.mapErr(err)
-	}
-	return b, nil
-}
-
-func (s *sciConn) RecvTimeout(d time.Duration) ([]byte, error) {
-	b, err := s.RecvBufTimeout(d)
-	if err != nil {
-		return nil, err
-	}
-	return b.TakeBytes(), nil
-}
-
-func (s *sciConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
-	s.readMu.Lock()
-	defer s.readMu.Unlock()
-	if err := s.c.SetReadDeadline(time.Now().Add(d)); err != nil {
-		return nil, s.mapErr(err)
-	}
-	defer s.c.SetReadDeadline(time.Time{})
-
-	n0, err := io.ReadFull(s.c, s.lenBuf[:])
-	if err != nil {
-		if n0 == 0 && isTimeout(err) {
-			return nil, ErrRecvTimeout
+// readLoop is the connection's one socket reader: it reads each
+// length-prefixed packet whole into a pooled buffer and queues it,
+// waiting while the queue is full. A receive deadline is the queue's,
+// so none can cut a packet in half. It ends with the socket, leaving
+// what it queued readable.
+func (s *sciConn) readLoop() {
+	defer close(s.done)
+	defer s.inq.shutdown(false)
+	for {
+		if _, err := io.ReadFull(s.c, s.lenBuf[:]); err != nil {
+			return
 		}
-		return nil, s.mapErr(err)
+		b := buf.Get(int(binary.BigEndian.Uint32(s.lenBuf[:])))
+		if _, err := io.ReadFull(s.c, b.B); err != nil {
+			b.Release()
+			return
+		}
+		s.inq.push(b, true)
 	}
-	n := binary.BigEndian.Uint32(s.lenBuf[:])
-	b := buf.Get(int(n))
-	if _, err := io.ReadFull(s.c, b.B); err != nil {
-		// A timeout here means the stream is desynchronised; surface it
-		// as a hard error rather than ErrRecvTimeout.
-		b.Release()
-		return nil, s.mapErr(err)
-	}
-	return b, nil
 }
 
-func isTimeout(err error) bool {
-	var ne net.Error
-	return errors.As(err, &ne) && ne.Timeout()
+// Close closes the socket, which stops the reader, and releases what it
+// queued unread.
+func (s *sciConn) Close() error {
+	err := s.c.Close()
+	s.inq.shutdown(true) // a reader waiting on a full queue lets go
+	<-s.done
+	s.inq.shutdown(true) // what it pushed as the queue closed
+	return err
 }
 
-func (s *sciConn) Close() error   { return s.c.Close() }
 func (s *sciConn) MaxPacket() int { return 0 }
 func (s *sciConn) Kind() Kind     { return SCI }
 func (s *sciConn) mapErr(err error) error {
@@ -377,15 +347,7 @@ var _ Conn = (*aciConn)(nil)
 // NewACI wraps an established ATM virtual circuit as a Conn.
 func NewACI(vc *atm.VC) Conn { return &aciConn{vc: vc} }
 
-func (a *aciConn) Send(p []byte) error {
-	if err := a.vc.SendFrame(p); err != nil {
-		if errors.Is(err, atm.ErrVCClosed) {
-			return ErrConnClosed
-		}
-		return err
-	}
-	return nil
-}
+func (a *aciConn) Send(p []byte) error { return aciErr(a.vc.SendFrame(p)) }
 
 // SendBuf segments the frame into cells (staged through the cell
 // pools), then releases the buffer.
@@ -403,54 +365,45 @@ func (a *aciConn) SendBatch(bs []*buf.Buffer) error {
 
 func (a *aciConn) Recv() ([]byte, error) {
 	p, err := a.vc.RecvFrame()
-	if err != nil {
-		if errors.Is(err, atm.ErrVCClosed) {
-			return nil, ErrConnClosed
-		}
-		return nil, err
-	}
-	return p, nil
+	return p, aciErr(err)
 }
 
 // RecvBuf returns the next intact AAL5 frame in the reassembler's
 // pooled staging buffer, owned by the caller.
 func (a *aciConn) RecvBuf() (*buf.Buffer, error) {
 	b, err := a.vc.RecvFrameBuf()
-	if err != nil {
-		if errors.Is(err, atm.ErrVCClosed) {
-			return nil, ErrConnClosed
-		}
-		return nil, err
-	}
-	return b, nil
+	return b, aciErr(err)
 }
 
 func (a *aciConn) RecvTimeout(d time.Duration) ([]byte, error) {
 	p, err := a.vc.RecvFrameTimeout(d)
-	if err != nil {
-		switch {
-		case errors.Is(err, atm.ErrRecvTimeout):
-			return nil, ErrRecvTimeout
-		case errors.Is(err, atm.ErrVCClosed):
-			return nil, ErrConnClosed
-		}
-		return nil, err
-	}
-	return p, nil
+	return p, aciErr(err)
 }
 
 func (a *aciConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
 	b, err := a.vc.RecvFrameBufTimeout(d)
-	if err != nil {
-		switch {
-		case errors.Is(err, atm.ErrRecvTimeout):
-			return nil, ErrRecvTimeout
-		case errors.Is(err, atm.ErrVCClosed):
-			return nil, ErrConnClosed
-		}
-		return nil, err
+	return b, aciErr(err)
+}
+
+// TryRecvBuf pushes the cells that have arrived through the reassembler
+// and returns the frame they complete, or nil.
+func (a *aciConn) TryRecvBuf() (*buf.Buffer, error) {
+	b, err := a.vc.TryRecvFrameBuf()
+	return b, aciErr(err)
+}
+
+// SetRecvNotify hooks the circuit's cell arrivals.
+func (a *aciConn) SetRecvNotify(fn func()) { a.vc.SetRecvNotify(fn) }
+
+// aciErr maps the circuit's errors onto the package's.
+func aciErr(err error) error {
+	switch {
+	case errors.Is(err, atm.ErrRecvTimeout):
+		return ErrRecvTimeout
+	case errors.Is(err, atm.ErrVCClosed):
+		return ErrConnClosed
 	}
-	return b, nil
+	return err
 }
 
 func (a *aciConn) Close() error   { return a.vc.Close() }
@@ -595,7 +548,7 @@ func (h *hpiConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
 	return b, nil
 }
 
-// TryRecvBuf implements Poller over the in-process link's arrival queue.
+// TryRecvBuf polls the in-process link's arrival queue.
 func (h *hpiConn) TryRecvBuf() (*buf.Buffer, error) {
 	b, err := h.ep.TryRecvBuf()
 	if err != nil {
@@ -604,10 +557,8 @@ func (h *hpiConn) TryRecvBuf() (*buf.Buffer, error) {
 	return b, nil
 }
 
-// SetRecvNotify implements Poller; see netsim.Endpoint.SetRecvNotify.
+// SetRecvNotify hooks the link; see netsim.Endpoint.SetRecvNotify.
 func (h *hpiConn) SetRecvNotify(fn func()) { h.ep.SetRecvNotify(fn) }
-
-var _ Poller = (*hpiConn)(nil)
 
 func (h *hpiConn) Close() error   { return h.ep.Close() }
 func (h *hpiConn) MaxPacket() int { return 0 }

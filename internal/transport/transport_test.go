@@ -2,6 +2,9 @@ package transport
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
+	"net"
 	"sync"
 	"testing"
 	"time"
@@ -271,5 +274,124 @@ func TestConcurrentSendersInterleave(t *testing.T) {
 			wg.Wait()
 			<-recvDone
 		})
+	}
+}
+
+// TestPollAllKinds reads every transport the way a runtime does: the
+// notify hook says when to look, TryRecvBuf takes what arrived without
+// blocking — a whole packet, however many cells or chunks carried it —
+// and a peer's close surfaces as ErrConnClosed once the queue is drained.
+func TestPollAllKinds(t *testing.T) {
+	type pair struct{ a, b Conn }
+	cells := map[string]func(t *testing.T) (pair, func()){
+		"chunked-HPI": func(t *testing.T) (pair, func()) {
+			a, b := HPIPair()
+			return pair{Chunked(a, 100), Chunked(b, 100)}, func() { a.Close(); b.Close() }
+		},
+	}
+	for _, k := range allKinds() {
+		cells[k.String()] = func(t *testing.T) (pair, func()) {
+			a, b, cleanup, err := NewPair(PairConfig{Kind: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return pair{a, b}, cleanup
+		}
+	}
+	for name, mk := range cells {
+		t.Run(name, func(t *testing.T) {
+			p, cleanup := mk(t)
+			defer cleanup()
+			bell := make(chan struct{}, 1)
+			p.b.SetRecvNotify(func() {
+				select {
+				case bell <- struct{}{}:
+				default:
+				}
+			})
+			defer p.b.SetRecvNotify(nil)
+			// poll waits on the bell until TryRecvBuf yields a packet or an error.
+			poll := func() ([]byte, error) {
+				for {
+					b, err := p.b.TryRecvBuf()
+					if b != nil {
+						return b.TakeBytes(), nil
+					}
+					if err != nil {
+						return nil, err
+					}
+					select {
+					case <-bell:
+					case <-time.After(5 * time.Second):
+						t.Fatal("no packet and no notify")
+					}
+				}
+			}
+			for _, n := range []int{0, 1, 1000, 5000} {
+				msg := bytes.Repeat([]byte{byte(n)}, n)
+				if err := p.a.Send(msg); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := poll(); err != nil || !bytes.Equal(got, msg) {
+					t.Fatalf("%d bytes: got %d, %v", n, len(got), err)
+				}
+			}
+			if err := p.a.Send([]byte("last")); err != nil {
+				t.Fatal(err)
+			}
+			p.a.Close()
+			if got, err := poll(); string(got) != "last" {
+				t.Fatalf("a packet sent before the close: got %q, %v", got, err)
+			}
+			if _, err := poll(); !errors.Is(err, ErrConnClosed) {
+				t.Fatalf("after the peer's close: %v, want ErrConnClosed", err)
+			}
+		})
+	}
+}
+
+// TestSCIRecvTimeoutMidPacket lets a receive deadline expire with half a
+// packet on the socket: it is a plain timeout, and the packet, once
+// whole, is read whole — a deadline cannot cut the stream.
+func TestSCIRecvTimeoutMidPacket(t *testing.T) {
+	l, err := ListenSCI("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	raw, err := net.Dial("tcp", l.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	c, err := l.Accept()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+
+	body := bytes.Repeat([]byte("half"), 256)
+	frame := binary.BigEndian.AppendUint32(nil, uint32(len(body)))
+	frame = append(frame, body...)
+	cut := 4 + len(body)/2
+	if _, err := raw.Write(frame[:cut]); err != nil {
+		t.Fatal(err)
+	}
+	if b, err := c.RecvBufTimeout(50 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {
+		if b != nil {
+			b.Release()
+		}
+		t.Fatalf("RecvBufTimeout with half a packet sent: %v, want ErrRecvTimeout", err)
+	}
+	if _, err := raw.Write(frame[cut:]); err != nil {
+		t.Fatal(err)
+	}
+	b, err := c.RecvBuf()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Release()
+	if !bytes.Equal(b.B, body) {
+		t.Fatalf("got %d bytes, want the whole %d-byte packet", b.Len(), len(body))
 	}
 }

@@ -14,16 +14,14 @@
 //     thread's vectored SendBatch into a single sendmmsg(2), and one
 //     reader goroutine per socket drains arrivals recvmmsg(2)-style
 //     into pooled buffers; other platforms fall back to one syscall
-//     per datagram through the same interface (see udp_portable.go).
+//     per datagram through the same interface (see udp_batch_portable.go).
 //   - Zero-copy receive. Datagrams land directly in internal/buf
 //     pooled storage sized so the default SDU stage fits the 4KB pool
 //     tier; the frame header is skipped by reslicing, and the same
-//     buffer travels up through demux, the per-conn inbound queue, and
-//     TryRecvBuf to the runtime.
-//   - Poller. udpConn implements the reactor interface, so sharded
-//     runtimes service UDP connections without a pump goroutine per
-//     connection; the per-socket reader is the only goroutine the
-//     transport adds, shared by every conn on a listener.
+//     buffer travels up through demux, the per-conn arrival queue (inq,
+//     which drops when full), and TryRecvBuf to the runtime. The
+//     per-socket reader is the only goroutine the transport adds,
+//     shared by every conn on a listener.
 //   - Seeded impairment. Each conn's send side owns a
 //     netsim.WireImpairer, so the chaos matrix and the flow/error
 //     control property tests run their seeded drop/dup/reorder
@@ -229,129 +227,6 @@ func (k addrKey) udpAddr() *net.UDPAddr {
 }
 
 // ---------------------------------------------------------------------------
-// Inbound queue: the per-conn arrival buffer between the socket reader
-// and the runtime, with netsim-matching Poller semantics (drain fully,
-// then ErrConnClosed).
-
-type udpInq struct {
-	ch   chan *buf.Buffer
-	dead chan struct{}
-
-	mu     sync.Mutex
-	closed bool
-	notify func()
-}
-
-func (q *udpInq) init() {
-	q.ch = make(chan *buf.Buffer, udpInqDepth)
-	q.dead = make(chan struct{})
-}
-
-// push enqueues an arrival, dropping it (UDP-style) when the queue is
-// full or the conn is closed. The notify hook fires outside the lock.
-func (q *udpInq) push(b *buf.Buffer) {
-	q.mu.Lock()
-	if q.closed {
-		q.mu.Unlock()
-		b.Release()
-		return
-	}
-	select {
-	case q.ch <- b:
-	default:
-		q.mu.Unlock()
-		b.Release()
-		mUDPQueueDrop.Inc()
-		return
-	}
-	fn := q.notify
-	q.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
-
-// shutdown closes the queue. With drain, queued buffers are released
-// (the local owner is done); without, they stay readable so a peer
-// close delivers everything that arrived first. Idempotent, and a
-// drain shutdown after a no-drain one still drains.
-func (q *udpInq) shutdown(drain bool) {
-	q.mu.Lock()
-	if !q.closed {
-		q.closed = true
-		close(q.dead)
-	}
-	if drain {
-		for {
-			select {
-			case b := <-q.ch:
-				b.Release()
-				continue
-			default:
-			}
-			break
-		}
-	}
-	fn := q.notify
-	q.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
-
-func (q *udpInq) tryPop() (*buf.Buffer, error) {
-	select {
-	case b := <-q.ch:
-		return b, nil
-	default:
-	}
-	select {
-	case <-q.dead:
-		// Closed; anything pushed before the close flag was set is
-		// still in ch — re-check so the queue drains before erroring.
-		select {
-		case b := <-q.ch:
-			return b, nil
-		default:
-			return nil, ErrConnClosed
-		}
-	default:
-		return nil, nil
-	}
-}
-
-// pop blocks for the next arrival; deadline may be nil (block forever).
-func (q *udpInq) pop(deadline <-chan time.Time) (*buf.Buffer, error) {
-	select {
-	case b := <-q.ch:
-		return b, nil
-	default:
-	}
-	select {
-	case b := <-q.ch:
-		return b, nil
-	case <-q.dead:
-		select {
-		case b := <-q.ch:
-			return b, nil
-		default:
-			return nil, ErrConnClosed
-		}
-	case <-deadline:
-		return nil, ErrRecvTimeout
-	}
-}
-
-func (q *udpInq) setNotify(fn func()) {
-	q.mu.Lock()
-	q.notify = fn
-	q.mu.Unlock()
-	if fn != nil {
-		fn()
-	}
-}
-
-// ---------------------------------------------------------------------------
 // Endpoint: one socket, its reader goroutine, and the conns on it.
 
 type udpEndpoint struct {
@@ -419,7 +294,7 @@ func (ep *udpEndpoint) newConn(chanID uint32, from addrKey, to *net.UDPAddr) (*u
 		imp:       netsim.NewWireImpairer(ep.cfg.Seed, ep.cfg.Impair, ep.cfg.Schedule),
 	}
 	c.chanID.Store(chanID)
-	c.inq.init()
+	c.inq.init(udpInqDepth)
 	if to != nil {
 		wa, err := encodeWireAddr(to)
 		if err != nil {
@@ -539,7 +414,9 @@ func (ep *udpEndpoint) dispatch(b *buf.Buffer, m recvMeta) {
 			return
 		}
 		b.B = b.B[udpHeaderSize:m.n]
-		c.inq.push(b)
+		if c.inq.push(b, false) {
+			mUDPQueueDrop.Inc()
+		}
 	case frameOpen:
 		b.Release()
 		ep.handleOpen(m.from)
@@ -760,14 +637,11 @@ type udpConn struct {
 	to        *wireAddr // nil on connected sockets
 	maxPacket int
 	imp       *netsim.WireImpairer
-	inq       udpInq
+	inq       // arrivals: the receive methods are the queue's
 	closeOnce sync.Once
 }
 
-var (
-	_ Conn   = (*udpConn)(nil)
-	_ Poller = (*udpConn)(nil)
-)
+var _ Conn = (*udpConn)(nil)
 
 func (c *udpConn) Kind() Kind     { return UDP }
 func (c *udpConn) MaxPacket() int { return c.maxPacket }
@@ -867,35 +741,6 @@ func mapUDPSendErr(err error) error {
 	}
 	return fmt.Errorf("udp send: %w", err)
 }
-
-func (c *udpConn) Recv() ([]byte, error) {
-	b, err := c.inq.pop(nil)
-	if err != nil {
-		return nil, err
-	}
-	return b.TakeBytes(), nil
-}
-
-func (c *udpConn) RecvBuf() (*buf.Buffer, error) {
-	return c.inq.pop(nil)
-}
-
-func (c *udpConn) RecvTimeout(d time.Duration) ([]byte, error) {
-	b, err := c.RecvBufTimeout(d)
-	if err != nil {
-		return nil, err
-	}
-	return b.TakeBytes(), nil
-}
-
-func (c *udpConn) RecvBufTimeout(d time.Duration) (*buf.Buffer, error) {
-	t := time.NewTimer(d)
-	defer t.Stop()
-	return c.inq.pop(t.C)
-}
-
-func (c *udpConn) TryRecvBuf() (*buf.Buffer, error) { return c.inq.tryPop() }
-func (c *udpConn) SetRecvNotify(fn func())          { c.inq.setNotify(fn) }
 
 // Close tears down this conn: a best-effort CLOSE frame to the peer,
 // then the local queue drains its unread arrivals back to the pool.

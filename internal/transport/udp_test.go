@@ -206,16 +206,12 @@ func TestUDPPoller(t *testing.T) {
 	defer a.Close()
 	defer b.Close()
 
-	p, ok := AsPoller(b)
-	if !ok {
-		t.Fatal("udpConn must implement Poller")
-	}
-	if bb, err := p.TryRecvBuf(); bb != nil || err != nil {
+	if bb, err := b.TryRecvBuf(); bb != nil || err != nil {
 		t.Fatalf("empty TryRecvBuf = %v, %v", bb, err)
 	}
 
 	notify := make(chan struct{}, 16)
-	p.SetRecvNotify(func() {
+	b.SetRecvNotify(func() {
 		select {
 		case notify <- struct{}{}:
 		default:
@@ -238,7 +234,7 @@ func TestUDPPoller(t *testing.T) {
 	}
 	deadline := time.Now().Add(udpTestTimeout)
 	for {
-		bb, err := p.TryRecvBuf()
+		bb, err := b.TryRecvBuf()
 		if err != nil {
 			t.Fatalf("TryRecvBuf: %v", err)
 		}
@@ -258,7 +254,7 @@ func TestUDPPoller(t *testing.T) {
 	// After close: drained queue reports ErrConnClosed, and the hook
 	// fires for the death notification.
 	b.Close()
-	if _, err := p.TryRecvBuf(); err != ErrConnClosed {
+	if _, err := b.TryRecvBuf(); err != ErrConnClosed {
 		t.Fatalf("TryRecvBuf after close = %v", err)
 	}
 }
