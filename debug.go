@@ -33,9 +33,9 @@ var expvarOnce sync.Once
 //     buckets), named ncs_<layer>_<subsystem>_<metric>.
 //   - /debug/ncs/conns: "why is this connection stuck?" — one block of
 //     key=value lines per live connection end (a closed one is absent),
-//     read off the runtime's own state: whether the receive side
-//     stopped reading the wire (paused=true, with queued= at the depth
-//     of the default lane or of its bound Inbox), sessions being
+//     read off the runtime's own state: whether the default lane
+//     withholds its peer's credit (withheld=true, with queued= at the
+//     depth of the lane or of its bound Inbox), sessions being
 //     reassembled, sends waiting for an ack, the retransmission timeout
 //     and RTT, heartbeat misses, its Stats, and a line for the default
 //     lane (stream=0) and every open stream with the messages queued
@@ -93,16 +93,16 @@ func writeConns(w io.Writer, conns []core.ConnInfo) {
 		if c.Err != nil {
 			state = c.Err.Error()
 		}
-		fmt.Fprintf(w, "conn=%d system=%s peer=%s runtime=%s flowctl=%v errctl=%v state=%q paused=%t queued=%d/%d sessions=%d waiters=%d rto=%v rtt=%v misses=%d\n",
+		fmt.Fprintf(w, "conn=%d system=%s peer=%s runtime=%s flowctl=%v errctl=%v state=%q withheld=%t queued=%d/%d sessions=%d waiters=%d rto=%v rtt=%v misses=%d\n",
 			c.ID, c.System, c.Peer, runtime, c.Opts.FlowControl, c.Opts.ErrorControl, state,
-			c.Paused, c.Queued, c.Depth, c.Sessions, c.Waiters, c.RTO, c.RTT, c.Misses)
+			c.Withheld, c.Queued, c.Depth, c.Sessions, c.Waiters, c.RTO, c.RTT, c.Misses)
 		st := c.Stats
 		fmt.Fprintf(w, "  stats msgs_sent=%d sdus_sent=%d bytes_sent=%d retransmissions=%d msgs_recv=%d sdus_recv=%d bytes_recv=%d ctrl_sent=%d ctrl_recv=%d\n",
 			st.MessagesSent, st.SDUsSent, st.BytesSent, st.Retransmissions, st.MessagesReceived, st.SDUsReceived, st.BytesReceived, st.ControlSent, st.ControlReceived)
 		slices.SortFunc(c.Lanes[1:], func(a, b core.LaneInfo) int { return cmp.Compare(a.Stream, b.Stream) })
 		for _, l := range c.Lanes {
 			if l.Stream == 0 && !l.Credit {
-				continue // the default lane's queue is on the first line, and it runs no credits
+				continue // the default lane saw no traffic: its queue is on the first line, and its window is not built
 			}
 			fmt.Fprintf(w, "  stream=%d queued=%d", l.Stream, l.Queued)
 			if fs := l.Flow; l.Credit {

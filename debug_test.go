@@ -202,7 +202,8 @@ func TestDebugConns(t *testing.T) {
 		}
 	}()
 	// (Once a full AckTimeout brings no grant the sender writes one credit
-	// off and probes with one more message, so 8 or more, never many.)
+	// off and probes with one more message — again after 2, 4, 8… — so 8
+	// or more, never many.)
 	await("the sender's end, out of credits", stalled, "stall-a", has("stream=1 ", "granted=8 ", "in_flight=8 ", "available=0 "))
 	await("the peer's end, holding the backlog that withholds the grants", stalledPeer, "stall-b", func(line string) bool {
 		var id, queued int
@@ -210,19 +211,32 @@ func TestDebugConns(t *testing.T) {
 		return n == 2 && id == 1 && queued >= 8 && queued < 32
 	})
 
-	// Paused at depth: a sharded connection nobody receives from.
-	paused, pausedPeer, err := ncs.Pair(nw, "pause-a", "pause-b", ncs.Options{Interface: ncs.HPI, Runtime: ncs.RuntimeSharded})
+	// Withholding at depth: a sharded connection nobody receives from.
+	paused, pausedPeer, err := ncs.Pair(nw, "pause-a", "pause-b", ncs.Options{
+		Interface:  ncs.HPI,
+		Runtime:    ncs.RuntimeSharded,
+		FlowConfig: ncs.FlowConfig{InitialCredits: 8, MaxCredits: 8},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 200; i++ {
-		if err := paused.Send([]byte("unread")); err != nil {
-			t.Fatal(err)
+	go func() {
+		for i := 0; i < 200 && paused.Send([]byte("unread")) == nil; i++ {
 		}
-	}
-	await("the receiving end, stopped at the default lane's depth", pausedPeer, "pause-b", has("runtime=sharded", `state="live"`, "paused=true queued=128/128 "))
-	await("the sending end, which is not stuck", paused, "pause-a", has("paused=false queued=0/128 "))
-	await("its books", paused, "pause-a", has("stats msgs_sent=200 sdus_sent=200 "))
+	}()
+	// (The peer holds the depth, the window of 8 granted before it withheld
+	// and the message that granted it — and one more each time the stalled
+	// sender's resynchronisation repairs: after 1, 2, 4, 8… AckTimeouts.)
+	await("the receiving end, withholding at the default lane's depth", pausedPeer, "pause-b", func(line string) bool {
+		var queued int
+		i := strings.Index(line, "withheld=true queued=")
+		if i < 0 || !strings.Contains(line, "runtime=sharded") || !strings.Contains(line, `state="live"`) {
+			return false
+		}
+		n, _ := fmt.Sscanf(line[i:], "withheld=true queued=%d/128 ", &queued)
+		return n == 1 && queued >= 128 && queued < 200
+	})
+	await("the sending end, which withholds nothing", paused, "pause-a", has("withheld=false queued=0/128 "))
 
 	paused.Close()
 	pausedPeer.Close()

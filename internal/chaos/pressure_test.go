@@ -16,8 +16,9 @@ import (
 // flow control must absorb the rate mismatch by withholding grants —
 // the sender parks instead of buffering without bound — and the run
 // must still deliver everything once the bursts pass. After each run
-// the shard pool's parked-connection gauge must be back to zero: a
-// connection left parked is a delivery stall that survived teardown.
+// core.shard.parked_conns must be back to zero: a live connection left
+// withholding its peer's grant is a delivery stall that survived
+// teardown.
 func TestPressureSlowConsumer(t *testing.T) {
 	sched, ok := ScheduleByName("pressure")
 	if !ok {
@@ -44,7 +45,8 @@ func TestPressureSlowConsumer(t *testing.T) {
 
 // TestPressureLeavesNoParkedConns audits the gauge after the slow
 // consumer runs (and any other parallel chaos activity) settle: every
-// shard-parked connection must have been flushed or dropped at close.
+// grant a default lane withheld must have been flushed by the pop that
+// ended its backlog, or dropped with its connection at close.
 // It runs in the package's sequential tail — t.Parallel tests above
 // have all finished by the time non-parallel tests that come later in
 // the file order run — but guards against stragglers by polling.
@@ -68,7 +70,7 @@ func TestPressureLeavesNoParkedConns(t *testing.T) {
 			return
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("core.shard.parked_conns = %d after pressure run; parked deliveries leaked past Close", parked)
+			t.Fatalf("core.shard.parked_conns = %d after pressure run; a withheld grant outlived its backlog or its connection", parked)
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -21,10 +21,10 @@ import (
 )
 
 // deliveredQueueDepth is the number of fully reassembled messages that
-// may wait for NCS_recv in the default lane's mailbox before its
-// producer stops reading the data connection — whoever pumps the data
-// wire leaves it, a shard pauses the connection's data path — which is
-// the natural backpressure toward the peer.
+// may wait for NCS_recv in the default lane's mailbox before the lane
+// withholds its peer's credit (atDepth) — the backpressure toward the
+// peer, which stops once the credit it holds is spent, while the
+// receiver keeps reading the wire.
 const deliveredQueueDepth = 128
 
 // streamSendSlots bounds how many data SDUs from non-zero streams may
@@ -332,11 +332,14 @@ type Connection struct {
 	fcRecv atomic.Pointer[flowctl.Receiver]
 
 	// box is the default lane's receive end — the same mailbox every
-	// stream has. Its producer holds it to deliveredQueueDepth (or, bound
-	// to an inbox, holds that to its depth — atDepth): there it raises
-	// paused and stops reading the data connection, and the pop that frees
-	// a slot wakes it (afterRecv, Inbox.wake).
+	// stream has, bounded the way a stream's is: at deliveredQueueDepth
+	// (or, bound to an inbox, at the inbox's depth — atDepth) the lane's
+	// gate withholds the peer's grants, and the pop that ends the backlog
+	// flushes them (took). Nothing stops reading the data connection.
 	box stream.Mailbox[Message]
+	// lane is what bounds the default lane, built by its first traffic
+	// (credit).
+	lane atomic.Pointer[laneCredit]
 
 	// mu guards the lazy constructors and the waiter table, nil until
 	// the first outbound reliable send.
@@ -349,15 +352,15 @@ type Connection struct {
 
 	nextSession atomic.Uint32
 
-	// txCounter and rxCounter are connection-lifetime packet indices fed
-	// to flow control, so that window/credit state spans sessions even
-	// though SDU sequence numbers restart per message.
+	// txCounter is the default lane's lifetime transmit index, fed to
+	// flow control and carried in each SDU's header (DataHeader.Tx), so
+	// that window/credit state spans sessions even though SDU sequence
+	// numbers restart per message.
 	txCounter atomic.Uint32
-	rxCounter atomic.Uint32
 
-	paused  atomic.Bool // the default lane's producer stopped at depth (see box)
-	queued  atomic.Bool // on its shard's ready list
-	serving atomic.Bool // its shard's loop is pumping it: what it emits waits for the cycle's flush (emitCtrl)
+	queued  atomic.Bool  // on its shard's ready list
+	serving atomic.Bool  // its shard's loop is pumping it: what it emits waits for the cycle's flush (emitCtrl)
+	blind   atomic.Int32 // how many of the goroutines waiting on it are blind (waiting)
 
 	// The data and control transports as their writers share them
 	// (flush), and as their readers do (pump.go: wireData, wireCtrl).
@@ -366,10 +369,9 @@ type Connection struct {
 	in           [2]*inWire // built with the connection
 
 	// The goroutines waiting on the connection, newest first — each reads
-	// its wires when rung (pump.go) — and how many of them are blind.
+	// its wires when rung (pump.go).
 	waitMu  sync.Mutex
 	waiting *waiter
-	blind   atomic.Int32
 
 	// Stream multiplexing state (see internal/stream). The mux is lazy:
 	// a connection that never opens a stream carries none, and stream 0
@@ -441,63 +443,79 @@ func newConnection(sys *System, peer string, id uint32, opts Options, data, ctrl
 	return c
 }
 
-// flowSend returns the connection's flow-control sender, creating it
-// on first use. The fast path is one atomic load.
+// lazy returns what p holds, building it on first use under c.mu: Close
+// finds it under the same mutex (halt), so what is built after Close is
+// torn down at once (stop), and nothing can wait on a teardown that
+// missed it. An idle connection builds none of the lazy state.
+func lazy[T any](c *Connection, p *atomic.Pointer[T], build func() *T, stop func(*T)) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v := p.Load(); v != nil {
+		return v
+	}
+	v := build()
+	select {
+	case <-c.closedCh:
+		stop(v)
+	default:
+	}
+	p.Store(v)
+	return v
+}
+
+// halt is Close's side of lazy: it tears down what p holds, if anything
+// was built yet.
+func halt[T any](c *Connection, p *atomic.Pointer[T], stop func(*T)) {
+	c.mu.Lock()
+	v := p.Load()
+	c.mu.Unlock()
+	if v != nil {
+		stop(v)
+	}
+}
+
+// closer closes a lazily built flow-control half.
+func closer[T interface{ Close() }](v *T) { (*v).Close() }
+
+// pacing is the §3.3 algorithm that paces the default lane on top of
+// its credit window: none under Credit, where the window is the
+// algorithm (credit).
+func (c *Connection) pacing() flowctl.Algorithm {
+	if c.opts.FlowControl == flowctl.Credit {
+		return flowctl.None
+	}
+	return c.opts.FlowControl
+}
+
+// flowSend returns the sending half of the connection's pacing,
+// creating it on first use. The fast path is one atomic load.
 func (c *Connection) flowSend() flowctl.Sender {
-	if p := c.fcSend.Load(); p != nil {
-		return *p
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.fcSend.Load(); p != nil {
-		return *p
-	}
-	fs := flowctl.NewSender(c.opts.FlowControl, c.opts.FlowConfig)
-	select {
-	case <-c.closedCh:
-		// Construction raced Close (which tears flow control down under
-		// this same mutex): close the newcomer so no admission waiter
-		// can block on a sender teardown never saw.
-		fs.Close()
-	default:
-	}
-	c.fcSend.Store(&fs)
-	return fs
+	return *lazy(c, &c.fcSend, func() *flowctl.Sender {
+		fs := flowctl.NewSender(c.pacing(), c.opts.FlowConfig)
+		return &fs
+	}, closer)
 }
 
-// flowRecv returns the connection's flow-control receiver, creating it
-// on first use.
+// flowRecv returns the receiving half of the connection's pacing,
+// creating it on first use.
 func (c *Connection) flowRecv() flowctl.Receiver {
-	if p := c.fcRecv.Load(); p != nil {
-		return *p
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if p := c.fcRecv.Load(); p != nil {
-		return *p
-	}
-	fr := flowctl.NewReceiver(c.opts.FlowControl, c.opts.FlowConfig)
-	// A credit receiver's refill-retry timer re-advertises a possibly-lost
-	// grant through this emitter.
-	flowctl.SetEmitter(fr, c.emitStamped)
-	select {
-	case <-c.closedCh:
-		fr.Close()
-	default:
-	}
-	c.fcRecv.Store(&fr)
-	return fr
+	return *lazy(c, &c.fcRecv, func() *flowctl.Receiver {
+		fr := flowctl.NewReceiver(c.pacing(), c.opts.FlowConfig)
+		return &fr
+	}, closer)
 }
 
-// FlowStats snapshots the connection's credit flow-control sender state
-// (grants, in-flight, congestion window). ok is false when the
-// connection does not use credit flow control or has not sent yet.
+// FlowStats snapshots the credit window of the connection's default
+// lane (grants, in-flight, congestion window). ok is false when the
+// lane has seen no traffic yet.
 func (c *Connection) FlowStats() (flowctl.SenderStats, bool) {
-	p := c.fcSend.Load()
-	if p == nil {
-		return flowctl.SenderStats{}, false
+	if l := c.lane.Load(); l != nil {
+		return flowctl.SenderStatsOf(l.Sender())
 	}
-	return flowctl.SenderStatsOf(*p)
+	return flowctl.SenderStats{}, false
 }
 
 // closeErr maps connection shutdown to the caller-visible error.
@@ -581,19 +599,21 @@ func (c *Connection) unreliableSegments(msg []byte) (sduSize, n int) {
 }
 
 // sendLane bundles the per-channel transmit state a send drives: the
-// flow-control sender admitting each SDU and the lifetime transmit
-// index it is fed. Stream 0 uses the connection's own pair; every
-// other stream brings its own, which is what keeps an exhausted
-// stream's admission wait from touching its siblings.
+// credit window admitting each SDU, the pacing it is admitted under as
+// well (fc, nil on a stream), and the lifetime transmit index it is fed.
+// Stream 0 uses the connection's own; every other stream brings its
+// own, which is what keeps an exhausted stream's admission wait from
+// touching its siblings.
 type sendLane struct {
 	streamID uint32
-	fc       flowctl.Sender
+	win, fc  flowctl.Sender
 	tx       *atomic.Uint32
 }
 
-// lane0 is the connection's default (stream 0) send lane.
+// lane0 is the connection's default (stream 0) send lane: its credit
+// window and the connection's pacing.
 func (c *Connection) lane0() sendLane {
-	return sendLane{fc: c.flowSend(), tx: &c.txCounter}
+	return sendLane{win: c.credit().Sender(), fc: c.flowSend(), tx: &c.txCounter}
 }
 
 // send is the one send engine: every Send, on every lane and every
@@ -778,14 +798,24 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 	// or one of its retransmission batches, flagged throughout: errctl's
 	// loss simulations check every batch — flaggedThroughout.)
 	if len(sdus) > 0 && sdus[0].Header.Flags&packet.FlagRetransmit != 0 {
-		flowctl.NoteLoss(lane.fc, len(sdus))
+		flowctl.NoteLoss(lane.win, len(sdus))
 	}
 	alone := len(sdus) == 1 && sdus[0].Header.Flags&(packet.FlagEnd|packet.FlagRetransmit) != 0
 	wait := c.rto()
 	for _, sdu := range sdus {
-		if err := c.admit(lane, wait); err != nil {
+		// The transmit index is taken once the window (which reads no
+		// index) admitted the SDU, so every index the peer's window counts
+		// (Credit.Arrived) spent a credit here. Should the pacing then
+		// refuse the SDU (a fast-path give-up), the credit and the index
+		// are spent alike, and the peer counts the index as lost.
+		if err := c.admit(lane.streamID, lane.win, 0, wait); err != nil {
 			return err
 		}
+		idx := lane.tx.Add(1) - 1
+		if err := c.admit(lane.streamID, lane.fc, idx, wait); err != nil {
+			return err
+		}
+		sdu.Header.Tx = uint16(idx)
 		c.stats.sdusSent.Add(1)
 		c.stats.bytesSent.Add(uint64(len(sdu.Payload)))
 		if sdu.Header.Flags&packet.FlagRetransmit != 0 {
@@ -814,20 +844,20 @@ func (c *Connection) transmit(lane sendLane, sdus []errctl.SDU, sync bool) error
 // control admission before giving up, in multiples of AckTimeout.
 const maxCreditWait = 10
 
-// admit returns once the lane's flow control admits its next
-// transmission. A sender about to wait first hands what it queued to the
+// admit returns once fc, one of a lane's flow-control senders, admits
+// the lane's transmission idx: a sender is asked once per SDU whatever
+// another one of its lane asks again — TryAcquire has side effects on
+// every algorithm — so a lane's window is taken before its pacing is
+// (transmit). A sender about to wait first hands what it queued to the
 // wire: the grants it waits for answer those SDUs. It then waits on the
 // control wire (awaitCtrl), reading the grants itself while nobody else
 // does, in waits of up to wait — however many other control packets
 // arrive — after each of which without an admission it resynchronises
-// flow control (creditTimeout). A rate sender's wait ends early when
-// time alone refills its bucket. The fast path gives up after
-// maxCreditWait waits: keep its unconsumed streams within their initial
-// credit window.
-func (c *Connection) admit(lane sendLane, wait time.Duration) error {
-	fc := lane.fc
-	idx := lane.tx.Add(1) - 1
-	if fc.TryAcquire(idx) {
+// flow control (creditTimeout). A rate sender's wait ends early when time
+// alone refills its bucket. The fast path gives up after maxCreditWait
+// waits: keep its unconsumed streams within their initial credit window.
+func (c *Connection) admit(streamID uint32, fc flowctl.Sender, idx uint32, wait time.Duration) error {
+	if fc == nil || fc.TryAcquire(idx) {
 		return nil
 	}
 	if err := c.flush(&c.dataW, c.data, false); err != nil {
@@ -838,7 +868,7 @@ func (c *Connection) admit(lane sendLane, wait time.Duration) error {
 	wt := idleWaiters.Get()
 	defer idleWaiters.Put(wt)
 	// Admitted — or the stream closed, which ends the wait too.
-	admitted := func() bool { return fc.TryAcquire(idx) || c.streamSendable(lane.streamID) != nil }
+	admitted := func() bool { return fc.TryAcquire(idx) || c.streamSendable(streamID) != nil }
 	for attempt := 1; ; attempt++ {
 		for end := time.Now().Add(wait); time.Now().Before(end); {
 			d := time.Until(end)
@@ -846,10 +876,10 @@ func (c *Connection) admit(lane sendLane, wait time.Duration) error {
 				d = min(d, r)
 			}
 			if _, ok, err := c.awaitCtrl(wt, nil, admitted, d); ok || err != nil {
-				return cmp.Or(err, c.streamSendable(lane.streamID))
+				return cmp.Or(err, c.streamSendable(streamID))
 			}
 		}
-		if err := c.creditTimeout(lane); err != nil || fc.TryAcquire(idx) {
+		if err := c.creditTimeout(streamID, fc); err != nil || fc.TryAcquire(idx) {
 			return err
 		}
 		if c.opts.FastPath && attempt == maxCreditWait {
@@ -859,19 +889,21 @@ func (c *Connection) admit(lane sendLane, wait time.Duration) error {
 }
 
 // creditTimeout reacts to a full admission wait that brought no grant.
-// On lossy links, dropped data packets consume credits whose grants
-// never return: resynchronise, and the caller retries. On a stream lane
-// this is also the unconsumed-peer case, recorded as a credit wait —
-// and a send toward a peer that closed the stream surfaces
+// On lossy links a lost grant, or a run of lost data packets that no
+// later arrival reveals to the peer, leaves the sender without credit:
+// resynchronise, and the caller retries. It is also the case of a peer
+// that withholds its grant, which is why the credit sender backs its
+// repairs off (flowctl). On a stream lane it is recorded as a credit
+// wait — and a send toward a peer that closed the stream surfaces
 // ErrStreamClosed instead of retrying for ever.
-func (c *Connection) creditTimeout(lane sendLane) error {
-	if lane.streamID != 0 {
+func (c *Connection) creditTimeout(streamID uint32, fc flowctl.Sender) error {
+	if streamID != 0 {
 		stream.NoteCreditWait()
-		if err := c.streamSendable(lane.streamID); err != nil {
+		if err := c.streamSendable(streamID); err != nil {
 			return err
 		}
 	}
-	lane.fc.Resync()
+	fc.Resync()
 	return nil
 }
 
@@ -991,7 +1023,7 @@ func (c *Connection) recv(st *stream.State, done <-chan struct{}, d time.Duratio
 		return c.await(&c.box, c.box.Bell, func() (Message, bool, error) {
 			m, ok := c.box.Pop()
 			if ok {
-				c.afterRecv()
+				c.took(false)
 			}
 			return m, ok, nil
 		}, done, d)
@@ -1055,65 +1087,57 @@ func awaitErr(err, closed error) error {
 	return err
 }
 
-// atDepth reports that the default lane's producer must not read the
-// wire: what it may complete has nowhere to wait — the bound inbox is
-// at its depth, else the connection's own mailbox at
-// deliveredQueueDepth. (A closed inbox is never at depth: the next
-// delivery unbinds it.)
+// credit returns the default lane's stream.Credit — its window, as
+// stream 0, and the gate every grant of the lane passes, as a stream's
+// do — built by the lane's first traffic. The fast path is one atomic
+// load. Under Credit the window is the connection's §3.3 algorithm.
+// Under any other it only bounds the lane's backlog and leaves the
+// pacing to the algorithm, so it is granted whole from the start: a
+// window that had to grow from a few credits would stall every message
+// on a lossy link for the grants it waits for.
+func (c *Connection) credit() *laneCredit {
+	return lazy(c, &c.lane, func() *laneCredit {
+		l := new(laneCredit)
+		cfg := c.opts.FlowConfig
+		if c.opts.FlowControl != flowctl.Credit {
+			cfg = cfg.WithDefaults()
+			cfg.InitialCredits = max(cfg.InitialCredits, cfg.MaxCredits)
+		}
+		l.Init(0, cfg, c.atDepth, c.emitStamped)
+		return l
+	}, (*laneCredit).Close)
+}
+
+// laneCredit is the default lane's stream.Credit, and how many of its
+// messages wait in a bound inbox.
+type laneCredit struct {
+	stream.Credit
+	inboxed atomic.Int32
+}
+
+// atDepth is the default lane's gate condition: the lane is at depth —
+// its bound inbox at the inbox's, else its own mailbox at
+// deliveredQueueDepth — and one of its messages still waits there, whose
+// pop will flush what the gate withholds (took). A closed inbox is never
+// at depth: the next delivery unbinds it.
 func (c *Connection) atDepth() bool {
 	if ib := c.inbox.Load(); ib != nil {
-		return ib.box.Len() >= ib.depth && !ib.closed()
+		return ib.box.Len() >= ib.depth && !ib.closed() && c.lane.Load().inboxed.Load() > 0
 	}
 	return c.box.Len() >= deliveredQueueDepth
 }
 
-// dataPaused is the producer's backpressure, asked before each read of
-// the data wire: the wire stays unread — and a sharded connection is
-// counted in core.shard.parked_conns — while the default lane is at
-// depth. The consumer that frees a slot resumes it (afterRecv,
-// Inbox.wake).
-func (c *Connection) dataPaused() bool {
-	if c.atDepth() && c.pause() {
-		return true
-	}
-	c.unpause()
-	return false
-}
-
-// pause is the producer stopping at depth: once per pause it raises
-// paused and, if an inbox is what filled, registers for its wake-up.
-// Both happen BEFORE the re-check it returns, so a consumer draining
-// concurrently either is seen here or sees the flag (afterRecv reads it
-// after every pop) or the registration (Inbox.wake).
-func (c *Connection) pause() (still bool) {
-	if !c.paused.Swap(true) {
-		mParkedConns.Inc()
-		if ib := c.inbox.Load(); ib != nil {
-			ib.parked.Put(c, false)
+// took runs after every pop of one of c's default-lane messages — from
+// its own mailbox, or (inboxed) from the inbox it is bound to: the pop
+// that ends the backlog flushes the grant the gate withheld.
+func (c *Connection) took(inboxed bool) {
+	if l := c.lane.Load(); l != nil { // else nothing arrived that it could withhold
+		if inboxed {
+			l.inboxed.Add(-1)
 		}
-	}
-	return c.atDepth()
-}
-
-// unpause ends a pause, whoever finds it over: the producer seeing room,
-// an inbox waking it, Close.
-func (c *Connection) unpause() {
-	if c.paused.Load() && c.paused.Swap(false) {
-		mParkedConns.Dec()
+		l.Flush()
 	}
 }
-
-// afterRecv runs after every pop from the default lane's mailbox: if
-// its producer paused at depth, wake it into the slot just freed.
-func (c *Connection) afterRecv() {
-	if c.paused.Load() {
-		c.resume()
-	}
-}
-
-// resume wakes the default lane's paused producer: it fires the data
-// wire's source, which rings a waiter or the pump of last resort.
-func (c *Connection) resume() { c.in[wireData].arrived() }
 
 // BindInbox merges this connection's deliveries into ib: they become
 // InboxMessages on the shared queue instead of landing in the
@@ -1121,7 +1145,7 @@ func (c *Connection) resume() { c.in[wireData].arrived() }
 // flowing or not: under the data wire's pump token — every delivery
 // runs under it — the messages already waiting in the connection's
 // mailbox move into ib, in order, ahead of anything read after. Then a
-// producer paused at the connection's own depth looks again, at ib's.
+// grant withheld at the connection's own depth is judged again, at ib's.
 // Every runtime binds: while every consumer waits on the inbox, the
 // connection's pump of last resort delivers.
 func (c *Connection) BindInbox(ib *Inbox) error {
@@ -1133,9 +1157,8 @@ func (c *Connection) BindInbox(ib *Inbox) error {
 			c.deliver0(m, false) // a closed ib unbinds: the rest re-queue in order
 		}
 	}
-	c.unpause() // a pause at the own depth registered with no inbox
 	w.pump.Unlock()
-	c.resume()
+	c.took(false)
 	return nil
 }
 
@@ -1231,16 +1254,14 @@ func (c *Connection) deliver0(m Message, direct bool) (queued bool) {
 // every runtime — has taken it.
 func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf.Buffer) (Message, bool) {
 	// Step 8–9: the Flow Control Thread updates its state and returns
-	// credit/ack information over the control connection. Flow control
-	// sees the connection-lifetime arrival index, not the per-session
-	// SDU sequence number.
-	rxIdx := c.rxCounter.Add(1) - 1
-	for _, ctl := range c.flowRecv().OnData(rxIdx) {
-		ctl.ConnID = c.id
+	// credit/ack information over the control connection. The pacing
+	// sees the sender's lane-lifetime transmit index, not the
+	// per-session SDU sequence number: a window acknowledges past an SDU
+	// the link lost.
+	l := c.credit()
+	for _, ctl := range c.flowRecv().OnData(l.Index(h.Tx)) {
 		ctl.SessionID = h.SessionID
-		if !c.emitCtrl(ctl) {
-			return Message{}, false
-		}
+		c.emitStamped(ctl)
 	}
 
 	// Step 10: the Error Control Thread reassembles and acknowledges.
@@ -1253,20 +1274,7 @@ func (c *Connection) dispatchLane0(h packet.DataHeader, payload []byte, ref *buf
 			return Message{}, false
 		}
 	}
-	if len(acks) > 0 {
-		// Piggyback the credit state on the ack burst: the consumed-count
-		// refresh retires the peer's in-flight and feeds its congestion
-		// controller without a dedicated control packet. Non-credit
-		// receivers decline and cost one predicted branch.
-		if g, ok := flowctl.Piggyback(c.flowRecv()); ok {
-			g.ConnID = c.id
-			g.SessionID = h.SessionID
-			if !c.emitCtrl(g) {
-				d.Release()
-				return Message{}, false
-			}
-		}
-	}
+	l.Arrived(h.SessionID, h.Tx, len(acks) > 0)
 	return d, done
 }
 
@@ -1342,7 +1350,7 @@ func (c *Connection) routeControl(ctl packet.Control, ref *buf.Buffer) {
 		c.emitCtrl(packet.Control{Type: packet.CtrlPong, ConnID: c.id})
 	case packet.CtrlPong:
 		// Heard, like everything else; nothing more to do.
-	case packet.CtrlCredit, packet.CtrlCreditGrant, packet.CtrlRate, packet.CtrlWinAck:
+	case packet.CtrlRate, packet.CtrlWinAck:
 		c.flowSend().OnControl(ctl)
 		c.wakeAll(true)
 	case packet.CtrlStreamGrant, packet.CtrlStreamOpen, packet.CtrlStreamClose:
@@ -1391,20 +1399,12 @@ func (c *Connection) Close() error {
 		close(c.closedCh)
 		c.wakeAll(false)
 		c.sys.untrack(c)
-		// Serialise against the lazy flow-control constructors: after
-		// closedCh is closed and this section ran, any sender/receiver
-		// that exists — or is built later — has been Closed (the
-		// constructors self-close when they observe closedCh).
-		c.mu.Lock()
-		fcs := c.fcSend.Load()
-		fcr := c.fcRecv.Load()
-		c.mu.Unlock()
-		if fcs != nil {
-			(*fcs).Close()
-		}
-		if fcr != nil {
-			(*fcr).Close()
-		}
+		// Serialised against the lazy constructors: after closedCh is
+		// closed, any flow-control half or lane gate that exists — or is
+		// built later — is closed (lazy, halt).
+		halt(c, &c.fcSend, closer)
+		halt(c, &c.fcRecv, closer)
+		halt(c, &c.lane, (*laneCredit).Close)
 		c.dataW.close()
 		c.ctrlW.close()
 		c.data.Close()
@@ -1429,26 +1429,13 @@ func (c *Connection) Close() error {
 // what is still queued on the default lane — readable after Close,
 // perhaps never read — is owned in place, and every stream is reaped
 // (releasing its retained buffers and parked messages, draining its
-// credit timers), so a closed connection pins no pooled buffer. The mux
-// is loaded under c.mu so this serialises with a racing mux():
-// whichever side runs second observes the other's work. What the
+// credit timers), so a closed connection pins no pooled buffer — a mux
+// built after this is reaped at once (lazy, halt). What the
 // connection's own readers counted after it left the registry settles
 // into the process's books here.
 func (c *Connection) reapInbound() {
 	c.settle()
-	if ib := c.inbox.Load(); ib != nil && c.paused.Load() {
-		// Closed while parked on a full inbox: nobody may ever read it, so
-		// do not wait for a Recv to drop the reference. The live producers
-		// woken with it park again if the inbox is still full.
-		ib.wake()
-	}
-	c.unpause() // closed while paused: the gauge would keep counting it
 	c.inbound.Reap()
 	c.box.Each(func(m *Message) { m.Bytes() })
-	c.mu.Lock()
-	m := c.muxp.Load()
-	c.mu.Unlock()
-	if m != nil {
-		m.ReapAll()
-	}
+	halt(c, &c.muxp, (*stream.Mux).ReapAll)
 }

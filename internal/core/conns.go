@@ -93,9 +93,9 @@ type ConnInfo struct {
 	Stats        Stats
 	RTO, RTT     time.Duration
 	Misses       int  // consecutive heartbeat sweeps that heard nothing
-	Paused       bool // the default lane's producer stopped reading the wire: Queued is at Depth
+	Withheld     bool // the default lane withholds its peer's grant: Queued is at Depth
 	// Queued counts the messages unread on the default lane and Depth is
-	// where its producer stops: deliveredQueueDepth, or a bound Inbox's
+	// where it starts withholding: deliveredQueueDepth, or a bound Inbox's
 	// depth — Queued then counts the inbox's messages.
 	Queued, Depth int
 	Sessions      int        // inbound reassembly sessions held
@@ -106,8 +106,8 @@ type ConnInfo struct {
 }
 
 // LaneInfo is one lane's two ends: the messages queued unread on this
-// side — on a stream they withhold the peer's grants — and this side's
-// credit sender (Credit false: the lane runs none, or has not sent).
+// side — a backlog withholds the peer's grants — and this side's credit
+// sender (Credit false: the default lane has seen no traffic yet).
 type LaneInfo struct {
 	Stream uint32
 	Queued int
@@ -127,7 +127,6 @@ func (c *Connection) info() ConnInfo {
 		Stats:    c.stats.snapshot(),
 		RTO:      c.rto(),
 		RTT:      c.RTT(),
-		Paused:   c.paused.Load(),
 		Queued:   c.box.Len(),
 		Depth:    deliveredQueueDepth,
 		Sessions: c.inbound.Len(),
@@ -136,6 +135,9 @@ func (c *Connection) info() ConnInfo {
 	if ib := c.inbox.Load(); ib != nil {
 		ci.Queued = ib.box.Len()
 		ci.Depth = ib.depth
+	}
+	if l := c.lane.Load(); l != nil {
+		ci.Withheld = l.Held()
 	}
 	c.sys.mu.Lock()
 	ci.Misses = int(c.misses)

@@ -241,9 +241,12 @@ func TestOneEngineAcrossRuntimes(t *testing.T) {
 // the same abuse: the consumer starts only after the sender has pushed
 // everything it can (far past the default lane's depth, or a stream's
 // whole credit window), through both receive variants. Delivery is exactly-once and
-// in order, backpressure pauses only the connection it belongs to — a
-// second connection on the same shard keeps flowing — and a closed cell
-// leaves no paused connection, pooled buffer or goroutine behind.
+// in order, the lane withholds its grant once at depth and then holds no
+// more than the depth, the window granted before it and the message that
+// granted it, plus what the stalled sender's resynchronisation repairs
+// (repairs); backpressure stops only the connection it belongs to —
+// a second connection on the same shard keeps flowing — and a closed cell
+// leaves no withheld grant, pooled buffer or goroutine behind.
 func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 	const window, inboxDepth = 64, 16
 	for _, rt := range allRuntimes {
@@ -294,26 +297,32 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-					for i := 0; i < msgs; i++ {
-						if err := send(reuseMsg(0, uint32(i), 16)); err != nil {
-							t.Fatalf("send %d with no consumer: %v", i, err)
+					sent := make(chan error, 1)
+					go func() {
+						for i := 0; i < msgs; i++ {
+							if err := send(reuseMsg(0, uint32(i), 16)); err != nil {
+								sent <- fmt.Errorf("send %d with no consumer: %w", i, err)
+								return
+							}
 						}
-					}
+						sent <- nil
+					}()
 
-					// Let the backlog build as far as the producer lets it.
-					switch {
-					case lane == "stream":
+					// Let the backlog build as far as the peer's credit lets it.
+					if lane == "stream" {
 						awaitCond(t, "the stream's window never arrived", func() bool { return peer.Stats().MessagesReceived == window })
-					case lane == "inbox":
-						awaitCond(t, "the inbox never filled", func() bool { return ib.box.Len() == inboxDepth })
-					default:
-						awaitCond(t, "the producer never paused at depth", peer.paused.Load)
-						if n := peer.box.Len(); n != deliveredQueueDepth {
-							t.Fatalf("paused with %d messages queued, want deliveredQueueDepth = %d", n, deliveredQueueDepth)
+					} else {
+						awaitCond(t, "the lane never withheld its grant", func() bool { return withheld(peer) })
+						queued, depth := peer.box.Len(), deliveredQueueDepth
+						if lane == "inbox" {
+							queued, depth = ib.box.Len(), inboxDepth
 						}
-					}
-					if (opts.Runtime == RuntimeSharded || opts.FastPath) && lane != "stream" {
-						awaitCond(t, "core.shard.parked_conns never counted the paused connection", func() bool { return mParkedConns.Value() == 1 })
+						r := repairs(peer.opts.AckTimeout)
+						if queued < depth || queued > depth+window+1+r {
+							t.Fatalf("withheld with %d messages queued, want %d to %d (the depth, a window, one more and %d repairs)",
+								queued, depth, depth+window+1+r, r)
+						}
+						awaitCond(t, "core.shard.parked_conns never counted the withholding connection", func() bool { return mParkedConns.Value() == 1 })
 					}
 					go other.Send([]byte("still flowing"))
 					if m, err := otherPeer.RecvTimeout(5 * time.Second); err != nil || string(m) != "still flowing" {
@@ -361,6 +370,9 @@ func TestOneReceiveEndAcrossRuntimes(t *testing.T) {
 						if err := checkReuseMsg(m, 0, uint32(i)); err != nil {
 							t.Fatalf("recv %d: %v", i, err)
 						}
+					}
+					if err := <-sent; err != nil {
+						t.Fatal(err)
 					}
 					timed = true
 					if m, err := recv(20 * time.Millisecond); !errors.Is(err, ErrRecvTimeout) {

@@ -34,19 +34,22 @@ type InboxMessage struct {
 // into the inbox directly.
 //
 // It is a lane's receive end shared: the same mailbox, bounded the same
-// way. A bound connection's producer asks before it reads the wire
-// (Connection.atDepth) and, finding the inbox at depth, stops — a
-// shard pauses the connection's data path and serves its others —
-// after registering once in parked; the Recv that
-// frees a slot wakes every parked producer. So a message is in the
-// inbox or still on the wire, never in between, and the inbox holds at
-// most depth plus one message per producer already past the check, plus
-// the backlog each connection bound late brought with it (BindInbox; at
-// most deliveredQueueDepth, what its own mailbox held).
+// way, by credit. While the inbox is at depth, a bound connection with a
+// message still queued in it withholds its peer's grants
+// (Connection.atDepth), and the Recv that pops that connection's
+// message flushes them (Connection.took) — through the connection the
+// message names: the inbox keeps no list of connections. Every bound
+// connection's wire is always read. So the inbox holds at most depth,
+// plus the window each bound connection's peer was granted before it was
+// withheld and the message that granted it (one window of credit plus
+// one message per connection), plus what each stalled sender's
+// resynchronisation repairs — one message after 1, 2, 4, 8… AckTimeouts
+// without a grant, ⌊log₂ n⌋+1 in a stall of n — plus the backlog each
+// connection bound late brought with it (BindInbox; at most
+// deliveredQueueDepth and a window, what its own mailbox held).
 type Inbox struct {
-	box    stream.Mailbox[InboxMessage]
-	parked stream.Mailbox[*Connection] // producers stopped at depth, each once per pause
-	depth  int
+	box   stream.Mailbox[InboxMessage]
+	depth int
 
 	done      chan struct{}
 	closeOnce sync.Once
@@ -73,7 +76,7 @@ func (ib *Inbox) RecvTimeout(d time.Duration) (InboxMessage, error) {
 	im, err := stream.Await(ib.box.Bell, nil, ib.done, d, func() (InboxMessage, bool, error) {
 		im, ok := ib.box.Pop()
 		if ok {
-			ib.wake()
+			im.Conn.took(true)
 		}
 		return im, ok, nil
 	})
@@ -82,15 +85,22 @@ func (ib *Inbox) RecvTimeout(d time.Duration) (InboxMessage, error) {
 
 // Close stops the inbox: pending Recv calls drain what is queued and
 // then observe ErrInboxClosed. What is queued is owned in place first,
-// so a closed inbox nobody drains pins no pooled buffer. Parked
-// producers are woken: a closed inbox is never at depth, and what they
-// read next lands in their own connections' mailboxes
-// (Connection.deliver0 unbinds).
+// so a closed inbox nobody drains pins no pooled buffer. A closed inbox
+// is never at depth, so every connection with a message queued — among
+// them each that withholds a grant — flushes it: what its peer sends
+// next lands in the connection's own mailbox (Connection.deliver0
+// unbinds).
 func (ib *Inbox) Close() {
 	ib.closeOnce.Do(func() {
 		close(ib.done)
-		ib.box.Each(ownDelivery)
-		ib.wake()
+		queued := make(map[*Connection]bool)
+		ib.box.Each(func(im *InboxMessage) {
+			ownDelivery(im)
+			queued[im.Conn] = true
+		})
+		for c := range queued {
+			c.took(false)
+		}
 	})
 }
 
@@ -116,25 +126,10 @@ func (ib *Inbox) put(c *Connection, m Message) bool {
 	if ib.closed() {
 		return false
 	}
+	c.credit().inboxed.Add(1)
 	ib.box.Put(InboxMessage{Conn: c, Msg: m, At: time.Now()}, false)
 	if ib.closed() {
 		ib.box.Each(ownDelivery) // m landed behind Close's sweep
 	}
 	return true
-}
-
-// wake resumes every parked producer: all of them, because one may have
-// nothing left to read, and waking only it would strand the rest behind
-// a slot nobody fills. Ending the pause here — not where the producer
-// finds room — is what makes one that finds the inbox full again
-// register again. With nobody parked it costs one atomic load.
-func (ib *Inbox) wake() {
-	for {
-		c, ok := ib.parked.Pop()
-		if !ok {
-			return
-		}
-		c.unpause()
-		c.resume()
-	}
 }

@@ -4,10 +4,10 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"slices"
 	"testing"
 	"time"
 
+	"ncs/internal/flowctl"
 	"ncs/internal/transport"
 )
 
@@ -15,7 +15,8 @@ import (
 // connections from one system to another, every accepting end bound to
 // one small inbox, plus one unbound pair (on the same, single shard)
 // that must keep flowing whatever the inbox does. Each client floods
-// msgs messages from its own goroutine.
+// msgs messages from its own goroutine, under a credit window of fixed
+// size.
 type inboxFlood struct {
 	t       *testing.T
 	nw      *Network
@@ -29,10 +30,17 @@ type inboxFlood struct {
 }
 
 const (
-	floodConns = 8
-	floodMsgs  = 300
-	floodDepth = 4
+	floodConns  = 8
+	floodMsgs   = 300
+	floodDepth  = 4
+	floodWindow = 8
 )
+
+// withheld reports whether c's default lane withholds its peer's grant.
+func withheld(c *Connection) bool {
+	l := c.lane.Load()
+	return l != nil && l.Held()
+}
 
 func startInboxFlood(t *testing.T, rt Runtime) *inboxFlood {
 	t.Helper()
@@ -48,7 +56,11 @@ func startInboxFlood(t *testing.T, rt Runtime) *inboxFlood {
 	b, _ := f.nw.NewSystem("flood-b")
 	a.SetShards(1)
 	b.SetShards(1)
-	opts := Options{Interface: transport.HPI, Runtime: rt}
+	opts := Options{
+		Interface:  transport.HPI,
+		Runtime:    rt,
+		FlowConfig: flowctl.Config{InitialCredits: floodWindow, MaxCredits: floodWindow},
+	}
 	connect := func() (*Connection, *Connection) {
 		c, err := a.Connect("flood-b", opts)
 		if err != nil {
@@ -82,29 +94,28 @@ func startInboxFlood(t *testing.T, rt Runtime) *inboxFlood {
 }
 
 // observe is called wherever a cell looks at the inbox: it is never
-// deeper than its depth plus one message per producer already past the
-// check when the last slot filled.
+// deeper than the bound withheld credit sets — its depth, plus per
+// connection the window its peer was granted before the grant was
+// withheld and the message that granted it, plus what each stalled
+// sender's resynchronisation repairs (repairs).
 func (f *inboxFlood) observe() {
 	f.t.Helper()
-	if n := f.ib.box.Len(); n > floodDepth+floodConns {
-		f.t.Fatalf("inbox holds %d messages, want at most depth %d + %d producers", n, floodDepth, floodConns)
+	r := repairs(f.peers[0].opts.AckTimeout)
+	if n, bound := f.ib.box.Len(), floodDepth+floodConns*(floodWindow+1+r); n > bound {
+		f.t.Fatalf("inbox holds %d messages, want at most %d: depth %d + %d connections × (window %d + 1 + %d repairs)",
+			n, bound, floodDepth, floodConns, floodWindow, r)
 	}
 }
 
-// awaitAllPaused waits for the flood to fill the inbox and for every
-// producer to have stopped behind it and registered with the inbox:
-// Connection.pause raises paused before it puts the producer on
-// ib.parked, so paused alone can be read inside that window. (Once a
-// consumer has run, a producer that found room after it registered may
-// be on the list twice.)
-func (f *inboxFlood) awaitAllPaused() {
+// awaitAllWithheld waits for the flood to fill the inbox and for every
+// producer's peer to have been cut off behind it: each bound connection
+// withholds its grant.
+func (f *inboxFlood) awaitAllWithheld() {
 	f.t.Helper()
-	awaitCond(f.t, "the producers never all paused behind the full inbox", func() bool {
+	awaitCond(f.t, "the bound connections never all withheld their grants behind the full inbox", func() bool {
 		f.observe()
-		registered := make(map[*Connection]bool)
-		f.ib.parked.Each(func(c **Connection) { registered[*c] = true })
 		for _, p := range f.peers {
-			if !p.paused.Load() || !registered[p] {
+			if !withheld(p) {
 				return false
 			}
 		}
@@ -145,10 +156,10 @@ func (f *inboxFlood) finish() {
 // TestInboxConformance floods a small inbox from many connections ahead
 // of a consumer that starts late, on both runtimes that can bind one and
 // through both receive variants: every message arrives exactly once and
-// in its connection's order, the inbox never outgrows its bound, only
-// the bound connections pause, each producer is registered for its
-// wake-up once however often it is serviced, and a finished cell leaves
-// no paused connection, goroutine, pooled buffer or timer behind. The
+// in its connection's order, the inbox never outgrows the bound withheld
+// credit sets, only the bound connections withhold, each is counted in
+// the gauge once however often it is serviced, and a finished cell leaves
+// no withheld grant, goroutine, pooled buffer or timer behind. The
 // closed cells close the inbox mid-flood: what it held drains through
 // it, and the rest arrives on the connections' own Recv.
 func TestInboxConformance(t *testing.T) {
@@ -165,10 +176,10 @@ func TestInboxConformance(t *testing.T) {
 					recv = func() (InboxMessage, error) { return f.ib.RecvTimeout(10 * time.Second) }
 				}
 
-				f.awaitAllPaused()
+				f.awaitAllWithheld()
 				if rt == RuntimeSharded {
-					// A paused connection is still serviced (control keeps
-					// arriving); each pass must find it already registered.
+					// A withholding connection is still serviced (its wires
+					// are read); each pass must find its grant withheld once.
 					for round := 0; round < 3; round++ {
 						for _, p := range f.peers {
 							p.sh.requeue(p)
@@ -182,16 +193,16 @@ func TestInboxConformance(t *testing.T) {
 							return true
 						})
 					}
-					if got, want := mParkedConns.Value()-parkedBefore, int64(floodConns); got != want {
-						t.Fatalf("core.shard.parked_conns rose by %d behind the full inbox, want %d", got, want)
-					}
 				}
-				if n := f.ib.parked.Len(); n != floodConns {
-					t.Fatalf("%d producers registered with the inbox, want each of %d once", n, floodConns)
+				if got, want := mParkedConns.Value()-parkedBefore, int64(floodConns); got != want {
+					t.Fatalf("core.shard.parked_conns rose by %d behind the full inbox, want %d", got, want)
 				}
 				go f.other.Send([]byte("still flowing"))
 				if m, err := f.otherP.RecvTimeout(5 * time.Second); err != nil || string(m) != "still flowing" {
 					t.Fatalf("an unbound connection on the same shard: %q, %v", m, err)
+				}
+				if withheld(f.otherP) {
+					t.Fatal("the unbound connection withholds its grant")
 				}
 
 				// The late consumer.
@@ -209,10 +220,10 @@ func TestInboxConformance(t *testing.T) {
 					f.observe()
 				}
 				if variant == "closed" {
-					// Close with every producer stopped, so none is between
+					// Close with every producer cut off, so none is between
 					// its check and its Put: what the inbox holds drains
 					// through it, everything after lands on the connection.
-					f.awaitAllPaused()
+					f.awaitAllWithheld()
 					f.ib.Close()
 					for {
 						im, err := f.ib.Recv()
@@ -253,46 +264,46 @@ func TestInboxConformance(t *testing.T) {
 }
 
 // TestParkedGaugeSurvivesClosePaused: a sharded connection closed while
-// paused behind a full inbox leaves core.shard.parked_conns where it
-// found it, exactly as one closed while paused at deliveredQueueDepth.
+// it withholds its peer's grant — behind a full inbox, or at
+// deliveredQueueDepth — leaves core.shard.parked_conns where it found it.
 func TestParkedGaugeSurvivesClosePaused(t *testing.T) {
 	for _, lane := range []string{"inbox", "lane0"} {
 		t.Run(lane, func(t *testing.T) {
 			before := mParkedConns.Value()
 			conn, peer, cleanup := newPairT(t, Options{Interface: transport.HPI, Runtime: RuntimeSharded})
 			defer cleanup()
-			msgs := deliveredQueueDepth + 2
 			if lane == "inbox" {
 				ib := NewInbox(1)
 				defer ib.Close()
 				if err := peer.BindInbox(ib); err != nil {
 					t.Fatal(err)
 				}
-				msgs = 3
 			}
-			for i := 0; i < msgs; i++ {
-				if err := conn.Send([]byte("unread")); err != nil {
-					t.Fatal(err)
+			go func() {
+				for conn.Send([]byte("unread")) == nil { // until the cleanup closes it
 				}
-			}
-			awaitCond(t, "the connection never paused", func() bool { return mParkedConns.Value() == before+1 })
+			}()
+			awaitCond(t, "the connection never withheld its grant", func() bool { return mParkedConns.Value() == before+1 })
 			peer.Close()
 			if got := mParkedConns.Value(); got != before {
-				t.Fatalf("core.shard.parked_conns = %d after closing the paused connection, want %d", got, before)
+				t.Fatalf("core.shard.parked_conns = %d after closing the withholding connection, want %d", got, before)
 			}
 		})
 	}
 }
 
-// TestCloseLeavesInboxParkedList: a connection closed while parked on a
-// full Inbox nobody reads must not stay referenced from Inbox.parked
-// until a Recv that may never come. Its Close wakes the inbox's parked
-// producers: the closed one is gone from the list, a live one parks
-// again behind the inbox that is still full, and core.shard.parked_conns
-// counts it, whatever its runtime.
+// TestCloseLeavesInboxParkedList: a connection closed while it withholds
+// its grant behind a full Inbox nobody reads leaves nothing behind,
+// whatever its runtime. Its gate is shut; the gauge counts only the live
+// connection, still cut off behind the inbox that is still full; the
+// inbox keeps no list of connections, so the closed one is referenced
+// only by the messages it delivered before its close, and once they are
+// read nothing is; and closing the rest leaves no pooled buffer,
+// goroutine or timer behind.
 func TestCloseLeavesInboxParkedList(t *testing.T) {
 	for _, rt := range allRuntimes {
 		t.Run(rt.name, func(t *testing.T) {
+			goroutines := runtime.NumGoroutine()
 			gauge := mParkedConns.Value()
 			opts := Options{Interface: transport.HPI}
 			rt.set(&opts)
@@ -316,41 +327,57 @@ func TestCloseLeavesInboxParkedList(t *testing.T) {
 					t.Fatal(err)
 				}
 				peers = append(peers, peer)
-				for j := 0; j < 4; j++ {
-					if err := conn.Send([]byte("nobody reads this")); err != nil {
-						t.Fatal(err)
+				go func() {
+					for conn.Send([]byte("nobody reads this")) == nil { // until the network closes
 					}
-				}
+				}()
 			}
-			parked := func() (list []*Connection) {
-				ib.parked.Each(func(c **Connection) { list = append(list, *c) })
-				return list
-			}
-			awaitCond(t, "the two producers never parked on the full inbox", func() bool { return len(parked()) == 2 })
+			awaitCond(t, "the two connections never withheld their grants behind the full inbox", func() bool {
+				return withheld(peers[0]) && withheld(peers[1])
+			})
 
 			peers[0].Close()
-			awaitCond(t, "the live producer did not park again", func() bool { return slices.Equal(parked(), peers[1:]) })
-			if peers[1].Err() != nil || !peers[1].paused.Load() {
-				t.Fatalf("the live connection: Err %v, paused %v; want it parked behind the still-full inbox", peers[1].Err(), peers[1].paused.Load())
+			if withheld(peers[0]) {
+				t.Fatal("the closed connection still withholds a grant")
 			}
-			if got, wantGauge := mParkedConns.Value(), gauge+1; got != wantGauge { // the live one, on every runtime
-				t.Fatalf("core.shard.parked_conns = %d with one connection closed and one parked, want %d", got, wantGauge)
+			if peers[1].Err() != nil || !withheld(peers[1]) {
+				t.Fatalf("the live connection: Err %v, withheld %v; want it cut off behind the still-full inbox", peers[1].Err(), withheld(peers[1]))
+			}
+			if got, wantGauge := mParkedConns.Value(), gauge+1; got != wantGauge {
+				t.Fatalf("core.shard.parked_conns = %d with one connection closed and one withholding, want %d", got, wantGauge)
+			}
+			refers := func() (n int) {
+				ib.box.Each(func(im *InboxMessage) {
+					if im.Conn == peers[0] {
+						n++
+					}
+				})
+				return n
+			}
+			for refers() > 0 {
+				im, err := ib.RecvTimeout(5 * time.Second)
+				if err != nil {
+					t.Fatal(err)
+				}
+				im.Msg.Release()
 			}
 			peers[1].Close()
-			if list := parked(); len(list) != 0 {
-				t.Fatalf("Inbox.parked still references %d closed connections", len(list))
-			}
 			if got := mParkedConns.Value(); got != gauge {
 				t.Fatalf("core.shard.parked_conns = %d after both closed, started at %d", got, gauge)
+			}
+			ib.Close()
+			nw.Close()
+			if err := awaitQuiescence(goroutines, 5*time.Second); err != nil {
+				t.Fatal(err)
 			}
 		})
 	}
 }
 
 // TestBindMovesTheBacklog: a connection bound while its default lane is
-// at depth — deliveredQueueDepth messages queued on it, the rest on the
-// wire behind its paused producer — delivers every message through the
-// inbox, in order, on every runtime. The bind moves what its own mailbox
+// at depth — deliveredQueueDepth messages queued on it or more, the rest
+// held back by the grant it withholds — delivers every message through
+// the inbox, in order, on every runtime. The bind moves what its own mailbox
 // holds into the inbox, ahead of anything read after; without the move
 // the first message would never arrive there.
 func TestBindMovesTheBacklog(t *testing.T) {
@@ -372,7 +399,7 @@ func TestBindMovesTheBacklog(t *testing.T) {
 				sent <- nil
 			}()
 			awaitCond(t, "the default lane never reached its depth", func() bool {
-				return peer.paused.Load() && peer.box.Len() == deliveredQueueDepth
+				return peer.box.Len() >= deliveredQueueDepth
 			})
 
 			ib := NewInbox(0)

@@ -142,21 +142,20 @@ func bellSelects(t *testing.T, dir string) map[string]int {
 
 // TestOneReceiveEnd holds the receive side's collapse in place: whatever
 // waits for a consumer — a message on any lane of any runtime, a
-// delivery in an Inbox, a producer the inbox parked, a stream nobody
-// accepted yet — waits in a stream.Mailbox, and every blocking receive
-// sleeps in stream.Await; every read of a wire is one drain, readIn,
-// entered by whoever waits on the connection or by a shard's loop, the
-// one pump of last resort, on every runtime alike; so a second queue
-// type, wait loop, drain entry or producer wake-up fails here before it
-// can drift from the first.
+// delivery in an Inbox, a stream nobody accepted yet — waits in a
+// stream.Mailbox, and every blocking receive sleeps in stream.Await;
+// every read of a wire is one drain, readIn, entered by whoever waits on
+// the connection or by a shard's loop, the one pump of last resort, on
+// every runtime alike; every lane bounds its backlog through one gate,
+// stream.Credit, which withholds its peer's credit, and no lane stops the
+// drain; so a second queue type, wait loop, drain entry or bound fails
+// here before it can drift from the first.
 func TestOneReceiveEnd(t *testing.T) {
 	streamDir := filepath.Join("..", "stream")
 	core := callSites(t, ".")
 	for callee, why := range map[string]string{
 		".TryPop":    "a stream's take: Connection.recv",
 		".PopAccept": "the accept queue's take: Connection.AcceptStreamTimeout",
-		".pause":     "stopping at depth: Connection.dataPaused",
-		".afterRecv": "the default lane's consumer-wakes-producer, from its one take",
 	} {
 		if n := core[callee]; n != 1 {
 			t.Errorf("internal/core has %d call sites of %s, want exactly 1 (%s)", n, callee, why)
@@ -175,7 +174,6 @@ func TestOneReceiveEnd(t *testing.T) {
 	}{
 		{[]string{"pump"}, []string{"Connection.await", "Connection.awaitCtrl", "shard.service"}},
 		{[]string{"readIn"}, []string{"Connection.pump"}},
-		{[]string{"dataPaused"}, []string{"Connection.readIn"}},
 		{[]string{"ingest"}, []string{"Connection.readIn"}},
 		{[]string{"demuxControl"}, []string{"Connection.ingest", "Connection.readIn"}},
 		{[]string{"TryRecvBuf"}, []string{"Connection.readIn"}},
@@ -236,11 +234,35 @@ func TestOneReceiveEnd(t *testing.T) {
 		})
 		return false
 	})
+	// One bound: the gate's condition is handed to the gate where the
+	// default lane's is built, and asked by the gate alone — the drain,
+	// readIn, makes no depth check; every lane's grants are its window's,
+	// offered to the gate where the window produces them — on arrival and
+	// from the refill retry — which core cannot reach; each package
+	// flushes them where a message is taken.
+	for _, c := range []struct {
+		dir, name string
+		want      []string
+	}{
+		{".", "atDepth", []string{"credit"}},
+		{".", "Flush", []string{"took"}},
+		{streamDir, "offer", []string{"Credit.Arrived", "Credit.Init"}},
+		{streamDir, "Flush", []string{"State.TryPop"}},
+	} {
+		if got := refsOf(t, c.dir, c.name); !slices.Equal(got, c.want) {
+			t.Errorf("%s refers to %s in %v, want exactly %v", c.dir, c.name, got, c.want)
+		}
+	}
+	for _, name := range []string{"atDepth", "Len", "depth", "deliveredQueueDepth"} {
+		if slices.Contains(refsOf(t, ".", name), "readIn") {
+			t.Errorf("Connection.readIn refers to %s: the drain never stops for a lane at depth", name)
+		}
+	}
 	// Every take from a mailbox, by name: a lane's message, the backlog
 	// a late bind hands over to its inbox, an inbox's delivery, a parked
-	// producer, a parked stream message, an accept.
+	// stream message, an accept.
 	for dir, want := range map[string][]string{
-		".":       {"Connection.BindInbox", "Connection.recv", "Inbox.RecvTimeout", "Inbox.wake"},
+		".":       {"Connection.BindInbox", "Connection.recv", "Inbox.RecvTimeout"},
 		streamDir: {"Mux.PopAccept", "State.TryPop"},
 	} {
 		if got := callersOf(t, dir, "Pop"); !slices.Equal(got, want) {
@@ -266,6 +288,8 @@ func TestOneReceiveEnd(t *testing.T) {
 		"awaitSpace": true, "awaitAck": true, "recvThread": true, "ctrlRecvThread": true, "ErrNotFastPath": true,
 		"fire": true, "serviceMu": true, "thread": true, "lastResort": true,
 		"ErrFastPathOnly": true, "shardConn": true,
+		"dataPaused": true, "pause": true, "unpause": true, "paused": true, "parked": true, "wake": true,
+		"afterRecv": true, "resume": true, "hasHeld": true, "offerGrant": true,
 	}
 	visit := func(dir string, alsoGone ...string) func(ast.Node) bool {
 		seen := make(map[string]bool)
@@ -292,7 +316,7 @@ func TestOneReceiveEnd(t *testing.T) {
 		}
 	}
 	inspectPackage(t, ".", visit("internal/core"))
-	inspectPackage(t, streamDir, visit("internal/stream", "parked", "nParked")) // no parked slice beside the mailbox
+	inspectPackage(t, streamDir, visit("internal/stream", "nParked")) // no parked slice beside the mailbox
 	if messageLits != 0 {
 		t.Errorf("internal/core builds %d Message{...} literals field by field, want 0 (Message is errctl.Delivery)", messageLits)
 	}
@@ -542,6 +566,30 @@ func declaredIn(t *testing.T, file string) []string {
 		}
 	}
 	return names
+}
+
+// refsOf names, as funcName does, the functions of dir's non-test files
+// whose bodies refer to name — called, or taken as a value — as an
+// identifier or the last selector of a chain, sorted and once per
+// function.
+func refsOf(t *testing.T, dir, name string) []string {
+	t.Helper()
+	var refs []string
+	inspectPackage(t, dir, func(n ast.Node) bool {
+		fn, ok := n.(*ast.FuncDecl)
+		if !ok || fn.Body == nil {
+			return true
+		}
+		ast.Inspect(fn.Body, func(m ast.Node) bool {
+			if id, ok := m.(*ast.Ident); ok && id.Name == name && !slices.Contains(refs, funcName(fn)) {
+				refs = append(refs, funcName(fn))
+			}
+			return true
+		})
+		return false
+	})
+	slices.Sort(refs)
+	return refs
 }
 
 // callersOfChain names, like callersOf, the function around each call

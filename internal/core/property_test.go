@@ -109,6 +109,59 @@ func TestUnreliableLossMetadata(t *testing.T) {
 	}
 }
 
+// TestUnreliableLossSpendsNoCredit: on a lossy link without error
+// control, an SDU the link loses frees its credit as soon as a later one
+// of its lane arrives — the window counts the sender's transmit indices —
+// so a lane that loses many times its window never stalls waiting for a
+// resynchronisation. Each cell sends 600 one-SDU messages, about half of
+// them lost, to a consumer that keeps up. Were lost credit only written
+// off by Resync, every loss past the window's 64 would cost an
+// AckTimeout: a minute or more per cell, where the bound is 25.
+func TestUnreliableLossSpendsNoCredit(t *testing.T) {
+	const msgs, window = 600, 64
+	for _, alg := range []flowctl.Algorithm{flowctl.None, flowctl.Credit, flowctl.Window, flowctl.Rate} {
+		t.Run(alg.String(), func(t *testing.T) {
+			conn, peer, cleanup := newPairT(t, Options{
+				Interface:    transport.ACI,
+				ErrorControl: errctl.None,
+				FlowControl:  alg,
+				FlowConfig:   flowctl.Config{MaxCredits: window},
+				SDUSize:      256,
+				QoS:          atm.QoS{CellLossRate: 0.12, Seed: 77},
+			})
+			defer cleanup()
+			go func() {
+				for {
+					m, err := peer.RecvMessage()
+					if err != nil {
+						return
+					}
+					m.Release()
+				}
+			}()
+			start, most := time.Now(), 25*conn.opts.AckTimeout
+			for i := 0; i < msgs; i++ {
+				if err := conn.Send(make([]byte, 200)); err != nil {
+					t.Fatal(err)
+				}
+				if took := time.Since(start); took > most {
+					t.Fatalf("%d of %d sends took %v, want all under %v: lost SDUs held their credit", i+1, msgs, took, most)
+				}
+			}
+			received := peer.Stats().SDUsReceived
+			awaitCond(t, "the peer never stopped receiving", func() bool {
+				time.Sleep(50 * time.Millisecond)
+				n := peer.Stats().SDUsReceived
+				defer func() { received = n }()
+				return n == received
+			})
+			if lost := msgs - int(received); lost <= 2*window {
+				t.Fatalf("the link lost %d of %d SDUs; the cell needs more than twice the window", lost, msgs)
+			}
+		})
+	}
+}
+
 // TestFastPathInterleavedWithThreaded ensures a system can hold both
 // kinds of connections at once.
 func TestFastPathInterleavedWithThreaded(t *testing.T) {

@@ -23,8 +23,8 @@ import (
 // that overtakes it. Only when nobody waits does the source ring the
 // wire's pump of last resort, which takes the token like any other
 // reader, drains the wire and sleeps again. It is there so that acks,
-// grants, a bound Inbox and back-pressure progress while the application
-// is busy elsewhere.
+// grants and a bound Inbox progress while the application is busy
+// elsewhere.
 //
 // Every connection has one, a shard's loop: the source re-queues the
 // connection on its shard, whose loop pumps it (shard.go) — a private
@@ -215,16 +215,17 @@ func (c *Connection) pump(want *stream.Mailbox[Message], ack chan ctrlEvent) (m 
 
 // readIn is the one drain, run by pump under the wire's token: it reads
 // what waits on w, at most pumpBudget packets (n), through ingest (the
-// data wire, in-band control with it) or demuxControl. It stops early
-// when the default lane is at depth (dataPaused; the consumer that frees
-// a slot fires the source again, resume), and at the first
-// acknowledgment deposited on ack, a sender's own channel, which it
-// takes before it reads on: a channel left to fill would drop what
-// overflows, and the peer re-acknowledges only as it reads. Once the connection closed it reads nothing: Close's
-// barrier is the token, and nothing may touch the lanes past it.
+// data wire, in-band control with it) or demuxControl. It never stops
+// for a lane at depth — every lane bounds itself by the credit it
+// withholds, so the wire that carries them all is always read — but it
+// stops at the first acknowledgment deposited on ack, a sender's own
+// channel, which it takes before it reads on: a channel left to fill
+// would drop what overflows, and the peer re-acknowledges only as it
+// reads. Once the connection closed it reads nothing: Close's barrier is
+// the token, and nothing may touch the lanes past it.
 func (c *Connection) readIn(w *inWire, want *stream.Mailbox[Message], ack chan ctrlEvent) (m Message, got bool, n int) {
 	data := w == c.in[wireData]
-	for ; n < pumpBudget && len(ack) == 0 && c.Err() == nil && !(data && c.dataPaused()); n++ {
+	for ; n < pumpBudget && len(ack) == 0 && c.Err() == nil; n++ {
 		b, err := w.t.TryRecvBuf()
 		if err != nil {
 			go c.Close() // transport death is connection death

@@ -46,11 +46,11 @@ import (
 //     pump of last resort nothing would answer a retransmission that
 //     arrives while the application is not calling in.
 //
-// Backpressure never blocks a shard: when a connection's mailbox (or
-// its bound Inbox) is at depth, its data path pauses before reading the
-// wire; the consumer's next Recv fires the wire's source to resume.
-// Control packets keep flowing while data is paused, so acknowledgment
-// clocks never stop.
+// Backpressure never blocks a shard, nor stops it reading a wire: when a
+// connection's default lane (or its bound Inbox) is at depth, the lane
+// withholds its peer's credit grant, and the consumer's pop that ends
+// the backlog sends it (stream.Credit). The wires are always read, so
+// acknowledgment clocks and the connection's other streams never stop.
 //
 // The shard loops are plain goroutines (kernel-level threads in the
 // paper's §4.1 taxonomy) on purpose: they block in transport writes,

@@ -271,7 +271,7 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 		conns = 256
 		// budgetPerConn covers the credit window (every admitted SDU
 		// stages one pooled buffer end to end) plus the shard send-queue
-		// and transport-pipe depths a connection can fill while paused;
+		// and transport-pipe depths a connection can fill while cut off;
 		// budgetSlack the process-wide constant population (control
 		// packets in flight, per-shard staging).
 		budgetPerConn = 192
@@ -280,6 +280,7 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 	)
 	buffersBefore := buf.Outstanding()
 	waitsBefore := telemetry.Capture().Counters["flowctl.credit.wait_total"]
+	parkedBefore := mParkedConns.Value()
 
 	var (
 		stop      atomic.Bool
@@ -349,8 +350,8 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 	}
 
 	// Every producer blocked in admission: its grants are spent, it has
-	// entered an admission wait, and the peer, paused behind the unread
-	// inbox, consumes nothing more.
+	// entered an admission wait, and the peer, behind the unread inbox,
+	// withholds every grant after.
 	creditWaits := func() int64 {
 		return telemetry.Capture().Counters["flowctl.credit.wait_total"] - waitsBefore
 	}
@@ -360,7 +361,7 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 				return false
 			}
 		}
-		return ib.parked.Len() == conns && creditWaits() >= conns
+		return mParkedConns.Value()-parkedBefore == conns && creditWaits() >= conns
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for !allBlocked() {
@@ -368,8 +369,8 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 			t.Fatalf("%d pooled buffers outstanding with producers still being admitted (budget %d)", n, budget)
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("producers never all blocked in admission (%d messages sent, %d credit waits, %d of %d paused on the inbox)",
-				sent.Load(), creditWaits(), ib.parked.Len(), conns)
+			t.Fatalf("producers never all blocked in admission (%d messages sent, %d credit waits, %d of %d withholding behind the inbox)",
+				sent.Load(), creditWaits(), mParkedConns.Value()-parkedBefore, conns)
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -408,9 +409,9 @@ func TestSlowConsumerFanInBudget(t *testing.T) {
 }
 
 // TestShardedDeliveryBackpressure floods a sharded connection far past
-// its delivery queue depth before the consumer reads anything: the
-// overflow must park on the stall list (without wedging the shard) and
-// drain, in order, once the consumer starts.
+// its delivery queue depth before the consumer reads anything: the lane
+// withholds its peer's credit at depth (without wedging the shard), and
+// the flood drains, in order, once the consumer starts.
 func TestShardedDeliveryBackpressure(t *testing.T) {
 	conn, peer, cleanup := newPairT(t, Options{
 		Interface: transport.HPI,
@@ -429,9 +430,7 @@ func TestShardedDeliveryBackpressure(t *testing.T) {
 		}
 		errCh <- nil
 	}()
-	if err := <-errCh; err != nil {
-		t.Fatal(err)
-	}
+	awaitCond(t, "the lane never withheld its grant", func() bool { return withheld(peer) })
 
 	// The shard must still be alive for other work while this
 	// connection is stalled: a second connection's traffic flows.
@@ -450,6 +449,9 @@ func TestShardedDeliveryBackpressure(t *testing.T) {
 		if got := int(m[0]) | int(m[1])<<8; got != i {
 			t.Fatalf("message %d out of order (got %d)", i, got)
 		}
+	}
+	if err := <-errCh; err != nil {
+		t.Fatal(err)
 	}
 }
 

@@ -193,13 +193,13 @@ func TestFastPathAdmissionPumpRoutesControl(t *testing.T) {
 	defer peerCtrl.Unlock()
 
 	lane := conn.lane0()
-	for lane.fc.TryAcquire(lane.tx.Add(1) - 1) {
+	for lane.win.TryAcquire(0) {
 	}
 	const sess = 77
 	ss := conn.beginSend(lane, []byte("x"), sess)
 	defer conn.endSend(ss, sess)
 	admitted := make(chan error, 1)
-	go func() { admitted <- conn.admit(lane, conn.rto()) }()
+	go func() { admitted <- conn.admit(0, lane.win, 0, conn.rto()) }()
 	awaitCond(t, "the sender never parked", func() bool {
 		conn.waitMu.Lock()
 		defer conn.waitMu.Unlock()

@@ -23,36 +23,13 @@ import (
 func (c *Connection) muxIfAny() *stream.Mux { return c.muxp.Load() }
 
 // mux returns the connection's stream mux, creating it on first use —
-// the first OpenStream, AcceptStream, or inbound stream frame. The
-// construction mirrors the lazy flow-control constructors: c.mu
-// serialises builders, and a mux built concurrently with Close is
-// reaped immediately so no stream can outlive its connection.
+// the first OpenStream, AcceptStream, or inbound stream frame. A mux
+// built concurrently with Close is reaped at once (lazy), so no stream
+// can outlive its connection.
 func (c *Connection) mux() *stream.Mux {
-	if m := c.muxp.Load(); m != nil {
-		return m
-	}
-	c.mu.Lock()
-	if m := c.muxp.Load(); m != nil {
-		c.mu.Unlock()
-		return m
-	}
-	m := stream.NewMux(c.initiator, stream.Config{
-		Flow: c.opts.FlowConfig,
-		Err:  c.opts.ErrorControl,
-	})
-	m.SetEmitter(c.emitStamped)
-	c.muxp.Store(m)
-	var closed bool
-	select {
-	case <-c.closedCh:
-		closed = true
-	default:
-	}
-	c.mu.Unlock()
-	if closed {
-		m.ReapAll()
-	}
-	return m
+	return lazy(c, &c.muxp, func() *stream.Mux {
+		return stream.NewMux(c.initiator, stream.Config{Flow: c.opts.FlowConfig, Err: c.opts.ErrorControl}, c.emitStamped)
+	}, (*stream.Mux).ReapAll)
 }
 
 // emitStamped sends one control packet stamped with the connection's
@@ -71,19 +48,20 @@ func (c *Connection) emitStamped(ctl packet.Control) bool {
 func (c *Connection) routeStreamCtrl(ctl packet.Control) {
 	switch ctl.Type {
 	case packet.CtrlStreamGrant:
-		// A grant can only answer data we sent, so the mux must exist;
-		// if it does not (or the stream is unknown), the grant is a
-		// straggler for a torn-down stream.
-		m := c.muxIfAny()
-		if m == nil {
-			return
-		}
+		// A grant can only answer data we sent: stream 0's feeds the
+		// default lane's window; any other stream's needs the mux, and
+		// finds it unless the grant is a straggler for a torn-down
+		// stream.
 		id, _, err := packet.ParseStreamGrant(ctl.Body)
-		if err != nil {
-			return
-		}
-		if st, ok := m.Lookup(id); ok {
-			st.OnGrant(ctl)
+		m := c.muxIfAny()
+		switch {
+		case err != nil:
+		case id == 0:
+			c.credit().OnGrant(ctl)
+		case m != nil:
+			if st, ok := m.Lookup(id); ok {
+				st.OnGrant(ctl)
+			}
 		}
 	case packet.CtrlStreamOpen:
 		id, err := packet.ParseStreamID(ctl.Body)
@@ -215,7 +193,7 @@ func (s *Stream) Send(msg []byte) error {
 	if st.Over() {
 		return ErrStreamClosed
 	}
-	return s.c.send(sendLane{streamID: st.ID(), fc: st.FlowSender(), tx: st.TxCounter()}, msg)
+	return s.c.send(sendLane{streamID: st.ID(), win: st.FlowSender(), tx: st.TxCounter()}, msg)
 }
 
 // Recv blocks for the next fully received message on the stream and

@@ -31,10 +31,17 @@ var (
 	// is the pool's size alone).
 	mShardCycles  = telemetry.NewCounter("core.shard.cycles_total")
 	mShardWakeups = telemetry.NewCounter("core.shard.wakeups_total")
-	// mParkedConns is the number of connections, on every runtime, whose
-	// data path is paused: the default lane's mailbox is at depth, or the
-	// bound inbox refused a message (Connection.pause).
-	mParkedConns = telemetry.NewGauge("core.shard.parked_conns")
+	// mParkedConns is the number of live connections, on every runtime,
+	// whose default lane withholds its peer's grant (Connection.atDepth):
+	// computed at capture, like core.conn.*, by one walk.
+	mParkedConns = telemetry.NewFuncGauge("core.shard.parked_conns", func() (n int64) {
+		walk(func(c *Connection) {
+			if l := c.lane.Load(); l != nil && l.Held() {
+				n++
+			}
+		})
+		return n
+	})
 
 	// mCoalesceDepth observes how many packets each data-connection
 	// write carried (Connection.drain, on every runtime); mSendQDepth

@@ -24,7 +24,7 @@ func TestControllerKindString(t *testing.T) {
 // must yield the static (no-op) controller so existing configurations
 // keep their pre-controller behaviour.
 func TestNewControllerSelection(t *testing.T) {
-	cfg := Config{}.withDefaults()
+	cfg := Config{}.WithDefaults()
 	for k, name := range map[ControllerKind]string{
 		ControllerStatic: "static",
 		ControllerAIMD:   "aimd",
@@ -42,7 +42,7 @@ func TestNewControllerSelection(t *testing.T) {
 // TestStaticControllerNeverLimits: the static controller's window must
 // be effectively unbounded and unmoved by any signal.
 func TestStaticControllerNeverLimits(t *testing.T) {
-	c := NewController(ControllerStatic, Config{}.withDefaults())
+	c := NewController(ControllerStatic, Config{}.WithDefaults())
 	if c.Window() < math.MaxInt32 {
 		t.Fatalf("static window = %d", c.Window())
 	}
@@ -59,7 +59,7 @@ func TestStaticControllerNeverLimits(t *testing.T) {
 // congestion window can never starve the receiver's refill threshold
 // of arrivals), cap MaxCredits.
 func TestAIMDControllerDynamics(t *testing.T) {
-	c := NewController(ControllerAIMD, Config{InitialCredits: 4, MaxCredits: 16}.withDefaults())
+	c := NewController(ControllerAIMD, Config{InitialCredits: 4, MaxCredits: 16}.WithDefaults())
 	if c.Window() != 4 {
 		t.Fatalf("initial window = %d, want 4", c.Window())
 	}
@@ -95,7 +95,7 @@ func TestAIMDControllerDynamics(t *testing.T) {
 // TestRTTControllerDynamics: near-baseline RTT samples grow the
 // window, inflated samples shrink it, and loss still halves it.
 func TestRTTControllerDynamics(t *testing.T) {
-	c := NewController(ControllerRTT, Config{InitialCredits: 4, MaxCredits: 64}.withDefaults())
+	c := NewController(ControllerRTT, Config{InitialCredits: 4, MaxCredits: 64}.WithDefaults())
 
 	// Establish the baseline and grow on clean samples.
 	for i := 0; i < 40; i++ {
@@ -135,7 +135,7 @@ func TestRTTControllerDynamics(t *testing.T) {
 	}
 
 	// Unsampled acks (rtt 0) keep ack-clocked growth alive.
-	g := NewController(ControllerRTT, Config{InitialCredits: 2, MaxCredits: 64}.withDefaults())
+	g := NewController(ControllerRTT, Config{InitialCredits: 2, MaxCredits: 64}.WithDefaults())
 	for i := 0; i < 10; i++ {
 		g.OnAck(0)
 	}
@@ -149,7 +149,7 @@ func TestRTTControllerDynamics(t *testing.T) {
 // deadlocks under sustained loss.
 func TestControllerWindowFloor(t *testing.T) {
 	for _, k := range []ControllerKind{ControllerAIMD, ControllerRTT} {
-		c := NewController(k, Config{InitialCredits: 1}.withDefaults())
+		c := NewController(k, Config{InitialCredits: 1}.WithDefaults())
 		for i := 0; i < 100; i++ {
 			c.OnLoss()
 		}

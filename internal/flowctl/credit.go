@@ -57,6 +57,7 @@ type creditSender struct {
 	used         uint64 // cumulative admissions
 	peerConsumed uint64 // peer's cumulative consumed count, clamped to used
 	lost         uint64 // in-flight written off by Resync
+	dry          uint64 // Resyncs since a grant last moved granted or peerConsumed
 	closed       bool
 
 	// sendNanos rings admission timestamps for RTT sampling: slot
@@ -99,9 +100,15 @@ func (s *creditSender) TryAcquire(uint32) bool {
 // threshold. A lost data packet leaves phantom in-flight that no
 // consumed count will ever cover: write one off and tell the
 // controller about the loss.
+//
+// A receiver also withholds its grant on purpose, for as long as its
+// consumer lags, and each repair lets one more packet into its backlog.
+// So only the 1st, 2nd, 4th, 8th… Resync since a grant last moved the
+// sender's state repairs: a stall of n resync periods admits at most
+// ⌊log₂ n⌋+1 packets beyond the grant, and a lossy link still recovers.
 func (s *creditSender) Resync() {
 	s.mu.Lock()
-	if s.closed {
+	if s.dry++; s.closed || s.dry&(s.dry-1) != 0 {
 		s.mu.Unlock()
 		return
 	}
@@ -152,6 +159,7 @@ func (s *creditSender) OnControl(c packet.Control) {
 	if g.Granted > s.granted {
 		mGranted.Add(int64(g.Granted - s.granted))
 		s.granted = g.Granted
+		s.dry = 0
 	}
 	// A real grant retires the emergency probes it was summoned by —
 	// but never below what admissions already spent, so the invariant
@@ -177,6 +185,7 @@ func (s *creditSender) OnControl(c packet.Control) {
 			}
 		}
 		s.peerConsumed = pc
+		s.dry = 0
 		if s.lost > s.used-s.peerConsumed {
 			s.lost = s.used - s.peerConsumed
 		}
@@ -470,15 +479,6 @@ type ReceiverStats struct {
 	Arrived uint64 // cumulative deliveries
 	Granted uint64 // cumulative credits authorised
 	Window  int    // current advertisement
-}
-
-// ReceiverStatsOf snapshots r if it is a credit receiver.
-func ReceiverStatsOf(r Receiver) (ReceiverStats, bool) {
-	type statser interface{ Stats() ReceiverStats }
-	if cr, ok := r.(statser); ok {
-		return cr.Stats(), true
-	}
-	return ReceiverStats{}, false
 }
 
 // Piggyback returns a credit grant reflecting r's current cumulative

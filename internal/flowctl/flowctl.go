@@ -110,6 +110,7 @@ type Config struct {
 	// assigned to each connection initially"). Default 4.
 	InitialCredits int
 	// MaxCredits caps the dynamically grown credit grant. Default 64.
+	// Both are held to maxWindow.
 	MaxCredits int
 	// WindowSize is the sliding-window size. Default 16.
 	WindowSize int
@@ -128,13 +129,22 @@ type Config struct {
 	Now func() time.Time
 }
 
-func (c Config) withDefaults() Config {
+// maxWindow is the most credit a grant runs ahead of what the receiver
+// counted: the data header carries the low 16 bits of a lane's transmit
+// index, which the receiver's window unwraps within ±1<<15
+// (stream.Credit.Arrived).
+const maxWindow = 1 << 14
+
+// WithDefaults returns c with every unset field at its default, and the
+// credits held to maxWindow.
+func (c Config) WithDefaults() Config {
 	if c.InitialCredits <= 0 {
 		c.InitialCredits = 4
 	}
 	if c.MaxCredits <= 0 {
 		c.MaxCredits = 64
 	}
+	c.InitialCredits, c.MaxCredits = min(c.InitialCredits, maxWindow), min(c.MaxCredits, maxWindow)
 	if c.WindowSize <= 0 {
 		c.WindowSize = 16
 	}
@@ -235,7 +245,7 @@ func (c *countedTimer) fire() {
 
 // NewSender builds the transmit side for the chosen algorithm.
 func NewSender(alg Algorithm, cfg Config) Sender {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	switch alg {
 	case Credit:
 		return newCreditSender(cfg)
@@ -250,7 +260,7 @@ func NewSender(alg Algorithm, cfg Config) Sender {
 
 // NewReceiver builds the receive side for the chosen algorithm.
 func NewReceiver(alg Algorithm, cfg Config) Receiver {
-	cfg = cfg.withDefaults()
+	cfg = cfg.WithDefaults()
 	switch alg {
 	case Credit:
 		return newCreditReceiver(cfg)

@@ -1,6 +1,7 @@
 package flowctl
 
 import (
+	"slices"
 	"testing"
 	"time"
 
@@ -60,7 +61,7 @@ func TestCreditSenderBlocksWithoutCredits(t *testing.T) {
 // make the scheme safe under control-plane loss, duplication and
 // reordering: re-delivered and stale grants change nothing.
 func TestCreditGrantIdempotent(t *testing.T) {
-	s := newCreditSender(Config{InitialCredits: 2}.withDefaults())
+	s := newCreditSender(Config{InitialCredits: 2}.WithDefaults())
 	defer s.Close()
 
 	s.OnControl(creditGrant(10))
@@ -74,13 +75,13 @@ func TestCreditGrantIdempotent(t *testing.T) {
 	}
 }
 
-// TestCreditResyncMintsProbe checks credit resynchronisation: each
-// Resync frees exactly one admission for a wedged sender — by writing
+// TestCreditResyncMintsProbe checks credit resynchronisation: a
+// repairing Resync frees exactly one admission for a wedged sender — by writing
 // off one presumed-lost in-flight packet when there is any, minting an
 // emergency probe otherwise — and does nothing while admission is
 // still available.
 func TestCreditResyncMintsProbe(t *testing.T) {
-	s := newCreditSender(Config{InitialCredits: 1}.withDefaults())
+	s := newCreditSender(Config{InitialCredits: 1}.WithDefaults())
 	defer s.Close()
 
 	if !s.TryAcquire(0) {
@@ -109,6 +110,44 @@ func TestCreditResyncMintsProbe(t *testing.T) {
 	}
 }
 
+// TestCreditResyncBacksOff: a sender whose peer withholds its grant
+// repairs on the 1st, 2nd, 4th, 8th… Resync since a grant last moved it,
+// one admission each, so a long stall lets few packets past the grant;
+// the next grant starts the count again.
+func TestCreditResyncBacksOff(t *testing.T) {
+	s := newCreditSender(Config{InitialCredits: 1}.WithDefaults())
+	defer s.Close()
+	next := uint32(0)
+	admitted := func() (n int) {
+		for ; s.TryAcquire(next); next++ {
+			n++
+		}
+		return n
+	}
+	if admitted() != 1 {
+		t.Fatal("the initial credit did not admit exactly one packet")
+	}
+	var repaired []int
+	for i := 1; i <= 20; i++ {
+		s.Resync()
+		if n := admitted(); n > 0 {
+			if n != 1 {
+				t.Fatalf("Resync %d admitted %d packets, want 1", i, n)
+			}
+			repaired = append(repaired, i)
+		}
+	}
+	if want := []int{1, 2, 4, 8, 16}; !slices.Equal(repaired, want) {
+		t.Fatalf("Resyncs %v repaired, want %v", repaired, want)
+	}
+	s.OnControl(creditGrant(uint64(next)))
+	admitted() // what the Resyncs wrote off returned to the grant space
+	s.Resync()
+	if admitted() != 1 {
+		t.Fatal("the first Resync after a grant did not repair")
+	}
+}
+
 // TestCreditCloseUnblocks: a closed sender admits nothing more, whatever
 // arrives after the close — a grant, a resynchronisation — so a waiting
 // sender's next ask ends its wait.
@@ -126,7 +165,7 @@ func TestCreditCloseUnblocks(t *testing.T) {
 }
 
 func TestCreditSenderIgnoresForeignControl(t *testing.T) {
-	s := newCreditSender(Config{InitialCredits: 1}.withDefaults())
+	s := newCreditSender(Config{InitialCredits: 1}.WithDefaults())
 	defer s.Close()
 	s.OnControl(packet.Control{Type: packet.CtrlAck, Body: packet.CreditBody(50)})
 	if st := s.Stats(); st.Granted != 1 {
@@ -152,7 +191,7 @@ func TestCreditSenderIgnoresForeignControl(t *testing.T) {
 func TestCreditReceiverDynamicGrants(t *testing.T) {
 	clock := time.Unix(0, 0)
 	now := func() time.Time { return clock }
-	r := newCreditReceiver(Config{InitialCredits: 4, MaxCredits: 16, ActiveWindow: 10 * time.Millisecond, Now: now}.withDefaults())
+	r := newCreditReceiver(Config{InitialCredits: 4, MaxCredits: 16, ActiveWindow: 10 * time.Millisecond, Now: now}.WithDefaults())
 	defer r.Close()
 
 	grants := 0
@@ -200,7 +239,7 @@ func TestCreditReceiverDynamicGrants(t *testing.T) {
 // the refill threshold OnData emits nothing, so a quiet stream sends
 // no credit control packets at all.
 func TestCreditIdleCostsNoControlTraffic(t *testing.T) {
-	r := newCreditReceiver(Config{InitialCredits: 8}.withDefaults())
+	r := newCreditReceiver(Config{InitialCredits: 8}.WithDefaults())
 	defer r.Close()
 	for i := 0; i < 5; i++ { // 5*4 < 8*3: below the 75% threshold
 		if ctrl := r.OnData(uint32(i)); len(ctrl) != 0 {
@@ -213,7 +252,7 @@ func TestCreditIdleCostsNoControlTraffic(t *testing.T) {
 // refreshes the consumed count (retiring sender in-flight) without
 // raising new credit, and non-credit receivers decline.
 func TestCreditPiggybackGrant(t *testing.T) {
-	cfg := Config{InitialCredits: 4}.withDefaults()
+	cfg := Config{InitialCredits: 4}.WithDefaults()
 	s := newCreditSender(cfg)
 	r := newCreditReceiver(cfg)
 	defer s.Close()
@@ -246,7 +285,7 @@ func TestCreditPiggybackGrant(t *testing.T) {
 // an AIMD controller, grants alone do not admit — in-flight must stay
 // under the controller window, and consumed-count progress reopens it.
 func TestCreditControllerGatesInflight(t *testing.T) {
-	s := newCreditSender(Config{InitialCredits: 4, MaxCredits: 64, Controller: ControllerAIMD}.withDefaults())
+	s := newCreditSender(Config{InitialCredits: 4, MaxCredits: 64, Controller: ControllerAIMD}.WithDefaults())
 	defer s.Close()
 	s.OnControl(creditGrant(100)) // ample credit; the controller is the limit
 
@@ -352,7 +391,7 @@ func TestRateSenderPacesTransmission(t *testing.T) {
 }
 
 func TestRateSenderAdjustsFromControl(t *testing.T) {
-	s := newRateSender(Config{RatePerSec: 10, Burst: 1}.withDefaults())
+	s := newRateSender(Config{RatePerSec: 10, Burst: 1}.WithDefaults())
 	defer s.Close()
 	s.OnControl(packet.Control{Type: packet.CtrlRate, Body: packet.CreditBody(5000)})
 	if s.RateNow() != 5000 {
@@ -368,7 +407,7 @@ func TestRateSenderAdjustsFromControl(t *testing.T) {
 func TestRateReceiverAdvertisesRate(t *testing.T) {
 	clock := time.Unix(0, 0)
 	now := func() time.Time { return clock }
-	r := newRateReceiver(Config{Now: now}.withDefaults())
+	r := newRateReceiver(Config{Now: now}.WithDefaults())
 	defer r.Close()
 
 	// 64 packets over 64 ms → observed 1000 pkts/s → advertised 1250.
@@ -391,7 +430,7 @@ func TestRateReceiverAdvertisesRate(t *testing.T) {
 		t.Fatalf("advertised rate = %d, want ≈1250", n)
 	}
 	// The sender applies it.
-	s := newRateSender(Config{RatePerSec: 10, Burst: 1}.withDefaults())
+	s := newRateSender(Config{RatePerSec: 10, Burst: 1}.WithDefaults())
 	defer s.Close()
 	s.OnControl(ctrls[0])
 	if s.RateNow() != float64(n) {
@@ -402,7 +441,7 @@ func TestRateReceiverAdvertisesRate(t *testing.T) {
 func TestRateReceiverObservesRate(t *testing.T) {
 	clock := time.Unix(0, 0)
 	now := func() time.Time { return clock }
-	r := newRateReceiver(Config{Now: now}.withDefaults())
+	r := newRateReceiver(Config{Now: now}.WithDefaults())
 	defer r.Close()
 	for i := 0; i < 100; i++ {
 		r.OnData(uint32(i))
@@ -418,8 +457,8 @@ func TestRateReceiverObservesRate(t *testing.T) {
 // and all packets eventually flow through the threshold-based refills.
 func TestCreditEndToEndConservation(t *testing.T) {
 	cfg := Config{InitialCredits: 3, MaxCredits: 8}
-	s := newCreditSender(cfg.withDefaults())
-	r := newCreditReceiver(cfg.withDefaults())
+	s := newCreditSender(cfg.WithDefaults())
+	r := newCreditReceiver(cfg.WithDefaults())
 	defer s.Close()
 	defer r.Close()
 
@@ -458,9 +497,8 @@ func TestCreditEndToEndConservation(t *testing.T) {
 	if st.Used != total {
 		t.Fatalf("used = %d, want %d", st.Used, total)
 	}
-	rst, ok := ReceiverStatsOf(r)
-	if !ok || rst.Arrived != total {
-		t.Fatalf("receiver arrived = %d (ok=%v), want %d", rst.Arrived, ok, total)
+	if rst := r.Stats(); rst.Arrived != total {
+		t.Fatalf("receiver arrived = %d, want %d", rst.Arrived, total)
 	}
 }
 

@@ -61,7 +61,7 @@ func awaitTimersDrained(patience time.Duration) error {
 // (the configuration that arms retry timers) and returns the emission
 // counter.
 func refillReceiver(cfg Config) (*creditReceiver, *int32) {
-	r := newCreditReceiver(cfg.withDefaults())
+	r := newCreditReceiver(cfg.WithDefaults())
 	var emitted int32
 	SetEmitter(r, func(packet.Control) bool {
 		atomic.AddInt32(&emitted, 1)
@@ -74,7 +74,7 @@ func refillReceiver(cfg Config) (*creditReceiver, *int32) {
 // state-machine property tests) must never touch the timer heap,
 // however many refills it issues.
 func TestRefillWithoutEmitterArmsNoTimer(t *testing.T) {
-	r := newCreditReceiver(Config{InitialCredits: 4}.withDefaults())
+	r := newCreditReceiver(Config{InitialCredits: 4}.WithDefaults())
 	defer r.Close()
 	before := PendingTimers()
 	for i := 0; i < 64; i++ {
@@ -177,7 +177,7 @@ func TestRefillRetryAllocatesNothing(t *testing.T) {
 // one before is still in emit sends nothing, so it must not use up the
 // chain's budget — it re-arms and leaves the count alone.
 func TestRefillRetryBlockedEmitCountsNoRetry(t *testing.T) {
-	r := newCreditReceiver(Config{InitialCredits: 4, ActiveWindow: time.Minute}.withDefaults())
+	r := newCreditReceiver(Config{InitialCredits: 4, ActiveWindow: time.Minute}.WithDefaults())
 	defer r.Close()
 	entered, release := make(chan struct{}), make(chan struct{})
 	var emitted int32

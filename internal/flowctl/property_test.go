@@ -53,7 +53,7 @@ func runCreditSchedule(t *testing.T, seed int64) {
 		ActiveWindow:   10 * time.Millisecond,
 		Controller:     ControllerKind(rng.Intn(3)),
 		Now:            func() time.Time { return clock },
-	}.withDefaults()
+	}.WithDefaults()
 	s := newCreditSender(cfg)
 	r := newCreditReceiver(cfg)
 	defer s.Close()

@@ -227,8 +227,7 @@ type Group struct {
 
 	conns []*core.Connection // index = peer rank; nil at own rank
 
-	// inbox merges every peer connection's deliveries into one stream
-	// (nil on fast-path groups, which must receive per connection);
+	// inbox merges every peer connection's deliveries into one stream;
 	// connRank demultiplexes a delivery back to its peer rank, and
 	// pending queues frames that arrived while the member was waiting
 	// on a different peer — owned, so a group closed with some unread
@@ -408,29 +407,24 @@ func ConnectConfig(systems []*core.System, opts core.Options, cfg Config) ([]*Gr
 		groups[r.owner].conns[r.peer] = r.conn
 	}
 
-	// Wire up collective delivery: one shared inbox per member (the
-	// sharded runtime's fan-in path) unless the connections run the
-	// fast path, whose receives must stay on the calling goroutine.
-	if !opts.FastPath && n > 1 {
-		depth := 4 * n
-		if depth < 256 {
-			depth = 256
-		}
-		for _, g := range groups {
-			g.inbox = core.NewInbox(depth)
-			g.connRank = make(map[*core.Connection]int, n-1)
-			g.pending = make([][]core.Message, n)
-			for peer, c := range g.conns {
-				if c == nil {
-					continue
+	// Wire up collective delivery: one shared inbox per member, on every
+	// runtime — while a member waits on its inbox, each connection's pump
+	// of last resort delivers into it.
+	depth := max(4*n, 256)
+	for _, g := range groups {
+		g.inbox = core.NewInbox(depth)
+		g.connRank = make(map[*core.Connection]int, n-1)
+		g.pending = make([][]core.Message, n)
+		for peer, c := range g.conns {
+			if c == nil {
+				continue
+			}
+			g.connRank[c] = peer
+			if err := c.BindInbox(g.inbox); err != nil {
+				for _, gg := range groups {
+					gg.Close()
 				}
-				g.connRank[c] = peer
-				if err := c.BindInbox(g.inbox); err != nil {
-					for _, gg := range groups {
-						gg.Close()
-					}
-					return nil, fmt.Errorf("group: bind inbox: %w", err)
-				}
+				return nil, fmt.Errorf("group: bind inbox: %w", err)
 			}
 		}
 	}
@@ -458,32 +452,15 @@ func (g *Group) sendFrame(dst int, op byte, tag, chunk, nchunks, total uint32, p
 }
 
 // recvRaw returns the next message from peer rank src, demultiplexing
-// through the member's inbox when one is bound. Frames from other peers
+// through the member's inbox. Frames from other peers
 // that arrive while waiting are queued for their own receives. The wait
 // is bounded by dl and by the source connection's liveness. The message
 // is borrowed: the caller releases or owns it.
 func (g *Group) recvRaw(src int, dl time.Time) (core.Message, error) {
-	if q := g.pending; q != nil && len(q[src]) > 0 {
+	if q := g.pending; len(q[src]) > 0 {
 		m := q[src][0]
 		q[src][0] = core.Message{}
 		q[src] = q[src][1:]
-		return m, nil
-	}
-	if g.inbox == nil {
-		remain := time.Until(dl)
-		if remain <= 0 {
-			return core.Message{}, fmt.Errorf("recv from %d: %w", src, ErrDeadline)
-		}
-		m, err := g.conns[src].RecvMessageTimeout(remain)
-		if err != nil {
-			if errors.Is(err, core.ErrRecvTimeout) {
-				err = ErrDeadline
-			}
-			return core.Message{}, fmt.Errorf("recv from %d: %w", src, err)
-		}
-		if err := lostErr(&m, src); err != nil {
-			return core.Message{}, err
-		}
 		return m, nil
 	}
 	for {
@@ -802,7 +779,5 @@ func (g *Group) Close() {
 			c.Close()
 		}
 	}
-	if g.inbox != nil {
-		g.inbox.Close()
-	}
+	g.inbox.Close()
 }

@@ -230,13 +230,20 @@ func TestBuildRejectsEmpty(t *testing.T) {
 	}
 }
 
+// TestGroupOverEveryInterface broadcasts and synchronises a group over
+// each interface, and over HPI on the fast path, whose members read
+// their inbox like any other's.
 func TestGroupOverEveryInterface(t *testing.T) {
-	for _, kind := range []transport.Kind{transport.SCI, transport.ACI, transport.HPI} {
-		t.Run(kind.String(), func(t *testing.T) {
+	for _, opts := range []core.Options{{Interface: transport.SCI}, {Interface: transport.ACI}, {Interface: transport.HPI}, {Interface: transport.HPI, FastPath: true}} {
+		name := opts.Interface.String()
+		if opts.FastPath {
+			name += "-fastpath"
+		}
+		t.Run(name, func(t *testing.T) {
 			nw := core.NewNetwork()
 			defer nw.Close()
-			names := []string{"gi-0-" + kind.String(), "gi-1-" + kind.String(), "gi-2-" + kind.String()}
-			groups, err := Build(nw, names, core.Options{Interface: kind}, mcast.SpanningTree)
+			names := []string{"gi-0-" + name, "gi-1-" + name, "gi-2-" + name}
+			groups, err := Build(nw, names, opts, mcast.SpanningTree)
 			if err != nil {
 				t.Fatal(err)
 			}

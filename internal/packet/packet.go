@@ -58,9 +58,15 @@ type DataHeader struct {
 	Flags     uint16 // FlagEnd, FlagRetransmit, ...
 	ConnID    uint32 // connection identifier assigned at setup
 	SessionID uint32 // caller-provided session id (one message exchange)
-	Seq       uint32 // SDU sequence number within the session
-	Length    uint32 // payload byte count
-	StreamID  uint32 // ordered channel within the connection; 0 = default
+	Seq       uint32 // SDU sequence number within the session, below 1<<16
+	// Tx is the low half of the SDU's index among what its sender's lane
+	// has transmitted: the receiver's credit window counts every index up
+	// to the highest it has seen, so an SDU the link lost frees its credit
+	// once a later one arrives. It shares Seq's word: a session never
+	// holds more than 1<<16 SDUs (core refuses larger messages).
+	Tx       uint16
+	Length   uint32 // payload byte count
+	StreamID uint32 // ordered channel within the connection; 0 = default
 }
 
 // Marshal appends the encoded header to dst and returns the result.
@@ -69,7 +75,7 @@ func (h DataHeader) Marshal(dst []byte) []byte {
 	dst = binary.BigEndian.AppendUint16(dst, h.Flags)
 	dst = binary.BigEndian.AppendUint32(dst, h.ConnID)
 	dst = binary.BigEndian.AppendUint32(dst, h.SessionID)
-	dst = binary.BigEndian.AppendUint32(dst, h.Seq)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(h.Tx)<<16|h.Seq&0xffff)
 	dst = binary.BigEndian.AppendUint32(dst, h.Length)
 	dst = binary.BigEndian.AppendUint32(dst, h.StreamID)
 	return dst
@@ -89,7 +95,8 @@ func UnmarshalDataHeader(p []byte) (DataHeader, error) {
 		Flags:     binary.BigEndian.Uint16(p[2:]),
 		ConnID:    binary.BigEndian.Uint32(p[4:]),
 		SessionID: binary.BigEndian.Uint32(p[8:]),
-		Seq:       binary.BigEndian.Uint32(p[12:]),
+		Seq:       uint32(binary.BigEndian.Uint16(p[14:])),
+		Tx:        binary.BigEndian.Uint16(p[12:]),
 		Length:    binary.BigEndian.Uint32(p[16:]),
 		StreamID:  binary.BigEndian.Uint32(p[20:]),
 	}, nil

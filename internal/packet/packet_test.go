@@ -157,8 +157,8 @@ func TestBitmapUnmarshalErrors(t *testing.T) {
 
 // Property: data headers round-trip for arbitrary field values.
 func TestQuickDataHeader(t *testing.T) {
-	f := func(flags uint16, conn, sess, seq, length uint32) bool {
-		h := DataHeader{Flags: flags, ConnID: conn, SessionID: sess, Seq: seq, Length: length}
+	f := func(flags uint16, conn, sess uint32, seq, tx uint16, length uint32) bool {
+		h := DataHeader{Flags: flags, ConnID: conn, SessionID: sess, Seq: uint32(seq), Tx: tx, Length: length}
 		got, err := UnmarshalDataHeader(h.Marshal(nil))
 		return err == nil && got == h
 	}

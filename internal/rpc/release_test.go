@@ -129,8 +129,12 @@ func TestAdmitReleasesOnEveryExit(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if held := buf.Outstanding() - before; held != 1 {
-			t.Fatalf("the received frame pins %d buffers, want the one it arrived in", held)
+		// A credit grant of the default lane's window may still be on
+		// its way back to conn: wait for what is in flight to land.
+		for deadline := time.Now().Add(5 * time.Second); buf.Outstanding()-before != 1; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("the received frame pins %d buffers, want the one it arrived in", buf.Outstanding()-before)
+			}
 		}
 		if doctor != nil {
 			doctor(&m)

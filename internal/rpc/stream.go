@@ -29,7 +29,10 @@ package rpc
 // Because the chunk stream and the call frame travel independently,
 // chunks may reach the server before the call is dispatched; they park
 // on the stream's own backlog until the handler attaches — ordering
-// within the stream is preserved, and nothing blocks the connection.
+// within the stream is preserved, and nothing blocks the connection: a
+// full default lane withholds only its own credit, so neither replies
+// left unread nor a flooded server inbox stop a chunk
+// (TestChunkWaitBehindUnreadReplies, TestUploadBehindFloodedServer).
 
 import (
 	"context"

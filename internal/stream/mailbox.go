@@ -10,16 +10,16 @@ import (
 // Mailbox is the one queue with a bell: whatever waits, in order, for a
 // consumer that may be asleep waits in one. Completed messages do, on
 // every lane — a connection's default channel and each stream — and on
-// a shared core.Inbox; so do the producers an inbox made stop, and the
-// peer-opened streams nobody has accepted yet. It is a ring that keeps
+// a shared core.Inbox; so do the peer-opened streams nobody has accepted
+// yet. It is a ring that keeps
 // its storage across drains, so a steady put/pop allocates nothing;
 // nothing is built until the first Put (or the first wait), so a lane
 // that never receives costs its zero value.
 //
-// The mailbox itself never refuses an element. What bounds it is its
-// producer: core pauses the default lane's at a fixed depth (a bound
-// inbox's at the inbox's), and a stream's backlog withholds its peer's
-// credit grants.
+// The mailbox itself never refuses an element. What bounds it is the
+// credit its producer's peer holds: a lane's backlog withholds the peer's
+// grants (Credit) — a stream's from its first unread message, the
+// default lane's at a fixed depth or at a bound inbox's.
 type Mailbox[T any] struct {
 	mu   sync.Mutex
 	ring []T // circular, len a power of two

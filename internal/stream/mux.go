@@ -18,8 +18,7 @@ type Mux struct {
 	initiator bool
 
 	// emit sends a control packet over the connection's control path,
-	// stamping the connection id. Core installs it right after
-	// construction, before any stream exists.
+	// stamping the connection id.
 	emit func(ctl packet.Control) bool
 
 	mu      sync.Mutex
@@ -32,19 +31,15 @@ type Mux struct {
 	accepts Mailbox[*State]
 }
 
-// NewMux builds the stream table for one connection end.
-func NewMux(initiator bool, cfg Config) *Mux {
+// NewMux builds the stream table for one connection end, whose streams
+// send their control packets through emit.
+func NewMux(initiator bool, cfg Config, emit func(ctl packet.Control) bool) *Mux {
 	first := uint32(2)
 	if initiator {
 		first = 1
 	}
-	return &Mux{cfg: cfg, initiator: initiator, nextID: first}
+	return &Mux{cfg: cfg, initiator: initiator, nextID: first, emit: emit}
 }
-
-// SetEmitter installs the connection's control emitter. Must be called
-// before any stream is created; core does it inside the same critical
-// section that publishes the mux.
-func (m *Mux) SetEmitter(emit func(ctl packet.Control) bool) { m.emit = emit }
 
 // localParity reports whether id is one this end allocates.
 func (m *Mux) localParity(id uint32) bool {
@@ -55,9 +50,9 @@ func (m *Mux) localParity(id uint32) bool {
 func (m *Mux) newStateLocked(id uint32, local bool) *State {
 	st := &State{
 		id:    id,
-		mux:   m,
 		local: local,
 	}
+	st.cr.Init(id, m.cfg.Flow, st.backlogged, m.emit)
 	st.inbound.Alg = m.cfg.Err
 	if m.streams == nil {
 		m.streams = make(map[uint32]*State)

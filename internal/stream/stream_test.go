@@ -42,8 +42,7 @@ func testMux(t *testing.T, initiator bool, sink *collector) *Mux {
 	m := NewMux(initiator, Config{
 		Flow: flowctl.Config{InitialCredits: 4, MaxCredits: 8},
 		Err:  errctl.None,
-	})
-	m.SetEmitter(sink.emit)
+	}, sink.emit)
 	// Reap at test end so every stream's credit receiver drains its
 	// refill-retry timers.
 	t.Cleanup(m.ReapAll)
@@ -126,12 +125,14 @@ func TestMuxReapAll(t *testing.T) {
 	}
 }
 
-// sdu builds the header of one single-SDU unreliable message.
+// sdu builds the header of one single-SDU unreliable message. Sessions
+// run from 0, one SDU each, so a session is its SDU's transmit index.
 func sdu(streamID, session uint32) packet.DataHeader {
 	return packet.DataHeader{
 		Flags:     packet.FlagEnd,
 		SessionID: session,
 		Seq:       0,
+		Tx:        uint16(session),
 		Length:    4,
 		StreamID:  streamID,
 	}
@@ -231,5 +232,40 @@ func TestGrantRoundTrip(t *testing.T) {
 	id := uint32(ctl.Body[0])<<24 | uint32(ctl.Body[1])<<16 | uint32(ctl.Body[2])<<8 | uint32(ctl.Body[3])
 	if id != st.ID() {
 		t.Fatalf("grant addressed to stream %d; want %d", id, st.ID())
+	}
+}
+
+// TestWindowCountsSenderIndices: a lane's window counts its sender's
+// transmit indices, not arrivals. An index the link lost is counted once
+// a later one arrives, so the loss costs no credit; a reordered
+// straggler or a duplicate counts nothing; and the index's low half on
+// the wire unwraps past 1<<16.
+func TestWindowCountsSenderIndices(t *testing.T) {
+	var sink collector
+	m := testMux(t, false, &sink)
+	st := m.Get(1)
+	counted := func() uint64 {
+		return st.cr.recv.(interface{ Stats() flowctl.ReceiverStats }).Stats().Arrived
+	}
+	at := func(tx uint16) {
+		h := sdu(st.ID(), uint32(tx))
+		st.OnData(h, []byte{1, 2, 3, 4}, nil, func(packet.Control) bool { return true }, false)
+		st.TryPop()
+	}
+	at(0)
+	at(3) // 1 and 2 lost
+	if got := counted(); got != 4 {
+		t.Fatalf("indices 0 and 3 arrived: the window counted %d, want 4", got)
+	}
+	at(1) // late
+	at(3) // duplicated
+	if got := counted(); got != 4 {
+		t.Fatalf("a straggler and a duplicate changed the count to %d, want 4", got)
+	}
+	st.cr.rx = 0xfffe
+	before := counted()
+	at(1) // 0xfffe, 0xffff, 0x10000 and 0x10001: the last arrived
+	if got := counted() - before; got != 4 {
+		t.Fatalf("index 0x10001 after 0xfffe counted %d, want 4", got)
 	}
 }

@@ -91,8 +91,9 @@
 //	buf.pool.outstanding               buffers checked out of the tiers
 //	buf.pool.retained_bytes            idle storage the tiers' free lists hold
 //	                                   (bounded: see buf.tierIdle, ≈ 4.4 MB)
-//	core.shard.parked_conns            conns paused on a slow consumer, any runtime
-//	                                   (their own mailbox or a bound Inbox at depth)
+//	core.shard.parked_conns            live conns whose default lane withholds its
+//	                                   peer's credit grant, any runtime (their own
+//	                                   mailbox or a bound Inbox at depth)
 //	rpc.client.inflight                calls awaiting replies
 //	rpc.server.inflight                requests admitted, not replied
 //	stream.mux.open                    streams currently open (all conns)
